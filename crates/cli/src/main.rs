@@ -271,12 +271,11 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--fsync",
-        metavar: Some("every|batch|group[:us]|off"),
+        metavar: Some("every|group[:us]|off"),
         help: "with --data-dir: WAL fsync policy — every append (default, \
-               survives power loss), batched (bounded loss window), group \
-               commit (concurrent FEEDs inside a window of 'us' microseconds \
-               share one fsync, still power-loss safe), or left to the OS \
-               (still survives a killed process)",
+               survives power loss), group commit (concurrent FEEDs inside a \
+               window of 'us' microseconds share one fsync, still power-loss \
+               safe), or left to the OS (still survives a killed process)",
     },
     FlagSpec {
         name: "--wal-segment-bytes",
@@ -364,7 +363,7 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--shared-matcher",
-        metavar: Some("on|off|auto"),
+        metavar: Some("on|off"),
         help: "share one pattern-set pass across a channel's subscriptions: \
                aligned queries pool predicate tests through a shared memo, \
                per-subscription results stay byte-identical; /metrics gains \
@@ -699,10 +698,11 @@ fn run_serve() -> Result<(), CliError> {
             }
             "--sample-hz" => config.sample_hz = serve_numeric(value),
             "--shared-matcher" => {
-                config.shared_matcher = value
-                    .as_deref()
-                    .and_then(sqlts_server::SharedMatcherMode::parse)
-                    .unwrap_or_else(|| serve_usage())
+                config.shared_matcher = match value.as_deref() {
+                    Some("on") => true,
+                    Some("off") => false,
+                    _ => serve_usage(),
+                }
             }
             "--help" => {
                 print!("{}", serve_help_text());

@@ -210,6 +210,21 @@ fn checkpoint_disconnect_resume_matches_batch() {
     );
 }
 
+/// `--shared-matcher auto` and `--fsync batch` named mechanisms that no
+/// longer exist: asking for one is a usage error, never a silent
+/// fallback to some other policy.
+#[test]
+fn removed_flag_values_are_usage_errors() {
+    for flag in [["--shared-matcher", "auto"], ["--fsync", "batch"]] {
+        let out = Command::new(BIN)
+            .args(["serve", "--listen", "127.0.0.1:0"])
+            .args(flag)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+    }
+}
+
 #[test]
 fn malformed_frames_get_errors_not_disconnects() {
     let server = spawn_server(&["--max-frame-bytes", "64"]);

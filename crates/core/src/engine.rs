@@ -157,6 +157,15 @@ fn shift_only(sn: &ShiftNext) -> ShiftNext {
     ShiftNext::from_arrays(shift, next)
 }
 
+/// The plan `kind`'s machine needs: `None` for the naive engines, which
+/// consult no tables.
+pub fn plan_for(elements: &[PatternElement], kind: EngineKind) -> Option<SearchPlan> {
+    match kind {
+        EngineKind::Naive | EngineKind::NaiveBacktrack => None,
+        EngineKind::Ops | EngineKind::OpsShiftOnly => Some(plan(elements, kind)),
+    }
+}
+
 /// Find all matches of `elements` in `cluster` using `kind`.
 ///
 /// `counter` accumulates the paper's cost metric; pass a `trace` to record
@@ -169,16 +178,47 @@ pub fn find_matches(
     counter: &EvalCounter,
     trace: Option<&mut SearchTrace>,
 ) -> Vec<MatchSpans> {
-    match kind {
-        EngineKind::Naive => naive_search(elements, cluster, options, counter, trace),
-        EngineKind::NaiveBacktrack => {
-            backtracking_search(elements, cluster, options, counter, trace)
-        }
-        _ => {
-            let search_plan = plan(elements, kind);
-            ops_search(elements, cluster, &search_plan, options, counter, trace)
-        }
-    }
+    let search_plan = plan_for(elements, kind);
+    search_cluster(
+        elements,
+        cluster,
+        kind,
+        search_plan.as_ref(),
+        options,
+        counter,
+        trace,
+    )
+}
+
+/// Run `kind`'s machine over a whole cluster in one step, with a pre-built
+/// plan (lets the executor amortize compilation across clusters).  A batch
+/// search is the incremental one with the end of input known from the
+/// start.
+pub(crate) fn search_cluster(
+    elements: &[PatternElement],
+    cluster: &Cluster<'_>,
+    kind: EngineKind,
+    search_plan: Option<&SearchPlan>,
+    options: &SearchOptions,
+    counter: &EvalCounter,
+    trace: Option<&mut SearchTrace>,
+) -> Vec<MatchSpans> {
+    let input = StepInput {
+        cluster,
+        eof: true,
+        lookahead: 0,
+    };
+    let mut out = Vec::new();
+    EngineMachine::new(kind, elements.len()).run(
+        elements,
+        search_plan,
+        &input,
+        options,
+        counter,
+        trace,
+        &mut out,
+    );
+    out
 }
 
 /// Why an incremental engine step returned control to its driver.
@@ -306,8 +346,15 @@ impl EngineMachine {
 }
 
 /// The backtracking baseline as an explicit stack machine (the recursion
-/// of the batch implementation flattened frame by frame so it can suspend
-/// on [`StepOutcome::NeedInput`] and be checkpointed).
+/// flattened frame by frame so it can suspend on
+/// [`StepOutcome::NeedInput`] and be checkpointed): from every start
+/// position, search for *any* assignment of star extents satisfying the
+/// pattern (shortest extents first), backtracking on failure.
+///
+/// This is the direct operational reading of the star's declarative
+/// semantics; it can be exponentially slower than the greedy engines and
+/// may find matches greedy commitment misses (when adjacent predicates
+/// overlap, a shorter star extent can rescue the suffix).
 #[derive(Clone, Debug)]
 pub struct BacktrackMachine {
     pub(crate) start: usize,
@@ -518,48 +565,9 @@ impl BacktrackMachine {
     }
 }
 
-/// The backtracking baseline: from every start position, search for *any*
-/// assignment of star extents satisfying the pattern (shortest extents
-/// first), backtracking on failure.
-///
-/// This is the direct operational reading of the star's declarative
-/// semantics; it can be exponentially slower than the greedy engines and
-/// may find matches greedy commitment misses (when adjacent predicates
-/// overlap, a shorter star extent can rescue the suffix).
-pub fn backtracking_search(
-    elements: &[PatternElement],
-    cluster: &Cluster<'_>,
-    options: &SearchOptions,
-    counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
-) -> Vec<MatchSpans> {
-    let mut machine = BacktrackMachine::new();
-    let input = StepInput {
-        cluster,
-        eof: true,
-        lookahead: 0,
-    };
-    let mut out = Vec::new();
-    machine.run(elements, &input, options, counter, trace, &mut out);
-    out
-}
-
-/// Run a pre-built plan (lets callers amortize compilation across
-/// clusters).
-pub fn find_matches_with_plan(
-    elements: &[PatternElement],
-    cluster: &Cluster<'_>,
-    search_plan: &SearchPlan,
-    options: &SearchOptions,
-    counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
-) -> Vec<MatchSpans> {
-    ops_search(elements, cluster, search_plan, options, counter, trace)
-}
-
-/// The naive greedy engine as an incremental state machine (the labelled
-/// `'outer` loop of the batch implementation unrolled so it can suspend
-/// at any tuple boundary).
+/// The naive baseline as an incremental state machine (able to suspend at
+/// any tuple boundary): a greedy attempt from every start position, moving
+/// one tuple to the right after every failure.
 #[derive(Clone, Debug)]
 pub struct NaiveMachine {
     pub(crate) start: usize,
@@ -716,26 +724,6 @@ impl NaiveMachine {
             self.advance_element(m, counter, out);
         }
     }
-}
-
-/// The naive baseline: greedy attempt from every start position, moving
-/// one tuple to the right after every failure.
-pub fn naive_search(
-    elements: &[PatternElement],
-    cluster: &Cluster<'_>,
-    options: &SearchOptions,
-    counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
-) -> Vec<MatchSpans> {
-    let mut machine = NaiveMachine::new();
-    let input = StepInput {
-        cluster,
-        eof: true,
-        lookahead: 0,
-    };
-    let mut out = Vec::new();
-    machine.run(elements, &input, options, counter, trace, &mut out);
-    out
 }
 
 /// The OPS search (§4.2 algorithm generalized with the §5 `count[]`
@@ -943,34 +931,6 @@ impl OpsMachine {
         }
         StepOutcome::Done
     }
-}
-
-/// The OPS search over a whole cluster.
-fn ops_search(
-    elements: &[PatternElement],
-    cluster: &Cluster<'_>,
-    search_plan: &SearchPlan,
-    options: &SearchOptions,
-    counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
-) -> Vec<MatchSpans> {
-    let mut machine = OpsMachine::new(elements.len());
-    let input = StepInput {
-        cluster,
-        eof: true,
-        lookahead: 0,
-    };
-    let mut out = Vec::new();
-    machine.run(
-        elements,
-        search_plan,
-        &input,
-        options,
-        counter,
-        trace,
-        &mut out,
-    );
-    out
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! End-to-end query execution: compile → cluster → search → project.
 
 use crate::counters::EvalCounter;
-use crate::engine::{
-    backtracking_search, find_matches_with_plan, naive_search, plan, EngineKind, SearchOptions,
-    SearchPlan,
-};
+use crate::engine::{plan_for, search_cluster, EngineKind, SearchOptions, SearchPlan};
 use crate::governor::{Governor, RunGovernor, Trip};
+use crate::patternset::{ClusterCache, MatcherGroup, SharedEvalHandle};
 use crate::reverse::{direction_hint, find_matches_directed, Direction};
 use sqlts_lang::{
     compile, eval_projection, Bindings, CompileOptions, CompiledQuery, EvalCtx, FirstTuplePolicy,
@@ -150,6 +148,17 @@ pub enum DirectionChoice {
     Reverse,
     /// Pick per query using the paper's mean-shift/next heuristic.
     Auto,
+}
+
+impl DirectionChoice {
+    /// The concrete scan direction this choice means for `query`.
+    pub(crate) fn resolve(self, query: &CompiledQuery) -> Direction {
+        match self {
+            DirectionChoice::Forward => Direction::Forward,
+            DirectionChoice::Reverse => Direction::Reverse,
+            DirectionChoice::Auto => direction_hint(query),
+        }
+    }
 }
 
 /// Execution statistics.
@@ -337,91 +346,183 @@ pub(crate) fn output_schema(query: &CompiledQuery) -> Result<Schema, TableError>
     )
 }
 
-/// Execute an already-compiled query against a table.
+/// Execute an already-compiled query against a table: the group-of-one,
+/// no-memo case of [`run_batch`].
 pub fn execute(
     query: &CompiledQuery,
     table: &Table,
     options: &ExecOptions,
 ) -> Result<QueryResult, ExecError> {
-    let mut out = Table::new(output_schema(query)?);
+    let direction = options.direction.resolve(query);
+    let (mut results, _) = run_batch(&[query], direction, table, options, None);
+    results.pop().expect("one query, one result")
+}
 
-    let cluster_cols: Vec<&str> = query.cluster_by.iter().map(String::as_str).collect();
-    let sequence_cols: Vec<&str> = query.sequence_by.iter().map(String::as_str).collect();
-    let clusters = table.cluster_by(&cluster_cols, &sequence_cols)?;
+/// One query's share of a run — everything set up before the first tuple
+/// is tested: the output schema, the search plan and the armed governor.
+pub(crate) struct Member<'q> {
+    pub(crate) query: &'q CompiledQuery,
+    direction: Direction,
+    schema: Schema,
+    pub(crate) search_plan: Option<SearchPlan>,
+    plan_ns: u64,
+    pub(crate) run: Option<Arc<RunGovernor>>,
+}
 
-    let search_options = SearchOptions {
-        policy: options.policy,
+impl<'q> Member<'q> {
+    pub(crate) fn prepare(
+        query: &'q CompiledQuery,
+        direction: Direction,
+        options: &ExecOptions,
+    ) -> Result<Member<'q>, TableError> {
+        let schema = output_schema(query)?;
+        // Compile the search plan once, reuse across clusters (forward scans
+        // only; the reverse path compiles the reversed pattern internally).
+        let t_plan = options.instrument.armed().then(Instant::now);
+        let search_plan = match direction {
+            Direction::Forward => plan_for(&query.elements, options.engine),
+            Direction::Reverse => None,
+        };
+        let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        // Arm the governor only when some limit is actually set: the
+        // ungoverned path stays bit-identical to a build without a governor.
+        let run = (!options.governor.is_unlimited()).then(|| options.governor.begin());
+        Ok(Member {
+            query,
+            direction,
+            schema,
+            search_plan,
+            plan_ns,
+            run,
+        })
+    }
+
+    /// A fresh private counter for one cluster of this member.  The
+    /// construction order is fixed — governed scope (whose initial refill
+    /// must precede the recorder), then the recorder, then the shared memo
+    /// handle — so flush timing is identical wherever a counter is built.
+    pub(crate) fn counter(
+        &self,
+        instrument: Instrument,
+        shared: Option<SharedEvalHandle>,
+    ) -> EvalCounter {
+        let mut counter = match &self.run {
+            Some(run) => EvalCounter::governed(run.scope()),
+            None => EvalCounter::new(),
+        };
+        if instrument.armed() {
+            counter = counter.with_recorder(ClusterRecorder::new(
+                self.query.elements.len(),
+                instrument.capacity(),
+            ));
+        }
+        match shared {
+            Some(handle) => counter.with_shared(handle),
+            None => counter,
+        }
+    }
+}
+
+/// The one batch driver.  `queries` are searched together over `table`,
+/// cluster by cluster: one query with no memo for [`execute`], or the
+/// forward members of a shared `group` — which agree on `CLUSTER BY` /
+/// `SEQUENCE BY` — for [`crate::execute_set`]; never empty.  Returns one
+/// result per query, index-aligned, plus the group memo's `(saved,
+/// shared)` test counts summed in cluster order.
+pub(crate) fn run_batch(
+    queries: &[&CompiledQuery],
+    direction: Direction,
+    table: &Table,
+    options: &ExecOptions,
+    group: Option<&MatcherGroup>,
+) -> (Vec<Result<QueryResult, ExecError>>, (u64, u64)) {
+    let cluster_cols: Vec<&str> = queries[0].cluster_by.iter().map(String::as_str).collect();
+    let sequence_cols: Vec<&str> = queries[0].sequence_by.iter().map(String::as_str).collect();
+    let clusters = match table.cluster_by(&cluster_cols, &sequence_cols) {
+        Ok(clusters) => clusters,
+        Err(e) => {
+            let failed = queries.iter().map(|_| Err(ExecError::Table(e.clone())));
+            return (failed.collect(), (0, 0));
+        }
     };
-    let direction = match options.direction {
-        DirectionChoice::Forward => Direction::Forward,
-        DirectionChoice::Reverse => Direction::Reverse,
-        DirectionChoice::Auto => direction_hint(query),
-    };
-    // Compile the search plan once, reuse across clusters (forward scans
-    // only; the reverse path compiles the reversed pattern internally).
-    let profiling = options.instrument.armed();
-    let t_plan = profiling.then(Instant::now);
-    let search_plan = match (options.engine, direction) {
-        (EngineKind::Naive | EngineKind::NaiveBacktrack, _) => None,
-        (_, Direction::Reverse) => None,
-        (kind, Direction::Forward) => Some(plan(&query.elements, kind)),
-    };
-    let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-    // Arm the governor only when some limit is actually set: the
-    // ungoverned path stays bit-identical to a build without a governor.
-    let run: Option<Arc<RunGovernor>> =
-        (!options.governor.is_unlimited()).then(|| options.governor.begin());
-
-    let t_exec = profiling.then(Instant::now);
-    let worker_count = options.threads.get().min(clusters.len());
-    let outcomes: Vec<ClusterRun> = if worker_count <= 1 {
-        // Sequential path: same per-cluster routine, run inline.
-        clusters
+    // A query whose preparation fails keeps its slot (and its memo
+    // position) but takes no part in the scan.
+    let prepared: Vec<Result<Member<'_>, TableError>> = queries
+        .iter()
+        .map(|query| Member::prepare(query, direction, options))
+        .collect();
+    let job = BatchJob {
+        members: prepared
             .iter()
             .enumerate()
-            .map(|(idx, cluster)| {
-                run_cluster_guarded(
-                    query,
-                    cluster,
-                    idx,
-                    search_plan.as_ref(),
-                    options.engine,
-                    direction,
-                    &search_options,
-                    run.as_ref(),
-                    options.instrument,
-                    None,
-                )
-            })
-            .collect()
-    } else {
-        run_clusters_parallel(
-            query,
-            &clusters,
-            search_plan.as_ref(),
-            options.engine,
-            direction,
-            &search_options,
-            worker_count,
-            run.as_ref(),
-            options.instrument,
-        )
+            .filter_map(|(pos, member)| Some((pos, member.as_ref().ok()?)))
+            .collect(),
+        clusters: &clusters,
+        options,
+        group,
     };
+    let t_exec = options.instrument.armed().then(Instant::now);
+    let units = job.run();
+    let exec_ns = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-    // Merge in cluster order: output rows, summed counters and profile
-    // clusters land exactly where the sequential loop would put them, for
-    // any thread count.
+    // Transpose to per-member cluster runs, summing the memo counters in
+    // cluster order (deterministic for every thread count).
+    let mut per_member: Vec<Vec<ClusterRun>> = job
+        .members
+        .iter()
+        .map(|_| Vec::with_capacity(clusters.len()))
+        .collect();
+    let mut savings = (0, 0);
+    for unit in units {
+        for (runs, run) in per_member.iter_mut().zip(unit.runs) {
+            runs.push(run);
+        }
+        savings.0 += unit.saved;
+        savings.1 += unit.shared;
+    }
+    let mut per_member = per_member.into_iter();
+    let results = prepared
+        .iter()
+        .map(|member| {
+            let member = member.as_ref().map_err(|e| ExecError::Table(e.clone()))?;
+            let runs = per_member.next().expect("one run list per live member");
+            let keyed = clusters.iter().map(Cluster::key).zip(runs);
+            match merge_clusters(member, options, exec_ns, keyed)? {
+                (result, None) => Ok(result),
+                (partial, Some(trip)) => Err(ExecError::Governed {
+                    trip,
+                    partial: Box::new(partial),
+                }),
+            }
+        })
+        .collect();
+    (results, savings)
+}
+
+/// Fold one member's per-cluster runs, **in cluster order**, into its
+/// [`QueryResult`]: output rows, summed counters and profile clusters land
+/// exactly where a sequential loop would put them, for any thread count.
+/// This is the only cluster-outcome merge — batch, pattern-set and
+/// streamed runs all end here — and the governor's trip, if any, is handed
+/// back beside the (then partial) result for the caller to wrap in its own
+/// error type.
+pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
+    member: &Member<'_>,
+    options: &ExecOptions,
+    exec_ns: u64,
+    runs: impl IntoIterator<Item = (K, ClusterRun)>,
+) -> Result<(QueryResult, Option<Trip>), TableError> {
+    let mut table = Table::new(member.schema.clone());
     let mut stats = SearchStats::default();
     let mut partial = Vec::new();
-    let mut profile = profiling.then(|| {
+    let mut profile = options.instrument.armed().then(|| {
         Box::new(ExecutionProfile::new(
             options.engine.name(),
             options.threads.get(),
         ))
     });
-    for (idx, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
+    for (idx, (key, run)) in runs.into_iter().enumerate() {
+        match run {
             ClusterRun::Done(outcome) => {
                 stats.clusters += 1;
                 stats.tuples += outcome.tuples;
@@ -433,7 +534,7 @@ pub fn execute(
                     let events_dropped = recorder.events.dropped();
                     profile.push_cluster(ClusterProfile {
                         index: idx,
-                        key: cluster_key(&clusters[idx]),
+                        key: render_key(key.as_ref()),
                         tuples: outcome.tuples,
                         metrics: recorder.metrics,
                         events: recorder.events.into_events(),
@@ -442,61 +543,76 @@ pub fn execute(
                 }
                 for row in outcome.rows {
                     stats.matches += 1;
-                    out.push_row(row).map_err(ExecError::Table)?;
+                    table.push_row(row)?;
                 }
             }
             // A cluster skipped because the governor had already tripped
             // contributes nothing: it was never scanned.
             ClusterRun::Skipped => {}
-            ClusterRun::Failed { cause } => {
-                partial.push(ClusterFailure {
-                    cluster: idx,
-                    key: cluster_key(&clusters[idx]),
-                    cause,
-                });
-            }
+            ClusterRun::Failed { cause } => partial.push(ClusterFailure {
+                cluster: idx,
+                key: render_key(key.as_ref()),
+                cause,
+            }),
         }
     }
     if let Some(profile) = profile.as_deref_mut() {
-        profile.phases.plan = plan_ns;
-        profile.phases.execute = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        profile.optimizer = Some(crate::explain::optimizer_report(query));
+        profile.phases.plan = member.plan_ns;
+        profile.phases.execute = exec_ns;
+        profile.optimizer = Some(crate::explain::optimizer_report(member.query));
     }
     let result = QueryResult {
-        table: out,
+        table,
         stats,
         partial,
         profile,
     };
-    if let Some(run) = run {
-        if let Some(trip) = run.trip() {
-            return Err(ExecError::Governed {
-                trip,
-                partial: Box::new(result),
-            });
-        }
-    }
-    Ok(result)
+    Ok((result, member.run.as_ref().and_then(|run| run.trip())))
 }
 
 /// What one cluster's search produced: projected rows in match order plus
 /// the per-cluster slices of the execution stats.
 pub(crate) struct ClusterOutcome {
-    pub(crate) tuples: u64,
-    pub(crate) predicate_tests: u64,
-    pub(crate) rows: Vec<Vec<Value>>,
+    tuples: u64,
+    predicate_tests: u64,
+    rows: Vec<Vec<Value>>,
     /// The armed trace/metrics recorder, handed back for the cluster-order
     /// profile merge (`None` when instrumentation was off).  Boxed so the
     /// common unarmed outcome stays small.
-    pub(crate) recorder: Option<Box<ClusterRecorder>>,
+    recorder: Option<Box<ClusterRecorder>>,
+}
+
+impl ClusterOutcome {
+    /// Close a cluster's books: flush the counter's last partially-spent
+    /// credit batch so the governor's consumed-step accounting is exact,
+    /// stamp a governor trip onto the armed trace, and take the totals.
+    pub(crate) fn close(
+        counter: EvalCounter,
+        run: Option<&Arc<RunGovernor>>,
+        tuples: u64,
+        rows: Vec<Vec<Value>>,
+    ) -> ClusterOutcome {
+        counter.finish();
+        if counter.armed() && counter.tripped() {
+            if let Some(trip) = run.and_then(|r| r.trip()) {
+                counter.emit(TraceEvent::GovernorTrip {
+                    cause: trip.reason.trace_cause(),
+                });
+            }
+        }
+        ClusterOutcome {
+            tuples,
+            predicate_tests: counter.total(),
+            rows,
+            recorder: counter.into_recorder().map(Box::new),
+        }
+    }
 }
 
 /// Render a cluster's key values for diagnostics and profiles (empty when
 /// the query has no `CLUSTER BY`).
-pub(crate) fn cluster_key(cluster: &Cluster<'_>) -> String {
-    cluster
-        .key()
-        .iter()
+pub(crate) fn render_key(key: &[Value]) -> String {
+    key.iter()
         .map(|v| v.to_string())
         .collect::<Vec<_>>()
         .join(", ")
@@ -529,189 +645,165 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one cluster behind a panic barrier and the governor's trip check.
-///
-/// `catch_unwind` isolates a poisoned cluster (bad data tripping a debug
-/// assertion, an injected failpoint, …) so the remaining clusters still
-/// produce their matches; the failure is reported structurally via
-/// [`QueryResult::partial`] instead of tearing down the whole query.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cluster_guarded(
-    query: &CompiledQuery,
-    cluster: &Cluster<'_>,
-    idx: usize,
-    search_plan: Option<&SearchPlan>,
-    engine: EngineKind,
-    direction: Direction,
-    search_options: &SearchOptions,
-    run: Option<&Arc<RunGovernor>>,
-    instrument: Instrument,
-    shared: Option<crate::patternset::SharedEvalHandle>,
-) -> ClusterRun {
-    if let Some(run) = run {
-        if run.is_tripped() {
+/// What one unit of work produced: every member's run of one cluster, plus
+/// that cluster's memo savings (zero without a group).
+struct ClusterUnit {
+    runs: Vec<ClusterRun>,
+    saved: u64,
+    shared: u64,
+}
+
+/// One batch run's fixed inputs, shared by every worker.
+struct BatchJob<'a> {
+    /// The live members, each with its position in the group (the memo's
+    /// query id).
+    members: Vec<(usize, &'a Member<'a>)>,
+    clusters: &'a [Cluster<'a>],
+    options: &'a ExecOptions,
+    group: Option<&'a MatcherGroup>,
+}
+
+impl BatchJob<'_> {
+    /// Scan every cluster — inline, or fanned out over a scoped worker
+    /// pool — and return the units in cluster order.
+    ///
+    /// Workers pull cluster indices from a shared atomic cursor (dynamic
+    /// load balancing: cluster sizes are often skewed) and deposit each
+    /// unit into that cluster's dedicated slot, so the order is the same
+    /// regardless of which worker finished when.  A panicking cluster
+    /// never unwinds through the pool ([`BatchJob::run_member`]'s barrier
+    /// contains it).
+    fn run(&self) -> Vec<ClusterUnit> {
+        let worker_count = self.options.threads.get().min(self.clusters.len());
+        if worker_count <= 1 {
+            return (0..self.clusters.len())
+                .map(|idx| self.run_cluster(idx))
+                .collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<ClusterUnit>>> =
+            self.clusters.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|scope| {
+            for _ in 0..worker_count {
+                scope.spawn(|| loop {
+                    let idx = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+                    if idx >= self.clusters.len() {
+                        break;
+                    }
+                    *slots[idx].lock().expect("slot lock") = Some(self.run_cluster(idx));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("slot lock")
+                    .expect("worker pool processed every cluster")
+            })
+            .collect()
+    }
+
+    /// The unit of work: one cluster × every member.  A group's memo for
+    /// the cluster is born, filled and read entirely within this call, so
+    /// no two workers ever contend for it.
+    fn run_cluster(&self, idx: usize) -> ClusterUnit {
+        let memo = self
+            .group
+            .map(|group| (group, Arc::new(ClusterCache::default())));
+        let runs = self
+            .members
+            .iter()
+            .map(|&(pos, member)| {
+                let shared = memo.as_ref().map(|(group, cache)| group.handle(cache, pos));
+                self.run_member(member, idx, shared)
+            })
+            .collect();
+        let (saved, shared) = memo.map_or((0, 0), |(_, cache)| cache.counters());
+        ClusterUnit {
+            runs,
+            saved,
+            shared,
+        }
+    }
+
+    /// Run one member over one cluster behind the governor's trip check
+    /// and a panic barrier.
+    ///
+    /// Once the member's governor has tripped its remaining clusters come
+    /// back [`ClusterRun::Skipped`].  `catch_unwind` isolates a poisoned
+    /// cluster (bad data tripping a debug assertion, an injected
+    /// failpoint, …) so the remaining clusters still produce their
+    /// matches; the failure is reported structurally via
+    /// [`QueryResult::partial`] instead of tearing down the whole query.
+    fn run_member(
+        &self,
+        member: &Member<'_>,
+        idx: usize,
+        shared: Option<SharedEvalHandle>,
+    ) -> ClusterRun {
+        if member.run.as_ref().is_some_and(|run| run.is_tripped()) {
             return ClusterRun::Skipped;
         }
+        match catch_unwind(AssertUnwindSafe(|| self.search(member, idx, shared))) {
+            Ok(outcome) => ClusterRun::Done(outcome),
+            Err(payload) => ClusterRun::Failed {
+                cause: panic_cause(payload),
+            },
+        }
     }
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_cluster(
-            query,
-            cluster,
-            idx,
-            search_plan,
-            engine,
-            direction,
-            search_options,
-            run,
-            instrument,
-            shared,
-        )
-    })) {
-        Ok(outcome) => ClusterRun::Done(outcome),
-        Err(payload) => ClusterRun::Failed {
-            cause: panic_cause(payload),
-        },
-    }
-}
 
-/// Search a single cluster and project its matches.
-///
-/// This is the unit of work both the sequential loop and the worker pool
-/// run; the private per-cluster [`EvalCounter`] makes it independent of
-/// every other cluster, and counter totals are additive, so summing them in
-/// cluster order reproduces the single-counter sequential total bit for
-/// bit.
-#[allow(clippy::too_many_arguments)]
-fn run_cluster(
-    query: &CompiledQuery,
-    cluster: &Cluster<'_>,
-    idx: usize,
-    search_plan: Option<&SearchPlan>,
-    engine: EngineKind,
-    direction: Direction,
-    search_options: &SearchOptions,
-    run: Option<&Arc<RunGovernor>>,
-    instrument: Instrument,
-    shared: Option<crate::patternset::SharedEvalHandle>,
-) -> ClusterOutcome {
-    #[cfg(feature = "failpoints")]
-    sqlts_relation::failpoints::hit("executor::cluster", idx as u64);
-    #[cfg(not(feature = "failpoints"))]
-    let _ = idx;
-    let mut counter = match run {
-        Some(run) => EvalCounter::governed(run.scope()),
-        None => EvalCounter::new(),
-    };
-    if instrument.armed() {
-        counter = counter.with_recorder(ClusterRecorder::new(
-            query.elements.len(),
-            instrument.capacity(),
-        ));
-    }
-    if let Some(handle) = shared {
-        counter = counter.with_shared(handle);
-    }
-    let matches = match (search_plan, engine, direction) {
-        (_, _, Direction::Reverse) => find_matches_directed(
-            query,
+    /// Search a single cluster and project its matches.
+    ///
+    /// The private per-cluster [`EvalCounter`] makes this independent of
+    /// every other cluster, and counter totals are additive, so summing
+    /// them in cluster order reproduces the single-counter sequential
+    /// total bit for bit.
+    fn search(
+        &self,
+        member: &Member<'_>,
+        idx: usize,
+        shared: Option<SharedEvalHandle>,
+    ) -> ClusterOutcome {
+        #[cfg(feature = "failpoints")]
+        sqlts_relation::failpoints::hit("executor::cluster", idx as u64);
+        let (query, cluster) = (member.query, &self.clusters[idx]);
+        let search_options = SearchOptions {
+            policy: self.options.policy,
+        };
+        let counter = member.counter(self.options.instrument, shared);
+        let matches = match member.direction {
+            Direction::Forward => search_cluster(
+                &query.elements,
+                cluster,
+                self.options.engine,
+                member.search_plan.as_ref(),
+                &search_options,
+                &counter,
+                None,
+            ),
+            Direction::Reverse => find_matches_directed(
+                query,
+                cluster,
+                Direction::Reverse,
+                self.options.engine,
+                &search_options,
+                &counter,
+            ),
+        };
+        let ctx = EvalCtx {
             cluster,
-            Direction::Reverse,
-            engine,
-            search_options,
-            &counter,
-        ),
-        (None, EngineKind::NaiveBacktrack, _) => {
-            backtracking_search(&query.elements, cluster, search_options, &counter, None)
-        }
-        (None, _, _) => naive_search(&query.elements, cluster, search_options, &counter, None),
-        (Some(p), _, _) => {
-            find_matches_with_plan(&query.elements, cluster, p, search_options, &counter, None)
-        }
-    };
-    let ctx = EvalCtx {
-        cluster,
-        policy: search_options.policy,
-    };
-    let rows = matches
-        .into_iter()
-        .map(|m| {
-            let bindings = Bindings { spans: m.spans };
-            eval_projection(&query.projection, &ctx, &bindings)
-        })
-        .collect();
-    // Flush the last partially-spent credit batch so the governor's
-    // consumed-step accounting is exact at end of cluster.
-    counter.finish();
-    if counter.armed() && counter.tripped() {
-        if let Some(trip) = run.and_then(|r| r.trip()) {
-            counter.emit(TraceEvent::GovernorTrip {
-                cause: trip.reason.trace_cause(),
-            });
-        }
+            policy: search_options.policy,
+        };
+        let rows = matches
+            .into_iter()
+            .map(|m| {
+                let bindings = Bindings { spans: m.spans };
+                eval_projection(&query.projection, &ctx, &bindings)
+            })
+            .collect();
+        ClusterOutcome::close(counter, member.run.as_ref(), cluster.len() as u64, rows)
     }
-    ClusterOutcome {
-        tuples: cluster.len() as u64,
-        predicate_tests: counter.total(),
-        rows,
-        recorder: counter.into_recorder().map(Box::new),
-    }
-}
-
-/// Fan the clusters out over `worker_count` scoped threads.
-///
-/// Workers pull cluster indices from a shared atomic cursor (dynamic
-/// load balancing: cluster sizes are often skewed) and deposit each
-/// outcome into that cluster's dedicated slot, so the returned vector is
-/// in cluster order regardless of which worker finished when.  Each unit
-/// of work runs behind [`run_cluster_guarded`]'s panic barrier, so a
-/// panicking cluster never unwinds through the scoped pool; once the
-/// shared governor trips, the remaining clusters come back
-/// [`ClusterRun::Skipped`].
-#[allow(clippy::too_many_arguments)]
-fn run_clusters_parallel(
-    query: &CompiledQuery,
-    clusters: &[Cluster<'_>],
-    search_plan: Option<&SearchPlan>,
-    engine: EngineKind,
-    direction: Direction,
-    search_options: &SearchOptions,
-    worker_count: usize,
-    run: Option<&Arc<RunGovernor>>,
-    instrument: Instrument,
-) -> Vec<ClusterRun> {
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ClusterRun>>> = clusters.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                let Some(cluster) = clusters.get(idx) else {
-                    break;
-                };
-                let outcome = run_cluster_guarded(
-                    query,
-                    cluster,
-                    idx,
-                    search_plan,
-                    engine,
-                    direction,
-                    search_options,
-                    run,
-                    instrument,
-                    None,
-                );
-                *slots[idx].lock().expect("slot lock") = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("worker pool processed every cluster")
-        })
-        .collect()
 }
 
 #[cfg(test)]

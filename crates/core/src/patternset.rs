@@ -48,22 +48,14 @@
 //! break that direction, and `U` stays sound where implication is
 //! unknown, exactly as in the single-query matrices.
 
-use crate::engine::{plan, EngineKind, SearchOptions, SearchPlan};
-use crate::executor::{
-    cluster_key, output_schema, run_cluster_guarded, ClusterRun, ExecError, ExecOptions,
-    QueryResult, SearchStats,
-};
-use crate::governor::RunGovernor;
-use crate::reverse::{direction_hint, Direction};
-use crate::DirectionChoice;
+use crate::executor::{run_batch, ExecError, ExecOptions, QueryResult};
+use crate::reverse::Direction;
 use sqlts_lang::{Anchor, BoolExpr, CompiledQuery, FirstTuplePolicy, PatternElement, ScalarExpr};
-use sqlts_relation::{Cluster, Table, Value};
-use sqlts_trace::{ClusterProfile, ExecutionProfile, PatternSetStats};
+use sqlts_relation::{Table, Value};
+use sqlts_trace::PatternSetStats;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 /// Sentinel class id for elements that cannot participate in sharing.
 pub(crate) const UNCLASSED: u32 = u32::MAX;
@@ -386,7 +378,6 @@ struct CacheInner {
     map: BTreeMap<(u64, u32), Entry>,
     saved: u64,
     shared: u64,
-    stored: u64,
 }
 
 /// The per-cluster shared memo: `(position, class) → value`, plus the
@@ -412,14 +403,11 @@ impl ClusterCache {
 
     fn store(&self, edges: &[Vec<Edge>], pos: u64, class: u32, avail: u64, val: bool, query: u16) {
         let mut inner = self.inner.lock().expect("patternset cache lock");
-        if let std::collections::btree_map::Entry::Vacant(slot) = inner.map.entry((pos, class)) {
-            slot.insert(Entry {
-                val,
-                owner: query,
-                derived: false,
-            });
-            inner.stored += 1;
-        }
+        inner.map.entry((pos, class)).or_insert(Entry {
+            val,
+            owner: query,
+            derived: false,
+        });
         for edge in &edges[class as usize] {
             if edge.on != val {
                 continue;
@@ -442,10 +430,10 @@ impl ClusterCache {
         inner.map = inner.map.split_off(&(floor, 0));
     }
 
-    /// `(saved, shared, stored)` counter snapshot.
-    fn counters(&self) -> (u64, u64, u64) {
+    /// `(saved, shared)` counter snapshot.
+    pub(crate) fn counters(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("patternset cache lock");
-        (inner.saved, inner.shared, inner.stored)
+        (inner.saved, inner.shared)
     }
 
     #[cfg(test)]
@@ -501,12 +489,24 @@ impl SharedEvalHandle {
 // Batch: SharedMatcher + execute_set
 // ---------------------------------------------------------------------------
 
-struct MatcherGroup {
+pub(crate) struct MatcherGroup {
     /// Indices into the caller's query slice, in input order.
     members: Vec<usize>,
     edges: Edges,
     /// Per member: element → class id (`UNCLASSED` where uncacheable).
     member_classes: Vec<Arc<[u32]>>,
+}
+
+impl MatcherGroup {
+    /// Member `pos`'s view into one cluster's memo.
+    pub(crate) fn handle(&self, cache: &Arc<ClusterCache>, pos: usize) -> SharedEvalHandle {
+        SharedEvalHandle {
+            cache: Arc::clone(cache),
+            edges: Arc::clone(&self.edges),
+            classes: Arc::clone(&self.member_classes[pos]),
+            query: pos as u16,
+        }
+    }
 }
 
 /// The compiled form of a pattern set: shareable groups plus the queries
@@ -529,12 +529,7 @@ impl SharedMatcher {
         let mut buckets: Vec<(GroupKey, Vec<usize>)> = Vec::new();
         let mut solo = Vec::new();
         for (qi, query) in queries.iter().enumerate() {
-            let direction = match options.direction {
-                DirectionChoice::Forward => Direction::Forward,
-                DirectionChoice::Reverse => Direction::Reverse,
-                DirectionChoice::Auto => direction_hint(query),
-            };
-            if direction != Direction::Forward {
+            if options.direction.resolve(query) != Direction::Forward {
                 solo.push(qi);
                 continue;
             }
@@ -650,7 +645,14 @@ pub fn execute_set(queries: &[CompiledQuery], table: &Table, options: &ExecOptio
         slots[qi] = Some(crate::execute(&queries[qi], table, options));
     }
     for group in &matcher.groups {
-        run_group(group, queries, table, options, &mut slots, &mut stats);
+        let members: Vec<&CompiledQuery> = group.members.iter().map(|&qi| &queries[qi]).collect();
+        let (results, (saved, shared)) =
+            run_batch(&members, Direction::Forward, table, options, Some(group));
+        for (&qi, result) in group.members.iter().zip(results) {
+            slots[qi] = Some(result);
+        }
+        stats.tests_saved += saved;
+        stats.tests_shared += shared;
     }
     let results: Vec<Result<QueryResult, ExecError>> = slots
         .into_iter()
@@ -665,261 +667,6 @@ pub fn execute_set(queries: &[CompiledQuery], table: &Table, options: &ExecOptio
     }
     stats.tests_evaluated = stats.tests_logical - stats.tests_saved;
     SetResult { results, stats }
-}
-
-/// One live member of a group run: the per-query pieces `execute` would
-/// have set up for itself.
-struct Member<'q> {
-    qi: usize,
-    pos: usize,
-    query: &'q CompiledQuery,
-    out: Table,
-    search_plan: Option<SearchPlan>,
-    plan_ns: u64,
-    run: Option<Arc<RunGovernor>>,
-}
-
-/// What one cluster's shared pass produced: each member's run plus the
-/// cluster cache's savings counters.
-struct GroupClusterRun {
-    runs: Vec<ClusterRun>,
-    saved: u64,
-    shared: u64,
-    stored: u64,
-}
-
-fn run_group(
-    group: &MatcherGroup,
-    queries: &[CompiledQuery],
-    table: &Table,
-    options: &ExecOptions,
-    slots: &mut [Option<Result<QueryResult, ExecError>>],
-    stats: &mut PatternSetStats,
-) {
-    let q0 = &queries[group.members[0]];
-    let cluster_cols: Vec<&str> = q0.cluster_by.iter().map(String::as_str).collect();
-    let sequence_cols: Vec<&str> = q0.sequence_by.iter().map(String::as_str).collect();
-    let clusters = match table.cluster_by(&cluster_cols, &sequence_cols) {
-        Ok(clusters) => clusters,
-        Err(_) => {
-            // Cold path: re-derive the identical per-query error so each
-            // slot carries its own owned value.
-            for &qi in &group.members {
-                let err = table
-                    .cluster_by(&cluster_cols, &sequence_cols)
-                    .expect_err("clustering failed a moment ago");
-                slots[qi] = Some(Err(ExecError::Table(err)));
-            }
-            return;
-        }
-    };
-
-    let profiling = options.instrument.armed();
-    let search_options = SearchOptions {
-        policy: options.policy,
-    };
-    let mut members: Vec<Member<'_>> = Vec::with_capacity(group.members.len());
-    for (pos, &qi) in group.members.iter().enumerate() {
-        let query = &queries[qi];
-        let out = match output_schema(query) {
-            Ok(schema) => Table::new(schema),
-            Err(e) => {
-                slots[qi] = Some(Err(ExecError::Table(e)));
-                continue;
-            }
-        };
-        let t_plan = profiling.then(Instant::now);
-        let search_plan = match options.engine {
-            EngineKind::Naive | EngineKind::NaiveBacktrack => None,
-            kind => Some(plan(&query.elements, kind)),
-        };
-        let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let run = (!options.governor.is_unlimited()).then(|| options.governor.begin());
-        members.push(Member {
-            qi,
-            pos,
-            query,
-            out,
-            search_plan,
-            plan_ns,
-            run,
-        });
-    }
-    if members.is_empty() {
-        return;
-    }
-
-    let t_exec = profiling.then(Instant::now);
-    let run_one = |idx: usize, cluster: &Cluster<'_>| -> GroupClusterRun {
-        let cache = Arc::new(ClusterCache::default());
-        let runs = members
-            .iter()
-            .map(|m| {
-                let handle = SharedEvalHandle {
-                    cache: Arc::clone(&cache),
-                    edges: Arc::clone(&group.edges),
-                    classes: Arc::clone(&group.member_classes[m.pos]),
-                    query: m.pos as u16,
-                };
-                run_cluster_guarded(
-                    m.query,
-                    cluster,
-                    idx,
-                    m.search_plan.as_ref(),
-                    options.engine,
-                    Direction::Forward,
-                    &search_options,
-                    m.run.as_ref(),
-                    options.instrument,
-                    Some(handle),
-                )
-            })
-            .collect();
-        let (saved, shared, stored) = cache.counters();
-        GroupClusterRun {
-            runs,
-            saved,
-            shared,
-            stored,
-        }
-    };
-    let worker_count = options.threads.get().min(clusters.len());
-    let outcomes: Vec<GroupClusterRun> = if worker_count <= 1 {
-        clusters
-            .iter()
-            .enumerate()
-            .map(|(idx, cluster)| run_one(idx, cluster))
-            .collect()
-    } else {
-        // Same shape as the executor's worker pool: an atomic cursor over
-        // clusters, outcomes deposited into per-cluster slots so the
-        // result is in cluster order for any thread count.  The unit of
-        // work is one cluster × all members, so a cluster's cache is
-        // filled and read entirely within one worker.
-        let cursor = AtomicUsize::new(0);
-        let cluster_slots: Vec<Mutex<Option<GroupClusterRun>>> =
-            clusters.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| loop {
-                    let idx = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                    let Some(cluster) = clusters.get(idx) else {
-                        break;
-                    };
-                    *cluster_slots[idx].lock().expect("slot lock") = Some(run_one(idx, cluster));
-                });
-            }
-        });
-        cluster_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("worker pool processed every cluster")
-            })
-            .collect()
-    };
-
-    // Transpose to per-member cluster runs, merging the cache counters in
-    // cluster order (deterministic for every thread count).
-    let mut per_member: Vec<Vec<ClusterRun>> = members
-        .iter()
-        .map(|_| Vec::with_capacity(clusters.len()))
-        .collect();
-    for outcome in outcomes {
-        for (mpos, run) in outcome.runs.into_iter().enumerate() {
-            per_member[mpos].push(run);
-        }
-        stats.tests_saved += outcome.saved;
-        stats.tests_shared += outcome.shared;
-        let _ = outcome.stored;
-    }
-    let exec_ns = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-    // Per-member merge: an exact mirror of `execute`'s tail.
-    for (member, runs) in members.into_iter().zip(per_member) {
-        let merged = merge_member(member, runs, &clusters, options, exec_ns);
-        let (qi, result) = merged;
-        slots[qi] = Some(result);
-    }
-}
-
-fn merge_member(
-    mut member: Member<'_>,
-    runs: Vec<ClusterRun>,
-    clusters: &[Cluster<'_>],
-    options: &ExecOptions,
-    exec_ns: u64,
-) -> (usize, Result<QueryResult, ExecError>) {
-    let profiling = options.instrument.armed();
-    let mut stats = SearchStats::default();
-    let mut partial = Vec::new();
-    let mut profile = profiling.then(|| {
-        Box::new(ExecutionProfile::new(
-            options.engine.name(),
-            options.threads.get(),
-        ))
-    });
-    for (idx, run) in runs.into_iter().enumerate() {
-        match run {
-            ClusterRun::Done(outcome) => {
-                stats.clusters += 1;
-                stats.tuples += outcome.tuples;
-                stats.predicate_tests += outcome.predicate_tests;
-                stats.steps += outcome.predicate_tests;
-                if let (Some(profile), Some(recorder)) = (profile.as_deref_mut(), outcome.recorder)
-                {
-                    let recorder = *recorder;
-                    let events_dropped = recorder.events.dropped();
-                    profile.push_cluster(ClusterProfile {
-                        index: idx,
-                        key: cluster_key(&clusters[idx]),
-                        tuples: outcome.tuples,
-                        metrics: recorder.metrics,
-                        events: recorder.events.into_events(),
-                        events_dropped,
-                    });
-                }
-                for row in outcome.rows {
-                    stats.matches += 1;
-                    if let Err(e) = member.out.push_row(row) {
-                        return (member.qi, Err(ExecError::Table(e)));
-                    }
-                }
-            }
-            ClusterRun::Skipped => {}
-            ClusterRun::Failed { cause } => {
-                partial.push(crate::executor::ClusterFailure {
-                    cluster: idx,
-                    key: cluster_key(&clusters[idx]),
-                    cause,
-                });
-            }
-        }
-    }
-    if let Some(profile) = profile.as_deref_mut() {
-        profile.phases.plan = member.plan_ns;
-        profile.phases.execute = exec_ns;
-        profile.optimizer = Some(crate::explain::optimizer_report(member.query));
-    }
-    let result = QueryResult {
-        table: member.out,
-        stats,
-        partial,
-        profile,
-    };
-    if let Some(run) = member.run {
-        if let Some(trip) = run.trip() {
-            return (
-                member.qi,
-                Err(ExecError::Governed {
-                    trip,
-                    partial: Box::new(result),
-                }),
-            );
-        }
-    }
-    (member.qi, Ok(result))
 }
 
 // ---------------------------------------------------------------------------
@@ -1042,7 +789,7 @@ impl SetRegistry {
             }
             let caches = group.caches.lock().expect("patternset cache registry lock");
             for cache in caches.values() {
-                let (saved, shared, _) = cache.counters();
+                let (saved, shared) = cache.counters();
                 stats.tests_saved += saved;
                 stats.tests_shared += shared;
             }

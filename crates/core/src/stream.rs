@@ -43,25 +43,25 @@
 
 use crate::counters::EvalCounter;
 use crate::engine::{
-    plan, EngineKind, EngineMachine, MatchSpans, SearchOptions, SearchPlan, StepInput, StepOutcome,
+    EngineKind, EngineMachine, MatchSpans, SearchOptions, SearchPlan, StepInput, StepOutcome,
 };
 use crate::executor::{
-    output_schema, panic_cause, DirectionChoice, ExecOptions, QueryResult, SearchStats,
+    merge_clusters, panic_cause, render_key, ClusterOutcome, ClusterRun, DirectionChoice,
+    ExecOptions, Member, QueryResult,
 };
-use crate::governor::{RunGovernor, Trip};
+use crate::governor::Trip;
+use crate::reverse::Direction;
 use sqlts_lang::{
     eval_projection, Bindings, BoolExpr, CompiledQuery, EvalCtx, FieldRef, ScalarExpr,
 };
 use sqlts_relation::{Cluster, Date, Table, TableError, Value};
 use sqlts_trace::{
-    BoundedHistogram, ClusterMetrics, ClusterProfile, ClusterRecorder, ExecutionProfile,
-    RingBuffer, TraceEvent, TraceSink, TripCause, HIST_BUCKETS,
+    BoundedHistogram, ClusterMetrics, ClusterRecorder, RingBuffer, TraceEvent, TraceSink,
+    TripCause, HIST_BUCKETS,
 };
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// How many feeds between shared-memo prunes (soft state, so the exact
 /// cadence only trades memory for lock traffic).
@@ -274,13 +274,6 @@ fn render_row(row: &[Value]) -> String {
         .join(",")
 }
 
-fn render_key(key: &[Value]) -> String {
-    key.iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// One cluster's live streaming state: the buffered window, the resumable
 /// engine machine, its private counter, matches waiting for projection
 /// lookahead, and the rows already projected.
@@ -308,15 +301,16 @@ struct ClusterStream {
 /// closed with [`StreamSession::finish`], which returns the same
 /// [`QueryResult`] a batch run over the full input would.
 pub struct StreamSession<'q> {
-    query: &'q CompiledQuery,
+    /// The query plus the same per-query setup a batch run makes (output
+    /// schema, search plan, armed governor), so `finish` can hand it to
+    /// the shared merge.
+    member: Member<'q>,
     options: StreamOptions,
     search_options: SearchOptions,
-    search_plan: Option<SearchPlan>,
     margins: Margins,
     cluster_idx: Vec<usize>,
     sequence_idx: Vec<usize>,
     clusters: BTreeMap<Vec<Value>, ClusterStream>,
-    run: Option<Arc<RunGovernor>>,
     records: u64,
     skipped: u64,
     pressure_trips: u64,
@@ -325,7 +319,6 @@ pub struct StreamSession<'q> {
     log: Option<RingBuffer>,
     poisoned: Option<String>,
     trip: Option<Trip>,
-    plan_ns: u64,
     /// Shared pattern-set membership (server `--shared-matcher`,
     /// `SharedStreamSession`): hands each cluster's counter a memo handle.
     shared: Option<crate::patternset::SharedJoin>,
@@ -349,28 +342,19 @@ impl<'q> StreamSession<'q> {
         for name in &query.sequence_by {
             sequence_idx.push(query.schema.require(name)?);
         }
-        let profiling = options.exec.instrument.armed();
-        let t_plan = profiling.then(Instant::now);
-        let search_plan = match options.exec.engine {
-            EngineKind::Naive | EngineKind::NaiveBacktrack => None,
-            kind => Some(plan(&query.elements, kind)),
-        };
-        let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let run = (!options.exec.governor.is_unlimited()).then(|| options.exec.governor.begin());
+        let member = Member::prepare(query, Direction::Forward, &options.exec)?;
         let search_options = SearchOptions {
             policy: options.exec.policy,
         };
         let log = (options.log_capacity > 0).then(|| RingBuffer::new(options.log_capacity));
         Ok(StreamSession {
-            query,
+            member,
             options,
             search_options,
-            search_plan,
             margins: margins_of(query),
             cluster_idx,
             sequence_idx,
             clusters: BTreeMap::new(),
-            run,
             records: 0,
             skipped: 0,
             pressure_trips: 0,
@@ -379,7 +363,6 @@ impl<'q> StreamSession<'q> {
             log,
             poisoned: None,
             trip: None,
-            plan_ns,
             shared: None,
             feeds_since_prune: 0,
         })
@@ -452,25 +435,14 @@ impl<'q> StreamSession<'q> {
     }
 
     fn new_cluster(&self, key: &[Value]) -> ClusterStream {
-        let mut counter = match &self.run {
-            Some(run) => EvalCounter::governed(run.scope()),
-            None => EvalCounter::new(),
-        };
-        if self.options.exec.instrument.armed() {
-            counter = counter.with_recorder(ClusterRecorder::new(
-                self.query.elements.len(),
-                self.options.exec.instrument.capacity(),
-            ));
-        }
-        if let Some(shared) = &self.shared {
-            counter = counter.with_shared(shared.handle_for(key));
-        }
+        let shared = self.shared.as_ref().map(|shared| shared.handle_for(key));
+        let counter = self.member.counter(self.options.exec.instrument, shared);
         ClusterStream {
-            buf: Table::new(self.query.schema.clone()),
+            buf: Table::new(self.member.query.schema.clone()),
             base: 0,
             bytes: 0,
             last_seq: None,
-            machine: EngineMachine::new(self.options.exec.engine, self.query.elements.len()),
+            machine: EngineMachine::new(self.options.exec.engine, self.member.query.elements.len()),
             counter,
             pending: Vec::new(),
             rows: Vec::new(),
@@ -521,7 +493,7 @@ impl<'q> StreamSession<'q> {
                 partial: None,
             });
         }
-        if let Some(run) = &self.run {
+        if let Some(run) = &self.member.run {
             if let Err(reason) = run.poll() {
                 // `poll` latches the trip before failing; fall back to a
                 // synthesized record rather than panicking if the latch is
@@ -560,7 +532,7 @@ impl<'q> StreamSession<'q> {
                 return self.reject("failpoint 'stream::feed' injected error".into(), rendered);
             }
         }
-        if let Err(e) = self.query.schema.validate_row(&row) {
+        if let Err(e) = self.member.query.schema.validate_row(&row) {
             let rendered = render_row(&row);
             return self.reject(e.to_string(), rendered);
         }
@@ -602,8 +574,8 @@ impl<'q> StreamSession<'q> {
         cs.last_seq = Some(seq);
         self.window_bytes += bytes;
         let outcome = drive(
-            self.query,
-            self.search_plan.as_ref(),
+            self.member.query,
+            self.member.search_plan.as_ref(),
             &self.search_options,
             &self.margins,
             cs,
@@ -613,7 +585,7 @@ impl<'q> StreamSession<'q> {
         if outcome == StepOutcome::Tripped {
             // A tripped machine implies a recorded trip; synthesize one
             // instead of panicking if the latch is not visible.
-            let trip = match self.run.as_ref() {
+            let trip = match self.member.run.as_ref() {
                 Some(run) => run
                     .trip()
                     .unwrap_or_else(|| run.make_trip(crate::governor::TripReason::StepBudget)),
@@ -692,8 +664,11 @@ impl<'q> StreamSession<'q> {
                 };
                 for m in cs.pending.drain(..) {
                     let bindings = Bindings { spans: m.spans };
-                    cs.rows
-                        .push(eval_projection(&self.query.projection, &ctx, &bindings));
+                    cs.rows.push(eval_projection(
+                        &self.member.query.projection,
+                        &ctx,
+                        &bindings,
+                    ));
                 }
             }
             let avail = cs.base + cs.buf.len();
@@ -747,7 +722,7 @@ impl<'q> StreamSession<'q> {
             .collect();
         Ok(SessionCheckpoint {
             engine: self.options.exec.engine,
-            pattern_len: self.query.elements.len(),
+            pattern_len: self.member.query.elements.len(),
             records: self.records,
             skipped: self.skipped,
             pressure_trips: self.pressure_trips,
@@ -798,7 +773,7 @@ impl<'q> StreamSession<'q> {
             // first (initial refill before the recorder is attached), then
             // the recorder, then the restored totals — this keeps
             // `governor_flushes` and flush timing bit-identical.
-            let mut counter = match &session.run {
+            let mut counter = match &session.member.run {
                 Some(run) => EvalCounter::governed(run.scope()),
                 None => EvalCounter::new(),
             };
@@ -830,33 +805,23 @@ impl<'q> StreamSession<'q> {
     }
 
     /// Close the stream: drive every machine to end-of-input, project the
-    /// remaining matches, and assemble the merged [`QueryResult`] exactly
-    /// like the batch executor's cluster-order merge.
+    /// remaining matches, and hand the per-cluster outcomes to the batch
+    /// executor's cluster-order merge.
     pub fn finish(mut self) -> Result<QueryResult, StreamError> {
         if let Some(cause) = self.poisoned {
             return Err(StreamError::Poisoned(cause));
         }
-        let query = self.query;
-        let mut out = Table::new(output_schema(query)?);
-        let mut stats = SearchStats::default();
-        let instrument = self.options.exec.instrument;
-        let mut profile = instrument.armed().then(|| {
-            Box::new(ExecutionProfile::new(
-                self.options.exec.engine.name(),
-                self.options.exec.threads.get(),
-            ))
-        });
         // Once the governor has tripped, machines are not driven further —
         // the streaming analogue of the batch executor skipping clusters
         // after a trip.  Pending matches are still projected: they were
         // found before the trip.
         let mut tripped = self.trip.is_some();
-        let clusters = std::mem::take(&mut self.clusters);
-        for (idx, (key, mut cs)) in clusters.into_iter().enumerate() {
+        let mut runs = Vec::with_capacity(self.clusters.len());
+        for (key, mut cs) in std::mem::take(&mut self.clusters) {
             if !tripped {
                 let outcome = drive(
-                    query,
-                    self.search_plan.as_ref(),
+                    self.member.query,
+                    self.member.search_plan.as_ref(),
                     &self.search_options,
                     &self.margins,
                     &mut cs,
@@ -874,60 +839,26 @@ impl<'q> StreamSession<'q> {
                 };
                 for m in cs.pending.drain(..) {
                     let bindings = Bindings { spans: m.spans };
-                    cs.rows
-                        .push(eval_projection(&query.projection, &ctx, &bindings));
+                    cs.rows.push(eval_projection(
+                        &self.member.query.projection,
+                        &ctx,
+                        &bindings,
+                    ));
                 }
             }
-            cs.counter.finish();
             let tuples = (cs.base + cs.buf.len()) as u64;
-            stats.clusters += 1;
-            stats.tuples += tuples;
-            stats.predicate_tests += cs.counter.total();
-            stats.steps += cs.counter.total();
-            if cs.counter.armed() && cs.counter.tripped() {
-                if let Some(trip) = self.run.as_ref().and_then(|r| r.trip()) {
-                    cs.counter.emit(TraceEvent::GovernorTrip {
-                        cause: trip.reason.trace_cause(),
-                    });
-                }
-            }
-            if let Some(profile) = profile.as_deref_mut() {
-                if let Some(recorder) = std::mem::take(&mut cs.counter).into_recorder() {
-                    let events_dropped = recorder.events.dropped();
-                    profile.push_cluster(ClusterProfile {
-                        index: idx,
-                        key: render_key(&key),
-                        tuples,
-                        metrics: recorder.metrics,
-                        events: recorder.events.into_events(),
-                        events_dropped,
-                    });
-                }
-            }
-            for row in cs.rows {
-                stats.matches += 1;
-                out.push_row(row)?;
-            }
+            let outcome =
+                ClusterOutcome::close(cs.counter, self.member.run.as_ref(), tuples, cs.rows);
+            runs.push((key, ClusterRun::Done(outcome)));
         }
-        if let Some(profile) = profile.as_deref_mut() {
-            profile.phases.plan = self.plan_ns;
-            profile.optimizer = Some(crate::explain::optimizer_report(query));
+        // A streamed run has no separate execute phase to time.
+        match merge_clusters(&self.member, &self.options.exec, 0, runs)? {
+            (result, None) => Ok(result),
+            (partial, Some(trip)) => Err(StreamError::Governed {
+                trip,
+                partial: Some(Box::new(partial)),
+            }),
         }
-        let result = QueryResult {
-            table: out,
-            stats,
-            partial: Vec::new(),
-            profile,
-        };
-        if let Some(run) = &self.run {
-            if let Some(trip) = run.trip() {
-                return Err(StreamError::Governed {
-                    trip,
-                    partial: Some(Box::new(result)),
-                });
-            }
-        }
-        Ok(result)
     }
 }
 

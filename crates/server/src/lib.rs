@@ -43,7 +43,7 @@ pub use metrics::{status_json, LatencyHistograms, LatencyOp, ServerMetrics, SubS
 pub use profiler::SamplingProfiler;
 pub use recover::{DataDir, ServeError, SubMeta};
 pub use replicate::{ReplAck, ReplSnapshot};
-pub use server::{RecoveryReport, Server, ServerConfig, SharedMatcherMode};
+pub use server::{RecoveryReport, Server, ServerConfig};
 // Re-exported so embedders configuring `ServerConfig::log_level` /
 // `log_format` need not depend on the trace crate directly.
 pub use sqlts_trace::{Level, LogFormat, SpanLog};

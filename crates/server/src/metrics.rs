@@ -11,7 +11,9 @@
 //!    `to_prometheus_labeled`, with duplicate `# TYPE` lines removed so
 //!    the merged document stays a valid exposition.
 
-use sqlts_trace::{json_escape, write_prometheus_histogram, BoundedHistogram, ExecutionProfile};
+use sqlts_trace::{
+    escape_label_value, json_escape, write_prometheus_histogram, BoundedHistogram, ExecutionProfile,
+};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -309,7 +311,7 @@ impl ServerMetrics {
 /// once by [`ServerMetrics::render`]).  `queue_depth` is the worker's
 /// live command-queue occupancy.
 pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth: u64) -> String {
-    let t = escape_label(tenant);
+    let t = escape_label_value(tenant);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -384,22 +386,6 @@ pub fn repl_exposition(snap: &crate::replicate::ReplSnapshot) -> String {
             "gauge"
         };
         let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}");
-    }
-    out
-}
-
-/// Escape a tenant id for a Prometheus label value: backslash, quote,
-/// and newline.  A raw newline in a label would split the sample line
-/// and corrupt the whole scrape.
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
     }
     out
 }

@@ -88,37 +88,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-/// Whether subscriptions on a channel share one pattern-set pass
-/// (`--shared-matcher`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SharedMatcherMode {
-    /// Every subscription runs its own matcher — prior releases' behaviour.
-    #[default]
-    Off,
-    /// Subscriptions join their channel's shared pattern-set registry;
-    /// queries with no shareable element still fall back to a solo pass.
-    On,
-    /// Same as `On` today: the registry already declines per query when
-    /// nothing is shareable, which is the only fallback rule defined.
-    Auto,
-}
-
-impl SharedMatcherMode {
-    /// Parse a `--shared-matcher` flag value.
-    pub fn parse(value: &str) -> Option<SharedMatcherMode> {
-        match value {
-            "off" => Some(SharedMatcherMode::Off),
-            "on" => Some(SharedMatcherMode::On),
-            "auto" => Some(SharedMatcherMode::Auto),
-            _ => None,
-        }
-    }
-
-    fn enabled(self) -> bool {
-        self != SharedMatcherMode::Off
-    }
-}
-
 /// Everything the server needs to stand up.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -165,9 +134,11 @@ pub struct ServerConfig {
     pub sample_profile: Option<PathBuf>,
     /// Profiler sample rate (`--sample-hz`, clamped to 1..=1000).
     pub sample_hz: u32,
-    /// Shared pattern-set execution across a channel's subscriptions
-    /// (`--shared-matcher on|off|auto`).
-    pub shared_matcher: SharedMatcherMode,
+    /// Whether subscriptions join their channel's shared pattern-set
+    /// registry (`--shared-matcher on|off`); queries with no shareable
+    /// element still fall back to a solo pass.  Off, every subscription
+    /// runs its own matcher.
+    pub shared_matcher: bool,
     /// Segment roll threshold for channel WALs (`--wal-segment-bytes`).
     pub wal_segment_bytes: u64,
     /// Stream every committed WAL record to this `HOST:PORT` standby
@@ -206,7 +177,7 @@ impl Default for ServerConfig {
             slow_frame_ms: None,
             sample_profile: None,
             sample_hz: 99,
-            shared_matcher: SharedMatcherMode::Off,
+            shared_matcher: false,
             wal_segment_bytes: crate::wal::DEFAULT_SEGMENT_BYTES,
             replicate_to: None,
             repl_ack: ReplAck::Async,
@@ -397,7 +368,7 @@ impl Server {
             // applies frames from one replication connection and would
             // never elect a leader.
             return Err(ServeError::Usage(
-                "--standby does not support --fsync group; use every|batch|off".into(),
+                "--standby does not support --fsync group; use every|off".into(),
             ));
         }
         if config.promote_on_disconnect && !config.standby {
@@ -762,7 +733,7 @@ fn respawn_and_replay(
         config.stream.exec.governor = shared.config.governor.clone();
         config.stream.exec.instrument = Instrument::profiling();
         config.resume_from = Some(checkpoint);
-        if shared.config.shared_matcher.enabled() {
+        if shared.config.shared_matcher {
             // The alignment key: the channel row ordinal the session's
             // record 0 maps to.  It is invariant across checkpoints, so a
             // recovered subscription shares with exactly the peers it
@@ -1818,7 +1789,7 @@ fn subscribe(
         .persist
         .lock()
         .map_err(|_| err(4, "lock poisoned"))?;
-    if shared.config.shared_matcher.enabled() {
+    if shared.config.shared_matcher {
         let origin = match &config.resume_from {
             None => Some(persist.rows_total),
             // A resumed subscription's record 0 maps `cp.records()` rows
@@ -2380,7 +2351,7 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             .map(|v| live_gauges(&v.id, &v.status, v.queue_depth))
             .collect();
         let mut body = shared.metrics.render(&live);
-        if shared.config.shared_matcher.enabled() {
+        if shared.config.shared_matcher {
             body.push_str(&patternset_exposition(shared, &views));
         }
         if let Some(snap) = repl_snapshot(shared) {
@@ -2612,7 +2583,7 @@ mod tests {
     fn shared_matcher_saves_tests_and_keeps_results_byte_identical() {
         let off = Server::bind(ServerConfig::default()).unwrap();
         let on = Server::bind(ServerConfig {
-            shared_matcher: SharedMatcherMode::On,
+            shared_matcher: true,
             ..ServerConfig::default()
         })
         .unwrap();

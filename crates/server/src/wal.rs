@@ -34,10 +34,9 @@
 //! without reading their records).
 //!
 //! Fsync policy is the standard durability dial: `Every` syncs each
-//! append (survives power loss), `Batch` syncs every
-//! [`BATCH_SYNC_EVERY`] appends and at snapshots (bounded loss window),
-//! `Group` defers the sync to a group-commit window so concurrent
-//! feeders share one `fsync(2)` (see [`GroupCommit`]), `Off` leaves
+//! append (survives power loss), `Group` defers the sync to a
+//! group-commit window so concurrent feeders share one `fsync(2)` (see
+//! [`GroupCommit`]), `Off` leaves
 //! flushing to the OS (still survives a process crash — the page cache
 //! belongs to the kernel, not the process).
 
@@ -54,8 +53,6 @@ pub enum FsyncPolicy {
     /// fsync after every appended frame (survives power loss).
     #[default]
     Every,
-    /// fsync every [`BATCH_SYNC_EVERY`] frames and at every snapshot.
-    Batch,
     /// Group commit: appends do not sync inline; concurrent FEEDs inside
     /// a `window_us` microsecond window are acknowledged together after
     /// one shared fsync (the server drives this through [`GroupCommit`]).
@@ -71,9 +68,6 @@ pub enum FsyncPolicy {
     Off,
 }
 
-/// How many appends a `Batch` policy lets pass between fsyncs.
-pub const BATCH_SYNC_EVERY: u32 = 16;
-
 /// Group-commit window when `--fsync group` is given without `:us`.
 pub const DEFAULT_GROUP_WINDOW_US: u32 = 500;
 
@@ -85,7 +79,6 @@ impl std::str::FromStr for FsyncPolicy {
     fn from_str(s: &str) -> Result<FsyncPolicy, String> {
         match s {
             "every" => Ok(FsyncPolicy::Every),
-            "batch" => Ok(FsyncPolicy::Batch),
             "off" => Ok(FsyncPolicy::Off),
             "group" => Ok(FsyncPolicy::Group {
                 window_us: DEFAULT_GROUP_WINDOW_US,
@@ -98,7 +91,7 @@ impl std::str::FromStr for FsyncPolicy {
                     return Ok(FsyncPolicy::Group { window_us });
                 }
                 Err(format!(
-                    "unknown fsync policy '{other}' (want every|batch|group[:us]|off)"
+                    "unknown fsync policy '{other}' (want every|group[:us]|off)"
                 ))
             }
         }
@@ -112,8 +105,9 @@ impl std::str::FromStr for FsyncPolicy {
 pub enum WalError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// The first segment's header is not a valid `sqlts-wal v1` header:
-    /// nothing in the log can be trusted (not even the base ordinal).
+    /// The first segment's header is not a valid `sqlts-wal v1` header —
+    /// nothing in the log can be trusted (not even the base ordinal) — or
+    /// the prefix holds a bare file instead of numbered segments.
     Malformed(String),
 }
 
@@ -302,8 +296,7 @@ pub struct WalScan {
     pub dropped_bytes: u64,
     /// Why the scan stopped early, when it did.
     pub corruption: Option<String>,
-    /// The retained segments, oldest first.  Empty only for a legacy
-    /// (pre-segmentation) single-file log.
+    /// The retained segments, oldest first; never empty.
     pub segments: Vec<SegmentInfo>,
 }
 
@@ -377,18 +370,12 @@ fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
 /// dropped.  Corruption inside a segment keeps that segment's valid
 /// prefix and drops every later segment (they can no longer be
 /// contiguous); a torn tail is therefore only ever *repairable* in the
-/// newest surviving segment.  Only a missing log or an untrustworthy
-/// header on the *first* segment is an error.
-///
-/// A legacy pre-segmentation log (a bare file at `prefix` itself, no
-/// numbered segments) is scanned as a single segment.
+/// newest surviving segment.  Only a missing log, a bare file at
+/// `prefix` or an untrustworthy header on the *first* segment is an error.
 pub fn scan_wal(prefix: &Path) -> Result<WalScan, WalError> {
     let segs = list_segments(prefix)?;
     if segs.is_empty() {
-        // Legacy single-file layout, or nothing at all.
-        let mut bytes = Vec::new();
-        File::open(prefix)?.read_to_end(&mut bytes)?;
-        return scan_bytes(&bytes);
+        return Err(no_segments(prefix));
     }
     let mut merged: Option<WalScan> = None;
     let mut broke_at: Option<usize> = None;
@@ -466,6 +453,25 @@ pub fn scan_wal(prefix: &Path) -> Result<WalScan, WalError> {
     Ok(out)
 }
 
+/// Why a WAL with no numbered segment cannot be read.  A bare file at
+/// `prefix` is refused, never taken for an empty log: whatever wrote it
+/// was not this segmented format, and starting a fresh segment 0 beside
+/// it would silently shadow its rows.
+fn no_segments(prefix: &Path) -> WalError {
+    if prefix.exists() {
+        WalError::Malformed(format!(
+            "'{}' is a bare file, not a segmented log (expected '{}')",
+            prefix.display(),
+            segment_path(prefix, 0).display()
+        ))
+    } else {
+        WalError::Io(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("no wal segments at '{}'", prefix.display()),
+        ))
+    }
+}
+
 /// Read every frame whose rows extend past `from` (a row ordinal),
 /// skipping whole segments below it by header base alone — the
 /// replication resync path ("send segments ≥ the standby's acked
@@ -474,8 +480,7 @@ pub fn scan_wal(prefix: &Path) -> Result<WalScan, WalError> {
 pub fn read_frames_from(prefix: &Path, from: u64) -> Result<Vec<WalFrame>, WalError> {
     let segs = list_segments(prefix)?;
     if segs.is_empty() {
-        let scan = scan_wal(prefix)?;
-        return Ok(scan.frames.into_iter().filter(|f| f.end() > from).collect());
+        return Err(no_segments(prefix));
     }
     // Header bases, read without touching record bytes.
     let mut bases = Vec::with_capacity(segs.len());
@@ -535,7 +540,6 @@ pub struct ChannelWal {
     rows_total: u64,
     policy: FsyncPolicy,
     segment_bytes: u64,
-    appends_since_sync: u32,
     /// Wall nanoseconds the most recent [`sync`](ChannelWal::sync) spent
     /// in `fsync(2)`, parked here so the server can charge fsync time to
     /// its own latency histogram separately from append time without
@@ -580,7 +584,6 @@ impl ChannelWal {
             rows_total: 0,
             policy,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            appends_since_sync: 0,
             last_fsync_ns: 0,
         })
     }
@@ -589,36 +592,31 @@ impl ChannelWal {
     /// repair any torn/corrupt tail — truncating the damaged segment to
     /// its valid prefix and unlinking every later segment — so appends
     /// continue from the last valid record, and return the surviving
-    /// frames for replay.
-    ///
-    /// A legacy pre-segmentation log (a bare file at `prefix`) is
-    /// migrated in place by renaming it to segment `.0`.
+    /// frames for replay.  A bare file at `prefix` is refused
+    /// ([`WalError::Malformed`]).
     pub fn open(prefix: &Path, policy: FsyncPolicy) -> Result<(ChannelWal, WalScan), WalError> {
         if list_segments(prefix)?.is_empty() {
             if prefix.exists() {
-                // Legacy single-file layout: adopt it as segment 0.
-                fs::rename(prefix, segment_path(prefix, 0))?;
-                sync_dir_of(prefix)?;
-            } else {
-                let wal = ChannelWal::create(prefix, policy)?;
-                return Ok((
-                    wal,
-                    WalScan {
-                        base: 0,
-                        frames: Vec::new(),
-                        rows_total: 0,
-                        valid_len: header_line(0).len() as u64,
-                        dropped_bytes: 0,
-                        corruption: None,
-                        segments: vec![SegmentInfo {
-                            seq: 0,
-                            base: 0,
-                            rows_end: 0,
-                            path: segment_path(prefix, 0),
-                        }],
-                    },
-                ));
+                return Err(no_segments(prefix));
             }
+            let wal = ChannelWal::create(prefix, policy)?;
+            return Ok((
+                wal,
+                WalScan {
+                    base: 0,
+                    frames: Vec::new(),
+                    rows_total: 0,
+                    valid_len: header_line(0).len() as u64,
+                    dropped_bytes: 0,
+                    corruption: None,
+                    segments: vec![SegmentInfo {
+                        seq: 0,
+                        base: 0,
+                        rows_end: 0,
+                        path: segment_path(prefix, 0),
+                    }],
+                },
+            ));
         }
         let scan = scan_wal(prefix)?;
         let retained = &scan.segments;
@@ -658,7 +656,6 @@ impl ChannelWal {
                 rows_total: scan.rows_total,
                 policy,
                 segment_bytes: DEFAULT_SEGMENT_BYTES,
-                appends_since_sync: 0,
                 last_fsync_ns: 0,
             },
             scan,
@@ -756,10 +753,8 @@ impl ChannelWal {
         self.file.write_all(&record)?;
         self.rows_total += u64::from(nrows);
         self.active_bytes += record.len() as u64;
-        self.appends_since_sync += 1;
         let synced = match self.policy {
             FsyncPolicy::Every => true,
-            FsyncPolicy::Batch => self.appends_since_sync >= BATCH_SYNC_EVERY,
             FsyncPolicy::Group { .. } | FsyncPolicy::Off => false,
         };
         if synced {
@@ -784,7 +779,6 @@ impl ChannelWal {
         self.last_fsync_ns = self
             .last_fsync_ns
             .saturating_add(start.elapsed().as_nanos() as u64);
-        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -1083,22 +1077,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_wal_is_migrated_to_segment_zero() {
-        let path = temp_wal("legacy.wal");
-        // Build a pre-segmentation log: a bare file at the prefix path.
-        let mut wal = ChannelWal::create(&path, FsyncPolicy::Off).unwrap();
-        wal.append("a,1", 1).unwrap();
-        wal.append("b,2", 1).unwrap();
-        drop(wal);
+    fn bare_file_at_the_prefix_is_refused_not_taken_for_an_empty_log() {
+        let path = temp_wal("bare.wal");
+        ChannelWal::create(&path, FsyncPolicy::Off).unwrap();
         std::fs::rename(segment_path(&path, 0), &path).unwrap();
-        // scan_wal reads it in place; open migrates it.
-        let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.rows_total, 2);
-        let (wal, scan) = ChannelWal::open(&path, FsyncPolicy::Off).unwrap();
-        assert_eq!(scan.rows_total, 2);
-        assert_eq!(wal.rows_total(), 2);
-        assert!(!path.exists(), "bare legacy file renamed away");
-        assert!(segment_path(&path, 0).exists());
+        assert!(matches!(
+            ChannelWal::open(&path, FsyncPolicy::Off),
+            Err(WalError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use sqlts_server::{
 };
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -95,10 +95,10 @@ impl Drop for Rig {
     }
 }
 
-fn standby_config(root: &PathBuf) -> ServerConfig {
+fn standby_config(root: &Path) -> ServerConfig {
     ServerConfig {
         listen: "127.0.0.1:0".into(),
-        data_dir: Some(root.clone()),
+        data_dir: Some(root.to_path_buf()),
         fsync: FsyncPolicy::Off,
         checkpoint_every_frames: 1_000,
         standby: true,
@@ -106,10 +106,10 @@ fn standby_config(root: &PathBuf) -> ServerConfig {
     }
 }
 
-fn primary_config(root: &PathBuf, target: &str, ack: ReplAck) -> ServerConfig {
+fn primary_config(root: &Path, target: &str, ack: ReplAck) -> ServerConfig {
     ServerConfig {
         listen: "127.0.0.1:0".into(),
-        data_dir: Some(root.clone()),
+        data_dir: Some(root.to_path_buf()),
         fsync: FsyncPolicy::Off,
         checkpoint_every_frames: 1_000,
         replicate_to: Some(target.to_string()),
@@ -328,7 +328,7 @@ fn standby_killed_mid_stream_resyncs_and_catches_up() {
 #[test]
 fn forged_frames_are_rejected_without_poisoning_either_side() {
     let all = frames();
-    let reference = reference(&all[..3].to_vec());
+    let reference = reference(&all[..3]);
     let sroot = temp_dir("forge-standby");
     let proot = temp_dir("forge-primary");
     let standby = Rig::spawn(standby_config(&sroot));

@@ -48,8 +48,8 @@ mod span;
 pub use event::{RingBuffer, TraceEvent, TraceSink, TripCause};
 pub use metrics::{BoundedHistogram, ClusterMetrics, ClusterRecorder, HIST_BUCKETS};
 pub use profile::{
-    json_escape, write_prometheus_histogram, ClusterProfile, ExecutionProfile, OptimizerReport,
-    PhaseNanos,
+    escape_label_value, json_escape, write_prometheus_histogram, ClusterProfile, ExecutionProfile,
+    OptimizerReport, PhaseNanos,
 };
 pub use setstats::PatternSetStats;
 pub use span::{Level, LogFormat, SpanLog};

@@ -468,8 +468,9 @@ fn label_set(base: &str, extra: &str) -> String {
 }
 
 /// Escape a label value per the Prometheus text format: backslash,
-/// double-quote and newline.
-fn escape_label_value(v: &str) -> String {
+/// double-quote and newline.  A raw newline in a label would split the
+/// sample line and corrupt the whole scrape.
+pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

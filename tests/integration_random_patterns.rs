@@ -10,9 +10,16 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sqlts_core::{execute_query, DirectionChoice, EngineKind, ExecOptions, FirstTuplePolicy};
+use sqlts_core::engine::SearchOptions;
+use sqlts_core::reverse::{direction_hint, find_matches_directed, Direction};
+use sqlts_core::{
+    compile, execute, execute_query, CompileOptions, DirectionChoice, EngineKind, EvalCounter,
+    ExecOptions, FirstTuplePolicy, Instrument, SearchStats,
+};
 use sqlts_datagen::{integer_walk, prices_to_table, quote_schema};
+use sqlts_lang::{eval_projection, EvalCtx};
 use sqlts_relation::{Date, Table, Value};
+use sqlts_trace::{ClusterProfile, ClusterRecorder};
 use std::num::NonZeroUsize;
 
 /// The predicate alphabet (binary-exact constants only, so f64 runtime
@@ -210,6 +217,102 @@ fn fuzz_parallel(seed: u64, rounds: u32) {
         interesting > rounds / 5,
         "only {interesting}/{rounds} runs had matches; generator is too cold"
     );
+}
+
+/// Property: the batch driver adds nothing to the search primitives.  For
+/// every direction × engine × threads 1/4, `execute`'s rows, stats and
+/// armed profile (minus wall clock) equal a reference assembled here by
+/// hand, cluster by cluster, from `find_matches_directed` and
+/// `eval_projection` over a private recording counter — so folding the
+/// executor's drivers into one cannot have moved a row, a count or an
+/// event.
+fn fuzz_driver_against_primitives(seed: u64, rounds: u32) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for round in 0..rounds {
+        let base = random_query(&mut rng);
+        let text = base.replace("SEQUENCE BY date", "CLUSTER BY name SEQUENCE BY date");
+        let clusters = rng.gen_range(1..=5);
+        let table = random_clustered_table(&mut rng, clusters);
+        let query = compile(&text, table.schema(), &CompileOptions::default()).unwrap();
+        let policy = FirstTuplePolicy::default();
+        let instrument = Instrument::tracing();
+        let clusters = table.cluster_by(&["name"], &["date"]).unwrap();
+        for direction in [
+            DirectionChoice::Forward,
+            DirectionChoice::Reverse,
+            DirectionChoice::Auto,
+        ] {
+            let scan = match direction {
+                DirectionChoice::Forward => Direction::Forward,
+                DirectionChoice::Reverse => Direction::Reverse,
+                DirectionChoice::Auto => direction_hint(&query),
+            };
+            for engine in [
+                EngineKind::Naive,
+                EngineKind::NaiveBacktrack,
+                EngineKind::Ops,
+                EngineKind::OpsShiftOnly,
+            ] {
+                let mut rows = Vec::new();
+                let mut stats = SearchStats::default();
+                let mut profiles = Vec::new();
+                for (index, cluster) in clusters.iter().enumerate() {
+                    let counter = EvalCounter::new().with_recorder(ClusterRecorder::new(
+                        query.elements.len(),
+                        instrument.trace_capacity,
+                    ));
+                    let options = SearchOptions { policy };
+                    let found =
+                        find_matches_directed(&query, cluster, scan, engine, &options, &counter);
+                    let ctx = EvalCtx { cluster, policy };
+                    stats.matches += found.len() as u64;
+                    rows.extend(
+                        found
+                            .iter()
+                            .map(|m| eval_projection(&query.projection, &ctx, &m.bindings())),
+                    );
+                    stats.clusters += 1;
+                    stats.tuples += cluster.len() as u64;
+                    stats.predicate_tests += counter.total();
+                    stats.steps += counter.total();
+                    let recorder = counter.into_recorder().unwrap();
+                    let events_dropped = recorder.events.dropped();
+                    profiles.push(ClusterProfile {
+                        index,
+                        key: cluster.key()[0].to_string(),
+                        tuples: cluster.len() as u64,
+                        metrics: recorder.metrics,
+                        events: recorder.events.into_events(),
+                        events_dropped,
+                    });
+                }
+                for threads in [1usize, 4] {
+                    let ctx = format!(
+                        "round {round} ({direction:?}, {engine:?}, threads={threads}):\n{text}"
+                    );
+                    let exec = ExecOptions {
+                        engine,
+                        policy,
+                        direction,
+                        threads: NonZeroUsize::new(threads).unwrap(),
+                        instrument,
+                        ..Default::default()
+                    };
+                    let result = execute(&query, &table, &exec).unwrap();
+                    assert_eq!(self::rows(&result.table), rows, "{ctx}");
+                    assert_eq!(result.stats, stats, "{ctx}");
+                    assert!(result.is_complete(), "{ctx}");
+                    let profile = result.profile.expect("armed run carries a profile");
+                    assert_eq!(profile.clusters, profiles, "{ctx}");
+                    assert_eq!(profile.predicate_tests(), stats.predicate_tests, "{ctx}");
+                    assert_eq!(
+                        (profile.engine.as_str(), profile.threads),
+                        (engine.name(), threads)
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// `sub` appears, in order, within `full` (with arbitrary gaps).
@@ -517,6 +620,11 @@ fn governed_runs_are_prefix_consistent() {
 #[test]
 fn governed_runs_are_prefix_consistent_second_seed() {
     fuzz_governed(0xDEAD11E, 250);
+}
+
+#[test]
+fn batch_driver_agrees_with_the_search_primitives() {
+    fuzz_driver_against_primitives(0xD217E, 40);
 }
 
 #[test]
