@@ -218,17 +218,6 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         help: "admission cap on concurrently live subscriptions (default 64)",
     },
     FlagSpec {
-        name: "--queue-depth",
-        metavar: Some("N"),
-        help: "per-subscription command-queue depth; feeders block when a \
-               subscription falls this far behind (default 16)",
-    },
-    FlagSpec {
-        name: "--poll-interval-ms",
-        metavar: Some("N"),
-        help: "idle-poll interval for stalled-deadline reclamation (default 50)",
-    },
-    FlagSpec {
         name: "--max-frame-bytes",
         metavar: Some("N"),
         help: "largest accepted protocol frame; bigger frames get ERR 2 and \
@@ -237,8 +226,9 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--timeout-ms",
         metavar: Some("N"),
-        help: "default wall-clock budget per subscription (trips even while \
-               the subscription is idle)",
+        help: "default wall-clock budget per subscription (a stalled one is \
+               seen tripped by the next STATUS, CHECKPOINT, UNSUBSCRIBE or \
+               scrape; no FEED needed)",
     },
     FlagSpec {
         name: "--max-steps",
@@ -632,10 +622,6 @@ fn run_serve() -> Result<(), CliError> {
         match name {
             "--listen" => config.listen = value.unwrap_or_else(|| serve_usage()),
             "--max-subscriptions" => config.max_subscriptions = serve_numeric(value),
-            "--queue-depth" => config.queue_depth = serve_numeric(value),
-            "--poll-interval-ms" => {
-                config.poll_interval = Duration::from_millis(serve_numeric(value))
-            }
             "--max-frame-bytes" => config.max_frame_bytes = serve_numeric(value),
             "--timeout-ms" => timeout_ms = Some(serve_numeric(value)),
             "--max-steps" => max_steps = Some(serve_numeric(value)),
@@ -659,12 +645,8 @@ fn run_serve() -> Result<(), CliError> {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| serve_usage())
             }
-            "--wal-segment-bytes" => {
-                config.wal_segment_bytes = serve_numeric::<u64>(value).max(1)
-            }
-            "--replicate-to" => {
-                config.replicate_to = Some(value.unwrap_or_else(|| serve_usage()))
-            }
+            "--wal-segment-bytes" => config.wal_segment_bytes = serve_numeric::<u64>(value).max(1),
+            "--replicate-to" => config.replicate_to = Some(value.unwrap_or_else(|| serve_usage())),
             "--repl-ack" => {
                 config.repl_ack = value
                     .as_deref()

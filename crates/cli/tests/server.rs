@@ -210,12 +210,17 @@ fn checkpoint_disconnect_resume_matches_batch() {
     );
 }
 
-/// `--shared-matcher auto` and `--fsync batch` named mechanisms that no
-/// longer exist: asking for one is a usage error, never a silent
-/// fallback to some other policy.
+/// `--shared-matcher auto`, `--fsync batch`, `--queue-depth` and
+/// `--poll-interval-ms` named mechanisms that no longer exist: asking for
+/// one is a usage error, never a silent fallback to some other policy.
 #[test]
-fn removed_flag_values_are_usage_errors() {
-    for flag in [["--shared-matcher", "auto"], ["--fsync", "batch"]] {
+fn removed_flags_and_flag_values_are_usage_errors() {
+    for flag in [
+        ["--shared-matcher", "auto"],
+        ["--fsync", "batch"],
+        ["--queue-depth", "16"],
+        ["--poll-interval-ms", "50"],
+    ] {
         let out = Command::new(BIN)
             .args(["serve", "--listen", "127.0.0.1:0"])
             .args(flag)
@@ -534,7 +539,7 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
 fn stalled_subscription_trips_wall_clock_deadline() {
     // The acceptance criterion, end to end: a subscription that stops
     // feeding must trip its deadline with no further FEED frame.
-    let server = spawn_server(&["--timeout-ms", "150", "--poll-interval-ms", "10"]);
+    let server = spawn_server(&["--timeout-ms", "150"]);
     let mut client = Client::connect(&server.addr);
     client.send(&format!("OPEN quote {SCHEMA}"));
     client.send(&format!("SUBSCRIBE stall quote\n{QUERY}"));

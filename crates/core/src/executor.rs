@@ -11,6 +11,7 @@ use sqlts_lang::{
 };
 use sqlts_relation::{Cluster, Schema, Table, TableError, Value};
 use sqlts_trace::{ClusterProfile, ClusterRecorder, ExecutionProfile, TraceEvent};
+use std::borrow::Cow;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -360,8 +361,10 @@ pub fn execute(
 
 /// One query's share of a run — everything set up before the first tuple
 /// is tested: the output schema, the search plan and the armed governor.
+/// A batch run (and a driver with the query on its stack) borrows the
+/// query; a long-lived session that must outlive its creator owns it.
 pub(crate) struct Member<'q> {
-    pub(crate) query: &'q CompiledQuery,
+    pub(crate) query: Cow<'q, CompiledQuery>,
     direction: Direction,
     schema: Schema,
     pub(crate) search_plan: Option<SearchPlan>,
@@ -371,11 +374,11 @@ pub(crate) struct Member<'q> {
 
 impl<'q> Member<'q> {
     pub(crate) fn prepare(
-        query: &'q CompiledQuery,
+        query: Cow<'q, CompiledQuery>,
         direction: Direction,
         options: &ExecOptions,
     ) -> Result<Member<'q>, TableError> {
-        let schema = output_schema(query)?;
+        let schema = output_schema(&query)?;
         // Compile the search plan once, reuse across clusters (forward scans
         // only; the reverse path compiles the reversed pattern internally).
         let t_plan = options.instrument.armed().then(Instant::now);
@@ -449,7 +452,7 @@ pub(crate) fn run_batch(
     // position) but takes no part in the scan.
     let prepared: Vec<Result<Member<'_>, TableError>> = queries
         .iter()
-        .map(|query| Member::prepare(query, direction, options))
+        .map(|query| Member::prepare(Cow::Borrowed(*query), direction, options))
         .collect();
     let job = BatchJob {
         members: prepared
@@ -559,7 +562,7 @@ pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
     if let Some(profile) = profile.as_deref_mut() {
         profile.phases.plan = member.plan_ns;
         profile.phases.execute = exec_ns;
-        profile.optimizer = Some(crate::explain::optimizer_report(member.query));
+        profile.optimizer = Some(crate::explain::optimizer_report(&member.query));
     }
     let result = QueryResult {
         table,
@@ -767,7 +770,7 @@ impl BatchJob<'_> {
     ) -> ClusterOutcome {
         #[cfg(feature = "failpoints")]
         sqlts_relation::failpoints::hit("executor::cluster", idx as u64);
-        let (query, cluster) = (member.query, &self.clusters[idx]);
+        let (query, cluster) = (&*member.query, &self.clusters[idx]);
         let search_options = SearchOptions {
             policy: self.options.policy,
         };

@@ -1,70 +1,71 @@
-//! Session multiplexing: one owned worker thread per standing query.
+//! Session multiplexing: one owned, lock-guarded session per standing query.
 //!
-//! [`StreamSession`] borrows its compiled query for its whole life, which
-//! is perfect for a driver with the query on its stack and awkward for a
-//! long-lived registry that must own many sessions at once.  A
-//! [`SessionWorker`] resolves the tension by compiling the query *inside*
-//! a dedicated thread, where the session can borrow it until the thread
-//! exits; the rest of the process talks to the worker over a bounded
-//! command channel.  This is the substrate a multi-tenant host (the
-//! `sqlts-server` crate, or any embedding) multiplexes subscriptions onto:
+//! [`StreamSession`] is a single-owner type: `&mut self` to feed, a
+//! borrowed query, a consuming `finish`.  That is perfect for a driver
+//! with the query on its stack and awkward for a long-lived registry that
+//! must own many sessions and reach each from any connection thread.  A
+//! [`SessionWorker`] resolves the tension without a thread of its own: it
+//! compiles the query, lets the session *own* it (`StreamSession<'static>`),
+//! and guards the session with a mutex.  Every method takes `&self`,
+//! locks, and runs the session call **on the caller's thread**.  This is
+//! the substrate a multi-tenant host (the `sqlts-server` crate, or any
+//! embedding) multiplexes subscriptions onto:
 //!
-//! * **Admission control** — the command queue is a
-//!   [`std::sync::mpsc::sync_channel`] of configurable depth, so a slow
-//!   subscription exerts backpressure on its feeders instead of buffering
-//!   unboundedly, and per-worker [`Governor`](crate::Governor) budgets
-//!   (deadline / step / match) ride in unchanged through
-//!   [`StreamOptions::exec`].
-//! * **Stalled-tenant reclamation** — the worker's idle loop calls
-//!   [`StreamSession::poll_deadline`] every `poll_interval`, so a tenant
-//!   that simply stops feeding still trips its wall-clock deadline and
-//!   releases its budget without waiting for another tuple.
+//! * **Where the work runs** — in whoever calls.  A host that feeds N
+//!   workers from one thread (the server's FEED path does, per channel)
+//!   runs their matchers one after another on that thread; workers fed
+//!   from different threads run concurrently.  Isolation is whatever the
+//!   host's threading gives it, no more.
+//! * **Admission control** — per-worker [`Governor`](crate::Governor)
+//!   budgets (deadline / step / match) ride in unchanged through
+//!   [`StreamOptions::exec`]; [`SessionWorker::queue_depth`] gauges how
+//!   many callers are waiting for the session.
+//! * **Stalled tenants** — `feed`, `status`, `snapshot` and
+//!   `finish` all call [`StreamSession::poll_deadline`] before they look,
+//!   so a tenant that simply stops feeding is seen tripped by the first
+//!   observer after its wall-clock deadline, with no further tuple.
 //! * **Checkpoint / resume** — [`SessionWorker::snapshot`] returns the
 //!   session's `sqlts-checkpoint v1` text, and
 //!   [`SessionWorkerConfig::resume_from`] rebuilds a worker that continues
 //!   bit-identically (the checkpoint's engine wins, so a resumed
 //!   subscription never silently switches machines).
+//! * **Panic containment** — every session call runs under
+//!   `catch_unwind`: a panic poisons the session, surfaces as
+//!   [`WorkerError::Runtime`], and never unwinds into the caller's thread
+//!   or poisons the lock.
 //!
 //! Every reply carries a [`WorkerError`] mapped onto the CLI's documented
 //! exit-code scheme (3 input, 4 runtime/governed, 5 quarantine) so
 //! transports can surface one consistent status vocabulary.
 
+use crate::executor::panic_cause;
 use crate::patternset::SetRegistry;
 use crate::stream::{SessionCheckpoint, StreamError, StreamOptions, StreamSession};
 use crate::{compile, Trip};
 use sqlts_relation::Schema;
 use sqlts_trace::ExecutionProfile;
+use std::borrow::Cow;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Everything a [`SessionWorker`] needs to stand up its session.
 #[derive(Clone, Debug)]
 pub struct SessionWorkerConfig {
-    /// A short identifier used for the worker thread's name and
-    /// diagnostics (e.g. the subscription id).
+    /// A short identifier used in diagnostics (e.g. the subscription id).
     pub name: String,
-    /// The SQL-TS query source; compiled inside the worker thread.
+    /// The SQL-TS query source; compiled by [`SessionWorker::spawn`].
     pub sql: String,
     /// The input schema the query is compiled against.
     pub schema: Schema,
     /// The full stream options (engine, governor, instrumentation,
     /// bad-tuple policy, backpressure) the session runs under.
     pub stream: StreamOptions,
-    /// Command-queue depth: how many commands may be pending before
-    /// senders block (admission control / backpressure).  Clamped to ≥ 1.
-    pub queue_depth: usize,
-    /// How often the idle loop polls the session deadline when no
-    /// commands arrive.  Keep this well under any configured
-    /// `--timeout-ms` so stalled tenants are reclaimed promptly.
-    pub poll_interval: Duration,
-    /// `sqlts-checkpoint v1` text to resume from, or `None` for a fresh
-    /// session.  On resume the checkpoint's engine overrides
-    /// `stream.exec.engine` so continuation is bit-identical.
-    pub resume_from: Option<String>,
+    /// The checkpoint to resume from, or `None` for a fresh session.  On
+    /// resume the checkpoint's engine overrides `stream.exec.engine` so
+    /// continuation is bit-identical.
+    pub resume_from: Option<SessionCheckpoint>,
     /// Shared pattern-set membership: when set, the worker joins the
     /// channel's [`SetRegistry`] after compiling, so its session shares
     /// predicate tests with every other subscription in the same group.
@@ -85,16 +86,14 @@ pub struct SharedSpec {
 }
 
 impl SessionWorkerConfig {
-    /// A config with the given query over `schema` and conservative
-    /// defaults: fresh session, queue depth 16, 50ms poll interval.
+    /// A config with the given query over `schema`: a fresh, solo session
+    /// under default stream options.
     pub fn new(name: impl Into<String>, sql: impl Into<String>, schema: Schema) -> Self {
         SessionWorkerConfig {
             name: name.into(),
             sql: sql.into(),
             schema,
             stream: StreamOptions::default(),
-            queue_depth: 16,
-            poll_interval: Duration::from_millis(50),
             resume_from: None,
             shared: None,
         }
@@ -116,7 +115,7 @@ pub enum WorkerError {
     Governed(Trip),
     /// A quarantine reached its capacity — exit-code class 5.
     Quarantine(String),
-    /// The worker thread is gone (already finished or crashed).
+    /// The session is gone (already finished).
     Gone,
 }
 
@@ -200,17 +199,18 @@ pub struct FinishReport {
     pub quarantined: usize,
 }
 
-/// What a worker thread is doing *right now*, published through a
+/// What a worker's session is doing *right now*, published through a
 /// [`PhaseTag`] so an observer (the server's sampling profiler) can read
 /// it with one relaxed atomic load — no lock, no signal, no stack
-/// unwinding, and zero effect on what the worker computes.
+/// unwinding, and zero effect on what the session computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum WorkerPhase {
-    /// Parked in `recv_timeout`, waiting for a command.
+    /// Nobody is inside the session.
     Idle = 0,
-    /// Compiling the query (and applying any resume checkpoint) at
-    /// startup.
+    /// Compiling the query (and applying any resume checkpoint) in
+    /// `spawn` — before the worker is shared, so it names that step in
+    /// errors but is never seen through a tag.
     Compile = 1,
     /// Applying a fed tuple to the session.
     Feed = 2,
@@ -251,8 +251,8 @@ impl WorkerPhase {
 /// current [`WorkerPhase`] plus the session's record count.  All loads
 /// and stores are `Relaxed` — a sampler tolerates a stale read by
 /// design (it is a statistical profile, not a synchronization point),
-/// and the worker pays two uncontended atomic stores per command, far
-/// from the per-tuple hot loop.
+/// and a caller pays two uncontended atomic stores per call, outside
+/// the per-test hot loop.
 #[derive(Debug, Default)]
 pub struct PhaseTag {
     phase: AtomicU8,
@@ -260,7 +260,7 @@ pub struct PhaseTag {
 }
 
 impl PhaseTag {
-    /// The phase most recently published by the worker.
+    /// The phase most recently published.
     pub fn phase(&self) -> WorkerPhase {
         WorkerPhase::from_u8(self.phase.load(Ordering::Relaxed))
     }
@@ -279,88 +279,114 @@ impl PhaseTag {
     }
 }
 
-enum Command {
-    Feed {
-        row: Vec<sqlts_relation::Value>,
-        reply: SyncSender<Result<(), WorkerError>>,
-    },
-    Snapshot {
-        reply: SyncSender<Result<(String, u64), WorkerError>>,
-    },
-    Status {
-        reply: SyncSender<SessionStatus>,
-    },
-    Finish {
-        reply: SyncSender<FinishReport>,
-    },
-}
-
-/// A handle to one subscription's dedicated worker thread.
+/// A handle to one subscription's session.
 ///
 /// All methods take `&self`, so a handle can sit in a shared registry and
-/// be driven from many connection threads at once; replies come back over
-/// per-call rendezvous channels.  Dropping the handle without calling
-/// [`finish`](SessionWorker::finish) shuts the worker down and discards
-/// the session (take a [`snapshot`](SessionWorker::snapshot) first to
-/// keep the work).
+/// be driven from many connection threads at once; each call locks the
+/// session and runs on the calling thread.  Dropping the handle without
+/// calling [`finish`](SessionWorker::finish) discards the session (take a
+/// [`snapshot`](SessionWorker::snapshot) first to keep the work).
 pub struct SessionWorker {
-    tx: SyncSender<Command>,
-    join: Mutex<Option<JoinHandle<()>>>,
+    name: String,
+    /// `None` once [`finish`](SessionWorker::finish) has consumed it.
+    session: Mutex<Option<StreamSession<'static>>>,
     tag: Arc<PhaseTag>,
-    queued: Arc<AtomicU64>,
+    queued: AtomicU64,
 }
 
 impl fmt::Debug for SessionWorker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionWorker").finish_non_exhaustive()
+        f.debug_struct("SessionWorker")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
     }
 }
 
+/// Run `f`, handing a panic back as its rendered cause instead of letting
+/// it unwind into the caller (a connection thread, possibly holding the
+/// host's own locks).
+fn contained<T>(name: &str, phase: WorkerPhase, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        format!(
+            "session '{name}' panicked in {}: {}",
+            phase.as_str(),
+            panic_cause(payload)
+        )
+    })
+}
+
 impl SessionWorker {
-    /// Spawn the worker: compile the query (and apply any resume
-    /// checkpoint) inside the new thread, then report readiness.  A
-    /// compile or resume failure surfaces here, not later.
+    /// Stand the session up on the calling thread (no thread is spawned):
+    /// compile the query, apply any resume checkpoint, join the shared
+    /// registry.  A compile or resume failure surfaces here, not later.
     pub fn spawn(config: SessionWorkerConfig) -> Result<SessionWorker, WorkerError> {
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
-        let (ready_tx, ready_rx) = mpsc::sync_channel(1);
+        let SessionWorkerConfig {
+            name,
+            sql,
+            schema,
+            stream: mut options,
+            resume_from,
+            shared,
+        } = config;
+        let session = contained(&name, WorkerPhase::Compile, || {
+            let compiled = compile(&sql, &schema, &options.exec.compile)
+                .map_err(|e| WorkerError::Input(e.render(&sql)))?;
+            if let Some(cp) = &resume_from {
+                // The checkpoint's engine wins: a resumed subscription must
+                // continue bit-identically, never silently switch machines.
+                options.exec.engine = cp.engine();
+            }
+            let policy = options.exec.policy;
+            let mut session =
+                StreamSession::open(Cow::Owned(compiled), options).map_err(map_stream_err)?;
+            if let Some(cp) = resume_from {
+                session = session.restore(cp).map_err(map_stream_err)?;
+            }
+            if let Some(shared) = &shared {
+                if let Some(join) = shared.registry.join(shared.origin, session.query(), policy) {
+                    session.install_shared(join);
+                }
+            }
+            Ok(session)
+        })
+        .map_err(WorkerError::Runtime)??;
         let tag = Arc::new(PhaseTag::default());
-        let queued = Arc::new(AtomicU64::new(0));
-        let name = format!("sqlts-sub-{}", config.name);
-        let worker_tag = Arc::clone(&tag);
-        let worker_queued = Arc::clone(&queued);
-        let join = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || worker_main(config, &rx, &ready_tx, &worker_tag, &worker_queued))
-            .map_err(|e| WorkerError::Runtime(format!("spawn worker: {e}")))?;
-        match ready_rx.recv() {
-            Ok(Ok(())) => Ok(SessionWorker {
-                tx,
-                join: Mutex::new(Some(join)),
-                tag,
-                queued,
-            }),
-            Ok(Err(e)) => {
-                let _ = join.join();
-                Err(e)
-            }
-            Err(_) => {
-                let _ = join.join();
-                Err(WorkerError::Runtime("worker died during startup".into()))
-            }
-        }
+        tag.set_records(session.records());
+        Ok(SessionWorker {
+            name,
+            session: Mutex::new(Some(session)),
+            tag,
+            queued: AtomicU64::new(0),
+        })
     }
 
-    fn call<T>(&self, make: impl FnOnce(SyncSender<T>) -> Command) -> Result<T, WorkerError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        // Count the command as queued before the (possibly blocking)
-        // send so a sampler sees the backpressure while a feeder is
-        // stalled on a full queue; the worker decrements on dequeue.
+    /// Lock the session and run `f` on it under `phase`, on this thread.
+    /// A panic inside `f` poisons the session (when `f` left one) and is
+    /// answered as [`WorkerError::Runtime`]; the lock is never held
+    /// across an unwind, so it cannot be poisoned by one.
+    fn call<T>(
+        &self,
+        phase: WorkerPhase,
+        f: impl FnOnce(&mut Option<StreamSession<'static>>) -> Result<T, WorkerError>,
+    ) -> Result<T, WorkerError> {
+        // Counted while waiting for the lock, so a sampler sees callers
+        // piling up behind a slow session.
         self.queued.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(make(reply_tx)).is_err() {
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-            return Err(WorkerError::Gone);
-        }
-        reply_rx.recv().map_err(|_| WorkerError::Gone)
+        let locked = self.session.lock();
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+        let mut slot = locked.map_err(|_| WorkerError::Runtime("session lock poisoned".into()))?;
+        self.tag.set(phase);
+        let result = match contained(&self.name, phase, || f(&mut slot)) {
+            Ok(result) => result,
+            Err(cause) => {
+                if let Some(session) = slot.as_mut() {
+                    session.poison(cause.clone());
+                }
+                Err(WorkerError::Runtime(cause))
+            }
+        };
+        self.tag.set(WorkerPhase::Idle);
+        result
     }
 
     /// The worker's live phase/record tag, for samplers.  Cloning the
@@ -370,16 +396,26 @@ impl SessionWorker {
         Arc::clone(&self.tag)
     }
 
-    /// Commands currently queued (or in flight) toward the worker —
-    /// the live backpressure gauge.
+    /// Callers currently waiting for the session — the live contention
+    /// gauge.
     pub fn queue_depth(&self) -> u64 {
         self.queued.load(Ordering::Relaxed)
     }
 
-    /// Push one tuple into the session (blocks while the queue is full —
-    /// that is the backpressure).
+    /// Input records the session has seen, as of the last completed
+    /// feed — one atomic load, no lock.
+    pub fn records(&self) -> u64 {
+        self.tag.records()
+    }
+
+    /// Push one tuple into the session.
     pub fn feed(&self, row: Vec<sqlts_relation::Value>) -> Result<(), WorkerError> {
-        self.call(|reply| Command::Feed { row, reply })?
+        self.call(WorkerPhase::Feed, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            let result = session.feed(row).map_err(map_stream_err);
+            self.tag.set_records(session.records());
+            result
+        })
     }
 
     /// Capture the session as `sqlts-checkpoint v1` text.
@@ -388,119 +424,37 @@ impl SessionWorker {
     }
 
     /// Capture the session as checkpoint text *plus* the record count the
-    /// checkpoint represents, extracted in the same worker round trip —
-    /// so a persistence layer can align the snapshot with its input log
+    /// checkpoint represents, taken under the same lock — so a
+    /// persistence layer can align the snapshot with its input log
     /// without re-parsing the text and without racing concurrent feeds.
     pub fn snapshot_with_records(&self) -> Result<(String, u64), WorkerError> {
-        self.call(|reply| Command::Snapshot { reply })?
+        self.call(WorkerPhase::Snapshot, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            // A tripped session still snapshots; the poll only latches.
+            let _ = session.poll_deadline();
+            let cp = session.snapshot().map_err(map_stream_err)?;
+            Ok((cp.to_text(), cp.records()))
+        })
     }
 
     /// A point-in-time status snapshot.
     pub fn status(&self) -> Result<SessionStatus, WorkerError> {
-        self.call(|reply| Command::Status { reply })
+        self.call(WorkerPhase::Status, |slot| {
+            let session = slot.as_mut().ok_or(WorkerError::Gone)?;
+            let _ = session.poll_deadline();
+            Ok(status_of(session))
+        })
     }
 
     /// Close the stream: drive the session to end-of-input and return the
-    /// final (or partial, when governed) result.  The worker thread exits.
+    /// final (or partial, when governed) result.  Every later call
+    /// answers [`WorkerError::Gone`].
     pub fn finish(&self) -> Result<FinishReport, WorkerError> {
-        let report = self.call(|reply| Command::Finish { reply })?;
-        if let Ok(mut slot) = self.join.lock() {
-            if let Some(join) = slot.take() {
-                let _ = join.join();
-            }
-        }
-        Ok(report)
-    }
-}
-
-fn worker_main(
-    config: SessionWorkerConfig,
-    rx: &mpsc::Receiver<Command>,
-    ready: &SyncSender<Result<(), WorkerError>>,
-    tag: &PhaseTag,
-    queued: &AtomicU64,
-) {
-    tag.set(WorkerPhase::Compile);
-    let compiled = match compile(&config.sql, &config.schema, &config.stream.exec.compile) {
-        Ok(q) => q,
-        Err(e) => {
-            let _ = ready.send(Err(WorkerError::Input(e.render(&config.sql))));
-            return;
-        }
-    };
-    let mut options = config.stream.clone();
-    let built = match &config.resume_from {
-        Some(text) => SessionCheckpoint::from_text(text).and_then(|cp| {
-            // The checkpoint's engine wins: a resumed subscription must
-            // continue bit-identically, never silently switch machines.
-            options.exec.engine = cp.engine();
-            StreamSession::resume(&compiled, options, cp)
-        }),
-        None => StreamSession::new(&compiled, options),
-    };
-    let mut session = match built {
-        Ok(s) => s,
-        Err(e) => {
-            let _ = ready.send(Err(map_stream_err(e)));
-            return;
-        }
-    };
-    if let Some(shared) = &config.shared {
-        if let Some(join) =
-            shared
-                .registry
-                .join(shared.origin, &compiled, config.stream.exec.policy)
-        {
-            session.install_shared(join);
-        }
-    }
-    tag.set_records(session.records());
-    tag.set(WorkerPhase::Idle);
-    if ready.send(Ok(())).is_err() {
-        return;
-    }
-    loop {
-        match rx.recv_timeout(config.poll_interval) {
-            Ok(command) => {
-                queued.fetch_sub(1, Ordering::Relaxed);
-                match command {
-                    Command::Feed { row, reply } => {
-                        tag.set(WorkerPhase::Feed);
-                        let result = session.feed(row).map_err(map_stream_err);
-                        // Publish before the reply so a caller that saw
-                        // its feed acknowledged also sees the count.
-                        tag.set_records(session.records());
-                        let _ = reply.send(result);
-                    }
-                    Command::Snapshot { reply } => {
-                        tag.set(WorkerPhase::Snapshot);
-                        let _ = reply.send(
-                            session
-                                .snapshot()
-                                .map(|cp| (cp.to_text(), cp.records()))
-                                .map_err(map_stream_err),
-                        );
-                    }
-                    Command::Status { reply } => {
-                        tag.set(WorkerPhase::Status);
-                        let _ = reply.send(status_of(&session));
-                    }
-                    Command::Finish { reply } => {
-                        tag.set(WorkerPhase::Finish);
-                        let _ = reply.send(finish_report(session));
-                        tag.set(WorkerPhase::Idle);
-                        return;
-                    }
-                }
-                tag.set(WorkerPhase::Idle);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // The stalled-tenant fix: an idle session still observes
-                // its wall-clock deadline (and cancellation token).
-                let _ = session.poll_deadline();
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+        self.call(WorkerPhase::Finish, |slot| {
+            let mut session = slot.take().ok_or(WorkerError::Gone)?;
+            let _ = session.poll_deadline();
+            Ok(finish_report(session))
+        })
     }
 }
 
@@ -563,6 +517,7 @@ mod tests {
     use crate::governor::{Governor, TripReason};
     use crate::EngineKind;
     use sqlts_relation::{ColumnType, Table, Value};
+    use std::time::Duration;
 
     fn quote_schema() -> Schema {
         Schema::new([
@@ -629,7 +584,7 @@ mod tests {
         let checkpoint = first.snapshot().unwrap();
         drop(first);
         let mut config = SessionWorkerConfig::new("t3", QUERY, quote_schema());
-        config.resume_from = Some(checkpoint);
+        config.resume_from = Some(SessionCheckpoint::from_text(&checkpoint).unwrap());
         let second = SessionWorker::spawn(config).unwrap();
         for row in &rows[mid..] {
             second.feed(row.clone()).unwrap();
@@ -644,7 +599,6 @@ mod tests {
         // wall-clock deadline trips Governed with no further feed call.
         let mut config = SessionWorkerConfig::new("stall", QUERY, quote_schema());
         config.stream.exec.governor = Governor::unlimited().with_timeout(Duration::from_millis(20));
-        config.poll_interval = Duration::from_millis(5);
         let worker = SessionWorker::spawn(config).unwrap();
         worker
             .feed(vec![
@@ -709,18 +663,13 @@ mod tests {
         for row in &rows {
             worker.feed(row.clone()).unwrap();
         }
-        // Every feed reply is a rendezvous, so once the last feed returns
-        // the published record count is exact and the queue is drained.
+        // Feeds run on this thread, so once the last one returns the
+        // published record count is exact and nobody is inside.
         assert_eq!(tag.records(), rows.len() as u64);
         assert_eq!(worker.queue_depth(), 0);
-        // The worker parks between commands; give it a beat to publish.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while tag.phase() != WorkerPhase::Idle {
-            assert!(std::time::Instant::now() < deadline, "never settled idle");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The tag outlives the handle — a sampler holding the Arc must
-        // not keep the worker alive or crash after finish.
+        assert_eq!(tag.phase(), WorkerPhase::Idle);
+        // The tag outlives the session — a sampler holding the Arc must
+        // not crash after finish.
         let report = worker.finish().unwrap();
         assert!(report.error.is_none());
         assert_eq!(tag.records(), rows.len() as u64);
@@ -743,12 +692,89 @@ mod tests {
         // engine must win so continuation is bit-identical.
         let mut config = SessionWorkerConfig::new("resumed", QUERY, quote_schema());
         config.stream.exec.engine = EngineKind::Ops;
-        config.resume_from = Some(checkpoint);
+        config.resume_from = Some(SessionCheckpoint::from_text(&checkpoint).unwrap());
         let worker = SessionWorker::spawn(config).unwrap();
         for row in &rows[10..] {
             worker.feed(row.clone()).unwrap();
         }
         let report = worker.finish().unwrap();
         assert_eq!(report.csv, batch_csv(&rows));
+    }
+
+    #[test]
+    fn concurrent_observers_never_perturb_the_feed() {
+        // One feeder, two observers hammering status/snapshot through the
+        // same lock: the result is still byte-identical to batch.
+        let rows = workload();
+        let worker =
+            SessionWorker::spawn(SessionWorkerConfig::new("seam", QUERY, quote_schema())).unwrap();
+        let start = std::sync::Barrier::new(3);
+        let fed = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for row in &rows {
+                    worker.feed(row.clone()).unwrap();
+                }
+                fed.store(true, Ordering::SeqCst);
+            });
+            for snapshots in [false, true] {
+                let (worker, start, fed, total) = (&worker, &start, &fed, rows.len() as u64);
+                scope.spawn(move || {
+                    start.wait();
+                    loop {
+                        // Read the flag first so the last probe is
+                        // guaranteed to run after the last feed.
+                        let done = fed.load(Ordering::SeqCst);
+                        let records = if snapshots {
+                            worker.snapshot_with_records().unwrap().1
+                        } else {
+                            worker.status().unwrap().records
+                        };
+                        assert!(records <= total);
+                        if done {
+                            assert_eq!(records, total);
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(worker.queue_depth(), 0);
+        assert_eq!(worker.records(), rows.len() as u64);
+        let report = worker.finish().unwrap();
+        assert!(report.trip.is_none() && report.error.is_none());
+        assert_eq!(report.csv, batch_csv(&rows));
+    }
+
+    #[test]
+    fn finish_alone_reports_a_deadline_that_passed_while_idle() {
+        let mut config = SessionWorkerConfig::new("idle", QUERY, quote_schema());
+        config.stream.exec.governor = Governor::unlimited().with_timeout(Duration::from_millis(20));
+        let worker = SessionWorker::spawn(config).unwrap();
+        worker
+            .feed(vec![
+                Value::Str("AAA".into()),
+                Value::Int(0),
+                Value::Float(100.0),
+            ])
+            .unwrap();
+        // No call of any kind while the deadline passes.
+        std::thread::sleep(Duration::from_millis(60));
+        let report = worker.finish().unwrap();
+        assert_eq!(report.trip.unwrap().reason, TripReason::Deadline);
+    }
+
+    #[test]
+    fn every_call_after_finish_answers_gone() {
+        let worker =
+            SessionWorker::spawn(SessionWorkerConfig::new("gone", QUERY, quote_schema())).unwrap();
+        worker.finish().unwrap();
+        let row = workload().swap_remove(0);
+        assert!(matches!(worker.feed(row), Err(WorkerError::Gone)));
+        assert!(matches!(worker.status(), Err(WorkerError::Gone)));
+        assert!(matches!(worker.snapshot(), Err(WorkerError::Gone)));
+        assert!(matches!(worker.finish(), Err(WorkerError::Gone)));
+        assert_eq!(worker.queue_depth(), 0);
     }
 }

@@ -59,6 +59,7 @@ use sqlts_trace::{
     BoundedHistogram, ClusterMetrics, ClusterRecorder, RingBuffer, TraceEvent, TraceSink,
     TripCause, HIST_BUCKETS,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -329,6 +330,16 @@ pub struct StreamSession<'q> {
 impl<'q> StreamSession<'q> {
     /// Open a fresh streaming session for `query`.
     pub fn new(query: &'q CompiledQuery, options: StreamOptions) -> Result<Self, StreamError> {
+        Self::open(Cow::Borrowed(query), options)
+    }
+
+    /// [`StreamSession::new`] over a borrowed *or owned* query: a session
+    /// that owns its query is `'static` and can outlive its creator (see
+    /// [`crate::multiplex::SessionWorker`]).
+    pub(crate) fn open(
+        query: Cow<'q, CompiledQuery>,
+        options: StreamOptions,
+    ) -> Result<Self, StreamError> {
         if options.exec.direction != DirectionChoice::Forward {
             return Err(StreamError::Unsupported(
                 "reverse/auto scan direction needs the end of the stream first".into(),
@@ -342,6 +353,7 @@ impl<'q> StreamSession<'q> {
         for name in &query.sequence_by {
             sequence_idx.push(query.schema.require(name)?);
         }
+        let margins = margins_of(&query);
         let member = Member::prepare(query, Direction::Forward, &options.exec)?;
         let search_options = SearchOptions {
             policy: options.exec.policy,
@@ -351,7 +363,7 @@ impl<'q> StreamSession<'q> {
             member,
             options,
             search_options,
-            margins: margins_of(query),
+            margins,
             cluster_idx,
             sequence_idx,
             clusters: BTreeMap::new(),
@@ -432,6 +444,18 @@ impl<'q> StreamSession<'q> {
     /// Has a contained panic poisoned this session?
     pub fn poisoned(&self) -> bool {
         self.poisoned.is_some()
+    }
+
+    /// Latch a panic contained *outside* [`StreamSession::feed`] (a host
+    /// that caught one in `snapshot`, say): every later call fails with
+    /// [`StreamError::Poisoned`], exactly as after a contained feed panic.
+    pub(crate) fn poison(&mut self, cause: String) {
+        self.poisoned = Some(cause);
+    }
+
+    /// The compiled query this session runs.
+    pub(crate) fn query(&self) -> &CompiledQuery {
+        &self.member.query
     }
 
     fn new_cluster(&self, key: &[Value]) -> ClusterStream {
@@ -574,7 +598,7 @@ impl<'q> StreamSession<'q> {
         cs.last_seq = Some(seq);
         self.window_bytes += bytes;
         let outcome = drive(
-            self.member.query,
+            &self.member.query,
             self.member.search_plan.as_ref(),
             &self.search_options,
             &self.margins,
@@ -740,30 +764,35 @@ impl<'q> StreamSession<'q> {
         options: StreamOptions,
         checkpoint: SessionCheckpoint,
     ) -> Result<Self, StreamError> {
-        if checkpoint.engine != options.exec.engine {
+        Self::open(Cow::Borrowed(query), options)?.restore(checkpoint)
+    }
+
+    /// Load `checkpoint` into a freshly opened session: the second half
+    /// of [`StreamSession::resume`].
+    pub(crate) fn restore(mut self, checkpoint: SessionCheckpoint) -> Result<Self, StreamError> {
+        let pattern_len = self.member.query.elements.len();
+        if checkpoint.engine != self.options.exec.engine {
             return Err(StreamError::Checkpoint(format!(
                 "engine mismatch: checkpoint '{}' vs session '{}'",
                 checkpoint.engine.name(),
-                options.exec.engine.name()
+                self.options.exec.engine.name()
             )));
         }
-        if checkpoint.pattern_len != query.elements.len() {
+        if checkpoint.pattern_len != pattern_len {
             return Err(StreamError::Checkpoint(format!(
-                "pattern length mismatch: checkpoint {} vs query {}",
+                "pattern length mismatch: checkpoint {} vs query {pattern_len}",
                 checkpoint.pattern_len,
-                query.elements.len()
             )));
         }
-        let mut session = StreamSession::new(query, options)?;
-        session.records = checkpoint.records;
-        session.skipped = checkpoint.skipped;
-        session.pressure_trips = checkpoint.pressure_trips;
-        session.quarantine = checkpoint.quarantine;
+        self.records = checkpoint.records;
+        self.skipped = checkpoint.skipped;
+        self.pressure_trips = checkpoint.pressure_trips;
+        self.quarantine = checkpoint.quarantine;
         if checkpoint.log.is_some() {
-            session.log = checkpoint.log;
+            self.log = checkpoint.log;
         }
         for cc in checkpoint.clusters {
-            let mut buf = Table::new(query.schema.clone());
+            let mut buf = Table::new(self.member.query.schema.clone());
             let mut bytes = 0;
             for row in cc.rows {
                 bytes += row_bytes(&row);
@@ -773,21 +802,21 @@ impl<'q> StreamSession<'q> {
             // first (initial refill before the recorder is attached), then
             // the recorder, then the restored totals — this keeps
             // `governor_flushes` and flush timing bit-identical.
-            let mut counter = match &session.member.run {
+            let mut counter = match &self.member.run {
                 Some(run) => EvalCounter::governed(run.scope()),
                 None => EvalCounter::new(),
             };
             if let Some(recorder) = cc.recorder {
                 counter = counter.with_recorder(recorder);
-            } else if session.options.exec.instrument.armed() {
+            } else if self.options.exec.instrument.armed() {
                 counter = counter.with_recorder(ClusterRecorder::new(
-                    query.elements.len(),
-                    session.options.exec.instrument.capacity(),
+                    pattern_len,
+                    self.options.exec.instrument.capacity(),
                 ));
             }
             counter.restore_total(cc.counter_total);
-            session.window_bytes += bytes;
-            session.clusters.insert(
+            self.window_bytes += bytes;
+            self.clusters.insert(
                 cc.key,
                 ClusterStream {
                     buf,
@@ -801,7 +830,7 @@ impl<'q> StreamSession<'q> {
                 },
             );
         }
-        Ok(session)
+        Ok(self)
     }
 
     /// Close the stream: drive every machine to end-of-input, project the
@@ -820,7 +849,7 @@ impl<'q> StreamSession<'q> {
         for (key, mut cs) in std::mem::take(&mut self.clusters) {
             if !tripped {
                 let outcome = drive(
-                    self.member.query,
+                    &self.member.query,
                     self.member.search_plan.as_ref(),
                     &self.search_options,
                     &self.margins,

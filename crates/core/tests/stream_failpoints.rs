@@ -288,3 +288,41 @@ fn delayed_feed_does_not_change_results() {
     assert_eq!(table_rows(&streamed.table), table_rows(&batch.table));
     assert_eq!(streamed.stats, batch.stats);
 }
+
+/// A panic inside a [`SessionWorker`] call other than `feed` runs on the
+/// caller's thread: it must come back as a runtime-class error, leave the
+/// worker answering (with errors) and the calling thread alive.
+#[test]
+fn worker_contains_a_snapshot_panic_on_the_callers_thread() {
+    use sqlts_core::{SessionWorker, SessionWorkerConfig, WorkerError};
+
+    let _guard = armed();
+    let rows = rows();
+    failpoints::configure_rule("stream::checkpoint", FailAction::Panic, 1, None, true);
+    let worker =
+        SessionWorker::spawn(SessionWorkerConfig::new("fp", QUERY, quote_schema())).unwrap();
+    for row in &rows[..10] {
+        worker.feed(row.clone()).unwrap();
+    }
+    match worker.snapshot() {
+        Err(e @ WorkerError::Runtime(_)) => {
+            assert_eq!(e.exit_code(), 4);
+            assert!(e.to_string().contains("stream::checkpoint"), "{e}");
+        }
+        other => panic!("expected a contained panic, got {other:?}"),
+    }
+    // The rule was once-only, so these fail because the session is
+    // poisoned — not because the failpoint fired again.
+    assert!(matches!(worker.snapshot(), Err(WorkerError::Runtime(_))));
+    assert!(matches!(
+        worker.feed(rows[10].clone()),
+        Err(WorkerError::Runtime(_))
+    ));
+    assert!(worker.status().unwrap().poisoned);
+    assert_eq!(worker.queue_depth(), 0);
+    let report = worker.finish().unwrap();
+    assert!(report
+        .error
+        .is_some_and(|e| e.contains("stream::checkpoint")));
+    assert!(matches!(worker.status(), Err(WorkerError::Gone)));
+}

@@ -308,8 +308,8 @@ impl ServerMetrics {
 }
 
 /// Render one live subscription's gauges (tenant-labeled, names declared
-/// once by [`ServerMetrics::render`]).  `queue_depth` is the worker's
-/// live command-queue occupancy.
+/// once by [`ServerMetrics::render`]).  `queue_depth` is the number of
+/// callers waiting for the worker's session right now.
 pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth: u64) -> String {
     let t = escape_label_value(tenant);
     let mut out = String::new();
@@ -385,7 +385,10 @@ pub fn repl_exposition(snap: &crate::replicate::ReplSnapshot) -> String {
         } else {
             "gauge"
         };
-        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}");
+        let _ = writeln!(
+            out,
+            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
+        );
     }
     out
 }
@@ -400,7 +403,7 @@ pub struct SubStatusView {
     pub channel: String,
     /// The worker's point-in-time session status.
     pub status: sqlts_core::SessionStatus,
-    /// Live command-queue occupancy.
+    /// Callers waiting for the session right now.
     pub queue_depth: u64,
     /// The phase the worker published most recently.
     pub phase: &'static str,

@@ -6,7 +6,7 @@
 //!
 //! This is deliberately *not* OS-level stack unwinding: no signals, no
 //! ptrace, no frame-pointer walking.  Each worker already publishes a
-//! cheap atomic phase tag on every command (see `sqlts_core::multiplex`);
+//! cheap atomic phase tag on every call (see `sqlts_core::multiplex`);
 //! sampling it is one relaxed load per subscription per tick, so the
 //! profiler observes the server without perturbing it — the armed run's
 //! query output stays byte-identical to an unarmed run.

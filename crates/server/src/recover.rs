@@ -150,7 +150,7 @@ pub fn schema_spec(schema: &Schema) -> String {
 /// created (or resumed); `base_records` is the worker's checkpoint
 /// record count at that moment (non-zero only for `RESUME`, whose
 /// checkpoint arrives with history already in it).  The ordinal a
-/// snapshot covers is then `base_rows + (records − base_records)`.
+/// snapshot covers is then [`SubMeta::resume_ordinal`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubMeta {
     /// Channel the subscription consumes.
@@ -164,6 +164,13 @@ pub struct SubMeta {
 }
 
 impl SubMeta {
+    /// The first channel row a session whose checkpoint covers `records`
+    /// input records has *not* yet seen: where recovery, promotion and
+    /// WAL truncation all resume it.
+    pub fn resume_ordinal(&self, records: u64) -> u64 {
+        self.base_rows + records.saturating_sub(self.base_records)
+    }
+
     /// Serialize to the `sqlts-submeta v1` text form.
     pub fn to_text(&self) -> String {
         format!(

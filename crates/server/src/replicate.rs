@@ -472,7 +472,14 @@ mod tests {
         repl.state.connected.store(true, Ordering::SeqCst);
         assert!(repl.offer_frame("q", 0, 1, "IBM,1,50"));
         let cmd = rx.try_recv().unwrap();
-        assert!(matches!(cmd, ReplCmd::Frame { start: 0, nrows: 1, .. }));
+        assert!(matches!(
+            cmd,
+            ReplCmd::Frame {
+                start: 0,
+                nrows: 1,
+                ..
+            }
+        ));
         assert!(rx.try_recv().is_err(), "disconnected offer must not queue");
     }
 }

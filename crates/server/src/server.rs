@@ -33,13 +33,16 @@
 //! A *channel* is a named, schema-typed input feed; any connection may
 //! `FEED` it and every subscription on it sees the same tuples.  A
 //! *subscription* is one standing query over one channel, owned by the
-//! connection that created it: it runs on its own
-//! [`SessionWorker`] thread with the server's default governor budgets,
-//! a bounded command queue (admission control), and an idle-poll interval
-//! that trips stalled tenants' wall-clock deadlines.  When a connection
-//! closes, its subscriptions are finished and their profiles retained for
-//! `/metrics`; a client that wants to survive a disconnect takes a
-//! `CHECKPOINT` first and `RESUME`s on a new connection.
+//! connection that created it: a lock-guarded [`SessionWorker`] session
+//! under the server's default governor budgets.  There is no thread per
+//! subscription — the connection thread that `FEED`s a channel runs the
+//! matcher of every subscriber on that channel in turn, so isolation is
+//! per channel (and per connection), not per subscription.  A stalled
+//! tenant's wall-clock deadline is seen tripped by the next `STATUS`,
+//! `CHECKPOINT`, `UNSUBSCRIBE` or scrape, with no further `FEED`.  When a
+//! connection closes, its subscriptions are finished and their profiles
+//! retained for `/metrics`; a client that wants to survive a disconnect
+//! takes a `CHECKPOINT` first and `RESUME`s on a new connection.
 //!
 //! ## Durability (`--data-dir`)
 //!
@@ -68,7 +71,9 @@ use crate::metrics::{
     live_gauges, repl_exposition, status_json, LatencyOp, ServerMetrics, SubStatusView,
 };
 use crate::profiler::SamplingProfiler;
-use crate::recover::{encode_name, replay_channel, schema_spec, DataDir, ReplaySub, ServeError, SubMeta};
+use crate::recover::{
+    encode_name, replay_channel, schema_spec, DataDir, ReplaySub, ServeError, SubMeta,
+};
 use crate::replicate::{
     self, parse_ack, parse_hello, parse_opened_rows, send_repl, ReplAck, ReplCmd, ReplSnapshot,
     Replicator,
@@ -95,10 +100,6 @@ pub struct ServerConfig {
     pub listen: String,
     /// Admission cap: maximum concurrently live subscriptions.
     pub max_subscriptions: usize,
-    /// Per-subscription command-queue depth (backpressure bound).
-    pub queue_depth: usize,
-    /// Idle-poll interval for stalled-deadline reclamation.
-    pub poll_interval: Duration,
     /// Largest accepted frame payload; larger frames are drained and
     /// answered with `ERR 2`.
     pub max_frame_bytes: usize,
@@ -161,8 +162,6 @@ impl Default for ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".into(),
             max_subscriptions: 64,
-            queue_depth: 16,
-            poll_interval: Duration::from_millis(50),
             max_frame_bytes: 1 << 20,
             governor: Governor::unlimited(),
             engine: EngineKind::Ops,
@@ -189,14 +188,10 @@ impl Default for ServerConfig {
 
 struct Subscription {
     worker: Arc<SessionWorker>,
-    channel: String,
     conn: u64,
-    /// Channel row ordinal when this subscription joined (0 without a
-    /// data dir, where it is never read).
-    base_rows: u64,
-    /// Worker checkpoint record count when it joined (non-zero only for
-    /// RESUME and recovery).
-    base_records: u64,
+    /// Channel, join-time row/record base and SQL — exactly what a
+    /// durable server persists beside the checkpoint.
+    meta: Arc<SubMeta>,
 }
 
 /// Per-channel durable state, guarded by one mutex so that WAL append
@@ -697,6 +692,39 @@ fn open_durable_channels(
     Ok(frames_by_channel)
 }
 
+/// The worker config every subscription runs under: the server's engine,
+/// budgets and profiling, resuming from `resume_from` when given and —
+/// under `--shared-matcher on` — joined to the channel's registry.
+fn worker_config(
+    shared: &Shared,
+    id: &str,
+    meta: &SubMeta,
+    channel: &Channel,
+    resume_from: Option<SessionCheckpoint>,
+) -> SessionWorkerConfig {
+    let mut config = SessionWorkerConfig::new(id, &meta.sql, channel.schema.clone());
+    config.stream.exec.engine = shared.config.engine;
+    config.stream.exec.governor = shared.config.governor.clone();
+    config.stream.exec.instrument = Instrument::profiling();
+    config.resume_from = resume_from;
+    if shared.config.shared_matcher {
+        // The alignment key: the channel row ordinal the session's
+        // record 0 maps to.  It is invariant across checkpoints, so a
+        // recovered subscription shares with exactly the peers it could
+        // have shared with before the crash; a checkpoint claiming more
+        // records than the channel had rows is aligned with nothing and
+        // simply runs solo.
+        config.shared = meta
+            .base_rows
+            .checked_sub(meta.base_records)
+            .map(|origin| SharedSpec {
+                registry: Arc::clone(&channel.registry),
+                origin,
+            });
+    }
+    config
+}
+
 /// The subscription half of recovery, shared with standby promotion:
 /// respawn every persisted subscription from its snapshot and replay the
 /// surviving WAL rows each worker has not yet seen.
@@ -706,53 +734,27 @@ fn respawn_and_replay(
     report: &mut RecoveryReport,
 ) -> Result<(), ServeError> {
     let data = shared.data.as_ref().expect("recover requires a data dir");
-    // Respawn each persisted subscription from its snapshot.  The resume
-    // ordinal — the first channel row the worker has NOT seen — is the
-    // join-time base plus the records its checkpoint gained since.
+    // Respawn each persisted subscription from its snapshot, noting the
+    // first channel row it has NOT seen.
     let mut resume_at: HashMap<String, u64> = HashMap::new();
     for (id, meta, checkpoint) in data.load_subs()? {
-        let (schema, registry) = {
-            let channels = shared
-                .channels
-                .lock()
-                .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
-            channels
-                .get(&meta.channel)
-                .map(|c| (c.schema.clone(), Arc::clone(&c.registry)))
-        }
-        .ok_or_else(|| {
-            ServeError::Input(format!(
-                "subscription '{id}' references unknown channel '{}'",
-                meta.channel
-            ))
-        })?;
-        let mut config = SessionWorkerConfig::new(&id, &meta.sql, schema);
-        config.queue_depth = shared.config.queue_depth;
-        config.poll_interval = shared.config.poll_interval;
-        config.stream.exec.engine = shared.config.engine;
-        config.stream.exec.governor = shared.config.governor.clone();
-        config.stream.exec.instrument = Instrument::profiling();
-        config.resume_from = Some(checkpoint);
-        if shared.config.shared_matcher {
-            // The alignment key: the channel row ordinal the session's
-            // record 0 maps to.  It is invariant across checkpoints, so a
-            // recovered subscription shares with exactly the peers it
-            // could have shared with before the crash.
-            if let Some(origin) = meta.base_rows.checked_sub(meta.base_records) {
-                config.shared = Some(SharedSpec {
-                    registry: Arc::clone(&registry),
-                    origin,
-                });
-            }
-        }
+        let channel = shared
+            .channels
+            .lock()
+            .map_err(|_| ServeError::Runtime("lock poisoned".into()))?
+            .get(&meta.channel)
+            .cloned()
+            .ok_or_else(|| {
+                ServeError::Input(format!(
+                    "subscription '{id}' references unknown channel '{}'",
+                    meta.channel
+                ))
+            })?;
+        let checkpoint = SessionCheckpoint::from_text(&checkpoint)
+            .map_err(|e| ServeError::Input(format!("respawn subscription '{id}': {e}")))?;
+        let config = worker_config(shared, &id, &meta, &channel, Some(checkpoint));
         let worker = SessionWorker::spawn(config).map_err(|e| recover_worker_err(&id, &e))?;
-        let (_, records) = worker
-            .snapshot_with_records()
-            .map_err(|e| recover_worker_err(&id, &e))?;
-        resume_at.insert(
-            id.clone(),
-            meta.base_rows + records.saturating_sub(meta.base_records),
-        );
+        resume_at.insert(id.clone(), meta.resume_ordinal(worker.records()));
         let mut subs = shared
             .subs
             .lock()
@@ -761,10 +763,8 @@ fn respawn_and_replay(
             id,
             Subscription {
                 worker: Arc::new(worker),
-                channel: meta.channel,
                 conn: 0,
-                base_rows: meta.base_rows,
-                base_records: meta.base_records,
+                meta: Arc::new(meta),
             },
         );
         report.subscriptions += 1;
@@ -786,7 +786,7 @@ fn respawn_and_replay(
                 .lock()
                 .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
             subs.iter()
-                .filter(|(_, s)| s.channel == name)
+                .filter(|(_, s)| s.meta.channel == name)
                 .map(|(id, s)| (id.clone(), Arc::clone(&s.worker)))
                 .collect()
         };
@@ -993,7 +993,10 @@ fn standby_frame(
         );
     }
     let Some(wal) = persist.wal.as_mut() else {
-        return Err(err(4, format!("channel '{chan}' has no wal on the standby")));
+        return Err(err(
+            4,
+            format!("channel '{chan}' has no wal on the standby"),
+        ));
     };
     let synced = wal
         .append(body, nrows)
@@ -1022,7 +1025,10 @@ fn standby_meta(shared: &Shared, id: &str, body: &str) -> Result<String, String>
         if !channels.contains_key(&meta.channel) {
             return Err(err(
                 4,
-                format!("repl meta '{id}' references unknown channel '{}'", meta.channel),
+                format!(
+                    "repl meta '{id}' references unknown channel '{}'",
+                    meta.channel
+                ),
             ));
         }
     }
@@ -1042,7 +1048,8 @@ fn standby_checkpoint(shared: &Shared, id: &str, body: &str) -> Result<String, S
         .load_sub_meta(id)
         .map_err(|e| serve_err(&e))?
         .ok_or_else(|| err(4, format!("repl checkpoint '{id}' has no shipped meta")))?;
-    data.save_sub_checkpoint(id, body).map_err(|e| serve_err(&e))?;
+    data.save_sub_checkpoint(id, body)
+        .map_err(|e| serve_err(&e))?;
     ServerMetrics::inc(&shared.metrics.snapshots_total);
     standby_truncate(shared, &meta.channel);
     Ok(format!("OK repl checkpoint {id}"))
@@ -1080,7 +1087,7 @@ fn standby_truncate(shared: &Shared, chan: &str) {
         let Ok(cp) = SessionCheckpoint::from_text(checkpoint) else {
             return; // unreadable checkpoint: hold truncation entirely
         };
-        low_water = low_water.min(meta.base_rows + cp.records().saturating_sub(meta.base_records));
+        low_water = low_water.min(meta.resume_ordinal(cp.records()));
     }
     if let Some(wal) = persist.wal.as_mut() {
         if wal.sync().is_ok() {
@@ -1153,11 +1160,7 @@ enum SessionEnd {
 /// connect + `HELLO` + full resync + live queue loop.  Holds only a
 /// [`Weak`] on [`Shared`] between sessions so a dropped server is not
 /// pinned by its own shipper ([`Server`]'s drop joins this thread).
-fn replication_thread(
-    weak: &Weak<Shared>,
-    rx: &mpsc::Receiver<ReplCmd>,
-    stop: &Arc<AtomicBool>,
-) {
+fn replication_thread(weak: &Weak<Shared>, rx: &mpsc::Receiver<ReplCmd>, stop: &Arc<AtomicBool>) {
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -1186,7 +1189,11 @@ fn session_fail(shared: &Shared, what: &str, e: &str) {
         repl.state.send_errors.fetch_add(1, Ordering::Relaxed);
         repl.state.mark_disconnected();
     }
-    shared.span_event(Level::Warn, "repl_session_error", &[("what", what), ("error", e)]);
+    shared.span_event(
+        Level::Warn,
+        "repl_session_error",
+        &[("what", what), ("error", e)],
+    );
 }
 
 fn replication_session(
@@ -1218,7 +1225,11 @@ fn replication_session(
         }
     }
     let Some(mut stream) = stream else {
-        session_fail(&shared, "connect", &format!("no address of '{target}' accepted"));
+        session_fail(
+            &shared,
+            "connect",
+            &format!("no address of '{target}' accepted"),
+        );
         return SessionEnd::Retry;
     };
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
@@ -1229,16 +1240,15 @@ fn replication_session(
         return SessionEnd::Retry;
     };
     let mut reader = BufReader::new(clone);
-    let standby_rows =
-        match send_repl(&mut stream, &mut reader, "REPL HELLO v1", max_frame)
-            .and_then(|r| parse_hello(&r))
-        {
-            Ok(rows) => rows,
-            Err(e) => {
-                session_fail(&shared, "hello", &e);
-                return SessionEnd::Retry;
-            }
-        };
+    let standby_rows = match send_repl(&mut stream, &mut reader, "REPL HELLO v1", max_frame)
+        .and_then(|r| parse_hello(&r))
+    {
+        Ok(rows) => rows,
+        Err(e) => {
+            session_fail(&shared, "hello", &e);
+            return SessionEnd::Retry;
+        }
+    };
     repl.state.resyncs.fetch_add(1, Ordering::Relaxed);
     for (chan, rows) in &standby_rows {
         repl.state.note_ack(chan, *rows);
@@ -1255,7 +1265,10 @@ fn replication_session(
         Ok(map) => map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         Err(_) => return fatal("channels", "lock poisoned"),
     };
-    let data = shared.data.as_ref().expect("--replicate-to requires a data dir");
+    let data = shared
+        .data
+        .as_ref()
+        .expect("--replicate-to requires a data dir");
     for (name, channel) in &channels {
         let spec = schema_spec(&channel.schema);
         let opened = send_repl(
@@ -1386,9 +1399,13 @@ fn ship_cmd(
             repl.state.note_ack(channel, parse_opened_rows(&reply)?);
             Ok(())
         }
-        ReplCmd::Meta { id, text } => {
-            send_repl(stream, reader, &format!("REPL META {id}\n{text}"), max_frame).map(|_| ())
-        }
+        ReplCmd::Meta { id, text } => send_repl(
+            stream,
+            reader,
+            &format!("REPL META {id}\n{text}"),
+            max_frame,
+        )
+        .map(|_| ()),
         ReplCmd::Checkpoint { id, text } => send_repl(
             stream,
             reader,
@@ -1442,7 +1459,7 @@ fn recover_worker_err(id: &str, e: &WorkerError) -> ServeError {
 }
 
 /// Finish (and retain profiles of) every subscription the closed
-/// connection owned, releasing their worker threads and budgets.
+/// connection owned, releasing their sessions and budgets.
 /// Recovered subscriptions belong to connection 0 and are never reaped.
 fn reap_connection(shared: &Shared, conn: u64) {
     if shared.draining.load(Ordering::SeqCst) {
@@ -1635,9 +1652,7 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
             ("OPEN", [chan, spec]) => open_channel(shared, chan, spec),
             ("SUBSCRIBE", [id, chan]) => subscribe(shared, conn, id, chan, body, None),
             ("RESUME", [id, chan]) => match body.split_once('\n') {
-                Some((sql, checkpoint)) => {
-                    subscribe(shared, conn, id, chan, sql, Some(checkpoint.to_string()))
-                }
+                Some((sql, checkpoint)) => subscribe(shared, conn, id, chan, sql, Some(checkpoint)),
                 None => Err(err(2, "RESUME needs an SQL line and checkpoint text")),
             },
             ("FEED", [chan]) => feed(shared, chan, body, span),
@@ -1742,7 +1757,7 @@ fn subscribe(
     id: &str,
     chan: &str,
     sql: &str,
-    resume_from: Option<String>,
+    resume_from: Option<&str>,
 ) -> Result<String, String> {
     if sql.trim().is_empty() {
         return Err(err(2, "missing SQL body"));
@@ -1772,14 +1787,11 @@ fn subscribe(
             ));
         }
     }
-    let mut config = SessionWorkerConfig::new(id, sql, channel.schema.clone());
-    config.queue_depth = shared.config.queue_depth;
-    config.poll_interval = shared.config.poll_interval;
-    config.stream.exec.engine = shared.config.engine;
-    config.stream.exec.governor = shared.config.governor.clone();
-    config.stream.exec.instrument = Instrument::profiling();
+    let resume_from = resume_from
+        .map(SessionCheckpoint::from_text)
+        .transpose()
+        .map_err(|e| err(3, e))?;
     let resumed = resume_from.is_some();
-    config.resume_from = resume_from;
     // Hold the channel's persist lock across worker spawn, base-ordinal
     // read, registry insert and durable-file writes: no FEED can advance
     // the channel (or fan out to a half-registered subscription) in
@@ -1789,30 +1801,17 @@ fn subscribe(
         .persist
         .lock()
         .map_err(|_| err(4, "lock poisoned"))?;
-    if shared.config.shared_matcher {
-        let origin = match &config.resume_from {
-            None => Some(persist.rows_total),
-            // A resumed subscription's record 0 maps `cp.records()` rows
-            // before the current channel ordinal; a checkpoint claiming
-            // more records than the channel has rows is aligned with
-            // nothing here and simply runs solo.
-            Some(text) => SessionCheckpoint::from_text(text)
-                .ok()
-                .and_then(|cp| persist.rows_total.checked_sub(cp.records())),
-        };
-        if let Some(origin) = origin {
-            config.shared = Some(SharedSpec {
-                registry: Arc::clone(&channel.registry),
-                origin,
-            });
-        }
-    }
+    let meta = Arc::new(SubMeta {
+        channel: chan.to_string(),
+        base_rows: persist.rows_total,
+        base_records: resume_from.as_ref().map_or(0, SessionCheckpoint::records),
+        sql: sql.to_string(),
+    });
+    let config = worker_config(shared, id, &meta, &channel, resume_from);
     let worker = Arc::new(SessionWorker::spawn(config).map_err(|e| worker_err(&e))?);
-    let durable = if shared.data.is_some() {
-        let (text, records) = worker.snapshot_with_records().map_err(|e| worker_err(&e))?;
-        Some((persist.rows_total, records, text))
-    } else {
-        None
+    let durable = match shared.data.as_ref() {
+        Some(data) => Some((data, worker.snapshot().map_err(|e| worker_err(&e))?)),
+        None => None,
     };
     {
         let mut subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
@@ -1823,27 +1822,16 @@ fn subscribe(
         if subs.len() >= shared.config.max_subscriptions {
             return Err(err(4, "admission: subscription limit reached"));
         }
-        let (base_rows, base_records) = durable
-            .as_ref()
-            .map_or((0, 0), |(rows, records, _)| (*rows, *records));
         subs.insert(
             id.to_string(),
             Subscription {
                 worker: Arc::clone(&worker),
-                channel: chan.to_string(),
                 conn,
-                base_rows,
-                base_records,
+                meta: Arc::clone(&meta),
             },
         );
     }
-    if let (Some(data), Some((base_rows, base_records, text))) = (shared.data.as_ref(), durable) {
-        let meta = SubMeta {
-            channel: chan.to_string(),
-            base_rows,
-            base_records,
-            sql: sql.to_string(),
-        };
+    if let Some((data, text)) = durable {
         let saved = data
             .save_sub_meta(id, &meta)
             .and_then(|()| data.save_sub_checkpoint(id, &text));
@@ -1959,7 +1947,7 @@ fn feed(shared: &Shared, chan: &str, body: &str, parent: u64) -> Result<String, 
     let workers: Vec<(String, Arc<SessionWorker>)> = {
         let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
         subs.iter()
-            .filter(|(_, s)| s.channel == chan)
+            .filter(|(_, s)| s.meta.channel == chan)
             .map(|(id, s)| (id.clone(), Arc::clone(&s.worker)))
             .collect()
     };
@@ -2112,26 +2100,19 @@ fn snapshot_channel_locked(
     }
     let started = Instant::now();
     let span = shared.span_begin(Level::Debug, "snapshot", parent, &[("channel", chan)]);
-    let members: Vec<(String, Arc<SessionWorker>, u64, u64)> = {
+    let members: Vec<(String, Arc<SessionWorker>, Arc<SubMeta>)> = {
         let Ok(subs) = shared.subs.lock() else {
             shared.span_end(Level::Debug, "snapshot", span, &[("aborted", "poisoned")]);
             return;
         };
         subs.iter()
-            .filter(|(_, s)| s.channel == chan)
-            .map(|(id, s)| {
-                (
-                    id.clone(),
-                    Arc::clone(&s.worker),
-                    s.base_rows,
-                    s.base_records,
-                )
-            })
+            .filter(|(_, s)| s.meta.channel == chan)
+            .map(|(id, s)| (id.clone(), Arc::clone(&s.worker), Arc::clone(&s.meta)))
             .collect()
     };
     let mut low_water = persist.rows_total;
     let mut hold_truncation = false;
-    for (id, worker, base_rows, base_records) in &members {
+    for (id, worker, meta) in &members {
         match worker.snapshot_with_records() {
             Ok((text, records)) => {
                 if data.save_sub_checkpoint(id, &text).is_err() {
@@ -2142,10 +2123,10 @@ fn snapshot_channel_locked(
                 if let Some(repl) = shared.repl.as_ref() {
                     repl.offer_checkpoint(id, &text);
                 }
-                low_water = low_water.min(base_rows + records.saturating_sub(*base_records));
+                low_water = low_water.min(meta.resume_ordinal(records));
             }
-            // A worker that cannot snapshot right now (finishing, dead)
-            // keeps its WAL rows: skip truncation this round.
+            // A worker that cannot snapshot (finished, poisoned) keeps
+            // its WAL rows: skip truncation this round.
             Err(_) => hold_truncation = true,
         }
     }
@@ -2218,25 +2199,21 @@ fn checkpoint_durable(shared: &Shared, id: &str) -> Result<String, String> {
     let Some(data) = shared.data.as_ref() else {
         return Err(err(2, "CHECKPOINT DURABLE requires --data-dir"));
     };
-    let (worker, chan, base_rows, base_records) = {
+    let (worker, meta) = {
         let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
         let sub = subs
             .get(id)
             .ok_or_else(|| err(2, format!("unknown subscription '{id}'")))?;
-        (
-            Arc::clone(&sub.worker),
-            sub.channel.clone(),
-            sub.base_rows,
-            sub.base_records,
-        )
+        (Arc::clone(&sub.worker), Arc::clone(&sub.meta))
     };
+    let chan = &meta.channel;
     let channel = {
         let channels = shared
             .channels
             .lock()
             .map_err(|_| err(4, "lock poisoned"))?;
         channels
-            .get(&chan)
+            .get(chan)
             .cloned()
             .ok_or_else(|| err(4, format!("channel '{chan}' is gone")))?
     };
@@ -2262,7 +2239,7 @@ fn checkpoint_durable(shared: &Shared, id: &str) -> Result<String, String> {
         repl.offer_checkpoint(id, &text);
     }
     drop(persist);
-    let ordinal = base_rows + records.saturating_sub(base_records);
+    let ordinal = meta.resume_ordinal(records);
     Ok(format!("OK checkpoint {id} durable ordinal={ordinal}"))
 }
 
@@ -2291,7 +2268,7 @@ fn unsubscribe(shared: &Shared, id: &str) -> Result<String, String> {
         "unsubscribe",
         &[
             ("sub", id),
-            ("channel", &sub.channel),
+            ("channel", &sub.meta.channel),
             ("rows", &report.rows.to_string()),
             ("quarantined", &report.quarantined.to_string()),
             (
@@ -2451,7 +2428,7 @@ fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
         .lock()
         .map(|subs| {
             subs.iter()
-                .map(|(id, s)| (id.clone(), s.channel.clone(), Arc::clone(&s.worker)))
+                .map(|(id, s)| (id.clone(), s.meta.channel.clone(), Arc::clone(&s.worker)))
                 .collect()
         })
         .unwrap_or_default();
@@ -2904,15 +2881,21 @@ mod tests {
                 .unwrap();
         assert_eq!(
             ordinal,
-            meta.base_rows + cp.records().saturating_sub(meta.base_records),
+            meta.resume_ordinal(cp.records()),
             "reply ordinal diverges from the durable checkpoint"
         );
         // The lowercase spelling works too, and a plain CHECKPOINT still
         // answers with the portable text codec.
         let reply = dispatch(shared, 1, "CHECKPOINT s durable").unwrap();
-        assert!(reply.starts_with("OK checkpoint s durable ordinal="), "{reply}");
+        assert!(
+            reply.starts_with("OK checkpoint s durable ordinal="),
+            "{reply}"
+        );
         let plain = dispatch(shared, 1, "CHECKPOINT s").unwrap();
-        assert!(plain.starts_with("CHECKPOINT s\nsqlts-checkpoint v1\n"), "{plain}");
+        assert!(
+            plain.starts_with("CHECKPOINT s\nsqlts-checkpoint v1\n"),
+            "{plain}"
+        );
         drop(server);
         // Without a data dir there is nothing durable to promise.
         let server = Server::bind(ServerConfig::default()).unwrap();
@@ -3137,7 +3120,10 @@ mod tests {
                 // for whatever the queue still holds.
             };
             let reply = dispatch(&rig.server.shared, 9, "PROMOTE").unwrap();
-            assert!(reply.starts_with("OK promoted channels=1"), "kill@{k}: {reply}");
+            assert!(
+                reply.starts_with("OK promoted channels=1"),
+                "kill@{k}: {reply}"
+            );
             let shared = &rig.server.shared;
             let rows = opened_rows(shared);
             let fed = 3 * k as u64;

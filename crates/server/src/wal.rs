@@ -203,10 +203,9 @@ fn parse_header(bytes: &[u8]) -> Result<(u64, usize), WalError> {
 
 /// The path of segment `seq` of the WAL at `prefix` (`q.wal` → `q.wal.3`).
 pub fn segment_path(prefix: &Path, seq: u64) -> PathBuf {
-    let mut name = prefix.file_name().map_or_else(
-        || std::ffi::OsString::from("wal"),
-        std::ffi::OsString::from,
-    );
+    let mut name = prefix
+        .file_name()
+        .map_or_else(|| std::ffi::OsString::from("wal"), std::ffi::OsString::from);
     name.push(format!(".{seq}"));
     prefix.with_file_name(name)
 }
@@ -500,16 +499,14 @@ pub fn read_frames_from(prefix: &Path, from: u64) -> Result<Vec<WalFrame>, WalEr
     }
     // The last segment whose base is ≤ `from` may straddle the ordinal;
     // everything before it is entirely below and skipped unread.
-    let start_idx = bases
-        .iter()
-        .rposition(|&b| b <= from)
-        .unwrap_or(0);
+    let start_idx = bases.iter().rposition(|&b| b <= from).unwrap_or(0);
     let mut frames = Vec::new();
     for (idx, (_, path)) in segs.iter().enumerate().skip(start_idx) {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
         let seg_scan = scan_bytes(&bytes)?;
-        if idx > start_idx && frames.last().map(WalFrame::end) != Some(seg_scan.base)
+        if idx > start_idx
+            && frames.last().map(WalFrame::end) != Some(seg_scan.base)
             && !frames.is_empty()
         {
             break; // non-contiguous tail: stop at the longest valid prefix
@@ -907,10 +904,8 @@ mod tests {
     use super::*;
 
     fn temp_wal(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sqlts-wal-unit-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sqlts-wal-unit-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
@@ -1063,7 +1058,10 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&seg1, &bytes).unwrap();
         let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.rows_total, 1, "valid prefix ends before segment 1's record");
+        assert_eq!(
+            scan.rows_total, 1,
+            "valid prefix ends before segment 1's record"
+        );
         assert!(scan.corruption.is_some());
         assert_eq!(scan.segments.last().unwrap().seq, 1);
         // Open repairs: segment 1 truncated to its header, segment 2 gone.

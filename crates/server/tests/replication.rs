@@ -227,7 +227,10 @@ fn streams_to_the_standby_and_promotes_byte_identically() {
     assert!(metric(&prom, "sqlts_repl_acks_total") >= 8, "{prom}");
     assert_eq!(metric(&prom, "sqlts_standby"), 0, "{prom}");
     let status = http_get(&primary.addr, "/status");
-    assert!(status.contains("\"replication\":{\"connected\":true"), "{status}");
+    assert!(
+        status.contains("\"replication\":{\"connected\":true"),
+        "{status}"
+    );
     assert!(status.contains("\"standby\":false"), "{status}");
     // ...and the standby's shows the frames landing.
     let sprom = http_get(&standby.addr, "/metrics");
@@ -362,7 +365,10 @@ fn forged_frames_are_rejected_without_poisoning_either_side() {
     let reply = attacker.request(&forged);
     assert!(reply.starts_with("ERR 3 "), "{reply}");
     let prom = http_get(&standby.addr, "/metrics");
-    assert!(metric(&prom, "sqlts_repl_rejected_frames_total") >= 3, "{prom}");
+    assert!(
+        metric(&prom, "sqlts_repl_rejected_frames_total") >= 3,
+        "{prom}"
+    );
 
     // The real stream is unaffected: the primary keeps shipping and the
     // promoted standby holds exactly the fed rows.
