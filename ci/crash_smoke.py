@@ -230,6 +230,14 @@ def main():
         server, addr, _ = spawn(
             bin_path, extra=["--replicate-to", standby_addr,
                              "--repl-ack", "sync"])
+        # The shipper connects in the background; a sync FEED that beats
+        # it degrades to async by design, so start once the stream is up.
+        for _ in range(300):
+            if metric(scrape(addr), "sqlts_repl_connected") == 1:
+                break
+            time.sleep(0.01)
+        else:
+            raise AssertionError("primary never connected to the standby")
         client = Client(addr)
         expect(client.send(f"OPEN quote {SCHEMA}"), "OK opened quote rows=0")
         expect(client.send(f"SUBSCRIBE s1 quote\n{QUERY}"), "OK subscribed s1")

@@ -20,9 +20,11 @@ Usage: python3 ci/server_smoke.py target/release/sqlts
 import json
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.request
 from pathlib import Path
 
@@ -229,6 +231,17 @@ def main():
         main_conn = Client(addr)
         doomed = Client(addr)
         expect(main_conn.send("PING"), "OK pong")
+        # A reply must not wait out Nagle x delayed ACK (44 ms per round
+        # trip before accepted sockets got TCP_NODELAY and write_frame
+        # became one write); the median keeps one scheduler hiccup from
+        # failing the build.
+        rtts = []
+        for _ in range(50):
+            started = time.perf_counter()
+            expect(main_conn.send("PING"), "OK pong")
+            rtts.append((time.perf_counter() - started) * 1000.0)
+        ping_ms = statistics.median(rtts)
+        assert ping_ms < 20.0, f"median PING round trip {ping_ms:.2f} ms: reply stall is back"
         expect(main_conn.send(f"OPEN quote {SCHEMA}"), "OK opened quote")
         expect(main_conn.send(f"SUBSCRIBE s1 quote\n{QUERY}"), "OK subscribed s1")
         expect(main_conn.send(f"SUBSCRIBE s3 quote\n{QUERY}"), "OK subscribed s3")

@@ -165,11 +165,16 @@ pub fn read_frame_timed(
     }
 }
 
-/// Encode one frame.
+/// Encode one frame.  Header, payload and check byte leave in a single
+/// `write_all`: on a `TCP_NODELAY` socket that is one segment train per
+/// frame, and without it Nagle never holds a frame's tail back waiting
+/// for the peer's delayed ACK of its head.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
-    write!(w, "{} ", payload.len())?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")?;
+    let mut frame = Vec::with_capacity(payload.len() + MAX_HEADER_DIGITS + 2);
+    write!(frame, "{} ", payload.len())?;
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -200,6 +205,39 @@ mod tests {
             decode_all(&wire, 1 << 20),
             vec!["PING", "", "FEED q\nIBM,1,50\nIBM,2,49", "byte-exact ✓"]
         );
+    }
+
+    /// Counts `write` calls and accepts each whole, the way a socket with
+    /// buffer space does.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_exactly_one_write() {
+        let payloads = ["PING", "", "FEED q\nIBM,1,50\nIBM,2,49", "byte-exact ✓"];
+        let mut w = CountingWriter {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        for (sent, payload) in payloads.iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, sent + 1, "frame {payload:?} took extra writes");
+        }
+        assert_eq!(decode_all(&w.bytes, 1 << 20), payloads);
     }
 
     #[test]

@@ -517,6 +517,9 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
                     let _ = stream.set_nonblocking(false);
+                    // Replies are single small writes; never let Nagle park
+                    // one behind the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     let shared = Arc::clone(&self.shared);
                     let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
                     ServerMetrics::inc(&shared.metrics.connections_total);

@@ -180,6 +180,18 @@ fn reference(frames: &[String]) -> String {
     client.request("UNSUBSCRIBE s")
 }
 
+/// A primary whose shipping session to the (already listening) standby
+/// is up.  The shipper connects in the background, and a FEED that beats
+/// it is — by design — degraded to async rather than held; these tests
+/// are about the stream, so they start once there is one.
+fn spawn_primary(root: &Path, target: &str, ack: ReplAck) -> Rig {
+    let primary = Rig::spawn(primary_config(root, target, ack));
+    wait_until("replication session up", || {
+        metric(&http_get(&primary.addr, "/metrics"), "sqlts_repl_connected") == 1
+    });
+    primary
+}
+
 fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
@@ -209,7 +221,7 @@ fn streams_to_the_standby_and_promotes_byte_identically() {
     let sroot = temp_dir("e2e-standby");
     let proot = temp_dir("e2e-primary");
     let standby = Rig::spawn(standby_config(&sroot));
-    let primary = Rig::spawn(primary_config(&proot, &standby.addr, ReplAck::Sync));
+    let primary = spawn_primary(&proot, &standby.addr, ReplAck::Sync);
 
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
@@ -274,7 +286,7 @@ fn standby_killed_mid_stream_resyncs_and_catches_up() {
     let proot = temp_dir("resync-primary");
     let standby = Rig::spawn(standby_config(&sroot));
     let standby_addr = standby.addr.clone();
-    let primary = Rig::spawn(primary_config(&proot, &standby_addr, ReplAck::Async));
+    let primary = spawn_primary(&proot, &standby_addr, ReplAck::Async);
 
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
@@ -335,7 +347,7 @@ fn forged_frames_are_rejected_without_poisoning_either_side() {
     let sroot = temp_dir("forge-standby");
     let proot = temp_dir("forge-primary");
     let standby = Rig::spawn(standby_config(&sroot));
-    let primary = Rig::spawn(primary_config(&proot, &standby.addr, ReplAck::Sync));
+    let primary = spawn_primary(&proot, &standby.addr, ReplAck::Sync);
 
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
@@ -399,7 +411,7 @@ fn promotion_repairs_a_torn_standby_wal_tail() {
     let sroot = temp_dir("torn-standby");
     let proot = temp_dir("torn-primary");
     let standby = Rig::spawn(standby_config(&sroot));
-    let primary = Rig::spawn(primary_config(&proot, &standby.addr, ReplAck::Sync));
+    let primary = spawn_primary(&proot, &standby.addr, ReplAck::Sync);
 
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
@@ -463,7 +475,7 @@ fn armed_standby_promotes_itself_when_the_primary_disconnects() {
         promote_on_disconnect: true,
         ..standby_config(&sroot)
     });
-    let primary = Rig::spawn(primary_config(&proot, &standby.addr, ReplAck::Sync));
+    let primary = spawn_primary(&proot, &standby.addr, ReplAck::Sync);
 
     let mut client = Client::connect(&primary.addr);
     client.request("OPEN q name:str,day:int,price:float");
