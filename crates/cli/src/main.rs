@@ -47,7 +47,7 @@ use sqlts_core::{
     compile, execute, explain, CompileOptions, DirectionChoice, EngineKind, ExecError, ExecOptions,
     FirstTuplePolicy, Governor, Instrument, QueryResult,
 };
-use sqlts_relation::{ColumnType, CsvRecords, Schema, Table};
+use sqlts_relation::{CsvRecords, Schema, Table};
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -506,13 +506,10 @@ fn parse_args() -> Args {
             "--demo-djia" => args.demo_djia = true,
             "--seed" => args.seed = numeric(value),
             "--engine" => {
-                args.engine = match value.as_deref() {
-                    Some("naive") => EngineKind::Naive,
-                    Some("backtrack") => EngineKind::NaiveBacktrack,
-                    Some("ops") => EngineKind::Ops,
-                    Some("shift-only") => EngineKind::OpsShiftOnly,
-                    _ => usage(),
-                }
+                args.engine = value
+                    .as_deref()
+                    .and_then(EngineKind::from_name)
+                    .unwrap_or_else(|| usage())
             }
             "--direction" => {
                 args.direction = match value.as_deref() {
@@ -627,13 +624,10 @@ fn run_serve() -> Result<(), CliError> {
             "--max-steps" => max_steps = Some(serve_numeric(value)),
             "--max-matches" => max_matches = Some(serve_numeric(value)),
             "--engine" => {
-                config.engine = match value.as_deref() {
-                    Some("naive") => EngineKind::Naive,
-                    Some("backtrack") => EngineKind::NaiveBacktrack,
-                    Some("ops") => EngineKind::Ops,
-                    Some("shift-only") => EngineKind::OpsShiftOnly,
-                    _ => serve_usage(),
-                }
+                config.engine = value
+                    .as_deref()
+                    .and_then(EngineKind::from_name)
+                    .unwrap_or_else(|| serve_usage())
             }
             "--retain-profiles" => config.retain_profiles = serve_numeric(value),
             "--data-dir" => {
@@ -833,24 +827,6 @@ fn install_promotion_relay(
 fn serve_numeric<T: std::str::FromStr>(v: Option<String>) -> T {
     v.and_then(|s| s.parse().ok())
         .unwrap_or_else(|| serve_usage())
-}
-
-fn parse_schema(spec: &str) -> Result<Schema, String> {
-    let mut cols = Vec::new();
-    for part in spec.split(',') {
-        let (name, ty) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad schema entry {part:?} (want name:type)"))?;
-        let ty = match ty.trim().to_ascii_lowercase().as_str() {
-            "int" | "integer" => ColumnType::Int,
-            "float" | "double" | "real" => ColumnType::Float,
-            "str" | "string" | "varchar" | "text" => ColumnType::Str,
-            "date" => ColumnType::Date,
-            other => return Err(format!("unknown column type {other:?}")),
-        };
-        cols.push((name.trim().to_string(), ty));
-    }
-    Schema::new(cols).map_err(|e| e.to_string())
 }
 
 /// Every way a run can fail, unified so one printer renders the
@@ -1184,7 +1160,7 @@ fn run() -> Result<(), CliError> {
     } else {
         let csv = args.csv.clone().unwrap_or_else(|| usage());
         let schema_spec = args.schema.clone().unwrap_or_else(|| usage());
-        let schema = parse_schema(&schema_spec).map_err(CliError::Input)?;
+        let schema = Schema::parse_spec(&schema_spec).map_err(CliError::Input)?;
         Some(
             Table::from_csv_path(schema, &csv)
                 .map_err(|e| CliError::Input(format!("{}: {e}", csv.display())))?,
@@ -1194,7 +1170,7 @@ fn run() -> Result<(), CliError> {
         Some(t) => t.schema().clone(),
         None => {
             let schema_spec = args.schema.clone().unwrap_or_else(|| usage());
-            parse_schema(&schema_spec).map_err(CliError::Input)?
+            Schema::parse_spec(&schema_spec).map_err(CliError::Input)?
         }
     };
 

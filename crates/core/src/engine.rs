@@ -53,6 +53,17 @@ impl EngineKind {
             EngineKind::OpsShiftOnly => "shift-only",
         }
     }
+
+    /// Invert [`EngineKind::name`]; `None` for anything else.
+    pub fn from_name(name: &str) -> Option<EngineKind> {
+        Some(match name {
+            "naive" => EngineKind::Naive,
+            "backtrack" => EngineKind::NaiveBacktrack,
+            "ops" => EngineKind::Ops,
+            "shift-only" => EngineKind::OpsShiftOnly,
+            _ => return None,
+        })
+    }
 }
 
 /// Emit the `MatchEmitted` event for a retained match (1-based inclusive
@@ -946,6 +957,19 @@ mod tests {
             ("price", ColumnType::Float),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn engine_names_round_trip() {
+        for kind in [
+            EngineKind::Naive,
+            EngineKind::NaiveBacktrack,
+            EngineKind::Ops,
+            EngineKind::OpsShiftOnly,
+        ] {
+            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(EngineKind::from_name("OPS"), None);
     }
 
     fn table(prices: &[f64]) -> Table {

@@ -1078,7 +1078,7 @@ impl SessionCheckpoint {
         let mut lines = CheckpointLines::new(text);
         lines.expect_literal("sqlts-checkpoint v1")?;
         let engine_name = lines.tagged("engine")?.to_string();
-        let engine = engine_from_name(&engine_name)
+        let engine = EngineKind::from_name(&engine_name)
             .ok_or_else(|| codec_err(format!("unknown engine '{engine_name}'")))?;
         let pattern_len = lines.tagged_parse::<usize>("pattern")?;
         let records = lines.tagged_parse::<u64>("records")?;
@@ -1183,16 +1183,6 @@ impl SessionCheckpoint {
             clusters,
         })
     }
-}
-
-fn engine_from_name(name: &str) -> Option<EngineKind> {
-    Some(match name {
-        "naive" => EngineKind::Naive,
-        "backtrack" => EngineKind::NaiveBacktrack,
-        "ops" => EngineKind::Ops,
-        "shift-only" => EngineKind::OpsShiftOnly,
-        _ => return None,
-    })
 }
 
 fn codec_err(why: impl fmt::Display) -> StreamError {

@@ -87,6 +87,46 @@ impl Schema {
         Ok(out)
     }
 
+    /// Parse the `name:type,...` spec grammar the CLI's `--schema` flag,
+    /// the server's `OPEN` verb and the durable `.schema` files share.
+    /// Type names are case-insensitive with the usual SQL aliases.
+    pub fn parse_spec(spec: &str) -> Result<Schema, String> {
+        let mut cols = Vec::new();
+        for part in spec.split(',') {
+            let (name, ty) = part
+                .split_once(':')
+                .ok_or_else(|| format!("bad schema entry '{part}' (want name:type)"))?;
+            let ty = match ty.trim().to_ascii_lowercase().as_str() {
+                "int" | "integer" => ColumnType::Int,
+                "float" | "double" | "real" => ColumnType::Float,
+                "str" | "string" | "varchar" | "text" => ColumnType::Str,
+                "date" => ColumnType::Date,
+                other => return Err(format!("unknown column type '{other}'")),
+            };
+            cols.push((name.trim().to_string(), ty));
+        }
+        Schema::new(cols).map_err(|e| e.to_string())
+    }
+
+    /// Render back to the spec grammar; [`Schema::parse_spec`] of the
+    /// result is this schema again.
+    pub fn to_spec(&self) -> String {
+        let entries: Vec<String> = self
+            .columns
+            .iter()
+            .map(|c| {
+                let ty = match c.ty {
+                    ColumnType::Int => "int",
+                    ColumnType::Float => "float",
+                    ColumnType::Str => "str",
+                    ColumnType::Date => "date",
+                };
+                format!("{}:{ty}", c.name)
+            })
+            .collect();
+        entries.join(",")
+    }
+
     /// The columns in declaration order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
@@ -340,6 +380,23 @@ mod tests {
             ("price", ColumnType::Float),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn schema_spec_round_trips_and_rejects_bad_entries() {
+        let schema = Schema::parse_spec("name:STR, date:date,price:double").unwrap();
+        assert_eq!(schema, quote_schema());
+        assert_eq!(schema.to_spec(), "name:str,date:date,price:float");
+        assert_eq!(Schema::parse_spec(&schema.to_spec()).unwrap(), schema);
+        assert_eq!(
+            Schema::parse_spec("name").unwrap_err(),
+            "bad schema entry 'name' (want name:type)"
+        );
+        assert_eq!(
+            Schema::parse_spec("name:blob").unwrap_err(),
+            "unknown column type 'blob'"
+        );
+        assert!(Schema::parse_spec("a:int,A:int").is_err(), "duplicate");
     }
 
     fn quotes() -> Table {

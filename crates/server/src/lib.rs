@@ -30,6 +30,7 @@
 //!
 //! Zero dependencies beyond `std` and the workspace's own crates.
 
+mod channel;
 pub mod frame;
 pub mod metrics;
 pub mod profiler;

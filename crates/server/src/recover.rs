@@ -1,5 +1,8 @@
-//! The durable state directory behind `--data-dir` and the recovery pass
-//! that rebuilds a crashed server from it.
+//! The durable state directory behind `--data-dir`: its layout, its
+//! single-writer lock, the subscription metadata codec, and the typed
+//! [`ServeError`] every serve-path failure is classified onto.  The
+//! recovery pass that rebuilds a crashed server from it is
+//! `server::recover`, which replays through [`crate::channel`].
 //!
 //! ## Layout
 //!
@@ -32,9 +35,8 @@
 //! state that cannot be trusted (malformed WAL header, snapshot, meta
 //! or schema files), 4 for runtime failures while replaying.
 
-use crate::wal::WalFrame;
-use sqlts_core::{atomic_write, SessionWorker};
-use sqlts_relation::{parse_headerless_row, ColumnType, Schema};
+use sqlts_core::atomic_write;
+use sqlts_relation::Schema;
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
@@ -124,24 +126,6 @@ pub fn decode_name(stem: &str) -> Option<String> {
         }
     }
     String::from_utf8(out).ok()
-}
-
-/// Render a schema back to the `OPEN` spec grammar (`name:type,...`).
-pub fn schema_spec(schema: &Schema) -> String {
-    schema
-        .columns()
-        .iter()
-        .map(|c| {
-            let ty = match c.ty {
-                ColumnType::Int => "int",
-                ColumnType::Float => "float",
-                ColumnType::Str => "str",
-                ColumnType::Date => "date",
-            };
-            format!("{}:{ty}", c.name)
-        })
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Durable per-subscription metadata (`subs/<id>.meta`).
@@ -340,7 +324,7 @@ impl DataDir {
 
     /// Persist a channel's schema spec (atomic).
     pub fn save_channel(&self, channel: &str, schema: &Schema) -> Result<(), ServeError> {
-        atomic_write(&self.schema_path(channel), schema_spec(schema).as_bytes())
+        atomic_write(&self.schema_path(channel), schema.to_spec().as_bytes())
             .map_err(|e| ServeError::Runtime(format!("persist channel '{channel}': {e}")))
     }
 
@@ -402,7 +386,7 @@ impl DataDir {
             };
             let spec = fs::read_to_string(&path)
                 .map_err(|e| ServeError::Runtime(format!("read {}: {e}", path.display())))?;
-            let schema = crate::server::parse_schema_spec(spec.trim()).map_err(|e| {
+            let schema = Schema::parse_spec(spec.trim()).map_err(|e| {
                 ServeError::Input(format!("malformed schema file {}: {e}", path.display()))
             })?;
             out.push((name, schema));
@@ -460,73 +444,6 @@ impl Drop for DataDir {
     fn drop(&mut self) {
         deregister_dir(&self.root);
     }
-}
-
-/// One recovered subscription, ready for WAL replay.
-pub struct ReplaySub<'a> {
-    /// Subscription id (diagnostics only).
-    pub id: &'a str,
-    /// First channel row ordinal this worker has *not* yet seen.
-    pub resume_ordinal: u64,
-    /// The respawned worker.
-    pub worker: &'a SessionWorker,
-}
-
-/// What a channel's replay delivered.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ReplayStats {
-    /// Row deliveries accepted by workers.
-    pub rows_replayed: u64,
-    /// Row deliveries rejected by tripped/latched workers (these rows
-    /// were equally rejected in the uninterrupted run).
-    pub rows_rejected: u64,
-}
-
-/// Replay a channel's surviving WAL frames into its recovered workers.
-///
-/// Each worker receives exactly the rows at or past its
-/// `resume_ordinal`, in WAL (= feed) order.  Per-row worker errors are
-/// tolerated, matching the live fan-out: a governed subscription stays
-/// latched and keeps its partial result.  A row that no longer parses
-/// against the schema is an input error — the WAL validated it at feed
-/// time, so this means the durable state is inconsistent.
-pub fn replay_channel(
-    channel: &str,
-    schema: &Schema,
-    frames: &[WalFrame],
-    subs: &mut [ReplaySub<'_>],
-) -> Result<ReplayStats, ServeError> {
-    let mut stats = ReplayStats::default();
-    for frame in frames {
-        #[cfg(feature = "failpoints")]
-        if let Some(sqlts_relation::failpoints::Injected::InjectError) =
-            sqlts_relation::failpoints::hit("recover::replay", frame.start)
-        {
-            return Err(ServeError::Runtime(format!(
-                "failpoint 'recover::replay' injected error at ordinal {}",
-                frame.start
-            )));
-        }
-        for (i, line) in frame.payload.lines().enumerate() {
-            let ordinal = frame.start + i as u64;
-            let row = parse_headerless_row(schema, line, i + 1).map_err(|e| {
-                ServeError::Input(format!(
-                    "channel '{channel}' wal row at ordinal {ordinal} no longer \
-                     matches its schema: {e}"
-                ))
-            })?;
-            for sub in subs.iter_mut() {
-                if ordinal < sub.resume_ordinal {
-                    continue;
-                }
-                match sub.worker.feed(row.clone()) {
-                    Ok(()) => stats.rows_replayed += 1,
-                    Err(_) => stats.rows_rejected += 1,
-                }
-            }
-        }
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -598,7 +515,7 @@ mod tests {
     fn channels_and_subs_round_trip_through_the_directory() {
         let root = temp_root("roundtrip");
         let dir = DataDir::lock(&root).unwrap();
-        let schema = crate::server::parse_schema_spec("name:str,day:int,price:float").unwrap();
+        let schema = Schema::parse_spec("name:str,day:int,price:float").unwrap();
         dir.save_channel("quote", &schema).unwrap();
         let loaded = dir.load_channels().unwrap();
         assert_eq!(loaded.len(), 1);

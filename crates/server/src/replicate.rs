@@ -1,10 +1,19 @@
-//! Primary→standby WAL streaming replication: the ack mode, the
-//! primary-side shipping queue and bookkeeping, and the wire helpers
-//! both ends share.
+//! Primary→standby WAL streaming replication, both ends.
 //!
-//! The replication *protocol* rides the ordinary frame codec
-//! ([`crate::frame`]) on the standby's listen port, as a family of
-//! `REPL` verbs only a `--standby` server answers:
+//! The *primary* half is the [`Replicator`] handle the feed path offers
+//! committed work to (a commit-ordered queue plus the per-channel ack
+//! watermarks `--repl-ack sync` FEEDs block on and the counters
+//! `/metrics` exposes as `sqlts_repl_*`) and the shipping thread that
+//! drains it ([`shipping_thread`]): one session at a time, each a
+//! connect + `HELLO` + full resync from the WAL on disk + live queue
+//! loop.  The *standby* half is the handler for every `REPL` verb
+//! ([`standby_dispatch`]).  A shipped frame is validated and committed
+//! by the same [`crate::channel`] steps a live `FEED` uses, so the
+//! standby's WAL holds exactly the bytes the primary's does.
+//!
+//! The protocol rides the ordinary frame codec ([`crate::frame`]) on the
+//! standby's listen port, as a family of `REPL` verbs only a `--standby`
+//! server answers:
 //!
 //! ```text
 //! REPL HELLO v1                      -> OK repl v1\n<enc-chan> <rows>...
@@ -22,21 +31,21 @@
 //! gaps (`ERR 4`) without trusting the transport; duplicates (a frame
 //! whose rows the standby already holds — the normal overlap between a
 //! resync scan and the live queue) are acknowledged idempotently.
-//!
-//! The shipping thread's session loop lives in `server.rs` (it walks
-//! the server's channel registry to resync); this module owns the
-//! queue, the per-channel ack watermarks the `--repl-ack sync` feed
-//! path blocks on, and the counters `/metrics` exposes as
-//! `sqlts_repl_*`.
 
-use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
+use crate::channel::save_checkpoint;
 use crate::frame::{read_frame, write_frame, FrameEvent};
+use crate::metrics::ServerMetrics;
+use crate::recover::{encode_name, DataDir, SubMeta};
+use crate::server::{err, open_channel, serve_err, Shared};
+use crate::wal::{crc32, read_frames_from};
+use sqlts_core::SessionCheckpoint;
+use sqlts_trace::Level;
+use std::collections::{HashMap, HashSet};
+use std::io::BufReader;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Weak};
+use std::time::{Duration, Instant};
 
 /// When a `--repl-ack sync` FEED must give up waiting for the standby
 /// and degrade to async (counted, never an error to the feeder).
@@ -90,12 +99,9 @@ pub(crate) enum ReplCmd {
     },
     /// A channel came into existence (name + schema spec).
     Open { channel: String, spec: String },
-    /// A subscription meta was persisted.
-    Meta { id: String, text: String },
-    /// A subscription checkpoint was persisted.
-    Checkpoint { id: String, text: String },
-    /// A subscription's durable state was removed.
-    Remove { id: String },
+    /// A wire-ready `REPL META|CHECKPOINT|REMOVE` payload: durable
+    /// subscription state whose reply carries nothing to record.
+    Plain(String),
     /// The server is going away; the thread should exit.
     Shutdown,
 }
@@ -279,23 +285,17 @@ impl Replicator {
 
     /// Queue a subscription meta.
     pub fn offer_meta(&self, id: &str, text: &str) {
-        self.offer(ReplCmd::Meta {
-            id: id.to_string(),
-            text: text.to_string(),
-        });
+        self.offer(ReplCmd::Plain(format!("REPL META {id}\n{text}")));
     }
 
     /// Queue a subscription checkpoint.
     pub fn offer_checkpoint(&self, id: &str, text: &str) {
-        self.offer(ReplCmd::Checkpoint {
-            id: id.to_string(),
-            text: text.to_string(),
-        });
+        self.offer(ReplCmd::Plain(format!("REPL CHECKPOINT {id}\n{text}")));
     }
 
     /// Queue a subscription removal.
     pub fn offer_remove(&self, id: &str) {
-        self.offer(ReplCmd::Remove { id: id.to_string() });
+        self.offer(ReplCmd::Plain(format!("REPL REMOVE {id}")));
     }
 
     /// Stop the shipping thread (idempotent).
@@ -323,35 +323,432 @@ impl Replicator {
     }
 }
 
-/// Send one replication frame and read the standby's reply.  Any I/O
-/// fault, timeout, desync, or `ERR` reply is a session-fatal error
-/// string — the caller reconnects and resyncs.  The `repl::send`
-/// failpoint fires before the write (detail = payload bytes).
-pub(crate) fn send_repl(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    payload: &str,
+/// One live connection from the shipping thread to the standby.
+struct Session<'a> {
+    repl: &'a Replicator,
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
     max_frame: usize,
-) -> Result<String, String> {
-    #[cfg(feature = "failpoints")]
-    if let Some(sqlts_relation::failpoints::Injected::InjectError) =
-        sqlts_relation::failpoints::hit("repl::send", payload.len() as u64)
-    {
-        return Err("failpoint 'repl::send' injected error".into());
+}
+
+/// Why a shipping session ended early: the step that failed, and how.
+type SessionError = (&'static str, String);
+
+impl<'a> Session<'a> {
+    /// Connect with bounded timeouts.  Read timeouts are session-fatal by
+    /// design: a timeout mid-reply would desync the buffered reader, so
+    /// the session resets instead of continuing.
+    fn connect(repl: &'a Replicator, max_frame: usize) -> Result<Session<'a>, SessionError> {
+        let target = &repl.target;
+        let stream = target
+            .to_socket_addrs()
+            .map_err(|e| ("resolve", e.to_string()))?
+            .find_map(|addr| TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok())
+            .ok_or_else(|| ("connect", format!("no address of '{target}' accepted")))?;
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let _ = stream.set_nodelay(true);
+        let clone = stream
+            .try_clone()
+            .map_err(|_| ("clone", "socket clone failed".to_string()))?;
+        Ok(Session {
+            repl,
+            stream,
+            reader: BufReader::new(clone),
+            max_frame,
+        })
     }
-    write_frame(stream, payload).map_err(|e| format!("repl send: {e}"))?;
-    match read_frame(reader, max_frame).map_err(|e| format!("repl reply: {e}"))? {
-        FrameEvent::Payload(reply) => {
-            if reply.starts_with("ERR ") {
-                Err(format!("standby refused: {reply}"))
-            } else {
-                Ok(reply)
-            }
+
+    /// Send one replication frame and read the standby's reply.  Any I/O
+    /// fault, timeout, desync, or `ERR` reply is a session-fatal error
+    /// string — the caller reconnects and resyncs.  The `repl::send`
+    /// failpoint fires before the write (detail = payload bytes).
+    fn send(&mut self, payload: &str) -> Result<String, String> {
+        #[cfg(feature = "failpoints")]
+        if let Some(sqlts_relation::failpoints::Injected::InjectError) =
+            sqlts_relation::failpoints::hit("repl::send", payload.len() as u64)
+        {
+            return Err("failpoint 'repl::send' injected error".into());
         }
-        FrameEvent::Eof => Err("standby closed the connection".into()),
-        FrameEvent::Oversized { len } => Err(format!("oversized standby reply ({len} bytes)")),
-        FrameEvent::BadUtf8 => Err("non-UTF-8 standby reply".into()),
+        write_frame(&mut self.stream, payload).map_err(|e| format!("repl send: {e}"))?;
+        match read_frame(&mut self.reader, self.max_frame)
+            .map_err(|e| format!("repl reply: {e}"))?
+        {
+            FrameEvent::Payload(reply) if reply.starts_with("ERR ") => {
+                Err(format!("standby refused: {reply}"))
+            }
+            FrameEvent::Payload(reply) => Ok(reply),
+            FrameEvent::Eof => Err("standby closed the connection".into()),
+            FrameEvent::Oversized { len } => Err(format!("oversized standby reply ({len} bytes)")),
+            FrameEvent::BadUtf8 => Err("non-UTF-8 standby reply".into()),
+        }
     }
+
+    /// Announce a channel and adopt the standby's durable row count for
+    /// it as the ack watermark.
+    fn ship_open(&mut self, channel: &str, spec: &str) -> Result<(), String> {
+        let reply = self.send(&format!("REPL OPEN {channel} {spec}"))?;
+        self.repl
+            .state
+            .note_ack(channel, parse_opened_rows(&reply)?);
+        Ok(())
+    }
+
+    /// Ship one WAL frame and record its ack watermark — unless the
+    /// standby already holds it (the overlap between a resync scan and
+    /// the live queue).
+    fn ship_frame(
+        &mut self,
+        channel: &str,
+        start: u64,
+        nrows: u32,
+        payload: &str,
+    ) -> Result<(), String> {
+        let state = &self.repl.state;
+        if start + u64::from(nrows) <= state.acked(channel) {
+            return Ok(());
+        }
+        let crc = crc32(payload.as_bytes());
+        let reply = self.send(&format!(
+            "REPL FRAME {channel} {start} {nrows} {crc:08x}\n{payload}"
+        ))?;
+        state.frames_sent.fetch_add(1, Ordering::Relaxed);
+        let (chan, end) = parse_ack(&reply)?;
+        if chan != channel {
+            return Err(format!("ack for wrong channel: '{chan}' != '{channel}'"));
+        }
+        state.acks.fetch_add(1, Ordering::Relaxed);
+        state.note_ack(channel, end);
+        Ok(())
+    }
+
+    /// Ship one queued replication command.
+    fn ship(&mut self, cmd: &ReplCmd) -> Result<(), String> {
+        match cmd {
+            ReplCmd::Frame {
+                channel,
+                start,
+                nrows,
+                payload,
+            } => self.ship_frame(channel, *start, *nrows, payload),
+            ReplCmd::Open { channel, spec } => self.ship_open(channel, spec),
+            ReplCmd::Plain(payload) => self.send(payload).map(|_| ()),
+            ReplCmd::Shutdown => Ok(()),
+        }
+    }
+}
+
+/// The `--replicate-to` shipping thread: one [`run_session`] at a time
+/// until told to stop.  Holds only a [`Weak`] on [`Shared`] between
+/// sessions so a dropped server is not pinned by its own shipper (the
+/// server's drop joins this thread).
+pub(crate) fn shipping_thread(
+    weak: &Weak<Shared>,
+    rx: &mpsc::Receiver<ReplCmd>,
+    stop: &AtomicBool,
+) {
+    while !stop.load(Ordering::SeqCst) {
+        let Some(shared) = weak.upgrade() else {
+            return;
+        };
+        let repl = shared.repl.as_ref().expect("shipper implies a replicator");
+        let Err((what, e)) = run_session(&shared, repl, rx, stop) else {
+            repl.state.mark_disconnected();
+            return;
+        };
+        repl.state.send_errors.fetch_add(1, Ordering::Relaxed);
+        // Wakes any sync-mode feeders so they degrade instead of timing
+        // out.
+        repl.state.mark_disconnected();
+        shared.span_event(
+            Level::Warn,
+            "repl_session_error",
+            &[("what", what), ("error", &e)],
+        );
+        drop(shared);
+        // Anything still queued targeted the dead session; the next
+        // resync re-reads the WAL instead.
+        while rx.try_recv().is_ok() {}
+        for _ in 0..10 {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+/// One shipping session: connect, `HELLO`, resync every channel and
+/// subscription from durable state, then drain the commit-ordered live
+/// queue.  `Ok` means the server asked it to stop; `Err` costs the
+/// session and the caller retries.
+fn run_session(
+    shared: &Shared,
+    repl: &Replicator,
+    rx: &mpsc::Receiver<ReplCmd>,
+    stop: &AtomicBool,
+) -> Result<(), SessionError> {
+    let mut session = Session::connect(repl, shared.config.max_frame_bytes)?;
+    let standby_rows = session
+        .send("REPL HELLO v1")
+        .and_then(|r| parse_hello(&r))
+        .map_err(|e| ("hello", e))?;
+    repl.state.resyncs.fetch_add(1, Ordering::Relaxed);
+    for (chan, rows) in &standby_rows {
+        repl.state.note_ack(chan, *rows);
+    }
+    // Connected *before* the resync scan: live frames queue behind it,
+    // and the overlap is absorbed by idempotent standby acks.
+    repl.state.connected.store(true, Ordering::SeqCst);
+    shared.span_event(Level::Info, "repl_connected", &[("target", &repl.target)]);
+    let data = shared
+        .data
+        .as_ref()
+        .expect("--replicate-to requires a data dir");
+    for channel in shared.all_channels() {
+        let name = &channel.name;
+        session
+            .ship_open(name, &channel.schema.to_spec())
+            .map_err(|e| ("open", e))?;
+        // Ship every durable frame past the standby's watermark.  Read
+        // from disk without the persist lock: appends are unbuffered
+        // writes, the scan tolerates a torn in-flight tail, and any frame
+        // it misses was offered to the live queue behind us.
+        let frames = read_frames_from(&data.wal_path(name), repl.state.acked(name))
+            .map_err(|e| ("resync_scan", e.to_string()))?;
+        for frame in &frames {
+            session
+                .ship_frame(name, frame.start, frame.nrows, &frame.payload)
+                .map_err(|e| ("resync_frame", e))?;
+        }
+    }
+    // Reconcile durable subscription state, then ship every meta +
+    // checkpoint (idempotent overwrites on the standby).
+    let subs = data
+        .load_subs()
+        .map_err(|e| ("load_subs", e.message().to_string()))?;
+    let mut subs_line = String::from("REPL SUBS");
+    for (id, _, _) in &subs {
+        subs_line.push(' ');
+        subs_line.push_str(id);
+    }
+    session.send(&subs_line).map_err(|e| ("subs", e))?;
+    for (id, meta, checkpoint) in &subs {
+        session
+            .send(&format!("REPL META {id}\n{}", meta.to_text()))
+            .and_then(|_| session.send(&format!("REPL CHECKPOINT {id}\n{checkpoint}")))
+            .map_err(|e| ("resync_sub", e))?;
+    }
+    loop {
+        if stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        match rx.recv_timeout(Duration::from_millis(100)) {
+            Ok(ReplCmd::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+            Ok(cmd) => session.ship(&cmd).map_err(|e| ("ship", e))?,
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+        }
+    }
+}
+
+/// Dispatch one standby-side `REPL` sub-verb (the head word `REPL` is
+/// already stripped; `args` is the rest of the verb line, `parent` the
+/// dispatch span).
+pub(crate) fn standby_dispatch(
+    shared: &Shared,
+    conn: u64,
+    args: &[&str],
+    body: &str,
+    parent: u64,
+) -> Result<String, String> {
+    match args {
+        ["HELLO", "v1"] => standby_hello(shared, conn),
+        ["HELLO", v] => Err(err(2, format!("unsupported replication protocol '{v}'"))),
+        // Channel announcements reuse the ordinary open path.
+        ["OPEN", chan, spec] => open_channel(shared, chan, spec),
+        ["FRAME", chan, start, nrows, crc] => {
+            standby_frame(shared, chan, [start, nrows, crc], body, parent)
+        }
+        ["META", id] => standby_meta(shared, id, body),
+        ["CHECKPOINT", id] => standby_checkpoint(shared, id, body),
+        ["REMOVE", id] => {
+            standby_data(shared).remove_sub(id);
+            Ok(format!("OK repl remove {id}"))
+        }
+        ["SUBS", keep @ ..] => standby_subs(shared, keep),
+        other => Err(err(2, format!("unknown REPL command {other:?}"))),
+    }
+}
+
+fn standby_data(shared: &Shared) -> &DataDir {
+    shared.data.as_ref().expect("standby has a data dir")
+}
+
+/// `REPL HELLO v1`: adopt this connection as the replication session and
+/// report every channel's durable row count so the primary can resync
+/// exactly the frames this standby lacks.
+fn standby_hello(shared: &Shared, conn: u64) -> Result<String, String> {
+    shared.repl_conn.store(conn, Ordering::SeqCst);
+    let mut reply = String::from("OK repl v1");
+    for channel in shared.all_channels() {
+        let (name, rows) = (encode_name(&channel.name), channel.rows_total());
+        reply.push_str(&format!("\n{name} {rows}"));
+    }
+    Ok(reply)
+}
+
+/// `REPL FRAME <chan> <start> <nrows> <crc>` + payload: validate and
+/// commit one shipped WAL record.  Duplicates (frame end at or below the
+/// durable row count — the overlap between a resync scan and the live
+/// queue) are acknowledged without appending; anything else out of
+/// sequence is a gap the primary answers with a fresh resync.
+fn standby_frame(
+    shared: &Shared,
+    chan: &str,
+    [start, nrows, crc]: [&str; 3],
+    body: &str,
+    parent: u64,
+) -> Result<String, String> {
+    let reject = |code: u8, msg: String| {
+        ServerMetrics::inc(&shared.metrics.repl_rejected_frames_total);
+        Err(err(code, msg))
+    };
+    let Ok(start) = start.parse::<u64>() else {
+        return reject(2, format!("bad REPL FRAME start ordinal '{start}'"));
+    };
+    let Ok(nrows) = nrows.parse::<u32>() else {
+        return reject(2, format!("bad REPL FRAME row count '{nrows}'"));
+    };
+    let Ok(crc) = u32::from_str_radix(crc, 16) else {
+        return reject(2, format!("bad REPL FRAME crc '{crc}'"));
+    };
+    if crc32(body.as_bytes()) != crc {
+        return reject(3, format!("repl frame crc mismatch on '{chan}'"));
+    }
+    let Ok(channel) = shared.channel(chan) else {
+        return reject(2, format!("unknown channel '{chan}'"));
+    };
+    // Validate the payload against the schema before touching the WAL:
+    // the standby must never persist rows promotion cannot replay.
+    let parsed = match channel.parse_rows(body.lines().enumerate()) {
+        Ok(rows) => rows.len(),
+        Err(e) => return reject(3, e.to_string()),
+    };
+    if parsed != nrows as usize || nrows == 0 {
+        return reject(
+            3,
+            format!("repl frame row count mismatch: header {nrows}, payload {parsed}"),
+        );
+    }
+    let mut persist = channel.lock().map_err(|e| serve_err(&e))?;
+    #[cfg(feature = "failpoints")]
+    if let Some(injected) = sqlts_relation::failpoints::hit("repl::standby_append", start) {
+        if injected == sqlts_relation::failpoints::Injected::InjectError {
+            return Err(err(4, "failpoint 'repl::standby_append' injected error"));
+        }
+    }
+    let held = persist.rows_total();
+    if start.saturating_add(u64::from(nrows)) > held {
+        if start != held {
+            return reject(
+                4,
+                format!("repl gap on '{chan}': frame starts at {start}, standby at {held}"),
+            );
+        }
+        channel
+            .commit(shared, &mut persist, body, nrows, parent)
+            .map_err(|e| err(4, format!("standby wal append on '{chan}': {e}")))?;
+        ServerMetrics::inc(&shared.metrics.repl_frames_received_total);
+    }
+    Ok(format!("OK repl ack {chan} {}", persist.rows_total()))
+}
+
+/// `REPL META <id>` + submeta text: persist a shipped subscription meta.
+fn standby_meta(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
+    let meta = SubMeta::from_text(body).map_err(|e| err(3, format!("repl meta '{id}': {e}")))?;
+    if shared.channel(&meta.channel).is_err() {
+        return Err(err(
+            4,
+            format!(
+                "repl meta '{id}' references unknown channel '{}'",
+                meta.channel
+            ),
+        ));
+    }
+    standby_data(shared)
+        .save_sub_meta(id, &meta)
+        .map_err(|e| serve_err(&e))?;
+    Ok(format!("OK repl meta {id}"))
+}
+
+/// `REPL CHECKPOINT <id>` + checkpoint text: persist a shipped
+/// subscription checkpoint, then truncate the channel's WAL below the
+/// new low-water mark (the primary just did the same).
+fn standby_checkpoint(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
+    SessionCheckpoint::from_text(body)
+        .map_err(|e| err(3, format!("repl checkpoint '{id}': {e}")))?;
+    let data = standby_data(shared);
+    let meta = data
+        .load_sub_meta(id)
+        .map_err(|e| serve_err(&e))?
+        .ok_or_else(|| err(4, format!("repl checkpoint '{id}' has no shipped meta")))?;
+    save_checkpoint(shared, data, id, body).map_err(|e| serve_err(&e))?;
+    standby_truncate(shared, &meta.channel);
+    Ok(format!("OK repl checkpoint {id}"))
+}
+
+/// Truncate a standby channel's WAL below the minimum resume ordinal of
+/// its shipped checkpoints.  Best-effort, like the primary's snapshot
+/// pass: a stale checkpoint only makes the low-water mark *lower*, never
+/// wrong, and a subscription whose meta has not arrived yet can only
+/// need rows at or above the current durable row count.
+fn standby_truncate(shared: &Shared, chan: &str) {
+    let (Ok(subs), Ok(channel)) = (standby_data(shared).load_subs(), shared.channel(chan)) else {
+        return;
+    };
+    let Ok(mut persist) = channel.lock() else {
+        return;
+    };
+    let mut low_water = persist.rows_total();
+    for (_, meta, checkpoint) in subs.iter().filter(|(_, meta, _)| meta.channel == chan) {
+        let Ok(cp) = SessionCheckpoint::from_text(checkpoint) else {
+            return; // unreadable checkpoint: hold truncation entirely
+        };
+        low_water = low_water.min(meta.resume_ordinal(cp.records()));
+    }
+    channel.truncate_below(shared, &mut persist, low_water);
+}
+
+/// `REPL SUBS <id>...`: reconcile at resync — remove every durable
+/// subscription the primary no longer has (its `REMOVE` may have been
+/// shipped to a dead session).
+fn standby_subs(shared: &Shared, keep: &[&str]) -> Result<String, String> {
+    let data = standby_data(shared);
+    let keep: HashSet<&str> = keep.iter().copied().collect();
+    let subs = data.load_subs().map_err(|e| serve_err(&e))?;
+    for (id, _, _) in &subs {
+        if !keep.contains(id.as_str()) {
+            data.remove_sub(id);
+        }
+    }
+    Ok(format!("OK repl subs {}", keep.len()))
+}
+
+/// Standby `STATUS <id>`: answered from the shipped durable state (no
+/// worker exists until promotion).
+pub(crate) fn standby_status(shared: &Shared, id: &str) -> Result<String, String> {
+    let subs = standby_data(shared)
+        .load_subs()
+        .map_err(|e| serve_err(&e))?;
+    let Some((_, meta, checkpoint)) = subs.iter().find(|(sid, _, _)| sid == id) else {
+        return Err(err(2, format!("unknown subscription '{id}'")));
+    };
+    let records = SessionCheckpoint::from_text(checkpoint).map_or(0, |cp| cp.records());
+    let durable_rows = shared.channel(&meta.channel).map_or(0, |c| c.rows_total());
+    Ok(format!(
+        "OK status standby channel={} records={records} durable_rows={durable_rows}",
+        meta.channel
+    ))
 }
 
 /// Parse a `REPL HELLO` reply's per-channel durable row counts:

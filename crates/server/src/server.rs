@@ -1,5 +1,9 @@
-//! The TCP server: accept loop, per-connection protocol driver, shared
-//! channel/subscription registries, and the `GET /metrics` HTTP shim.
+//! The TCP server: accept loop, per-connection protocol driver, verb
+//! handlers, the channel/subscription registries they share, restart
+//! recovery, graceful drain, and the `GET /metrics` / `GET /status` HTTP
+//! shim.  What happens to a `FEED` frame once its channel is found lives
+//! in [`crate::channel`]; both ends of replication live in
+//! [`crate::replicate`].
 //!
 //! ## Protocol
 //!
@@ -18,8 +22,9 @@
 //! <csv row>
 //! <csv row ...>
 //! STATUS <sub-id>
-//! CHECKPOINT <sub-id>
+//! CHECKPOINT <sub-id> [DURABLE]
 //! UNSUBSCRIBE <sub-id>
+//! PROMOTE
 //! ```
 //!
 //! Replies are `OK ...`, `ERR <code> <message>` (codes mirror the CLI's
@@ -33,7 +38,7 @@
 //! A *channel* is a named, schema-typed input feed; any connection may
 //! `FEED` it and every subscription on it sees the same tuples.  A
 //! *subscription* is one standing query over one channel, owned by the
-//! connection that created it: a lock-guarded [`SessionWorker`] session
+//! connection that created it: a lock-guarded [`sqlts_core::SessionWorker`] session
 //! under the server's default governor budgets.  There is no thread per
 //! subscription — the connection thread that `FEED`s a channel runs the
 //! matcher of every subscriber on that channel in turn, so isolation is
@@ -49,8 +54,8 @@
 //! With a data directory configured the server becomes crash-safe:
 //!
 //! * every accepted `FEED` frame is appended to the channel's WAL
-//!   ([`crate::wal`]) *before* it fans out, under the channel's persist
-//!   lock, so WAL order is exactly feed order;
+//!   ([`crate::wal`]) *before* it fans out, so WAL order is exactly feed
+//!   order;
 //! * every subscription's checkpoint is snapshotted atomically every
 //!   [`ServerConfig::checkpoint_every_frames`] frames and on fresh
 //!   governor trips, and the minimum snapshot position (the low-water
@@ -66,31 +71,24 @@
 //! Without `--data-dir` nothing below changes observably: no files, no
 //! extra reply fields, identical wire traffic.
 
+use crate::channel::{save_checkpoint, Channel, Subscription};
 use crate::frame::{read_frame_timed, write_frame, FrameEvent, FrameFatal};
 use crate::metrics::{
     live_gauges, repl_exposition, status_json, LatencyOp, ServerMetrics, SubStatusView,
 };
 use crate::profiler::SamplingProfiler;
-use crate::recover::{
-    encode_name, replay_channel, schema_spec, DataDir, ReplaySub, ServeError, SubMeta,
-};
-use crate::replicate::{
-    self, parse_ack, parse_hello, parse_opened_rows, send_repl, ReplAck, ReplCmd, ReplSnapshot,
-    Replicator,
-};
-use crate::wal::{crc32, ChannelWal, FsyncPolicy, GroupCommit, WalFrame};
-use sqlts_core::{
-    EngineKind, Governor, Instrument, SessionCheckpoint, SessionWorker, SessionWorkerConfig,
-    SetRegistry, SharedSpec, TripReason, WorkerError,
-};
-use sqlts_relation::{parse_headerless_row, ColumnType, Schema};
+use crate::recover::{DataDir, ServeError, SubMeta};
+use crate::replicate::{self, ReplAck, ReplSnapshot, Replicator};
+use crate::wal::{scan_wal, FsyncPolicy, WalFrame};
+use sqlts_core::{EngineKind, Governor, SessionCheckpoint, TripReason, WorkerError};
+use sqlts_relation::Schema;
 use sqlts_trace::{Level, LogFormat, PatternSetStats, SpanLog};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything the server needs to stand up.
@@ -186,66 +184,14 @@ impl Default for ServerConfig {
     }
 }
 
-struct Subscription {
-    worker: Arc<SessionWorker>,
-    conn: u64,
-    /// Channel, join-time row/record base and SQL — exactly what a
-    /// durable server persists beside the checkpoint.
-    meta: Arc<SubMeta>,
-}
-
-/// Per-channel durable state, guarded by one mutex so that WAL append
-/// order is exactly fan-out order.  Lock ordering: a holder of this lock
-/// may take the `subs` lock, never the reverse.
-struct ChannelPersist {
-    /// Rows accepted on this channel since it was opened (durable: the
-    /// WAL's row count when one exists).
-    rows_total: u64,
-    /// The write-ahead log; `None` without a data dir.
-    wal: Option<ChannelWal>,
-    /// FEED frames since the last snapshot pass.
-    frames_since_snapshot: u64,
-    /// Subscription ids whose trip has already forced a snapshot, so a
-    /// latched subscription does not snapshot the channel on every frame.
-    tripped_seen: HashSet<String>,
-}
-
-#[derive(Clone)]
-struct Channel {
-    schema: Schema,
-    persist: Arc<Mutex<ChannelPersist>>,
-    /// The channel's shared pattern-set registry.  Always present (it is
-    /// an empty `Vec` behind a mutex until someone joins); subscriptions
-    /// only join it when [`ServerConfig::shared_matcher`] says so.
-    registry: Arc<SetRegistry>,
-    /// Group-commit coordinator for `--fsync group` (idle otherwise).
-    group: Arc<GroupCommit>,
-}
-
-impl Channel {
-    fn new(schema: Schema) -> Channel {
-        Channel {
-            schema,
-            persist: Arc::new(Mutex::new(ChannelPersist {
-                rows_total: 0,
-                wal: None,
-                frames_since_snapshot: 0,
-                tripped_seen: HashSet::new(),
-            })),
-            registry: Arc::new(SetRegistry::new()),
-            group: Arc::new(GroupCommit::default()),
-        }
-    }
-}
-
-struct Shared {
-    config: ServerConfig,
-    channels: Mutex<HashMap<String, Channel>>,
-    subs: Mutex<HashMap<String, Subscription>>,
-    metrics: ServerMetrics,
+pub(crate) struct Shared {
+    pub(crate) config: ServerConfig,
+    channels: Mutex<HashMap<String, Arc<Channel>>>,
+    subs: Mutex<HashMap<String, Arc<Subscription>>>,
+    pub(crate) metrics: ServerMetrics,
     next_conn: AtomicU64,
     /// The locked durable state directory, when configured.
-    data: Option<DataDir>,
+    pub(crate) data: Option<DataDir>,
     /// Live client sockets, for the parting error at drain.
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Set for the rest of the process's life once a drain begins.
@@ -253,44 +199,102 @@ struct Shared {
     /// every connection thread, and those must not mistake the drain for
     /// a client disconnect and delete durable state the drain just
     /// snapshotted.
-    draining: AtomicBool,
+    pub(crate) draining: AtomicBool,
     /// The armed structured span log, `None` when `--log` is absent.
-    /// Every record site is `if let Some(log) = &shared.log` — one
+    /// Every record site goes through the `span_*` helpers — one
     /// predictable branch when unarmed, exactly PR 3's discipline.
     log: Option<SpanLog>,
     /// True while this server is an unpromoted warm standby (starts as
     /// [`ServerConfig::standby`], cleared atomically by promotion).
-    standby: AtomicBool,
+    pub(crate) standby: AtomicBool,
     /// Promotion requested out-of-band (SIGUSR1 relay, primary
     /// disconnect); serviced by the accept loop.
     promote: AtomicBool,
     /// The primary-side replication handle, `None` without
     /// `--replicate-to`.
-    repl: Option<Replicator>,
+    pub(crate) repl: Option<Replicator>,
     /// On a standby: the connection id currently speaking `REPL` (0 =
     /// none), so its disconnect can trigger `--promote-on-disconnect`.
-    repl_conn: AtomicU64,
+    pub(crate) repl_conn: AtomicU64,
 }
 
 impl Shared {
     /// Begin a span if the log is armed; 0 otherwise (and [`span_end`]
     /// of 0 is free).
-    fn span_begin(&self, level: Level, name: &str, parent: u64, fields: &[(&str, &str)]) -> u64 {
+    ///
+    /// [`span_end`]: Shared::span_end
+    pub(crate) fn span_begin(
+        &self,
+        level: Level,
+        name: &str,
+        parent: u64,
+        fields: &[(&str, &str)],
+    ) -> u64 {
         match &self.log {
             Some(log) => log.begin(level, name, parent, fields),
             None => 0,
         }
     }
 
-    fn span_end(&self, level: Level, name: &str, id: u64, fields: &[(&str, &str)]) {
+    pub(crate) fn span_end(&self, level: Level, name: &str, id: u64, fields: &[(&str, &str)]) {
         if let Some(log) = &self.log {
             log.end(level, name, id, fields);
         }
     }
 
-    fn span_event(&self, level: Level, name: &str, fields: &[(&str, &str)]) {
+    pub(crate) fn span_event(&self, level: Level, name: &str, fields: &[(&str, &str)]) {
         if let Some(log) = &self.log {
             log.event(level, name, fields);
+        }
+    }
+
+    // The two registries shrug off poisoning: every update to them is a
+    // single map insert or remove, so a panicking holder cannot leave
+    // either map half-changed.
+
+    fn channels(&self) -> MutexGuard<'_, HashMap<String, Arc<Channel>>> {
+        self.channels.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn subs(&self) -> MutexGuard<'_, HashMap<String, Arc<Subscription>>> {
+        self.subs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The open channel called `name`, or the `ERR 2` reply.
+    pub(crate) fn channel(&self, name: &str) -> Result<Arc<Channel>, String> {
+        self.channels()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| err(2, format!("unknown channel '{name}'")))
+    }
+
+    /// Every open channel (registry order, which is arbitrary).
+    pub(crate) fn all_channels(&self) -> Vec<Arc<Channel>> {
+        self.channels().values().cloned().collect()
+    }
+
+    /// The live subscriptions on channel `chan`.
+    pub(crate) fn members(&self, chan: &str) -> Vec<Arc<Subscription>> {
+        let subs = self.subs();
+        let on_chan = subs.values().filter(|s| s.meta.channel == chan);
+        on_chan.cloned().collect()
+    }
+
+    /// The live subscription `id`, or the `ERR 2` reply.
+    fn sub(&self, id: &str) -> Result<Arc<Subscription>, String> {
+        self.subs().get(id).cloned().ok_or_else(|| unknown_sub(id))
+    }
+
+    /// Drop subscription `id`'s durable files, here and on the standby.
+    /// Always *before* the worker is finished: a crash in between leaves
+    /// a finished worker with no files, never files that would resurrect
+    /// a query its client saw end.
+    fn forget_sub(&self, id: &str) {
+        if let Some(data) = self.data.as_ref() {
+            data.remove_sub(id);
+            if let Some(repl) = self.repl.as_ref() {
+                repl.offer_remove(id);
+            }
         }
     }
 }
@@ -321,8 +325,8 @@ pub struct Server {
     /// a final flush) at drain, or on drop.
     profiler: Mutex<Option<SamplingProfiler>>,
     /// The replication shipping thread (`--replicate-to`); it holds only
-    /// a [`Weak`] on [`Shared`] and is joined on drop so a dropped
-    /// server releases its data dir promptly.
+    /// a `Weak` on [`Shared`] and is joined on drop so a dropped server
+    /// releases its data dir promptly.
     repl_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -439,10 +443,8 @@ impl Server {
         let profiler = shared.config.sample_profile.clone().map(|path| {
             let registry = Arc::clone(&shared);
             SamplingProfiler::spawn(path, shared.config.sample_hz, move |out| {
-                if let Ok(subs) = registry.subs.lock() {
-                    for (id, sub) in subs.iter() {
-                        out.push((id.clone(), sub.worker.phase_tag().phase().as_str()));
-                    }
+                for (id, sub) in registry.subs().iter() {
+                    out.push((id.clone(), sub.worker.phase_tag().phase().as_str()));
                 }
             })
         });
@@ -452,7 +454,7 @@ impl Server {
             let weak = Arc::downgrade(&shared);
             std::thread::Builder::new()
                 .name("sqlts-repl".into())
-                .spawn(move || replication_thread(&weak, &rx, &stop))
+                .spawn(move || replicate::shipping_thread(&weak, &rx, &stop))
                 .ok()
         });
         Ok(Server {
@@ -579,23 +581,10 @@ impl Server {
             repl.shutdown();
         }
         let span = shared.span_begin(Level::Warn, "drain", 0, &[]);
-        let channels: Vec<(String, Channel)> = shared
-            .channels
-            .lock()
-            .map(|map| map.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-            .unwrap_or_default();
-        for (name, channel) in channels {
-            if let Ok(mut persist) = channel.persist.lock() {
-                snapshot_channel_locked(shared, &name, &channel, &mut persist, span);
-                if let Some(wal) = persist.wal.as_mut() {
-                    if wal.sync().is_ok() {
-                        ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-                    }
-                    shared
-                        .metrics
-                        .latency
-                        .record_ns(LatencyOp::Fsync, wal.take_fsync_ns());
-                }
+        for channel in shared.all_channels() {
+            if let Ok(mut persist) = channel.lock() {
+                channel.snapshot(shared, &mut persist, span);
+                let _ = channel.sync(shared, &mut persist);
             }
         }
         let parted = shared
@@ -633,40 +622,18 @@ impl Server {
 }
 
 /// Rebuild channels, subscriptions and in-flight rows from a locked data
-/// dir: reopen every channel's WAL (truncating torn tails), respawn every
-/// subscription from its snapshot, replay the WAL rows each worker has
-/// not yet seen, then snapshot everything so a crash loop cannot replay
-/// unboundedly.
+/// dir: reopen every channel's WAL (truncating torn tails), then
+/// [`respawn_and_replay`].
 ///
-/// A `--standby` bind stops after the channel-open half: durable state is
+/// A `--standby` bind stops after the channel half: durable state is
 /// live and appendable (the replication stream needs the WALs), but no
 /// worker spawns until [`promote_server`] runs the second half.
 fn recover(shared: &Shared) -> Result<RecoveryReport, ServeError> {
-    let mut report = RecoveryReport::default();
-    let frames_by_channel = open_durable_channels(shared, &mut report)?;
-    if shared.config.standby {
-        return Ok(report);
-    }
-    respawn_and_replay(shared, frames_by_channel, &mut report)?;
-    Ok(report)
-}
-
-/// The channel half of recovery: reopen every channel's WAL (repairing
-/// torn tails) and register it in the live channel map.  Returns each
-/// channel's surviving frames for replay.
-fn open_durable_channels(
-    shared: &Shared,
-    report: &mut RecoveryReport,
-) -> Result<HashMap<String, Vec<WalFrame>>, ServeError> {
     let data = shared.data.as_ref().expect("recover requires a data dir");
-    let mut frames_by_channel: HashMap<String, Vec<WalFrame>> = HashMap::new();
-    let mut channels = shared
-        .channels
-        .lock()
-        .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
+    let mut report = RecoveryReport::default();
+    let mut frames_by_channel = HashMap::new();
     for (name, schema) in data.load_channels()? {
-        let (mut wal, scan) = ChannelWal::open(&data.wal_path(&name), shared.config.fsync)?;
-        wal.set_segment_bytes(shared.config.wal_segment_bytes);
+        let (channel, scan) = Channel::durable(shared, data, &name, schema)?;
         if scan.dropped_bytes > 0 {
             report.dropped_bytes += scan.dropped_bytes;
             report.notes.push(format!(
@@ -678,140 +645,51 @@ fn open_durable_channels(
             ));
         }
         frames_by_channel.insert(name.clone(), scan.frames);
-        let channel = Channel {
-            schema,
-            persist: Arc::new(Mutex::new(ChannelPersist {
-                rows_total: wal.rows_total(),
-                wal: Some(wal),
-                frames_since_snapshot: 0,
-                tripped_seen: HashSet::new(),
-            })),
-            registry: Arc::new(SetRegistry::new()),
-            group: Arc::new(GroupCommit::default()),
-        };
-        channels.insert(name, channel);
+        shared.channels().insert(name, Arc::new(channel));
         report.channels += 1;
     }
-    Ok(frames_by_channel)
-}
-
-/// The worker config every subscription runs under: the server's engine,
-/// budgets and profiling, resuming from `resume_from` when given and —
-/// under `--shared-matcher on` — joined to the channel's registry.
-fn worker_config(
-    shared: &Shared,
-    id: &str,
-    meta: &SubMeta,
-    channel: &Channel,
-    resume_from: Option<SessionCheckpoint>,
-) -> SessionWorkerConfig {
-    let mut config = SessionWorkerConfig::new(id, &meta.sql, channel.schema.clone());
-    config.stream.exec.engine = shared.config.engine;
-    config.stream.exec.governor = shared.config.governor.clone();
-    config.stream.exec.instrument = Instrument::profiling();
-    config.resume_from = resume_from;
-    if shared.config.shared_matcher {
-        // The alignment key: the channel row ordinal the session's
-        // record 0 maps to.  It is invariant across checkpoints, so a
-        // recovered subscription shares with exactly the peers it could
-        // have shared with before the crash; a checkpoint claiming more
-        // records than the channel had rows is aligned with nothing and
-        // simply runs solo.
-        config.shared = meta
-            .base_rows
-            .checked_sub(meta.base_records)
-            .map(|origin| SharedSpec {
-                registry: Arc::clone(&channel.registry),
-                origin,
-            });
+    if !shared.config.standby {
+        respawn_and_replay(shared, frames_by_channel, &mut report)?;
     }
-    config
+    Ok(report)
 }
 
 /// The subscription half of recovery, shared with standby promotion:
-/// respawn every persisted subscription from its snapshot and replay the
-/// surviving WAL rows each worker has not yet seen.
+/// respawn every persisted subscription from its snapshot, then replay
+/// each channel's surviving WAL frames into its workers.
 fn respawn_and_replay(
     shared: &Shared,
     mut frames_by_channel: HashMap<String, Vec<WalFrame>>,
     report: &mut RecoveryReport,
 ) -> Result<(), ServeError> {
     let data = shared.data.as_ref().expect("recover requires a data dir");
-    // Respawn each persisted subscription from its snapshot, noting the
-    // first channel row it has NOT seen.
-    let mut resume_at: HashMap<String, u64> = HashMap::new();
     for (id, meta, checkpoint) in data.load_subs()? {
-        let channel = shared
-            .channels
-            .lock()
-            .map_err(|_| ServeError::Runtime("lock poisoned".into()))?
-            .get(&meta.channel)
-            .cloned()
-            .ok_or_else(|| {
-                ServeError::Input(format!(
-                    "subscription '{id}' references unknown channel '{}'",
-                    meta.channel
-                ))
-            })?;
+        let channel = shared.channel(&meta.channel).map_err(|_| {
+            ServeError::Input(format!(
+                "subscription '{id}' references unknown channel '{}'",
+                meta.channel
+            ))
+        })?;
         let checkpoint = SessionCheckpoint::from_text(&checkpoint)
             .map_err(|e| ServeError::Input(format!("respawn subscription '{id}': {e}")))?;
-        let config = worker_config(shared, &id, &meta, &channel, Some(checkpoint));
-        let worker = SessionWorker::spawn(config).map_err(|e| recover_worker_err(&id, &e))?;
-        resume_at.insert(id.clone(), meta.resume_ordinal(worker.records()));
-        let mut subs = shared
-            .subs
-            .lock()
-            .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
-        subs.insert(
-            id,
-            Subscription {
-                worker: Arc::new(worker),
-                conn: 0,
-                meta: Arc::new(meta),
-            },
-        );
+        let sub = channel
+            .join(shared, &id, 0, meta, Some(checkpoint))
+            .map_err(|e| {
+                let msg = format!("respawn subscription '{id}': {e}");
+                match e.exit_code() {
+                    3 => ServeError::Input(msg),
+                    _ => ServeError::Runtime(msg),
+                }
+            })?;
+        shared.subs().insert(id, Arc::new(sub));
         report.subscriptions += 1;
         ServerMetrics::inc(&shared.metrics.recovered_subscriptions_total);
     }
-    // Replay each channel's surviving WAL rows into its workers.
-    let channels: Vec<(String, Channel)> = shared
-        .channels
-        .lock()
-        .map_err(|_| ServeError::Runtime("lock poisoned".into()))?
-        .iter()
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect();
-    for (name, channel) in channels {
-        let frames = frames_by_channel.remove(&name).unwrap_or_default();
-        let members: Vec<(String, Arc<SessionWorker>)> = {
-            let subs = shared
-                .subs
-                .lock()
-                .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
-            subs.iter()
-                .filter(|(_, s)| s.meta.channel == name)
-                .map(|(id, s)| (id.clone(), Arc::clone(&s.worker)))
-                .collect()
-        };
-        let mut replay_subs: Vec<ReplaySub<'_>> = members
-            .iter()
-            .map(|(id, worker)| ReplaySub {
-                id,
-                resume_ordinal: resume_at.get(id).copied().unwrap_or(0),
-                worker,
-            })
-            .collect();
-        let stats = replay_channel(&name, &channel.schema, &frames, &mut replay_subs)?;
-        drop(replay_subs);
-        report.rows_replayed += stats.rows_replayed;
-        report.rows_rejected += stats.rows_rejected;
-        ServerMetrics::add(
-            &shared.metrics.rows_fed_total,
-            stats.rows_replayed + stats.rows_rejected,
-        );
-        if let Ok(mut persist) = channel.persist.lock() {
-            snapshot_channel_locked(shared, &name, &channel, &mut persist, 0);
-        }
+    for channel in shared.all_channels() {
+        let frames = frames_by_channel.remove(&channel.name).unwrap_or_default();
+        let (accepted, rejected) = channel.replay(shared, &frames)?;
+        report.rows_replayed += accepted;
+        report.rows_rejected += rejected;
     }
     Ok(())
 }
@@ -834,29 +712,15 @@ fn promote_server(shared: &Shared) -> Result<String, String> {
     let mut report = RecoveryReport::default();
     let result = (|| -> Result<(), ServeError> {
         let data = shared.data.as_ref().expect("standby has a data dir");
-        let channels: Vec<(String, Channel)> = shared
-            .channels
-            .lock()
-            .map_err(|_| ServeError::Runtime("lock poisoned".into()))?
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let channels = shared.all_channels();
         report.channels = channels.len();
-        let mut frames_by_channel: HashMap<String, Vec<WalFrame>> = HashMap::new();
-        for (name, channel) in &channels {
-            let mut persist = channel
-                .persist
-                .lock()
-                .map_err(|_| ServeError::Runtime("lock poisoned".into()))?;
-            if let Some(wal) = persist.wal.as_mut() {
-                wal.sync()?;
-            }
+        let mut frames_by_channel = HashMap::new();
+        for channel in &channels {
+            channel.sync(shared, &mut *channel.lock()?)?;
             // Rescan from disk: the standby never kept frames in memory.
-            let scan = crate::wal::scan_wal(&data.wal_path(name))?;
-            if scan.dropped_bytes > 0 {
-                report.dropped_bytes += scan.dropped_bytes;
-            }
-            frames_by_channel.insert(name.clone(), scan.frames);
+            let scan = scan_wal(&data.wal_path(&channel.name))?;
+            report.dropped_bytes += scan.dropped_bytes;
+            frames_by_channel.insert(channel.name.clone(), scan.frames);
         }
         respawn_and_replay(shared, frames_by_channel, &mut report)
     })();
@@ -880,587 +744,6 @@ fn promote_server(shared: &Shared) -> Result<String, String> {
     }
 }
 
-/// Dispatch one standby-side `REPL` sub-verb (the head word `REPL` is
-/// already stripped; `args` is the rest of the verb line).
-fn repl_dispatch(shared: &Shared, conn: u64, args: &[&str], body: &str) -> Result<String, String> {
-    match args {
-        ["HELLO", "v1"] => standby_hello(shared, conn),
-        ["HELLO", v] => Err(err(2, format!("unsupported replication protocol '{v}'"))),
-        // Channel announcements reuse the ordinary open path: idempotent
-        // for a matching schema, `ERR 2` on a schema clash.
-        ["OPEN", chan, spec] => open_channel(shared, chan, spec),
-        ["FRAME", chan, start, nrows, crc] => standby_frame(shared, chan, start, nrows, crc, body),
-        ["META", id] => standby_meta(shared, id, body),
-        ["CHECKPOINT", id] => standby_checkpoint(shared, id, body),
-        ["REMOVE", id] => standby_remove(shared, id),
-        ["SUBS", keep @ ..] => standby_subs(shared, keep),
-        other => Err(err(2, format!("unknown REPL command {other:?}"))),
-    }
-}
-
-/// `REPL HELLO v1`: adopt this connection as the replication session and
-/// report every channel's durable row count so the primary can resync
-/// exactly the frames this standby lacks.
-fn standby_hello(shared: &Shared, conn: u64) -> Result<String, String> {
-    shared.repl_conn.store(conn, Ordering::SeqCst);
-    let channels = shared
-        .channels
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
-    let mut reply = String::from("OK repl v1");
-    for (name, channel) in channels.iter() {
-        let rows = channel.persist.lock().map(|p| p.rows_total).unwrap_or(0);
-        reply.push_str(&format!("\n{} {rows}", encode_name(name)));
-    }
-    Ok(reply)
-}
-
-/// `REPL FRAME <chan> <start> <nrows> <crc>` + payload: validate and
-/// append one shipped WAL record.  Duplicates (frame end at or below the
-/// durable row count — the overlap between a resync scan and the live
-/// queue) are acknowledged without appending; anything else out of
-/// sequence is a gap the primary answers with a fresh resync.
-fn standby_frame(
-    shared: &Shared,
-    chan: &str,
-    start: &str,
-    nrows: &str,
-    crc: &str,
-    body: &str,
-) -> Result<String, String> {
-    let reject = |code: u8, msg: String| {
-        ServerMetrics::inc(&shared.metrics.repl_rejected_frames_total);
-        Err(err(code, msg))
-    };
-    let Ok(start) = start.parse::<u64>() else {
-        return reject(2, format!("bad REPL FRAME start ordinal '{start}'"));
-    };
-    let Ok(nrows) = nrows.parse::<u32>() else {
-        return reject(2, format!("bad REPL FRAME row count '{nrows}'"));
-    };
-    let Ok(crc) = u32::from_str_radix(crc, 16) else {
-        return reject(2, format!("bad REPL FRAME crc '{crc}'"));
-    };
-    if crc32(body.as_bytes()) != crc {
-        return reject(3, format!("repl frame crc mismatch on '{chan}'"));
-    }
-    let channel = {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        match channels.get(chan).cloned() {
-            Some(c) => c,
-            None => return reject(2, format!("unknown channel '{chan}'")),
-        }
-    };
-    // Validate the payload against the schema before touching the WAL:
-    // the standby must never persist rows promotion cannot replay.
-    let mut parsed = 0u32;
-    for (i, line) in body.lines().enumerate() {
-        if line.is_empty() {
-            return reject(3, format!("repl frame has an empty row line on '{chan}'"));
-        }
-        if let Err(e) = parse_headerless_row(&channel.schema, line, i + 1) {
-            return reject(3, e.to_string());
-        }
-        parsed += 1;
-    }
-    if parsed != nrows || nrows == 0 {
-        return reject(
-            3,
-            format!("repl frame row count mismatch: header {nrows}, payload {parsed}"),
-        );
-    }
-    let mut persist = channel
-        .persist
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
-    #[cfg(feature = "failpoints")]
-    if let Some(injected) = sqlts_relation::failpoints::hit("repl::standby_append", start) {
-        if injected == sqlts_relation::failpoints::Injected::InjectError {
-            return Err(err(4, "failpoint 'repl::standby_append' injected error"));
-        }
-    }
-    let end = start + u64::from(nrows);
-    if end <= persist.rows_total {
-        return Ok(format!("OK repl ack {chan} {}", persist.rows_total));
-    }
-    if start != persist.rows_total {
-        return reject(
-            4,
-            format!(
-                "repl gap on '{chan}': frame starts at {start}, standby at {}",
-                persist.rows_total
-            ),
-        );
-    }
-    let Some(wal) = persist.wal.as_mut() else {
-        return Err(err(
-            4,
-            format!("channel '{chan}' has no wal on the standby"),
-        ));
-    };
-    let synced = wal
-        .append(body, nrows)
-        .map_err(|e| err(4, format!("standby wal append on '{chan}': {e}")))?;
-    ServerMetrics::inc(&shared.metrics.wal_appends_total);
-    if synced {
-        ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-        shared
-            .metrics
-            .latency
-            .record_ns(LatencyOp::Fsync, wal.take_fsync_ns());
-    }
-    persist.rows_total = wal.rows_total();
-    ServerMetrics::inc(&shared.metrics.repl_frames_received_total);
-    Ok(format!("OK repl ack {chan} {}", persist.rows_total))
-}
-
-/// `REPL META <id>` + submeta text: persist a shipped subscription meta.
-fn standby_meta(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
-    let meta = SubMeta::from_text(body).map_err(|e| err(3, format!("repl meta '{id}': {e}")))?;
-    {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        if !channels.contains_key(&meta.channel) {
-            return Err(err(
-                4,
-                format!(
-                    "repl meta '{id}' references unknown channel '{}'",
-                    meta.channel
-                ),
-            ));
-        }
-    }
-    let data = shared.data.as_ref().expect("standby has a data dir");
-    data.save_sub_meta(id, &meta).map_err(|e| serve_err(&e))?;
-    Ok(format!("OK repl meta {id}"))
-}
-
-/// `REPL CHECKPOINT <id>` + checkpoint text: persist a shipped
-/// subscription checkpoint, then truncate the channel's WAL below the
-/// new low-water mark (the primary just did the same).
-fn standby_checkpoint(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
-    SessionCheckpoint::from_text(body)
-        .map_err(|e| err(3, format!("repl checkpoint '{id}': {e}")))?;
-    let data = shared.data.as_ref().expect("standby has a data dir");
-    let meta = data
-        .load_sub_meta(id)
-        .map_err(|e| serve_err(&e))?
-        .ok_or_else(|| err(4, format!("repl checkpoint '{id}' has no shipped meta")))?;
-    data.save_sub_checkpoint(id, body)
-        .map_err(|e| serve_err(&e))?;
-    ServerMetrics::inc(&shared.metrics.snapshots_total);
-    standby_truncate(shared, &meta.channel);
-    Ok(format!("OK repl checkpoint {id}"))
-}
-
-/// Truncate a standby channel's WAL below the minimum resume ordinal of
-/// its shipped checkpoints.  Best-effort, like the primary's snapshot
-/// pass: a stale checkpoint only makes the low-water mark *lower*, never
-/// wrong, and a subscription whose meta has not arrived yet can only
-/// need rows at or above the current durable row count.
-fn standby_truncate(shared: &Shared, chan: &str) {
-    let Some(data) = shared.data.as_ref() else {
-        return;
-    };
-    let Ok(subs) = data.load_subs() else {
-        return;
-    };
-    let channel = {
-        let Ok(channels) = shared.channels.lock() else {
-            return;
-        };
-        match channels.get(chan).cloned() {
-            Some(c) => c,
-            None => return,
-        }
-    };
-    let Ok(mut persist) = channel.persist.lock() else {
-        return;
-    };
-    let mut low_water = persist.rows_total;
-    for (_, meta, checkpoint) in &subs {
-        if meta.channel != chan {
-            continue;
-        }
-        let Ok(cp) = SessionCheckpoint::from_text(checkpoint) else {
-            return; // unreadable checkpoint: hold truncation entirely
-        };
-        low_water = low_water.min(meta.resume_ordinal(cp.records()));
-    }
-    if let Some(wal) = persist.wal.as_mut() {
-        if wal.sync().is_ok() {
-            ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-            if let Ok(true) = wal.truncate_below(low_water) {
-                ServerMetrics::inc(&shared.metrics.wal_truncations_total);
-            }
-        }
-    }
-}
-
-/// `REPL REMOVE <id>`: drop a shipped subscription's durable files.
-fn standby_remove(shared: &Shared, id: &str) -> Result<String, String> {
-    let data = shared.data.as_ref().expect("standby has a data dir");
-    data.remove_sub(id);
-    Ok(format!("OK repl remove {id}"))
-}
-
-/// `REPL SUBS <id>...`: reconcile at resync — remove every durable
-/// subscription the primary no longer has (its `REMOVE` may have been
-/// shipped to a dead session).
-fn standby_subs(shared: &Shared, keep: &[&str]) -> Result<String, String> {
-    let data = shared.data.as_ref().expect("standby has a data dir");
-    let keep: HashSet<&str> = keep.iter().copied().collect();
-    let subs = data.load_subs().map_err(|e| serve_err(&e))?;
-    for (id, _, _) in &subs {
-        if !keep.contains(id.as_str()) {
-            data.remove_sub(id);
-        }
-    }
-    Ok(format!("OK repl subs {}", keep.len()))
-}
-
-/// Standby `STATUS <id>`: answered from the shipped durable state (no
-/// worker exists until promotion).
-fn standby_status(shared: &Shared, id: &str) -> Result<String, String> {
-    let data = shared.data.as_ref().expect("standby has a data dir");
-    let subs = data.load_subs().map_err(|e| serve_err(&e))?;
-    let Some((_, meta, checkpoint)) = subs.iter().find(|(sid, _, _)| sid == id) else {
-        return Err(err(2, format!("unknown subscription '{id}'")));
-    };
-    let records = SessionCheckpoint::from_text(checkpoint)
-        .map(|cp| cp.records())
-        .unwrap_or(0);
-    let durable_rows = {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        channels
-            .get(&meta.channel)
-            .and_then(|c| c.persist.lock().ok().map(|p| p.rows_total))
-            .unwrap_or(0)
-    };
-    Ok(format!(
-        "OK status standby channel={} records={records} durable_rows={durable_rows}",
-        meta.channel
-    ))
-}
-
-/// How one shipping session ended.
-enum SessionEnd {
-    /// The stop flag is set (or the server is gone): exit the thread.
-    Stop,
-    /// The session failed: drain the stale queue, back off, resync.
-    Retry,
-}
-
-/// The `--replicate-to` shipping thread: one session at a time, each a
-/// connect + `HELLO` + full resync + live queue loop.  Holds only a
-/// [`Weak`] on [`Shared`] between sessions so a dropped server is not
-/// pinned by its own shipper ([`Server`]'s drop joins this thread).
-fn replication_thread(weak: &Weak<Shared>, rx: &mpsc::Receiver<ReplCmd>, stop: &Arc<AtomicBool>) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match replication_session(weak, rx, stop) {
-            SessionEnd::Stop => return,
-            SessionEnd::Retry => {
-                // Anything still queued targeted the dead session; the
-                // next resync re-reads the WAL instead.
-                while rx.try_recv().is_ok() {}
-                for _ in 0..10 {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    }
-}
-
-/// Count a session-fatal shipping error and flip to disconnected (waking
-/// any sync-mode feeders so they degrade instead of timing out).
-fn session_fail(shared: &Shared, what: &str, e: &str) {
-    if let Some(repl) = shared.repl.as_ref() {
-        repl.state.send_errors.fetch_add(1, Ordering::Relaxed);
-        repl.state.mark_disconnected();
-    }
-    shared.span_event(
-        Level::Warn,
-        "repl_session_error",
-        &[("what", what), ("error", e)],
-    );
-}
-
-fn replication_session(
-    weak: &Weak<Shared>,
-    rx: &mpsc::Receiver<ReplCmd>,
-    stop: &Arc<AtomicBool>,
-) -> SessionEnd {
-    let Some(shared) = weak.upgrade() else {
-        return SessionEnd::Stop;
-    };
-    let repl = shared.repl.as_ref().expect("session implies a replicator");
-    let target = repl.target.clone();
-    let max_frame = shared.config.max_frame_bytes;
-    // Connect with bounded timeouts.  Read timeouts are session-fatal by
-    // design: a timeout mid-reply would desync the buffered reader, so
-    // the session resets instead of continuing.
-    let addrs: Vec<std::net::SocketAddr> = match target.to_socket_addrs() {
-        Ok(addrs) => addrs.collect(),
-        Err(e) => {
-            session_fail(&shared, "resolve", &e.to_string());
-            return SessionEnd::Retry;
-        }
-    };
-    let mut stream = None;
-    for addr in &addrs {
-        if let Ok(s) = TcpStream::connect_timeout(addr, Duration::from_millis(500)) {
-            stream = Some(s);
-            break;
-        }
-    }
-    let Some(mut stream) = stream else {
-        session_fail(
-            &shared,
-            "connect",
-            &format!("no address of '{target}' accepted"),
-        );
-        return SessionEnd::Retry;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_nodelay(true);
-    let Ok(clone) = stream.try_clone() else {
-        session_fail(&shared, "clone", "socket clone failed");
-        return SessionEnd::Retry;
-    };
-    let mut reader = BufReader::new(clone);
-    let standby_rows = match send_repl(&mut stream, &mut reader, "REPL HELLO v1", max_frame)
-        .and_then(|r| parse_hello(&r))
-    {
-        Ok(rows) => rows,
-        Err(e) => {
-            session_fail(&shared, "hello", &e);
-            return SessionEnd::Retry;
-        }
-    };
-    repl.state.resyncs.fetch_add(1, Ordering::Relaxed);
-    for (chan, rows) in &standby_rows {
-        repl.state.note_ack(chan, *rows);
-    }
-    // Connected *before* the resync scan: live frames queue behind it,
-    // and the overlap is absorbed by idempotent standby acks.
-    repl.state.connected.store(true, Ordering::SeqCst);
-    shared.span_event(Level::Info, "repl_connected", &[("target", &target)]);
-    let fatal = |what: &str, e: &str| {
-        session_fail(&shared, what, e);
-        SessionEnd::Retry
-    };
-    let channels: Vec<(String, Channel)> = match shared.channels.lock() {
-        Ok(map) => map.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-        Err(_) => return fatal("channels", "lock poisoned"),
-    };
-    let data = shared
-        .data
-        .as_ref()
-        .expect("--replicate-to requires a data dir");
-    for (name, channel) in &channels {
-        let spec = schema_spec(&channel.schema);
-        let opened = send_repl(
-            &mut stream,
-            &mut reader,
-            &format!("REPL OPEN {name} {spec}"),
-            max_frame,
-        )
-        .and_then(|r| parse_opened_rows(&r));
-        match opened {
-            Ok(rows) => repl.state.note_ack(name, rows),
-            Err(e) => return fatal("open", &e),
-        }
-        // Ship every durable frame past the standby's watermark.  Read
-        // from disk without the persist lock: appends are unbuffered
-        // writes, the scan tolerates a torn in-flight tail, and any frame
-        // it misses was offered to the live queue behind us.
-        let acked = repl.state.acked(name);
-        let frames = match crate::wal::read_frames_from(&data.wal_path(name), acked) {
-            Ok(frames) => frames,
-            Err(e) => return fatal("resync_scan", &e.to_string()),
-        };
-        for frame in &frames {
-            if frame.end() <= repl.state.acked(name) {
-                continue;
-            }
-            if let Err(e) = ship_frame(
-                repl,
-                &mut stream,
-                &mut reader,
-                max_frame,
-                name,
-                frame.start,
-                frame.nrows,
-                &frame.payload,
-            ) {
-                return fatal("resync_frame", &e);
-            }
-        }
-    }
-    // Reconcile durable subscription state, then ship every meta +
-    // checkpoint (idempotent overwrites on the standby).
-    let subs = match data.load_subs() {
-        Ok(subs) => subs,
-        Err(e) => return fatal("load_subs", e.message()),
-    };
-    let mut subs_line = String::from("REPL SUBS");
-    for (id, _, _) in &subs {
-        subs_line.push(' ');
-        subs_line.push_str(id);
-    }
-    if let Err(e) = send_repl(&mut stream, &mut reader, &subs_line, max_frame) {
-        return fatal("subs", &e);
-    }
-    for (id, meta, checkpoint) in &subs {
-        let shipped = send_repl(
-            &mut stream,
-            &mut reader,
-            &format!("REPL META {id}\n{}", meta.to_text()),
-            max_frame,
-        )
-        .and_then(|_| {
-            send_repl(
-                &mut stream,
-                &mut reader,
-                &format!("REPL CHECKPOINT {id}\n{checkpoint}"),
-                max_frame,
-            )
-        });
-        if let Err(e) = shipped {
-            return fatal("resync_sub", &e);
-        }
-    }
-    // Live loop: drain the commit-ordered queue until stop or a fault.
-    loop {
-        if stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
-            repl.state.mark_disconnected();
-            return SessionEnd::Stop;
-        }
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(ReplCmd::Shutdown) => {
-                repl.state.mark_disconnected();
-                return SessionEnd::Stop;
-            }
-            Ok(cmd) => {
-                if let Err(e) = ship_cmd(repl, &mut stream, &mut reader, max_frame, &cmd) {
-                    return fatal("ship", &e);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                repl.state.mark_disconnected();
-                return SessionEnd::Stop;
-            }
-        }
-    }
-}
-
-/// Ship one queued replication command over the live session.
-fn ship_cmd(
-    repl: &Replicator,
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    max_frame: usize,
-    cmd: &ReplCmd,
-) -> Result<(), String> {
-    match cmd {
-        ReplCmd::Frame {
-            channel,
-            start,
-            nrows,
-            payload,
-        } => {
-            if start + u64::from(*nrows) <= repl.state.acked(channel) {
-                return Ok(()); // the resync scan already covered it
-            }
-            ship_frame(
-                repl, stream, reader, max_frame, channel, *start, *nrows, payload,
-            )
-        }
-        ReplCmd::Open { channel, spec } => {
-            let reply = send_repl(
-                stream,
-                reader,
-                &format!("REPL OPEN {channel} {spec}"),
-                max_frame,
-            )?;
-            repl.state.note_ack(channel, parse_opened_rows(&reply)?);
-            Ok(())
-        }
-        ReplCmd::Meta { id, text } => send_repl(
-            stream,
-            reader,
-            &format!("REPL META {id}\n{text}"),
-            max_frame,
-        )
-        .map(|_| ()),
-        ReplCmd::Checkpoint { id, text } => send_repl(
-            stream,
-            reader,
-            &format!("REPL CHECKPOINT {id}\n{text}"),
-            max_frame,
-        )
-        .map(|_| ()),
-        ReplCmd::Remove { id } => {
-            send_repl(stream, reader, &format!("REPL REMOVE {id}"), max_frame).map(|_| ())
-        }
-        ReplCmd::Shutdown => Ok(()),
-    }
-}
-
-/// Ship one WAL frame and record its ack watermark.
-#[allow(clippy::too_many_arguments)]
-fn ship_frame(
-    repl: &Replicator,
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    max_frame: usize,
-    channel: &str,
-    start: u64,
-    nrows: u32,
-    payload: &str,
-) -> Result<(), String> {
-    let crc = crc32(payload.as_bytes());
-    let reply = send_repl(
-        stream,
-        reader,
-        &format!("REPL FRAME {channel} {start} {nrows} {crc:08x}\n{payload}"),
-        max_frame,
-    )?;
-    repl.state.frames_sent.fetch_add(1, Ordering::Relaxed);
-    let (chan, end) = parse_ack(&reply)?;
-    if chan != channel {
-        return Err(format!("ack for wrong channel: '{chan}' != '{channel}'"));
-    }
-    repl.state.acks.fetch_add(1, Ordering::Relaxed);
-    repl.state.note_ack(channel, end);
-    Ok(())
-}
-
-fn recover_worker_err(id: &str, e: &WorkerError) -> ServeError {
-    let msg = format!("respawn subscription '{id}': {e}");
-    if e.exit_code() == 3 {
-        ServeError::Input(msg)
-    } else {
-        ServeError::Runtime(msg)
-    }
-}
-
 /// Finish (and retain profiles of) every subscription the closed
 /// connection owned, releasing their sessions and budgets.
 /// Recovered subscriptions belong to connection 0 and are never reaped.
@@ -1470,31 +753,18 @@ fn reap_connection(shared: &Shared, conn: u64) {
         // snapshotting, and the subscription must survive the restart.
         return;
     }
-    let orphans: Vec<(String, Subscription)> = {
-        let Ok(mut subs) = shared.subs.lock() else {
-            return;
-        };
-        let ids: Vec<String> = subs
-            .iter()
-            .filter(|(_, s)| s.conn == conn)
-            .map(|(id, _)| id.clone())
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| subs.remove(&id).map(|s| (id, s)))
-            .collect()
-    };
-    for (id, sub) in orphans {
-        // Durable state first: a crash between the two leaves a finished
-        // worker with no files, never files with no worker.
-        if let Some(data) = shared.data.as_ref() {
-            data.remove_sub(&id);
-            if let Some(repl) = shared.repl.as_ref() {
-                repl.offer_remove(&id);
-            }
+    let mut orphans = Vec::new();
+    shared.subs().retain(|_, sub| {
+        if sub.conn == conn {
+            orphans.push(Arc::clone(sub));
         }
+        sub.conn != conn
+    });
+    for sub in orphans {
+        shared.forget_sub(&sub.id);
         if let Ok(report) = sub.worker.finish() {
             if let Some(profile) = report.profile {
-                shared.metrics.retain_profile(&id, profile);
+                shared.metrics.retain_profile(&sub.id, profile);
             }
         }
     }
@@ -1537,6 +807,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) -> io::Resul
         {
             Ok(timed) => timed,
             Err(FrameFatal::Desync(why)) => {
+                ServerMetrics::inc(&shared.metrics.frames_total);
                 ServerMetrics::inc(&shared.metrics.errors_total);
                 shared.span_event(
                     Level::Warn,
@@ -1548,23 +819,24 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) -> io::Resul
             }
             Err(FrameFatal::Io(e)) => return Err(e),
         };
-        if !matches!(event, FrameEvent::Eof) {
-            shared
-                .metrics
-                .latency
-                .record_ns(LatencyOp::FrameDecode, decode_ns);
-        }
-        ServerMetrics::inc(&shared.metrics.frames_total);
-        let dispatched = Instant::now();
-        let reply = match event {
+        let request = match event {
+            // The peer closed on a frame boundary: not a frame, so it is
+            // neither timed nor counted.
             FrameEvent::Eof => return Ok(()),
             FrameEvent::Oversized { len } => Err(format!(
                 "ERR 2 frame of {len} bytes exceeds limit {}",
                 shared.config.max_frame_bytes
             )),
             FrameEvent::BadUtf8 => Err("ERR 2 frame payload is not UTF-8".into()),
-            FrameEvent::Payload(payload) => dispatch(shared, conn, &payload),
+            FrameEvent::Payload(payload) => Ok(payload),
         };
+        shared
+            .metrics
+            .latency
+            .record_ns(LatencyOp::FrameDecode, decode_ns);
+        ServerMetrics::inc(&shared.metrics.frames_total);
+        let dispatched = Instant::now();
+        let reply = request.and_then(|payload| dispatch(shared, conn, &payload));
         if let Some(limit_ms) = shared.config.slow_frame_ms {
             // Decode + dispatch only — the idle wait for a frame to start
             // is the client's think time (the decoder's clock starts at
@@ -1583,17 +855,15 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) -> io::Resul
                 );
             }
         }
-        match reply {
-            Ok(text) => write_frame(&mut writer, &text)?,
-            Err(text) => {
-                ServerMetrics::inc(&shared.metrics.errors_total);
-                write_frame(&mut writer, &text)?;
-            }
-        }
+        let text = reply.unwrap_or_else(|text| {
+            ServerMetrics::inc(&shared.metrics.errors_total);
+            text
+        });
+        write_frame(&mut writer, &text)?;
     }
 }
 
-fn err(code: u8, msg: impl std::fmt::Display) -> String {
+pub(crate) fn err(code: u8, msg: impl std::fmt::Display) -> String {
     format!("ERR {code} {msg}")
 }
 
@@ -1601,8 +871,12 @@ fn worker_err(e: &WorkerError) -> String {
     err(e.exit_code(), e)
 }
 
-fn serve_err(e: &ServeError) -> String {
+pub(crate) fn serve_err(e: &ServeError) -> String {
     err(e.exit_code(), e.message())
+}
+
+fn unknown_sub(id: &str) -> String {
+    err(2, format!("unknown subscription '{id}'"))
 }
 
 /// Short machine-readable name for a trip cause (`STATUS` replies).
@@ -1640,9 +914,9 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
     let reply = if shared.standby.load(Ordering::SeqCst) {
         match (verb, args.as_slice()) {
             ("PING", []) => Ok("OK pong".into()),
-            ("REPL", rest) => repl_dispatch(shared, conn, rest, body),
+            ("REPL", rest) => replicate::standby_dispatch(shared, conn, rest, body, span),
             ("PROMOTE", []) => promote_server(shared),
-            ("STATUS", [id]) => standby_status(shared, id),
+            ("STATUS", [id]) => replicate::standby_status(shared, id),
             ("", _) => Err(err(2, "empty frame")),
             (verb, _) => Err(err(
                 4,
@@ -1686,32 +960,13 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
     reply
 }
 
-pub(crate) fn parse_schema_spec(spec: &str) -> Result<Schema, String> {
-    let mut cols = Vec::new();
-    for part in spec.split(',') {
-        let (name, ty) = part
-            .split_once(':')
-            .ok_or_else(|| format!("bad schema entry '{part}' (want name:type)"))?;
-        let ty = match ty.trim().to_ascii_lowercase().as_str() {
-            "int" | "integer" => ColumnType::Int,
-            "float" | "double" | "real" => ColumnType::Float,
-            "str" | "string" | "varchar" | "text" => ColumnType::Str,
-            "date" => ColumnType::Date,
-            other => return Err(format!("unknown column type '{other}'")),
-        };
-        cols.push((name.trim().to_string(), ty));
-    }
-    Schema::new(cols).map_err(|e| e.to_string())
-}
-
-fn open_channel(shared: &Shared, chan: &str, spec: &str) -> Result<String, String> {
-    let schema = parse_schema_spec(spec).map_err(|e| err(2, e))?;
-    let mut channels = shared
-        .channels
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
+/// `OPEN` (and the standby's `REPL OPEN`): idempotent for a matching
+/// schema, `ERR 2` on a schema clash.
+pub(crate) fn open_channel(shared: &Shared, chan: &str, spec: &str) -> Result<String, String> {
+    let schema = Schema::parse_spec(spec).map_err(|e| err(2, e))?;
+    let mut channels = shared.channels();
     let channel = match channels.get(chan) {
-        Some(existing) if existing.schema == schema => existing.clone(),
+        Some(existing) if existing.schema == schema => Arc::clone(existing),
         Some(_) => {
             return Err(err(
                 2,
@@ -1719,27 +974,24 @@ fn open_channel(shared: &Shared, chan: &str, spec: &str) -> Result<String, Strin
             ))
         }
         None => {
-            let channel = Channel::new(schema);
-            if let Some(data) = shared.data.as_ref() {
-                // Schema file before WAL: a crash in between leaves a
-                // channel recovery re-creates with an empty WAL, never a
-                // WAL no recovery pass will ever look at.
-                data.save_channel(chan, &channel.schema)
-                    .map_err(|e| serve_err(&e))?;
-                let (mut wal, scan) = ChannelWal::open(&data.wal_path(chan), shared.config.fsync)
-                    .map_err(|e| serve_err(&ServeError::from(e)))?;
-                wal.set_segment_bytes(shared.config.wal_segment_bytes);
-                let mut persist = channel
-                    .persist
-                    .lock()
-                    .map_err(|_| err(4, "lock poisoned"))?;
-                persist.rows_total = scan.rows_total;
-                persist.wal = Some(wal);
-                if let Some(repl) = shared.repl.as_ref() {
-                    repl.offer_open(chan, &schema_spec(&channel.schema));
+            let channel = match shared.data.as_ref() {
+                Some(data) => {
+                    // Schema file before WAL: a crash in between leaves a
+                    // channel recovery re-creates with an empty WAL, never a
+                    // WAL no recovery pass will ever look at.
+                    data.save_channel(chan, &schema)
+                        .map_err(|e| serve_err(&e))?;
+                    let (channel, _) =
+                        Channel::durable(shared, data, chan, schema).map_err(|e| serve_err(&e))?;
+                    if let Some(repl) = shared.repl.as_ref() {
+                        repl.offer_open(chan, &channel.schema.to_spec());
+                    }
+                    channel
                 }
-            }
-            channels.insert(chan.to_string(), channel.clone());
+                None => Channel::new(chan, schema, None),
+            };
+            let channel = Arc::new(channel);
+            channels.insert(chan.to_string(), Arc::clone(&channel));
             channel
         }
     };
@@ -1747,8 +999,7 @@ fn open_channel(shared: &Shared, chan: &str, spec: &str) -> Result<String, Strin
         // The durable row count lets a crashed feeder resume idempotently
         // (skip rows below it).  Absent a data dir the reply keeps its
         // historical shape exactly.
-        let rows = channel.persist.lock().map(|p| p.rows_total).unwrap_or(0);
-        Ok(format!("OK opened {chan} rows={rows}"))
+        Ok(format!("OK opened {chan} rows={}", channel.rows_total()))
     } else {
         Ok(format!("OK opened {chan}"))
     }
@@ -1765,18 +1016,10 @@ fn subscribe(
     if sql.trim().is_empty() {
         return Err(err(2, "missing SQL body"));
     }
-    let channel = {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        channels
-            .get(chan)
-            .cloned()
-            .ok_or_else(|| err(2, format!("unknown channel '{chan}' (OPEN it first)")))?
-    };
-    {
-        let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
+    let channel = shared
+        .channel(chan)
+        .map_err(|e| format!("{e} (OPEN it first)"))?;
+    let admit = |subs: &HashMap<String, Arc<Subscription>>| {
         if subs.contains_key(id) {
             return Err(err(2, format!("subscription id '{id}' is taken")));
         }
@@ -1789,392 +1032,94 @@ fn subscribe(
                 ),
             ));
         }
-    }
+        Ok(())
+    };
+    admit(&shared.subs())?;
     let resume_from = resume_from
         .map(SessionCheckpoint::from_text)
         .transpose()
         .map_err(|e| err(3, e))?;
-    let resumed = resume_from.is_some();
+    let what = if resume_from.is_some() {
+        "resumed"
+    } else {
+        "subscribed"
+    };
     // Hold the channel's persist lock across worker spawn, base-ordinal
     // read, registry insert and durable-file writes: no FEED can advance
     // the channel (or fan out to a half-registered subscription) in
     // between — which also pins the shared-matcher alignment origin to
     // the exact row ordinal this subscription starts observing from.
-    let persist = channel
-        .persist
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
-    let meta = Arc::new(SubMeta {
+    let persist = channel.lock().map_err(|e| serve_err(&e))?;
+    let meta = SubMeta {
         channel: chan.to_string(),
-        base_rows: persist.rows_total,
+        base_rows: persist.rows_total(),
         base_records: resume_from.as_ref().map_or(0, SessionCheckpoint::records),
         sql: sql.to_string(),
-    });
-    let config = worker_config(shared, id, &meta, &channel, resume_from);
-    let worker = Arc::new(SessionWorker::spawn(config).map_err(|e| worker_err(&e))?);
+    };
+    let sub = channel
+        .join(shared, id, conn, meta, resume_from)
+        .map_err(|e| worker_err(&e))?;
     let durable = match shared.data.as_ref() {
-        Some(data) => Some((data, worker.snapshot().map_err(|e| worker_err(&e))?)),
+        Some(data) => Some((data, sub.worker.snapshot().map_err(|e| worker_err(&e))?)),
         None => None,
     };
+    let sub = Arc::new(sub);
     {
-        let mut subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
+        let mut subs = shared.subs();
         // Re-check under the lock: another connection may have raced us.
-        if subs.contains_key(id) {
-            return Err(err(2, format!("subscription id '{id}' is taken")));
-        }
-        if subs.len() >= shared.config.max_subscriptions {
-            return Err(err(4, "admission: subscription limit reached"));
-        }
-        subs.insert(
-            id.to_string(),
-            Subscription {
-                worker: Arc::clone(&worker),
-                conn,
-                meta: Arc::clone(&meta),
-            },
-        );
+        admit(&subs)?;
+        subs.insert(id.to_string(), Arc::clone(&sub));
     }
     if let Some((data, text)) = durable {
-        let saved = data
-            .save_sub_meta(id, &meta)
-            .and_then(|()| data.save_sub_checkpoint(id, &text));
+        // Still under the persist lock: the standby sees the meta before
+        // the checkpoint, and both before any frame this subscription
+        // will be replayed over.
+        let saved = data.save_sub_meta(id, &sub.meta).and_then(|()| {
+            if let Some(repl) = shared.repl.as_ref() {
+                repl.offer_meta(id, &sub.meta.to_text());
+            }
+            save_checkpoint(shared, data, id, &text)
+        });
         if let Err(e) = saved {
             // An unpersistable subscription must not run: roll it back so
             // the client's view matches the durable state.
-            data.remove_sub(id);
-            if let Ok(mut subs) = shared.subs.lock() {
-                subs.remove(id);
-            }
-            let _ = worker.finish();
+            shared.forget_sub(id);
+            shared.subs().remove(id);
+            let _ = sub.worker.finish();
             return Err(serve_err(&e));
-        }
-        ServerMetrics::inc(&shared.metrics.snapshots_total);
-        if let Some(repl) = shared.repl.as_ref() {
-            // Still under the persist lock: the standby sees the meta
-            // before any frame this subscription will be replayed over.
-            repl.offer_meta(id, &meta.to_text());
-            repl.offer_checkpoint(id, &text);
         }
     }
     drop(persist);
     ServerMetrics::inc(&shared.metrics.subscriptions_total);
-    let what = if resumed { "resumed" } else { "subscribed" };
     Ok(format!("OK {what} {id} {chan}"))
 }
 
 fn feed(shared: &Shared, chan: &str, body: &str, parent: u64) -> Result<String, String> {
-    let channel = {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        channels
-            .get(chan)
-            .cloned()
-            .ok_or_else(|| err(2, format!("unknown channel '{chan}'")))?
-    };
-    // Parse the whole frame before feeding anything: a malformed row
-    // rejects the frame atomically instead of leaving subscribers halfway
-    // through it.
-    let mut rows = Vec::new();
-    let mut lines = Vec::new();
-    for (i, line) in body.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        rows.push(parse_headerless_row(&channel.schema, line, i + 1).map_err(|e| err(3, e))?);
-        lines.push(line);
-    }
-    let payload_text = lines.join("\n");
-    // The channel persist lock is held across append, fan-out and
-    // snapshot: WAL order is feed order, and the durable copy lands
-    // before any subscriber sees a row.
-    let mut persist = channel
-        .persist
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
-    let start_ordinal = persist.rows_total;
-    let mut offered = false;
-    if !rows.is_empty() {
-        if let Some(wal) = persist.wal.as_mut() {
-            let span = shared.span_begin(
-                Level::Debug,
-                "wal_append",
-                parent,
-                &[("channel", chan), ("rows", &rows.len().to_string())],
-            );
-            let append_started = Instant::now();
-            let appended = wal.append(&payload_text, rows.len() as u32);
-            let append_ns = append_started.elapsed().as_nanos() as u64;
-            // The fsync (when the policy took one) is inside append's
-            // wall time; split it out so the two histograms answer
-            // different questions.
-            let fsync_ns = wal.take_fsync_ns();
-            shared
-                .metrics
-                .latency
-                .record_ns(LatencyOp::WalAppend, append_ns.saturating_sub(fsync_ns));
-            match appended {
-                Ok(synced) => {
-                    ServerMetrics::inc(&shared.metrics.wal_appends_total);
-                    if synced {
-                        ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-                        shared.metrics.latency.record_ns(LatencyOp::Fsync, fsync_ns);
-                        shared.span_event(
-                            Level::Debug,
-                            "fsync",
-                            &[("channel", chan), ("ns", &fsync_ns.to_string())],
-                        );
-                    }
-                    shared.span_end(Level::Debug, "wal_append", span, &[]);
-                }
-                Err(e) => {
-                    shared.span_end(
-                        Level::Debug,
-                        "wal_append",
-                        span,
-                        &[("error", &e.to_string())],
-                    );
-                    return Err(err(4, format!("wal append on '{chan}': {e}")));
-                }
-            }
-        }
-        persist.rows_total += rows.len() as u64;
-        if let Some(repl) = shared.repl.as_ref() {
-            // Enqueued under the persist lock so the shipping queue is in
-            // commit order.  While disconnected the offer is dropped: the
-            // WAL is the source of truth and the next resync re-reads it.
-            offered = repl.offer_frame(chan, start_ordinal, rows.len() as u32, &payload_text);
-        }
-    }
-    let workers: Vec<(String, Arc<SessionWorker>)> = {
-        let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
-        subs.iter()
-            .filter(|(_, s)| s.meta.channel == chan)
-            .map(|(id, s)| (id.clone(), Arc::clone(&s.worker)))
-            .collect()
-    };
-    let fanout_span = shared.span_begin(
-        Level::Debug,
-        "fanout",
-        parent,
-        &[
-            ("channel", chan),
-            ("rows", &rows.len().to_string()),
-            ("subs", &workers.len().to_string()),
-        ],
-    );
-    let fanout_started = Instant::now();
-    let mut tripped = 0u64;
-    let mut rejecting: HashSet<&str> = HashSet::new();
-    for row in &rows {
-        for (id, worker) in &workers {
-            match worker.feed(row.clone()) {
-                Ok(()) => {}
-                // A governed/overflowed subscription stays latched; its
-                // partial result is delivered at UNSUBSCRIBE.  The feed
-                // keeps flowing to the healthy subscriptions.
-                Err(_) => {
-                    tripped += 1;
-                    rejecting.insert(id);
-                }
-            }
-        }
-    }
-    shared.metrics.latency.record_ns(
-        LatencyOp::Fanout,
-        fanout_started.elapsed().as_nanos() as u64,
-    );
-    shared.span_end(
-        Level::Debug,
-        "fanout",
-        fanout_span,
-        &[("rejected", &tripped.to_string())],
-    );
-    ServerMetrics::add(
-        &shared.metrics.rows_fed_total,
-        rows.len() as u64 * workers.len() as u64,
-    );
-    // First trip of each subscription is a warn-level event (durable or
-    // not); repeat rejections from an already-latched subscription are
-    // steady state and stay quiet.
-    let newly: Vec<String> = rejecting
-        .iter()
-        .filter(|id| !persist.tripped_seen.contains(**id))
-        .map(|s| s.to_string())
-        .collect();
-    for id in &newly {
-        shared.span_event(
-            Level::Warn,
-            "governor_trip",
-            &[("sub", id), ("channel", chan)],
-        );
-    }
-    let fresh_trip = !newly.is_empty();
-    persist.tripped_seen.extend(newly);
-    let has_wal = persist.wal.is_some();
-    if has_wal && !rows.is_empty() {
-        persist.frames_since_snapshot += 1;
-        if fresh_trip
-            || persist.frames_since_snapshot >= shared.config.checkpoint_every_frames.max(1)
-        {
-            snapshot_channel_locked(shared, chan, &channel, &mut persist, parent);
-        }
-    }
-    let end_ordinal = persist.rows_total;
-    drop(persist);
-    // Group commit: the append above did not sync.  Wait (off-lock, so
-    // concurrent FEEDs can pile their appends into the same batch) until
-    // a leader's single fsync covers this frame's rows.
-    if has_wal && !rows.is_empty() {
-        if let FsyncPolicy::Group { window_us } = shared.config.fsync {
-            let window = Duration::from_micros(u64::from(window_us));
-            let group = Arc::clone(&channel.group);
-            let outcome = group.wait_durable(end_ordinal, window, || {
-                let mut persist = channel
-                    .persist
-                    .lock()
-                    .map_err(|_| "lock poisoned".to_string())?;
-                let Some(wal) = persist.wal.as_mut() else {
-                    return Err("wal closed".into());
-                };
-                wal.sync().map_err(|e| e.to_string())?;
-                ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-                shared
-                    .metrics
-                    .latency
-                    .record_ns(LatencyOp::Fsync, wal.take_fsync_ns());
-                Ok(wal.rows_total())
-            });
-            if let Err(e) = outcome {
-                // The rows were appended but are not durable; the feeder
-                // must not treat them as accepted.  (Recovery truncates
-                // or replays them consistently either way.)
-                return Err(err(4, format!("group fsync on '{chan}': {e}")));
-            }
-        }
-    }
-    // Semi-synchronous replication: hold the ack until the standby has
-    // the frame, degrading (counted) rather than failing the FEED when
-    // the standby is away or slow.
-    if !rows.is_empty() {
-        if let Some(repl) = shared.repl.as_ref() {
-            if repl.ack == ReplAck::Sync {
-                let acked = offered
-                    && repl
-                        .state
-                        .wait_acked(chan, end_ordinal, replicate::SYNC_ACK_TIMEOUT);
-                if !acked {
-                    repl.state.sync_degraded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
+    let channel = shared.channel(chan)?;
+    // FEED tolerates blank lines (a trailing newline, a spacer between
+    // batches) and strips them; each row keeps its line number within the
+    // frame for error messages.  What is kept is what the WAL stores.
+    let mut kept = Vec::new();
+    let lines = body.lines().enumerate();
+    let lines = lines.filter(|(_, line)| !line.is_empty());
+    let rows = channel
+        .parse_rows(lines.inspect(|(_, line)| kept.push(*line)))
+        .map_err(|e| err(3, e))?;
+    let fed = channel.ingest(shared, &rows, &kept.join("\n"), parent)?;
     Ok(format!(
-        "OK fed {} subs={} rejected={tripped}",
+        "OK fed {} subs={} rejected={}",
         rows.len(),
-        workers.len()
+        fed.subs,
+        fed.rejected
     ))
 }
 
-/// Snapshot every subscription on `chan` (atomic tmp+rename each), then
-/// truncate the WAL below the low-water mark — the minimum ordinal any
-/// snapshot still needs.  Caller holds the channel's persist lock.
-/// Best-effort: a failure leaves the WAL longer than necessary, never
-/// inconsistent.  `parent` nests the snapshot span under the operation
-/// that forced it (0 for a top-level snapshot).
-fn snapshot_channel_locked(
-    shared: &Shared,
-    chan: &str,
-    channel: &Channel,
-    persist: &mut ChannelPersist,
-    parent: u64,
-) {
-    persist.frames_since_snapshot = 0;
-    let Some(data) = shared.data.as_ref() else {
-        return;
-    };
-    if shared.standby.load(Ordering::SeqCst) {
-        // A standby has durable sub metas but no live workers: the
-        // "every subscription" sweep below would see none and truncate
-        // frames promotion still needs.  Standby truncation is driven by
-        // the primary's shipped checkpoints instead.
-        return;
-    }
-    let started = Instant::now();
-    let span = shared.span_begin(Level::Debug, "snapshot", parent, &[("channel", chan)]);
-    let members: Vec<(String, Arc<SessionWorker>, Arc<SubMeta>)> = {
-        let Ok(subs) = shared.subs.lock() else {
-            shared.span_end(Level::Debug, "snapshot", span, &[("aborted", "poisoned")]);
-            return;
-        };
-        subs.iter()
-            .filter(|(_, s)| s.meta.channel == chan)
-            .map(|(id, s)| (id.clone(), Arc::clone(&s.worker), Arc::clone(&s.meta)))
-            .collect()
-    };
-    let mut low_water = persist.rows_total;
-    let mut hold_truncation = false;
-    for (id, worker, meta) in &members {
-        match worker.snapshot_with_records() {
-            Ok((text, records)) => {
-                if data.save_sub_checkpoint(id, &text).is_err() {
-                    hold_truncation = true;
-                    continue;
-                }
-                ServerMetrics::inc(&shared.metrics.snapshots_total);
-                if let Some(repl) = shared.repl.as_ref() {
-                    repl.offer_checkpoint(id, &text);
-                }
-                low_water = low_water.min(meta.resume_ordinal(records));
-            }
-            // A worker that cannot snapshot (finished, poisoned) keeps
-            // its WAL rows: skip truncation this round.
-            Err(_) => hold_truncation = true,
-        }
-    }
-    let mut truncated = false;
-    if !hold_truncation {
-        if let Some(wal) = persist.wal.as_mut() {
-            if wal.sync().is_ok() {
-                ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-                channel.group.publish_synced(wal.rows_total());
-                if let Ok(true) = wal.truncate_below(low_water) {
-                    ServerMetrics::inc(&shared.metrics.wal_truncations_total);
-                    truncated = true;
-                }
-            }
-            shared
-                .metrics
-                .latency
-                .record_ns(LatencyOp::Fsync, wal.take_fsync_ns());
-        }
-    }
-    shared
-        .metrics
-        .latency
-        .record_ns(LatencyOp::Snapshot, started.elapsed().as_nanos() as u64);
-    shared.span_end(
-        Level::Debug,
-        "snapshot",
-        span,
-        &[
-            ("subscriptions", &members.len().to_string()),
-            ("truncated", if truncated { "1" } else { "0" }),
-        ],
-    );
-}
-
-fn lookup(shared: &Shared, id: &str) -> Result<Arc<SessionWorker>, String> {
-    let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
-    subs.get(id)
-        .map(|s| Arc::clone(&s.worker))
-        .ok_or_else(|| err(2, format!("unknown subscription '{id}'")))
-}
-
 fn status(shared: &Shared, id: &str) -> Result<String, String> {
-    let worker = lookup(shared, id)?;
-    let status = worker.status().map_err(|e| worker_err(&e))?;
+    let status = shared
+        .sub(id)?
+        .worker
+        .status()
+        .map_err(|e| worker_err(&e))?;
     Ok(format!(
         "OK status records={} skipped={} quarantined={} window={} trip={} poisoned={}",
         status.records,
@@ -2187,8 +1132,11 @@ fn status(shared: &Shared, id: &str) -> Result<String, String> {
 }
 
 fn checkpoint(shared: &Shared, id: &str) -> Result<String, String> {
-    let worker = lookup(shared, id)?;
-    let text = worker.snapshot().map_err(|e| worker_err(&e))?;
+    let text = shared
+        .sub(id)?
+        .worker
+        .snapshot()
+        .map_err(|e| worker_err(&e))?;
     Ok(format!("CHECKPOINT {id}\n{text}"))
 }
 
@@ -2202,65 +1150,28 @@ fn checkpoint_durable(shared: &Shared, id: &str) -> Result<String, String> {
     let Some(data) = shared.data.as_ref() else {
         return Err(err(2, "CHECKPOINT DURABLE requires --data-dir"));
     };
-    let (worker, meta) = {
-        let subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
-        let sub = subs
-            .get(id)
-            .ok_or_else(|| err(2, format!("unknown subscription '{id}'")))?;
-        (Arc::clone(&sub.worker), Arc::clone(&sub.meta))
-    };
-    let chan = &meta.channel;
-    let channel = {
-        let channels = shared
-            .channels
-            .lock()
-            .map_err(|_| err(4, "lock poisoned"))?;
-        channels
-            .get(chan)
-            .cloned()
-            .ok_or_else(|| err(4, format!("channel '{chan}' is gone")))?
-    };
-    let mut persist = channel
-        .persist
-        .lock()
-        .map_err(|_| err(4, "lock poisoned"))?;
-    if let Some(wal) = persist.wal.as_mut() {
-        wal.sync()
-            .map_err(|e| err(4, format!("wal sync on '{chan}': {e}")))?;
-        ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
-        shared
-            .metrics
-            .latency
-            .record_ns(LatencyOp::Fsync, wal.take_fsync_ns());
-        channel.group.publish_synced(wal.rows_total());
-    }
-    let (text, records) = worker.snapshot_with_records().map_err(|e| worker_err(&e))?;
-    data.save_sub_checkpoint(id, &text)
-        .map_err(|e| serve_err(&e))?;
-    ServerMetrics::inc(&shared.metrics.snapshots_total);
-    if let Some(repl) = shared.repl.as_ref() {
-        repl.offer_checkpoint(id, &text);
-    }
+    let sub = shared.sub(id)?;
+    let chan = &sub.meta.channel;
+    let channel = shared
+        .channel(chan)
+        .map_err(|_| err(4, format!("channel '{chan}' is gone")))?;
+    let mut persist = channel.lock().map_err(|e| serve_err(&e))?;
+    channel
+        .sync(shared, &mut persist)
+        .map_err(|e| err(4, format!("wal sync on '{chan}': {e}")))?;
+    let (text, records) = sub
+        .worker
+        .snapshot_with_records()
+        .map_err(|e| worker_err(&e))?;
+    save_checkpoint(shared, data, id, &text).map_err(|e| serve_err(&e))?;
     drop(persist);
-    let ordinal = meta.resume_ordinal(records);
+    let ordinal = sub.meta.resume_ordinal(records);
     Ok(format!("OK checkpoint {id} durable ordinal={ordinal}"))
 }
 
 fn unsubscribe(shared: &Shared, id: &str) -> Result<String, String> {
-    let sub = {
-        let mut subs = shared.subs.lock().map_err(|_| err(4, "lock poisoned"))?;
-        subs.remove(id)
-            .ok_or_else(|| err(2, format!("unknown subscription '{id}'")))?
-    };
-    // Durable files go first: a crash between removal and finish delivers
-    // nothing to this client, but can never resurrect an unsubscribed
-    // query on restart.
-    if let Some(data) = shared.data.as_ref() {
-        data.remove_sub(id);
-        if let Some(repl) = shared.repl.as_ref() {
-            repl.offer_remove(id);
-        }
-    }
+    let sub = shared.subs().remove(id).ok_or_else(|| unknown_sub(id))?;
+    shared.forget_sub(id);
     let report = sub.worker.finish().map_err(|e| worker_err(&e))?;
     // An unsubscribe that surfaces a trip, quarantine, or error is the
     // operator-visible outcome of a misbehaving tenant: warn.  A clean
@@ -2324,6 +1235,7 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
+    let standby = shared.standby.load(Ordering::SeqCst);
     let (status_line, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         let views = http_sub_views(shared);
         let live: Vec<String> = views
@@ -2341,15 +1253,11 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             "# HELP sqlts_standby server is an unpromoted warm standby\n\
              # TYPE sqlts_standby gauge\n",
         );
-        body.push_str(&format!(
-            "sqlts_standby {}\n",
-            u8::from(shared.standby.load(Ordering::SeqCst))
-        ));
+        body.push_str(&format!("sqlts_standby {}\n", u8::from(standby)));
         ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
     } else if path == "/status" || path.starts_with("/status?") {
         let subs = http_sub_views(shared);
         let draining = shared.draining.load(Ordering::SeqCst);
-        let standby = shared.standby.load(Ordering::SeqCst);
         let snap = repl_snapshot(shared);
         (
             "200 OK",
@@ -2382,25 +1290,11 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 /// every channel's current durable row count.
 fn repl_snapshot(shared: &Shared) -> Option<ReplSnapshot> {
     let repl = shared.repl.as_ref()?;
-    let rows: Vec<(String, u64)> = shared
-        .channels
-        .lock()
-        .map(|channels| {
-            channels
-                .iter()
-                .map(|(name, c)| {
-                    (
-                        name.clone(),
-                        c.persist.lock().map(|p| p.rows_total).unwrap_or(0),
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let lag = repl
-        .state
-        .lag_rows(rows.iter().map(|(name, total)| (name.as_str(), *total)));
-    Some(repl.snapshot(lag))
+    let channels = shared.all_channels();
+    // Row counts first, so no persist lock is taken under the ack lock.
+    let rows: Vec<u64> = channels.iter().map(|c| c.rows_total()).collect();
+    let names = channels.iter().map(|c| c.name.as_str());
+    Some(repl.snapshot(repl.state.lag_rows(names.zip(rows))))
 }
 
 /// Roll the per-channel shared pattern-set registries into one
@@ -2409,14 +1303,9 @@ fn repl_snapshot(shared: &Shared) -> Option<ReplSnapshot> {
 /// subscriptions included — their tests are all physically evaluated,
 /// which is exactly what `tests_evaluated = logical - saved` charges).
 fn patternset_exposition(shared: &Shared, views: &[SubStatusView]) -> String {
-    let registries: Vec<Arc<SetRegistry>> = shared
-        .channels
-        .lock()
-        .map(|channels| channels.values().map(|c| Arc::clone(&c.registry)).collect())
-        .unwrap_or_default();
     let mut stats = PatternSetStats::default();
-    for registry in registries {
-        stats.absorb(&registry.stats());
+    for channel in shared.all_channels() {
+        stats.absorb(&channel.registry.stats());
     }
     stats.tests_logical = views.iter().map(|v| v.status.predicate_tests).sum();
     stats.tests_evaluated = stats.tests_logical.saturating_sub(stats.tests_saved);
@@ -2426,24 +1315,16 @@ fn patternset_exposition(shared: &Shared, views: &[SubStatusView]) -> String {
 /// Snapshot every live subscription's observable state for the HTTP
 /// endpoints: status (records/skips/trip), queue depth, worker phase.
 fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
-    let handles: Vec<(String, String, Arc<SessionWorker>)> = shared
-        .subs
-        .lock()
-        .map(|subs| {
-            subs.iter()
-                .map(|(id, s)| (id.clone(), s.meta.channel.clone(), Arc::clone(&s.worker)))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut views: Vec<SubStatusView> = handles
-        .into_iter()
-        .filter_map(|(id, channel, worker)| {
-            worker.status().ok().map(|status| SubStatusView {
-                id,
-                channel,
+    let subs: Vec<Arc<Subscription>> = shared.subs().values().cloned().collect();
+    let mut views: Vec<SubStatusView> = subs
+        .iter()
+        .filter_map(|sub| {
+            sub.worker.status().ok().map(|status| SubStatusView {
+                id: sub.id.clone(),
+                channel: sub.meta.channel.clone(),
                 status,
-                queue_depth: worker.queue_depth(),
-                phase: worker.phase_tag().phase().as_str(),
+                queue_depth: sub.worker.queue_depth(),
+                phase: sub.worker.phase_tag().phase().as_str(),
             })
         })
         .collect();
@@ -2458,10 +1339,21 @@ mod tests {
 
     #[test]
     fn schema_spec_round_trip_and_errors() {
-        let schema = parse_schema_spec("name:str,day:int,price:float").unwrap();
-        assert_eq!(schema.arity(), 3);
-        assert!(parse_schema_spec("name").is_err());
-        assert!(parse_schema_spec("name:blob").is_err());
+        // The codec itself is `Schema::parse_spec`/`to_spec`; this pins
+        // what OPEN does with it.
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+        dispatch(shared, 1, "OPEN q name:STR,day:integer,price:double").unwrap();
+        let schema = &shared.channel("q").unwrap().schema;
+        assert_eq!(schema.to_spec(), "name:str,day:int,price:float");
+        assert_eq!(
+            dispatch(shared, 1, "OPEN r name").unwrap_err(),
+            "ERR 2 bad schema entry 'name' (want name:type)"
+        );
+        assert_eq!(
+            dispatch(shared, 1, "OPEN r name:blob").unwrap_err(),
+            "ERR 2 unknown column type 'blob'"
+        );
     }
 
     #[test]
@@ -2623,6 +1515,121 @@ mod tests {
         assert!(reply.starts_with("ERR 3 "), "{reply}");
         let reply = dispatch(shared, 1, "FEED q\nIBM,notaday,50").unwrap_err();
         assert!(reply.starts_with("ERR 3 "), "{reply}");
+    }
+
+    #[test]
+    fn frames_total_counts_frames_not_connection_closes() {
+        let server = Arc::new(Server::bind(ServerConfig::default()).unwrap());
+        let addr = server.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_loop = {
+            let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+            std::thread::spawn(move || server.run_until(&stop).unwrap())
+        };
+        let shared = &server.shared;
+        for round in 1..=3u64 {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut reply = |expect: &str| match crate::frame::read_frame(&mut reader, 1 << 20) {
+                Ok(FrameEvent::Payload(text)) => assert!(text.starts_with(expect), "{text}"),
+                other => panic!("unexpected reply: {other:?}"),
+            };
+            // Four well-formed frames and one malformed one: five frames.
+            for _ in 0..4 {
+                write_frame(&mut stream, "PING").unwrap();
+                reply("OK pong");
+            }
+            stream.write_all(b"3 \xff\xfe\xfd\n").unwrap();
+            reply("ERR 2 ");
+            // Closing is not a frame.  The server sees it asynchronously:
+            // wait until the connection thread has come and gone.
+            stream.shutdown(Shutdown::Both).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !shared.conns.lock().unwrap().is_empty() {
+                assert!(Instant::now() < deadline, "connection never reaped");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let frames = shared.metrics.frames_total.load(Ordering::Relaxed);
+            assert_eq!(frames, 5 * round, "after {round} connection(s)");
+        }
+        // Both HTTP views report the same count (and are not frames).
+        let http_get = |path: &str| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
+            let mut out = String::new();
+            io::Read::read_to_string(&mut stream, &mut out).unwrap();
+            out
+        };
+        let prom = http_get("/metrics");
+        assert!(prom.contains("\nsqlts_server_frames_total 15\n"), "{prom}");
+        let status = http_get("/status");
+        assert!(status.contains("\"frames_total\":15,"), "{status}");
+        stop.store(true, Ordering::SeqCst);
+        accept_loop.join().unwrap();
+    }
+
+    /// FEED and a standby's REPL FRAME share one row validator: whatever
+    /// one refuses as bad input the other refuses with the same class.
+    /// Blank lines are the one difference — FEED strips them before
+    /// validating (and before the WAL), a shipped frame may not have any.
+    #[test]
+    fn feed_and_repl_frame_reject_the_same_bad_rows() {
+        let proot = temp_data_dir("badrows-primary");
+        let sroot = temp_data_dir("badrows-standby");
+        let primary = Server::bind(durable_config(&proot, 64)).unwrap();
+        let standby = Server::bind(ServerConfig {
+            standby: true,
+            ..durable_config(&sroot, 64)
+        })
+        .unwrap();
+        let spec = "name:str,day:int,price:float,on:date";
+        dispatch(&primary.shared, 1, &format!("OPEN q {spec}")).unwrap();
+        dispatch(&standby.shared, 1, &format!("REPL OPEN q {spec}")).unwrap();
+        let repl_frame = |payload: &str| {
+            let (nrows, crc) = (
+                payload.lines().count(),
+                crate::wal::crc32(payload.as_bytes()),
+            );
+            let frame = format!("REPL FRAME q 0 {nrows} {crc:08x}\n{payload}");
+            dispatch(&standby.shared, 1, &frame)
+        };
+        let good = "AAA,1,10.5,1999-01-25";
+        for (what, bad) in [
+            ("too few fields", "AAA,1,10.5"),
+            ("bad int", "AAA,one,10.5,1999-01-25"),
+            ("bad float", "AAA,1,ten,1999-01-25"),
+            ("bad date", "AAA,1,10.5,yesterday"),
+        ] {
+            for payload in [bad.to_string(), format!("{good}\n{bad}")] {
+                let fed = dispatch(&primary.shared, 1, &format!("FEED q\n{payload}")).unwrap_err();
+                assert!(fed.starts_with("ERR 3 "), "{what}: FEED -> {fed}");
+                let shipped = repl_frame(&payload).unwrap_err();
+                assert!(
+                    shipped.starts_with("ERR 3 "),
+                    "{what}: REPL FRAME -> {shipped}"
+                );
+            }
+        }
+        let rejected = &standby.shared.metrics.repl_rejected_frames_total;
+        assert_eq!(rejected.load(Ordering::Relaxed), 8);
+        // A blank interior line: the standby refuses the frame, FEED
+        // feeds the two rows around it and logs exactly those.
+        let spaced = format!("{good}\n\nAAA,2,11.5,1999-01-26");
+        let shipped = repl_frame(&spaced).unwrap_err();
+        assert!(shipped.starts_with("ERR 3 "), "{shipped}");
+        let fed = dispatch(&primary.shared, 1, &format!("FEED q\n\n{spaced}\n\n")).unwrap();
+        assert_eq!(fed, "OK fed 2 subs=0 rejected=0");
+        let scan = scan_wal(&proot.join("channels").join("q.wal")).unwrap();
+        assert_eq!(scan.frames.len(), 1, "rejected frames never reach the WAL");
+        assert_eq!(scan.frames[0].payload, spaced.replace("\n\n", "\n"));
+        // Nothing bad reached the standby's log either, and what FEED
+        // logged is exactly what the standby accepts.
+        assert_eq!(standby.shared.channel("q").unwrap().rows_total(), 0);
+        let acked = repl_frame(&scan.frames[0].payload).unwrap();
+        assert_eq!(acked, "OK repl ack q 2");
+        drop((primary, standby));
+        let _ = std::fs::remove_dir_all(&proot);
+        let _ = std::fs::remove_dir_all(&sroot);
     }
 
     // ------------------------------------------------------------------

@@ -123,41 +123,51 @@ fn injected_fsync_failure_fails_every_feeder_in_a_group_commit_batch() {
 fn injected_replay_failure_is_a_typed_runtime_error() {
     let _guard = lock();
     use sqlts_core::{SessionWorker, SessionWorkerConfig};
-    use sqlts_server::recover::{replay_channel, ReplaySub, ServeError};
-    use sqlts_server::wal::WalFrame;
+    use sqlts_server::{DataDir, ServeError, Server, ServerConfig, SubMeta};
 
-    let schema = sqlts_relation::Schema::new([
-        ("name", sqlts_relation::ColumnType::Str),
-        ("day", sqlts_relation::ColumnType::Int),
-        ("price", sqlts_relation::ColumnType::Float),
-    ])
-    .unwrap();
+    // A data dir as a crashed server leaves it: one channel whose WAL
+    // holds a frame the subscription's checkpoint has not seen.
+    let root = temp_path("replay-dir");
+    let _ = std::fs::remove_dir_all(&root);
+    let schema = sqlts_relation::Schema::parse_spec("name:str,day:int,price:float").unwrap();
     let sql = "SELECT X.name FROM q CLUSTER BY name SEQUENCE BY day AS (X, Z) \
                WHERE Z.price < X.price";
-    let worker = SessionWorker::spawn(SessionWorkerConfig::new("fp", sql, schema.clone())).unwrap();
-    let frames = vec![WalFrame {
-        start: 0,
-        nrows: 1,
-        payload: "AAA,1,10.0".into(),
-    }];
+    {
+        let data = DataDir::lock(&root).unwrap();
+        data.save_channel("q", &schema).unwrap();
+        let mut wal = ChannelWal::create(&data.wal_path("q"), FsyncPolicy::Off).unwrap();
+        wal.append("AAA,1,10.0", 1).unwrap();
+        let fresh = SessionWorker::spawn(SessionWorkerConfig::new("fp", sql, schema)).unwrap();
+        let meta = SubMeta {
+            channel: "q".into(),
+            base_rows: 0,
+            base_records: 0,
+            sql: sql.into(),
+        };
+        data.save_sub_meta("fp", &meta).unwrap();
+        data.save_sub_checkpoint("fp", &fresh.snapshot().unwrap())
+            .unwrap();
+    }
+    let config = ServerConfig {
+        data_dir: Some(root.clone()),
+        fsync: FsyncPolicy::Off,
+        ..ServerConfig::default()
+    };
     failpoints::configure("recover::replay", FailAction::InjectError);
-    let mut subs = [ReplaySub {
-        id: "fp",
-        resume_ordinal: 0,
-        worker: &worker,
-    }];
-    let err = replay_channel("q", &schema, &frames, &mut subs).unwrap_err();
+    let err = match Server::bind(config.clone()) {
+        Err(e) => e,
+        Ok(_) => panic!("recovery must surface the injected replay failure"),
+    };
     failpoints::reset();
     assert!(matches!(err, ServeError::Runtime(_)), "{err:?}");
     assert_eq!(err.exit_code(), 4);
-    // The worker is still healthy: the failure was injected before any
-    // row was delivered.
-    let mut subs = [ReplaySub {
-        id: "fp",
-        resume_ordinal: 0,
-        worker: &worker,
-    }];
-    let stats = replay_channel("q", &schema, &frames, &mut subs).unwrap();
-    assert_eq!(stats.rows_replayed, 1);
-    worker.finish().unwrap();
+    // The subscription is still healthy: the failure was injected before
+    // any row was delivered and nothing durable moved, so the next
+    // recovery respawns it and replays the frame.
+    let server = Server::bind(config).unwrap();
+    let report = server.recovery().unwrap();
+    assert_eq!(report.subscriptions, 1, "{report:?}");
+    assert_eq!((report.rows_replayed, report.rows_rejected), (1, 0));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
 }
