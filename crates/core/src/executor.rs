@@ -10,7 +10,7 @@ use sqlts_lang::{
     LangError,
 };
 use sqlts_relation::{Cluster, Schema, Table, TableError, Value};
-use sqlts_trace::{ClusterProfile, ClusterRecorder, ExecutionProfile, TraceEvent};
+use sqlts_trace::{ClusterProfile, ClusterRecorder, ExecutionProfile, PhaseNanos, TraceEvent};
 use std::borrow::Cow;
 use std::fmt;
 use std::num::NonZeroUsize;
@@ -441,6 +441,8 @@ pub(crate) fn run_batch(
 ) -> (Vec<Result<QueryResult, ExecError>>, (u64, u64)) {
     let cluster_cols: Vec<&str> = queries[0].cluster_by.iter().map(String::as_str).collect();
     let sequence_cols: Vec<&str> = queries[0].sequence_by.iter().map(String::as_str).collect();
+    let mut phases = PhaseNanos::default();
+    let t_partition = options.instrument.armed().then(Instant::now);
     let clusters = match table.cluster_by(&cluster_cols, &sequence_cols) {
         Ok(clusters) => clusters,
         Err(e) => {
@@ -448,6 +450,7 @@ pub(crate) fn run_batch(
             return (failed.collect(), (0, 0));
         }
     };
+    phases.partition = t_partition.map_or(0, |t| t.elapsed().as_nanos() as u64);
     // A query whose preparation fails keeps its slot (and its memo
     // position) but takes no part in the scan.
     let prepared: Vec<Result<Member<'_>, TableError>> = queries
@@ -466,7 +469,7 @@ pub(crate) fn run_batch(
     };
     let t_exec = options.instrument.armed().then(Instant::now);
     let units = job.run();
-    let exec_ns = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    phases.execute = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
     // Transpose to per-member cluster runs, summing the memo counters in
     // cluster order (deterministic for every thread count).
@@ -490,7 +493,7 @@ pub(crate) fn run_batch(
             let member = member.as_ref().map_err(|e| ExecError::Table(e.clone()))?;
             let runs = per_member.next().expect("one run list per live member");
             let keyed = clusters.iter().map(Cluster::key).zip(runs);
-            match merge_clusters(member, options, exec_ns, keyed)? {
+            match merge_clusters(member, options, phases, keyed)? {
                 (result, None) => Ok(result),
                 (partial, Some(trip)) => Err(ExecError::Governed {
                     trip,
@@ -508,11 +511,12 @@ pub(crate) fn run_batch(
 /// This is the only cluster-outcome merge — batch, pattern-set and
 /// streamed runs all end here — and the governor's trip, if any, is handed
 /// back beside the (then partial) result for the caller to wrap in its own
-/// error type.
+/// error type.  `phases` carries the caller's `partition` and `execute`
+/// wall clock (both 0 for a streamed run, which has no such phases).
 pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
     member: &Member<'_>,
     options: &ExecOptions,
-    exec_ns: u64,
+    phases: PhaseNanos,
     runs: impl IntoIterator<Item = (K, ClusterRun)>,
 ) -> Result<(QueryResult, Option<Trip>), TableError> {
     let mut table = Table::new(member.schema.clone());
@@ -560,8 +564,10 @@ pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
         }
     }
     if let Some(profile) = profile.as_deref_mut() {
-        profile.phases.plan = member.plan_ns;
-        profile.phases.execute = exec_ns;
+        profile.phases = PhaseNanos {
+            plan: member.plan_ns,
+            ..phases
+        };
         profile.optimizer = Some(crate::explain::optimizer_report(&member.query));
     }
     let result = QueryResult {

@@ -54,12 +54,13 @@ use crate::reverse::Direction;
 use sqlts_lang::{
     eval_projection, Bindings, BoolExpr, CompiledQuery, EvalCtx, FieldRef, ScalarExpr,
 };
-use sqlts_relation::{Cluster, Date, Table, TableError, Value};
+use sqlts_relation::{Cluster, Date, RowKey, Table, TableError, Value};
 use sqlts_trace::{
-    BoundedHistogram, ClusterMetrics, ClusterRecorder, RingBuffer, TraceEvent, TraceSink,
-    TripCause, HIST_BUCKETS,
+    BoundedHistogram, ClusterMetrics, ClusterRecorder, PhaseNanos, RingBuffer, TraceEvent,
+    TraceSink, TripCause, HIST_BUCKETS,
 };
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -275,6 +276,67 @@ fn render_row(row: &[Value]) -> String {
         .join(",")
 }
 
+/// A cluster's owned `CLUSTER BY` key, as the session's registry keeps it.
+/// The registry can be probed with the key columns of an arriving row where
+/// they lie (a [`RowKey`], through [`KeyView`]), so only a cluster's first
+/// row pays for an owned key.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct ClusterKey(Vec<Value>);
+
+/// What an owned [`ClusterKey`] and a borrowed [`RowKey`] have in common:
+/// the unsized probe type `BTreeMap<ClusterKey, _>` is searched by.
+trait KeyView {
+    fn len(&self) -> usize;
+    fn at(&self, i: usize) -> &Value;
+}
+
+impl KeyView for ClusterKey {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn at(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
+
+impl KeyView for RowKey<'_> {
+    fn len(&self) -> usize {
+        RowKey::len(self)
+    }
+    fn at(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for ClusterKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Lexicographic, like the derived order of [`ClusterKey`] and the order
+/// of [`RowKey`] — `Borrow` requires them to agree.
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ours = (0..self.len()).map(|i| self.at(i));
+        ours.cmp((0..other.len()).map(|i| other.at(i)))
+    }
+}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
 /// One cluster's live streaming state: the buffered window, the resumable
 /// engine machine, its private counter, matches waiting for projection
 /// lookahead, and the rows already projected.
@@ -311,7 +373,7 @@ pub struct StreamSession<'q> {
     margins: Margins,
     cluster_idx: Vec<usize>,
     sequence_idx: Vec<usize>,
-    clusters: BTreeMap<Vec<Value>, ClusterStream>,
+    clusters: BTreeMap<ClusterKey, ClusterStream>,
     records: u64,
     skipped: u64,
     pressure_trips: u64,
@@ -345,14 +407,8 @@ impl<'q> StreamSession<'q> {
                 "reverse/auto scan direction needs the end of the stream first".into(),
             ));
         }
-        let mut cluster_idx = Vec::with_capacity(query.cluster_by.len());
-        for name in &query.cluster_by {
-            cluster_idx.push(query.schema.require(name)?);
-        }
-        let mut sequence_idx = Vec::with_capacity(query.sequence_by.len());
-        for name in &query.sequence_by {
-            sequence_idx.push(query.schema.require(name)?);
-        }
+        let cluster_idx = query.schema.require_all(&query.cluster_by)?;
+        let sequence_idx = query.schema.require_all(&query.sequence_by)?;
         let margins = margins_of(&query);
         let member = Member::prepare(query, Direction::Forward, &options.exec)?;
         let search_options = SearchOptions {
@@ -389,7 +445,7 @@ impl<'q> StreamSession<'q> {
     pub(crate) fn install_shared(&mut self, join: crate::patternset::SharedJoin) {
         for (key, cs) in self.clusters.iter_mut() {
             let counter = std::mem::take(&mut cs.counter);
-            cs.counter = counter.with_shared(join.handle_for(key));
+            cs.counter = counter.with_shared(join.handle_for(&key.0));
         }
         self.shared = Some(join);
     }
@@ -556,25 +612,24 @@ impl<'q> StreamSession<'q> {
                 return self.reject("failpoint 'stream::feed' injected error".into(), rendered);
             }
         }
+        // The one schema check this tuple gets: everything below indexes it
+        // by column and stores it as validated.
         if let Err(e) = self.member.query.schema.validate_row(&row) {
             let rendered = render_row(&row);
             return self.reject(e.to_string(), rendered);
         }
-        let key: Vec<Value> = self.cluster_idx.iter().map(|&c| row[c].clone()).collect();
-        let seq: Vec<Value> = self.sequence_idx.iter().map(|&c| row[c].clone()).collect();
-        if let Some(cs) = self.clusters.get(&key) {
-            if let Some(last) = &cs.last_seq {
-                if seq < *last {
-                    let rendered = render_row(&row);
-                    return self.reject(
-                        format!(
-                            "out-of-order SEQUENCE BY key ({}) in cluster ({})",
-                            render_key(&seq),
-                            render_key(&key)
-                        ),
-                        rendered,
-                    );
-                }
+        let key = RowKey::new(&row, &self.cluster_idx);
+        let seq = RowKey::new(&row, &self.sequence_idx);
+        let found = self.clusters.get_mut(&key as &dyn KeyView);
+        if let Some(last) = found.as_ref().and_then(|cs| cs.last_seq.as_ref()) {
+            if seq.values().lt(last) {
+                let reason = format!(
+                    "out-of-order SEQUENCE BY key ({}) in cluster ({})",
+                    render_key(&seq.to_vec()),
+                    render_key(&key.to_vec())
+                );
+                let rendered = render_row(&row);
+                return self.reject(reason, rendered);
             }
         }
         if let Some(log) = &mut self.log {
@@ -582,20 +637,25 @@ impl<'q> StreamSession<'q> {
                 i: self.records as u32,
             });
         }
-        if !self.clusters.contains_key(&key) {
-            let fresh = self.new_cluster(&key);
-            self.clusters.insert(key.clone(), fresh);
+        let cs = match found {
+            Some(cs) => cs,
+            None => {
+                let key = key.to_vec();
+                let fresh = self.new_cluster(&key);
+                self.clusters.entry(ClusterKey(key)).or_insert(fresh)
+            }
+        };
+        match &mut cs.last_seq {
+            Some(last) if last.len() == seq.len() => {
+                for (held, arrived) in last.iter_mut().zip(seq.values()) {
+                    held.clone_from(arrived);
+                }
+            }
+            last => *last = Some(seq.to_vec()),
         }
         let bytes = row_bytes(&row);
-        let Some(cs) = self.clusters.get_mut(&key) else {
-            // Unreachable (the key was ensured above); degrade to the
-            // bad-tuple path rather than panicking inside `feed`.
-            let rendered = render_row(&row);
-            return self.reject("internal: cluster registry lost a key".into(), rendered);
-        };
-        cs.buf.push_row(row)?;
+        cs.buf.push_validated(row);
         cs.bytes += bytes;
-        cs.last_seq = Some(seq);
         self.window_bytes += bytes;
         let outcome = drive(
             &self.member.query,
@@ -640,7 +700,7 @@ impl<'q> StreamSession<'q> {
                 self.feeds_since_prune = 0;
                 if let Some(shared) = &self.shared {
                     for (key, cs) in &self.clusters {
-                        shared.prune_below(key, cs.base as u64);
+                        shared.prune_below(&key.0, cs.base as u64);
                     }
                 }
             }
@@ -733,7 +793,7 @@ impl<'q> StreamSession<'q> {
             .clusters
             .iter()
             .map(|(key, cs)| ClusterCheckpoint {
-                key: key.clone(),
+                key: key.0.clone(),
                 base: cs.base,
                 rows: cs.buf.rows().map(<[Value]>::to_vec).collect(),
                 last_seq: cs.last_seq.clone(),
@@ -817,7 +877,7 @@ impl<'q> StreamSession<'q> {
             counter.restore_total(cc.counter_total);
             self.window_bytes += bytes;
             self.clusters.insert(
-                cc.key,
+                ClusterKey(cc.key),
                 ClusterStream {
                     buf,
                     base: cc.base,
@@ -878,10 +938,15 @@ impl<'q> StreamSession<'q> {
             let tuples = (cs.base + cs.buf.len()) as u64;
             let outcome =
                 ClusterOutcome::close(cs.counter, self.member.run.as_ref(), tuples, cs.rows);
-            runs.push((key, ClusterRun::Done(outcome)));
+            runs.push((key.0, ClusterRun::Done(outcome)));
         }
-        // A streamed run has no separate execute phase to time.
-        match merge_clusters(&self.member, &self.options.exec, 0, runs)? {
+        // A streamed run has no separate partition or execute phase to time.
+        match merge_clusters(
+            &self.member,
+            &self.options.exec,
+            PhaseNanos::default(),
+            runs,
+        )? {
             (result, None) => Ok(result),
             (partial, Some(trip)) => Err(StreamError::Governed {
                 trip,
@@ -1943,6 +2008,191 @@ mod tests {
                 Value::Float(100.0),
             ])
             .unwrap();
+    }
+
+    /// Quotes on two venues: the cluster key is `(name, venue)`, columns
+    /// 0 and 2, with the sequence column between them.
+    fn venue_schema() -> Schema {
+        Schema::new([
+            ("name", ColumnType::Str),
+            ("day", ColumnType::Int),
+            ("venue", ColumnType::Int),
+            ("price", ColumnType::Float),
+        ])
+        .unwrap()
+    }
+
+    const VENUE_QUERY: &str = "SELECT X.name, X.venue, Z.day AS day FROM quote \
+                               CLUSTER BY name, venue SEQUENCE BY day AS (X, *Y, Z) \
+                               WHERE Y.price > Y.previous.price AND Z.price < Z.previous.price";
+
+    fn venue_row(name: &str, day: i64, venue: i64, price: f64) -> Vec<Value> {
+        vec![
+            Value::Str(name.into()),
+            Value::Int(day),
+            Value::Int(venue),
+            Value::Float(price),
+        ]
+    }
+
+    #[test]
+    fn streamed_equals_batch_with_a_two_column_non_adjacent_cluster_key() {
+        let query = compile(VENUE_QUERY, &venue_schema(), &CompileOptions::default()).unwrap();
+        // Four clusters interleaved day by day; each (name, venue) pair
+        // zig-zags on its own phase.
+        let mut rows = Vec::new();
+        for day in 0..40i64 {
+            for (name, venue, phase) in [("AAA", 1, 0), ("BBB", 1, 2), ("AAA", 2, 4), ("BBB", 2, 5)]
+            {
+                let wave = ((day + phase) % 7) as f64;
+                rows.push(venue_row(name, day, venue, 100.0 + 3.0 * wave));
+            }
+        }
+        let mut table = Table::new(venue_schema());
+        for row in &rows {
+            table.push_row(row.clone()).unwrap();
+        }
+        for engine in all_engines() {
+            let opts = stream_opts(engine);
+            let batch = execute(&query, &table, &opts.exec).unwrap();
+            assert_eq!(batch.stats.clusters, 4);
+            assert!(batch.stats.matches > 0);
+            let mut session = StreamSession::new(&query, opts).unwrap();
+            for row in &rows {
+                session.feed(row.clone()).unwrap();
+            }
+            let streamed = session.finish().unwrap();
+            assert_eq!(
+                table_rows(&streamed.table),
+                table_rows(&batch.table),
+                "{engine:?} rows"
+            );
+            assert_eq!(streamed.stats, batch.stats, "{engine:?} stats");
+            let (sp, bp) = (streamed.profile.unwrap(), batch.profile.unwrap());
+            assert_eq!(sp.clusters, bp.clusters, "{engine:?} cluster profiles");
+        }
+    }
+
+    #[test]
+    fn owned_borrowed_and_probe_keys_order_alike() {
+        // The registry is keyed by `ClusterKey`, probed through `dyn
+        // KeyView` with a `RowKey`: the three orders must be one order.
+        let rows = [
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Int(10), Value::from("a")],
+            vec![Value::Float(10.0), Value::from("b")],
+            vec![Value::Float(9.5), Value::from("b")],
+            vec![Value::from("x"), Value::Null],
+        ];
+        // Key column lists, the prefix of another among them.
+        let shapes: [&[usize]; 4] = [&[], &[0], &[0, 1], &[1, 0]];
+        for a in &rows {
+            for b in &rows {
+                for cols_a in shapes {
+                    for cols_b in shapes {
+                        let (ra, rb) = (RowKey::new(a, cols_a), RowKey::new(b, cols_b));
+                        let (oa, ob) = (ClusterKey(ra.to_vec()), ClusterKey(rb.to_vec()));
+                        let want = oa.cmp(&ob);
+                        let context = format!("{oa:?} vs {ob:?}");
+                        assert_eq!(ra.cmp(&rb), want, "RowKey {context}");
+                        let probes: [(&dyn KeyView, &dyn KeyView); 3] =
+                            [(&ra, &rb), (&ra, &ob), (&oa, &rb)];
+                        for (x, y) in probes {
+                            assert_eq!(x.cmp(y), want, "dyn KeyView {context}");
+                            assert_eq!(x == y, want.is_eq(), "dyn KeyView {context}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(ClusterKey(vec![Value::Int(10)]) == ClusterKey(vec![Value::Float(10.0)]));
+        assert!(ClusterKey(vec![Value::Int(10)]) < ClusterKey(vec![Value::Int(10), Value::Null]));
+    }
+
+    #[test]
+    fn out_of_order_reject_text_is_pinned() {
+        // One-column key.
+        let query = compiled(QUERY);
+        let mut session = StreamSession::new(&query, stream_opts(EngineKind::Ops)).unwrap();
+        let row = |day: i64| {
+            vec![
+                Value::Str("AAA".into()),
+                Value::Int(day),
+                Value::Float(100.5),
+            ]
+        };
+        session.feed(row(5)).unwrap();
+        let err = session.feed(row(3)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad tuple at record 2: out-of-order SEQUENCE BY key (3) in cluster (AAA) \
+             (AAA,3,100.5)"
+        );
+        // An equal key is in order; the rejected row left no trace.
+        session.feed(row(5)).unwrap();
+        assert_eq!(session.records(), 3);
+
+        // Two-column key.
+        let query = compile(VENUE_QUERY, &venue_schema(), &CompileOptions::default()).unwrap();
+        let mut session = StreamSession::new(&query, stream_opts(EngineKind::Ops)).unwrap();
+        session.feed(venue_row("AAA", 5, 2, 100.0)).unwrap();
+        // Same name on another venue is another cluster: any day goes.
+        session.feed(venue_row("AAA", 1, 1, 100.0)).unwrap();
+        let err = session.feed(venue_row("AAA", 4, 2, 99.0)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad tuple at record 3: out-of-order SEQUENCE BY key (4) in cluster (AAA, 2) \
+             (AAA,4,2,99.0)"
+        );
+    }
+
+    #[test]
+    fn quarantined_rows_are_pinned() {
+        // The row is validated once, before admission; the records a bad
+        // row leaves behind must read exactly as they always have.
+        let query = compiled(QUERY);
+        let mut opts = stream_opts(EngineKind::Ops);
+        opts.bad_tuple = BadTuplePolicy::Quarantine { cap: 4 };
+        let mut session = StreamSession::new(&query, opts).unwrap();
+        session
+            .feed(vec![
+                Value::Str("AAA".into()),
+                Value::Int(1),
+                Value::Float(100.0),
+            ])
+            .unwrap();
+        session
+            .feed(vec![
+                Value::Str("AAA".into()),
+                Value::Str("soon".into()),
+                Value::Float(1.0),
+            ])
+            .unwrap();
+        session
+            .feed(vec![Value::Str("AAA".into()), Value::Int(2)])
+            .unwrap();
+        session
+            .feed(vec![Value::Str("AAA".into()), Value::Int(0), Value::Null])
+            .unwrap();
+        let parked: Vec<String> = session.quarantine().iter().map(|b| b.to_string()).collect();
+        assert_eq!(
+            parked,
+            [
+                "record 2: value soon does not fit column day of type INT (AAA,soon,1.0)",
+                "record 3: row has 2 values, schema has 3 columns (AAA,2)",
+                "record 4: out-of-order SEQUENCE BY key (0) in cluster (AAA) (AAA,0,NULL)",
+            ]
+        );
+        // None of them reached the window or moved the order high-water mark.
+        session
+            .feed(vec![
+                Value::Str("AAA".into()),
+                Value::Int(1),
+                Value::Float(99.0),
+            ])
+            .unwrap();
+        let result = session.finish().unwrap();
+        assert_eq!(result.stats.tuples, 2);
     }
 
     #[test]

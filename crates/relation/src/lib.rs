@@ -16,7 +16,10 @@
 //! * CSV import/export (the DJIA workloads and the examples ship as CSV);
 //! * [`Table::cluster_by`] — the `CLUSTER BY` + `SEQUENCE BY` pipeline,
 //!   producing [`Cluster`] views whose row order is the stream order the
-//!   pattern engines consume.
+//!   pattern engines consume;
+//! * [`RowKey`] — a row's key columns compared in place, which is how the
+//!   pipeline (and a streaming session admitting one tuple at a time)
+//!   finds a row's cluster without building a key per row.
 
 mod csv;
 mod date;
@@ -27,5 +30,5 @@ mod value;
 
 pub use csv::{parse_headerless_row, CsvError, CsvRecords};
 pub use date::Date;
-pub use table::{Cluster, Column, Schema, Table, TableError};
+pub use table::{Cluster, Column, RowKey, Schema, Table, TableError};
 pub use value::{ColumnType, Value};

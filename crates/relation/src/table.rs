@@ -1,6 +1,7 @@
 //! [`Schema`], [`Table`] and the `CLUSTER BY` / `SEQUENCE BY` pipeline.
 
 use crate::value::{ColumnType, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -150,6 +151,11 @@ impl Schema {
             .ok_or_else(|| TableError::NoSuchColumn(name.to_string()))
     }
 
+    /// [`Schema::require`] for each of `names`, in order.
+    pub fn require_all<S: AsRef<str>>(&self, names: &[S]) -> Result<Vec<usize>, TableError> {
+        names.iter().map(|n| self.require(n.as_ref())).collect()
+    }
+
     /// Validate a row's arity and column types without storing it (the
     /// same checks [`Table::push_row`] applies).
     pub fn validate_row(&self, row: &[Value]) -> Result<(), TableError> {
@@ -232,6 +238,18 @@ impl Table {
         &self.rows[row][col]
     }
 
+    /// Append a row the caller has already passed through
+    /// [`Schema::validate_row`] for this table's schema.  Only for the
+    /// streaming admit path, which checks each tuple once, before it
+    /// decides where the tuple goes; everyone else wants
+    /// [`Table::push_row`].  A release build does not re-check, and a row
+    /// of the wrong shape breaks every later `row[c]`.
+    #[doc(hidden)]
+    pub fn push_validated(&mut self, row: Vec<Value>) {
+        debug_assert!(self.schema.validate_row(&row).is_ok());
+        self.rows.push(row);
+    }
+
     /// Partition the table per `CLUSTER BY` and order each partition per
     /// `SEQUENCE BY` (§2 of the paper, Figure 1).
     ///
@@ -241,42 +259,138 @@ impl Table {
     ///   cluster; the sort is stable, so input order breaks ties.
     ///
     /// Clusters are returned ordered by their keys so output is
-    /// deterministic.
+    /// deterministic.  A cluster's key is taken from its first row in
+    /// table order, so when `Int(10)` and `Float(10.0)` (equal values)
+    /// meet in one cluster the earlier spelling names it.
+    ///
+    /// One pass, no allocation per row: keys are compared where they lie
+    /// ([`RowKey`]); a row with the previous row's key costs one key
+    /// comparison and no lookup; and a cluster is sorted only if some row
+    /// arrived below its predecessor.  A table stored in `CLUSTER BY`,
+    /// `SEQUENCE BY` order is partitioned in O(rows + clusters · log
+    /// clusters) comparisons; the worst case adds a map lookup per row
+    /// and the stable sort of the clusters that need one.
     pub fn cluster_by(
         &self,
         cluster_by: &[&str],
         sequence_by: &[&str],
     ) -> Result<Vec<Cluster<'_>>, TableError> {
-        let cluster_cols: Vec<usize> = cluster_by
-            .iter()
-            .map(|c| self.schema.require(c))
-            .collect::<Result<_, _>>()?;
-        let sequence_cols: Vec<usize> = sequence_by
-            .iter()
-            .map(|c| self.schema.require(c))
-            .collect::<Result<_, _>>()?;
+        let cluster_cols = self.schema.require_all(cluster_by)?;
+        let sequence_cols = self.schema.require_all(sequence_by)?;
+        let cluster_key = |i: usize| RowKey::new(&self.rows[i], &cluster_cols);
+        let sequence_key = |i: usize| RowKey::new(&self.rows[i], &sequence_cols);
 
-        let mut groups: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            let key: Vec<Value> = cluster_cols.iter().map(|&c| row[c].clone()).collect();
-            groups.entry(key).or_default().push(i);
+        /// One cluster under construction.
+        struct Group {
+            /// Its rows, in table order.
+            indices: Vec<usize>,
+            /// Is table order still `SEQUENCE BY` order?
+            sorted: bool,
         }
-        Ok(groups
+        let mut groups: Vec<Group> = Vec::new();
+        // Finds a cluster's slot in `groups` by the key of its first row.
+        let mut slots: BTreeMap<RowKey<'_>, usize> = BTreeMap::new();
+        // The previous row's slot.
+        let mut previous: Option<usize> = None;
+        for i in 0..self.rows.len() {
+            let key = cluster_key(i);
+            let slot = match previous {
+                Some(slot) if cluster_key(groups[slot].indices[0]) == key => slot,
+                // The run ended (or none began): find the cluster, or open it.
+                _ => *slots.entry(key).or_insert_with(|| {
+                    groups.push(Group {
+                        indices: Vec::new(),
+                        sorted: true,
+                    });
+                    groups.len() - 1
+                }),
+            };
+            let group = &mut groups[slot];
+            if let Some(&last) = group.indices.last() {
+                group.sorted = group.sorted && sequence_key(last) <= sequence_key(i);
+            }
+            group.indices.push(i);
+            previous = Some(slot);
+        }
+        Ok(slots
             .into_iter()
-            .map(|(key, mut indices)| {
-                indices.sort_by(|&a, &b| {
-                    let ka = sequence_cols.iter().map(|&c| &self.rows[a][c]);
-                    let kb = sequence_cols.iter().map(|&c| &self.rows[b][c]);
-                    ka.cmp(kb)
-                });
+            .map(|(first_row, slot)| {
+                let mut indices = std::mem::take(&mut groups[slot].indices);
+                if !groups[slot].sorted {
+                    indices.sort_by_key(|&i| sequence_key(i));
+                }
                 Cluster {
                     table: self,
-                    key,
-                    row_indices: indices,
-                    base: 0,
+                    key: first_row.to_vec(),
+                    order: Order::Indexed(indices),
                 }
             })
             .collect())
+    }
+}
+
+/// The values of one row at a fixed list of columns: a `CLUSTER BY` or
+/// `SEQUENCE BY` key compared where it lies, with no `Vec<Value>` built.
+/// Orders and equals exactly as the key [`RowKey::to_vec`] builds would
+/// (lexicographically, by [`Value`]'s total order).
+#[derive(Clone, Copy, Debug)]
+pub struct RowKey<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl<'a> RowKey<'a> {
+    /// The key of `row` at column indices `cols` (each must be in range
+    /// for `row`; a schema-validated row and [`Schema::require`]d
+    /// indices are).
+    pub fn new(row: &'a [Value], cols: &'a [usize]) -> RowKey<'a> {
+        RowKey { row, cols }
+    }
+
+    /// Number of key columns.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// `true` iff the key has no columns (every row then has the same key).
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
+    /// The `i`-th key value.
+    pub fn get(&self, i: usize) -> &'a Value {
+        &self.row[self.cols[i]]
+    }
+
+    /// The key values in column-list order.
+    pub fn values(&self) -> impl Iterator<Item = &'a Value> + 'a {
+        let row = self.row;
+        self.cols.iter().map(move |&c| &row[c])
+    }
+
+    /// An owned copy of the key.
+    pub fn to_vec(&self) -> Vec<Value> {
+        self.values().cloned().collect()
+    }
+}
+
+impl PartialEq for RowKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for RowKey<'_> {}
+
+impl PartialOrd for RowKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RowKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
     }
 }
 
@@ -288,24 +402,31 @@ impl Table {
 pub struct Cluster<'a> {
     table: &'a Table,
     key: Vec<Value>,
-    row_indices: Vec<usize>,
-    /// Stream position of the first buffered row.  0 for batch clusters;
-    /// a streaming session raises it as it compacts its window, so stream
+    order: Order,
+}
+
+/// Which table row sits at which stream position.
+#[derive(Clone)]
+enum Order {
+    /// A batch cluster: the table row index of every stream position.
+    Indexed(Vec<usize>),
+    /// A streaming window: table row `r` is stream position `base + r`.
+    /// The session raises `base` as it compacts the window, so stream
     /// positions stay absolute while only `len() - base` rows are held.
-    base: usize,
+    Window { base: usize },
 }
 
 impl<'a> Cluster<'a> {
     /// A bounded-window view for streaming: `table` holds the rows at
     /// stream positions `base..base + table.len()` in arrival order;
     /// positions below `base` have been compacted away and must not be
-    /// accessed.
+    /// accessed.  The view is a range over `table`: building it costs
+    /// nothing per row.
     pub fn windowed(table: &'a Table, key: Vec<Value>, base: usize) -> Cluster<'a> {
         Cluster {
             table,
             key,
-            row_indices: (0..table.len()).collect(),
-            base,
+            order: Order::Window { base },
         }
     }
 
@@ -314,10 +435,22 @@ impl<'a> Cluster<'a> {
         &self.key
     }
 
+    /// Stream position of the first buffered row: 0 unless this is a
+    /// compacted window.
+    fn base(&self) -> usize {
+        match self.order {
+            Order::Indexed(_) => 0,
+            Order::Window { base } => base,
+        }
+    }
+
     /// Number of rows in the stream (for a windowed cluster this counts
     /// the compacted prefix too: positions are absolute).
     pub fn len(&self) -> usize {
-        self.base + self.row_indices.len()
+        match &self.order {
+            Order::Indexed(indices) => indices.len(),
+            Order::Window { base } => base + self.table.len(),
+        }
     }
 
     /// `true` iff the cluster is empty (cannot happen for clusters produced
@@ -329,18 +462,23 @@ impl<'a> Cluster<'a> {
     /// The `pos`-th row of the stream (0-based; panics below a windowed
     /// cluster's base).
     pub fn get(&self, pos: usize) -> &'a [Value] {
-        self.table.row(self.row_indices[pos - self.base])
+        self.table.row(self.table_index(pos))
     }
 
     /// The underlying table row index of stream position `pos`.
     pub fn table_index(&self, pos: usize) -> usize {
-        self.row_indices[pos - self.base]
+        match &self.order {
+            Order::Indexed(indices) => indices[pos],
+            Order::Window { base } => pos
+                .checked_sub(*base)
+                .expect("position below the window base"),
+        }
     }
 
     /// Iterate the buffered rows in stream order (everything for a batch
     /// cluster; the retained window for a windowed one).
     pub fn iter(&self) -> impl Iterator<Item = &'a [Value]> + '_ {
-        self.row_indices.iter().map(move |&i| self.table.row(i))
+        (self.base()..self.len()).map(move |pos| self.get(pos))
     }
 
     /// The table this cluster views.
@@ -349,15 +487,23 @@ impl<'a> Cluster<'a> {
     }
 
     /// A view of this cluster with the stream order reversed (used by the
-    /// reverse-direction search of the paper's §8).  Not meaningful for
-    /// windowed clusters.
+    /// reverse-direction search of the paper's §8).
+    ///
+    /// # Panics
+    /// On a window whose prefix has been compacted away: the reversed
+    /// stream would silently lack its tail.  (Streaming sessions refuse
+    /// reverse scans up front, so reaching this is a bug in the caller.)
     pub fn reversed(&self) -> Cluster<'a> {
-        debug_assert_eq!(self.base, 0, "cannot reverse a windowed cluster");
+        assert_eq!(self.base(), 0, "cannot reverse a compacted window");
         Cluster {
             table: self.table,
             key: self.key.clone(),
-            row_indices: self.row_indices.iter().rev().copied().collect(),
-            base: 0,
+            order: Order::Indexed(
+                (0..self.len())
+                    .rev()
+                    .map(|pos| self.table_index(pos))
+                    .collect(),
+            ),
         }
     }
 }
@@ -573,5 +719,252 @@ mod tests {
         assert_eq!(t.row(tbl_idx)[2], Value::from(81.0));
         assert!(format!("{ibm:?}").contains("rows=3"));
         assert_eq!(ibm.table().len(), 6);
+    }
+
+    /// The table row index at every stream position of `cluster`.
+    fn table_indices(cluster: &Cluster<'_>) -> Vec<usize> {
+        (0..cluster.len())
+            .map(|pos| cluster.table_index(pos))
+            .collect()
+    }
+
+    #[test]
+    fn windowed_cluster_agrees_with_the_batch_cluster_it_is_a_suffix_of() {
+        let mut full = Table::new(quote_schema());
+        let d = |day| Value::Date(Date::from_ymd(1999, 1, day));
+        for day in 1..=6 {
+            full.push_row(vec![
+                Value::from("IBM"),
+                d(day),
+                Value::from(80.0 + day as f64),
+            ])
+            .unwrap();
+        }
+        let clusters = full.cluster_by(&["name"], &["date"]).unwrap();
+        let batch = &clusters[0];
+        for base in 0..=6 {
+            let mut window = full.clone();
+            window.remove_prefix(base);
+            let w = Cluster::windowed(&window, vec![Value::from("IBM")], base);
+            assert_eq!(w.len(), batch.len(), "positions are absolute");
+            assert_eq!(w.is_empty(), batch.is_empty());
+            assert_eq!(w.key(), batch.key());
+            for pos in base..w.len() {
+                assert_eq!(w.get(pos), batch.get(pos), "base {base} pos {pos}");
+                assert_eq!(w.table_index(pos), batch.table_index(pos) - base);
+            }
+            let held: Vec<&[Value]> = w.iter().collect();
+            let expected: Vec<&[Value]> = batch.iter().skip(base).collect();
+            assert_eq!(held, expected, "base {base}");
+        }
+    }
+
+    #[test]
+    fn reversed_batch_cluster_reverses_the_index_list_and_keeps_the_key() {
+        let t = quotes();
+        let clusters = t.cluster_by(&["name"], &["date"]).unwrap();
+        // IBM sits at table rows 2 (25th), 4 (26th), 0 (27th).
+        assert_eq!(table_indices(&clusters[0]), vec![2, 4, 0]);
+        let rev = clusters[0].reversed();
+        assert_eq!(table_indices(&rev), vec![0, 4, 2]);
+        assert_eq!(rev.key(), clusters[0].key());
+        assert_eq!(rev.len(), 3);
+        assert_eq!(rev.get(0)[2], Value::from(84.0));
+        assert_eq!(table_indices(&rev.reversed()), vec![2, 4, 0]);
+    }
+
+    #[test]
+    fn reversed_works_on_an_uncompacted_window() {
+        let t = quotes();
+        let rev = Cluster::windowed(&t, Vec::new(), 0).reversed();
+        assert_eq!(table_indices(&rev), vec![5, 4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot reverse a compacted window")]
+    fn reversed_refuses_a_compacted_window() {
+        let mut t = quotes();
+        t.remove_prefix(2);
+        let _ = Cluster::windowed(&t, Vec::new(), 2).reversed();
+    }
+
+    #[test]
+    fn row_key_orders_like_the_owned_key() {
+        let a = [Value::from("x"), Value::Int(1), Value::Int(10)];
+        let b = [Value::from("x"), Value::Int(2), Value::Float(10.0)];
+        let cols = [2, 0];
+        let (ka, kb) = (RowKey::new(&a, &cols), RowKey::new(&b, &cols));
+        assert_eq!(ka, kb, "Int(10) and Float(10.0) are one key");
+        assert_eq!(ka.to_vec(), vec![Value::Int(10), Value::from("x")]);
+        assert_eq!((ka.len(), ka.is_empty()), (2, false));
+        assert_eq!(ka.get(1), &Value::from("x"));
+        let by_middle = [1];
+        assert!(RowKey::new(&a, &by_middle) < RowKey::new(&b, &by_middle));
+        // A shorter key that is a prefix sorts first, as for `Vec`.
+        assert!(RowKey::new(&a, &cols[..1]) < ka);
+        assert!(RowKey::new(&a, &[]).is_empty());
+        assert_eq!(RowKey::new(&a, &[]), RowKey::new(&b, &[]));
+    }
+
+    /// The partition `cluster_by` replaced, kept as the reference: an owned
+    /// `Vec<Value>` key cloned per row into a `BTreeMap` (which keeps the
+    /// first-inserted spelling of equal keys), then an unconditional stable
+    /// sort of every cluster.  Returns `(key, table row indices)` per cluster.
+    fn reference_partition(
+        table: &Table,
+        cluster_by: &[&str],
+        sequence_by: &[&str],
+    ) -> Vec<(Vec<Value>, Vec<usize>)> {
+        let cluster_cols = table.schema.require_all(cluster_by).unwrap();
+        let sequence_cols = table.schema.require_all(sequence_by).unwrap();
+        let mut groups: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
+        for (i, row) in table.rows.iter().enumerate() {
+            let key: Vec<Value> = cluster_cols.iter().map(|&c| row[c].clone()).collect();
+            groups.entry(key).or_default().push(i);
+        }
+        groups
+            .into_iter()
+            .map(|(key, mut indices)| {
+                indices.sort_by(|&a, &b| {
+                    let ka = sequence_cols.iter().map(|&c| &table.rows[a][c]);
+                    let kb = sequence_cols.iter().map(|&c| &table.rows[b][c]);
+                    ka.cmp(kb)
+                });
+                (key, indices)
+            })
+            .collect()
+    }
+
+    /// `cluster_by` against the reference: same clusters in the same
+    /// order, the same spelling of every key (compared structurally —
+    /// `Value`'s own equality cannot tell `Int(1)` from `Float(1.0)`),
+    /// the same table row at every position.
+    fn assert_partitions_like_the_reference(table: &Table, cluster: &[&str], sequence: &[&str]) {
+        let got: Vec<(String, Vec<usize>)> = table
+            .cluster_by(cluster, sequence)
+            .unwrap()
+            .iter()
+            .map(|c| (format!("{:?}", c.key()), table_indices(c)))
+            .collect();
+        let want: Vec<(String, Vec<usize>)> = reference_partition(table, cluster, sequence)
+            .into_iter()
+            .map(|(key, indices)| (format!("{key:?}"), indices))
+            .collect();
+        assert_eq!(got, want, "CLUSTER BY {cluster:?} SEQUENCE BY {sequence:?}");
+    }
+
+    /// Every `CLUSTER BY` / `SEQUENCE BY` shape: one column, two
+    /// non-adjacent columns in both orders, a numeric key column holding
+    /// `Int`/`Float`-equal values, and either list empty.
+    const KEY_SHAPES: [(&[&str], &[&str]); 8] = [
+        (&["sym"], &["seq"]),
+        (&["sym", "lot"], &["seq", "tie"]),
+        (&["lot", "sym"], &["tie", "seq"]),
+        (&["lot"], &["seq"]),
+        (&["sym"], &[]),
+        (&[], &["seq"]),
+        (&[], &["lot", "seq"]),
+        (&[], &[]),
+    ];
+
+    fn partition_schema() -> Schema {
+        Schema::new([
+            ("sym", ColumnType::Str),
+            ("seq", ColumnType::Int),
+            ("lot", ColumnType::Float),
+            ("tie", ColumnType::Int),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn empty_table_partitions_into_no_clusters() {
+        let table = Table::new(partition_schema());
+        for (cluster, sequence) in KEY_SHAPES {
+            assert!(table.cluster_by(cluster, sequence).unwrap().is_empty());
+            assert_partitions_like_the_reference(&table, cluster, sequence);
+        }
+    }
+
+    #[test]
+    fn equal_int_and_float_keys_share_a_cluster_named_by_its_first_row() {
+        let mut table = Table::new(partition_schema());
+        for (lot, seq) in [
+            (Value::Float(10.0), 2),
+            (Value::Int(3), 1),
+            (Value::Int(10), 1),
+            (Value::Float(3.0), 0),
+        ] {
+            table
+                .push_row(vec![Value::Null, Value::Int(seq), lot, Value::Int(0)])
+                .unwrap();
+        }
+        let clusters = table.cluster_by(&["lot"], &["seq"]).unwrap();
+        let spelled: Vec<String> = clusters.iter().map(|c| format!("{:?}", c.key())).collect();
+        assert_eq!(spelled, ["[Int(3)]", "[Float(10.0)]"]);
+        assert_eq!(table_indices(&clusters[0]), vec![3, 1]);
+        assert_eq!(table_indices(&clusters[1]), vec![2, 0]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A generated row: symbol (3 = NULL), sequence number (few values,
+        /// so ties are common; 4 = NULL), lot spelling, tie-breaker.
+        type RowSpec = (u8, u8, u8, u8);
+
+        fn build(specs: &[RowSpec]) -> Table {
+            let mut table = Table::new(partition_schema());
+            for &(sym, seq, lot, tie) in specs {
+                let sym = match sym {
+                    3 => Value::Null,
+                    s => Value::Str(format!("S{s}")),
+                };
+                let seq = match seq {
+                    4 => Value::Null,
+                    s => Value::Int(i64::from(s)),
+                };
+                // Two spellings each of 1 and 2, plus a value between and NULL.
+                let lot = match lot {
+                    0 => Value::Null,
+                    1 => Value::Int(1),
+                    2 => Value::Float(1.0),
+                    3 => Value::Float(1.5),
+                    4 => Value::Int(2),
+                    _ => Value::Float(2.0),
+                };
+                table
+                    .push_row(vec![sym, seq, lot, Value::Int(i64::from(tie))])
+                    .unwrap();
+            }
+            table
+        }
+
+        proptest! {
+            /// The single-pass partition equals the reference for every key
+            /// shape over four storage layouts of the same rows: as
+            /// generated (interleaved, unsorted), sequence-sorted but
+            /// interleaved, clustered but unsorted within clusters, and
+            /// clustered and sorted (where no lookup after a cluster's
+            /// first row and no sort happens at all).
+            #[test]
+            fn cluster_by_equals_the_reference_partition(
+                specs in proptest::collection::vec((0u8..4, 0u8..5, 0u8..6, 0u8..3), 0..48),
+                layout in 0u8..4,
+            ) {
+                let mut specs: Vec<RowSpec> = specs;
+                match layout {
+                    0 => {}
+                    1 => specs.sort_by_key(|&(_, seq, _, tie)| (seq, tie)),
+                    2 => specs.sort_by_key(|&(sym, _, lot, _)| (sym, lot)),
+                    _ => specs.sort(),
+                }
+                let table = build(&specs);
+                for (cluster, sequence) in KEY_SHAPES {
+                    assert_partitions_like_the_reference(&table, cluster, sequence);
+                }
+            }
+        }
     }
 }

@@ -33,7 +33,13 @@ pub struct PhaseNanos {
     pub bind: u64,
     /// Compile-time optimization (θ/φ matrices, shift/next tables).
     pub plan: u64,
-    /// Clustering, search and projection.
+    /// `CLUSTER BY` / `SEQUENCE BY` partitioning of the input table
+    /// (`Table::cluster_by`).  0 for a streamed run, which admits tuples
+    /// to their clusters one at a time.
+    pub partition: u64,
+    /// Search and projection of every cluster: the wall clock of the
+    /// cluster loop (or worker pool), started after the partition and the
+    /// plan are in hand.  0 for a streamed run.
     pub execute: u64,
 }
 
@@ -41,8 +47,9 @@ impl PhaseNanos {
     fn write_json(&self, out: &mut String) {
         let _ = write!(
             out,
-            "{{\"parse_ns\":{},\"bind_ns\":{},\"plan_ns\":{},\"execute_ns\":{}}}",
-            self.parse, self.bind, self.plan, self.execute
+            "{{\"parse_ns\":{},\"bind_ns\":{},\"plan_ns\":{},\"partition_ns\":{},\
+             \"execute_ns\":{}}}",
+            self.parse, self.bind, self.plan, self.partition, self.execute
         );
     }
 }
@@ -270,10 +277,12 @@ impl ExecutionProfile {
         if *p != PhaseNanos::default() {
             let _ = writeln!(
                 out,
-                "  phases: parse {:.3}ms, bind {:.3}ms, plan {:.3}ms, execute {:.3}ms",
+                "  phases: parse {:.3}ms, bind {:.3}ms, plan {:.3}ms, partition {:.3}ms, \
+                 execute {:.3}ms",
                 p.parse as f64 / 1e6,
                 p.bind as f64 / 1e6,
                 p.plan as f64 / 1e6,
+                p.partition as f64 / 1e6,
                 p.execute as f64 / 1e6
             );
         }
@@ -435,6 +444,7 @@ impl ExecutionProfile {
             ("parse", self.phases.parse),
             ("bind", self.phases.bind),
             ("plan", self.phases.plan),
+            ("partition", self.phases.partition),
             ("execute", self.phases.execute),
         ] {
             let _ = writeln!(
