@@ -337,6 +337,36 @@ pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth
     out
 }
 
+/// Assemble the whole `GET /metrics` document: server counters and
+/// latency histograms, one gauge block per live subscription, the
+/// retained finished profiles, then the optional shared pattern-set and
+/// primary-side replication blocks and the standby gauge.
+pub fn metrics_text(
+    metrics: &ServerMetrics,
+    subs: &[SubStatusView],
+    set: Option<&sqlts_trace::PatternSetStats>,
+    repl: Option<&crate::replicate::ReplSnapshot>,
+    standby: bool,
+) -> String {
+    let live: Vec<String> = subs
+        .iter()
+        .map(|v| live_gauges(&v.id, &v.status, v.queue_depth))
+        .collect();
+    let mut body = metrics.render(&live);
+    if let Some(set) = set {
+        body.push_str(&set.to_prometheus());
+    }
+    if let Some(snap) = repl {
+        body.push_str(&repl_exposition(snap));
+    }
+    body.push_str(
+        "# HELP sqlts_standby server is an unpromoted warm standby\n\
+         # TYPE sqlts_standby gauge\n",
+    );
+    body.push_str(&format!("sqlts_standby {}\n", u8::from(standby)));
+    body
+}
+
 /// Render the primary-side replication gauges/counters as one
 /// Prometheus block (`sqlts_repl_*`).  Only emitted when
 /// `--replicate-to` is configured; the standby-side counters live on
@@ -490,106 +520,113 @@ pub fn status_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replicate::ReplSnapshot;
+    use sqlts_trace::{ClusterMetrics, ClusterProfile, PatternSetStats};
 
-    #[test]
-    fn type_lines_are_deduped_across_finished_profiles() {
+    /// Fixed counters and latencies; the two finished tenant profiles
+    /// exercise the once-per-document `# TYPE` rule.
+    fn golden_metrics() -> ServerMetrics {
         let metrics = ServerMetrics::new(4);
         ServerMetrics::inc(&metrics.connections_total);
-        let profile = ExecutionProfile::new("ops", 2);
-        metrics.retain_profile("a", Box::new(profile));
-        let profile = ExecutionProfile::new("ops", 2);
-        metrics.retain_profile("b", Box::new(profile));
-        let out = metrics.render(&[]);
-        let type_matches = out
-            .lines()
-            .filter(|l| *l == "# TYPE sqlts_matches_total counter")
-            .count();
-        assert_eq!(type_matches, 1, "{out}");
-        assert!(out.contains("sqlts_matches_total{tenant=\"a\"} 0"), "{out}");
-        assert!(out.contains("sqlts_matches_total{tenant=\"b\"} 0"), "{out}");
-        assert!(out.contains("sqlts_server_connections_total 1"), "{out}");
-    }
-
-    #[test]
-    fn latency_histograms_render_into_scrape_and_status() {
-        let metrics = ServerMetrics::new(4);
+        ServerMetrics::add(&metrics.frames_total, 12);
+        ServerMetrics::add(&metrics.errors_total, 2);
+        ServerMetrics::add(&metrics.subscriptions_total, 3);
+        ServerMetrics::add(&metrics.rows_fed_total, 4_000);
+        ServerMetrics::add(&metrics.wal_appends_total, 40);
+        ServerMetrics::add(&metrics.wal_fsyncs_total, 41);
+        ServerMetrics::add(&metrics.wal_truncations_total, 5);
+        ServerMetrics::add(&metrics.snapshots_total, 6);
+        ServerMetrics::add(&metrics.recovered_subscriptions_total, 7);
+        ServerMetrics::add(&metrics.repl_frames_received_total, 8);
+        ServerMetrics::add(&metrics.repl_rejected_frames_total, 9);
+        ServerMetrics::add(&metrics.repl_promotions_total, 10);
         metrics.latency.record_ns(LatencyOp::WalAppend, 3_000);
         metrics.latency.record_ns(LatencyOp::WalAppend, 9_000);
         metrics.latency.record_ns(LatencyOp::Fsync, 1_500_000);
-        let out = metrics.render(&[]);
-        assert!(
-            out.contains("# TYPE sqlts_server_wal_append_micros histogram"),
-            "{out}"
-        );
-        assert!(
-            out.contains("sqlts_server_wal_append_micros_count 2"),
-            "{out}"
-        );
-        assert!(
-            out.contains("sqlts_server_wal_append_micros_sum 12"),
-            "{out}"
-        );
-        assert!(out.contains("sqlts_server_fsync_micros_count 1"), "{out}");
-        // Unrecorded ops still render complete (empty) histogram blocks.
-        assert!(
-            out.contains("sqlts_server_fanout_micros_bucket{le=\"+Inf\"} 0"),
-            "{out}"
-        );
-        let status = status_json(&metrics, &[], false, false, None);
-        assert!(
-            status.contains("\"wal_append_micros\":{\"count\":2,\"sum\":12,\"max\":9}"),
-            "{status}"
-        );
-        assert!(status.contains("\"draining\":false"), "{status}");
-        assert!(status.contains("\"standby\":false"), "{status}");
-        assert!(!status.contains("\"replication\""), "{status}");
+        metrics.latency.record_ns(LatencyOp::FrameDecode, 999);
+        metrics
+            .latency
+            .record_ns(LatencyOp::Snapshot, 70_000_000_000);
+        let mut finished = ExecutionProfile::new("ops", 2);
+        let mut m = ClusterMetrics::new(2);
+        m.tests_per_position = vec![4, 2];
+        m.matches = 1;
+        m.shifts.record(1);
+        finished.push_cluster(ClusterProfile {
+            index: 0,
+            key: "IBM".into(),
+            tuples: 5,
+            metrics: m,
+            events: Vec::new(),
+            events_dropped: 0,
+        });
+        metrics.retain_profile("a", Box::new(finished));
+        metrics.retain_profile("b", Box::new(ExecutionProfile::new("naive", 1)));
+        metrics
     }
 
-    #[test]
-    fn tenant_labels_escape_quotes_backslashes_and_newlines() {
-        let status = sqlts_core::SessionStatus {
-            records: 1,
-            skipped: 0,
-            quarantined: 0,
-            window_bytes: 0,
-            predicate_tests: 0,
-            trip: None,
-            poisoned: false,
-        };
-        let block = live_gauges("a\"b\\c\nd", &status, 3);
-        assert!(
-            block.contains("sqlts_sub_records{tenant=\"a\\\"b\\\\c\\nd\"} 1"),
-            "{block}"
-        );
-        assert!(
-            block.contains("sqlts_sub_queue_depth{tenant=\"a\\\"b\\\\c\\nd\"} 3"),
-            "{block}"
-        );
-        for line in block.lines() {
-            assert!(!line.is_empty(), "raw newline split a sample line: {block}");
-        }
-        assert_eq!(block.lines().count(), 5, "{block}");
-    }
-
-    #[test]
-    fn status_json_lists_subscriptions_and_balances() {
-        let metrics = ServerMetrics::new(4);
-        let subs = vec![SubStatusView {
-            id: "s\"1".into(),
-            channel: "nyse".into(),
-            status: sqlts_core::SessionStatus {
-                records: 40,
-                skipped: 2,
-                quarantined: 1,
-                window_bytes: 512,
-                predicate_tests: 0,
-                trip: None,
-                poisoned: false,
+    /// Two live subscriptions; the first id needs every label and JSON
+    /// escape there is.
+    fn golden_subs() -> Vec<SubStatusView> {
+        vec![
+            SubStatusView {
+                id: "a\"b\\c\nd".into(),
+                channel: "nyse".into(),
+                status: sqlts_core::SessionStatus {
+                    records: 40,
+                    skipped: 2,
+                    quarantined: 1,
+                    window_bytes: 512,
+                    predicate_tests: 900,
+                    trip: None,
+                    poisoned: false,
+                },
+                queue_depth: 3,
+                phase: "idle",
             },
-            queue_depth: 0,
-            phase: "idle",
-        }];
-        let snap = crate::replicate::ReplSnapshot {
+            SubStatusView {
+                id: "s2".into(),
+                channel: "nyse".into(),
+                status: sqlts_core::SessionStatus {
+                    records: 7,
+                    skipped: 0,
+                    quarantined: 0,
+                    window_bytes: 64,
+                    predicate_tests: 11,
+                    trip: Some(sqlts_core::Trip {
+                        reason: sqlts_core::TripReason::StepBudget,
+                        steps: 11,
+                        matches: 0,
+                        elapsed: std::time::Duration::from_micros(2_500),
+                    }),
+                    poisoned: true,
+                },
+                queue_depth: 0,
+                phase: "feed",
+            },
+        ]
+    }
+
+    fn golden_set() -> PatternSetStats {
+        let mut set = PatternSetStats {
+            queries: 2,
+            groups: 1,
+            solo: 0,
+            classes: 3,
+            trie_nodes: 5,
+            implication_edges: 2,
+            tests_logical: 911,
+            tests_evaluated: 241,
+            tests_saved: 670,
+            tests_shared: 640,
+            ..PatternSetStats::default()
+        };
+        set.shared_prefix_depth.record(2);
+        set
+    }
+
+    fn golden_repl() -> ReplSnapshot {
+        ReplSnapshot {
             configured: true,
             connected: true,
             sync: true,
@@ -599,17 +636,302 @@ mod tests {
             send_errors: 0,
             sync_degraded: 2,
             lag_rows: 3,
-        };
-        let out = status_json(&metrics, &subs, true, false, Some(&snap));
-        assert!(out.contains("\"draining\":true"), "{out}");
-        assert!(
-            out.contains("\"replication\":{\"connected\":true,\"sync\":true,\"lag_rows\":3"),
-            "{out}"
+        }
+    }
+
+    #[test]
+    fn type_lines_are_deduped_across_finished_profiles() {
+        let out = metrics_text(
+            &golden_metrics(),
+            &golden_subs(),
+            Some(&golden_set()),
+            Some(&golden_repl()),
+            true,
         );
-        assert!(out.contains("\"id\":\"s\\\"1\""), "{out}");
-        assert!(out.contains("\"records\":40"), "{out}");
-        assert!(out.contains("\"phase\":\"idle\""), "{out}");
-        assert!(out.contains("\"trip\":null"), "{out}");
+        assert_eq!(
+            out,
+            r#"# HELP sqlts_server_connections_total TCP connections accepted
+# TYPE sqlts_server_connections_total counter
+sqlts_server_connections_total 1
+# HELP sqlts_server_frames_total protocol frames decoded
+# TYPE sqlts_server_frames_total counter
+sqlts_server_frames_total 12
+# HELP sqlts_server_errors_total frames answered with ERR
+# TYPE sqlts_server_errors_total counter
+sqlts_server_errors_total 2
+# HELP sqlts_server_subscriptions_total subscriptions admitted
+# TYPE sqlts_server_subscriptions_total counter
+sqlts_server_subscriptions_total 3
+# HELP sqlts_server_rows_fed_total rows delivered to workers
+# TYPE sqlts_server_rows_fed_total counter
+sqlts_server_rows_fed_total 4000
+# HELP sqlts_server_wal_appends_total FEED frames appended to channel WALs
+# TYPE sqlts_server_wal_appends_total counter
+sqlts_server_wal_appends_total 40
+# HELP sqlts_server_wal_fsyncs_total fsyncs issued against channel WALs
+# TYPE sqlts_server_wal_fsyncs_total counter
+sqlts_server_wal_fsyncs_total 41
+# HELP sqlts_server_wal_truncations_total WAL truncations past the snapshot low-water mark
+# TYPE sqlts_server_wal_truncations_total counter
+sqlts_server_wal_truncations_total 5
+# HELP sqlts_server_snapshots_total subscription checkpoint snapshots written
+# TYPE sqlts_server_snapshots_total counter
+sqlts_server_snapshots_total 6
+# HELP sqlts_server_recovered_subscriptions_total subscriptions respawned from snapshots at recovery
+# TYPE sqlts_server_recovered_subscriptions_total counter
+sqlts_server_recovered_subscriptions_total 7
+# HELP sqlts_repl_frames_received_total replication frames accepted and appended (standby)
+# TYPE sqlts_repl_frames_received_total counter
+sqlts_repl_frames_received_total 8
+# HELP sqlts_repl_rejected_frames_total replication frames rejected (crc, malformed, gap)
+# TYPE sqlts_repl_rejected_frames_total counter
+sqlts_repl_rejected_frames_total 9
+# HELP sqlts_repl_promotions_total standby promotions completed
+# TYPE sqlts_repl_promotions_total counter
+sqlts_repl_promotions_total 10
+# TYPE sqlts_server_wal_append_micros histogram
+sqlts_server_wal_append_micros_bucket{le="3"} 1
+sqlts_server_wal_append_micros_bucket{le="15"} 2
+sqlts_server_wal_append_micros_bucket{le="+Inf"} 2
+sqlts_server_wal_append_micros_sum 12
+sqlts_server_wal_append_micros_count 2
+# TYPE sqlts_server_fsync_micros histogram
+sqlts_server_fsync_micros_bucket{le="2047"} 1
+sqlts_server_fsync_micros_bucket{le="+Inf"} 1
+sqlts_server_fsync_micros_sum 1500
+sqlts_server_fsync_micros_count 1
+# TYPE sqlts_server_frame_decode_micros histogram
+sqlts_server_frame_decode_micros_bucket{le="0"} 1
+sqlts_server_frame_decode_micros_bucket{le="+Inf"} 1
+sqlts_server_frame_decode_micros_sum 0
+sqlts_server_frame_decode_micros_count 1
+# TYPE sqlts_server_fanout_micros histogram
+sqlts_server_fanout_micros_bucket{le="+Inf"} 0
+sqlts_server_fanout_micros_sum 0
+sqlts_server_fanout_micros_count 0
+# TYPE sqlts_server_snapshot_micros histogram
+sqlts_server_snapshot_micros_bucket{le="+Inf"} 1
+sqlts_server_snapshot_micros_sum 70000000
+sqlts_server_snapshot_micros_count 1
+# TYPE sqlts_sub_records gauge
+# TYPE sqlts_sub_skipped gauge
+# TYPE sqlts_sub_quarantined gauge
+# TYPE sqlts_sub_tripped gauge
+# TYPE sqlts_sub_queue_depth gauge
+sqlts_sub_records{tenant="a\"b\\c\nd"} 40
+sqlts_sub_skipped{tenant="a\"b\\c\nd"} 2
+sqlts_sub_quarantined{tenant="a\"b\\c\nd"} 1
+sqlts_sub_tripped{tenant="a\"b\\c\nd"} 0
+sqlts_sub_queue_depth{tenant="a\"b\\c\nd"} 3
+sqlts_sub_records{tenant="s2"} 7
+sqlts_sub_skipped{tenant="s2"} 0
+sqlts_sub_quarantined{tenant="s2"} 0
+sqlts_sub_tripped{tenant="s2"} 1
+sqlts_sub_queue_depth{tenant="s2"} 0
+# TYPE sqlts_predicate_tests_total counter
+sqlts_predicate_tests_total{tenant="a"} 6
+# TYPE sqlts_predicate_tests_by_position counter
+sqlts_predicate_tests_by_position{tenant="a",position="1"} 4
+sqlts_predicate_tests_by_position{tenant="a",position="2"} 2
+# TYPE sqlts_matches_total counter
+sqlts_matches_total{tenant="a"} 1
+# TYPE sqlts_tuples_total counter
+sqlts_tuples_total{tenant="a"} 5
+# TYPE sqlts_clusters_total counter
+sqlts_clusters_total{tenant="a"} 1
+# TYPE sqlts_governor_flushes_total counter
+sqlts_governor_flushes_total{tenant="a"} 0
+# TYPE sqlts_shift_distance histogram
+sqlts_shift_distance_bucket{tenant="a",le="1"} 1
+sqlts_shift_distance_bucket{tenant="a",le="+Inf"} 1
+sqlts_shift_distance_sum{tenant="a"} 1
+sqlts_shift_distance_count{tenant="a"} 1
+# TYPE sqlts_backtrack_depth histogram
+sqlts_backtrack_depth_bucket{tenant="a",le="+Inf"} 0
+sqlts_backtrack_depth_sum{tenant="a"} 0
+sqlts_backtrack_depth_count{tenant="a"} 0
+sqlts_phase_seconds{tenant="a",phase="parse"} 0
+sqlts_phase_seconds{tenant="a",phase="bind"} 0
+sqlts_phase_seconds{tenant="a",phase="plan"} 0
+sqlts_phase_seconds{tenant="a",phase="partition"} 0
+sqlts_phase_seconds{tenant="a",phase="execute"} 0
+sqlts_predicate_tests_total{tenant="b"} 0
+sqlts_matches_total{tenant="b"} 0
+sqlts_tuples_total{tenant="b"} 0
+sqlts_clusters_total{tenant="b"} 0
+sqlts_governor_flushes_total{tenant="b"} 0
+sqlts_shift_distance_bucket{tenant="b",le="+Inf"} 0
+sqlts_shift_distance_sum{tenant="b"} 0
+sqlts_shift_distance_count{tenant="b"} 0
+sqlts_backtrack_depth_bucket{tenant="b",le="+Inf"} 0
+sqlts_backtrack_depth_sum{tenant="b"} 0
+sqlts_backtrack_depth_count{tenant="b"} 0
+sqlts_phase_seconds{tenant="b",phase="parse"} 0
+sqlts_phase_seconds{tenant="b",phase="bind"} 0
+sqlts_phase_seconds{tenant="b",phase="plan"} 0
+sqlts_phase_seconds{tenant="b",phase="partition"} 0
+sqlts_phase_seconds{tenant="b",phase="execute"} 0
+# HELP sqlts_patternset_tests_logical Logical predicate tests charged across shared-set members
+# TYPE sqlts_patternset_tests_logical counter
+sqlts_patternset_tests_logical 911
+# HELP sqlts_patternset_tests_evaluated Physical predicate evaluations performed by the shared pass
+# TYPE sqlts_patternset_tests_evaluated counter
+sqlts_patternset_tests_evaluated 241
+# HELP sqlts_patternset_tests_saved Logical tests answered from the shared memo
+# TYPE sqlts_patternset_tests_saved counter
+sqlts_patternset_tests_saved 670
+# HELP sqlts_patternset_tests_shared Saved tests served across queries or via implication
+# TYPE sqlts_patternset_tests_shared counter
+sqlts_patternset_tests_shared 640
+# HELP sqlts_patternset_queries Queries in the shared pattern set
+# TYPE sqlts_patternset_queries gauge
+sqlts_patternset_queries 2
+# HELP sqlts_patternset_classes Distinct purely-local predicate classes interned
+# TYPE sqlts_patternset_classes gauge
+sqlts_patternset_classes 3
+# HELP sqlts_patternset_trie_nodes Nodes in the class-sequence prefix trie
+# TYPE sqlts_patternset_trie_nodes gauge
+sqlts_patternset_trie_nodes 5
+# HELP sqlts_patternset_implication_edges Cross-class implication edges in the lattice
+# TYPE sqlts_patternset_implication_edges gauge
+sqlts_patternset_implication_edges 2
+# TYPE sqlts_patternset_shared_prefix_depth histogram
+sqlts_patternset_shared_prefix_depth_bucket{le="3"} 1
+sqlts_patternset_shared_prefix_depth_bucket{le="+Inf"} 1
+sqlts_patternset_shared_prefix_depth_sum 2
+sqlts_patternset_shared_prefix_depth_count 1
+# HELP sqlts_repl_connected a shipping session to the standby is live
+# TYPE sqlts_repl_connected gauge
+sqlts_repl_connected 1
+# HELP sqlts_repl_lag_rows rows committed locally but not standby-acked
+# TYPE sqlts_repl_lag_rows gauge
+sqlts_repl_lag_rows 3
+# HELP sqlts_repl_frames_sent_total WAL frames shipped to the standby
+# TYPE sqlts_repl_frames_sent_total counter
+sqlts_repl_frames_sent_total 9
+# HELP sqlts_repl_acks_total standby frame acknowledgements received
+# TYPE sqlts_repl_acks_total counter
+sqlts_repl_acks_total 8
+# HELP sqlts_repl_resyncs_total shipping sessions established (each starts with a resync)
+# TYPE sqlts_repl_resyncs_total counter
+sqlts_repl_resyncs_total 1
+# HELP sqlts_repl_send_errors_total failed ships (each costs the session)
+# TYPE sqlts_repl_send_errors_total counter
+sqlts_repl_send_errors_total 0
+# HELP sqlts_repl_sync_degraded_total sync-ack FEEDs that degraded to async
+# TYPE sqlts_repl_sync_degraded_total counter
+sqlts_repl_sync_degraded_total 2
+# HELP sqlts_standby server is an unpromoted warm standby
+# TYPE sqlts_standby gauge
+sqlts_standby 1
+"#
+        );
+    }
+
+    #[test]
+    fn latency_histograms_render_into_scrape_and_status() {
+        // A bare server: no subscription, pattern set or replication, so
+        // the scrape is counters, empty-or-not histograms and the
+        // pre-declared gauge families only.
+        let metrics = ServerMetrics::new(4);
+        metrics.latency.record_ns(LatencyOp::WalAppend, 3_000);
+        metrics.latency.record_ns(LatencyOp::WalAppend, 9_000);
+        metrics.latency.record_ns(LatencyOp::Fsync, 1_500_000);
+        assert_eq!(
+            metrics_text(&metrics, &[], None, None, false),
+            r#"# HELP sqlts_server_connections_total TCP connections accepted
+# TYPE sqlts_server_connections_total counter
+sqlts_server_connections_total 0
+# HELP sqlts_server_frames_total protocol frames decoded
+# TYPE sqlts_server_frames_total counter
+sqlts_server_frames_total 0
+# HELP sqlts_server_errors_total frames answered with ERR
+# TYPE sqlts_server_errors_total counter
+sqlts_server_errors_total 0
+# HELP sqlts_server_subscriptions_total subscriptions admitted
+# TYPE sqlts_server_subscriptions_total counter
+sqlts_server_subscriptions_total 0
+# HELP sqlts_server_rows_fed_total rows delivered to workers
+# TYPE sqlts_server_rows_fed_total counter
+sqlts_server_rows_fed_total 0
+# HELP sqlts_server_wal_appends_total FEED frames appended to channel WALs
+# TYPE sqlts_server_wal_appends_total counter
+sqlts_server_wal_appends_total 0
+# HELP sqlts_server_wal_fsyncs_total fsyncs issued against channel WALs
+# TYPE sqlts_server_wal_fsyncs_total counter
+sqlts_server_wal_fsyncs_total 0
+# HELP sqlts_server_wal_truncations_total WAL truncations past the snapshot low-water mark
+# TYPE sqlts_server_wal_truncations_total counter
+sqlts_server_wal_truncations_total 0
+# HELP sqlts_server_snapshots_total subscription checkpoint snapshots written
+# TYPE sqlts_server_snapshots_total counter
+sqlts_server_snapshots_total 0
+# HELP sqlts_server_recovered_subscriptions_total subscriptions respawned from snapshots at recovery
+# TYPE sqlts_server_recovered_subscriptions_total counter
+sqlts_server_recovered_subscriptions_total 0
+# HELP sqlts_repl_frames_received_total replication frames accepted and appended (standby)
+# TYPE sqlts_repl_frames_received_total counter
+sqlts_repl_frames_received_total 0
+# HELP sqlts_repl_rejected_frames_total replication frames rejected (crc, malformed, gap)
+# TYPE sqlts_repl_rejected_frames_total counter
+sqlts_repl_rejected_frames_total 0
+# HELP sqlts_repl_promotions_total standby promotions completed
+# TYPE sqlts_repl_promotions_total counter
+sqlts_repl_promotions_total 0
+# TYPE sqlts_server_wal_append_micros histogram
+sqlts_server_wal_append_micros_bucket{le="3"} 1
+sqlts_server_wal_append_micros_bucket{le="15"} 2
+sqlts_server_wal_append_micros_bucket{le="+Inf"} 2
+sqlts_server_wal_append_micros_sum 12
+sqlts_server_wal_append_micros_count 2
+# TYPE sqlts_server_fsync_micros histogram
+sqlts_server_fsync_micros_bucket{le="2047"} 1
+sqlts_server_fsync_micros_bucket{le="+Inf"} 1
+sqlts_server_fsync_micros_sum 1500
+sqlts_server_fsync_micros_count 1
+# TYPE sqlts_server_frame_decode_micros histogram
+sqlts_server_frame_decode_micros_bucket{le="+Inf"} 0
+sqlts_server_frame_decode_micros_sum 0
+sqlts_server_frame_decode_micros_count 0
+# TYPE sqlts_server_fanout_micros histogram
+sqlts_server_fanout_micros_bucket{le="+Inf"} 0
+sqlts_server_fanout_micros_sum 0
+sqlts_server_fanout_micros_count 0
+# TYPE sqlts_server_snapshot_micros histogram
+sqlts_server_snapshot_micros_bucket{le="+Inf"} 0
+sqlts_server_snapshot_micros_sum 0
+sqlts_server_snapshot_micros_count 0
+# TYPE sqlts_sub_records gauge
+# TYPE sqlts_sub_skipped gauge
+# TYPE sqlts_sub_quarantined gauge
+# TYPE sqlts_sub_tripped gauge
+# TYPE sqlts_sub_queue_depth gauge
+# HELP sqlts_standby server is an unpromoted warm standby
+# TYPE sqlts_standby gauge
+sqlts_standby 0
+"#
+        );
+        assert_eq!(
+            status_json(&metrics, &[], false, false, None),
+            r#"{"draining":false,"standby":false,"connections_total":0,"frames_total":0,"errors_total":0,"subscriptions_total":0,"rows_fed_total":0,"wal_appends_total":0,"wal_fsyncs_total":0,"snapshots_total":0,"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":0,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":0,"sum":0,"max":0}},"subscriptions":[]}
+"#
+        );
+    }
+
+    #[test]
+    fn status_json_lists_subscriptions_and_balances() {
+        let out = status_json(
+            &golden_metrics(),
+            &golden_subs(),
+            true,
+            false,
+            Some(&golden_repl()),
+        );
+        assert_eq!(
+            out,
+            r#"{"draining":true,"standby":false,"connections_total":1,"frames_total":12,"errors_total":2,"subscriptions_total":3,"rows_fed_total":4000,"wal_appends_total":40,"wal_fsyncs_total":41,"snapshots_total":6,"replication":{"connected":true,"sync":true,"lag_rows":3,"frames_sent":9,"acks":8,"resyncs":1,"send_errors":0,"sync_degraded":2},"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":1,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":1,"sum":70000000,"max":70000000}},"subscriptions":[{"id":"a\"b\\c\nd","channel":"nyse","records":40,"skipped":2,"quarantined":1,"window_bytes":512,"queue_depth":3,"phase":"idle","poisoned":false,"trip":null},{"id":"s2","channel":"nyse","records":7,"skipped":0,"quarantined":0,"window_bytes":64,"queue_depth":0,"phase":"feed","poisoned":true,"trip":"step budget exhausted after 2.5ms (11 steps, 0 matches)"}]}
+"#
+        );
         assert_eq!(
             out.matches(['{', '[']).count(),
             out.matches(['}', ']']).count(),
@@ -618,40 +940,11 @@ mod tests {
     }
 
     #[test]
-    fn repl_exposition_renders_every_series() {
-        let snap = crate::replicate::ReplSnapshot {
-            configured: true,
-            connected: true,
-            sync: false,
-            frames_sent: 5,
-            acks: 5,
-            resyncs: 2,
-            send_errors: 1,
-            sync_degraded: 0,
-            lag_rows: 7,
-        };
-        let out = repl_exposition(&snap);
-        assert!(out.contains("# TYPE sqlts_repl_connected gauge"), "{out}");
-        assert!(out.contains("sqlts_repl_connected 1"), "{out}");
-        assert!(out.contains("sqlts_repl_lag_rows 7"), "{out}");
-        assert!(
-            out.contains("# TYPE sqlts_repl_frames_sent_total counter"),
-            "{out}"
-        );
-        assert!(out.contains("sqlts_repl_frames_sent_total 5"), "{out}");
-        assert!(out.contains("sqlts_repl_resyncs_total 2"), "{out}");
-        assert!(out.contains("sqlts_repl_send_errors_total 1"), "{out}");
-        for line in out.lines() {
-            assert!(!line.is_empty(), "{out}");
-        }
-    }
-
-    #[test]
     fn retention_evicts_oldest() {
         let metrics = ServerMetrics::new(1);
         metrics.retain_profile("old", Box::new(ExecutionProfile::new("ops", 1)));
         metrics.retain_profile("new", Box::new(ExecutionProfile::new("ops", 1)));
-        let out = metrics.render(&[]);
+        let out = metrics_text(&metrics, &[], None, None, false);
         assert!(!out.contains("tenant=\"old\""));
         assert!(out.contains("tenant=\"new\""));
     }

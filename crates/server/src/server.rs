@@ -73,9 +73,7 @@
 
 use crate::channel::{save_checkpoint, Channel, Subscription};
 use crate::frame::{read_frame_timed, write_frame, FrameEvent, FrameFatal};
-use crate::metrics::{
-    live_gauges, repl_exposition, status_json, LatencyOp, ServerMetrics, SubStatusView,
-};
+use crate::metrics::{metrics_text, status_json, LatencyOp, ServerMetrics, SubStatusView};
 use crate::profiler::SamplingProfiler;
 use crate::recover::{DataDir, ServeError, SubMeta};
 use crate::replicate::{self, ReplAck, ReplSnapshot, Replicator};
@@ -1238,22 +1236,18 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let standby = shared.standby.load(Ordering::SeqCst);
     let (status_line, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         let views = http_sub_views(shared);
-        let live: Vec<String> = views
-            .iter()
-            .map(|v| live_gauges(&v.id, &v.status, v.queue_depth))
-            .collect();
-        let mut body = shared.metrics.render(&live);
-        if shared.config.shared_matcher {
-            body.push_str(&patternset_exposition(shared, &views));
-        }
-        if let Some(snap) = repl_snapshot(shared) {
-            body.push_str(&repl_exposition(&snap));
-        }
-        body.push_str(
-            "# HELP sqlts_standby server is an unpromoted warm standby\n\
-             # TYPE sqlts_standby gauge\n",
+        let set = shared
+            .config
+            .shared_matcher
+            .then(|| patternset_stats(shared, &views));
+        let snap = repl_snapshot(shared);
+        let body = metrics_text(
+            &shared.metrics,
+            &views,
+            set.as_ref(),
+            snap.as_ref(),
+            standby,
         );
-        body.push_str(&format!("sqlts_standby {}\n", u8::from(standby)));
         ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
     } else if path == "/status" || path.starts_with("/status?") {
         let subs = http_sub_views(shared);
@@ -1298,18 +1292,18 @@ fn repl_snapshot(shared: &Shared) -> Option<ReplSnapshot> {
 }
 
 /// Roll the per-channel shared pattern-set registries into one
-/// Prometheus block.  Registries carry the compile shape and the memo
+/// `/metrics` block.  Registries carry the compile shape and the memo
 /// savings; the *logical* test total comes from the live sessions (solo
 /// subscriptions included — their tests are all physically evaluated,
 /// which is exactly what `tests_evaluated = logical - saved` charges).
-fn patternset_exposition(shared: &Shared, views: &[SubStatusView]) -> String {
+fn patternset_stats(shared: &Shared, views: &[SubStatusView]) -> PatternSetStats {
     let mut stats = PatternSetStats::default();
     for channel in shared.all_channels() {
         stats.absorb(&channel.registry.stats());
     }
     stats.tests_logical = views.iter().map(|v| v.status.predicate_tests).sum();
     stats.tests_evaluated = stats.tests_logical.saturating_sub(stats.tests_saved);
-    stats.to_prometheus()
+    stats
 }
 
 /// Snapshot every live subscription's observable state for the HTTP
@@ -1484,7 +1478,7 @@ mod tests {
         }
         // Scrape the shared server while the subscriptions are still live.
         let views = http_sub_views(&on.shared);
-        let prom = patternset_exposition(&on.shared, &views);
+        let prom = patternset_stats(&on.shared, &views).to_prometheus();
         let metric = |name: &str| -> u64 {
             prom.lines()
                 .find_map(|l| l.strip_prefix(&format!("{name} ")))

@@ -610,32 +610,38 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_label_escaping_edge_cases() {
-        let p = sample_profile();
-        // Backslash and newline in a tenant id must survive as the
-        // two-character escapes the text exposition requires; a raw
-        // newline would split the sample line and corrupt the scrape.
-        let prom = p.to_prometheus_labeled(&[("tenant", "a\\b\nc\"d")]);
-        assert!(
-            prom.contains("sqlts_matches_total{tenant=\"a\\\\b\\nc\\\"d\"} 1"),
-            "bad escaping in {prom}"
-        );
-        for line in prom.lines() {
-            assert!(
-                !line.is_empty(),
-                "raw newline leaked into exposition: {prom}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_profile_exports_are_well_formed() {
         let p = ExecutionProfile::new("ops", 1);
-        let prom = p.to_prometheus();
-        assert!(prom.contains("sqlts_predicate_tests_total 0"));
-        assert!(prom.contains("sqlts_shift_distance_count 0"));
-        // Histogram blocks still end with +Inf/sum/count even when empty.
-        assert!(prom.contains("sqlts_shift_distance_bucket{le=\"+Inf\"} 0"));
+        // Every family is still typed, and both histogram blocks still
+        // end with +Inf/sum/count.
+        assert_eq!(
+            p.to_prometheus(),
+            r#"# TYPE sqlts_predicate_tests_total counter
+sqlts_predicate_tests_total 0
+# TYPE sqlts_predicate_tests_by_position counter
+# TYPE sqlts_matches_total counter
+sqlts_matches_total 0
+# TYPE sqlts_tuples_total counter
+sqlts_tuples_total 0
+# TYPE sqlts_clusters_total counter
+sqlts_clusters_total 0
+# TYPE sqlts_governor_flushes_total counter
+sqlts_governor_flushes_total 0
+# TYPE sqlts_shift_distance histogram
+sqlts_shift_distance_bucket{le="+Inf"} 0
+sqlts_shift_distance_sum 0
+sqlts_shift_distance_count 0
+# TYPE sqlts_backtrack_depth histogram
+sqlts_backtrack_depth_bucket{le="+Inf"} 0
+sqlts_backtrack_depth_sum 0
+sqlts_backtrack_depth_count 0
+sqlts_phase_seconds{phase="parse"} 0
+sqlts_phase_seconds{phase="bind"} 0
+sqlts_phase_seconds{phase="plan"} 0
+sqlts_phase_seconds{phase="partition"} 0
+sqlts_phase_seconds{phase="execute"} 0
+"#
+        );
         let json = p.to_json();
         assert_eq!(
             json.matches(['{', '[']).count(),
@@ -656,37 +662,110 @@ mod tests {
         );
     }
 
+    /// `sample_profile` with every optional series switched on: fixed
+    /// phase clocks, a trip, a backtrack histogram that reaches the
+    /// overflow bucket.
+    fn golden_profile() -> ExecutionProfile {
+        let mut p = sample_profile();
+        p.totals.shifts.record(5);
+        p.totals.backtracks.record(0);
+        p.totals.backtracks.record(3);
+        p.totals.backtracks.record(1 << 20);
+        p.totals.governor_flushes = 2;
+        p.totals.trip = Some(crate::TripCause::StepBudget);
+        p.phases = PhaseNanos {
+            parse: 1_500,
+            bind: 0,
+            plan: 250_000,
+            partition: 3,
+            execute: 2_000_000_000,
+        };
+        p
+    }
+
     #[test]
     fn prometheus_exposition_names() {
-        let p = sample_profile();
-        let prom = p.to_prometheus();
-        for needle in [
-            "sqlts_predicate_tests_total 9",
-            "sqlts_predicate_tests_by_position{position=\"1\"} 7",
-            "sqlts_matches_total 1",
-            "sqlts_shift_distance_sum 1",
-            "sqlts_phase_seconds{phase=\"execute\"}",
-        ] {
-            assert!(prom.contains(needle), "missing {needle} in {prom}");
-        }
+        assert_eq!(
+            golden_profile().to_prometheus(),
+            r#"# TYPE sqlts_predicate_tests_total counter
+sqlts_predicate_tests_total 9
+# TYPE sqlts_predicate_tests_by_position counter
+sqlts_predicate_tests_by_position{position="1"} 7
+sqlts_predicate_tests_by_position{position="2"} 2
+# TYPE sqlts_matches_total counter
+sqlts_matches_total 1
+# TYPE sqlts_tuples_total counter
+sqlts_tuples_total 8
+# TYPE sqlts_clusters_total counter
+sqlts_clusters_total 2
+# TYPE sqlts_governor_flushes_total counter
+sqlts_governor_flushes_total 2
+# TYPE sqlts_shift_distance histogram
+sqlts_shift_distance_bucket{le="1"} 1
+sqlts_shift_distance_bucket{le="7"} 2
+sqlts_shift_distance_bucket{le="+Inf"} 2
+sqlts_shift_distance_sum 6
+sqlts_shift_distance_count 2
+# TYPE sqlts_backtrack_depth histogram
+sqlts_backtrack_depth_bucket{le="0"} 1
+sqlts_backtrack_depth_bucket{le="3"} 2
+sqlts_backtrack_depth_bucket{le="+Inf"} 3
+sqlts_backtrack_depth_sum 1048579
+sqlts_backtrack_depth_count 3
+sqlts_phase_seconds{phase="parse"} 0.0000015
+sqlts_phase_seconds{phase="bind"} 0
+sqlts_phase_seconds{phase="plan"} 0.00025
+sqlts_phase_seconds{phase="partition"} 0.000000003
+sqlts_phase_seconds{phase="execute"} 2
+sqlts_governor_tripped{cause="step_budget"} 1
+"#
+        );
     }
 
     #[test]
     fn prometheus_labeled_exposition() {
-        let p = sample_profile();
+        let p = golden_profile();
         // An empty label set must stay byte-identical to the historical
         // unlabeled exposition — dashboards depend on those exact names.
         assert_eq!(p.to_prometheus_labeled(&[]), p.to_prometheus());
-        let prom = p.to_prometheus_labeled(&[("tenant", "acme \"1\"")]);
-        for needle in [
-            "sqlts_predicate_tests_total{tenant=\"acme \\\"1\\\"\"} 9",
-            "sqlts_predicate_tests_by_position{tenant=\"acme \\\"1\\\"\",position=\"1\"} 7",
-            "sqlts_shift_distance_bucket{tenant=\"acme \\\"1\\\"\",le=\"+Inf\"} 1",
-            "sqlts_shift_distance_count{tenant=\"acme \\\"1\\\"\"} 1",
-            "sqlts_phase_seconds{tenant=\"acme \\\"1\\\"\",phase=\"execute\"}",
-        ] {
-            assert!(prom.contains(needle), "missing {needle} in {prom}");
-        }
+        // Backslash, quote and newline in a tenant id must come out as the
+        // two-character escapes of the text format: a raw newline would
+        // split the sample line and corrupt the whole scrape.
+        assert_eq!(
+            p.to_prometheus_labeled(&[("tenant", "a\"b\\c\nd")]),
+            r#"# TYPE sqlts_predicate_tests_total counter
+sqlts_predicate_tests_total{tenant="a\"b\\c\nd"} 9
+# TYPE sqlts_predicate_tests_by_position counter
+sqlts_predicate_tests_by_position{tenant="a\"b\\c\nd",position="1"} 7
+sqlts_predicate_tests_by_position{tenant="a\"b\\c\nd",position="2"} 2
+# TYPE sqlts_matches_total counter
+sqlts_matches_total{tenant="a\"b\\c\nd"} 1
+# TYPE sqlts_tuples_total counter
+sqlts_tuples_total{tenant="a\"b\\c\nd"} 8
+# TYPE sqlts_clusters_total counter
+sqlts_clusters_total{tenant="a\"b\\c\nd"} 2
+# TYPE sqlts_governor_flushes_total counter
+sqlts_governor_flushes_total{tenant="a\"b\\c\nd"} 2
+# TYPE sqlts_shift_distance histogram
+sqlts_shift_distance_bucket{tenant="a\"b\\c\nd",le="1"} 1
+sqlts_shift_distance_bucket{tenant="a\"b\\c\nd",le="7"} 2
+sqlts_shift_distance_bucket{tenant="a\"b\\c\nd",le="+Inf"} 2
+sqlts_shift_distance_sum{tenant="a\"b\\c\nd"} 6
+sqlts_shift_distance_count{tenant="a\"b\\c\nd"} 2
+# TYPE sqlts_backtrack_depth histogram
+sqlts_backtrack_depth_bucket{tenant="a\"b\\c\nd",le="0"} 1
+sqlts_backtrack_depth_bucket{tenant="a\"b\\c\nd",le="3"} 2
+sqlts_backtrack_depth_bucket{tenant="a\"b\\c\nd",le="+Inf"} 3
+sqlts_backtrack_depth_sum{tenant="a\"b\\c\nd"} 1048579
+sqlts_backtrack_depth_count{tenant="a\"b\\c\nd"} 3
+sqlts_phase_seconds{tenant="a\"b\\c\nd",phase="parse"} 0.0000015
+sqlts_phase_seconds{tenant="a\"b\\c\nd",phase="bind"} 0
+sqlts_phase_seconds{tenant="a\"b\\c\nd",phase="plan"} 0.00025
+sqlts_phase_seconds{tenant="a\"b\\c\nd",phase="partition"} 0.000000003
+sqlts_phase_seconds{tenant="a\"b\\c\nd",phase="execute"} 2
+sqlts_governor_tripped{tenant="a\"b\\c\nd",cause="step_budget"} 1
+"#
+        );
     }
 
     #[test]

@@ -223,18 +223,40 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let s = sample();
-        let prom = s.to_prometheus();
-        for needle in [
-            "# TYPE sqlts_patternset_tests_shared counter",
-            "sqlts_patternset_tests_shared 640",
-            "# TYPE sqlts_patternset_queries gauge",
-            "sqlts_patternset_queries 8",
-            "# TYPE sqlts_patternset_shared_prefix_depth histogram",
-            "sqlts_patternset_shared_prefix_depth_count 8",
-        ] {
-            assert!(prom.contains(needle), "missing {needle} in:\n{prom}");
-        }
-        // Invariant the CI smoke leans on: evaluated + saved == logical.
+        assert_eq!(
+            s.to_prometheus(),
+            r#"# HELP sqlts_patternset_tests_logical Logical predicate tests charged across shared-set members
+# TYPE sqlts_patternset_tests_logical counter
+sqlts_patternset_tests_logical 800
+# HELP sqlts_patternset_tests_evaluated Physical predicate evaluations performed by the shared pass
+# TYPE sqlts_patternset_tests_evaluated counter
+sqlts_patternset_tests_evaluated 130
+# HELP sqlts_patternset_tests_saved Logical tests answered from the shared memo
+# TYPE sqlts_patternset_tests_saved counter
+sqlts_patternset_tests_saved 670
+# HELP sqlts_patternset_tests_shared Saved tests served across queries or via implication
+# TYPE sqlts_patternset_tests_shared counter
+sqlts_patternset_tests_shared 640
+# HELP sqlts_patternset_queries Queries in the shared pattern set
+# TYPE sqlts_patternset_queries gauge
+sqlts_patternset_queries 8
+# HELP sqlts_patternset_classes Distinct purely-local predicate classes interned
+# TYPE sqlts_patternset_classes gauge
+sqlts_patternset_classes 3
+# HELP sqlts_patternset_trie_nodes Nodes in the class-sequence prefix trie
+# TYPE sqlts_patternset_trie_nodes gauge
+sqlts_patternset_trie_nodes 5
+# HELP sqlts_patternset_implication_edges Cross-class implication edges in the lattice
+# TYPE sqlts_patternset_implication_edges gauge
+sqlts_patternset_implication_edges 2
+# TYPE sqlts_patternset_shared_prefix_depth histogram
+sqlts_patternset_shared_prefix_depth_bucket{le="3"} 8
+sqlts_patternset_shared_prefix_depth_bucket{le="+Inf"} 8
+sqlts_patternset_shared_prefix_depth_sum 16
+sqlts_patternset_shared_prefix_depth_count 8
+"#
+        );
+        // Invariant the server tests lean on: evaluated + saved == logical.
         assert_eq!(s.tests_evaluated + s.tests_saved, s.tests_logical);
     }
 }
