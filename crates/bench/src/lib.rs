@@ -5,8 +5,8 @@
 //! binary renders them as text and the Criterion benches time them.
 
 use sqlts_core::{
-    compile, execute, execute_query, execute_set, CompileOptions, EngineKind, EvalCounter,
-    ExecOptions, ExecutionProfile, FirstTuplePolicy, Instrument, PatternSetStats, SearchTrace,
+    compile, execute, execute_query, execute_set, CompileOptions, EngineKind, ExecOptions,
+    ExecutionProfile, FirstTuplePolicy, Instrument, PatternSetStats, SearchTrace,
 };
 use sqlts_datagen::{djia_series, integer_walk, prices_to_table, symbol_series};
 use sqlts_relation::{Date, Table, Value};
@@ -132,8 +132,7 @@ pub fn trace_path(query: &str, prices: &[f64], engine: EngineKind) -> SearchTrac
     let compiled = sqlts_core::compile(query, table.schema(), &CompileOptions::default())
         .expect("query compiles");
     let clusters = table.cluster_by(&[], &["date"]).expect("cluster");
-    let mut trace = SearchTrace::new();
-    let counter = EvalCounter::new();
+    let counter = SearchTrace::counter(compiled.elements.len());
     find_matches(
         &compiled.elements,
         &clusters[0],
@@ -142,9 +141,8 @@ pub fn trace_path(query: &str, prices: &[f64], engine: EngineKind) -> SearchTrac
             policy: FirstTuplePolicy::Fail,
         },
         &counter,
-        Some(&mut trace),
     );
-    trace
+    SearchTrace::of(counter)
 }
 
 /// The simulated 25-year DJIA table (experiment E4).

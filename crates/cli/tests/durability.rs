@@ -14,132 +14,22 @@
 
 #![cfg(unix)]
 
-use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
+mod common;
+
+use common::{
+    batch_csv, http_get, metric, result_body, rows, Client, ServerGuard, BIN, QUERY, SCHEMA,
+};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::process::Command;
+use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_sqlts");
-const SCHEMA: &str = "name:str,day:int,price:float";
-const QUERY: &str = "SELECT X.name, Z.day AS day FROM quote \
-                     CLUSTER BY name SEQUENCE BY day AS (X, *Y, Z) \
-                     WHERE Y.price > Y.previous.price AND Z.price < Z.previous.price";
-
-/// A running `sqlts serve` process, killed on drop.
-struct ServerGuard {
-    child: Child,
-    addr: String,
-    /// Stdout after the `listening on` announcement, still attached.
-    stdout: BufReader<std::process::ChildStdout>,
-    /// Lines printed *before* the announcement (the recovery summary).
-    preamble: Vec<String>,
-}
-
-impl Drop for ServerGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawn `sqlts serve --listen 127.0.0.1:0 --data-dir <dir> <extra>` and
-/// wait for its `listening on <addr>` announcement, collecting any
-/// recovery summary printed before it.
+/// Spawn `sqlts serve --listen 127.0.0.1:0 --data-dir <dir> <extra>`; the
+/// guard's `preamble` holds the recovery summary printed before the
+/// `listening on <addr>` announcement.
 fn spawn_server(data_dir: &Path, extra: &[&str]) -> ServerGuard {
-    let mut child = Command::new(BIN)
-        .args(["serve", "--listen", "127.0.0.1:0", "--data-dir"])
-        .arg(data_dir)
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut preamble = Vec::new();
-    let addr = loop {
-        let mut line = String::new();
-        if stdout.read_line(&mut line).unwrap() == 0 {
-            panic!("server exited before announcing; preamble: {preamble:?}");
-        }
-        match line.trim().strip_prefix("listening on ") {
-            Some(addr) => break addr.to_string(),
-            None => preamble.push(line.trim().to_string()),
-        }
-    };
-    ServerGuard {
-        child,
-        addr,
-        stdout,
-        preamble,
-    }
-}
-
-/// One protocol connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, payload: &str) -> String {
-        write_frame(&mut self.writer, payload).unwrap();
-        self.recv()
-    }
-
-    fn recv(&mut self) -> String {
-        match read_frame(&mut self.reader, 1 << 24).unwrap() {
-            FrameEvent::Payload(p) => p,
-            other => panic!("expected a payload frame, got {other:?}"),
-        }
-    }
-}
-
-/// The follow-suite's deterministic zig-zag workload over two clusters.
-fn rows() -> Vec<String> {
-    let mut out = Vec::new();
-    for day in 0..120i64 {
-        for (name, phase) in [("AAA", 0), ("BBB", 1)] {
-            let price = 100 + ((day + phase) % 7) * 3 - ((day + phase) % 3) * 5;
-            out.push(format!("{name},{day},{price}"));
-        }
-    }
-    out
-}
-
-/// The batch-mode reference output for the same tuples.
-fn batch_csv(rows: &[String]) -> String {
-    let dir = std::env::temp_dir().join(format!("sqlts-durability-batch-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("data.csv");
-    std::fs::write(&path, format!("name,day,price\n{}\n", rows.join("\n"))).unwrap();
-    let out = Command::new(BIN)
-        .args(["--csv", path.to_str().unwrap(), "--schema", SCHEMA, QUERY])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    String::from_utf8(out.stdout).unwrap()
-}
-
-fn result_body(reply: &str, id: &str, code: u8) -> String {
-    let (head, body) = reply.split_once('\n').unwrap();
-    assert!(
-        head.starts_with(&format!("RESULT {id} {code} ")),
-        "unexpected result head: {head}"
-    );
-    body.to_string()
+    let mut args = vec!["--data-dir", data_dir.to_str().unwrap()];
+    args.extend_from_slice(extra);
+    common::spawn_server(&args)
 }
 
 /// Parse `OK opened quote rows=N`.
@@ -192,11 +82,7 @@ fn sigkill_midfeed_then_restart_is_byte_identical_to_batch() {
         acknowledged = fed;
         // Fire one more FEED and kill without reading the reply.
         let in_flight = chunks.next().unwrap();
-        write_frame(
-            &mut client.writer,
-            &format!("FEED quote\n{}", in_flight.join("\n")),
-        )
-        .unwrap();
+        client.send_only(&format!("FEED quote\n{}", in_flight.join("\n")));
         server.child.kill().unwrap();
         server.child.wait().unwrap();
     }
@@ -227,6 +113,11 @@ fn sigkill_midfeed_then_restart_is_byte_identical_to_batch() {
         let reply = client.send(&format!("FEED quote\n{}", rows[durable..].join("\n")));
         assert!(reply.starts_with("OK fed "), "{reply}");
     }
+    let scrape = http_get(&server.addr, "/metrics");
+    assert_eq!(
+        metric(&scrape, "sqlts_server_recovered_subscriptions_total"),
+        1
+    );
     let reply = client.send("UNSUBSCRIBE s1");
     assert_eq!(
         result_body(&reply, "s1", 0),
@@ -253,12 +144,7 @@ fn sigterm_drains_gracefully_and_a_restart_recovers() {
 
     // Graceful drain: exit code 0, a parting ERR to the in-flight
     // connection, `drained` on stdout, and no LOCK left behind.
-    let pid = server.child.id().to_string();
-    assert!(Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .unwrap()
-        .success());
+    server.signal("TERM");
     let status = server.child.wait().unwrap();
     assert!(status.success(), "drain must exit 0, got {status:?}");
     let parting = client.recv();
@@ -308,4 +194,80 @@ fn second_server_on_a_live_data_dir_is_refused_with_exit_2() {
         "unexpected refusal message: {stderr}"
     );
     drop(server);
+}
+
+/// Poll `cond` for up to ten seconds.
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Replication failover through the real binary: a primary streams its
+/// WAL to a `--standby` with sync acks and is SIGKILLed with a FEED in
+/// flight; SIGUSR1 (the CLI's relay — no in-process test reaches the
+/// signal handler) promotes the standby, which must hold every
+/// sync-acked row and finish the stream byte-identical to batch.
+#[test]
+fn sigusr1_promotes_the_standby_after_the_primary_is_killed() {
+    let rows = rows();
+    let expected = batch_csv(&rows);
+    let (pdir, sdir) = (fresh_dir("primary"), fresh_dir("standby"));
+    let standby = spawn_server(&sdir, &["--standby"]);
+    let primary = spawn_server(
+        &pdir,
+        &["--replicate-to", &standby.addr, "--repl-ack", "sync"],
+    );
+    // The shipper connects in the background; a sync FEED that beats it
+    // degrades to async by design, so start once the stream is up.
+    wait_until("replication session up", || {
+        metric(&http_get(&primary.addr, "/metrics"), "sqlts_repl_connected") == 1
+    });
+    let mut client = Client::connect(&primary.addr);
+    client.send(&format!("OPEN quote {SCHEMA}"));
+    client.send(&format!("SUBSCRIBE s1 quote\n{QUERY}"));
+    let mut chunks = rows.chunks(30);
+    let mut acked = 0;
+    for chunk in chunks.by_ref().take(4) {
+        let reply = client.send(&format!("FEED quote\n{}", chunk.join("\n")));
+        assert!(reply.starts_with("OK fed 30 subs=1"), "{reply}");
+        acked += chunk.len();
+    }
+    let scrape = http_get(&standby.addr, "/metrics");
+    assert_eq!(metric(&scrape, "sqlts_standby"), 1);
+    assert!(metric(&scrape, "sqlts_repl_frames_received_total") >= 4);
+
+    client.send_only(&format!(
+        "FEED quote\n{}",
+        chunks.next().unwrap().join("\n")
+    ));
+    drop(primary);
+    standby.signal("USR1");
+    let mut client = Client::connect(&standby.addr);
+    let mut reply = String::new();
+    wait_until("promotion after SIGUSR1", || {
+        reply = client.send(&format!("OPEN quote {SCHEMA}"));
+        assert!(
+            reply.starts_with("OK opened ") || reply.starts_with("ERR 4 "),
+            "{reply}"
+        );
+        reply.starts_with("OK opened ")
+    });
+    let durable = opened_rows(&reply);
+    assert!(
+        durable == acked || durable == acked + 30,
+        "promoted standby holds {durable} rows, {acked} were sync-acked"
+    );
+    let scrape = http_get(&standby.addr, "/metrics");
+    assert_eq!(metric(&scrape, "sqlts_standby"), 0);
+    assert_eq!(metric(&scrape, "sqlts_repl_promotions_total"), 1);
+    client.send(&format!("FEED quote\n{}", rows[durable..].join("\n")));
+    let reply = client.send("UNSUBSCRIBE s1");
+    assert_eq!(
+        result_body(&reply, "s1", 0),
+        expected,
+        "promoted standby must be byte-identical to batch"
+    );
 }

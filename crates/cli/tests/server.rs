@@ -12,130 +12,16 @@
 //! * `GET /metrics` on the same port serves a sane Prometheus exposition;
 //! * a subscription that stops feeding still trips its wall-clock
 //!   deadline (the stalled-tenant fix) and reports a partial, exit-coded
-//!   result.
+//!   result;
+//! * a reply never waits out Nagle x delayed ACK again.
 
-use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use common::{batch_csv, result_body, rows, spawn_server, Client, BIN, QUERY, SCHEMA};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_sqlts");
-const SCHEMA: &str = "name:str,day:int,price:float";
-const QUERY: &str = "SELECT X.name, Z.day AS day FROM quote \
-                     CLUSTER BY name SEQUENCE BY day AS (X, *Y, Z) \
-                     WHERE Y.price > Y.previous.price AND Z.price < Z.previous.price";
-
-/// A running `sqlts serve` process, killed on drop.
-struct ServerGuard {
-    child: Child,
-    addr: String,
-    /// Keeps the child's stdout pipe open: a drained server prints a
-    /// final "drained" line, and a closed pipe would turn that print
-    /// into an EPIPE panic.
-    #[allow(dead_code)]
-    stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl Drop for ServerGuard {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawn `sqlts serve --listen 127.0.0.1:0 <extra>` and wait for its
-/// "listening on <addr>" announcement.
-fn spawn_server(extra: &[&str]) -> ServerGuard {
-    let mut child = Command::new(BIN)
-        .args(["serve", "--listen", "127.0.0.1:0"])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut line = String::new();
-    stdout.read_line(&mut line).unwrap();
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected announcement: {line:?}"))
-        .to_string();
-    ServerGuard {
-        child,
-        addr,
-        stdout,
-    }
-}
-
-/// One protocol connection.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    /// Send one frame and read one reply frame.
-    fn send(&mut self, payload: &str) -> String {
-        write_frame(&mut self.writer, payload).unwrap();
-        self.recv()
-    }
-
-    fn recv(&mut self) -> String {
-        match read_frame(&mut self.reader, 1 << 24).unwrap() {
-            FrameEvent::Payload(p) => p,
-            other => panic!("expected a payload frame, got {other:?}"),
-        }
-    }
-}
-
-/// The follow-suite's deterministic zig-zag workload over two clusters.
-fn rows() -> Vec<String> {
-    let mut out = Vec::new();
-    for day in 0..120i64 {
-        for (name, phase) in [("AAA", 0), ("BBB", 1)] {
-            let price = 100 + ((day + phase) % 7) * 3 - ((day + phase) % 3) * 5;
-            out.push(format!("{name},{day},{price}"));
-        }
-    }
-    out
-}
-
-/// The batch-mode reference output for the same tuples.
-fn batch_csv(rows: &[String]) -> String {
-    let dir = std::env::temp_dir().join(format!("sqlts-server-batch-{}", std::process::id()));
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("data.csv");
-    std::fs::write(&path, format!("name,day,price\n{}\n", rows.join("\n"))).unwrap();
-    let out = Command::new(BIN)
-        .args(["--csv", path.to_str().unwrap(), "--schema", SCHEMA, QUERY])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    String::from_utf8(out.stdout).unwrap()
-}
-
-/// Strip a `RESULT <id> <code> ...` head and assert the expected code.
-fn result_body(reply: &str, id: &str, code: u8) -> String {
-    let (head, body) = reply.split_once('\n').unwrap();
-    assert!(
-        head.starts_with(&format!("RESULT {id} {code} ")),
-        "unexpected result head: {head}"
-    );
-    body.to_string()
-}
 
 #[test]
 fn concurrent_subscriptions_match_batch() {
@@ -566,4 +452,69 @@ fn stalled_subscription_trips_wall_clock_deadline() {
     let head = reply.lines().next().unwrap();
     assert!(head.starts_with("RESULT stall 4 "), "{head}");
     assert!(head.contains("trip=deadline"), "{head}");
+}
+
+/// A reply must not wait out Nagle x delayed ACK: 44 ms per round trip
+/// before accepted sockets got `TCP_NODELAY` and `write_frame` became one
+/// write, ≈ 0.1 ms since.  The median keeps one scheduler hiccup from
+/// failing the build.
+#[test]
+fn ping_round_trip_has_no_reply_stall() {
+    let server = spawn_server(&[]);
+    let mut client = Client::connect(&server.addr);
+    assert_eq!(client.send("PING"), "OK pong");
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|_| {
+            let started = Instant::now();
+            assert_eq!(client.send("PING"), "OK pong");
+            started.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median PING round trip {median:?}: the reply stall is back"
+    );
+}
+
+/// `sqlts trace-agg` must fold the span log a real server wrote — the
+/// reader and the writer agree on the format, not just each with a
+/// hand-rolled sample of it.
+#[test]
+fn trace_agg_folds_a_real_server_span_log() {
+    let dir = std::env::temp_dir().join(format!("sqlts-agg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, folded) = (dir.join("server.log.jsonl"), dir.join("spans.folded"));
+    let mut server = spawn_server(&["--log", log.to_str().unwrap(), "--log-level", "debug"]);
+    let mut client = Client::connect(&server.addr);
+    client.send(&format!("OPEN quote {SCHEMA}"));
+    client.send(&format!("SUBSCRIBE s1 quote\n{QUERY}"));
+    client.send(&format!("FEED quote\n{}", rows()[..40].join("\n")));
+    client.send("UNSUBSCRIBE s1");
+    drop(client);
+    // Graceful drain, so the log is flushed and final.
+    server.signal("TERM");
+    assert!(server.child.wait().unwrap().success());
+
+    let agg = Command::new(BIN)
+        .args(["trace-agg", log.to_str().unwrap(), "--collapsed"])
+        .arg(&folded)
+        .output()
+        .unwrap();
+    assert!(agg.status.success(), "{agg:?}");
+    let tree = String::from_utf8(agg.stdout).unwrap();
+    assert!(tree.starts_with("span log:"), "{tree}");
+    for name in ["dispatch", "fanout", "accept"] {
+        assert!(tree.contains(name), "missing {name} in:\n{tree}");
+    }
+    let collapsed = std::fs::read_to_string(&folded).unwrap();
+    assert!(collapsed.contains("serve;dispatch"), "{collapsed}");
+    for line in collapsed.lines() {
+        let (stack, count) = line.rsplit_once(' ').expect("stack SP count");
+        assert!(stack.contains(';') && !stack.contains(' '), "{line}");
+        assert!(count.parse::<u64>().is_ok(), "{line}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -235,9 +235,9 @@ impl EvalCounter {
     }
 }
 
-/// Records the `(i, j)` trajectory of a search — the input cursor and
-/// pattern cursor at every predicate test — to reproduce the path curves
-/// of the paper's Figure 5.
+/// The `(i, j)` trajectory of a search — the input cursor and pattern
+/// cursor at every predicate test, the path curves of the paper's
+/// Figure 5 — read off the `Advance`/`Fail` events of an armed recorder.
 #[derive(Debug, Default, Clone)]
 pub struct SearchTrace {
     /// `(i, j)` pairs, 1-based as in the paper.
@@ -245,15 +245,29 @@ pub struct SearchTrace {
 }
 
 impl SearchTrace {
-    /// A fresh trace.
-    pub fn new() -> SearchTrace {
-        SearchTrace::default()
+    /// A counter armed to retain every event of a search over an
+    /// `m`-element pattern (the ring drops nothing), for
+    /// [`SearchTrace::of`] to read back.
+    pub fn counter(m: usize) -> EvalCounter {
+        EvalCounter::new().with_recorder(ClusterRecorder::new(m, usize::MAX))
     }
 
-    /// Record a test of input position `i` against pattern position `j`
-    /// (both 1-based).
-    pub fn record(&mut self, i: usize, j: usize) {
-        self.steps.push((i, j));
+    /// The trajectory `counter`'s recorder retained: one step per
+    /// predicate test (empty when the counter was never armed).
+    pub fn of(counter: EvalCounter) -> SearchTrace {
+        let events = counter.into_recorder().map(|r| r.events.into_events());
+        let steps = events
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Advance { i, j } | TraceEvent::Fail { i, j } => {
+                    Some((i as usize, j as usize))
+                }
+                _ => None,
+            });
+        SearchTrace {
+            steps: steps.collect(),
+        }
     }
 
     /// The length of the search path (number of tests) — the quantity the
@@ -366,22 +380,21 @@ mod tests {
 
     #[test]
     fn trace_records_and_measures() {
-        let mut t = SearchTrace::new();
-        for (i, j) in [(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (4, 3)] {
-            t.record(i, j);
-        }
+        let t = SearchTrace {
+            steps: vec![(1, 1), (2, 2), (3, 3), (2, 1), (3, 2), (4, 3)],
+        };
         assert_eq!(t.path_len(), 6);
         assert_eq!(t.backtrack_episodes(), 1); // 3 -> 2
     }
 
     #[test]
     fn ascii_chart_smoke() {
-        let mut t = SearchTrace::new();
-        t.record(1, 1);
-        t.record(5, 1);
+        let t = SearchTrace {
+            steps: vec![(1, 1), (5, 1)],
+        };
         let chart = t.ascii_chart(20);
         assert_eq!(chart.lines().count(), 2);
         assert!(chart.contains('*'));
-        assert!(SearchTrace::new().ascii_chart(10).is_empty());
+        assert!(SearchTrace::default().ascii_chart(10).is_empty());
     }
 }

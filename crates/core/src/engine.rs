@@ -14,7 +14,7 @@
 //! compile-time `shift` / `next` tables and the runtime `count[]` array of
 //! §5 to skip work whose outcome is already known.
 
-use crate::counters::{EvalCounter, SearchTrace};
+use crate::counters::EvalCounter;
 use crate::matrices::{test_element, PrecondMatrices, Predicates};
 use crate::shift_next::{self, ShiftNext};
 use crate::stargraph::star_shift_next;
@@ -179,15 +179,15 @@ pub fn plan_for(elements: &[PatternElement], kind: EngineKind) -> Option<SearchP
 
 /// Find all matches of `elements` in `cluster` using `kind`.
 ///
-/// `counter` accumulates the paper's cost metric; pass a `trace` to record
-/// the `(i, j)` search path (Figure 5).
+/// `counter` accumulates the paper's cost metric; armed with a recorder
+/// it also retains the `(i, j)` search path (Figure 5) as `Advance`/`Fail`
+/// events.
 pub fn find_matches(
     elements: &[PatternElement],
     cluster: &Cluster<'_>,
     kind: EngineKind,
     options: &SearchOptions,
     counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
 ) -> Vec<MatchSpans> {
     let search_plan = plan_for(elements, kind);
     search_cluster(
@@ -197,7 +197,6 @@ pub fn find_matches(
         search_plan.as_ref(),
         options,
         counter,
-        trace,
     )
 }
 
@@ -212,7 +211,6 @@ pub(crate) fn search_cluster(
     search_plan: Option<&SearchPlan>,
     options: &SearchOptions,
     counter: &EvalCounter,
-    trace: Option<&mut SearchTrace>,
 ) -> Vec<MatchSpans> {
     let input = StepInput {
         cluster,
@@ -226,7 +224,6 @@ pub(crate) fn search_cluster(
         &input,
         options,
         counter,
-        trace,
         &mut out,
     );
     out
@@ -295,7 +292,6 @@ impl EngineMachine {
     /// Advance the search as far as the buffered input allows, appending
     /// completed matches to `out`.  `search_plan` is required for the OPS
     /// machines and ignored by the naive ones.
-    #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
         elements: &[PatternElement],
@@ -303,19 +299,17 @@ impl EngineMachine {
         input: &StepInput<'_, '_>,
         options: &SearchOptions,
         counter: &EvalCounter,
-        trace: Option<&mut SearchTrace>,
         out: &mut Vec<MatchSpans>,
     ) -> StepOutcome {
         match self {
-            EngineMachine::Naive(m) => m.run(elements, input, options, counter, trace, out),
-            EngineMachine::Backtrack(m) => m.run(elements, input, options, counter, trace, out),
+            EngineMachine::Naive(m) => m.run(elements, input, options, counter, out),
+            EngineMachine::Backtrack(m) => m.run(elements, input, options, counter, out),
             EngineMachine::Ops(m) => m.run(
                 elements,
                 search_plan.expect("OPS machine needs a search plan"),
                 input,
                 options,
                 counter,
-                trace,
                 out,
             ),
         }
@@ -434,7 +428,6 @@ impl BacktrackMachine {
         input: &StepInput<'_, '_>,
         options: &SearchOptions,
         counter: &EvalCounter,
-        mut trace: Option<&mut SearchTrace>,
         out: &mut Vec<MatchSpans>,
     ) -> StepOutcome {
         let pattern = Predicates::new(elements);
@@ -480,9 +473,6 @@ impl BacktrackMachine {
                     }
                     if !input.testable(i) {
                         return StepOutcome::NeedInput;
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(i + 1, j);
                     }
                     if !test_element(pattern, j, &ctx, i, &self.bindings, counter) {
                         self.pc = BtPc::Ret { ok: false };
@@ -552,9 +542,6 @@ impl BacktrackMachine {
                     }
                     if !input.testable(end + 1) {
                         return StepOutcome::NeedInput;
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(end + 2, j);
                     }
                     if !test_element(pattern, j, &ctx, end + 1, &self.bindings, counter) {
                         self.frames.pop();
@@ -634,7 +621,6 @@ impl NaiveMachine {
         input: &StepInput<'_, '_>,
         options: &SearchOptions,
         counter: &EvalCounter,
-        mut trace: Option<&mut SearchTrace>,
         out: &mut Vec<MatchSpans>,
     ) -> StepOutcome {
         let pattern = Predicates::new(elements);
@@ -683,9 +669,6 @@ impl NaiveMachine {
                 if !input.testable(self.i) {
                     return StepOutcome::NeedInput;
                 }
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(self.i + 1, self.e);
-                }
                 if !test_element(pattern, self.e, &ctx, self.i, &self.bindings, counter) {
                     // Naive realign: one tuple on, resume at element 1 — the
                     // shift/next the naive tables encode.
@@ -719,9 +702,6 @@ impl NaiveMachine {
                 }
                 if !input.testable(self.i) {
                     return StepOutcome::NeedInput;
-                }
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(self.i + 1, self.e);
                 }
                 if test_element(pattern, self.e, &ctx, self.i, &self.bindings, counter) {
                     self.i += 1;
@@ -777,7 +757,6 @@ impl OpsMachine {
         self.bindings.spans.clear();
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         elements: &[PatternElement],
@@ -785,7 +764,6 @@ impl OpsMachine {
         input: &StepInput<'_, '_>,
         options: &SearchOptions,
         counter: &EvalCounter,
-        mut trace: Option<&mut SearchTrace>,
         out: &mut Vec<MatchSpans>,
     ) -> StepOutcome {
         let pattern = Predicates::new(elements);
@@ -831,9 +809,6 @@ impl OpsMachine {
                 return StepOutcome::NeedInput;
             }
 
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(self.i + 1, self.j);
-            }
             if test_element(pattern, self.j, &ctx, self.i, &self.bindings, counter) {
                 self.counts[self.j] += 1;
                 self.i += 1;
@@ -1006,7 +981,6 @@ mod tests {
                 kind,
                 &SearchOptions { policy },
                 &counter,
-                None,
             ),
         };
         (matches, counter.total())
@@ -1212,19 +1186,24 @@ mod tests {
         let prices = [10.0, 10.0, 11.0, 10.0];
         let t = table(&prices);
         let clusters = t.cluster_by(&[], &["date"]).unwrap();
-        let counter = EvalCounter::new();
-        let mut trace = SearchTrace::new();
+        let counter =
+            EvalCounter::new().with_recorder(sqlts_trace::ClusterRecorder::new(2, usize::MAX));
         let matches = find_matches(
             &query.elements,
             &clusters[0],
             EngineKind::Ops,
             &SearchOptions::default(),
             &counter,
-            Some(&mut trace),
         );
         assert_eq!(matches.len(), 1);
-        assert_eq!(trace.path_len() as u64, counter.total());
-        assert!(trace.path_len() > 0);
+        let total = counter.total();
+        let recorder = counter.into_recorder().unwrap();
+        let path = recorder
+            .events
+            .events()
+            .filter(|e| matches!(e, TraceEvent::Advance { .. } | TraceEvent::Fail { .. }));
+        assert_eq!(path.count() as u64, total);
+        assert!(total > 0);
     }
 
     #[test]

@@ -789,7 +789,6 @@ impl BatchJob<'_> {
                 member.search_plan.as_ref(),
                 &search_options,
                 &counter,
-                None,
             ),
             Direction::Reverse => find_matches_directed(
                 query,

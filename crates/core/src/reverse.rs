@@ -136,11 +136,11 @@ pub fn find_matches_directed(
     counter: &EvalCounter,
 ) -> Vec<MatchSpans> {
     match direction {
-        Direction::Forward => find_matches(&query.elements, cluster, kind, options, counter, None),
+        Direction::Forward => find_matches(&query.elements, cluster, kind, options, counter),
         Direction::Reverse => {
             let rev_elements = reverse_elements(&query.elements);
             let rev_cluster = cluster.reversed();
-            let found = find_matches(&rev_elements, &rev_cluster, kind, options, counter, None);
+            let found = find_matches(&rev_elements, &rev_cluster, kind, options, counter);
             unreverse_matches(found, cluster.len())
         }
     }

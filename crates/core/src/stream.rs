@@ -979,7 +979,6 @@ fn drive(
         &input,
         search_options,
         &cs.counter,
-        None,
         &mut cs.pending,
     );
     let avail = cs.base + cs.buf.len();

@@ -3,7 +3,7 @@
 //! claims), determinism, and controlled match-density workloads.
 
 use sqlts_core::engine::{find_matches, SearchOptions};
-use sqlts_core::{compile, CompileOptions, EngineKind, EvalCounter, FirstTuplePolicy, SearchTrace};
+use sqlts_core::{compile, CompileOptions, EngineKind, FirstTuplePolicy, SearchTrace};
 use sqlts_datagen::{embed_motif, integer_walk, prices_to_table};
 use sqlts_relation::{Date, Table};
 
@@ -14,8 +14,7 @@ fn table_of(prices: &[f64]) -> Table {
 fn traced(query_src: &str, table: &Table, engine: EngineKind) -> (SearchTrace, u64, usize) {
     let query = compile(query_src, table.schema(), &CompileOptions::default()).unwrap();
     let clusters = table.cluster_by(&[], &["date"]).unwrap();
-    let mut trace = SearchTrace::new();
-    let counter = EvalCounter::new();
+    let counter = SearchTrace::counter(query.elements.len());
     let matches = find_matches(
         &query.elements,
         &clusters[0],
@@ -24,9 +23,9 @@ fn traced(query_src: &str, table: &Table, engine: EngineKind) -> (SearchTrace, u
             policy: FirstTuplePolicy::Fail,
         },
         &counter,
-        Some(&mut trace),
     );
-    (trace, counter.total(), matches.len())
+    let total = counter.total();
+    (SearchTrace::of(counter), total, matches.len())
 }
 
 const CHAIN: &str = "SELECT A.date FROM t SEQUENCE BY date AS (A, B, C, D) \

@@ -1,20 +1,18 @@
-//! Server-level counters and the Prometheus text exposition served at
-//! `GET /metrics`.
+//! Server-level counters and the two HTTP documents built from them:
+//! the Prometheus text exposition at `GET /metrics` and the JSON at
+//! `GET /status`.
 //!
-//! Three layers are spliced into one scrape:
-//!
-//! 1. server counters (connections, frames, protocol errors, rows fed);
-//! 2. live per-subscription gauges, labeled `tenant="<sub id>"`, sampled
-//!    from each worker's [`SessionStatus`](sqlts_core::SessionStatus);
-//! 3. the most recent finished subscriptions' full
-//!    [`ExecutionProfile`](sqlts_trace::ExecutionProfile) expositions via
-//!    `to_prometheus_labeled`, with duplicate `# TYPE` lines removed so
-//!    the merged document stays a valid exposition.
+//! Every family is declared once, as a row of a table in this file
+//! ([`LATENCY_OPS`], [`COUNTERS`], [`SUB_GAUGES`], [`REPL`]);
+//! [`metrics_text`] walks the tables — and the finished subscriptions'
+//! [`ExecutionProfile`]s and the shared [`PatternSetStats`], which carry
+//! their own — through one [`Exposition`], and [`status_json`] reads its
+//! keys from the same rows with the `sqlts_server_` prefix stripped.
 
+use crate::replicate::ReplSnapshot;
 use sqlts_trace::{
-    escape_label_value, json_escape, write_prometheus_histogram, BoundedHistogram, ExecutionProfile,
+    json_escape, BoundedHistogram, ExecutionProfile, Exposition, Kind, PatternSetStats,
 };
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,49 +32,18 @@ pub enum LatencyOp {
     Snapshot,
 }
 
-impl LatencyOp {
-    const ALL: [LatencyOp; 5] = [
-        LatencyOp::WalAppend,
-        LatencyOp::Fsync,
-        LatencyOp::FrameDecode,
-        LatencyOp::Fanout,
-        LatencyOp::Snapshot,
-    ];
+/// Every [`LatencyOp`] with its name stem, in declaration order (a row's
+/// position is its histogram's slot).  `/status` keys the op
+/// `<stem>_micros`; `/metrics` names it `sqlts_server_<stem>_micros`.
+const LATENCY_OPS: [(LatencyOp, &str); 5] = [
+    (LatencyOp::WalAppend, "wal_append"),
+    (LatencyOp::Fsync, "fsync"),
+    (LatencyOp::FrameDecode, "frame_decode"),
+    (LatencyOp::Fanout, "fanout"),
+    (LatencyOp::Snapshot, "snapshot"),
+];
 
-    /// The exposition metric name (`sqlts_server_<op>_micros`).
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            LatencyOp::WalAppend => "sqlts_server_wal_append_micros",
-            LatencyOp::Fsync => "sqlts_server_fsync_micros",
-            LatencyOp::FrameDecode => "sqlts_server_frame_decode_micros",
-            LatencyOp::Fanout => "sqlts_server_fanout_micros",
-            LatencyOp::Snapshot => "sqlts_server_snapshot_micros",
-        }
-    }
-
-    /// The key used in `/status` JSON.
-    pub fn json_key(self) -> &'static str {
-        match self {
-            LatencyOp::WalAppend => "wal_append_micros",
-            LatencyOp::Fsync => "fsync_micros",
-            LatencyOp::FrameDecode => "frame_decode_micros",
-            LatencyOp::Fanout => "fanout_micros",
-            LatencyOp::Snapshot => "snapshot_micros",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            LatencyOp::WalAppend => 0,
-            LatencyOp::Fsync => 1,
-            LatencyOp::FrameDecode => 2,
-            LatencyOp::Fanout => 3,
-            LatencyOp::Snapshot => 4,
-        }
-    }
-}
-
-/// Power-of-two latency histograms (microsecond buckets) for the five
+/// Power-of-two latency histograms (microsecond buckets) for the
 /// hot-path operations, reusing the query profiles' [`BoundedHistogram`]
 /// so server latencies and engine shift-distances share one exposition
 /// shape.  Each record is one short uncontended mutex acquisition —
@@ -84,52 +51,23 @@ impl LatencyOp {
 /// persist lock, so this adds no new contention edge.
 #[derive(Debug, Default)]
 pub struct LatencyHistograms {
-    hists: [Mutex<BoundedHistogram>; 5],
+    hists: [Mutex<BoundedHistogram>; LATENCY_OPS.len()],
 }
 
 impl LatencyHistograms {
     /// Record one operation's duration (nanoseconds; bucketed in µs).
     pub fn record_ns(&self, op: LatencyOp, ns: u64) {
-        if let Ok(mut h) = self.hists[op.index()].lock() {
+        if let Ok(mut h) = self.hists[op as usize].lock() {
             h.record(ns / 1_000);
         }
     }
 
     /// A snapshot of one operation's histogram.
     pub fn snapshot(&self, op: LatencyOp) -> BoundedHistogram {
-        self.hists[op.index()]
+        self.hists[op as usize]
             .lock()
             .map(|h| h.clone())
             .unwrap_or_default()
-    }
-
-    /// Append every histogram to a Prometheus exposition.
-    fn render_prometheus(&self, out: &mut String) {
-        for op in LatencyOp::ALL {
-            let h = self.snapshot(op);
-            write_prometheus_histogram(out, op.metric_name(), "", &h);
-        }
-    }
-
-    /// Append `"latency":{...}` summaries (count/sum/max per op, µs) to a
-    /// JSON object body.
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, op) in LatencyOp::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let h = self.snapshot(op);
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{}}}",
-                op.json_key(),
-                h.count(),
-                h.sum(),
-                h.max()
-            );
-        }
-        out.push('}');
     }
 }
 
@@ -169,6 +107,59 @@ pub struct ServerMetrics {
     retain_profiles: usize,
 }
 
+/// One [`ServerMetrics`] counter: exposition name, help text, whether
+/// `/status` lists it, and the field.
+type CounterRow = (
+    &'static str,
+    &'static str,
+    bool,
+    fn(&ServerMetrics) -> &AtomicU64,
+);
+
+#[rustfmt::skip] // a table: one metric per row
+const COUNTERS: [CounterRow; 13] = [
+    ("sqlts_server_connections_total", "TCP connections accepted", true, |m| &m.connections_total),
+    ("sqlts_server_frames_total", "protocol frames decoded", true, |m| &m.frames_total),
+    ("sqlts_server_errors_total", "frames answered with ERR", true, |m| &m.errors_total),
+    ("sqlts_server_subscriptions_total", "subscriptions admitted", true, |m| &m.subscriptions_total),
+    ("sqlts_server_rows_fed_total", "rows delivered to workers", true, |m| &m.rows_fed_total),
+    ("sqlts_server_wal_appends_total", "FEED frames appended to channel WALs", true, |m| &m.wal_appends_total),
+    ("sqlts_server_wal_fsyncs_total", "fsyncs issued against channel WALs", true, |m| &m.wal_fsyncs_total),
+    ("sqlts_server_wal_truncations_total", "WAL truncations past the snapshot low-water mark", false, |m| &m.wal_truncations_total),
+    ("sqlts_server_snapshots_total", "subscription checkpoint snapshots written", true, |m| &m.snapshots_total),
+    ("sqlts_server_recovered_subscriptions_total", "subscriptions respawned from snapshots at recovery", false, |m| &m.recovered_subscriptions_total),
+    ("sqlts_repl_frames_received_total", "replication frames accepted and appended (standby)", false, |m| &m.repl_frames_received_total),
+    ("sqlts_repl_rejected_frames_total", "replication frames rejected (crc, malformed, gap)", false, |m| &m.repl_rejected_frames_total),
+    ("sqlts_repl_promotions_total", "standby promotions completed", false, |m| &m.repl_promotions_total),
+];
+
+/// Reads one sample's value off a snapshot.
+type Read<T> = fn(&T) -> u64;
+
+/// The live per-subscription gauges, each labeled `tenant="<sub id>"`.
+const SUB_GAUGES: [(&str, Read<SubStatusView>); 5] = [
+    ("sqlts_sub_records", |v| v.status.records),
+    ("sqlts_sub_skipped", |v| v.status.skipped),
+    ("sqlts_sub_quarantined", |v| v.status.quarantined as u64),
+    ("sqlts_sub_tripped", |v| u64::from(v.status.trip.is_some())),
+    ("sqlts_sub_queue_depth", |v| v.queue_depth),
+];
+
+/// The primary-side replication block, emitted only when
+/// `--replicate-to` is configured (the standby-side counters are
+/// [`COUNTERS`] rows and render unconditionally).  `/status` lists the
+/// rows after `connected` under the name minus `sqlts_repl_` / `_total`.
+#[rustfmt::skip] // a table: one metric per row
+const REPL: [(&str, &str, Kind, Read<ReplSnapshot>); 7] = [
+    ("sqlts_repl_connected", "a shipping session to the standby is live", Kind::Gauge, |s| u64::from(s.connected)),
+    ("sqlts_repl_lag_rows", "rows committed locally but not standby-acked", Kind::Gauge, |s| s.lag_rows),
+    ("sqlts_repl_frames_sent_total", "WAL frames shipped to the standby", Kind::Counter, |s| s.frames_sent),
+    ("sqlts_repl_acks_total", "standby frame acknowledgements received", Kind::Counter, |s| s.acks),
+    ("sqlts_repl_resyncs_total", "shipping sessions established (each starts with a resync)", Kind::Counter, |s| s.resyncs),
+    ("sqlts_repl_send_errors_total", "failed ships (each costs the session)", Kind::Counter, |s| s.send_errors),
+    ("sqlts_repl_sync_degraded_total", "sync-ack FEEDs that degraded to async", Kind::Counter, |s| s.sync_degraded),
+];
+
 impl ServerMetrics {
     /// A fresh registry retaining at most `retain_profiles` finished
     /// subscription profiles (oldest evicted first).
@@ -202,229 +193,64 @@ impl ServerMetrics {
         }
         slot.push((tenant.to_string(), profile));
     }
-
-    /// Render the merged exposition.  `live` is one pre-rendered gauge
-    /// block per live subscription (see [`live_gauges`]).
-    pub fn render(&self, live: &[String]) -> String {
-        let mut out = String::new();
-        for (name, help, value) in [
-            (
-                "sqlts_server_connections_total",
-                "TCP connections accepted",
-                &self.connections_total,
-            ),
-            (
-                "sqlts_server_frames_total",
-                "protocol frames decoded",
-                &self.frames_total,
-            ),
-            (
-                "sqlts_server_errors_total",
-                "frames answered with ERR",
-                &self.errors_total,
-            ),
-            (
-                "sqlts_server_subscriptions_total",
-                "subscriptions admitted",
-                &self.subscriptions_total,
-            ),
-            (
-                "sqlts_server_rows_fed_total",
-                "rows delivered to workers",
-                &self.rows_fed_total,
-            ),
-            (
-                "sqlts_server_wal_appends_total",
-                "FEED frames appended to channel WALs",
-                &self.wal_appends_total,
-            ),
-            (
-                "sqlts_server_wal_fsyncs_total",
-                "fsyncs issued against channel WALs",
-                &self.wal_fsyncs_total,
-            ),
-            (
-                "sqlts_server_wal_truncations_total",
-                "WAL truncations past the snapshot low-water mark",
-                &self.wal_truncations_total,
-            ),
-            (
-                "sqlts_server_snapshots_total",
-                "subscription checkpoint snapshots written",
-                &self.snapshots_total,
-            ),
-            (
-                "sqlts_server_recovered_subscriptions_total",
-                "subscriptions respawned from snapshots at recovery",
-                &self.recovered_subscriptions_total,
-            ),
-            (
-                "sqlts_repl_frames_received_total",
-                "replication frames accepted and appended (standby)",
-                &self.repl_frames_received_total,
-            ),
-            (
-                "sqlts_repl_rejected_frames_total",
-                "replication frames rejected (crc, malformed, gap)",
-                &self.repl_rejected_frames_total,
-            ),
-            (
-                "sqlts_repl_promotions_total",
-                "standby promotions completed",
-                &self.repl_promotions_total,
-            ),
-        ] {
-            let _ = writeln!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {}",
-                value.load(Ordering::Relaxed)
-            );
-        }
-        self.latency.render_prometheus(&mut out);
-        out.push_str("# TYPE sqlts_sub_records gauge\n");
-        out.push_str("# TYPE sqlts_sub_skipped gauge\n");
-        out.push_str("# TYPE sqlts_sub_quarantined gauge\n");
-        out.push_str("# TYPE sqlts_sub_tripped gauge\n");
-        out.push_str("# TYPE sqlts_sub_queue_depth gauge\n");
-        for block in live {
-            out.push_str(block);
-        }
-        // Finished profiles: each exposition repeats its own # TYPE
-        // headers, so dedupe them across the splice.
-        let mut seen_types: HashSet<String> = HashSet::new();
-        if let Ok(finished) = self.finished.lock() {
-            for (tenant, profile) in finished.iter() {
-                for line in profile.to_prometheus_labeled(&[("tenant", tenant)]).lines() {
-                    if line.starts_with("# TYPE") && !seen_types.insert(line.to_string()) {
-                        continue;
-                    }
-                    out.push_str(line);
-                    out.push('\n');
-                }
-            }
-        }
-        out
-    }
 }
 
-/// Render one live subscription's gauges (tenant-labeled, names declared
-/// once by [`ServerMetrics::render`]).  `queue_depth` is the number of
-/// callers waiting for the worker's session right now.
-pub fn live_gauges(tenant: &str, status: &sqlts_core::SessionStatus, queue_depth: u64) -> String {
-    let t = escape_label_value(tenant);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "sqlts_sub_records{{tenant=\"{t}\"}} {}",
-        status.records
-    );
-    let _ = writeln!(
-        out,
-        "sqlts_sub_skipped{{tenant=\"{t}\"}} {}",
-        status.skipped
-    );
-    let _ = writeln!(
-        out,
-        "sqlts_sub_quarantined{{tenant=\"{t}\"}} {}",
-        status.quarantined
-    );
-    let _ = writeln!(
-        out,
-        "sqlts_sub_tripped{{tenant=\"{t}\"}} {}",
-        u8::from(status.trip.is_some())
-    );
-    let _ = writeln!(out, "sqlts_sub_queue_depth{{tenant=\"{t}\"}} {queue_depth}");
-    out
-}
-
-/// Assemble the whole `GET /metrics` document: server counters and
-/// latency histograms, one gauge block per live subscription, the
-/// retained finished profiles, then the optional shared pattern-set and
-/// primary-side replication blocks and the standby gauge.
+/// Build the whole `GET /metrics` document: server counters and latency
+/// histograms, the gauges of every live subscription, the retained
+/// finished profiles (tenant-labeled), then the optional shared
+/// pattern-set and primary-side replication blocks and the standby gauge.
 pub fn metrics_text(
     metrics: &ServerMetrics,
     subs: &[SubStatusView],
-    set: Option<&sqlts_trace::PatternSetStats>,
-    repl: Option<&crate::replicate::ReplSnapshot>,
+    set: Option<&PatternSetStats>,
+    repl: Option<&ReplSnapshot>,
     standby: bool,
 ) -> String {
-    let live: Vec<String> = subs
-        .iter()
-        .map(|v| live_gauges(&v.id, &v.status, v.queue_depth))
-        .collect();
-    let mut body = metrics.render(&live);
-    if let Some(set) = set {
-        body.push_str(&set.to_prometheus());
+    let mut w = Exposition::new();
+    for (name, help, _, field) in COUNTERS {
+        let value = field(metrics).load(Ordering::Relaxed);
+        w.metric(name, help, Kind::Counter, value);
     }
-    if let Some(snap) = repl {
-        body.push_str(&repl_exposition(snap));
-    }
-    body.push_str(
-        "# HELP sqlts_standby server is an unpromoted warm standby\n\
-         # TYPE sqlts_standby gauge\n",
-    );
-    body.push_str(&format!("sqlts_standby {}\n", u8::from(standby)));
-    body
-}
-
-/// Render the primary-side replication gauges/counters as one
-/// Prometheus block (`sqlts_repl_*`).  Only emitted when
-/// `--replicate-to` is configured; the standby-side counters live on
-/// [`ServerMetrics`] and render unconditionally.
-pub fn repl_exposition(snap: &crate::replicate::ReplSnapshot) -> String {
-    let mut out = String::new();
-    for (name, help, value) in [
-        (
-            "sqlts_repl_connected",
-            "a shipping session to the standby is live",
-            u64::from(snap.connected),
-        ),
-        (
-            "sqlts_repl_lag_rows",
-            "rows committed locally but not standby-acked",
-            snap.lag_rows,
-        ),
-        (
-            "sqlts_repl_frames_sent_total",
-            "WAL frames shipped to the standby",
-            snap.frames_sent,
-        ),
-        (
-            "sqlts_repl_acks_total",
-            "standby frame acknowledgements received",
-            snap.acks,
-        ),
-        (
-            "sqlts_repl_resyncs_total",
-            "shipping sessions established (each starts with a resync)",
-            snap.resyncs,
-        ),
-        (
-            "sqlts_repl_send_errors_total",
-            "failed ships (each costs the session)",
-            snap.send_errors,
-        ),
-        (
-            "sqlts_repl_sync_degraded_total",
-            "sync-ack FEEDs that degraded to async",
-            snap.sync_degraded,
-        ),
-    ] {
-        let kind = if name.ends_with("_total") {
-            "counter"
-        } else {
-            "gauge"
-        };
-        let _ = writeln!(
-            out,
-            "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
+    for (op, stem) in LATENCY_OPS {
+        w.histogram(
+            &format!("sqlts_server_{stem}_micros"),
+            &metrics.latency.snapshot(op),
         );
     }
-    out
+    // Typed up front, so a scrape names the families even with no
+    // subscription live.
+    for (name, _) in SUB_GAUGES {
+        w.declare(name, "", Kind::Gauge);
+    }
+    for sub in subs {
+        for (name, value) in SUB_GAUGES {
+            w.sample(name, &[("tenant", &sub.id)], value(sub));
+        }
+    }
+    if let Ok(finished) = metrics.finished.lock() {
+        for (tenant, profile) in finished.iter() {
+            profile.write_prometheus(&mut w, &[("tenant", tenant)]);
+        }
+    }
+    if let Some(set) = set {
+        set.write_prometheus(&mut w);
+    }
+    if let Some(snap) = repl {
+        for (name, help, kind, value) in REPL {
+            w.metric(name, help, kind, value(snap));
+        }
+    }
+    w.metric(
+        "sqlts_standby",
+        "server is an unpromoted warm standby",
+        Kind::Gauge,
+        u8::from(standby),
+    );
+    w.finish()
 }
 
-/// One subscription's row in the `/status` JSON document — the live
-/// registry view, assembled by the server under its locks.
+/// One subscription's row in the `/metrics` and `/status` documents —
+/// the live registry view, assembled by the server under its locks.
 #[derive(Debug)]
 pub struct SubStatusView {
     /// The subscription id.
@@ -440,50 +266,50 @@ pub struct SubStatusView {
 }
 
 /// Render the `GET /status` JSON document: server counters, latency
-/// summaries, replication health, and one object per live subscription.
-/// Hand-rolled flat JSON, same as every other exporter in the workspace.
+/// summaries (count/sum/max per op, µs), replication health, and one
+/// object per live subscription.  Hand-rolled flat JSON, same as every
+/// other JSON exporter in the workspace.
 pub fn status_json(
     metrics: &ServerMetrics,
     subs: &[SubStatusView],
     draining: bool,
     standby: bool,
-    repl: Option<&crate::replicate::ReplSnapshot>,
+    repl: Option<&ReplSnapshot>,
 ) -> String {
     let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"draining\":{draining},\"standby\":{standby},\"connections_total\":{},\
-         \"frames_total\":{},\
-         \"errors_total\":{},\"subscriptions_total\":{},\"rows_fed_total\":{},\
-         \"wal_appends_total\":{},\"wal_fsyncs_total\":{},\"snapshots_total\":{}",
-        metrics.connections_total.load(Ordering::Relaxed),
-        metrics.frames_total.load(Ordering::Relaxed),
-        metrics.errors_total.load(Ordering::Relaxed),
-        metrics.subscriptions_total.load(Ordering::Relaxed),
-        metrics.rows_fed_total.load(Ordering::Relaxed),
-        metrics.wal_appends_total.load(Ordering::Relaxed),
-        metrics.wal_fsyncs_total.load(Ordering::Relaxed),
-        metrics.snapshots_total.load(Ordering::Relaxed),
-    );
+    let _ = write!(out, "{{\"draining\":{draining},\"standby\":{standby}");
+    for (name, _, _, field) in COUNTERS.iter().filter(|row| row.2) {
+        let key = name.trim_start_matches("sqlts_server_");
+        let value = field(metrics).load(Ordering::Relaxed);
+        let _ = write!(out, ",\"{key}\":{value}");
+    }
     if let Some(snap) = repl {
         let _ = write!(
             out,
-            ",\"replication\":{{\"connected\":{},\"sync\":{},\"lag_rows\":{},\
-             \"frames_sent\":{},\"acks\":{},\"resyncs\":{},\"send_errors\":{},\
-             \"sync_degraded\":{}}}",
-            snap.connected,
-            snap.sync,
-            snap.lag_rows,
-            snap.frames_sent,
-            snap.acks,
-            snap.resyncs,
-            snap.send_errors,
-            snap.sync_degraded,
+            ",\"replication\":{{\"connected\":{},\"sync\":{}",
+            snap.connected, snap.sync
+        );
+        for (name, _, _, value) in &REPL[1..] {
+            let key = name
+                .trim_start_matches("sqlts_repl_")
+                .trim_end_matches("_total");
+            let _ = write!(out, ",\"{key}\":{}", value(snap));
+        }
+        out.push('}');
+    }
+    out.push_str(",\"latency\":{");
+    for (i, (op, stem)) in LATENCY_OPS.into_iter().enumerate() {
+        let h = metrics.latency.snapshot(op);
+        let _ = write!(
+            out,
+            "{}\"{stem}_micros\":{{\"count\":{},\"sum\":{},\"max\":{}}}",
+            if i > 0 { "," } else { "" },
+            h.count(),
+            h.sum(),
+            h.max()
         );
     }
-    out.push_str(",\"latency\":");
-    metrics.latency.write_json(&mut out);
-    out.push_str(",\"subscriptions\":[");
+    out.push_str("},\"subscriptions\":[");
     for (i, sub) in subs.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -520,8 +346,7 @@ pub fn status_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replicate::ReplSnapshot;
-    use sqlts_trace::{ClusterMetrics, ClusterProfile, PatternSetStats};
+    use sqlts_trace::{ClusterMetrics, ClusterProfile};
 
     /// Fixed counters and latencies; the two finished tenant profiles
     /// exercise the once-per-document `# TYPE` rule.

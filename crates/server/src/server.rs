@@ -1236,10 +1236,7 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let standby = shared.standby.load(Ordering::SeqCst);
     let (status_line, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         let views = http_sub_views(shared);
-        let set = shared
-            .config
-            .shared_matcher
-            .then(|| patternset_stats(shared, &views));
+        let set = (shared.config.shared_matcher).then(|| patternset_stats(shared, &views));
         let snap = repl_snapshot(shared);
         let body = metrics_text(
             &shared.metrics,
@@ -1265,15 +1262,11 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             "not found: only GET /metrics and GET /status are served\n".to_string(),
         )
     };
-    let mut response = String::with_capacity(body.len() + 160);
-    response.push_str("HTTP/1.1 ");
-    response.push_str(status_line);
-    response.push_str("\r\nContent-Type: ");
-    response.push_str(content_type);
-    response.push_str("\r\nContent-Length: ");
-    response.push_str(&body.len().to_string());
-    response.push_str("\r\nConnection: close\r\n\r\n");
-    response.push_str(&body);
+    let response = format!(
+        "HTTP/1.1 {status_line}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
     let mut writer = stream;
     writer.write_all(response.as_bytes())?;
     writer.flush()

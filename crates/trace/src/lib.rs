@@ -28,7 +28,14 @@
 //!   human text ([`ExecutionProfile::to_text`]), a JSON object
 //!   ([`ExecutionProfile::to_json`]), JSON-lines event streams
 //!   ([`ExecutionProfile::events_jsonl`]) and Prometheus text exposition
-//!   ([`ExecutionProfile::to_prometheus`]).
+//!   ([`ExecutionProfile::to_prometheus`]);
+//! * [`Exposition`] — the one Prometheus text-exposition writer (`# HELP`
+//!   / `# TYPE` once per name per document, label joining and escaping,
+//!   the histogram shape).  [`ExecutionProfile::write_prometheus`],
+//!   [`PatternSetStats::write_prometheus`] and the server's `/metrics`
+//!   tables all walk through it, so several families share one document;
+//! * [`PatternSetStats`] — the set-level counters of a shared pattern-set
+//!   execution, with the same three views.
 //!
 //! The crate is deliberately inert: it never spawns threads, and — with
 //! one documented exception — never reads clocks; the query engine
@@ -40,16 +47,15 @@
 //! output is bit-identical whether a `SpanLog` exists or not.
 
 mod event;
+mod expo;
 mod metrics;
 mod profile;
 mod setstats;
 mod span;
 
 pub use event::{RingBuffer, TraceEvent, TraceSink, TripCause};
+pub use expo::{Exposition, Kind};
 pub use metrics::{BoundedHistogram, ClusterMetrics, ClusterRecorder, HIST_BUCKETS};
-pub use profile::{
-    escape_label_value, json_escape, write_prometheus_histogram, ClusterProfile, ExecutionProfile,
-    OptimizerReport, PhaseNanos,
-};
+pub use profile::{json_escape, ClusterProfile, ExecutionProfile, OptimizerReport, PhaseNanos};
 pub use setstats::PatternSetStats;
 pub use span::{Level, LogFormat, SpanLog};

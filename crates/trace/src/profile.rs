@@ -1,5 +1,6 @@
 //! The merged, machine-readable execution report and its exporters.
 
+use crate::expo::{Exposition, Kind};
 use crate::metrics::{BoundedHistogram, ClusterMetrics};
 use crate::TraceEvent;
 use std::fmt::Write as _;
@@ -44,13 +45,16 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"parse_ns\":{},\"bind_ns\":{},\"plan_ns\":{},\"partition_ns\":{},\
-             \"execute_ns\":{}}}",
-            self.parse, self.bind, self.plan, self.partition, self.execute
-        );
+    /// `(name, nanoseconds)` per phase in pipeline order: the one list the
+    /// text, JSON and Prometheus exporters all walk.
+    fn named(&self) -> [(&'static str, u64); 5] {
+        [
+            ("parse", self.parse),
+            ("bind", self.bind),
+            ("plan", self.plan),
+            ("partition", self.partition),
+            ("execute", self.execute),
+        ]
     }
 }
 
@@ -113,21 +117,8 @@ impl ClusterProfile {
     fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{{\"index\":{},\"key\":\"", self.index);
         json_escape(&self.key, out);
-        let _ = write!(
-            out,
-            "\",\"tuples\":{},\"predicate_tests\":{},\"tests_per_position\":{:?},\
-             \"matches\":{},\"governor_flushes\":{}",
-            self.tuples,
-            self.metrics.total_tests(),
-            self.metrics.tests_per_position,
-            self.metrics.matches,
-            self.metrics.governor_flushes,
-        );
-        write_hist_json(out, "shift_distances", &self.metrics.shifts);
-        write_hist_json(out, "backtrack_depths", &self.metrics.backtracks);
-        if let Some(trip) = self.metrics.trip {
-            let _ = write!(out, ",\"trip\":\"{trip}\"");
-        }
+        out.push_str("\",");
+        write_metrics_json(out, self.tuples, &self.metrics);
         let _ = write!(out, ",\"events_dropped\":{}", self.events_dropped);
         if !self.events.is_empty() {
             out.push_str(",\"events\":[");
@@ -140,6 +131,25 @@ impl ClusterProfile {
             out.push(']');
         }
         out.push('}');
+    }
+}
+
+/// `"tuples":…` through the optional `"trip"`: the members a cluster's
+/// object and the profile's totals share.
+fn write_metrics_json(out: &mut String, tuples: u64, m: &ClusterMetrics) {
+    let _ = write!(
+        out,
+        "\"tuples\":{tuples},\"predicate_tests\":{},\"tests_per_position\":{:?},\
+         \"matches\":{},\"governor_flushes\":{}",
+        m.total_tests(),
+        m.tests_per_position,
+        m.matches,
+        m.governor_flushes,
+    );
+    write_hist_json(out, "shift_distances", &m.shifts);
+    write_hist_json(out, "backtrack_depths", &m.backtracks);
+    if let Some(trip) = m.trip {
+        let _ = write!(out, ",\"trip\":\"{trip}\"");
     }
 }
 
@@ -273,18 +283,12 @@ impl ExecutionProfile {
         if let Some(trip) = self.totals.trip {
             let _ = writeln!(out, "  governor trip: {trip}");
         }
-        let p = &self.phases;
-        if *p != PhaseNanos::default() {
-            let _ = writeln!(
-                out,
-                "  phases: parse {:.3}ms, bind {:.3}ms, plan {:.3}ms, partition {:.3}ms, \
-                 execute {:.3}ms",
-                p.parse as f64 / 1e6,
-                p.bind as f64 / 1e6,
-                p.plan as f64 / 1e6,
-                p.partition as f64 / 1e6,
-                p.execute as f64 / 1e6
-            );
+        if self.phases != PhaseNanos::default() {
+            let phases = self
+                .phases
+                .named()
+                .map(|(name, ns)| format!("{name} {:.3}ms", ns as f64 / 1e6));
+            let _ = writeln!(out, "  phases: {}", phases.join(", "));
         }
         for c in &self.clusters {
             let key = if c.key.is_empty() {
@@ -317,23 +321,17 @@ impl ExecutionProfile {
         json_escape(&self.engine, &mut out);
         let _ = write!(
             &mut out,
-            "\",\"threads\":{},\"clusters\":{},\"tuples\":{},\"predicate_tests\":{},\
-             \"tests_per_position\":{:?},\"matches\":{},\"governor_flushes\":{}",
+            "\",\"threads\":{},\"clusters\":{},",
             self.threads,
             self.clusters.len(),
-            self.tuples,
-            self.predicate_tests(),
-            self.totals.tests_per_position,
-            self.matches(),
-            self.totals.governor_flushes,
         );
-        write_hist_json(&mut out, "shift_distances", &self.totals.shifts);
-        write_hist_json(&mut out, "backtrack_depths", &self.totals.backtracks);
-        if let Some(trip) = self.totals.trip {
-            let _ = write!(&mut out, ",\"trip\":\"{trip}\"");
+        write_metrics_json(&mut out, self.tuples, &self.totals);
+        out.push_str(",\"phases\":{");
+        for (i, (name, ns)) in self.phases.named().into_iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let _ = write!(&mut out, "{sep}\"{name}_ns\":{ns}");
         }
-        out.push_str(",\"phases\":");
-        self.phases.write_json(&mut out);
+        out.push('}');
         if let Some(opt) = &self.optimizer {
             out.push_str(",\"optimizer\":");
             opt.write_json(&mut out);
@@ -387,140 +385,51 @@ impl ExecutionProfile {
     ///
     /// [`to_prometheus`]: ExecutionProfile::to_prometheus
     pub fn to_prometheus_labeled(&self, labels: &[(&str, &str)]) -> String {
-        let base = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let ls = |extra: &str| label_set(&base, extra);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# TYPE sqlts_predicate_tests_total counter\n\
-             sqlts_predicate_tests_total{} {}",
-            ls(""),
-            self.predicate_tests()
+        let mut w = Exposition::new();
+        self.write_prometheus(&mut w, labels);
+        w.finish()
+    }
+
+    /// Walk the profile's metric table through `w` with `labels` as the
+    /// base label set — how the server lays several tenants' profiles
+    /// into one `/metrics` document, each family typed once.
+    pub fn write_prometheus(&self, w: &mut Exposition, labels: &[(&str, &str)]) {
+        w.set_base_labels(labels);
+        let totals = &self.totals;
+        w.metric(
+            "sqlts_predicate_tests_total",
+            "",
+            Kind::Counter,
+            self.predicate_tests(),
         );
-        out.push_str("# TYPE sqlts_predicate_tests_by_position counter\n");
-        for (j, n) in self.totals.tests_per_position.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "sqlts_predicate_tests_by_position{} {n}",
-                ls(&format!("position=\"{}\"", j + 1))
+        w.declare("sqlts_predicate_tests_by_position", "", Kind::Counter);
+        for (j, n) in totals.tests_per_position.iter().enumerate() {
+            let position = (j + 1).to_string();
+            w.sample(
+                "sqlts_predicate_tests_by_position",
+                &[("position", &position)],
+                n,
             );
         }
-        let _ = writeln!(
-            out,
-            "# TYPE sqlts_matches_total counter\nsqlts_matches_total{} {}",
-            ls(""),
-            self.matches()
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE sqlts_tuples_total counter\nsqlts_tuples_total{} {}",
-            ls(""),
-            self.tuples
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE sqlts_clusters_total counter\nsqlts_clusters_total{} {}",
-            ls(""),
-            self.clusters.len()
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE sqlts_governor_flushes_total counter\nsqlts_governor_flushes_total{} {}",
-            ls(""),
-            self.totals.governor_flushes
-        );
-        write_prometheus_histogram(&mut out, "sqlts_shift_distance", &base, &self.totals.shifts);
-        write_prometheus_histogram(
-            &mut out,
-            "sqlts_backtrack_depth",
-            &base,
-            &self.totals.backtracks,
-        );
-        for (phase, ns) in [
-            ("parse", self.phases.parse),
-            ("bind", self.phases.bind),
-            ("plan", self.phases.plan),
-            ("partition", self.phases.partition),
-            ("execute", self.phases.execute),
+        for (name, value) in [
+            ("sqlts_matches_total", self.matches()),
+            ("sqlts_tuples_total", self.tuples),
+            ("sqlts_clusters_total", self.clusters.len() as u64),
+            ("sqlts_governor_flushes_total", totals.governor_flushes),
         ] {
-            let _ = writeln!(
-                out,
-                "sqlts_phase_seconds{} {}",
-                ls(&format!("phase=\"{phase}\"")),
-                ns as f64 / 1e9
-            );
+            w.metric(name, "", Kind::Counter, value);
         }
-        if let Some(trip) = self.totals.trip {
-            let _ = writeln!(
-                out,
-                "sqlts_governor_tripped{} 1",
-                ls(&format!("cause=\"{trip}\""))
-            );
+        w.histogram("sqlts_shift_distance", &totals.shifts);
+        w.histogram("sqlts_backtrack_depth", &totals.backtracks);
+        // Untyped: these two series have never carried a type declaration.
+        for (phase, ns) in self.phases.named() {
+            w.sample("sqlts_phase_seconds", &[("phase", phase)], ns as f64 / 1e9);
         }
-        out
-    }
-}
-
-/// Join a pre-rendered base label list with a per-sample label into one
-/// `{...}` block, or nothing when both are empty (keeps the unlabeled
-/// exposition byte-identical to the historical format).
-fn label_set(base: &str, extra: &str) -> String {
-    match (base.is_empty(), extra.is_empty()) {
-        (true, true) => String::new(),
-        (false, true) => format!("{{{base}}}"),
-        (true, false) => format!("{{{extra}}}"),
-        (false, false) => format!("{{{base},{extra}}}"),
-    }
-}
-
-/// Escape a label value per the Prometheus text format: backslash,
-/// double-quote and newline.  A raw newline in a label would split the
-/// sample line and corrupt the whole scrape.
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+        if let Some(trip) = totals.trip {
+            w.sample("sqlts_governor_tripped", &[("cause", &trip.to_string())], 1);
         }
+        w.set_base_labels(&[]);
     }
-    out
-}
-
-/// Write one [`BoundedHistogram`] in Prometheus histogram exposition:
-/// a `# TYPE` line, cumulative `_bucket{le=...}` samples ending at
-/// `+Inf`, then `_sum` and `_count`.  `base` is a pre-rendered label
-/// list (may be empty) attached to every sample.  Public so the server
-/// exports its latency histograms in exactly the same shape as the
-/// query-profile histograms here.
-pub fn write_prometheus_histogram(out: &mut String, name: &str, base: &str, h: &BoundedHistogram) {
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    for (bound, count) in h.nonzero_buckets() {
-        if bound == u64::MAX {
-            break; // folded into the +Inf bucket below
-        }
-        cumulative += count;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {cumulative}",
-            label_set(base, &format!("le=\"{bound}\""))
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{} {}",
-        label_set(base, "le=\"+Inf\""),
-        h.count()
-    );
-    let _ = writeln!(out, "{name}_sum{} {}", label_set(base, ""), h.sum());
-    let _ = writeln!(out, "{name}_count{} {}", label_set(base, ""), h.count());
 }
 
 #[cfg(test)]
@@ -654,8 +563,9 @@ sqlts_phase_seconds{phase="execute"} 0
     #[test]
     fn public_histogram_writer_matches_profile_output() {
         let p = sample_profile();
-        let mut out = String::new();
-        write_prometheus_histogram(&mut out, "sqlts_shift_distance", "", &p.totals.shifts);
+        let mut w = Exposition::new();
+        w.histogram("sqlts_shift_distance", &p.totals.shifts);
+        let out = w.finish();
         assert!(
             p.to_prometheus().contains(&out),
             "public writer diverged from the exposition:\n{out}"

@@ -13,6 +13,7 @@
 //! query order within a cluster, and merges happen in cluster order — the
 //! same thread-count-invariance recipe as [`crate::ClusterMetrics`].
 
+use crate::expo::{Exposition, Kind};
 use crate::metrics::BoundedHistogram;
 use std::fmt::Write as _;
 
@@ -117,70 +118,34 @@ impl PatternSetStats {
     }
 
     /// Prometheus text exposition (counter/gauge blocks plus the prefix
-    /// depth histogram), used by the server's `/metrics` endpoint.
+    /// depth histogram).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let counters: [(&str, &str, u64); 4] = [
-            (
-                "sqlts_patternset_tests_logical",
-                "Logical predicate tests charged across shared-set members",
-                self.tests_logical,
-            ),
-            (
-                "sqlts_patternset_tests_evaluated",
-                "Physical predicate evaluations performed by the shared pass",
-                self.tests_evaluated,
-            ),
-            (
-                "sqlts_patternset_tests_saved",
-                "Logical tests answered from the shared memo",
-                self.tests_saved,
-            ),
-            (
-                "sqlts_patternset_tests_shared",
-                "Saved tests served across queries or via implication",
-                self.tests_shared,
-            ),
+        let mut w = Exposition::new();
+        self.write_prometheus(&mut w);
+        w.finish()
+    }
+
+    /// Walk the set's metric table through `w` — the server's `/metrics`
+    /// document carries this block beside its own families.
+    pub fn write_prometheus(&self, w: &mut Exposition) {
+        #[rustfmt::skip] // a table: one metric per row
+        let table = [
+            ("sqlts_patternset_tests_logical", "Logical predicate tests charged across shared-set members", Kind::Counter, self.tests_logical),
+            ("sqlts_patternset_tests_evaluated", "Physical predicate evaluations performed by the shared pass", Kind::Counter, self.tests_evaluated),
+            ("sqlts_patternset_tests_saved", "Logical tests answered from the shared memo", Kind::Counter, self.tests_saved),
+            ("sqlts_patternset_tests_shared", "Saved tests served across queries or via implication", Kind::Counter, self.tests_shared),
+            ("sqlts_patternset_queries", "Queries in the shared pattern set", Kind::Gauge, self.queries as u64),
+            ("sqlts_patternset_classes", "Distinct purely-local predicate classes interned", Kind::Gauge, self.classes as u64),
+            ("sqlts_patternset_trie_nodes", "Nodes in the class-sequence prefix trie", Kind::Gauge, self.trie_nodes as u64),
+            ("sqlts_patternset_implication_edges", "Cross-class implication edges in the lattice", Kind::Gauge, self.implication_edges as u64),
         ];
-        for (name, help, value) in counters {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
+        for (name, help, kind, value) in table {
+            w.metric(name, help, kind, value);
         }
-        let gauges: [(&str, &str, u64); 4] = [
-            (
-                "sqlts_patternset_queries",
-                "Queries in the shared pattern set",
-                self.queries as u64,
-            ),
-            (
-                "sqlts_patternset_classes",
-                "Distinct purely-local predicate classes interned",
-                self.classes as u64,
-            ),
-            (
-                "sqlts_patternset_trie_nodes",
-                "Nodes in the class-sequence prefix trie",
-                self.trie_nodes as u64,
-            ),
-            (
-                "sqlts_patternset_implication_edges",
-                "Cross-class implication edges in the lattice",
-                self.implication_edges as u64,
-            ),
-        ];
-        for (name, help, value) in gauges {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        crate::profile::write_prometheus_histogram(
-            &mut out,
+        w.histogram(
             "sqlts_patternset_shared_prefix_depth",
-            "",
             &self.shared_prefix_depth,
         );
-        out
     }
 }
 

@@ -2,8 +2,7 @@
 
 use sqlts_core::engine::{find_matches, SearchOptions};
 use sqlts_core::{
-    compile, execute_query, CompileOptions, EngineKind, EvalCounter, ExecOptions, FirstTuplePolicy,
-    SearchTrace,
+    compile, execute_query, CompileOptions, EngineKind, ExecOptions, FirstTuplePolicy, SearchTrace,
 };
 use sqlts_relation::{ColumnType, Date, Schema, Table, Value};
 
@@ -91,8 +90,7 @@ fn example4_figure5_paths() {
     let clusters = table.cluster_by(&[], &["date"]).unwrap();
     let mut lens = Vec::new();
     for engine in [EngineKind::Naive, EngineKind::Ops] {
-        let mut trace = SearchTrace::new();
-        let counter = EvalCounter::new();
+        let counter = SearchTrace::counter(query.elements.len());
         find_matches(
             &query.elements,
             &clusters[0],
@@ -101,9 +99,10 @@ fn example4_figure5_paths() {
                 policy: FirstTuplePolicy::Fail,
             },
             &counter,
-            Some(&mut trace),
         );
-        assert_eq!(trace.path_len() as u64, counter.total());
+        let total = counter.total();
+        let trace = SearchTrace::of(counter);
+        assert_eq!(trace.path_len() as u64, total);
         lens.push(trace.path_len());
     }
     assert!(

@@ -36,7 +36,7 @@ const PREDICATES: &[&str] = &[
 ];
 
 /// A random multi-symbol table: `clusters` independent integer walks
-/// interleaved under distinct names.
+/// interleaved under distinct names, about one price in five NULL.
 fn random_clustered_table(rng: &mut SmallRng, clusters: usize) -> Table {
     let mut table = Table::new(quote_schema());
     for c in 0..clusters {
@@ -52,7 +52,11 @@ fn random_clustered_table(rng: &mut SmallRng, clusters: usize) -> Table {
                 .push_row(vec![
                     Value::from(name.as_str()),
                     Value::Date(day),
-                    Value::from(p),
+                    if rng.gen_bool(0.2) {
+                        Value::Null
+                    } else {
+                        Value::from(p)
+                    },
                 ])
                 .unwrap();
             day = day.plus_days(1);
@@ -74,8 +78,13 @@ fn random_query(rng: &mut SmallRng) -> String {
             name.clone()
         });
         for _ in 0..rng.gen_range(0..=2) {
-            let p = PREDICATES[rng.gen_range(0..PREDICATES.len())];
-            conds.push(format!("({})", p.replace("{v}", &name)));
+            let p = PREDICATES[rng.gen_range(0..PREDICATES.len())].replace("{v}", &name);
+            // About one predicate in four under `NOT`.
+            conds.push(if rng.gen_bool(0.25) {
+                format!("(NOT ({p}))")
+            } else {
+                format!("({p})")
+            });
         }
     }
     let select = if vars[0].starts_with('*') {
@@ -196,7 +205,10 @@ fn assert_set_matches_solo(
 }
 
 /// Property: for random pattern sets across engines, policies and
-/// thread counts, the shared pass is bit-identical to solo runs.
+/// thread counts, the shared pass is bit-identical to solo runs — and,
+/// since "identical to a solo run of the same engine" would let a shared
+/// and a solo OPS drop the same match, every query's OPS rows also equal
+/// the greedy-naive reference.
 fn fuzz_set(seed: u64, rounds: u32) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut interesting = 0u32;
@@ -233,6 +245,22 @@ fn fuzz_set(seed: u64, rounds: u32) {
             if solo_sum > 0 {
                 interesting += 1;
             }
+        }
+        let naive = ExecOptions {
+            engine: EngineKind::Naive,
+            policy,
+            ..Default::default()
+        };
+        let ops = ExecOptions {
+            engine: EngineKind::Ops,
+            ..naive.clone()
+        };
+        for (query, text) in queries.iter().zip(&texts) {
+            assert_eq!(
+                execute(query, &table, &ops).unwrap().table,
+                execute(query, &table, &naive).unwrap().table,
+                "round {round} (ops vs naive, {policy:?}):\n{text}"
+            );
         }
     }
     assert!(

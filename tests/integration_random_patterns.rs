@@ -6,7 +6,10 @@
 //! This goes beyond the fixed query pools of the unit property tests: the
 //! θ/φ analysis sees arbitrary combinations of implication structure
 //! (identical predicates, subsumed bands, complements, constants), which
-//! is where unsound shift/next entries would hide.
+//! is where unsound shift/next entries would hide.  About one predicate in
+//! four is wrapped in `NOT`, and about one price in five is NULL: the
+//! solver reasons about the negated operator while the runtime evaluates a
+//! NULL comparison, and the two must agree (DESIGN §3, "NULL in `WHERE`").
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,7 +19,7 @@ use sqlts_core::{
     compile, execute, execute_query, CompileOptions, DirectionChoice, EngineKind, EvalCounter,
     ExecOptions, FirstTuplePolicy, Instrument, SearchStats,
 };
-use sqlts_datagen::{integer_walk, prices_to_table, quote_schema};
+use sqlts_datagen::{integer_walk, quote_schema};
 use sqlts_lang::{eval_projection, EvalCtx};
 use sqlts_relation::{Date, Table, Value};
 use sqlts_trace::{ClusterProfile, ClusterRecorder};
@@ -53,8 +56,12 @@ fn random_query(rng: &mut SmallRng) -> String {
         });
         // 0–2 predicates per element (0 = unconstrained element).
         for _ in 0..rng.gen_range(0..=2) {
-            let p = PREDICATES[rng.gen_range(0..PREDICATES.len())];
-            conds.push(format!("({})", p.replace("{v}", &name)));
+            let p = PREDICATES[rng.gen_range(0..PREDICATES.len())].replace("{v}", &name);
+            conds.push(if rng.gen_bool(0.25) {
+                format!("(NOT ({p}))")
+            } else {
+                format!("({p})")
+            });
         }
     }
     let select = if vars[0].starts_with('*') {
@@ -72,6 +79,26 @@ fn random_query(rng: &mut SmallRng) -> String {
     q
 }
 
+/// `walk` as one symbol's rows on consecutive trading days, with about one
+/// price in five replaced by NULL.
+fn push_walk(table: &mut Table, rng: &mut SmallRng, name: &str, walk: &[f64]) {
+    let mut day = Date::from_ymd(1990, 1, 1);
+    for &p in walk {
+        while day.is_weekend() {
+            day = day.plus_days(1);
+        }
+        let price = if rng.gen_bool(0.2) {
+            Value::Null
+        } else {
+            Value::from(p)
+        };
+        table
+            .push_row(vec![Value::from(name), Value::Date(day), price])
+            .unwrap();
+        day = day.plus_days(1);
+    }
+}
+
 fn fuzz(seed: u64, rounds: u32) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut interesting = 0u32; // runs that produced at least one match
@@ -79,9 +106,11 @@ fn fuzz(seed: u64, rounds: u32) {
         let query = random_query(&mut rng);
         let data_seed = rng.gen::<u64>();
         let n = rng.gen_range(0..400);
-        let table = prices_to_table(
+        let mut table = Table::new(quote_schema());
+        push_walk(
+            &mut table,
+            &mut rng,
             "T",
-            Date::from_ymd(1990, 1, 1),
             &integer_walk(n, 1, 10, 2, data_seed),
         );
         let policy = if rng.gen_bool(0.5) {
@@ -141,20 +170,7 @@ fn random_clustered_table(rng: &mut SmallRng, clusters: usize) -> Table {
         let name = format!("T{c}");
         let n = rng.gen_range(0..250);
         let walk = integer_walk(n, 1, 10, 2, rng.gen::<u64>());
-        let mut day = Date::from_ymd(1990, 1, 1);
-        for p in walk {
-            while day.is_weekend() {
-                day = day.plus_days(1);
-            }
-            table
-                .push_row(vec![
-                    Value::from(name.as_str()),
-                    Value::Date(day),
-                    Value::from(p),
-                ])
-                .unwrap();
-            day = day.plus_days(1);
-        }
+        push_walk(&mut table, rng, &name, &walk);
     }
     table
 }
