@@ -758,8 +758,10 @@ static SHUTDOWN: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::
 
 /// Arrange for SIGTERM and SIGINT (Ctrl-C) to request a graceful drain.
 /// A raw `signal(2)` binding keeps this `std`-only; the handler does
-/// nothing but store to an atomic, which is async-signal-safe.  The
-/// accept loop polls the flag, so no EINTR dance is needed.
+/// nothing but store to an atomic, which is async-signal-safe.
+/// `run_until` polls the flag on its own thread while a separate acceptor
+/// blocks in `accept()` (which `signal(2)`'s `SA_RESTART` would simply
+/// restart), so no EINTR dance is needed.
 #[cfg(unix)]
 fn install_shutdown_handler() {
     extern "C" {
@@ -785,7 +787,7 @@ static PROMOTE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::n
 
 /// Arrange for SIGUSR1 to promote a standby: the signal handler only
 /// stores to an atomic (async-signal-safe); a relay thread forwards the
-/// flag to [`Server::request_promotion`], which the accept loop serves.
+/// flag to [`Server::request_promotion`], which `run_until` serves.
 /// Returns the relay thread's handle so the drain can join it.
 #[cfg(unix)]
 fn install_promotion_relay(

@@ -13,7 +13,8 @@
 //! * a subscription that stops feeding still trips its wall-clock
 //!   deadline (the stalled-tenant fix) and reports a partial, exit-coded
 //!   result;
-//! * a reply never waits out Nagle x delayed ACK again.
+//! * a reply never waits out Nagle x delayed ACK again, and a new
+//!   connection never waits on an accept poll.
 
 mod common;
 
@@ -475,6 +476,30 @@ fn ping_round_trip_has_no_reply_stall() {
     assert!(
         median < Duration::from_millis(20),
         "median PING round trip {median:?}: the reply stall is back"
+    );
+}
+
+/// A fresh connection is read the moment it arrives.  While the listener
+/// was polled non-blocking with a 20 ms sleep on every empty poll, each
+/// new client waited about one tick for its first reply (a median of
+/// ≈ 20 ms over sequential connections); a blocking acceptor answers in
+/// ≈ 0.05 ms.
+#[test]
+fn fresh_connections_are_served_on_arrival() {
+    let server = spawn_server(&[]);
+    let mut waits: Vec<Duration> = (0..21)
+        .map(|_| {
+            let started = Instant::now();
+            let mut client = Client::connect(&server.addr);
+            assert_eq!(client.send("PING"), "OK pong");
+            started.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median connect-to-first-reply {median:?}: new connections wait on a poll tick"
     );
 }
 

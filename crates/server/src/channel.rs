@@ -32,7 +32,7 @@
 use crate::metrics::{LatencyOp, ServerMetrics};
 use crate::recover::{DataDir, ServeError, SubMeta};
 use crate::replicate::{ReplAck, SYNC_ACK_TIMEOUT};
-use crate::server::{err, Shared};
+use crate::server::{err, Role, Shared};
 use crate::wal::{ChannelWal, FsyncPolicy, GroupCommit, WalError, WalFrame, WalScan};
 use sqlts_core::{
     Instrument, SessionCheckpoint, SessionWorker, SessionWorkerConfig, SetRegistry, SharedSpec,
@@ -306,11 +306,12 @@ impl Channel {
         let Some(data) = shared.data.as_ref() else {
             return;
         };
-        if shared.standby.load(Ordering::SeqCst) {
+        if shared.role() == Role::Standby {
             // A standby has durable sub metas but no live workers: the
             // sweep below would see none and truncate frames promotion
             // still needs.  Standby truncation is driven by the primary's
-            // shipped checkpoints instead.
+            // shipped checkpoints instead.  (A promoting server snapshots:
+            // its replay has just respawned the workers.)
             return;
         }
         let started = Instant::now();

@@ -1,4 +1,4 @@
-//! The TCP server: accept loop, per-connection protocol driver, verb
+//! The TCP server: acceptor, per-connection protocol driver, verb
 //! handlers, the channel/subscription registries they share, restart
 //! recovery, graceful drain, and the `GET /metrics` / `GET /status` HTTP
 //! shim.  What happens to a `FEED` frame once its channel is found lives
@@ -83,11 +83,19 @@ use sqlts_relation::Schema;
 use sqlts_trace::{Level, LogFormat, PatternSetStats, SpanLog};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// How often [`Server::run_until`] looks at the flags a signal handler
+/// sets (shutdown, promotion); connections never wait on it.
+const FLAG_POLL: Duration = Duration::from_millis(20);
+
+/// The acceptor's pause after a failed `accept()`, so fd exhaustion
+/// cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Everything the server needs to stand up.
 #[derive(Clone, Debug)]
@@ -202,11 +210,11 @@ pub(crate) struct Shared {
     /// Every record site goes through the `span_*` helpers — one
     /// predictable branch when unarmed, exactly PR 3's discipline.
     log: Option<SpanLog>,
-    /// True while this server is an unpromoted warm standby (starts as
-    /// [`ServerConfig::standby`], cleared atomically by promotion).
-    pub(crate) standby: AtomicBool,
+    /// A [`Role`] as `u8`: starts as `Standby` or `Primary` per
+    /// [`ServerConfig::standby`]; only [`promote_server`] changes it.
+    role: AtomicU8,
     /// Promotion requested out-of-band (SIGUSR1 relay, primary
-    /// disconnect); serviced by the accept loop.
+    /// disconnect); serviced by [`Server::run_until`]'s flag poll.
     promote: AtomicBool,
     /// The primary-side replication handle, `None` without
     /// `--replicate-to`.
@@ -216,7 +224,32 @@ pub(crate) struct Shared {
     pub(crate) repl_conn: AtomicU64,
 }
 
+/// Where a server stands in replication.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A warm standby: replication traffic and read-only probes only.
+    Standby,
+    /// Between the two: workers are respawning and the WAL replaying, so
+    /// only `PING` is served — a verb that saw a half-promoted server
+    /// could feed the subscriptions already respawned and not the rest.
+    Promoting,
+    /// Serving every verb (never a standby, or promoted).
+    Primary,
+}
+
 impl Shared {
+    pub(crate) fn role(&self) -> Role {
+        match self.role.load(Ordering::SeqCst) {
+            0 => Role::Standby,
+            1 => Role::Promoting,
+            _ => Role::Primary,
+        }
+    }
+
+    fn set_role(&self, role: Role) {
+        self.role.store(role as u8, Ordering::SeqCst);
+    }
+
     /// Begin a span if the log is armed; 0 otherwise (and [`span_end`]
     /// of 0 is free).
     ///
@@ -401,7 +434,11 @@ impl Server {
             }
             None => (None, None),
         };
-        let standby = config.standby;
+        let role = if config.standby {
+            Role::Standby
+        } else {
+            Role::Primary
+        };
         let shared = Arc::new(Shared {
             config,
             channels: Mutex::new(HashMap::new()),
@@ -412,7 +449,7 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             log,
-            standby: AtomicBool::new(standby),
+            role: AtomicU8::new(role as u8),
             promote: AtomicBool::new(false),
             repl,
             repl_conn: AtomicU64::new(0),
@@ -464,16 +501,17 @@ impl Server {
         })
     }
 
-    /// A flag that, when set, makes the accept loop promote this standby
-    /// (the CLI's SIGUSR1 relay sets it).  Setting it on a non-standby
-    /// is a no-op beyond a logged failure.
+    /// A flag that, when set, makes [`Server::run_until`] promote this
+    /// standby (the CLI's SIGUSR1 relay sets it).  Setting it on a
+    /// non-standby is a no-op beyond a logged failure.
     pub fn request_promotion(&self) {
         self.shared.promote.store(true, Ordering::SeqCst);
     }
 
-    /// Whether this server is an unpromoted warm standby right now.
+    /// Whether this server is a warm standby right now (a promotion in
+    /// progress counts: it is not a primary until the promotion is done).
     pub fn is_standby(&self) -> bool {
-        self.shared.standby.load(Ordering::SeqCst)
+        self.shared.role() != Role::Primary
     }
 
     /// What recovery restored, when a data dir was configured.
@@ -486,87 +524,91 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accept connections forever, one thread per connection.
+    /// Serve until the process ends: one `sqlts-accept` thread blocked in
+    /// `accept()`, one thread per connection.
     pub fn run(&self) -> io::Result<()> {
         static NEVER: AtomicBool = AtomicBool::new(false);
         self.run_until(&NEVER)
     }
 
-    /// Accept connections until `shutdown` becomes true, then drain
-    /// gracefully: final snapshots, a parting `ERR 4` to every live
-    /// client, the data-dir LOCK released, and a clean `Ok(())`.
+    /// Serve until `shutdown` becomes true, then drain gracefully: final
+    /// snapshots, a parting `ERR 4` to every live client, the data-dir
+    /// LOCK released, and a clean `Ok(())`.
+    ///
+    /// A `sqlts-accept` thread blocks in `accept()`, so a connection is
+    /// served the moment it arrives.  The calling thread polls only what
+    /// a signal handler can set — `shutdown` and a requested promotion —
+    /// every [`FLAG_POLL`].  On shutdown it stops the acceptor (a stop
+    /// flag, then one loopback connect to wake the blocked `accept()`)
+    /// and joins it before draining, so nothing is accepted mid-drain.
     pub fn run_until(&self, shutdown: &AtomicBool) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let wake = wake_addr(self.listener.local_addr()?);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| -> io::Result<()> {
+            let acceptor = std::thread::Builder::new()
+                .name("sqlts-accept".into())
+                .spawn_scoped(scope, || self.accept_until(&stop))?;
+            while !shutdown.load(Ordering::SeqCst) {
+                if self.shared.promote.swap(false, Ordering::SeqCst) {
+                    let (event, field, text) = match promote_server(&self.shared) {
+                        Ok(summary) => ("promoted", "summary", summary),
+                        Err(e) => ("promote_failed", "error", e),
+                    };
+                    self.shared
+                        .span_event(Level::Warn, event, &[(field, &text)]);
+                }
+                std::thread::sleep(FLAG_POLL);
+            }
+            stop.store(true, Ordering::SeqCst);
+            // Retry only a failed connect (fds exhausted): without one
+            // the acceptor may never return from accept().
+            while TcpStream::connect(wake).is_err() && !acceptor.is_finished() {
+                std::thread::sleep(FLAG_POLL);
+            }
+            let _ = acceptor.join();
+            Ok(())
+        })?;
+        self.drain();
+        Ok(())
+    }
+
+    /// The acceptor: hand every connection its own thread until `stop`
+    /// is set.  The connection that wakes it for shutdown is dropped
+    /// unserved, uncounted and unlogged.  A failed `accept()` never ends
+    /// the server: an aborted peer is skipped, anything else (fds
+    /// exhausted, say) is logged and retried after [`ACCEPT_BACKOFF`].
+    fn accept_until(&self, stop: &AtomicBool) {
         loop {
-            if shutdown.load(Ordering::SeqCst) {
-                self.drain();
-                return Ok(());
+            let accepted = self.listener.accept();
+            if stop.load(Ordering::SeqCst) {
+                return;
             }
-            if self.shared.promote.swap(false, Ordering::SeqCst) {
-                match promote_server(&self.shared) {
-                    Ok(summary) => {
-                        self.shared
-                            .span_event(Level::Warn, "promoted", &[("summary", &summary)]);
-                    }
-                    Err(e) => {
-                        self.shared
-                            .span_event(Level::Warn, "promote_failed", &[("error", &e)]);
-                    }
+            #[cfg(feature = "failpoints")]
+            let accepted = accepted.and_then(|pair| {
+                match sqlts_relation::failpoints::hit("server::accept", 0) {
+                    Some(sqlts_relation::failpoints::Injected::InjectError) => Err(
+                        io::Error::other("failpoint 'server::accept' injected error"),
+                    ),
+                    _ => Ok(pair),
                 }
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let _ = stream.set_nonblocking(false);
-                    // Replies are single small writes; never let Nagle park
-                    // one behind the client's delayed ACK.
-                    let _ = stream.set_nodelay(true);
-                    let shared = Arc::clone(&self.shared);
-                    let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                    ServerMetrics::inc(&shared.metrics.connections_total);
-                    shared.span_event(
-                        Level::Info,
-                        "accept",
-                        &[("conn", &conn.to_string()), ("peer", &peer.to_string())],
+            });
+            match accepted {
+                Ok((stream, peer)) => spawn_connection(&self.shared, stream, peer),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted
+                            | io::ErrorKind::ConnectionReset
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => {
+                    self.shared.span_event(
+                        Level::Warn,
+                        "accept_failed",
+                        &[("error", &e.to_string())],
                     );
-                    if let Ok(clone) = stream.try_clone() {
-                        if let Ok(mut conns) = shared.conns.lock() {
-                            conns.insert(conn, clone);
-                        }
-                    }
-                    let _ = std::thread::Builder::new()
-                        .name(format!("sqlts-conn-{conn}"))
-                        .spawn(move || {
-                            let _ = handle_connection(&shared, stream, conn);
-                            reap_connection(&shared, conn);
-                            if let Ok(mut conns) = shared.conns.lock() {
-                                conns.remove(&conn);
-                            }
-                            // Losing the primary's replication session is
-                            // the failover trigger when the operator armed
-                            // it.
-                            let was_repl = shared
-                                .repl_conn
-                                .compare_exchange(conn, 0, Ordering::SeqCst, Ordering::SeqCst)
-                                .is_ok();
-                            if was_repl
-                                && shared.config.promote_on_disconnect
-                                && shared.standby.load(Ordering::SeqCst)
-                                && !shared.draining.load(Ordering::SeqCst)
-                            {
-                                shared.span_event(
-                                    Level::Warn,
-                                    "primary_disconnected",
-                                    &[("conn", &conn.to_string())],
-                                );
-                                shared.promote.store(true, Ordering::SeqCst);
-                            }
-                        });
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
         }
     }
@@ -692,16 +734,18 @@ fn respawn_and_replay(
     Ok(())
 }
 
-/// Promote a warm standby into a full primary: flip the standby flag
-/// (atomically — a second `PROMOTE` loses), sync and rescan every
-/// channel WAL from disk, then run the subscription half of recovery.
-/// Byte-identity with the dead primary follows from the WAL being the
-/// same bytes the primary shipped, and recovery being the same machinery
-/// a crashed primary restarts with.
+/// Promote a warm standby into a full primary: move it to
+/// [`Role::Promoting`] (atomically — a second `PROMOTE` loses), sync and
+/// rescan every channel WAL from disk, run the subscription half of
+/// recovery, and only then serve as a primary.  Byte-identity with the
+/// dead primary follows from the WAL being the same bytes the primary
+/// shipped, and recovery being the same machinery a crashed primary
+/// restarts with.
 fn promote_server(shared: &Shared) -> Result<String, String> {
+    let (from, to) = (Role::Standby as u8, Role::Promoting as u8);
     if shared
-        .standby
-        .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
+        .role
+        .compare_exchange(from, to, Ordering::SeqCst, Ordering::SeqCst)
         .is_err()
     {
         return Err(err(2, "not a standby (already promoted?)"));
@@ -725,6 +769,7 @@ fn promote_server(shared: &Shared) -> Result<String, String> {
     match result {
         Ok(()) => {
             ServerMetrics::inc(&shared.metrics.repl_promotions_total);
+            shared.set_role(Role::Primary);
             let summary = format!(
                 "channels={} subscriptions={} rows_replayed={}",
                 report.channels, report.subscriptions, report.rows_replayed
@@ -735,11 +780,71 @@ fn promote_server(shared: &Shared) -> Result<String, String> {
         Err(e) => {
             // Promotion is all-or-nothing: stay a standby so the operator
             // can retry (or resync from a new primary).
-            shared.standby.store(true, Ordering::SeqCst);
+            shared.set_role(Role::Standby);
             shared.span_end(Level::Warn, "promote", span, &[("error", e.message())]);
             Err(serve_err(&e))
         }
     }
+}
+
+/// Where the shutdown wake-up connects: the listener's own port, with an
+/// unspecified address (`0.0.0.0`, `::`) swapped for the loopback of the
+/// same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Register an accepted connection and serve it on a thread of its own,
+/// reaping its subscriptions when it closes.
+fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream, peer: SocketAddr) {
+    // Replies are single small writes; never let Nagle park one behind
+    // the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let shared = Arc::clone(shared);
+    let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+    ServerMetrics::inc(&shared.metrics.connections_total);
+    shared.span_event(
+        Level::Info,
+        "accept",
+        &[("conn", &conn.to_string()), ("peer", &peer.to_string())],
+    );
+    if let Ok(clone) = stream.try_clone() {
+        if let Ok(mut conns) = shared.conns.lock() {
+            conns.insert(conn, clone);
+        }
+    }
+    let _ = std::thread::Builder::new()
+        .name(format!("sqlts-conn-{conn}"))
+        .spawn(move || {
+            let _ = handle_connection(&shared, stream, conn);
+            reap_connection(&shared, conn);
+            if let Ok(mut conns) = shared.conns.lock() {
+                conns.remove(&conn);
+            }
+            // Losing the primary's replication session is the failover
+            // trigger when the operator armed it.
+            let was_repl = shared
+                .repl_conn
+                .compare_exchange(conn, 0, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok();
+            if was_repl
+                && shared.config.promote_on_disconnect
+                && shared.role() == Role::Standby
+                && !shared.draining.load(Ordering::SeqCst)
+            {
+                shared.span_event(
+                    Level::Warn,
+                    "primary_disconnected",
+                    &[("conn", &conn.to_string())],
+                );
+                shared.promote.store(true, Ordering::SeqCst);
+            }
+        });
 }
 
 /// Finish (and retain profiles of) every subscription the closed
@@ -909,8 +1014,8 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
     // A warm standby accepts only the replication stream and read-only
     // probes; everything mutating is refused until PROMOTE so the two
     // ends of the stream cannot diverge.
-    let reply = if shared.standby.load(Ordering::SeqCst) {
-        match (verb, args.as_slice()) {
+    let reply = match shared.role() {
+        Role::Standby => match (verb, args.as_slice()) {
             ("PING", []) => Ok("OK pong".into()),
             ("REPL", rest) => replicate::standby_dispatch(shared, conn, rest, body, span),
             ("PROMOTE", []) => promote_server(shared),
@@ -920,9 +1025,16 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
                 4,
                 format!("standby is read-only; '{verb}' is not served until PROMOTE"),
             )),
-        }
-    } else {
-        match (verb, args.as_slice()) {
+        },
+        Role::Promoting => match (verb, args.as_slice()) {
+            ("PING", []) => Ok("OK pong".into()),
+            ("", _) => Err(err(2, "empty frame")),
+            (verb, _) => Err(err(
+                4,
+                format!("promotion in progress; retry '{verb}' once it completes"),
+            )),
+        },
+        Role::Primary => match (verb, args.as_slice()) {
             ("PING", []) => Ok("OK pong".into()),
             ("OPEN", [chan, spec]) => open_channel(shared, chan, spec),
             ("SUBSCRIBE", [id, chan]) => subscribe(shared, conn, id, chan, body, None),
@@ -947,7 +1059,7 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
                     args.len()
                 ),
             )),
-        }
+        },
     };
     shared.span_end(
         Level::Debug,
@@ -1233,7 +1345,7 @@ fn serve_http(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         }
     }
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let standby = shared.standby.load(Ordering::SeqCst);
+    let standby = shared.role() != Role::Primary;
     let (status_line, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         let views = http_sub_views(shared);
         let set = (shared.config.shared_matcher).then(|| patternset_stats(shared, &views));
@@ -1553,6 +1665,78 @@ mod tests {
         assert!(status.contains("\"frames_total\":15,"), "{status}");
         stop.store(true, Ordering::SeqCst);
         accept_loop.join().unwrap();
+    }
+
+    /// Shutdown wakes the blocked acceptor with one loopback connect —
+    /// to loopback even when the listener is bound to the unspecified
+    /// address — and that wake-up is no client: it is not counted, not
+    /// logged and not served.  Every real client still gets the parting
+    /// `ERR 4`, and nothing is accepted once `run_until` has returned.
+    #[test]
+    fn shutdown_wakes_the_acceptor_and_parts_only_real_clients() {
+        for (i, listen) in ["127.0.0.1:0", "0.0.0.0:0"].into_iter().enumerate() {
+            let log = temp_data_dir(&format!("wake{i}.jsonl"));
+            let server = Arc::new(
+                Server::bind(ServerConfig {
+                    listen: listen.into(),
+                    log_file: Some(log.clone()),
+                    ..ServerConfig::default()
+                })
+                .unwrap(),
+            );
+            let addr = wake_addr(server.local_addr().unwrap());
+            assert!(addr.ip().is_loopback(), "{listen} -> {addr}");
+            let stop = Arc::new(AtomicBool::new(false));
+            let run = {
+                let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+                std::thread::spawn(move || server.run_until(&stop))
+            };
+            let mut client = TcpStream::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            let mut reply = || match crate::frame::read_frame(&mut reader, 1 << 20) {
+                Ok(FrameEvent::Payload(text)) => text,
+                other => panic!("{listen}: unexpected reply: {other:?}"),
+            };
+            write_frame(&mut client, "PING").unwrap();
+            assert_eq!(reply(), "OK pong", "{listen}");
+
+            stop.store(true, Ordering::SeqCst);
+            let flagged = Instant::now();
+            run.join().unwrap().unwrap();
+            let took = flagged.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "{listen}: drain took {took:?}"
+            );
+            assert_eq!(reply(), "ERR 4 server draining", "{listen}");
+
+            let shared = &server.shared;
+            let counted = shared.metrics.connections_total.load(Ordering::Relaxed);
+            assert_eq!(counted, 1, "{listen}: the wake-up was counted");
+            assert_eq!(
+                shared.next_conn.load(Ordering::Relaxed),
+                2,
+                "{listen}: the wake-up got a connection"
+            );
+            let spans = std::fs::read_to_string(&log).unwrap();
+            let accepts = spans.matches("\"name\":\"accept\"").count();
+            assert_eq!(accepts, 1, "{listen}: the wake-up was logged:\n{spans}");
+
+            let mut late = TcpStream::connect(addr).unwrap();
+            late.set_read_timeout(Some(Duration::from_millis(200)))
+                .unwrap();
+            write_frame(&mut late, "PING").unwrap();
+            let mut byte = [0u8; 1];
+            let answered = io::Read::read(&mut late, &mut byte);
+            assert!(
+                !matches!(answered, Ok(n) if n > 0),
+                "{listen}: a connect after return was answered"
+            );
+            let _ = std::fs::remove_file(&log);
+        }
     }
 
     /// FEED and a standby's REPL FRAME share one row validator: whatever
@@ -1995,6 +2179,42 @@ mod tests {
         assert!(err.starts_with("ERR 2 "), "{err}");
         let err = dispatch(&plain.shared, 1, "REPL HELLO v1").unwrap_err();
         assert!(err.starts_with("ERR 2 "), "{err}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// While workers respawn and the WAL replays, the server is neither
+    /// standby nor primary: a FEED then could reach the subscriptions
+    /// already respawned and miss the rest, so only PING is served.
+    #[test]
+    fn a_promoting_server_serves_only_ping() {
+        let root = temp_data_dir("promoting");
+        let server = Server::bind(ServerConfig {
+            standby: true,
+            ..durable_config(&root, 64)
+        })
+        .unwrap();
+        let shared = &server.shared;
+        shared.set_role(Role::Promoting);
+        assert_eq!(dispatch(shared, 1, "PING").unwrap(), "OK pong");
+        for payload in [
+            "OPEN q name:str,day:int,price:float",
+            "FEED q\nAAA,1,10",
+            "STATUS s",
+            "REPL HELLO v1",
+            "PROMOTE",
+        ] {
+            let err = dispatch(shared, 1, payload).unwrap_err();
+            assert!(
+                err.starts_with("ERR 4 promotion in progress"),
+                "{payload:?} -> {err}"
+            );
+        }
+        assert!(server.is_standby(), "not a primary until promotion is done");
+        let err = promote_server(shared).unwrap_err();
+        assert!(
+            err.starts_with("ERR 2 "),
+            "a second promotion must lose: {err}"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -40,7 +40,7 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// A server running its accept loop on a background thread.
+/// A server running `run_until` on a background thread.
 struct Rig {
     server: Arc<Server>,
     stop: Arc<AtomicBool>,
@@ -510,8 +510,8 @@ fn armed_standby_promotes_itself_when_the_primary_disconnects() {
 
 #[test]
 fn operator_requested_promotion_flag_is_served_by_the_accept_loop() {
-    // The CLI's SIGUSR1 relay calls `request_promotion`; the accept loop
-    // must pick the flag up without any client connected.
+    // The CLI's SIGUSR1 relay calls `request_promotion`; `run_until`'s
+    // flag poll must pick it up without any client connected.
     let sroot = temp_dir("sig-standby");
     let standby = Rig::spawn(standby_config(&sroot));
     assert!(standby.server.is_standby());

@@ -2,7 +2,9 @@
 //! a WAL append that fails must reject the FEED without fanning out, a
 //! failed fsync must surface without corrupting the log, and an injected
 //! replay error must abort recovery with a typed runtime error — never a
-//! panic, never silent data loss.
+//! panic, never silent data loss.  Beside them, the server's
+//! `server::accept` site: a failed `accept()` costs one connection, never
+//! the server.
 
 #![cfg(feature = "failpoints")]
 
@@ -170,4 +172,73 @@ fn injected_replay_failure_is_a_typed_runtime_error() {
     assert_eq!((report.rows_replayed, report.rows_rejected), (1, 0));
     drop(server);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `server::accept` + `InjectError`: the acceptor logs the failure,
+/// drops that one connection, backs off and keeps accepting — the next
+/// client is served and the server still drains cleanly.  (Before the
+/// acceptor, any accept error but `WouldBlock`/`Interrupted` ended
+/// `run_until` with no drain at all.)
+#[test]
+fn injected_accept_failure_keeps_the_server_accepting() {
+    let _guard = lock();
+    use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
+    use sqlts_server::{Server, ServerConfig};
+    use std::io::{BufReader, Read};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let log = temp_path("accept.jsonl");
+    let server = Arc::new(
+        Server::bind(ServerConfig {
+            log_file: Some(log.clone()),
+            ..ServerConfig::default()
+        })
+        .unwrap(),
+    );
+    let addr = server.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    failpoints::configure_rule("server::accept", FailAction::InjectError, 1, None, true);
+    let run = {
+        let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+        std::thread::spawn(move || server.run_until(&stop))
+    };
+    // The first connection is the one whose accept fails: closed unserved.
+    let mut lost = TcpStream::connect(addr).unwrap();
+    lost.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let _ = write_frame(&mut lost, "PING");
+    let mut byte = [0u8; 1];
+    assert!(
+        !matches!(lost.read(&mut byte), Ok(n) if n > 0),
+        "the failed accept's connection was served"
+    );
+    // The next one is served as if nothing happened.
+    let mut client = TcpStream::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut reply = || match read_frame(&mut reader, 1 << 20) {
+        Ok(FrameEvent::Payload(text)) => text,
+        other => panic!("unexpected reply: {other:?}"),
+    };
+    write_frame(&mut client, "PING").unwrap();
+    assert_eq!(reply(), "OK pong");
+    stop.store(true, Ordering::SeqCst);
+    run.join().unwrap().unwrap();
+    assert_eq!(reply(), "ERR 4 server draining");
+    // Two real connections reached the site; the shutdown wake-up did not.
+    assert_eq!(failpoints::hit_count("server::accept"), 2);
+    failpoints::reset();
+    let spans = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(
+        spans.matches("\"name\":\"accept_failed\"").count(),
+        1,
+        "{spans}"
+    );
+    assert_eq!(spans.matches("\"name\":\"accept\"").count(), 1, "{spans}");
+    let _ = std::fs::remove_file(&log);
 }
