@@ -321,6 +321,8 @@ fn status_endpoint_reports_live_subscriptions_as_json() {
         "\"phase\":\"",
         "\"latency\":{",
         "\"frame_decode_micros\":{\"count\":",
+        // The one FEED above, timed from production counters.
+        "\"row_parse_micros\":{\"count\":1,",
     ] {
         assert!(text.contains(needle), "missing {needle} in {text}");
     }

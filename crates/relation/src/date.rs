@@ -67,6 +67,14 @@ impl Date {
         }
     }
 
+    /// [`Date::from_ymd`] for a triple that may be out of range: `None`
+    /// where `from_ymd` would panic.  The one month/day validation every
+    /// date parser shares.
+    pub(crate) fn from_ymd_checked(year: i32, month: u32, day: u32) -> Option<Date> {
+        ((1..=12).contains(&month) && day >= 1 && day <= days_in_month(year, month))
+            .then(|| Date::from_ymd(year, month, day))
+    }
+
     /// The civil `(year, month, day)` triple.
     pub fn ymd(self) -> (i32, u32, u32) {
         // Howard Hinnant's civil_from_days.
@@ -131,10 +139,7 @@ impl FromStr for Date {
         let year: i32 = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
         let month: u32 = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
         let day: u32 = parts.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        if !(1..=12).contains(&month) || day < 1 || day > days_in_month(year, month) {
-            return Err(err());
-        }
-        Ok(Date::from_ymd(year, month, day))
+        Date::from_ymd_checked(year, month, day).ok_or_else(err)
     }
 }
 

@@ -218,12 +218,13 @@ impl Channel {
     ) -> Result<bool, WalError> {
         let start = persist.rows_total;
         if let Some(wal) = persist.wal.as_mut() {
-            let span = shared.span_begin(
-                Level::Debug,
-                "wal_append",
-                parent,
-                &[("channel", &self.name), ("rows", &nrows.to_string())],
-            );
+            let span = shared.log_at(Level::Debug).map_or(0, |log| {
+                let fields = [
+                    ("channel", self.name.as_str()),
+                    ("rows", &nrows.to_string()),
+                ];
+                log.begin(Level::Debug, "wal_append", parent, &fields)
+            });
             let append_started = Instant::now();
             let appended = wal.append(payload, nrows);
             let append_ns = append_started.elapsed().as_nanos() as u64;
@@ -246,11 +247,13 @@ impl Channel {
             ServerMetrics::inc(&shared.metrics.wal_appends_total);
             if synced {
                 self.synced(shared, wal.rows_total(), fsync_ns);
-                shared.span_event(
-                    Level::Debug,
-                    "fsync",
-                    &[("channel", &self.name), ("ns", &fsync_ns.to_string())],
-                );
+                if let Some(log) = shared.log_at(Level::Debug) {
+                    let fields = [
+                        ("channel", self.name.as_str()),
+                        ("ns", &fsync_ns.to_string()),
+                    ];
+                    log.event(Level::Debug, "fsync", &fields);
+                }
             }
             shared.span_end(Level::Debug, "wal_append", span, &[]);
         }
@@ -349,31 +352,34 @@ impl Channel {
     /// A live `FEED` frame: commit, fan out, snapshot when due — all under
     /// the persist lock — then, off-lock, wait out whatever the fsync and
     /// replication policies still owe the feeder before it may be told
-    /// "accepted".  `payload` is the WAL text of exactly `rows`.
+    /// "accepted".  `payload` builds the WAL text of exactly `rows`, and is
+    /// called only when a WAL or a standby will read it; the rows
+    /// themselves are moved into the subscriptions.
     pub fn ingest(
         &self,
         shared: &Shared,
-        rows: &[Vec<Value>],
-        payload: &str,
+        rows: Vec<Vec<Value>>,
+        payload: impl FnOnce() -> String,
         parent: u64,
     ) -> Result<Ingest, String> {
+        let nrows = rows.len();
         let mut persist = self.lock().map_err(|e| err(4, e))?;
         let start = persist.rows_total;
-        let offered = !rows.is_empty()
-            && self
-                .commit(shared, &mut persist, payload, rows.len() as u32, parent)
-                .map_err(|e| err(4, format!("wal append on '{}': {e}", self.name)))?;
+        let offered = nrows > 0 && {
+            let read = persist.wal.is_some() || shared.repl.is_some();
+            let payload = if read { payload() } else { String::new() };
+            self.commit(shared, &mut persist, &payload, nrows as u32, parent)
+                .map_err(|e| err(4, format!("wal append on '{}': {e}", self.name)))?
+        };
         let members = shared.members(&self.name);
-        let span = shared.span_begin(
-            Level::Debug,
-            "fanout",
-            parent,
-            &[
-                ("channel", &self.name),
-                ("rows", &rows.len().to_string()),
+        let span = shared.log_at(Level::Debug).map_or(0, |log| {
+            let fields = [
+                ("channel", self.name.as_str()),
+                ("rows", &nrows.to_string()),
                 ("subs", &members.len().to_string()),
-            ],
-        );
+            ];
+            log.begin(Level::Debug, "fanout", parent, &fields)
+        });
         let fanout_started = Instant::now();
         let (_, rejections) = fan_out(&members, start, rows);
         let rejected: u64 = rejections.iter().sum();
@@ -381,15 +387,17 @@ impl Channel {
             LatencyOp::Fanout,
             fanout_started.elapsed().as_nanos() as u64,
         );
-        shared.span_end(
-            Level::Debug,
-            "fanout",
-            span,
-            &[("rejected", &rejected.to_string())],
-        );
+        if let Some(log) = shared.log_at(Level::Debug) {
+            log.end(
+                Level::Debug,
+                "fanout",
+                span,
+                &[("rejected", &rejected.to_string())],
+            );
+        }
         ServerMetrics::add(
             &shared.metrics.rows_fed_total,
-            rows.len() as u64 * members.len() as u64,
+            nrows as u64 * members.len() as u64,
         );
         // A governed/overflowed subscription stays latched — its partial
         // result is delivered at UNSUBSCRIBE — and the feed keeps flowing
@@ -406,7 +414,7 @@ impl Channel {
                 );
             }
         }
-        let durable = persist.wal.is_some() && !rows.is_empty();
+        let durable = persist.wal.is_some() && nrows > 0;
         if durable {
             persist.frames_since_snapshot += 1;
             if fresh_trip
@@ -438,7 +446,7 @@ impl Channel {
         // the frame, degrading (counted) rather than failing the FEED when
         // the standby is away or slow.
         if let Some(repl) = shared.repl.as_ref() {
-            if repl.ack == ReplAck::Sync && !rows.is_empty() {
+            if repl.ack == ReplAck::Sync && nrows > 0 {
                 let state = &repl.state;
                 let acked = offered && state.wait_acked(&self.name, end, SYNC_ACK_TIMEOUT);
                 if !acked {
@@ -482,7 +490,7 @@ impl Channel {
                         self.name, frame.start
                     ))
                 })?;
-            let (ok, rejections) = fan_out(&members, frame.start, &rows);
+            let (ok, rejections) = fan_out(&members, frame.start, rows);
             accepted += ok;
             rejected += rejections.iter().sum::<u64>();
         }
@@ -494,22 +502,27 @@ impl Channel {
 
 /// Step 3: deliver `rows` — the first at channel ordinal `start` — to
 /// every member that has not seen them, row-major so all members observe
-/// one row before any sees the next.  Returns the accepted delivery count
-/// and, per member, how many rows it rejected; a rejecting (governed,
-/// overflowed, poisoned) member stays latched and never stops the rest.
-fn fan_out(members: &[Arc<Subscription>], start: u64, rows: &[Vec<Value>]) -> (u64, Vec<u64>) {
+/// one row before any sees the next (the shared matcher's memo relies on
+/// it).  Each row is moved into the last member due it; only the members
+/// before that get a clone.  Returns the accepted delivery count and, per
+/// member, how many rows it rejected; a rejecting (governed, overflowed,
+/// poisoned) member stays latched and never stops the rest.
+fn fan_out(members: &[Arc<Subscription>], start: u64, rows: Vec<Vec<Value>>) -> (u64, Vec<u64>) {
     let mut accepted = 0;
     let mut rejections = vec![0; members.len()];
     for (ordinal, row) in (start..).zip(rows) {
-        for (sub, rejected) in members.iter().zip(&mut rejections) {
-            if ordinal < sub.resume_at {
-                continue;
-            }
-            match sub.worker.feed(row.clone()) {
-                Ok(()) => accepted += 1,
-                Err(_) => *rejected += 1,
-            }
+        let due = |sub: &Arc<Subscription>| ordinal >= sub.resume_at;
+        let Some(last) = members.iter().rposition(due) else {
+            continue;
+        };
+        let mut deliver = |i: usize, row: Vec<Value>| match members[i].worker.feed(row) {
+            Ok(()) => accepted += 1,
+            Err(_) => rejections[i] += 1,
+        };
+        for i in (0..last).filter(|&i| due(&members[i])) {
+            deliver(i, row.clone());
         }
+        deliver(last, row);
     }
     (accepted, rejections)
 }

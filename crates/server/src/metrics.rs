@@ -26,6 +26,8 @@ pub enum LatencyOp {
     Fsync,
     /// One frame decode, from first header byte to parsed payload.
     FrameDecode,
+    /// One live FEED frame's payload lines typed into rows.
+    RowParse,
     /// One FEED frame's fan-out loop across a channel's workers.
     Fanout,
     /// One channel snapshot pass (every subscription checkpointed).
@@ -35,10 +37,11 @@ pub enum LatencyOp {
 /// Every [`LatencyOp`] with its name stem, in declaration order (a row's
 /// position is its histogram's slot).  `/status` keys the op
 /// `<stem>_micros`; `/metrics` names it `sqlts_server_<stem>_micros`.
-const LATENCY_OPS: [(LatencyOp, &str); 5] = [
+const LATENCY_OPS: [(LatencyOp, &str); 6] = [
     (LatencyOp::WalAppend, "wal_append"),
     (LatencyOp::Fsync, "fsync"),
     (LatencyOp::FrameDecode, "frame_decode"),
+    (LatencyOp::RowParse, "row_parse"),
     (LatencyOp::Fanout, "fanout"),
     (LatencyOp::Snapshot, "snapshot"),
 ];
@@ -369,6 +372,7 @@ mod tests {
         metrics.latency.record_ns(LatencyOp::WalAppend, 9_000);
         metrics.latency.record_ns(LatencyOp::Fsync, 1_500_000);
         metrics.latency.record_ns(LatencyOp::FrameDecode, 999);
+        metrics.latency.record_ns(LatencyOp::RowParse, 131_000);
         metrics
             .latency
             .record_ns(LatencyOp::Snapshot, 70_000_000_000);
@@ -530,6 +534,11 @@ sqlts_server_frame_decode_micros_bucket{le="0"} 1
 sqlts_server_frame_decode_micros_bucket{le="+Inf"} 1
 sqlts_server_frame_decode_micros_sum 0
 sqlts_server_frame_decode_micros_count 1
+# TYPE sqlts_server_row_parse_micros histogram
+sqlts_server_row_parse_micros_bucket{le="255"} 1
+sqlts_server_row_parse_micros_bucket{le="+Inf"} 1
+sqlts_server_row_parse_micros_sum 131
+sqlts_server_row_parse_micros_count 1
 # TYPE sqlts_server_fanout_micros histogram
 sqlts_server_fanout_micros_bucket{le="+Inf"} 0
 sqlts_server_fanout_micros_sum 0
@@ -718,6 +727,10 @@ sqlts_server_fsync_micros_count 1
 sqlts_server_frame_decode_micros_bucket{le="+Inf"} 0
 sqlts_server_frame_decode_micros_sum 0
 sqlts_server_frame_decode_micros_count 0
+# TYPE sqlts_server_row_parse_micros histogram
+sqlts_server_row_parse_micros_bucket{le="+Inf"} 0
+sqlts_server_row_parse_micros_sum 0
+sqlts_server_row_parse_micros_count 0
 # TYPE sqlts_server_fanout_micros histogram
 sqlts_server_fanout_micros_bucket{le="+Inf"} 0
 sqlts_server_fanout_micros_sum 0
@@ -738,7 +751,7 @@ sqlts_standby 0
         );
         assert_eq!(
             status_json(&metrics, &[], false, false, None),
-            r#"{"draining":false,"standby":false,"connections_total":0,"frames_total":0,"errors_total":0,"subscriptions_total":0,"rows_fed_total":0,"wal_appends_total":0,"wal_fsyncs_total":0,"snapshots_total":0,"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":0,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":0,"sum":0,"max":0}},"subscriptions":[]}
+            r#"{"draining":false,"standby":false,"connections_total":0,"frames_total":0,"errors_total":0,"subscriptions_total":0,"rows_fed_total":0,"wal_appends_total":0,"wal_fsyncs_total":0,"snapshots_total":0,"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":0,"sum":0,"max":0},"row_parse_micros":{"count":0,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":0,"sum":0,"max":0}},"subscriptions":[]}
 "#
         );
     }
@@ -754,7 +767,7 @@ sqlts_standby 0
         );
         assert_eq!(
             out,
-            r#"{"draining":true,"standby":false,"connections_total":1,"frames_total":12,"errors_total":2,"subscriptions_total":3,"rows_fed_total":4000,"wal_appends_total":40,"wal_fsyncs_total":41,"snapshots_total":6,"replication":{"connected":true,"sync":true,"lag_rows":3,"frames_sent":9,"acks":8,"resyncs":1,"send_errors":0,"sync_degraded":2},"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":1,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":1,"sum":70000000,"max":70000000}},"subscriptions":[{"id":"a\"b\\c\nd","channel":"nyse","records":40,"skipped":2,"quarantined":1,"window_bytes":512,"queue_depth":3,"phase":"idle","poisoned":false,"trip":null},{"id":"s2","channel":"nyse","records":7,"skipped":0,"quarantined":0,"window_bytes":64,"queue_depth":0,"phase":"feed","poisoned":true,"trip":"step budget exhausted after 2.5ms (11 steps, 0 matches)"}]}
+            r#"{"draining":true,"standby":false,"connections_total":1,"frames_total":12,"errors_total":2,"subscriptions_total":3,"rows_fed_total":4000,"wal_appends_total":40,"wal_fsyncs_total":41,"snapshots_total":6,"replication":{"connected":true,"sync":true,"lag_rows":3,"frames_sent":9,"acks":8,"resyncs":1,"send_errors":0,"sync_degraded":2},"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":1,"sum":0,"max":0},"row_parse_micros":{"count":1,"sum":131,"max":131},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":1,"sum":70000000,"max":70000000}},"subscriptions":[{"id":"a\"b\\c\nd","channel":"nyse","records":40,"skipped":2,"quarantined":1,"window_bytes":512,"queue_depth":3,"phase":"idle","poisoned":false,"trip":null},{"id":"s2","channel":"nyse","records":7,"skipped":0,"quarantined":0,"window_bytes":64,"queue_depth":0,"phase":"feed","poisoned":true,"trip":"step budget exhausted after 2.5ms (11 steps, 0 matches)"}]}
 "#
         );
         assert_eq!(

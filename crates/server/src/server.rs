@@ -279,6 +279,13 @@ impl Shared {
         }
     }
 
+    /// The span log, when a record at `level` would be written.  A site
+    /// whose fields must be formatted goes through this, so an unarmed
+    /// (or filtered) server formats nothing.
+    pub(crate) fn log_at(&self, level: Level) -> Option<&SpanLog> {
+        self.log.as_ref().filter(|log| log.enabled(level))
+    }
+
     // The two registries shrug off poisoning: every update to them is a
     // single map insert or remove, so a panicking holder cannot leave
     // either map half-changed.
@@ -1004,13 +1011,10 @@ fn dispatch(shared: &Shared, conn: u64, payload: &str) -> Result<String, String>
     let mut words = head.split_whitespace();
     let verb = words.next().unwrap_or("");
     let args: Vec<&str> = words.collect();
-    let conn_s = conn.to_string();
-    let span = shared.span_begin(
-        Level::Debug,
-        "dispatch",
-        0,
-        &[("verb", verb), ("conn", &conn_s)],
-    );
+    let span = shared.log_at(Level::Debug).map_or(0, |log| {
+        let fields = [("verb", verb), ("conn", &conn.to_string())];
+        log.begin(Level::Debug, "dispatch", 0, &fields)
+    });
     // A warm standby accepts only the replication stream and read-only
     // probes; everything mutating is refused until PROMOTE so the two
     // ends of the stream cannot diverge.
@@ -1208,19 +1212,26 @@ fn feed(shared: &Shared, chan: &str, body: &str, parent: u64) -> Result<String, 
     let channel = shared.channel(chan)?;
     // FEED tolerates blank lines (a trailing newline, a spacer between
     // batches) and strips them; each row keeps its line number within the
-    // frame for error messages.  What is kept is what the WAL stores.
-    let mut kept = Vec::new();
-    let lines = body.lines().enumerate();
-    let lines = lines.filter(|(_, line)| !line.is_empty());
-    let rows = channel
-        .parse_rows(lines.inspect(|(_, line)| kept.push(*line)))
-        .map_err(|e| err(3, e))?;
-    let fed = channel.ingest(shared, &rows, &kept.join("\n"), parent)?;
+    // frame for error messages.  What is kept is what the WAL stores —
+    // joined only when a WAL or a standby will read it.
+    let kept = || {
+        body.lines()
+            .enumerate()
+            .filter(|(_, line)| !line.is_empty())
+    };
+    let parse_started = Instant::now();
+    let rows = channel.parse_rows(kept());
+    shared.metrics.latency.record_ns(
+        LatencyOp::RowParse,
+        parse_started.elapsed().as_nanos() as u64,
+    );
+    let rows = rows.map_err(|e| err(3, e))?;
+    let fed_rows = rows.len();
+    let payload = || kept().map(|(_, line)| line).collect::<Vec<_>>().join("\n");
+    let fed = channel.ingest(shared, rows, payload, parent)?;
     Ok(format!(
-        "OK fed {} subs={} rejected={}",
-        rows.len(),
-        fed.subs,
-        fed.rejected
+        "OK fed {fed_rows} subs={} rejected={}",
+        fed.subs, fed.rejected
     ))
 }
 
