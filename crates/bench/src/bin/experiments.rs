@@ -31,7 +31,6 @@ fn main() {
         ("disjunction", disjunction),
         ("ablation", ablation),
         ("parallel", parallel),
-        ("pattern_set", pattern_set),
         ("bench-json", bench_json),
     ];
     for (name, f) in experiments {
@@ -415,25 +414,6 @@ fn bench_json() {
                 .to_string(),
         ),
     ];
-    // E13's artifact has a set-level shape instead of per-engine profiles:
-    // the shared pass's counters plus the solo reference sum CI checks the
-    // strict-savings acceptance against.
-    {
-        let table = clustered_sweep_workload(8, 3_000, 7);
-        let family = pattern_set_family(8);
-        let cost = pattern_set_cost(&family, &table, EngineKind::Ops);
-        let body = format!(
-            "{{\"experiment\":\"pattern_set\",\"queries\":{},\
-             \"solo_predicate_tests\":{},\"matches\":{},\"set\":{}}}",
-            family.len(),
-            cost.solo_tests,
-            cost.matches,
-            cost.stats.to_json()
-        );
-        let path = format!("{dir}/BENCH_pattern_set.json");
-        std::fs::write(&path, body).expect("write BENCH json");
-        println!("wrote {path}");
-    }
     for (id, table, query) in workloads {
         let mut body = String::from("{");
         body.push_str(&format!("\"experiment\":\"{id}\",\"engines\":{{"));
@@ -456,35 +436,6 @@ fn bench_json() {
         std::fs::write(&path, body).expect("write BENCH json");
         println!("wrote {path}");
     }
-}
-
-/// E13 — shared pattern-set execution: one pass over a prefix-sharing
-/// family of standing queries vs one solo pass per query.  The logical
-/// test count must equal the solo sum exactly (the bit-identity
-/// guarantee), while the evaluated count drops with family size.
-fn pattern_set() {
-    let table = clustered_sweep_workload(8, 3_000, 7);
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "queries", "solo tests", "evaluated", "saved", "cross-query", "speedup"
-    );
-    for n in [2, 4, 8, 16] {
-        let family = pattern_set_family(n);
-        let cost = pattern_set_cost(&family, &table, EngineKind::Ops);
-        assert_eq!(
-            cost.stats.tests_logical, cost.solo_tests,
-            "shared pass must charge exactly the solo sum"
-        );
-        println!(
-            "{n:>8} {:>12} {:>12} {:>12} {:>12} {:>8.2}x",
-            cost.solo_tests,
-            cost.stats.tests_evaluated,
-            cost.stats.tests_saved,
-            cost.stats.tests_shared,
-            cost.solo_tests as f64 / cost.stats.tests_evaluated.max(1) as f64,
-        );
-    }
-    println!("\nper-query outputs are byte-identical to the solo runs at every family size");
 }
 
 /// E10 — ablation: full OPS vs shift-only vs naive.

@@ -5,8 +5,8 @@
 //! binary renders them as text and the Criterion benches time them.
 
 use sqlts_core::{
-    compile, execute, execute_query, execute_set, CompileOptions, EngineKind, ExecOptions,
-    ExecutionProfile, FirstTuplePolicy, Instrument, PatternSetStats, SearchTrace,
+    execute_query, CompileOptions, EngineKind, ExecOptions, ExecutionProfile, FirstTuplePolicy,
+    Instrument, SearchTrace,
 };
 use sqlts_datagen::{djia_series, integer_walk, prices_to_table, symbol_series};
 use sqlts_relation::{Date, Table, Value};
@@ -327,11 +327,11 @@ pub fn kmp_workload(n: usize, alphabet: u8, seed: u64) -> Table {
     price_table(&symbol_series(n, alphabet, seed))
 }
 
-/// A prefix-sharing family of `n` standing queries for the shared
-/// pattern-set experiment (E13): the `X`/`Y` elements are identical
-/// across the family, only `Z`'s threshold varies, so the shared matcher
-/// memoizes the common prefix once per cluster position.  Runs over
-/// [`clustered_sweep_workload`] tables (integer walks in 1..10).
+/// A prefix-sharing family of `n` standing queries for shared pattern-set
+/// streaming: the `X`/`Y` elements are identical across the family, only
+/// `Z`'s threshold varies, so the shared memo holds the common prefix
+/// once per cluster position.  Runs over [`clustered_sweep_workload`]
+/// tables (integer walks in 1..10).
 pub fn pattern_set_family(n: usize) -> Vec<String> {
     (0..n)
         .map(|i| {
@@ -343,54 +343,6 @@ pub fn pattern_set_family(n: usize) -> Vec<String> {
             )
         })
         .collect()
-}
-
-/// The shared-vs-solo measurement for one query family: set-level
-/// counters from one `execute_set` pass, plus the independently measured
-/// per-query solo test sum the sharing is judged against.
-#[derive(Clone, Debug)]
-pub struct SetCost {
-    /// Counters from the shared pass (savings, trie shape, lattice size).
-    pub stats: PatternSetStats,
-    /// Sum of each member's solo `predicate_tests` — what `n` independent
-    /// passes would have cost.
-    pub solo_tests: u64,
-    /// Total matches across the family (identical shared or solo).
-    pub matches: u64,
-}
-
-/// Execute `queries` as one shared pattern set and, for reference, each
-/// solo, returning both cost sides (the E13 experiment).
-pub fn pattern_set_cost(queries: &[String], table: &Table, engine: EngineKind) -> SetCost {
-    let opts = ExecOptions {
-        engine,
-        policy: FirstTuplePolicy::VacuousTrue,
-        compile: CompileOptions::default(),
-        ..Default::default()
-    };
-    let compiled: Vec<_> = queries
-        .iter()
-        .map(|q| compile(q, table.schema(), &opts.compile).expect("family query compiles"))
-        .collect();
-    let set = execute_set(&compiled, table, &opts);
-    let mut matches = 0;
-    for result in &set.results {
-        matches += result
-            .as_ref()
-            .expect("family query executes")
-            .stats
-            .matches;
-    }
-    let mut solo_tests = 0;
-    for query in &compiled {
-        let solo = execute(query, table, &opts).expect("family query executes");
-        solo_tests += solo.stats.predicate_tests;
-    }
-    SetCost {
-        stats: set.stats,
-        solo_tests,
-        matches,
-    }
 }
 
 #[cfg(test)]

@@ -44,8 +44,8 @@ use sqlts_core::stream::{
     BadTuplePolicy, SessionCheckpoint, StreamError, StreamOptions, StreamSession,
 };
 use sqlts_core::{
-    compile, execute, explain, CompileOptions, DirectionChoice, EngineKind, ExecError, ExecOptions,
-    FirstTuplePolicy, Governor, Instrument, QueryResult,
+    compile, execute, explain, CompileOptions, CompiledQuery, DirectionChoice, EngineKind,
+    ExecError, ExecOptions, FirstTuplePolicy, Governor, Instrument, QueryResult,
 };
 use sqlts_relation::{CsvRecords, Schema, Table};
 use std::num::NonZeroUsize;
@@ -161,10 +161,10 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--queries",
         metavar: Some("FILE"),
-        help: "batch pattern-set mode: run every query in FILE (one per \
-               line; '#' comments and blank lines skipped) over one shared \
-               pass, printing each result as CSV under a '-- query N' \
-               header; --stats adds the set-level sharing summary",
+        help: "run every query in FILE (one per line; '#' comments and \
+               blank lines skipped) in turn, printing each result as CSV \
+               under a '-- query N' header; --stats and --profile report \
+               each query under the same header on stderr (not with --trace)",
     },
     FlagSpec {
         name: "--follow",
@@ -858,6 +858,16 @@ impl CliError {
         }
     }
 
+    /// The same failure, its message prefixed with `context`.
+    fn prefixed(self, context: &str) -> CliError {
+        match self {
+            CliError::Usage(m) => CliError::Usage(format!("{context}{m}")),
+            CliError::Input(m) => CliError::Input(format!("{context}{m}")),
+            CliError::Runtime(m) => CliError::Runtime(format!("{context}{m}")),
+            CliError::Quarantine(m) => CliError::Quarantine(format!("{context}{m}")),
+        }
+    }
+
     fn message(&self) -> &str {
         match self {
             CliError::Usage(m)
@@ -1064,12 +1074,41 @@ fn run_follow(
     finish_and_report(args, session)
 }
 
-/// The `--queries` driver: compile every query in the file, execute the
-/// whole set over one shared pass, and print each result as CSV under a
-/// `-- query N` header (file order).  `--stats` adds each query's legacy
-/// one-line cost summary plus the set-level sharing summary on stderr.
-/// The exit code reflects the first failing query, after every result
-/// (including governed partials) has been printed.
+/// Execute one compiled query over `table` and print its result: the
+/// batch path of a positional query and of every `--queries` entry.
+fn run_batch_query(
+    args: &Args,
+    src: &str,
+    query: &CompiledQuery,
+    table: &Table,
+    exec: &ExecOptions,
+) -> Result<(), CliError> {
+    let (result, trip) = match execute(query, table, exec) {
+        Ok(result) => (result, None),
+        Err(ExecError::Governed { trip, partial }) => (*partial, Some(trip)),
+        Err(ExecError::Lang(e)) => return Err(CliError::Input(e.render(src))),
+        Err(e @ ExecError::Table(_)) => return Err(CliError::Input(e.to_string())),
+    };
+    emit_result(args, &result)?;
+    if let Some(trip) = trip {
+        return Err(CliError::Runtime(format!(
+            "query terminated by resource governor: {trip} (partial result printed)"
+        )));
+    }
+    if !result.partial.is_empty() {
+        return Err(CliError::Runtime(format!(
+            "{} cluster(s) failed; partial result printed",
+            result.partial.len()
+        )));
+    }
+    Ok(())
+}
+
+/// The `--queries` mode: compile every query in the file, then run each
+/// in file order as a positional query would run, its output under a
+/// `-- query N` header (on stderr too when `--stats` or `--profile` print
+/// there).  Every query runs; the exit code is the first failure's, with
+/// its message prefixed by the query number.
 fn run_query_set(
     args: &Args,
     path: &Path,
@@ -1101,43 +1140,17 @@ fn run_query_set(
             eprintln!("{}", explain(query));
         }
     }
-    let set = sqlts_core::execute_set(&compiled, table, &exec);
     let mut failure: Option<CliError> = None;
-    for (i, result) in set.results.iter().enumerate() {
+    for (i, (src, query)) in sources.iter().zip(&compiled).enumerate() {
         println!("-- query {i}");
-        match result {
-            Ok(result) => {
-                print!("{}", result.table.to_csv_string());
-                if args.stats {
-                    eprintln!("query {i}: {}", result.stats);
-                }
-            }
-            Err(ExecError::Governed { trip, partial }) => {
-                print!("{}", partial.table.to_csv_string());
-                if args.stats {
-                    eprintln!("query {i}: {}", partial.stats);
-                }
-                if failure.is_none() {
-                    failure = Some(CliError::Runtime(format!(
-                        "query {i} terminated by resource governor: {trip} \
-                         (partial result printed)"
-                    )));
-                }
-            }
-            Err(e) => {
-                if failure.is_none() {
-                    failure = Some(CliError::Input(format!("query {i}: {e}")));
-                }
-            }
+        if args.stats || args.profile {
+            eprintln!("-- query {i}");
+        }
+        if let Err(e) = run_batch_query(args, src, query, table, &exec) {
+            failure.get_or_insert(e.prefixed(&format!("query {i}: ")));
         }
     }
-    if args.stats {
-        eprint!("{}", set.stats.to_text());
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    failure.map_or(Ok(()), Err)
 }
 
 fn run() -> Result<(), CliError> {
@@ -1148,8 +1161,9 @@ fn run() -> Result<(), CliError> {
         std::process::exit(trace_agg::run_trace_agg().into());
     }
     let args = parse_args();
-    // `--queries` replaces the positional QUERY and is a batch-only mode.
-    if args.queries.is_some() && (args.query.is_some() || args.follow) {
+    // `--queries` replaces the positional QUERY and is a batch-only mode;
+    // one `--trace` file cannot hold the traces of several queries.
+    if args.queries.is_some() && (args.query.is_some() || args.follow || args.trace.is_some()) {
         usage();
     }
 
@@ -1219,26 +1233,7 @@ fn run() -> Result<(), CliError> {
             "internal: batch mode reached without an input table".into(),
         ));
     };
-    let (result, trip) = match execute(&compiled, &table, &exec) {
-        Ok(result) => (result, None),
-        Err(ExecError::Governed { trip, partial }) => (*partial, Some(trip)),
-        Err(ExecError::Lang(e)) => return Err(CliError::Input(e.render(&query_src))),
-        Err(e @ ExecError::Table(_)) => return Err(CliError::Input(e.to_string())),
-    };
-
-    emit_result(&args, &result)?;
-    if let Some(trip) = trip {
-        return Err(CliError::Runtime(format!(
-            "query terminated by resource governor: {trip} (partial result printed)"
-        )));
-    }
-    if !result.partial.is_empty() {
-        return Err(CliError::Runtime(format!(
-            "{} cluster(s) failed; partial result printed",
-            result.partial.len()
-        )));
-    }
-    Ok(())
+    run_batch_query(&args, &query_src, &compiled, &table, &exec)
 }
 
 fn main() -> ExitCode {

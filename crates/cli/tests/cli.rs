@@ -397,3 +397,48 @@ fn prometheus_format_emits_exposition_text() {
     assert!(stderr.contains("# TYPE sqlts_predicate_tests"), "{stderr}");
     assert!(stderr.contains("sqlts_matches_total"), "{stderr}");
 }
+
+#[test]
+fn queries_report_every_profile_and_refuse_one_trace_file() {
+    let file = std::env::temp_dir().join(format!("sqlts-test-qprof-{}.sql", std::process::id()));
+    std::fs::write(
+        &file,
+        "SELECT X.date FROM djia SEQUENCE BY date AS (X) WHERE X.price > X.previous.price\n\
+         SELECT X.date FROM djia SEQUENCE BY date AS (X, Y) \
+         WHERE Y.price < 0.98 * X.price\n",
+    )
+    .unwrap();
+    let run = |flags: &[&str]| {
+        sqlts()
+            .args(["--demo-djia", "--queries", file.to_str().unwrap()])
+            .args(flags)
+            .output()
+            .unwrap()
+    };
+    let plain = run(&[]);
+    assert!(plain.status.success());
+
+    // --profile and --stats report each query under its header on stderr;
+    // stdout does not change.
+    let prof = run(&["--profile", "--metrics-format", "json", "--stats"]);
+    assert!(prof.status.success());
+    assert_eq!(prof.stdout, plain.stdout);
+    let stderr = String::from_utf8(prof.stderr).unwrap();
+    let profiles: Vec<&str> = stderr.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(profiles.len(), 2, "one profile per query: {stderr}");
+    for p in profiles {
+        assert!(p.contains("\"predicate_tests\":"), "{p}");
+    }
+    assert_eq!(stderr.matches("  cluster 0: ").count(), 2, "{stderr}");
+    let first = stderr.find("-- query 0").expect("query 0 header");
+    let second = stderr.find("-- query 1").expect("query 1 header");
+    assert!(first < second, "{stderr}");
+
+    // One --trace file cannot hold two traces: a usage error, and no file.
+    let trace =
+        std::env::temp_dir().join(format!("sqlts-test-qtrace-{}.jsonl", std::process::id()));
+    let traced = run(&["--trace", trace.to_str().unwrap()]);
+    assert_eq!(traced.status.code(), Some(2));
+    assert!(!trace.exists());
+    std::fs::remove_file(file).ok();
+}

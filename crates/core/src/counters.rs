@@ -42,7 +42,7 @@ pub struct EvalCounter {
     /// counter stays small; `RefCell` because engines only hold `&self`.
     recorder: Option<Box<RefCell<ClusterRecorder>>>,
     /// The shared pattern-set memo, if this cluster run is part of a
-    /// shared group (`execute_set` / `SetRegistry`).  Consulted between
+    /// shared group (a `SetRegistry` member).  Consulted between
     /// `bump()` and conjunct evaluation; a single predictable branch on a
     /// `None` for solo runs, same idiom as the recorder.
     shared: Option<Box<SharedEvalHandle>>,

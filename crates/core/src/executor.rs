@@ -3,7 +3,7 @@
 use crate::counters::EvalCounter;
 use crate::engine::{plan_for, search_cluster, EngineKind, SearchOptions, SearchPlan};
 use crate::governor::{Governor, RunGovernor, Trip};
-use crate::patternset::{ClusterCache, MatcherGroup, SharedEvalHandle};
+use crate::patternset::SharedEvalHandle;
 use crate::reverse::{direction_hint, find_matches_directed, Direction};
 use sqlts_lang::{
     compile, eval_projection, Bindings, CompileOptions, CompiledQuery, EvalCtx, FirstTuplePolicy,
@@ -347,18 +347,6 @@ pub(crate) fn output_schema(query: &CompiledQuery) -> Result<Schema, TableError>
     )
 }
 
-/// Execute an already-compiled query against a table: the group-of-one,
-/// no-memo case of [`run_batch`].
-pub fn execute(
-    query: &CompiledQuery,
-    table: &Table,
-    options: &ExecOptions,
-) -> Result<QueryResult, ExecError> {
-    let direction = options.direction.resolve(query);
-    let (mut results, _) = run_batch(&[query], direction, table, options, None);
-    results.pop().expect("one query, one result")
-}
-
 /// One query's share of a run — everything set up before the first tuple
 /// is tested: the output schema, the search plan and the armed governor.
 /// A batch run (and a driver with the query on its stack) borrows the
@@ -426,93 +414,49 @@ impl<'q> Member<'q> {
     }
 }
 
-/// The one batch driver.  `queries` are searched together over `table`,
-/// cluster by cluster: one query with no memo for [`execute`], or the
-/// forward members of a shared `group` — which agree on `CLUSTER BY` /
-/// `SEQUENCE BY` — for [`crate::execute_set`]; never empty.  Returns one
-/// result per query, index-aligned, plus the group memo's `(saved,
-/// shared)` test counts summed in cluster order.
-pub(crate) fn run_batch(
-    queries: &[&CompiledQuery],
-    direction: Direction,
+/// Execute an already-compiled query against a table: the only batch
+/// cluster loop.  The table is partitioned once, the clusters are searched
+/// (inline, or over [`ExecOptions::threads`] workers) and their runs are
+/// folded in cluster order by the merge streamed sessions also use.
+pub fn execute(
+    query: &CompiledQuery,
     table: &Table,
     options: &ExecOptions,
-    group: Option<&MatcherGroup>,
-) -> (Vec<Result<QueryResult, ExecError>>, (u64, u64)) {
-    let cluster_cols: Vec<&str> = queries[0].cluster_by.iter().map(String::as_str).collect();
-    let sequence_cols: Vec<&str> = queries[0].sequence_by.iter().map(String::as_str).collect();
+) -> Result<QueryResult, ExecError> {
+    let cluster_cols: Vec<&str> = query.cluster_by.iter().map(String::as_str).collect();
+    let sequence_cols: Vec<&str> = query.sequence_by.iter().map(String::as_str).collect();
     let mut phases = PhaseNanos::default();
     let t_partition = options.instrument.armed().then(Instant::now);
-    let clusters = match table.cluster_by(&cluster_cols, &sequence_cols) {
-        Ok(clusters) => clusters,
-        Err(e) => {
-            let failed = queries.iter().map(|_| Err(ExecError::Table(e.clone())));
-            return (failed.collect(), (0, 0));
-        }
-    };
+    let clusters = table.cluster_by(&cluster_cols, &sequence_cols)?;
     phases.partition = t_partition.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    // A query whose preparation fails keeps its slot (and its memo
-    // position) but takes no part in the scan.
-    let prepared: Vec<Result<Member<'_>, TableError>> = queries
-        .iter()
-        .map(|query| Member::prepare(Cow::Borrowed(*query), direction, options))
-        .collect();
+    let direction = options.direction.resolve(query);
+    let member = Member::prepare(Cow::Borrowed(query), direction, options)?;
     let job = BatchJob {
-        members: prepared
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, member)| Some((pos, member.as_ref().ok()?)))
-            .collect(),
+        member: &member,
         clusters: &clusters,
         options,
-        group,
     };
     let t_exec = options.instrument.armed().then(Instant::now);
-    let units = job.run();
+    let runs = job.run();
     phases.execute = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
-
-    // Transpose to per-member cluster runs, summing the memo counters in
-    // cluster order (deterministic for every thread count).
-    let mut per_member: Vec<Vec<ClusterRun>> = job
-        .members
-        .iter()
-        .map(|_| Vec::with_capacity(clusters.len()))
-        .collect();
-    let mut savings = (0, 0);
-    for unit in units {
-        for (runs, run) in per_member.iter_mut().zip(unit.runs) {
-            runs.push(run);
-        }
-        savings.0 += unit.saved;
-        savings.1 += unit.shared;
+    let keyed = clusters.iter().map(Cluster::key).zip(runs);
+    match merge_clusters(&member, options, phases, keyed)? {
+        (result, None) => Ok(result),
+        (partial, Some(trip)) => Err(ExecError::Governed {
+            trip,
+            partial: Box::new(partial),
+        }),
     }
-    let mut per_member = per_member.into_iter();
-    let results = prepared
-        .iter()
-        .map(|member| {
-            let member = member.as_ref().map_err(|e| ExecError::Table(e.clone()))?;
-            let runs = per_member.next().expect("one run list per live member");
-            let keyed = clusters.iter().map(Cluster::key).zip(runs);
-            match merge_clusters(member, options, phases, keyed)? {
-                (result, None) => Ok(result),
-                (partial, Some(trip)) => Err(ExecError::Governed {
-                    trip,
-                    partial: Box::new(partial),
-                }),
-            }
-        })
-        .collect();
-    (results, savings)
 }
 
 /// Fold one member's per-cluster runs, **in cluster order**, into its
 /// [`QueryResult`]: output rows, summed counters and profile clusters land
 /// exactly where a sequential loop would put them, for any thread count.
-/// This is the only cluster-outcome merge — batch, pattern-set and
-/// streamed runs all end here — and the governor's trip, if any, is handed
-/// back beside the (then partial) result for the caller to wrap in its own
-/// error type.  `phases` carries the caller's `partition` and `execute`
-/// wall clock (both 0 for a streamed run, which has no such phases).
+/// This is the only cluster-outcome merge — batch and streamed runs both
+/// end here — and the governor's trip, if any, is handed back beside the
+/// (then partial) result for the caller to wrap in its own error type.
+/// `phases` carries the caller's `partition` and `execute` wall clock
+/// (both 0 for a streamed run, which has no such phases).
 pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
     member: &Member<'_>,
     options: &ExecOptions,
@@ -654,35 +598,24 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What one unit of work produced: every member's run of one cluster, plus
-/// that cluster's memo savings (zero without a group).
-struct ClusterUnit {
-    runs: Vec<ClusterRun>,
-    saved: u64,
-    shared: u64,
-}
-
 /// One batch run's fixed inputs, shared by every worker.
 struct BatchJob<'a> {
-    /// The live members, each with its position in the group (the memo's
-    /// query id).
-    members: Vec<(usize, &'a Member<'a>)>,
+    member: &'a Member<'a>,
     clusters: &'a [Cluster<'a>],
     options: &'a ExecOptions,
-    group: Option<&'a MatcherGroup>,
 }
 
 impl BatchJob<'_> {
     /// Scan every cluster — inline, or fanned out over a scoped worker
-    /// pool — and return the units in cluster order.
+    /// pool — and return the runs in cluster order.
     ///
     /// Workers pull cluster indices from a shared atomic cursor (dynamic
     /// load balancing: cluster sizes are often skewed) and deposit each
-    /// unit into that cluster's dedicated slot, so the order is the same
+    /// run into that cluster's dedicated slot, so the order is the same
     /// regardless of which worker finished when.  A panicking cluster
-    /// never unwinds through the pool ([`BatchJob::run_member`]'s barrier
+    /// never unwinds through the pool ([`BatchJob::run_cluster`]'s barrier
     /// contains it).
-    fn run(&self) -> Vec<ClusterUnit> {
+    fn run(&self) -> Vec<ClusterRun> {
         let worker_count = self.options.threads.get().min(self.clusters.len());
         if worker_count <= 1 {
             return (0..self.clusters.len())
@@ -690,7 +623,7 @@ impl BatchJob<'_> {
                 .collect();
         }
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ClusterUnit>>> =
+        let slots: Vec<Mutex<Option<ClusterRun>>> =
             self.clusters.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..worker_count {
@@ -713,48 +646,20 @@ impl BatchJob<'_> {
             .collect()
     }
 
-    /// The unit of work: one cluster × every member.  A group's memo for
-    /// the cluster is born, filled and read entirely within this call, so
-    /// no two workers ever contend for it.
-    fn run_cluster(&self, idx: usize) -> ClusterUnit {
-        let memo = self
-            .group
-            .map(|group| (group, Arc::new(ClusterCache::default())));
-        let runs = self
-            .members
-            .iter()
-            .map(|&(pos, member)| {
-                let shared = memo.as_ref().map(|(group, cache)| group.handle(cache, pos));
-                self.run_member(member, idx, shared)
-            })
-            .collect();
-        let (saved, shared) = memo.map_or((0, 0), |(_, cache)| cache.counters());
-        ClusterUnit {
-            runs,
-            saved,
-            shared,
-        }
-    }
-
-    /// Run one member over one cluster behind the governor's trip check
+    /// The unit of work: one cluster, behind the governor's trip check
     /// and a panic barrier.
     ///
-    /// Once the member's governor has tripped its remaining clusters come
-    /// back [`ClusterRun::Skipped`].  `catch_unwind` isolates a poisoned
+    /// Once the governor has tripped the remaining clusters come back
+    /// [`ClusterRun::Skipped`].  `catch_unwind` isolates a poisoned
     /// cluster (bad data tripping a debug assertion, an injected
     /// failpoint, …) so the remaining clusters still produce their
     /// matches; the failure is reported structurally via
     /// [`QueryResult::partial`] instead of tearing down the whole query.
-    fn run_member(
-        &self,
-        member: &Member<'_>,
-        idx: usize,
-        shared: Option<SharedEvalHandle>,
-    ) -> ClusterRun {
-        if member.run.as_ref().is_some_and(|run| run.is_tripped()) {
+    fn run_cluster(&self, idx: usize) -> ClusterRun {
+        if self.member.run.as_ref().is_some_and(|run| run.is_tripped()) {
             return ClusterRun::Skipped;
         }
-        match catch_unwind(AssertUnwindSafe(|| self.search(member, idx, shared))) {
+        match catch_unwind(AssertUnwindSafe(|| self.search(idx))) {
             Ok(outcome) => ClusterRun::Done(outcome),
             Err(payload) => ClusterRun::Failed {
                 cause: panic_cause(payload),
@@ -768,19 +673,15 @@ impl BatchJob<'_> {
     /// every other cluster, and counter totals are additive, so summing
     /// them in cluster order reproduces the single-counter sequential
     /// total bit for bit.
-    fn search(
-        &self,
-        member: &Member<'_>,
-        idx: usize,
-        shared: Option<SharedEvalHandle>,
-    ) -> ClusterOutcome {
+    fn search(&self, idx: usize) -> ClusterOutcome {
         #[cfg(feature = "failpoints")]
         sqlts_relation::failpoints::hit("executor::cluster", idx as u64);
-        let (query, cluster) = (&*member.query, &self.clusters[idx]);
+        let (member, cluster) = (self.member, &self.clusters[idx]);
+        let query = &*member.query;
         let search_options = SearchOptions {
             policy: self.options.policy,
         };
-        let counter = member.counter(self.options.instrument, shared);
+        let counter = member.counter(self.options.instrument, None);
         let matches = match member.direction {
             Direction::Forward => search_cluster(
                 &query.elements,

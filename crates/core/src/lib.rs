@@ -86,7 +86,7 @@ pub use multiplex::{
     FinishReport, PhaseTag, SessionStatus, SessionWorker, SessionWorkerConfig, SharedSpec,
     WorkerError, WorkerPhase,
 };
-pub use patternset::{execute_set, SetRegistry, SetResult, SharedJoin, SharedMatcher};
+pub use patternset::{SetRegistry, SharedJoin};
 pub use persist::atomic_write;
 pub use setstream::{SetFeedError, SharedStreamSession};
 pub use shift_next::ShiftNext;

@@ -1,15 +1,15 @@
-//! Shared pattern-set execution: run N standing queries in one pass.
+//! Shared pattern-set execution: N standing queries over one feed.
 //!
 //! A market-feed server with thousands of standing double-bottom-style
-//! alerts pays N independent engine passes over the same feed.  This
-//! module compiles a *set* of queries into one [`SharedMatcher`]: element
-//! predicates are interned into **classes** (two elements share a class
-//! exactly when their conjunct expressions are identical), common class
-//! prefixes are factored into a trie (the Aho–Corasick move applied to
-//! OPS), the θ/φ implication machinery is extended *cross-query* into an
-//! implication lattice over classes, and each tuple is dispatched once:
-//! the first query to test a cached class at a position stores the
-//! outcome, every other query's test is answered from the shared memo.
+//! alerts pays N independent engine passes over the same feed.  Standing
+//! queries [`join`](SetRegistry::join) a *set*: element predicates are
+//! interned into **classes** (two elements share a class exactly when
+//! their conjunct expressions are identical), common class prefixes are
+//! counted in a trie (the Aho–Corasick move applied to OPS), the θ/φ
+//! implication machinery is extended *cross-query* into an implication
+//! lattice over classes, and each tuple is dispatched once: the first
+//! query to test a class at a position stores the outcome, every other
+//! query's test is answered from the shared memo.
 //!
 //! # The bit-identity guarantee
 //!
@@ -25,10 +25,9 @@
 //!   element's conjunct expressions rendered in the compiler's canonical,
 //!   variable-name-free form (`cur-1.col2 < 1/2`).  Rendering is
 //!   injective on the compiled IR, purely-local conjuncts never read
-//!   bindings, and positions are absolute in both batch and windowed
-//!   streaming clusters — so a class value at a position is a pure
-//!   function of `(class, cluster, pos, policy)` and any member may reuse
-//!   it.
+//!   bindings, and positions are absolute in windowed streaming clusters
+//!   — so a class value at a position is a pure function of `(class,
+//!   cluster, pos, policy)` and any member may reuse it.
 //! * **Subset edges.**  If query B's element conjuncts are a sub-multiset
 //!   of query A's, then A-true at a position forces B-true and B-false
 //!   forces A-false, *per conjunct*, under every null/vacuous-boundary
@@ -48,10 +47,8 @@
 //! break that direction, and `U` stays sound where implication is
 //! unknown, exactly as in the single-query matrices.
 
-use crate::executor::{run_batch, ExecError, ExecOptions, QueryResult};
-use crate::reverse::Direction;
 use sqlts_lang::{Anchor, BoolExpr, CompiledQuery, FirstTuplePolicy, PatternElement, ScalarExpr};
-use sqlts_relation::{Table, Value};
+use sqlts_relation::Value;
 use sqlts_trace::PatternSetStats;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -381,12 +378,11 @@ struct CacheInner {
 }
 
 /// The per-cluster shared memo: `(position, class) → value`, plus the
-/// deterministic savings counters.  `Mutex`-based so batch worker threads
-/// and concurrent server subscription workers can share one cache; the
-/// value at a key is a pure function of the key, so racing writers always
-/// agree.
+/// deterministic savings counters.  `Mutex`-based so concurrent server
+/// subscription workers can share one cache; the value at a key is a pure
+/// function of the key, so racing writers always agree.
 #[derive(Debug, Default)]
-pub struct ClusterCache {
+struct ClusterCache {
     inner: Mutex<CacheInner>,
 }
 
@@ -425,13 +421,13 @@ impl ClusterCache {
 
     /// Drop every entry below `floor` (streaming window compaction); the
     /// savings counters are untouched.
-    pub(crate) fn prune_below(&self, floor: u64) {
+    fn prune_below(&self, floor: u64) {
         let mut inner = self.inner.lock().expect("patternset cache lock");
         inner.map = inner.map.split_off(&(floor, 0));
     }
 
     /// `(saved, shared)` counter snapshot.
-    pub(crate) fn counters(&self) -> (u64, u64) {
+    fn counters(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("patternset cache lock");
         (inner.saved, inner.shared)
     }
@@ -486,190 +482,6 @@ impl SharedEvalHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Batch: SharedMatcher + execute_set
-// ---------------------------------------------------------------------------
-
-pub(crate) struct MatcherGroup {
-    /// Indices into the caller's query slice, in input order.
-    members: Vec<usize>,
-    edges: Edges,
-    /// Per member: element → class id (`UNCLASSED` where uncacheable).
-    member_classes: Vec<Arc<[u32]>>,
-}
-
-impl MatcherGroup {
-    /// Member `pos`'s view into one cluster's memo.
-    pub(crate) fn handle(&self, cache: &Arc<ClusterCache>, pos: usize) -> SharedEvalHandle {
-        SharedEvalHandle {
-            cache: Arc::clone(cache),
-            edges: Arc::clone(&self.edges),
-            classes: Arc::clone(&self.member_classes[pos]),
-            query: pos as u16,
-        }
-    }
-}
-
-/// The compiled form of a pattern set: shareable groups plus the queries
-/// that fall back to solo execution.
-pub struct SharedMatcher {
-    groups: Vec<MatcherGroup>,
-    solo: Vec<usize>,
-    base: PatternSetStats,
-}
-
-impl SharedMatcher {
-    /// Compile a set of queries into shared groups.  Queries group when
-    /// they agree on `(CLUSTER BY, SEQUENCE BY)` and resolve to a forward
-    /// scan under `options.direction`; everything else (including
-    /// singleton groups) runs solo, falling back per query rather than
-    /// failing the set.
-    pub fn compile(queries: &[CompiledQuery], options: &ExecOptions) -> SharedMatcher {
-        // (CLUSTER BY, SEQUENCE BY) column lists → member query indices.
-        type GroupKey<'a> = (&'a [String], &'a [String]);
-        let mut buckets: Vec<(GroupKey, Vec<usize>)> = Vec::new();
-        let mut solo = Vec::new();
-        for (qi, query) in queries.iter().enumerate() {
-            if options.direction.resolve(query) != Direction::Forward {
-                solo.push(qi);
-                continue;
-            }
-            let key = (&query.cluster_by[..], &query.sequence_by[..]);
-            match buckets.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(qi),
-                None => buckets.push((key, vec![qi])),
-            }
-        }
-
-        let mut base = PatternSetStats {
-            queries: queries.len(),
-            ..PatternSetStats::default()
-        };
-        let mut groups = Vec::new();
-        for (_, members) in buckets {
-            if members.len() < 2 {
-                solo.extend(members);
-                continue;
-            }
-            let mut interner = Interner::default();
-            let mut edges: Vec<Vec<Edge>> = Vec::new();
-            let mut raw: Vec<Vec<u32>> = Vec::new();
-            let mut labels: Vec<Vec<(u32, bool)>> = Vec::new();
-            for &qi in &members {
-                let (ids, lab) = interner.intern_query(&queries[qi], &mut edges);
-                raw.push(ids);
-                labels.push(lab);
-            }
-            // Cacheability: a class earns a memo slot when it occurs in
-            // ≥ 2 element slots or participates in the lattice; everything
-            // else would only fill the cache without ever being reused.
-            let edge_target: Vec<bool> = {
-                let mut t = vec![false; interner.classes.len()];
-                for list in &edges {
-                    for e in list {
-                        t[e.target as usize] = true;
-                    }
-                }
-                t
-            };
-            let cacheable: Vec<bool> = interner
-                .classes
-                .iter()
-                .enumerate()
-                .map(|(c, info)| info.occurrences >= 2 || !edges[c].is_empty() || edge_target[c])
-                .collect();
-            let member_classes: Vec<Arc<[u32]>> = raw
-                .iter()
-                .map(|ids| {
-                    ids.iter()
-                        .map(|&id| {
-                            if id != UNCLASSED && cacheable[id as usize] {
-                                id
-                            } else {
-                                UNCLASSED
-                            }
-                        })
-                        .collect::<Vec<u32>>()
-                        .into()
-                })
-                .collect();
-            let (nodes, depths) = trie_stats(&labels);
-            base.classes += interner.classes.len();
-            base.trie_nodes += nodes;
-            base.implication_edges += edges.iter().map(Vec::len).sum::<usize>();
-            for d in depths {
-                base.shared_prefix_depth.record(d);
-            }
-            groups.push(MatcherGroup {
-                members,
-                edges: Arc::new(RwLock::new(edges)),
-                member_classes,
-            });
-        }
-        base.groups = groups.len();
-        base.solo = solo.len();
-        for _ in &solo {
-            base.shared_prefix_depth.record(0);
-        }
-        solo.sort_unstable();
-        SharedMatcher { groups, solo, base }
-    }
-
-    /// Compile-time slice of the set statistics (runtime counters zero).
-    pub fn base_stats(&self) -> PatternSetStats {
-        self.base.clone()
-    }
-}
-
-/// The outcome of [`execute_set`]: one result per input query (same
-/// order), plus the set-level sharing statistics.
-#[derive(Debug)]
-pub struct SetResult {
-    /// Per-query results, index-aligned with the input slice.  Each entry
-    /// is exactly what a solo [`crate::execute`] would have returned —
-    /// including `ExecError::Governed` partials.
-    pub results: Vec<Result<QueryResult, ExecError>>,
-    /// Shared-set counters (compile stats + deterministic savings).
-    pub stats: PatternSetStats,
-}
-
-/// Execute a set of compiled queries against one table with a shared
-/// matcher.  Every query's rows, stats, governor accounting and armed
-/// profile are bit-identical to its solo [`crate::execute`] run at every
-/// thread count; the set-level savings land in [`SetResult::stats`].
-pub fn execute_set(queries: &[CompiledQuery], table: &Table, options: &ExecOptions) -> SetResult {
-    let matcher = SharedMatcher::compile(queries, options);
-    let mut stats = matcher.base_stats();
-    let mut slots: Vec<Option<Result<QueryResult, ExecError>>> =
-        queries.iter().map(|_| None).collect();
-    for &qi in &matcher.solo {
-        slots[qi] = Some(crate::execute(&queries[qi], table, options));
-    }
-    for group in &matcher.groups {
-        let members: Vec<&CompiledQuery> = group.members.iter().map(|&qi| &queries[qi]).collect();
-        let (results, (saved, shared)) =
-            run_batch(&members, Direction::Forward, table, options, Some(group));
-        for (&qi, result) in group.members.iter().zip(results) {
-            slots[qi] = Some(result);
-        }
-        stats.tests_saved += saved;
-        stats.tests_shared += shared;
-    }
-    let results: Vec<Result<QueryResult, ExecError>> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every query slot filled"))
-        .collect();
-    for result in &results {
-        stats.tests_logical += match result {
-            Ok(r) => r.stats.predicate_tests,
-            Err(ExecError::Governed { partial, .. }) => partial.stats.predicate_tests,
-            Err(_) => 0,
-        };
-    }
-    stats.tests_evaluated = stats.tests_logical - stats.tests_saved;
-    SetResult { results, stats }
-}
-
-// ---------------------------------------------------------------------------
 // Streaming / server: the standing-query registry
 // ---------------------------------------------------------------------------
 
@@ -717,8 +529,8 @@ impl SetRegistry {
     /// Join a standing query to the registry, creating its group on first
     /// contact.  Returns `None` when the pattern has no shareable
     /// (purely-local) element — the caller then runs exactly as before.
-    /// Unlike the batch compiler, every classed element is cacheable:
-    /// future joiners are unknown, so the memo is filled optimistically.
+    /// Every classed element is cacheable: future joiners are unknown, so
+    /// the memo is filled optimistically.
     pub fn join(
         &self,
         origin: u64,
@@ -845,10 +657,8 @@ impl SharedJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::execute;
     use sqlts_lang::{compile, CompileOptions};
     use sqlts_relation::{ColumnType, Schema};
-    use std::num::NonZeroUsize;
 
     fn schema() -> Schema {
         Schema::new([
@@ -859,39 +669,24 @@ mod tests {
         .unwrap()
     }
 
-    fn table(rows: usize) -> Table {
-        let mut csv = String::from("name,day,price\n");
-        for name in ["AAA", "BBB", "CCC"] {
-            for day in 0..rows {
-                let price = 100 + ((day * 7 + name.len()) % 13) as i64 - 6;
-                csv.push_str(&format!("{name},{day},{price}\n"));
-            }
-        }
-        Table::from_csv_str(schema(), &csv).unwrap()
-    }
-
     fn q(src: &str) -> CompiledQuery {
         compile(src, &schema(), &CompileOptions::default()).unwrap()
     }
 
-    fn prefix_family(n: usize) -> Vec<CompiledQuery> {
-        // Shared (X, Y) prefix; per-query tail thresholds.
-        (0..n)
-            .map(|i| {
-                q(&format!(
-                    "SELECT X.name, Z.day AS day FROM t \
-                     CLUSTER BY name SEQUENCE BY day AS (X, Y, Z) \
-                     WHERE X.price > 95 AND Y.price > X.previous.price \
-                     AND Z.price < {}",
-                    100 + i
-                ))
-            })
-            .collect()
+    /// Join every query to a fresh registry at feed position zero.
+    fn joined(queries: &[CompiledQuery]) -> SetRegistry {
+        let registry = SetRegistry::new();
+        for query in queries {
+            registry
+                .join(0, query, FirstTuplePolicy::default())
+                .expect("every test query has a shareable element");
+        }
+        registry
     }
 
     #[test]
     fn identical_elements_intern_to_one_class() {
-        let queries = [
+        let registry = joined(&[
             q(
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
                WHERE X.price > 95 AND Y.price > 95",
@@ -900,9 +695,8 @@ mod tests {
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
                WHERE X.price > 95 AND Y.price < 90",
             ),
-        ];
-        let matcher = SharedMatcher::compile(&queries, &ExecOptions::default());
-        let stats = matcher.base_stats();
+        ]);
+        let stats = registry.stats();
         assert_eq!(stats.groups, 1);
         assert_eq!(stats.solo, 0);
         // Classes: "price > 95" (×3 occurrences) and "price < 90".
@@ -949,73 +743,23 @@ mod tests {
     }
 
     #[test]
-    fn execute_set_matches_solo_runs_bit_for_bit() {
-        let table = table(40);
-        let queries = prefix_family(8);
-        for threads in [1usize, 4] {
-            let options = ExecOptions {
-                threads: NonZeroUsize::new(threads).unwrap(),
-                ..ExecOptions::default()
-            };
-            let set = execute_set(&queries, &table, &options);
-            assert_eq!(set.results.len(), queries.len());
-            for (query, result) in queries.iter().zip(&set.results) {
-                let solo = execute(query, &table, &options).unwrap();
-                let shared = result.as_ref().unwrap();
-                assert_eq!(shared.table, solo.table, "threads={threads}");
-                assert_eq!(shared.stats, solo.stats, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn execute_set_saves_tests_against_the_per_query_sum() {
-        let table = table(40);
-        let queries = prefix_family(8);
-        let options = ExecOptions::default();
-        let set = execute_set(&queries, &table, &options);
-        let solo_sum: u64 = queries
-            .iter()
-            .map(|q| execute(q, &table, &options).unwrap().stats.predicate_tests)
-            .sum();
-        assert_eq!(set.stats.tests_logical, solo_sum);
-        assert!(set.stats.tests_saved > 0, "{:?}", set.stats);
-        assert!(set.stats.tests_shared > 0, "{:?}", set.stats);
-        assert!(
-            set.stats.tests_evaluated < solo_sum,
-            "shared pass must evaluate strictly fewer tests: {} vs {}",
-            set.stats.tests_evaluated,
-            solo_sum
-        );
-        assert_eq!(
-            set.stats.tests_evaluated + set.stats.tests_saved,
-            set.stats.tests_logical
-        );
-    }
-
-    #[test]
     fn mixed_cluster_keys_split_into_groups_and_solo() {
-        let queries = [
+        let registry = joined(&[
             q(
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
-               WHERE Y.price > X.price",
+               WHERE Y.price > 95",
             ),
             q("SELECT X.day AS d FROM t SEQUENCE BY day AS (X, Y) \
-               WHERE Y.price > X.price"),
+               WHERE Y.price > 95"),
             q(
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
-               WHERE Y.price < X.price",
+               WHERE Y.price < 90",
             ),
-        ];
-        let matcher = SharedMatcher::compile(&queries, &ExecOptions::default());
-        let stats = matcher.base_stats();
+        ]);
+        let stats = registry.stats();
+        assert_eq!(stats.queries, 3);
         assert_eq!(stats.groups, 1, "the two CLUSTER BY name queries group");
         assert_eq!(stats.solo, 1, "the unclustered query runs solo");
-        let set = execute_set(&queries, &table(10), &ExecOptions::default());
-        for (query, result) in queries.iter().zip(&set.results) {
-            let solo = execute(query, &table(10), &ExecOptions::default()).unwrap();
-            assert_eq!(result.as_ref().unwrap().table, solo.table);
-        }
     }
 
     #[test]

@@ -9,10 +9,7 @@
 #![cfg(feature = "failpoints")]
 
 use sqlts_core::failpoints::{self, FailAction};
-use sqlts_core::{
-    compile, execute, execute_query, execute_set, CompileOptions, ExecError, ExecOptions, Governor,
-    TripReason,
-};
+use sqlts_core::{execute_query, ExecError, ExecOptions, Governor, TripReason};
 use sqlts_relation::{ColumnType, CsvError, Schema, Table, Value};
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard};
@@ -129,46 +126,6 @@ fn sequential_and_parallel_failure_sets_agree() {
             .filter(|r| r[0] != Value::from(failed_key.as_str()))
             .collect();
         assert_eq!(rows(&seq.table), expected, "target {target}");
-    }
-}
-
-#[test]
-fn pattern_set_members_fail_exactly_like_their_solo_runs() {
-    let _guard = armed();
-    let table = three_cluster_table();
-    // Two queries sharing their X element, so they run as one group: the
-    // poisoned cluster panics once per member, and each member must report
-    // the failure list, surviving rows and stats its solo run reports.
-    let sibling = "SELECT X.name FROM quote CLUSTER BY name SEQUENCE BY date AS (X, Y) \
-                   WHERE Y.price < X.price + 2";
-    let queries: Vec<_> = [QUERY, sibling]
-        .iter()
-        .map(|src| compile(src, table.schema(), &CompileOptions::default()).unwrap())
-        .collect();
-    for target in 0..3u64 {
-        for threads in [1usize, 4] {
-            failpoints::reset();
-            failpoints::configure_rule(
-                "executor::cluster",
-                FailAction::Panic,
-                1,
-                Some(target),
-                false,
-            );
-            let set = execute_set(&queries, &table, &opts(threads));
-            assert_eq!(set.stats.groups, 1, "the queries must share a group");
-            for (query, shared) in queries.iter().zip(set.results) {
-                let (shared, solo) = (
-                    shared.unwrap(),
-                    execute(query, &table, &opts(threads)).unwrap(),
-                );
-                let at = format!("target {target} threads {threads}");
-                assert_eq!(shared.partial.len(), 1, "{at}");
-                assert_eq!(shared.partial, solo.partial, "{at}");
-                assert_eq!(rows(&shared.table), rows(&solo.table), "{at}");
-                assert_eq!(shared.stats, solo.stats, "{at}");
-            }
-        }
     }
 }
 

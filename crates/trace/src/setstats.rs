@@ -9,9 +9,10 @@
 //! were answered from the shared memo (`tests_saved`, of which
 //! `tests_shared` were served across queries or derived through the
 //! cross-query implication lattice).  All counters are deterministic for
-//! the batch `execute_set` path: caches are per-cluster, members run in
-//! query order within a cluster, and merges happen in cluster order — the
-//! same thread-count-invariance recipe as [`crate::ClusterMetrics`].
+//! an in-process shared stream, which feeds each tuple to its members in
+//! query order; on a server channel the saved/shared split follows the
+//! fan-out order, while `tests_evaluated + tests_saved = tests_logical`
+//! always holds.
 
 use crate::expo::{Exposition, Kind};
 use crate::metrics::BoundedHistogram;
@@ -22,7 +23,8 @@ use std::fmt::Write as _;
 pub struct PatternSetStats {
     /// Queries in the set.
     pub queries: usize,
-    /// Shared groups formed (same `CLUSTER BY`/`SEQUENCE BY`, forward).
+    /// Shared groups formed (same feed origin, `CLUSTER BY`/`SEQUENCE BY`
+    /// and first-tuple policy).
     pub groups: usize,
     /// Queries that fell back to a solo pass (unshareable).
     pub solo: usize,

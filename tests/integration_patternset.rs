@@ -1,24 +1,23 @@
-//! Shared pattern-set execution must be *observationally invisible*:
-//! `execute_set` over N standing queries returns, slot by slot, exactly
-//! what N solo `execute` calls return — rows, stats, armed profiles,
-//! governor trips — while physically evaluating strictly fewer
-//! predicates when the patterns share structure.
+//! Shared pattern-set streaming must be *observationally invisible*: a
+//! `SharedStreamSession` over N standing queries finishes, member by
+//! member, exactly as N solo runs — rows, stats, armed profiles, governor
+//! trips — while physically evaluating strictly fewer predicates when the
+//! patterns share structure.
 //!
-//! Random pattern sets (mixed shared families and unrelated queries)
-//! are swept across engines, policies and thread counts; a streamed
-//! variant checkpoints every member at every feed boundary and resumes
-//! through the `sqlts-checkpoint v1` text codec.
+//! Random pattern sets (mixed shared families and unrelated queries) are
+//! swept across engines and policies; every member is checkpointed at
+//! feed boundaries and resumed through the `sqlts-checkpoint v1` text
+//! codec.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlts_core::{
-    compile, execute, execute_set, CompileOptions, CompiledQuery, EngineKind, ExecError,
-    ExecOptions, FirstTuplePolicy, Governor, Instrument, SessionCheckpoint, SharedStreamSession,
-    StreamOptions,
+    compile, execute, CompileOptions, CompiledQuery, EngineKind, ExecOptions, FirstTuplePolicy,
+    Governor, Instrument, PatternSetStats, QueryResult, SessionCheckpoint, SetFeedError,
+    SharedStreamSession, StreamError, StreamOptions, StreamSession,
 };
 use sqlts_datagen::{integer_walk, quote_schema};
 use sqlts_relation::{Date, Table, Value};
-use std::num::NonZeroUsize;
 
 /// Predicate alphabet.  The first block is purely local with `Cur`
 /// anchors only — internable into shared element classes; the second
@@ -132,92 +131,57 @@ fn compile_set(texts: &[String]) -> Vec<CompiledQuery> {
         .collect()
 }
 
-/// The invisibility oracle: run every query solo, run the set shared,
-/// and demand slot-by-slot bit-identity — Ok results match on rows,
-/// stats and (when armed) profiles; governed slots match on trip
-/// reason, trip step and the partial result.  Returns the solo
-/// predicate-test sum for savings assertions.
-fn assert_set_matches_solo(
-    queries: &[CompiledQuery],
-    table: &Table,
-    exec: &ExecOptions,
-    ctx: &str,
-) -> u64 {
-    let set = execute_set(queries, table, exec);
-    assert_eq!(set.results.len(), queries.len(), "{ctx}");
-    let mut solo_sum = 0u64;
-    for (i, (query, shared)) in queries.iter().zip(&set.results).enumerate() {
-        let solo = execute(query, table, exec);
-        match (solo, shared) {
-            (Ok(solo), Ok(shared)) => {
-                solo_sum += solo.stats.predicate_tests;
-                assert_eq!(shared.table, solo.table, "slot {i} rows: {ctx}");
-                assert_eq!(shared.stats, solo.stats, "slot {i} stats: {ctx}");
-                match (&solo.profile, &shared.profile) {
-                    (Some(sp), Some(hp)) => {
-                        assert_eq!(hp.clusters, sp.clusters, "slot {i} profile: {ctx}");
-                        assert_eq!(hp.totals, sp.totals, "slot {i} profile: {ctx}");
-                        assert_eq!(hp.tuples, sp.tuples, "slot {i} profile: {ctx}");
-                    }
-                    (None, None) => {}
-                    _ => panic!("slot {i}: profile armed on one side only: {ctx}"),
-                }
-            }
-            (
-                Err(ExecError::Governed {
-                    trip: st,
-                    partial: sp,
-                }),
-                Err(ExecError::Governed {
-                    trip: ht,
-                    partial: hp,
-                }),
-            ) => {
-                solo_sum += sp.stats.predicate_tests;
-                assert_eq!(ht.reason, st.reason, "slot {i} trip reason: {ctx}");
-                assert_eq!(ht.steps, st.steps, "slot {i} trip step: {ctx}");
-                assert_eq!(ht.matches, st.matches, "slot {i} trip matches: {ctx}");
-                assert_eq!(hp.table, sp.table, "slot {i} partial rows: {ctx}");
-                assert_eq!(hp.stats, sp.stats, "slot {i} partial stats: {ctx}");
-            }
-            (solo, shared) => panic!(
-                "slot {i}: solo {:?} vs shared {:?} diverged: {ctx}",
-                solo.as_ref()
-                    .map(|r| r.table.len())
-                    .map_err(ToString::to_string),
-                shared
-                    .as_ref()
-                    .map(|r| r.table.len())
-                    .map_err(ToString::to_string),
-            ),
+/// A shared stream member's result must equal its solo result: rows,
+/// stats and, when armed, the profile.
+fn assert_member_matches(result: &QueryResult, expected: &QueryResult, ctx: &str) {
+    assert_eq!(result.table, expected.table, "rows: {ctx}");
+    assert_eq!(result.stats, expected.stats, "stats: {ctx}");
+    match (&result.profile, &expected.profile) {
+        (Some(rp), Some(ep)) => {
+            assert_eq!(rp.clusters, ep.clusters, "profile: {ctx}");
+            assert_eq!(rp.totals, ep.totals, "profile: {ctx}");
+            assert_eq!(rp.tuples, ep.tuples, "profile: {ctx}");
         }
+        (None, None) => {}
+        _ => panic!("profile armed on one side only: {ctx}"),
     }
-    assert_eq!(
-        set.stats.tests_logical, solo_sum,
-        "logical tests must equal the solo sum: {ctx}"
-    );
-    assert_eq!(
-        set.stats.tests_evaluated + set.stats.tests_saved,
-        set.stats.tests_logical,
-        "counter ledger must balance: {ctx}"
-    );
-    solo_sum
 }
 
-/// Property: for random pattern sets across engines, policies and
-/// thread counts, the shared pass is bit-identical to solo runs — and,
-/// since "identical to a solo run of the same engine" would let a shared
-/// and a solo OPS drop the same match, every query's OPS rows also equal
-/// the greedy-naive reference.
-fn fuzz_set(seed: u64, rounds: u32) {
+fn rows_of(table: &Table) -> Vec<Vec<Value>> {
+    table.rows().map(<[Value]>::to_vec).collect()
+}
+
+/// Feed every row through one shared session and finish it.
+fn shared_run(
+    queries: &[CompiledQuery],
+    options: &StreamOptions,
+    rows: &[Vec<Value>],
+) -> (Vec<Result<QueryResult, StreamError>>, PatternSetStats) {
+    let mut session = SharedStreamSession::new(queries, options).unwrap();
+    for row in rows {
+        session.feed(row.clone()).unwrap();
+    }
+    session.finish()
+}
+
+/// Property: a [`SharedStreamSession`] fed row by row finishes with every
+/// member bit-identical to its solo batch run — rows, stats and traced
+/// profile, under a random engine and `FirstTuplePolicy` — and a session
+/// checkpointed at *every* feed boundary (each member's plain v1
+/// checkpoint round-tripped through the text codec) resumes to the same
+/// results, with the memo cold but the ledger still balanced.  Since
+/// "identical to a solo run of the same engine" would let a shared and a
+/// solo OPS drop the same match, every query's OPS rows also equal the
+/// greedy-naive reference.
+fn fuzz_shared_stream(seed: u64, rounds: u32) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut interesting = 0u32;
     for round in 0..rounds {
-        let k = rng.gen_range(2..=6);
+        let k = rng.gen_range(2..=4);
         let texts = random_set(&mut rng, k);
         let queries = compile_set(&texts);
-        let clusters = rng.gen_range(1..=4);
+        let clusters = rng.gen_range(1..=3);
         let table = random_clustered_table(&mut rng, clusters);
+        let all = rows_of(&table);
         let engine = [
             EngineKind::Naive,
             EngineKind::NaiveBacktrack,
@@ -229,23 +193,20 @@ fn fuzz_set(seed: u64, rounds: u32) {
         } else {
             FirstTuplePolicy::Fail
         };
-        for threads in [1usize, 4] {
-            let exec = ExecOptions {
+        let options = StreamOptions {
+            exec: ExecOptions {
                 engine,
                 policy,
-                threads: NonZeroUsize::new(threads).unwrap(),
                 instrument: Instrument::tracing(),
                 ..Default::default()
-            };
-            let ctx = format!(
-                "round {round} ({engine:?}, {policy:?}, threads={threads}):\n{}",
-                texts.join("\n")
-            );
-            let solo_sum = assert_set_matches_solo(&queries, &table, &exec, &ctx);
-            if solo_sum > 0 {
-                interesting += 1;
-            }
-        }
+            },
+            ..Default::default()
+        };
+        let ctx = format!(
+            "round {round} ({engine:?}, {policy:?}):\n{}",
+            texts.join("\n")
+        );
+
         let naive = ExecOptions {
             engine: EngineKind::Naive,
             policy,
@@ -262,137 +223,15 @@ fn fuzz_set(seed: u64, rounds: u32) {
                 "round {round} (ops vs naive, {policy:?}):\n{text}"
             );
         }
-    }
-    assert!(
-        interesting > rounds / 4,
-        "only {interesting}/{rounds} rounds did any work; generator is too cold"
-    );
-}
-
-#[test]
-fn random_pattern_sets_are_bit_identical_to_solo_runs() {
-    fuzz_set(0x5E7A, 60);
-}
-
-#[test]
-fn random_pattern_sets_are_bit_identical_to_solo_runs_second_seed() {
-    fuzz_set(0xB17B17, 60);
-}
-
-/// The deterministic prefix-sharing family from the acceptance
-/// criterion: identical bodies, member-specific tail constant.
-fn prefix_family(k: usize) -> Vec<String> {
-    (0..k)
-        .map(|i| {
-            format!(
-                "SELECT V0.date FROM t CLUSTER BY name SEQUENCE BY date AS (V0, V1, V2) \
-                 WHERE V0.price >= 3 AND V1.price > 2 AND V2.price < {}",
-                4 + i
-            )
-        })
-        .collect()
-}
-
-/// Acceptance: over ≥ 8 prefix-sharing queries the shared pass performs
-/// strictly fewer physical predicate tests than the solo sum, while the
-/// logical ledger still charges exactly the solo sum.
-#[test]
-fn shared_set_strictly_saves_predicate_tests() {
-    let mut rng = SmallRng::seed_from_u64(0x5A71465);
-    let texts = prefix_family(8);
-    let queries = compile_set(&texts);
-    let table = random_clustered_table(&mut rng, 3);
-    for threads in [1usize, 4] {
-        let exec = ExecOptions {
-            engine: EngineKind::Ops,
-            threads: NonZeroUsize::new(threads).unwrap(),
-            ..Default::default()
-        };
-        let ctx = format!("threads={threads}");
-        let solo_sum = assert_set_matches_solo(&queries, &table, &exec, &ctx);
-        let set = execute_set(&queries, &table, &exec);
-        assert!(solo_sum > 0, "family found no work to share");
-        assert_eq!(set.stats.tests_logical, solo_sum, "{ctx}");
-        assert!(
-            set.stats.tests_evaluated < solo_sum,
-            "shared pass must evaluate strictly less than {solo_sum}, got {}: {ctx}",
-            set.stats.tests_evaluated
-        );
-        assert!(set.stats.tests_shared > 0, "{ctx}");
-    }
-}
-
-/// Satellite: the governor's per-query accounting is unchanged under
-/// sharing — a `--max-steps` budget trips at exactly the same step,
-/// with exactly the same partial result, whether the query runs solo or
-/// inside a shared set.  Swept over budgets from zero to past the full
-/// run, so every slot is exercised both tripped and untripped.
-#[test]
-fn governor_trips_at_the_same_step_shared_or_not() {
-    let mut rng = SmallRng::seed_from_u64(0x60B5E7);
-    let texts = prefix_family(6);
-    let queries = compile_set(&texts);
-    let table = random_clustered_table(&mut rng, 3);
-    let full_steps: Vec<u64> = queries
-        .iter()
-        .map(|q| {
-            execute(q, &table, &ExecOptions::default())
-                .unwrap()
-                .stats
-                .predicate_tests
-        })
-        .collect();
-    let max = *full_steps.iter().max().unwrap();
-    assert!(max > 8, "family too small to exercise budgets");
-    let mut tripped_budgets = 0u32;
-    for budget in [0, 1, max / 7, max / 3, max / 2, max - 1, max + 16] {
-        let exec = ExecOptions {
-            engine: EngineKind::Ops,
-            governor: Governor::unlimited().with_max_steps(budget),
-            ..Default::default()
-        };
-        let ctx = format!("max_steps={budget}");
-        assert_set_matches_solo(&queries, &table, &exec, &ctx);
-        let set = execute_set(&queries, &table, &exec);
-        if set.results.iter().any(Result::is_err) {
-            tripped_budgets += 1;
-        }
-    }
-    assert!(tripped_budgets >= 3, "budget sweep never tripped");
-}
-
-/// Property: a [`SharedStreamSession`] fed row by row finishes
-/// bit-identical to the batch shared pass — and a session checkpointed
-/// at *every* feed boundary (each member's plain v1 checkpoint
-/// round-tripped through the text codec) resumes to the same rows and
-/// stats, with the memo cold but the ledger still balanced.
-fn fuzz_shared_stream(seed: u64, rounds: u32) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for round in 0..rounds {
-        let k = rng.gen_range(2..=4);
-        let texts = random_set(&mut rng, k);
-        let queries = compile_set(&texts);
-        let clusters = rng.gen_range(1..=3);
-        let table = random_clustered_table(&mut rng, clusters);
-        let all: Vec<Vec<Value>> = table.rows().map(<[Value]>::to_vec).collect();
-        let options = StreamOptions::default();
-        let ctx = format!("round {round}:\n{}", texts.join("\n"));
 
         let reference: Vec<_> = queries
             .iter()
             .map(|q| execute(q, &table, &options.exec).unwrap())
             .collect();
-
-        let mut live = SharedStreamSession::new(&queries, &options).unwrap();
-        for row in &all {
-            live.feed(row.clone())
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        }
-        let (results, stats) = live.finish();
+        let (results, stats) = shared_run(&queries, &options, &all);
         for (i, (result, expected)) in results.iter().zip(&reference).enumerate() {
-            let result = result.as_ref().unwrap();
-            assert_eq!(result.table, expected.table, "member {i} rows: {ctx}");
-            assert_eq!(result.stats, expected.stats, "member {i} stats: {ctx}");
+            let at = format!("member {i}: {ctx}");
+            assert_member_matches(result.as_ref().unwrap(), expected, &at);
         }
         assert_eq!(
             stats.tests_evaluated + stats.tests_saved,
@@ -434,9 +273,8 @@ fn fuzz_shared_stream(seed: u64, rounds: u32) {
             }
             let (results, stats) = resumed.finish();
             for (i, (result, expected)) in results.iter().zip(&reference).enumerate() {
-                let result = result.as_ref().unwrap();
-                assert_eq!(result.table, expected.table, "member {i} rows: {sctx}");
-                assert_eq!(result.stats, expected.stats, "member {i} stats: {sctx}");
+                let at = format!("member {i}: {sctx}");
+                assert_member_matches(result.as_ref().unwrap(), expected, &at);
             }
             assert_eq!(
                 stats.tests_evaluated + stats.tests_saved,
@@ -449,5 +287,158 @@ fn fuzz_shared_stream(seed: u64, rounds: u32) {
 
 #[test]
 fn shared_stream_resume_from_every_prefix_is_bit_identical() {
-    fuzz_shared_stream(0x57BEA3, 8);
+    fuzz_shared_stream(0x57BEA3, 40);
+}
+
+/// The deterministic prefix-sharing family from the acceptance
+/// criterion: identical bodies, member-specific tail constant.
+fn prefix_family(k: usize) -> Vec<String> {
+    (0..k)
+        .map(|i| {
+            format!(
+                "SELECT V0.date FROM t CLUSTER BY name SEQUENCE BY date AS (V0, V1, V2) \
+                 WHERE V0.price >= 3 AND V1.price > 2 AND V2.price < {}",
+                4 + i
+            )
+        })
+        .collect()
+}
+
+/// Acceptance: over ≥ 8 prefix-sharing queries the shared stream performs
+/// strictly fewer physical predicate tests than the solo sum, while the
+/// logical ledger still charges exactly the solo sum.
+#[test]
+fn shared_set_strictly_saves_predicate_tests() {
+    let mut rng = SmallRng::seed_from_u64(0x5A71465);
+    let queries = compile_set(&prefix_family(8));
+    let table = random_clustered_table(&mut rng, 3);
+    let options = StreamOptions {
+        exec: ExecOptions {
+            engine: EngineKind::Ops,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (results, stats) = shared_run(&queries, &options, &rows_of(&table));
+    let mut solo_sum = 0u64;
+    for (i, (query, result)) in queries.iter().zip(&results).enumerate() {
+        let solo = execute(query, &table, &options.exec).unwrap();
+        solo_sum += solo.stats.predicate_tests;
+        assert_member_matches(result.as_ref().unwrap(), &solo, &format!("member {i}"));
+    }
+    assert!(solo_sum > 0, "family found no work to share");
+    assert_eq!(stats.tests_logical, solo_sum, "{stats:?}");
+    assert_eq!(
+        stats.tests_evaluated + stats.tests_saved,
+        stats.tests_logical,
+        "{stats:?}"
+    );
+    assert!(
+        stats.tests_evaluated < solo_sum,
+        "shared stream must evaluate strictly less than {solo_sum}, got {}",
+        stats.tests_evaluated
+    );
+    assert!(stats.tests_shared > 0, "{stats:?}");
+}
+
+/// Feed `rows` to a solo session of `query` and finish it; a governed
+/// trip while feeding is left for `finish` to report.
+fn solo_stream(
+    query: &CompiledQuery,
+    options: &StreamOptions,
+    rows: &[Vec<Value>],
+) -> Result<QueryResult, StreamError> {
+    let mut session = StreamSession::new(query, options.clone()).unwrap();
+    for row in rows {
+        match session.feed(row.clone()) {
+            Ok(()) | Err(StreamError::Governed { .. }) => {}
+            Err(e) => panic!("{e}"),
+        }
+    }
+    session.finish()
+}
+
+/// The governor's per-query accounting is unchanged under sharing: a
+/// `--max-steps` budget trips at exactly the same step, with exactly the
+/// same partial result, whether the query streams solo or as a member of
+/// a shared session.  Swept over budgets from zero to past the full run,
+/// so members are exercised both tripped and untripped.  The shared feed
+/// stops at the first trip, so each member is compared with a solo
+/// session fed exactly the rows it received.
+#[test]
+fn governor_trips_at_the_same_step_shared_or_not() {
+    let mut rng = SmallRng::seed_from_u64(0x60B5E7);
+    let queries = compile_set(&prefix_family(6));
+    let table = random_clustered_table(&mut rng, 3);
+    let rows = rows_of(&table);
+    let max = queries
+        .iter()
+        .map(|q| {
+            execute(q, &table, &ExecOptions::default())
+                .unwrap()
+                .stats
+                .predicate_tests
+        })
+        .max()
+        .unwrap();
+    assert!(max > 8, "family too small to exercise budgets");
+    let mut tripped_budgets = 0u32;
+    for budget in [0, 1, max / 7, max / 3, max / 2, max - 1, max + 16] {
+        let options = StreamOptions {
+            exec: ExecOptions {
+                engine: EngineKind::Ops,
+                governor: Governor::unlimited().with_max_steps(budget),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        // The rows each member received: the members after a tripping
+        // one never see the row it tripped on.
+        let mut received = vec![rows.len(); queries.len()];
+        let mut shared = SharedStreamSession::new(&queries, &options).unwrap();
+        for (r, row) in rows.iter().enumerate() {
+            match shared.feed(row.clone()) {
+                Ok(()) => {}
+                Err(SetFeedError {
+                    member,
+                    error: StreamError::Governed { .. },
+                }) => {
+                    for (i, n) in received.iter_mut().enumerate() {
+                        *n = if i <= member { r + 1 } else { r };
+                    }
+                    tripped_budgets += 1;
+                    break;
+                }
+                Err(e) => panic!("max_steps={budget}: {e}"),
+            }
+        }
+        let (results, _) = shared.finish();
+        for (i, (query, result)) in queries.iter().zip(results).enumerate() {
+            let ctx = format!("max_steps={budget} member {i}");
+            match (result, solo_stream(query, &options, &rows[..received[i]])) {
+                (Ok(result), Ok(solo)) => assert_member_matches(&result, &solo, &ctx),
+                (
+                    Err(StreamError::Governed {
+                        trip: ht,
+                        partial: Some(hp),
+                    }),
+                    Err(StreamError::Governed {
+                        trip: st,
+                        partial: Some(sp),
+                    }),
+                ) => {
+                    assert_eq!(ht.reason, st.reason, "trip reason: {ctx}");
+                    assert_eq!(ht.steps, st.steps, "trip step: {ctx}");
+                    assert_eq!(ht.matches, st.matches, "trip matches: {ctx}");
+                    assert_member_matches(&hp, &sp, &ctx);
+                }
+                (shared, solo) => panic!(
+                    "shared {:?} vs solo {:?} diverged: {ctx}",
+                    shared.map(|r| r.table.len()).map_err(|e| e.to_string()),
+                    solo.map(|r| r.table.len()).map_err(|e| e.to_string()),
+                ),
+            }
+        }
+    }
+    assert!(tripped_budgets >= 3, "budget sweep never tripped");
 }
