@@ -998,8 +998,6 @@ fn run_follow(
     let options = StreamOptions {
         exec,
         bad_tuple: args.bad_tuple,
-        max_window_bytes: None,
-        log_capacity: 0,
     };
     let mut session = match &args.checkpoint {
         Some(path) if path.exists() => {

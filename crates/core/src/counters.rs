@@ -2,7 +2,7 @@
 
 use crate::governor::GovernorScope;
 use crate::patternset::SharedEvalHandle;
-use sqlts_trace::{ClusterRecorder, TraceEvent, TraceSink};
+use sqlts_trace::{ClusterRecorder, TraceEvent};
 use std::cell::{Cell, RefCell};
 
 /// Counts how many times an input element is tested against a pattern
@@ -16,7 +16,7 @@ use std::cell::{Cell, RefCell};
 /// A counter can additionally be **governed**
 /// ([`EvalCounter::governed`]): each bump then also spends one unit of a
 /// batched credit from a [`GovernorScope`], and once the scope reports a
-/// budget/deadline/cancellation trip the [`tripped`](EvalCounter::tripped)
+/// budget or deadline trip the [`tripped`](EvalCounter::tripped)
 /// flag latches.  The engines poll that flag at their loop heads and
 /// return the matches collected so far — always a prefix of what the
 /// ungoverned run would produce for that cluster.  An ungoverned counter
@@ -370,12 +370,16 @@ mod tests {
 
     #[test]
     fn governed_counter_observes_pre_tripped_run() {
-        use crate::governor::{CancellationToken, Governor};
-        let token = CancellationToken::new();
-        token.cancel();
-        let run = Governor::unlimited().with_token(token).begin();
+        use crate::governor::{Governor, TripReason};
+        use std::time::Duration;
+        let run = Governor::unlimited().with_timeout(Duration::ZERO).begin();
         let c = EvalCounter::governed(run.scope());
-        assert!(c.tripped(), "initial check must observe cancellation");
+        assert!(
+            c.tripped(),
+            "initial check must observe the expired deadline"
+        );
+        assert_eq!(c.total(), 0);
+        assert_eq!(run.trip().unwrap().reason, TripReason::Deadline);
     }
 
     #[test]

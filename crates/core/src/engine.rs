@@ -325,29 +325,6 @@ impl EngineMachine {
             EngineMachine::Ops(m) => m.start,
         }
     }
-
-    /// Abandon the in-flight attempt and restart the search at `pos`
-    /// (streaming backpressure relief).  Sound in the same way a failed
-    /// predicate is sound: already-emitted matches stay valid and matches
-    /// starting at or after `pos` are still found; attempts straddling the
-    /// discarded region are treated as failed.
-    pub fn restart_at(&mut self, pos: usize) {
-        match self {
-            EngineMachine::Naive(m) => {
-                m.start = pos;
-                m.e = 0;
-                m.in_star = false;
-                m.bindings.spans.clear();
-            }
-            EngineMachine::Backtrack(m) => {
-                m.start = pos;
-                m.pc = BtPc::Idle;
-                m.frames.clear();
-                m.bindings.spans.clear();
-            }
-            EngineMachine::Ops(m) => m.reset_attempt(pos),
-        }
-    }
 }
 
 /// The backtracking baseline as an explicit stack machine (the recursion

@@ -1,4 +1,4 @@
-//! The query resource governor: deadlines, budgets and cancellation.
+//! The query resource governor: a deadline and budgets.
 //!
 //! The paper's OPS optimizer bounds *shifts*, not wall-clock or memory: an
 //! adversarial pattern (a giant ambiguous-star cluster under
@@ -8,7 +8,7 @@
 //! ungoverned fast path:
 //!
 //! * a [`Governor`] is the user-facing *configuration* (wall-clock timeout,
-//!   step budget, match/row budget, [`CancellationToken`]) carried in
+//!   step budget, match/row budget) carried in
 //!   [`ExecOptions`](crate::ExecOptions);
 //! * [`Governor::begin`] arms it into a [`RunGovernor`], the per-query
 //!   shared state (deadline instant, consumed-step/match accumulators,
@@ -36,31 +36,6 @@ use std::time::{Duration, Instant};
 /// branch + one `Cell` decrement.
 pub const STEP_BATCH: u32 = 256;
 
-/// A shared cancellation flag: clone it, hand it to a query via
-/// [`Governor::with_token`], and [`cancel`](CancellationToken::cancel) it
-/// from any thread to stop the query at the next governor check.
-#[derive(Clone, Debug, Default)]
-pub struct CancellationToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancellationToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancellationToken {
-        CancellationToken::default()
-    }
-
-    /// Request cancellation.  Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Has [`cancel`](CancellationToken::cancel) been called?
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-}
-
 /// Why a governed run was terminated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TripReason {
@@ -70,8 +45,6 @@ pub enum TripReason {
     StepBudget,
     /// The match/row budget was exhausted.
     MatchBudget,
-    /// The [`CancellationToken`] was cancelled.
-    Cancelled,
 }
 
 impl TripReason {
@@ -82,7 +55,6 @@ impl TripReason {
             TripReason::Deadline => sqlts_trace::TripCause::Deadline,
             TripReason::StepBudget => sqlts_trace::TripCause::StepBudget,
             TripReason::MatchBudget => sqlts_trace::TripCause::MatchBudget,
-            TripReason::Cancelled => sqlts_trace::TripCause::Cancelled,
         }
     }
 }
@@ -93,7 +65,6 @@ impl fmt::Display for TripReason {
             TripReason::Deadline => write!(f, "deadline exceeded"),
             TripReason::StepBudget => write!(f, "step budget exhausted"),
             TripReason::MatchBudget => write!(f, "match budget exhausted"),
-            TripReason::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -135,7 +106,6 @@ pub struct Governor {
     timeout: Option<Duration>,
     max_steps: Option<u64>,
     max_matches: Option<u64>,
-    token: Option<CancellationToken>,
 }
 
 impl Governor {
@@ -164,19 +134,10 @@ impl Governor {
         self
     }
 
-    /// Attach a cancellation token.
-    pub fn with_token(mut self, token: CancellationToken) -> Governor {
-        self.token = Some(token);
-        self
-    }
-
-    /// `true` if no limit or token is set — the executor skips all
-    /// metering plumbing entirely in that case.
+    /// `true` if no limit is set — the executor skips all metering
+    /// plumbing entirely in that case.
     pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none()
-            && self.max_steps.is_none()
-            && self.max_matches.is_none()
-            && self.token.is_none()
+        self.timeout.is_none() && self.max_steps.is_none() && self.max_matches.is_none()
     }
 
     /// Arm the governor for one query run: the deadline clock starts now.
@@ -187,7 +148,6 @@ impl Governor {
             deadline: self.timeout.map(|t| started + t),
             max_steps: self.max_steps,
             max_matches: self.max_matches,
-            token: self.token.clone(),
             started,
             steps: AtomicU64::new(0),
             matches: AtomicU64::new(0),
@@ -204,7 +164,6 @@ pub struct RunGovernor {
     deadline: Option<Instant>,
     max_steps: Option<u64>,
     max_matches: Option<u64>,
-    token: Option<CancellationToken>,
     started: Instant,
     steps: AtomicU64,
     matches: AtomicU64,
@@ -230,33 +189,16 @@ impl RunGovernor {
         self.matches.load(Ordering::Relaxed)
     }
 
-    /// Has any limit tripped (or the token been cancelled)?  Workers poll
-    /// this before starting each cluster so a tripped query winds down
-    /// without scanning further clusters.
+    /// Has any limit tripped?  Workers poll this before starting each
+    /// cluster so a tripped query winds down without scanning further
+    /// clusters.
     pub fn is_tripped(&self) -> bool {
         self.tripped.load(Ordering::Relaxed)
-            || self
-                .token
-                .as_ref()
-                .is_some_and(CancellationToken::is_cancelled)
     }
 
     /// The first trip recorded, if any.
     pub fn trip(&self) -> Option<Trip> {
-        if let Some(t) = self.trip.lock().expect("trip lock").clone() {
-            return Some(t);
-        }
-        // A cancelled token may not have been observed by any scope yet
-        // (e.g. every cluster finished before the cancel landed in a
-        // check).  Surface it as a trip anyway so callers see one story.
-        if self
-            .token
-            .as_ref()
-            .is_some_and(CancellationToken::is_cancelled)
-        {
-            return Some(self.make_trip(TripReason::Cancelled));
-        }
-        None
+        self.trip.lock().expect("trip lock").clone()
     }
 
     /// Build a [`Trip`] for `reason` from the current counters without
@@ -281,6 +223,18 @@ impl RunGovernor {
         self.tripped.store(true, Ordering::Relaxed);
     }
 
+    /// The reason of the latched trip, for a caller that saw `tripped`
+    /// set.  [`record_trip`](RunGovernor::record_trip) fills the slot
+    /// before it sets the flag, so the slot is not empty; `StepBudget`
+    /// stands in rather than panicking if that ever breaks.
+    fn latched_reason(&self) -> TripReason {
+        self.trip
+            .lock()
+            .expect("trip lock")
+            .as_ref()
+            .map_or(TripReason::StepBudget, |t| t.reason)
+    }
+
     /// The expensive check: flush `delta` locally metered steps into the
     /// shared total, then test every armed limit.  Called once per
     /// [`STEP_BATCH`] steps by [`GovernorScope`].
@@ -289,14 +243,7 @@ impl RunGovernor {
         if self.tripped.load(Ordering::Relaxed) {
             // Another worker already tripped; report the latched reason so
             // all clusters wind down under one verdict.
-            let reason = self
-                .trip
-                .lock()
-                .expect("trip lock")
-                .as_ref()
-                .map(|t| t.reason)
-                .unwrap_or(TripReason::Cancelled);
-            return Err(reason);
+            return Err(self.latched_reason());
         }
         #[cfg(feature = "failpoints")]
         if matches!(
@@ -305,14 +252,6 @@ impl RunGovernor {
         ) {
             self.record_trip(TripReason::StepBudget);
             return Err(TripReason::StepBudget);
-        }
-        if self
-            .token
-            .as_ref()
-            .is_some_and(CancellationToken::is_cancelled)
-        {
-            self.record_trip(TripReason::Cancelled);
-            return Err(TripReason::Cancelled);
         }
         if self.max_steps.is_some_and(|m| total > m) {
             self.record_trip(TripReason::StepBudget);
@@ -325,8 +264,8 @@ impl RunGovernor {
         Ok(())
     }
 
-    /// Check the wall-clock deadline and cancellation token *without*
-    /// charging any steps, latching a trip exactly like [`check`].
+    /// Check the wall-clock deadline *without* charging any steps,
+    /// latching a trip exactly like [`check`].
     ///
     /// [`check`] only runs once per credit batch, which is fine when steps
     /// arrive fast — but a streaming session fed a slow trickle of tuples
@@ -335,22 +274,7 @@ impl RunGovernor {
     /// every flush, so the deadline is honored at tuple granularity.
     pub fn poll(&self) -> Result<(), TripReason> {
         if self.tripped.load(Ordering::Relaxed) {
-            let reason = self
-                .trip
-                .lock()
-                .expect("trip lock")
-                .as_ref()
-                .map(|t| t.reason)
-                .unwrap_or(TripReason::Cancelled);
-            return Err(reason);
-        }
-        if self
-            .token
-            .as_ref()
-            .is_some_and(CancellationToken::is_cancelled)
-        {
-            self.record_trip(TripReason::Cancelled);
-            return Err(TripReason::Cancelled);
+            return Err(self.latched_reason());
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             self.record_trip(TripReason::Deadline);
@@ -490,19 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_trips_and_is_sticky() {
-        let token = CancellationToken::new();
-        let gov = Governor::unlimited().with_token(token.clone());
+    fn a_trip_is_sticky_and_each_run_starts_fresh() {
+        let gov = Governor::unlimited().with_max_steps(0);
         let run = gov.begin();
-        assert!(run.scope().refill(1).is_ok());
-        token.cancel();
-        assert!(token.is_cancelled());
-        assert_eq!(run.scope().refill(1).unwrap_err(), TripReason::Cancelled);
+        assert_eq!(run.scope().refill(1).unwrap_err(), TripReason::StepBudget);
         assert!(run.is_tripped());
-        // A second run of the same governor sees the same token.
+        // Every later check, from any scope, reports the latched trip.
+        assert_eq!(run.scope().refill(0).unwrap_err(), TripReason::StepBudget);
+        assert_eq!(run.poll().unwrap_err(), TripReason::StepBudget);
+        // A second run of the same governor has its own budget.
         let run2 = gov.begin();
-        assert!(run2.is_tripped());
-        assert_eq!(run2.trip().unwrap().reason, TripReason::Cancelled);
+        assert!(!run2.is_tripped());
+        assert!(run2.trip().is_none());
     }
 
     #[test]
@@ -552,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_checks_deadline_and_token_without_charging_steps() {
+    fn poll_checks_deadline_without_charging_steps() {
         let run = Governor::unlimited()
             .with_timeout(Duration::from_millis(1))
             .begin();
@@ -563,11 +486,10 @@ mod tests {
         // Latched: subsequent polls report the same trip.
         assert_eq!(run.poll().unwrap_err(), TripReason::Deadline);
 
-        let token = CancellationToken::new();
-        let run = Governor::unlimited().with_token(token.clone()).begin();
+        // Budgets are only checked when steps are charged.
+        let run = Governor::unlimited().with_max_steps(0).begin();
         assert!(run.poll().is_ok());
-        token.cancel();
-        assert_eq!(run.poll().unwrap_err(), TripReason::Cancelled);
+        assert!(!run.is_tripped());
     }
 
     #[test]
@@ -586,8 +508,6 @@ mod tests {
         assert!(!Governor::unlimited()
             .with_timeout(Duration::from_secs(1))
             .is_unlimited());
-        assert!(!Governor::unlimited()
-            .with_token(CancellationToken::new())
-            .is_unlimited());
+        assert!(!Governor::unlimited().with_max_matches(0).is_unlimited());
     }
 }

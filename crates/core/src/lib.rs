@@ -80,7 +80,7 @@ pub use executor::{
     QueryResult, SearchStats,
 };
 pub use explain::{explain, optimizer_report};
-pub use governor::{CancellationToken, Governor, Trip, TripReason};
+pub use governor::{Governor, Trip, TripReason};
 pub use matrices::{PrecondMatrices, Predicates};
 pub use multiplex::{
     FinishReport, PhaseTag, SessionStatus, SessionWorker, SessionWorkerConfig, SharedSpec,

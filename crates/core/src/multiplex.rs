@@ -60,7 +60,7 @@ pub struct SessionWorkerConfig {
     /// The input schema the query is compiled against.
     pub schema: Schema,
     /// The full stream options (engine, governor, instrumentation,
-    /// bad-tuple policy, backpressure) the session runs under.
+    /// bad-tuple policy) the session runs under.
     pub stream: StreamOptions,
     /// The checkpoint to resume from, or `None` for a fresh session.  On
     /// resume the checkpoint's engine overrides `stream.exec.engine` so

@@ -140,19 +140,16 @@ impl<'q> SharedStreamSession<'q> {
     /// [`SharedStreamSession::resume`].  The shared memo is deliberately
     /// not captured: it is derivable state, and a resumed session simply
     /// starts with a cold memo.
-    pub fn snapshot_member(&mut self, member: usize) -> Result<SessionCheckpoint, StreamError> {
+    pub fn snapshot_member(&self, member: usize) -> Result<SessionCheckpoint, StreamError> {
         self.members[member].snapshot()
     }
 
     /// Checkpoint every member at the same feed boundary.
-    pub fn snapshot_all(&mut self) -> Result<Vec<SessionCheckpoint>, StreamError> {
-        self.members
-            .iter_mut()
-            .map(StreamSession::snapshot)
-            .collect()
+    pub fn snapshot_all(&self) -> Result<Vec<SessionCheckpoint>, StreamError> {
+        self.members.iter().map(StreamSession::snapshot).collect()
     }
 
-    /// Poll deadlines/cancellation on every member (idle-loop hook).
+    /// Poll the deadline on every member (idle-loop hook).
     /// Returns the first member error, if any.
     pub fn poll_deadline(&mut self) -> Result<(), SetFeedError> {
         for (member, session) in self.members.iter_mut().enumerate() {

@@ -23,8 +23,8 @@ fn quote_schema() -> Schema {
 }
 
 /// A checkpoint exercising every section of the format: several clusters,
-/// pending matches, output rows, a stream log, quarantined tuples with
-/// escaped strings, and an armed recorder with histograms and events.
+/// pending matches, output rows, quarantined tuples with escaped strings,
+/// and an armed recorder with histograms and events.
 fn rich_checkpoint_text() -> String {
     let query = compile(QUERY, &quote_schema(), &CompileOptions::default()).unwrap();
     let options = StreamOptions {
@@ -34,8 +34,6 @@ fn rich_checkpoint_text() -> String {
             ..ExecOptions::default()
         },
         bad_tuple: BadTuplePolicy::Quarantine { cap: 8 },
-        max_window_bytes: None,
-        log_capacity: 64,
     };
     let mut session = StreamSession::new(&query, options).unwrap();
     for day in 0..25i64 {

@@ -31,20 +31,20 @@ pub struct CompileOptions {
     /// (true for prices), enabling the §6 ratio transform for
     /// `X op C·Y` predicates.  Default `true`, as in the paper.
     pub assume_positive_domains: bool,
-    /// Bound on DNF expansion when normalizing disjunctive predicates for
-    /// the optimizer.  Elements whose predicates exceed the bound are
-    /// treated opaquely (sound, unoptimized).  Default 64.
-    pub max_dnf: usize,
 }
 
 impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
             assume_positive_domains: true,
-            max_dnf: 64,
         }
     }
 }
+
+/// Bound on DNF expansion when normalizing disjunctive predicates for the
+/// optimizer.  Elements whose predicates exceed the bound are treated
+/// opaquely (sound, unoptimized).
+const MAX_DNF: usize = 64;
 
 /// Parse and compile a SQL-TS query against `schema`.
 pub fn compile(
@@ -473,7 +473,7 @@ impl Binder<'_> {
                     negated: false,
                 }])),
             };
-            formula = match conjoin_formulas(&formula, &cf, self.options.max_dnf) {
+            formula = match conjoin_formulas(&formula, &cf) {
                 Some(f) => f,
                 None => {
                     // DNF blow-up: fall back to a single opaque atom for
@@ -534,14 +534,14 @@ impl Binder<'_> {
             (BoolExpr::And(a, b), false) | (BoolExpr::Or(a, b), true) => {
                 let fa = self.bool_to_formula(a, negated)?;
                 let fb = self.bool_to_formula(b, negated)?;
-                conjoin_formulas(&fa, &fb, self.options.max_dnf)
+                conjoin_formulas(&fa, &fb)
             }
             (BoolExpr::Or(a, b), false) | (BoolExpr::And(a, b), true) => {
                 let fa = self.bool_to_formula(a, negated)?;
                 let fb = self.bool_to_formula(b, negated)?;
                 let mut disjuncts = fa.disjuncts().to_vec();
                 disjuncts.extend_from_slice(fb.disjuncts());
-                if disjuncts.len() > self.options.max_dnf {
+                if disjuncts.len() > MAX_DNF {
                     return None;
                 }
                 Some(Formula::disjunction(disjuncts))
@@ -556,9 +556,9 @@ impl Binder<'_> {
     }
 }
 
-/// Conjoin two DNF formulas by distribution, bounded by `max`.
-fn conjoin_formulas(a: &Formula, b: &Formula, max: usize) -> Option<Formula> {
-    if a.disjuncts().len() * b.disjuncts().len() > max {
+/// Conjoin two DNF formulas by distribution, bounded by [`MAX_DNF`].
+fn conjoin_formulas(a: &Formula, b: &Formula) -> Option<Formula> {
+    if a.disjuncts().len() * b.disjuncts().len() > MAX_DNF {
         return None;
     }
     let mut out = Vec::with_capacity(a.disjuncts().len() * b.disjuncts().len());
@@ -1105,7 +1105,6 @@ mod tests {
         // Without the positive-domain assumption the proof must vanish.
         let no_pos = CompileOptions {
             assume_positive_domains: false,
-            ..opts()
         };
         let drop2 = compile(
             "SELECT X.date FROM djia SEQUENCE BY date AS (X) \

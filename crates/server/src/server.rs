@@ -995,7 +995,6 @@ fn trip_name(reason: TripReason) -> &'static str {
         TripReason::Deadline => "deadline",
         TripReason::StepBudget => "steps",
         TripReason::MatchBudget => "matches",
-        TripReason::Cancelled => "cancelled",
     }
 }
 

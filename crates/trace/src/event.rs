@@ -15,11 +15,6 @@ pub enum TripCause {
     StepBudget,
     /// The match/row budget was exhausted.
     MatchBudget,
-    /// The cancellation token was cancelled.
-    Cancelled,
-    /// A streaming session's buffered-window high-watermark was exceeded
-    /// and the in-flight attempt was force-failed (backpressure relief).
-    StreamPressure,
 }
 
 impl TripCause {
@@ -29,8 +24,6 @@ impl TripCause {
             TripCause::Deadline => "deadline",
             TripCause::StepBudget => "step_budget",
             TripCause::MatchBudget => "match_budget",
-            TripCause::Cancelled => "cancelled",
-            TripCause::StreamPressure => "stream_pressure",
         }
     }
 
@@ -40,8 +33,6 @@ impl TripCause {
             "deadline" => TripCause::Deadline,
             "step_budget" => TripCause::StepBudget,
             "match_budget" => TripCause::MatchBudget,
-            "cancelled" => TripCause::Cancelled,
-            "stream_pressure" => TripCause::StreamPressure,
             _ => return None,
         })
     }
@@ -106,25 +97,6 @@ pub enum TraceEvent {
         /// Which limit tripped.
         cause: TripCause,
     },
-    /// A streaming session accepted input record `i` (1-based feed count).
-    /// Session-level: recorded into the session's stream log, never into a
-    /// per-cluster recorder.
-    Feed {
-        /// 1-based input record number.
-        i: u32,
-    },
-    /// A streaming session quarantined (or skipped) input record `i`.
-    /// Session-level, like [`TraceEvent::Feed`].
-    Quarantine {
-        /// 1-based input record number.
-        i: u32,
-    },
-    /// A streaming session took a checkpoint after `tuples` input records.
-    /// Session-level, like [`TraceEvent::Feed`].
-    Checkpoint {
-        /// Input records covered by the checkpoint.
-        tuples: u32,
-    },
 }
 
 impl TraceEvent {
@@ -137,9 +109,6 @@ impl TraceEvent {
             TraceEvent::Next { .. } => "next",
             TraceEvent::MatchEmitted { .. } => "match",
             TraceEvent::GovernorTrip { .. } => "governor_trip",
-            TraceEvent::Feed { .. } => "feed",
-            TraceEvent::Quarantine { .. } => "quarantine",
-            TraceEvent::Checkpoint { .. } => "checkpoint",
         }
     }
 
@@ -163,22 +132,8 @@ impl TraceEvent {
             TraceEvent::GovernorTrip { cause } => {
                 let _ = write!(out, "{{\"ev\":\"governor_trip\",\"cause\":\"{cause}\"}}");
             }
-            TraceEvent::Feed { i } | TraceEvent::Quarantine { i } => {
-                let _ = write!(out, "{{\"ev\":\"{}\",\"i\":{i}}}", self.kind());
-            }
-            TraceEvent::Checkpoint { tuples } => {
-                let _ = write!(out, "{{\"ev\":\"checkpoint\",\"tuples\":{tuples}}}");
-            }
         }
     }
-}
-
-/// Anything that can receive a stream of search events.  The engine emits
-/// through this trait so tests can plug in custom recorders; the standard
-/// implementation is [`RingBuffer`].
-pub trait TraceSink {
-    /// Record one event.
-    fn record(&mut self, event: TraceEvent);
 }
 
 /// A bounded flight recorder: keeps the most recent `capacity` events and
@@ -200,6 +155,19 @@ impl RingBuffer {
             capacity,
             dropped: 0,
         }
+    }
+
+    /// Record one event, dropping the oldest retained one when full.
+    pub fn record(&mut self, event: TraceEvent) {
+        if self.capacity == 0 {
+            self.dropped += 1;
+            return;
+        }
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(event);
     }
 
     /// The retained events, oldest first.
@@ -249,20 +217,6 @@ impl RingBuffer {
     }
 }
 
-impl TraceSink for RingBuffer {
-    fn record(&mut self, event: TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,18 +252,9 @@ mod tests {
             ),
             (
                 TraceEvent::GovernorTrip {
-                    cause: TripCause::StreamPressure,
+                    cause: TripCause::Deadline,
                 },
-                r#"{"ev":"governor_trip","cause":"stream_pressure"}"#,
-            ),
-            (TraceEvent::Feed { i: 7 }, r#"{"ev":"feed","i":7}"#),
-            (
-                TraceEvent::Quarantine { i: 8 },
-                r#"{"ev":"quarantine","i":8}"#,
-            ),
-            (
-                TraceEvent::Checkpoint { tuples: 100 },
-                r#"{"ev":"checkpoint","tuples":100}"#,
+                r#"{"ev":"governor_trip","cause":"deadline"}"#,
             ),
         ];
         for (event, expect) in cases {
@@ -351,8 +296,6 @@ mod tests {
             TripCause::Deadline,
             TripCause::StepBudget,
             TripCause::MatchBudget,
-            TripCause::Cancelled,
-            TripCause::StreamPressure,
         ] {
             assert_eq!(TripCause::parse(cause.as_str()), Some(cause));
         }
@@ -363,7 +306,7 @@ mod tests {
     fn ring_buffer_from_parts_round_trips() {
         let mut rb = RingBuffer::new(3);
         for i in 1..=5 {
-            rb.record(TraceEvent::Feed { i });
+            rb.record(TraceEvent::Fail { i, j: 1 });
         }
         let rebuilt =
             RingBuffer::from_parts(rb.capacity(), rb.events().copied().collect(), rb.dropped());

@@ -11,9 +11,9 @@
 //! std, in the spirit of the vendored shims under `vendor/`):
 //!
 //! * [`TraceEvent`] — Figure-5-style search events (`Advance`, `Fail`,
-//!   `Shift`, `Next`, `MatchEmitted`, `GovernorTrip`) recorded through the
-//!   [`TraceSink`] trait into a bounded [`RingBuffer`], so a query's
-//!   search can be replayed and asserted in tests;
+//!   `Shift`, `Next`, `MatchEmitted`, `GovernorTrip`) recorded into a
+//!   bounded [`RingBuffer`], so a query's search can be replayed and
+//!   asserted in tests;
 //! * [`ClusterRecorder`] / [`ClusterMetrics`] — the per-cluster metrics
 //!   registry: predicate tests per pattern position, shift-distance and
 //!   backtrack-depth [`BoundedHistogram`]s, matches retained, governor
@@ -53,7 +53,7 @@ mod profile;
 mod setstats;
 mod span;
 
-pub use event::{RingBuffer, TraceEvent, TraceSink, TripCause};
+pub use event::{RingBuffer, TraceEvent, TripCause};
 pub use expo::{Exposition, Kind};
 pub use metrics::{BoundedHistogram, ClusterMetrics, ClusterRecorder, HIST_BUCKETS};
 pub use profile::{json_escape, ClusterProfile, ExecutionProfile, OptimizerReport, PhaseNanos};

@@ -1,7 +1,7 @@
 //! The per-cluster metrics registry: cheap counters and bounded
 //! histograms, merged deterministically in cluster order.
 
-use crate::event::{TraceEvent, TraceSink, TripCause};
+use crate::event::{TraceEvent, TripCause};
 use crate::RingBuffer;
 
 /// Number of histogram buckets.  Bucket `b` counts values whose bit width
@@ -230,11 +230,10 @@ impl ClusterRecorder {
     pub fn governor_flush(&mut self) {
         self.metrics.governor_flushes += 1;
     }
-}
 
-impl TraceSink for ClusterRecorder {
+    /// Fold one event into the metrics and retain it in the ring.
     #[inline]
-    fn record(&mut self, event: TraceEvent) {
+    pub fn record(&mut self, event: TraceEvent) {
         match event {
             TraceEvent::Advance { i, j } | TraceEvent::Fail { i, j } => {
                 if let Some(slot) = self.metrics.tests_per_position.get_mut(j as usize - 1) {
@@ -253,13 +252,6 @@ impl TraceSink for ClusterRecorder {
                     self.metrics.trip = Some(cause);
                 }
             }
-            // Session-level streaming events; a streaming session records
-            // them into its own stream log, so they normally never reach a
-            // per-cluster recorder.  If one does, keep the event stream
-            // faithful without folding anything into the metrics.
-            TraceEvent::Feed { .. }
-            | TraceEvent::Quarantine { .. }
-            | TraceEvent::Checkpoint { .. } => {}
         }
         self.events.record(event);
     }

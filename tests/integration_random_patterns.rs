@@ -431,7 +431,7 @@ fn fuzz_governed(seed: u64, rounds: u32) {
                             assert_eq!(partial.stats.matches, max_matches, "{ctx}");
                             assert_eq!(partial_rows.len() as u64, max_matches, "{ctx}");
                         }
-                        TripReason::Deadline | TripReason::Cancelled => {}
+                        TripReason::Deadline => {}
                     }
                 }
                 Err(e) => panic!("unexpected error: {e}\n{ctx}"),
@@ -518,8 +518,9 @@ fn fuzz_streamed(seed: u64, rounds: u32) {
 }
 
 /// Property: a checkpoint taken at *any* tuple boundary — serialized to
-/// text and parsed back — resumes to the exact rows, stats, profile, and
-/// stream log of the session that was never interrupted.
+/// text and parsed back — resumes to the exact rows, stats, and profile
+/// (per-cluster metrics and event rings) of the session that was never
+/// interrupted.
 fn fuzz_checkpoint_resume(seed: u64, rounds: u32) {
     use sqlts_core::{
         compile, CompileOptions, Instrument, SessionCheckpoint, StreamOptions, StreamSession,
@@ -547,7 +548,6 @@ fn fuzz_checkpoint_resume(seed: u64, rounds: u32) {
                 instrument: Instrument::tracing(),
                 ..Default::default()
             },
-            log_capacity: 4096,
             ..StreamOptions::default()
         };
 
@@ -566,8 +566,6 @@ fn fuzz_checkpoint_resume(seed: u64, rounds: u32) {
                 "round {round} ({engine:?}, split={split}/{}):\n{text}",
                 all.len()
             );
-            // The uninterrupted session checkpoints at the boundary too, so
-            // its stream log carries the same Checkpoint event.
             let mut live = StreamSession::new(&query, options()).unwrap();
             for row in &all[..split] {
                 live.feed(row.clone()).unwrap();
@@ -576,7 +574,6 @@ fn fuzz_checkpoint_resume(seed: u64, rounds: u32) {
             for row in &all[split..] {
                 live.feed(row.clone()).unwrap();
             }
-            let live_log: Vec<_> = live.stream_log().unwrap().events().cloned().collect();
             let live_result = live.finish().unwrap();
 
             let checkpoint = SessionCheckpoint::from_text(&text_cp)
@@ -586,10 +583,8 @@ fn fuzz_checkpoint_resume(seed: u64, rounds: u32) {
             for row in &all[split..] {
                 resumed.feed(row.clone()).unwrap();
             }
-            let resumed_log: Vec<_> = resumed.stream_log().unwrap().events().cloned().collect();
             let resumed_result = resumed.finish().unwrap();
 
-            assert_eq!(resumed_log, live_log, "stream logs diverged: {ctx}");
             assert_eq!(
                 resumed_result.table, live_result.table,
                 "rows diverged: {ctx}"
