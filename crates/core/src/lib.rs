@@ -84,7 +84,7 @@ pub use governor::{Governor, Trip, TripReason};
 pub use matrices::{PrecondMatrices, Predicates};
 pub use multiplex::{
     FinishReport, PhaseTag, SessionStatus, SessionWorker, SessionWorkerConfig, SharedSpec,
-    WorkerError, WorkerPhase,
+    WorkerError, WorkerGroup, WorkerPhase,
 };
 pub use patternset::{SetRegistry, SharedJoin};
 pub use persist::atomic_write;

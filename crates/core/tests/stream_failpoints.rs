@@ -326,3 +326,45 @@ fn worker_contains_a_snapshot_panic_on_the_callers_thread() {
         .is_some_and(|e| e.contains("stream::checkpoint")));
     assert!(matches!(worker.status(), Err(WorkerError::Gone)));
 }
+
+/// A panic in one grouped worker's snapshot is that worker's alone: it is
+/// poisoned, while the worker seated beside it keeps its session, is fed
+/// on, and reads back exactly the batch result.
+#[test]
+fn a_snapshot_panic_poisons_only_its_own_seat() {
+    use sqlts_core::{SessionWorker, SessionWorkerConfig, WorkerError};
+
+    let _guard = armed();
+    let rows = rows();
+    let config = |name: &str| SessionWorkerConfig::new(name, QUERY, quote_schema());
+    let healthy = SessionWorker::spawn(config("healthy")).unwrap();
+    let panicking = SessionWorker::spawn_in(config("panicking"), [healthy.group()]).unwrap();
+    assert_eq!(panicking.group(), healthy.group());
+    let feed = |rows: &[Vec<Value>]| {
+        let mut refused = [0; 2];
+        healthy
+            .group()
+            .feed(rows.iter().cloned(), |seat, result| {
+                refused[seat] += u32::from(result.is_err());
+            })
+            .unwrap();
+        refused
+    };
+    assert_eq!(feed(&rows[..10]), [0, 0]);
+    failpoints::configure_rule("stream::checkpoint", FailAction::Panic, 1, None, true);
+    assert!(matches!(panicking.snapshot(), Err(WorkerError::Runtime(_))));
+    assert!(panicking.status().unwrap().poisoned);
+    assert!(!healthy.status().unwrap().poisoned);
+    let rest = &rows[10..];
+    assert_eq!(feed(rest), [0, rest.len() as u32]);
+    assert!(healthy.snapshot().is_ok());
+    let report = healthy.finish().unwrap();
+    assert!(report.error.is_none());
+    let query = compiled();
+    let batch = execute(&query, &batch_table(&rows), &ExecOptions::default()).unwrap();
+    assert_eq!(report.csv, batch.table.to_csv_string());
+    let report = panicking.finish().unwrap();
+    assert!(report
+        .error
+        .is_some_and(|e| e.contains("stream::checkpoint")));
+}
