@@ -262,10 +262,11 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--fsync",
         metavar: Some("every|group[:us]|off"),
-        help: "with --data-dir: WAL fsync policy — every append (default, \
-               survives power loss), group commit (concurrent FEEDs inside a \
-               window of 'us' microseconds share one fsync, still power-loss \
-               safe), or left to the OS (still survives a killed process)",
+        help: "with --data-dir: WAL fsync policy — group commit (a FEED is \
+               acknowledged once an fsync covers it; FEEDs inside a window of \
+               'us' microseconds, default 500, share one fsync; survives power \
+               loss), every (default: group commit with no window), or left to \
+               the OS (still survives a killed process)",
     },
     FlagSpec {
         name: "--wal-segment-bytes",

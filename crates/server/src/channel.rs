@@ -7,27 +7,27 @@
 //!    offer to the replication queue ([`Channel::commit`]);
 //! 3. **fan out** — each row to every session group on the channel that
 //!    has not seen it yet ([`fan_out`]);
-//! 4. **snapshot** — every subscription's checkpoint to disk, then WAL
-//!    truncation below the low-water mark ([`Channel::snapshot`]);
-//! 5. **sync** — `fsync` plus everything a finished fsync owes
-//!    ([`Channel::sync`]).
+//! 4. **snapshot** — sync, every subscription's checkpoint to disk, then
+//!    WAL truncation below the low-water mark ([`Channel::snapshot`]);
+//! 5. **sync** — `fsync` plus everything a finished fsync owes, under the
+//!    persist lock ([`Channel::sync`]) or after it ([`Channel::wait_durable`]).
 //!
 //! The three ways a frame arrives compose those steps and add nothing of
 //! their own to them: a live `FEED` is validate → commit → fan out →
-//! (snapshot) ([`Channel::ingest`]); recovery and standby promotion
-//! replay WAL frames as validate → fan out, then snapshot
+//! (snapshot) → wait durable ([`Channel::ingest`]); recovery and standby
+//! promotion replay WAL frames as validate → fan out, then snapshot
 //! ([`Channel::replay`]); a standby's `REPL FRAME` is validate → commit
-//! ([`crate::replicate`]).  Drain, `CHECKPOINT … DURABLE` and promotion
-//! call steps 4 and 5 directly.
+//! → wait durable ([`crate::replicate`]).  Drain, `CHECKPOINT … DURABLE`
+//! and promotion call steps 4 and 5 directly.
 //!
 //! ## Lock order
 //!
 //! Each channel has one *persist* lock ([`Channel::lock`]) held across
-//! commit, fan-out and snapshot, so WAL order is feed order and the
-//! durable copy lands before any subscriber sees a row.  A holder of a
-//! persist lock may take the server's subscription registry
-//! ([`Shared::members`]) and then a worker's session lock — never the
-//! reverse, and never two persist locks at once.
+//! commit, fan-out and snapshot, so WAL order is feed order and a row is
+//! appended before any subscriber sees it; the fsync a reply waits for
+//! runs after the lock is released.  A holder of a persist lock may take
+//! the server's subscription registry ([`Shared::members`]) and then a
+//! worker's session lock — never the reverse, nor two persist locks.
 
 use crate::metrics::{LatencyOp, ServerMetrics};
 use crate::recover::{DataDir, ServeError, SubMeta};
@@ -109,8 +109,8 @@ pub(crate) struct Channel {
     /// only join it under `--shared-matcher on`.
     pub registry: Arc<SetRegistry>,
     persist: Mutex<Persist>,
-    /// Group-commit coordinator for `--fsync group` (idle otherwise).
-    group: GroupCommit,
+    /// Group-commit coordinator (idle under `--fsync off`).
+    pub(crate) group: GroupCommit,
 }
 
 /// What a live frame's trip through [`Channel::ingest`] did.
@@ -254,8 +254,9 @@ impl Channel {
             .collect()
     }
 
-    /// Step 2: make one validated frame part of the channel — appended to
-    /// the WAL when there is one, counted, and offered to the standby.
+    /// Step 2: make one validated frame part of the channel — appended
+    /// (unsynced) to the WAL when there is one, counted, and offered to
+    /// the standby.
     /// Returns whether the replication queue took it.  On error nothing
     /// was committed and the caller must not fan out.
     pub fn commit(
@@ -278,33 +279,19 @@ impl Channel {
             let append_started = Instant::now();
             let appended = wal.append(payload, nrows);
             let append_ns = append_started.elapsed().as_nanos() as u64;
-            // The fsync (when the policy took one) is inside append's
-            // wall time; split it out so the two histograms answer
+            // Less a segment roll's fsync, so the two histograms answer
             // different questions.
-            let fsync_ns = wal.take_fsync_ns();
+            let roll_ns = appended.as_ref().map_or(0, |&ns| ns);
             shared
                 .metrics
                 .latency
-                .record_ns(LatencyOp::WalAppend, append_ns.saturating_sub(fsync_ns));
-            let synced = match appended {
-                Ok(synced) => synced,
-                Err(e) => {
-                    let error = e.to_string();
-                    shared.span_end(Level::Debug, "wal_append", span, &[("error", &error)]);
-                    return Err(e);
-                }
-            };
-            ServerMetrics::inc(&shared.metrics.wal_appends_total);
-            if synced {
-                self.synced(shared, wal.rows_total(), fsync_ns);
-                if let Some(log) = shared.log_at(Level::Debug) {
-                    let fields = [
-                        ("channel", self.name.as_str()),
-                        ("ns", &fsync_ns.to_string()),
-                    ];
-                    log.event(Level::Debug, "fsync", &fields);
-                }
+                .record_ns(LatencyOp::WalAppend, append_ns.saturating_sub(roll_ns));
+            if let Err(e) = appended {
+                let error = e.to_string();
+                shared.span_end(Level::Debug, "wal_append", span, &[("error", &error)]);
+                return Err(e);
             }
+            ServerMetrics::inc(&shared.metrics.wal_appends_total);
             shared.span_end(Level::Debug, "wal_append", span, &[]);
         }
         persist.rows_total += u64::from(nrows);
@@ -320,46 +307,76 @@ impl Channel {
     /// Step 5: fsync the WAL now, whatever the policy.
     pub fn sync(&self, shared: &Shared, persist: &mut Persist) -> Result<(), WalError> {
         if let Some(wal) = persist.wal.as_mut() {
-            wal.sync()?;
-            let fsync_ns = wal.take_fsync_ns();
+            let fsync_ns = wal.sync()?;
             self.synced(shared, wal.rows_total(), fsync_ns);
         }
         Ok(())
     }
 
     /// What every finished fsync owes: the counter, the histogram sample,
-    /// and the durable watermark group-commit waiters sleep on.
+    /// the debug event, and the durable watermark group-commit waiters
+    /// sleep on.
     fn synced(&self, shared: &Shared, watermark: u64, fsync_ns: u64) {
         ServerMetrics::inc(&shared.metrics.wal_fsyncs_total);
         shared.metrics.latency.record_ns(LatencyOp::Fsync, fsync_ns);
+        if let Some(log) = shared.log_at(Level::Debug) {
+            let fields = [
+                ("channel", self.name.as_str()),
+                ("ns", &fsync_ns.to_string()),
+            ];
+            log.event(Level::Debug, "fsync", &fields);
+        }
         self.group.publish_synced(watermark);
     }
 
-    /// Sync, then unlink every closed WAL segment wholly below
-    /// `low_water`.  Best-effort: a failure leaves the WAL longer than
-    /// necessary, never inconsistent.
+    /// Block, off the persist lock, until an fsync covering the rows below
+    /// `end` has finished (at once under `--fsync off`).  The first waiter
+    /// leads: it sleeps the group window, then syncs a
+    /// [`WalFlush`](crate::wal::WalFlush) taken under the lock after
+    /// releasing it.  On failure the rows stay appended, unacknowledged.
+    pub fn wait_durable(&self, shared: &Shared, end: u64) -> Result<(), String> {
+        let FsyncPolicy::Group { window_us } = shared.config.fsync else {
+            return Ok(());
+        };
+        let lead = || {
+            let flush = self.lock().map(|p| p.wal.as_ref().map(ChannelWal::flusher));
+            let flush = flush.ok().flatten().ok_or("no WAL, or lock poisoned")?;
+            let (watermark, fsync_ns) = flush.sync().map_err(|e| e.to_string())?;
+            self.synced(shared, watermark, fsync_ns);
+            Ok(watermark)
+        };
+        let window = Duration::from_micros(u64::from(window_us));
+        self.group
+            .wait_durable(end, window, lead)
+            .map_err(|e| err(4, format!("wal fsync on '{}': {e}", self.name)))
+    }
+
+    /// Unlink every closed WAL segment wholly below `low_water` (closed
+    /// segments were synced when they rolled).  Best-effort: a failure
+    /// leaves the WAL longer than necessary, never inconsistent.
     pub fn truncate_below(&self, shared: &Shared, persist: &mut Persist, low_water: u64) -> bool {
-        let truncated = self.sync(shared, persist).is_ok()
-            && persist
-                .wal
-                .as_mut()
-                .is_some_and(|wal| matches!(wal.truncate_below(low_water), Ok(true)));
+        let truncated = persist
+            .wal
+            .as_mut()
+            .is_some_and(|wal| matches!(wal.truncate_below(low_water), Ok(true)));
         if truncated {
             ServerMetrics::inc(&shared.metrics.wal_truncations_total);
         }
         truncated
     }
 
-    /// Step 4: snapshot every subscription on the channel (atomic
-    /// tmp+rename each), then truncate the WAL below the low-water mark —
-    /// the minimum ordinal any snapshot still needs.  `parent` nests the
-    /// span under the operation that forced it (0 for a top-level pass).
+    /// Step 4: sync the WAL (so no checkpoint covers an unsynced row; on
+    /// failure nothing below runs), snapshot every subscription on the
+    /// channel (atomic tmp+rename each), then truncate the WAL below the
+    /// low-water mark — the minimum ordinal any snapshot still needs.
+    /// `parent` nests the span under the operation that forced it.
     pub fn snapshot(&self, shared: &Shared, persist: &mut Persist, parent: u64) {
         persist.frames_since_snapshot = 0;
         let Some(data) = shared.data.as_ref() else {
             return;
         };
-        if shared.role() == Role::Standby {
+        let started = Instant::now();
+        if self.sync(shared, persist).is_err() || shared.role() == Role::Standby {
             // A standby has durable sub metas but no live workers: the
             // sweep below would see none and truncate frames promotion
             // still needs.  Standby truncation is driven by the primary's
@@ -367,7 +384,6 @@ impl Channel {
             // its replay has just respawned the workers.)
             return;
         }
-        let started = Instant::now();
         let span = shared.span_begin(Level::Debug, "snapshot", parent, &[("channel", &self.name)]);
         let members = shared.members(&self.name);
         // `None` once any subscription failed to snapshot (finished,
@@ -400,8 +416,8 @@ impl Channel {
     }
 
     /// A live `FEED` frame: commit, fan out, snapshot when due — all under
-    /// the persist lock — then, off-lock, wait out whatever the fsync and
-    /// replication policies still owe the feeder before it may be told
+    /// the persist lock — then, off-lock, wait out the fsync and whatever
+    /// the replication policy still owes the feeder before it may be told
     /// "accepted".  `payload` builds the WAL text of exactly `rows`, and is
     /// called only when a WAL or a standby will read it; the rows
     /// themselves are moved into the subscriptions.
@@ -475,22 +491,8 @@ impl Channel {
         }
         let end = persist.rows_total;
         drop(persist);
-        // Group commit: the append above did not sync.  Wait (off-lock, so
-        // concurrent FEEDs can pile their appends into the same batch)
-        // until a leader's single fsync covers this frame's rows.
-        if let (true, FsyncPolicy::Group { window_us }) = (durable, shared.config.fsync) {
-            let window = Duration::from_micros(u64::from(window_us));
-            let lead = || {
-                let mut persist = self.lock().map_err(|e| e.to_string())?;
-                self.sync(shared, &mut persist).map_err(|e| e.to_string())?;
-                Ok(persist.rows_total)
-            };
-            // On failure the rows were appended but are not durable; the
-            // feeder must not treat them as accepted.  (Recovery truncates
-            // or replays them consistently either way.)
-            self.group
-                .wait_durable(end, window, lead)
-                .map_err(|e| err(4, format!("group fsync on '{}': {e}", self.name)))?;
+        if durable {
+            self.wait_durable(shared, end)?;
         }
         // Semi-synchronous replication: hold the ack until the standby has
         // the frame, degrading (counted) rather than failing the FEED when

@@ -598,10 +598,11 @@ fn standby_hello(shared: &Shared, conn: u64) -> Result<String, String> {
 }
 
 /// `REPL FRAME <chan> <start> <nrows> <crc>` + payload: validate and
-/// commit one shipped WAL record.  Duplicates (frame end at or below the
-/// durable row count — the overlap between a resync scan and the live
-/// queue) are acknowledged without appending; anything else out of
-/// sequence is a gap the primary answers with a fresh resync.
+/// commit one shipped WAL record, acknowledged once synced.  Duplicates
+/// (frame end at or below the durable row count — the overlap between a
+/// resync scan and the live queue) are acknowledged without appending;
+/// anything else out of sequence is a gap the primary answers with a
+/// fresh resync.
 fn standby_frame(
     shared: &Shared,
     chan: &str,
@@ -660,7 +661,10 @@ fn standby_frame(
             .map_err(|e| err(4, format!("standby wal append on '{chan}': {e}")))?;
         ServerMetrics::inc(&shared.metrics.repl_frames_received_total);
     }
-    Ok(format!("OK repl ack {chan} {}", persist.rows_total()))
+    let acked = persist.rows_total();
+    drop(persist); // the ack waits, off the lock, for an fsync covering it
+    channel.wait_durable(shared, acked)?;
+    Ok(format!("OK repl ack {chan} {acked}"))
 }
 
 /// `REPL META <id>` + submeta text: persist a shipped subscription meta.

@@ -171,7 +171,7 @@ impl Default for ServerConfig {
             engine: EngineKind::Ops,
             retain_profiles: 32,
             data_dir: None,
-            fsync: FsyncPolicy::Every,
+            fsync: FsyncPolicy::Group { window_us: 0 }, // every
             checkpoint_every_frames: 64,
             log_file: None,
             log_format: LogFormat::Json,
@@ -400,12 +400,11 @@ impl Server {
                     .into(),
             ));
         }
-        if config.standby && matches!(config.fsync, FsyncPolicy::Group { .. }) {
-            // Group commit is driven by concurrent FEED threads; a standby
-            // applies frames from one replication connection and would
-            // never elect a leader.
+        if config.standby && matches!(config.fsync, FsyncPolicy::Group { window_us: 1.. }) {
+            // A standby applies frames from one replication connection, so
+            // a group window would only delay each ack, never share a sync.
             return Err(ServeError::Usage(
-                "--standby does not support --fsync group; use every|off".into(),
+                "--standby does not support a --fsync group window; use every|off".into(),
             ));
         }
         if config.promote_on_disconnect && !config.standby {
@@ -631,7 +630,6 @@ impl Server {
         for channel in shared.all_channels() {
             if let Ok(mut persist) = channel.lock() {
                 channel.snapshot(shared, &mut persist, span);
-                let _ = channel.sync(shared, &mut persist);
             }
         }
         let parted = shared
@@ -1164,6 +1162,10 @@ fn subscribe(
     // between — which also pins the shared-matcher alignment origin to
     // the exact row ordinal this subscription starts observing from.
     let mut persist = channel.lock().map_err(|e| serve_err(&e))?;
+    // The join ordinal persisted below must not run ahead of the synced WAL.
+    channel
+        .sync(shared, &mut persist)
+        .map_err(|e| err(4, format!("wal sync on '{chan}': {e}")))?;
     let meta = SubMeta {
         channel: chan.to_string(),
         base_rows: persist.rows_total(),
@@ -2100,19 +2102,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn group_commit_coalesces_concurrent_feeders() {
-        let root = temp_data_dir("groupcommit");
+    /// Four feeders race 5 FEEDs each under `fsync`; every ack means "my
+    /// rows are fsynced", which a restart checks.  Returns the appends and
+    /// fsyncs the race took.
+    fn race_four_feeders(name: &str, fsync: FsyncPolicy) -> (u64, u64) {
+        let root = temp_data_dir(name);
         let config = ServerConfig {
-            fsync: FsyncPolicy::Group { window_us: 5_000 },
+            fsync,
             ..durable_config(&root, 1_000)
         };
         let server = Server::bind(config).unwrap();
         let shared = &server.shared;
         dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
-        // Four feeders race 5 FEEDs each; every ack means "my rows are
-        // fsynced", but the 5 ms leader window lets concurrent appends
-        // share one fsync(2).
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let shared = &server.shared;
@@ -2129,10 +2130,6 @@ mod tests {
         let appends = shared.metrics.wal_appends_total.load(Ordering::Relaxed);
         let fsyncs = shared.metrics.wal_fsyncs_total.load(Ordering::Relaxed);
         assert_eq!(appends, 20);
-        assert!(
-            fsyncs < appends,
-            "group commit must batch: {fsyncs} fsyncs for {appends} appends"
-        );
         drop(server);
         // Every acked row really was durable.
         let server = Server::bind(durable_config(&root, 1_000)).unwrap();
@@ -2141,6 +2138,33 @@ mod tests {
             "OK opened q rows=20"
         );
         let _ = std::fs::remove_dir_all(&root);
+        (appends, fsyncs)
+    }
+
+    #[test]
+    fn group_commit_coalesces_concurrent_feeders() {
+        // The 5 ms leader window lets concurrent appends share one fsync(2).
+        let group = FsyncPolicy::Group { window_us: 5_000 };
+        let (appends, fsyncs) = race_four_feeders("groupcommit", group);
+        assert!(
+            fsyncs < appends,
+            "group commit must batch: {fsyncs} fsyncs for {appends} appends"
+        );
+    }
+
+    /// `every`, the default, is group commit with no window: the leader
+    /// syncs at once, so no append costs more than one fsync.
+    #[test]
+    fn every_is_group_commit_with_no_window() {
+        assert_eq!(
+            ServerConfig::default().fsync,
+            FsyncPolicy::Group { window_us: 0 }
+        );
+        let (appends, fsyncs) = race_four_feeders("every", FsyncPolicy::Group { window_us: 0 });
+        assert!(
+            fsyncs >= 1 && fsyncs <= appends,
+            "{fsyncs} fsyncs for {appends} appends"
+        );
     }
 
     #[test]
@@ -2246,6 +2270,46 @@ mod tests {
                 Ok(_) => panic!("{what} must be refused at bind"),
             }
         }
+    }
+
+    /// A standby acknowledges a shipped frame only once an fsync covers
+    /// its rows, so the ordinal it acks never runs ahead of its synced
+    /// watermark — under `--fsync every`, which `--standby` accepts.
+    #[test]
+    fn standby_acks_never_run_ahead_of_its_fsynced_watermark() {
+        let root = temp_data_dir("standby-acks");
+        let config = ServerConfig {
+            standby: true,
+            fsync: FsyncPolicy::Group { window_us: 0 },
+            ..durable_config(&root, 64)
+        };
+        let server = Server::bind(config).unwrap();
+        let shared = &server.shared;
+        dispatch(shared, 1, "REPL OPEN q name:str,day:int,price:float").unwrap();
+        let channel = shared.channel("q").unwrap();
+        let frames = kill_frames();
+        let shipped = frames.iter().enumerate().map(|(f, body)| (3 * f, body));
+        let mut acked = 0;
+        // The last frame is a duplicate of the first: acked unappended.
+        for (start, frame) in shipped.chain([(0, &frames[0])]) {
+            let payload = frame.trim_end();
+            let crc = crate::wal::crc32(payload.as_bytes());
+            let repl = format!("REPL FRAME q {start} 3 {crc:08x}\n{payload}");
+            let reply = dispatch(shared, 1, &repl).unwrap();
+            acked = reply
+                .strip_prefix("OK repl ack q ")
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("unexpected reply: {reply}"));
+            // Already synced: the wait returns without leading a flush.
+            let lead = || -> Result<u64, String> { panic!("ack {acked} is not fsynced") };
+            channel
+                .group
+                .wait_durable(acked, Duration::ZERO, lead)
+                .unwrap();
+        }
+        assert_eq!(acked, 36);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -33,31 +33,25 @@
 //! ([`read_frames_from`] skips whole segments by their header base
 //! without reading their records).
 //!
-//! Fsync policy is the standard durability dial: `Every` syncs each
-//! append (survives power loss), `Group` defers the sync to a
-//! group-commit window so concurrent feeders share one `fsync(2)` (see
-//! [`GroupCommit`]), `Off` leaves
-//! flushing to the OS (still survives a process crash — the page cache
-//! belongs to the kernel, not the process).
+//! Appends never sync.  Under `Group` (`every` is its zero window) a
+//! FEED's reply waits until one `fsync(2)` covers its rows, run off the
+//! channel lock (see [`GroupCommit`]); `Off` leaves flushing to the OS
+//! (still survives a process crash — the page cache belongs to the
+//! kernel, not the process).
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// When to fsync the WAL file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every appended frame (survives power loss).
-    #[default]
-    Every,
-    /// Group commit: appends do not sync inline; concurrent FEEDs inside
-    /// a `window_us` microsecond window are acknowledged together after
-    /// one shared fsync (the server drives this through [`GroupCommit`]).
-    /// Same power-loss guarantee as `Every` — an acknowledged FEED is on
-    /// disk — at a fraction of the fsync count under concurrency.
+    /// Group commit: a FEED is acknowledged once an fsync covering its
+    /// rows has finished (survives power loss).  The batch leader waits
+    /// `window_us` so concurrent FEEDs share its fsync; `every` is 0.
     Group {
         /// Batch-collection window in microseconds.
         window_us: u32,
@@ -78,7 +72,7 @@ impl std::str::FromStr for FsyncPolicy {
     type Err = String;
     fn from_str(s: &str) -> Result<FsyncPolicy, String> {
         match s {
-            "every" => Ok(FsyncPolicy::Every),
+            "every" => Ok(FsyncPolicy::Group { window_us: 0 }),
             "off" => Ok(FsyncPolicy::Off),
             "group" => Ok(FsyncPolicy::Group {
                 window_us: DEFAULT_GROUP_WINDOW_US,
@@ -524,8 +518,9 @@ pub fn read_frames_from(prefix: &Path, from: u64) -> Result<Vec<WalFrame>, WalEr
 #[derive(Debug)]
 pub struct ChannelWal {
     prefix: PathBuf,
-    /// The active (highest-sequence) segment, opened for append.
-    file: File,
+    /// The active (highest-sequence) segment, opened for append; shared
+    /// with any [`WalFlush`] still syncing it.
+    file: Arc<File>,
     active_seq: u64,
     active_base: u64,
     active_bytes: u64,
@@ -537,12 +532,6 @@ pub struct ChannelWal {
     rows_total: u64,
     policy: FsyncPolicy,
     segment_bytes: u64,
-    /// Wall nanoseconds the most recent [`sync`](ChannelWal::sync) spent
-    /// in `fsync(2)`, parked here so the server can charge fsync time to
-    /// its own latency histogram separately from append time without
-    /// changing any call-site signature.  Collected (and reset) by
-    /// [`take_fsync_ns`](ChannelWal::take_fsync_ns).
-    last_fsync_ns: u64,
 }
 
 fn sync_dir_of(path: &Path) -> io::Result<()> {
@@ -572,7 +561,7 @@ impl ChannelWal {
         sync_dir_of(&seg0)?;
         Ok(ChannelWal {
             prefix: prefix.to_path_buf(),
-            file,
+            file: Arc::new(file),
             active_seq: 0,
             active_base: 0,
             active_bytes: header.len() as u64,
@@ -581,7 +570,6 @@ impl ChannelWal {
             rows_total: 0,
             policy,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            last_fsync_ns: 0,
         })
     }
 
@@ -641,7 +629,7 @@ impl ChannelWal {
         Ok((
             ChannelWal {
                 prefix: prefix.to_path_buf(),
-                file,
+                file: Arc::new(file),
                 active_seq: last.seq,
                 active_base: last.base,
                 active_bytes,
@@ -653,7 +641,6 @@ impl ChannelWal {
                 rows_total: scan.rows_total,
                 policy,
                 segment_bytes: DEFAULT_SEGMENT_BYTES,
-                last_fsync_ns: 0,
             },
             scan,
         ))
@@ -670,28 +657,15 @@ impl ChannelWal {
         self.rows_total
     }
 
-    /// Row ordinal of the first retained record.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// The path stem this WAL's segments live under.
-    pub fn prefix(&self) -> &Path {
-        &self.prefix
-    }
-
-    /// Sequence number of the active (append) segment.
-    pub fn active_seq(&self) -> u64 {
-        self.active_seq
-    }
-
     /// Close the active segment and start `<prefix>.<seq+1>`.  The old
     /// segment is fsynced first (except under `Off`) so the cross-segment
-    /// contiguity invariant survives power loss.
-    fn roll(&mut self) -> Result<(), WalError> {
-        if self.policy != FsyncPolicy::Off {
-            self.sync()?;
-        }
+    /// contiguity invariant survives power loss.  Returns the fsync's
+    /// nanoseconds.
+    fn roll(&mut self) -> Result<u64, WalError> {
+        let fsync_ns = match self.policy {
+            FsyncPolicy::Off => 0,
+            FsyncPolicy::Group { .. } => self.sync()?,
+        };
         let next_seq = self.active_seq + 1;
         let next_path = segment_path(&self.prefix, next_seq);
         let mut file = OpenOptions::new()
@@ -707,22 +681,22 @@ impl ChannelWal {
         }
         sync_dir_of(&next_path)?;
         self.closed.push((self.active_seq, self.active_base));
-        self.file = file;
+        self.file = Arc::new(file);
         self.active_seq = next_seq;
         self.active_base = self.rows_total;
         self.active_bytes = header.len() as u64;
-        Ok(())
+        Ok(fsync_ns)
     }
 
-    /// Append one frame of `nrows` rows (the newline-joined row lines)
-    /// and apply the fsync policy.  Returns whether this append fsynced
-    /// (`Group` appends return `false`; the group-commit leader syncs
-    /// later via [`sync`](ChannelWal::sync)).
+    /// Append one frame of `nrows` rows (the newline-joined row lines).
+    /// Never syncs the record (a [`WalFlush`] does).  A roll first syncs
+    /// the segment it closes, so every row below the active segment is on
+    /// disk; returns that fsync's nanoseconds (0 without a roll).
     ///
     /// On error nothing must be trusted past the previous record — the
     /// caller should fail the FEED without fanning out (recovery will
     /// truncate the torn tail).
-    pub fn append(&mut self, payload: &str, nrows: u32) -> Result<bool, WalError> {
+    pub fn append(&mut self, payload: &str, nrows: u32) -> Result<u64, WalError> {
         #[cfg(feature = "failpoints")]
         if let Some(sqlts_relation::failpoints::Injected::InjectError) =
             sqlts_relation::failpoints::hit("wal::append", self.rows_total)
@@ -736,8 +710,9 @@ impl ChannelWal {
                 "refusing to append an empty frame".into(),
             ));
         }
+        let mut fsync_ns = 0;
         if self.active_bytes >= self.segment_bytes && self.rows_total > self.active_base {
-            self.roll()?;
+            fsync_ns = self.roll()?;
         }
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         record.extend_from_slice(&self.rows_total.to_le_bytes());
@@ -747,42 +722,24 @@ impl ChannelWal {
         crc = crc_update(crc, payload.as_bytes());
         record.extend_from_slice(&(!crc).to_le_bytes());
         record.extend_from_slice(payload.as_bytes());
-        self.file.write_all(&record)?;
+        (&*self.file).write_all(&record)?;
         self.rows_total += u64::from(nrows);
         self.active_bytes += record.len() as u64;
-        let synced = match self.policy {
-            FsyncPolicy::Every => true,
-            FsyncPolicy::Group { .. } | FsyncPolicy::Off => false,
-        };
-        if synced {
-            self.sync()?;
-        }
-        Ok(synced)
+        Ok(fsync_ns)
     }
 
-    /// fsync the active segment now, regardless of policy.  (Closed
-    /// segments were synced when they were rolled.)
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        #[cfg(feature = "failpoints")]
-        if let Some(sqlts_relation::failpoints::Injected::InjectError) =
-            sqlts_relation::failpoints::hit("wal::fsync", self.rows_total)
-        {
-            return Err(WalError::Io(io::Error::other(
-                "failpoint 'wal::fsync' injected error",
-            )));
-        }
-        let start = std::time::Instant::now();
-        self.file.sync_all()?;
-        self.last_fsync_ns = self
-            .last_fsync_ns
-            .saturating_add(start.elapsed().as_nanos() as u64);
-        Ok(())
+    /// fsync the active segment now, regardless of policy, and return the
+    /// nanoseconds it took.  (Closed segments were synced when they rolled.)
+    pub fn sync(&mut self) -> Result<u64, WalError> {
+        self.flusher().sync().map(|(_, fsync_ns)| fsync_ns)
     }
 
-    /// Collect (and reset) the nanoseconds spent in `fsync(2)` since the
-    /// last collection — 0 when no sync ran.
-    pub fn take_fsync_ns(&mut self) -> u64 {
-        std::mem::take(&mut self.last_fsync_ns)
+    /// The active segment and its row count, to sync off the WAL's lock.
+    pub fn flusher(&self) -> WalFlush {
+        WalFlush {
+            file: Arc::clone(&self.file),
+            rows: self.rows_total,
+        }
     }
 
     /// Drop every *closed segment* that lies entirely below `low_water`
@@ -816,7 +773,33 @@ impl ChannelWal {
     }
 }
 
-/// Per-channel group-commit coordinator for `--fsync group[:us]`.
+/// One pending `fsync(2)` of a WAL's active segment ([`ChannelWal::flusher`]);
+/// it keeps the segment open through a roll or truncation.
+#[derive(Debug)]
+pub struct WalFlush {
+    file: Arc<File>,
+    rows: u64,
+}
+
+impl WalFlush {
+    /// fsync the segment.  Returns the durable watermark (older segments
+    /// synced when they rolled) and the nanoseconds `fsync(2)` took.
+    pub fn sync(&self) -> Result<(u64, u64), WalError> {
+        #[cfg(feature = "failpoints")]
+        if let Some(sqlts_relation::failpoints::Injected::InjectError) =
+            sqlts_relation::failpoints::hit("wal::fsync", self.rows)
+        {
+            return Err(WalError::Io(io::Error::other(
+                "failpoint 'wal::fsync' injected error",
+            )));
+        }
+        let start = Instant::now();
+        self.file.sync_all()?;
+        Ok((self.rows, start.elapsed().as_nanos() as u64))
+    }
+}
+
+/// Per-channel group-commit coordinator for every policy but `--fsync off`.
 ///
 /// Feeders append under the channel persist lock *without* syncing, then
 /// call [`wait_durable`](GroupCommit::wait_durable) after releasing it.
@@ -850,8 +833,9 @@ struct GroupState {
 impl GroupCommit {
     /// Block until rows below `end` are durable, electing this thread as
     /// the batch leader if none is active.  `sync_fn` must perform the
-    /// fsync (re-acquiring whatever lock protects the WAL) and return
-    /// the new durable watermark (the WAL's `rows_total` at sync time).
+    /// fsync (taking a [`WalFlush`] under whatever lock protects the WAL,
+    /// and syncing it after releasing that lock) and return the new
+    /// durable watermark.
     pub fn wait_durable<F>(&self, end: u64, window: Duration, sync_fn: F) -> Result<(), String>
     where
         F: Fn() -> Result<u64, String>,
@@ -932,14 +916,19 @@ mod tests {
             FsyncPolicy::Group { window_us: 250 }
         );
         assert!(FsyncPolicy::from_str("group:abc").is_err());
+        assert_eq!(
+            FsyncPolicy::from_str("every").unwrap(),
+            FsyncPolicy::Group { window_us: 0 }
+        );
+        assert_eq!(FsyncPolicy::from_str("off").unwrap(), FsyncPolicy::Off);
     }
 
     #[test]
     fn append_scan_round_trip() {
         let path = temp_wal("round.wal");
-        let mut wal = ChannelWal::create(&path, FsyncPolicy::Every).unwrap();
-        assert!(wal.append("a,1\nb,2", 2).unwrap());
-        assert!(wal.append("c,3", 1).unwrap());
+        let mut wal = ChannelWal::create(&path, FsyncPolicy::Group { window_us: 0 }).unwrap();
+        wal.append("a,1\nb,2", 2).unwrap();
+        wal.append("c,3", 1).unwrap();
         assert_eq!(wal.rows_total(), 3);
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.base, 0);
@@ -983,7 +972,7 @@ mod tests {
         wal.append("a,1\nb,2", 2).unwrap();
         wal.append("c,3\nd,4", 2).unwrap();
         wal.append("e,5\nf,6", 2).unwrap();
-        assert_eq!(wal.active_seq(), 2);
+        assert_eq!(wal.active_seq, 2);
         let scan = scan_wal(&path).unwrap();
         assert!(scan.corruption.is_none());
         assert_eq!(scan.segments.len(), 3);
@@ -995,7 +984,7 @@ mod tests {
         drop(wal);
         let (mut wal, scan) = ChannelWal::open(&path, FsyncPolicy::Off).unwrap();
         assert_eq!(scan.rows_total, 6);
-        assert_eq!(wal.active_seq(), 2);
+        assert_eq!(wal.active_seq, 2);
         wal.append("g,7", 1).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.rows_total, 7);
@@ -1020,17 +1009,17 @@ mod tests {
             seg1_before,
             "truncation must not rewrite surviving segments"
         );
-        assert_eq!(wal.base(), 2);
+        assert_eq!(wal.base, 2);
         // Low water 3: segment 1 straddles it and must survive untouched.
         assert!(!wal.truncate_below(3).unwrap());
-        assert_eq!(wal.base(), 2);
+        assert_eq!(wal.base, 2);
         // Low water 6: everything snapshotted; closed segments unlink but
         // the active segment stays (byte-identical) so the ordinal line
         // and end position survive.
         assert!(wal.truncate_below(6).unwrap());
         assert!(!segment_path(&path, 1).exists());
         assert_eq!(std::fs::read(segment_path(&path, 2)).unwrap(), seg2_before);
-        assert_eq!(wal.base(), 4);
+        assert_eq!(wal.base, 4);
         assert_eq!(wal.rows_total(), 6);
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.base, 4);

@@ -1,17 +1,25 @@
 //! Fault injection at the durability sites (`--features failpoints`):
 //! a WAL append that fails must reject the FEED without fanning out, a
-//! failed fsync must surface without corrupting the log, and an injected
-//! replay error must abort recovery with a typed runtime error — never a
-//! panic, never silent data loss.  Beside them, the server's
-//! `server::accept` site: a failed `accept()` costs one connection, never
-//! the server.
+//! failed fsync must surface without corrupting the log or splitting the
+//! channel's row count from it, a snapshot whose fsync fails must write
+//! no checkpoint, and an injected replay error must abort recovery with a
+//! typed runtime error — never a panic, never silent data loss.  A slow
+//! fsync shows that the flush a FEED waits for runs off the channel lock.
+//! Beside them, the server's `server::accept` site: a failed `accept()`
+//! costs one connection, never the server.
 
 #![cfg(feature = "failpoints")]
 
 use sqlts_relation::failpoints::{self, FailAction};
+use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
 use sqlts_server::wal::{scan_wal, segment_path, ChannelWal, FsyncPolicy, WalError};
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use sqlts_server::{Server, ServerConfig};
+use std::io::BufReader;
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// The failpoint registry is process-global; serialize the tests.
 static GATE: Mutex<()> = Mutex::new(());
@@ -28,6 +36,77 @@ fn temp_path(name: &str) -> PathBuf {
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// A server serving on a background thread until [`Rig::stop`] drains it.
+struct Rig {
+    server: Arc<Server>,
+    stop: Arc<AtomicBool>,
+    run: std::thread::JoinHandle<std::io::Result<()>>,
+}
+
+impl Rig {
+    fn start(config: ServerConfig) -> Rig {
+        let server = Arc::new(Server::bind(config).unwrap());
+        let stop = Arc::new(AtomicBool::new(false));
+        let run = {
+            let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+            std::thread::spawn(move || server.run_until(&stop))
+        };
+        Rig { server, stop, run }
+    }
+
+    fn client(&self) -> Client {
+        let stream = TcpStream::connect(self.server.local_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Client { stream, reader }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.run.join().unwrap().unwrap();
+    }
+}
+
+struct Client {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn call(&mut self, payload: &str) -> String {
+        write_frame(&mut self.stream, payload).unwrap();
+        match read_frame(&mut self.reader, 1 << 20) {
+            Ok(FrameEvent::Payload(text)) => text,
+            other => panic!("unexpected reply: {other:?}"),
+        }
+    }
+}
+
+/// A durable server on `root` under the default `--fsync every`.
+fn durable(root: &Path, checkpoint_every_frames: u64, wal_segment_bytes: u64) -> ServerConfig {
+    ServerConfig {
+        data_dir: Some(root.to_path_buf()),
+        checkpoint_every_frames,
+        wal_segment_bytes,
+        ..ServerConfig::default()
+    }
+}
+
+const OPEN: &str = "OPEN q name:str,day:int,price:float";
+const SUBSCRIBE: &str = "SUBSCRIBE s q\nSELECT X.name, Z.day AS day FROM q CLUSTER BY name \
+                         SEQUENCE BY day AS (X, *Y, Z) \
+                         WHERE Y.price > Y.previous.price AND Z.price < Z.previous.price";
+
+/// `FEED` frame `f` of a rise-then-fall series: three rows.
+fn feed(f: u64) -> String {
+    let rows: Vec<String> = (f * 3..f * 3 + 3)
+        .map(|day| format!("AAA,{day},{}", 100 + 4 * (day % 5)))
+        .collect();
+    format!("FEED q\n{}", rows.join("\n"))
 }
 
 #[test]
@@ -56,9 +135,11 @@ fn injected_append_failure_leaves_the_log_untouched() {
 fn injected_fsync_failure_surfaces_but_preserves_appended_records() {
     let _guard = lock();
     let path = temp_path("fsync.wal");
-    let mut wal = ChannelWal::create(&path, FsyncPolicy::Every).unwrap();
+    let mut wal = ChannelWal::create(&path, FsyncPolicy::Group { window_us: 0 }).unwrap();
     failpoints::configure("wal::fsync", FailAction::InjectError);
-    let err = wal.append("a,1", 1).unwrap_err();
+    // An append never syncs; the explicit sync is where the fault lands.
+    wal.append("a,1", 1).unwrap();
+    let err = wal.sync().unwrap_err();
     assert!(matches!(err, WalError::Io(_)), "{err}");
     failpoints::reset();
     // The record reached the file (only the sync failed): a restart that
@@ -182,13 +263,7 @@ fn injected_replay_failure_is_a_typed_runtime_error() {
 #[test]
 fn injected_accept_failure_keeps_the_server_accepting() {
     let _guard = lock();
-    use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
-    use sqlts_server::{Server, ServerConfig};
-    use std::io::{BufReader, Read};
-    use std::net::TcpStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
+    use std::io::Read;
 
     let log = temp_path("accept.jsonl");
     let server = Arc::new(
@@ -241,4 +316,148 @@ fn injected_accept_failure_keeps_the_server_accepting() {
     );
     assert_eq!(spans.matches("\"name\":\"accept\"").count(), 1, "{spans}");
     let _ = std::fs::remove_file(&log);
+}
+
+/// Under the default `--fsync every`, a failed fsync fails its FEED
+/// (`ERR 4`) without splitting the channel's row count from its WAL: the
+/// rows were appended and fanned out, the next FEED's fsync covers them,
+/// `OPEN` reports what the WAL holds, and a restarted server finishes
+/// byte-identical to an uninterrupted run over every committed row.
+#[test]
+fn a_failed_fsync_leaves_the_row_count_equal_to_the_wal() {
+    let _guard = lock();
+    let reference = {
+        let rig = Rig::start(ServerConfig::default());
+        let mut client = rig.client();
+        client.call(OPEN);
+        client.call(SUBSCRIBE);
+        for f in 0..6 {
+            assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+        }
+        let result = client.call("UNSUBSCRIBE s");
+        rig.stop();
+        result
+    };
+    let root = temp_path("split-dir");
+    let _ = std::fs::remove_dir_all(&root);
+    let rig = Rig::start(durable(&root, 1_000, 1 << 20));
+    let mut client = rig.client();
+    assert_eq!(client.call(OPEN), "OK opened q rows=0");
+    client.call(SUBSCRIBE);
+    assert!(client.call(&feed(0)).starts_with("OK fed 3"));
+    failpoints::configure("wal::fsync", FailAction::InjectError);
+    let failed = client.call(&feed(1));
+    failpoints::reset();
+    assert!(failed.starts_with("ERR 4 "), "{failed}");
+    assert!(client.call(&feed(2)).starts_with("OK fed 3"));
+    let wal_rows = scan_wal(&root.join("channels").join("q.wal"))
+        .unwrap()
+        .rows_total;
+    assert_eq!(wal_rows, 9, "the failed FEED's rows stay appended");
+    assert_eq!(client.call(OPEN), format!("OK opened q rows={wal_rows}"));
+    assert_eq!(client.call("STATUS s").split(' ').nth(2), Some("records=9"));
+    rig.stop(); // a drain: the subscription outlives its connection
+    let rig = Rig::start(durable(&root, 1_000, 1 << 20));
+    let mut client = rig.client();
+    for f in 3..6 {
+        assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+    }
+    assert_eq!(client.call("UNSUBSCRIBE s"), reference);
+    rig.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A snapshot syncs the WAL before it writes any checkpoint, so a failed
+/// sync (here during the drain's snapshot pass) rewrites no `.checkpoint`
+/// file and unlinks no segment; the next pass, after recovery, does both.
+#[test]
+fn a_snapshot_whose_fsync_fails_writes_no_checkpoint_and_truncates_nothing() {
+    let _guard = lock();
+    let root = temp_path("snapshot-dir");
+    let _ = std::fs::remove_dir_all(&root);
+    // One frame per segment, and no snapshot until the drain.
+    let rig = Rig::start(durable(&root, 1_000, 1));
+    let mut client = rig.client();
+    client.call(OPEN);
+    client.call(SUBSCRIBE);
+    let checkpoint = root.join("subs").join("s.checkpoint");
+    let joined = std::fs::read_to_string(&checkpoint).unwrap();
+    for f in 0..4 {
+        assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+    }
+    let prefix = root.join("channels").join("q.wal");
+    let segments = |prefix: &Path| (0..4).filter(|&k| segment_path(prefix, k).exists()).count();
+    assert_eq!(segments(&prefix), 4);
+    failpoints::configure("wal::fsync", FailAction::InjectError);
+    rig.stop(); // still connected, so the drain snapshots `s`
+    failpoints::reset();
+    assert_eq!(
+        std::fs::read_to_string(&checkpoint).unwrap(),
+        joined,
+        "checkpoint rewritten"
+    );
+    assert_eq!(segments(&prefix), 4, "a segment was unlinked");
+    // Recovery replays all four frames and its snapshot pass succeeds.
+    let rig = Rig::start(durable(&root, 1_000, 1));
+    assert_ne!(std::fs::read_to_string(&checkpoint).unwrap(), joined);
+    assert_eq!(segments(&prefix), 1, "only the active segment survives");
+    rig.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The fsync a FEED waits for runs off the persist lock: while the first
+/// feeder's flush is stalled, a second feeder's frame is appended and fanned
+/// out (the subscription's `STATUS` counts it) before the first reply
+/// arrives.  A leader that synced under the lock would hold the second
+/// frame back for the whole stall.
+#[test]
+fn a_second_feeder_appends_and_fans_out_during_the_first_fsync() {
+    let _guard = lock();
+    const STALL: Duration = Duration::from_millis(600);
+    let root = temp_path("overlap-dir");
+    let _ = std::fs::remove_dir_all(&root);
+    let rig = Rig::start(durable(&root, 1_000, 1 << 20));
+    let mut admin = rig.client();
+    admin.call(OPEN);
+    admin.call(SUBSCRIBE);
+    let synced_before = failpoints::hit_count("wal::fsync");
+    failpoints::configure("wal::fsync", FailAction::DelayMs(STALL.as_millis() as u64));
+    let first_replied = Arc::new(AtomicBool::new(false));
+    let first = {
+        let (mut client, replied) = (rig.client(), Arc::clone(&first_replied));
+        std::thread::spawn(move || {
+            let reply = client.call(&feed(0));
+            replied.store(true, Ordering::SeqCst);
+            reply
+        })
+    };
+    while failpoints::hit_count("wal::fsync") == synced_before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let flushing = Instant::now();
+    let second = {
+        let mut client = rig.client();
+        std::thread::spawn(move || client.call(&feed(1)))
+    };
+    while !admin.call("STATUS s").contains(" records=6 ") {
+        assert!(
+            flushing.elapsed() < 2 * STALL,
+            "second frame never fanned out"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let fanned_out = flushing.elapsed();
+    let early = !first_replied.load(Ordering::SeqCst);
+    let replies = [first.join().unwrap(), second.join().unwrap()];
+    failpoints::reset();
+    assert!(
+        early && fanned_out < STALL,
+        "second frame fanned out {fanned_out:?} into a {STALL:?} flush (first replied: {})",
+        !early
+    );
+    for reply in replies {
+        assert!(reply.starts_with("OK fed 3"), "{reply}");
+    }
+    rig.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
