@@ -115,22 +115,10 @@ impl EvalCounter {
         self
     }
 
-    /// Look up element `elem0` (0-based) at position `pos` in the shared
-    /// memo.  `None` when no memo is installed, the element is not
-    /// classed, or the value has not been established yet.
+    /// The shared pattern-set memo handle, if one is installed.
     #[inline]
-    pub(crate) fn shared_probe(&self, elem0: usize, pos: usize) -> Option<bool> {
-        self.shared.as_ref()?.probe(elem0, pos)
-    }
-
-    /// Publish an evaluated element outcome to the shared memo (no-op
-    /// without one).  `avail` is the cluster length at evaluation time —
-    /// the interior gate for lattice-derived entries.
-    #[inline]
-    pub(crate) fn shared_store(&self, elem0: usize, pos: usize, avail: usize, ok: bool) {
-        if let Some(handle) = &self.shared {
-            handle.store(elem0, pos, avail, ok);
-        }
+    pub(crate) fn shared(&self) -> Option<&SharedEvalHandle> {
+        self.shared.as_deref()
     }
 
     /// Take the armed recorder back (end-of-cluster accounting).

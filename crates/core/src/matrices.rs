@@ -27,6 +27,7 @@
 //!   local part carry over.
 
 use crate::counters::EvalCounter;
+use crate::patternset::{Probe, SharedEvalHandle};
 use sqlts_constraints::{Atom, Formula, System};
 use sqlts_lang::PatternElement;
 use sqlts_tvl::{TriMatrix, Truth};
@@ -209,24 +210,60 @@ pub(crate) fn test_element(
 ) -> bool {
     counter.bump();
     // Shared pattern-set memo: the test is still charged (bump above),
-    // but a cached outcome — evaluated by another member of the shared
-    // group or derived through the implication lattice — short-circuits
-    // the conjunct walk.  Purely-local classes are pure in
-    // (class, cluster, pos, policy), so the cached value is exactly what
-    // evaluation would produce; solo runs pay one branch on a `None`.
-    if let Some(cached) = counter.shared_probe(j - 1, pos) {
-        counter.record_test(pos + 1, j, cached);
-        return cached;
+    // but may be answered without evaluation; solo runs pay one branch on
+    // a `None`.
+    if let Some(memo) = counter.shared() {
+        return test_shared(pattern, j, ctx, pos, bindings, counter, memo);
     }
-    let ok = pattern.elements()[j - 1]
-        .conjuncts
-        .iter()
-        .all(|c| sqlts_lang::eval_conjunct(c, ctx, pos, bindings));
-    counter.shared_store(j - 1, pos, ctx.cluster.len(), ok);
+    let ok = eval_element(pattern, j, ctx, pos, bindings);
     // Advance/Fail tracing rides on the same call so every engine emits
     // the identical event per (input element, pattern element) pair.
     counter.record_test(pos + 1, j, ok);
     ok
+}
+
+/// [`test_element`] for a member of a shared pattern-set group, after the
+/// bump.  A cached outcome — evaluated by another member of the group or
+/// derived through the implication lattice — short-circuits the conjunct
+/// walk.  Purely-local classes are pure in (class, cluster, pos, policy),
+/// so the cached value is exactly what evaluation would produce.  A miss
+/// holds the cluster's memo lock through the evaluation and the store.
+#[inline(never)]
+fn test_shared(
+    pattern: Predicates<'_>,
+    j: usize,
+    ctx: &sqlts_lang::EvalCtx<'_>,
+    pos: usize,
+    bindings: &sqlts_lang::Bindings,
+    counter: &EvalCounter,
+    memo: &SharedEvalHandle,
+) -> bool {
+    let ok = match memo.probe(j - 1, pos) {
+        None => eval_element(pattern, j, ctx, pos, bindings),
+        Some(Probe::Hit(cached)) => cached,
+        Some(Probe::Miss(miss)) => {
+            let ok = eval_element(pattern, j, ctx, pos, bindings);
+            miss.store(ctx.cluster.len(), ok);
+            ok
+        }
+    };
+    counter.record_test(pos + 1, j, ok);
+    ok
+}
+
+/// Evaluate every conjunct of pattern element `j` (1-based) at `pos`.
+#[inline]
+fn eval_element(
+    pattern: Predicates<'_>,
+    j: usize,
+    ctx: &sqlts_lang::EvalCtx<'_>,
+    pos: usize,
+    bindings: &sqlts_lang::Bindings,
+) -> bool {
+    pattern.elements()[j - 1]
+        .conjuncts
+        .iter()
+        .all(|c| sqlts_lang::eval_conjunct(c, ctx, pos, bindings))
 }
 
 /// `true` iff the whole element predicate is a single constant-equality

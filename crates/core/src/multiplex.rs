@@ -211,6 +211,9 @@ pub struct FinishReport {
     pub skipped: u64,
     /// Tuples left in quarantine.
     pub quarantined: usize,
+    /// Logical predicate tests over the session's life, as of the finish
+    /// (the partial's count when governed, 0 when the finish failed).
+    pub predicate_tests: u64,
 }
 
 /// What a worker's session is doing *right now*, published through a
@@ -700,14 +703,20 @@ fn finish_report(
             rows: result.stats.matches,
             trip: None,
             error: None,
+            predicate_tests: result.stats.predicate_tests,
             profile: result.profile,
             skipped,
             quarantined,
         },
         Err(StreamError::Governed { trip, partial }) => {
-            let (csv, rows, profile) = match partial {
-                Some(p) => (p.table.to_csv_string(), p.stats.matches, p.profile),
-                None => (String::new(), 0, None),
+            let (csv, rows, predicate_tests, profile) = match partial {
+                Some(p) => (
+                    p.table.to_csv_string(),
+                    p.stats.matches,
+                    p.stats.predicate_tests,
+                    p.profile,
+                ),
+                None => (String::new(), 0, 0, None),
             };
             FinishReport {
                 csv,
@@ -717,6 +726,7 @@ fn finish_report(
                 profile,
                 skipped,
                 quarantined,
+                predicate_tests,
             }
         }
         Err(e) => FinishReport {
@@ -727,6 +737,7 @@ fn finish_report(
             profile: None,
             skipped,
             quarantined,
+            predicate_tests: 0,
         },
     }
 }

@@ -50,9 +50,9 @@
 use sqlts_lang::{Anchor, BoolExpr, CompiledQuery, FirstTuplePolicy, PatternElement, ScalarExpr};
 use sqlts_relation::Value;
 use sqlts_trace::PatternSetStats;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Sentinel class id for elements that cannot participate in sharing.
 pub(crate) const UNCLASSED: u32 = u32::MAX;
@@ -310,7 +310,7 @@ impl Interner {
 /// Build the class-sequence prefix trie over the member label sequences;
 /// returns `(node_count, shared_prefix_depth per member)` where the depth
 /// counts leading elements whose trie node carries ≥ 2 members.
-fn trie_stats(sequences: &[Vec<(u32, bool)>]) -> (usize, Vec<u64>) {
+fn trie_stats(sequences: &[&[(u32, bool)]]) -> (usize, Vec<u64>) {
     struct Node {
         children: BTreeMap<(u32, bool), usize>,
         occupancy: u32,
@@ -321,7 +321,7 @@ fn trie_stats(sequences: &[Vec<(u32, bool)>]) -> (usize, Vec<u64>) {
     }];
     for seq in sequences {
         let mut at = 0usize;
-        for &label in seq {
+        for &label in seq.iter() {
             let next = match nodes[at].children.get(&label) {
                 Some(&n) => n,
                 None => {
@@ -343,7 +343,7 @@ fn trie_stats(sequences: &[Vec<(u32, bool)>]) -> (usize, Vec<u64>) {
         .map(|seq| {
             let mut at = 0usize;
             let mut depth = 0u64;
-            for &label in seq {
+            for &label in seq.iter() {
                 let Some(&next) = nodes[at].children.get(&label) else {
                     break;
                 };
@@ -363,89 +363,232 @@ fn trie_stats(sequences: &[Vec<(u32, bool)>]) -> (usize, Vec<u64>) {
 // Runtime: the shared memo
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    val: bool,
-    owner: u16,
-    derived: bool,
+/// A memo cell packed into a `u32`: the owner query in the low 16 bits,
+/// then the known, value and derived flags.  `0` is "not established".
+const OWNER: u32 = 0xFFFF;
+const KNOWN: u32 = 1 << 16;
+const VALUE: u32 = 1 << 17;
+const DERIVED: u32 = 1 << 18;
+
+#[inline]
+fn pack(val: bool, owner: u16, derived: bool) -> u32 {
+    KNOWN | (u32::from(val) * VALUE) | (u32::from(derived) * DERIVED) | u32::from(owner)
 }
 
+/// A group's lattice edges, indexed by source class.  Replaced whole,
+/// never mutated, when a join interns new classes.
+type Edges = Arc<Vec<Vec<Edge>>>;
+
+/// The memo cells of one cluster, dense by stream position: row `r` of
+/// the ring holds position `base + r`, one cell per class, `stride`
+/// cells per row.  It answers exactly as a `(position, class) → cell`
+/// map would: a store below `base` extends the front, a class id past
+/// `stride` re-lays the rows out wider, and [`Cells::prune_below`]
+/// drains the front.
 #[derive(Debug, Default)]
-struct CacheInner {
-    map: BTreeMap<(u64, u32), Entry>,
+struct Cells {
+    base: u64,
+    stride: usize,
+    ring: VecDeque<u32>,
+}
+
+impl Cells {
+    fn rows(&self) -> u64 {
+        match self.stride {
+            0 => 0,
+            stride => (self.ring.len() / stride) as u64,
+        }
+    }
+
+    /// The cell at `(pos, class)`; `0` when nothing was stored there.
+    #[inline]
+    fn get(&self, pos: u64, class: u32) -> u32 {
+        let class = class as usize;
+        if pos < self.base || class >= self.stride {
+            return 0;
+        }
+        // `stride ≥ 1` here, so a row past the ring's length is past its
+        // last row too; below it the index cannot overflow.
+        let row = pos - self.base;
+        if row >= self.ring.len() as u64 {
+            return 0;
+        }
+        self.ring
+            .get(row as usize * self.stride + class)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Establish `(pos, class)` as `cell` unless it already is; `width`
+    /// is the group's class count, the stride a re-layout grows to.
+    fn put(&mut self, pos: u64, class: u32, cell: u32, width: usize) {
+        let class = class as usize;
+        if class >= self.stride {
+            self.relayout(width.max(class + 1));
+        }
+        if self.ring.is_empty() {
+            self.base = pos;
+        } else if pos < self.base {
+            let grow = (self.base - pos) as usize * self.stride;
+            self.ring.resize(self.ring.len() + grow, 0);
+            self.ring.rotate_right(grow);
+            self.base = pos;
+        }
+        let row = (pos - self.base) as usize * self.stride;
+        if row >= self.ring.len() {
+            self.ring.resize(row + self.stride, 0);
+        }
+        let slot = &mut self.ring[row + class];
+        if *slot == 0 {
+            *slot = cell;
+        }
+    }
+
+    /// Copy every row into a ring of `stride` cells per row.
+    fn relayout(&mut self, stride: usize) {
+        let rows = self.rows() as usize;
+        let mut ring = VecDeque::with_capacity(rows * stride);
+        for row in 0..rows {
+            let from = row * self.stride;
+            ring.extend(self.ring.range(from..from + self.stride));
+            ring.resize((row + 1) * stride, 0);
+        }
+        self.ring = ring;
+        self.stride = stride;
+    }
+
+    /// Drop every row below `floor`.
+    fn prune_below(&mut self, floor: u64) {
+        if floor <= self.base {
+            return;
+        }
+        let rows = (floor - self.base).min(self.rows()) as usize;
+        self.ring.drain(..rows * self.stride);
+        self.base = floor;
+    }
+}
+
+/// One cluster's memo, everything under one lock: the cells, the group's
+/// edges as of its latest join, and the deterministic savings counters.
+#[derive(Debug)]
+struct ClusterMemo {
+    cells: Cells,
+    edges: Edges,
     saved: u64,
     shared: u64,
 }
 
-/// The per-cluster shared memo: `(position, class) → value`, plus the
-/// deterministic savings counters.  `Mutex`-based so concurrent server
-/// subscription workers can share one cache; the value at a key is a pure
-/// function of the key, so racing writers always agree.
-#[derive(Debug, Default)]
+/// The per-cluster shared memo.  `Mutex`-based so concurrent server
+/// subscription workers can share one cache; the value at a cell is a
+/// pure function of `(position, class)`, so racing writers always agree.
+#[derive(Debug)]
 struct ClusterCache {
-    inner: Mutex<CacheInner>,
+    memo: Mutex<ClusterMemo>,
 }
 
-impl ClusterCache {
-    fn probe(&self, pos: u64, class: u32, query: u16) -> Option<bool> {
-        let mut inner = self.inner.lock().expect("patternset cache lock");
-        let entry = *inner.map.get(&(pos, class))?;
-        inner.saved += 1;
-        if entry.owner != query || entry.derived {
-            inner.shared += 1;
-        }
-        Some(entry.val)
-    }
+/// What a memo probe found.
+pub(crate) enum Probe<'a> {
+    /// The outcome is established: use it instead of evaluating.
+    Hit(bool),
+    /// Not established: evaluate, then [`store`](Miss::store) the outcome.
+    Miss(Miss<'a>),
+}
 
-    fn store(&self, edges: &[Vec<Edge>], pos: u64, class: u32, avail: u64, val: bool, query: u16) {
-        let mut inner = self.inner.lock().expect("patternset cache lock");
-        inner.map.entry((pos, class)).or_insert(Entry {
-            val,
-            owner: query,
-            derived: false,
-        });
-        for edge in &edges[class as usize] {
+/// A memo miss still holding its cluster's lock, so the store that
+/// completes it takes no second one.
+pub(crate) struct Miss<'a> {
+    memo: MutexGuard<'a, ClusterMemo>,
+    pos: u64,
+    class: u32,
+    query: u16,
+}
+
+impl Miss<'_> {
+    /// Publish the evaluated outcome and everything the lattice derives
+    /// from it.  `avail` is the cluster length at evaluation time — the
+    /// interior gate for derived cells.
+    pub(crate) fn store(mut self, avail: usize, val: bool) {
+        let (pos, class, query) = (self.pos, self.class, self.query);
+        let ClusterMemo { cells, edges, .. } = &mut *self.memo;
+        let width = edges.len();
+        cells.put(pos, class, pack(val, query, false), width);
+        for edge in edges.get(class as usize).map_or(&[][..], Vec::as_slice) {
             if edge.on != val {
                 continue;
             }
-            if edge.interior && (pos < edge.back as u64 || pos + edge.fwd as u64 + 1 > avail) {
+            if edge.interior && (pos < edge.back as u64 || pos + edge.fwd as u64 + 1 > avail as u64)
+            {
                 continue;
             }
-            inner.map.entry((pos, edge.target)).or_insert(Entry {
-                val: edge.val,
-                owner: query,
-                derived: true,
-            });
+            cells.put(pos, edge.target, pack(edge.val, query, true), width);
+        }
+    }
+}
+
+impl ClusterCache {
+    fn new(edges: Edges) -> ClusterCache {
+        ClusterCache {
+            memo: Mutex::new(ClusterMemo {
+                cells: Cells {
+                    stride: edges.len(),
+                    ..Cells::default()
+                },
+                edges,
+                saved: 0,
+                shared: 0,
+            }),
         }
     }
 
-    /// Drop every entry below `floor` (streaming window compaction); the
+    /// Lock the memo.  A panic under a [`Miss`] (a conjunct evaluated
+    /// while the lock is held) leaves the memo consistent, so a poisoned
+    /// lock is taken as is.
+    fn lock(&self) -> MutexGuard<'_, ClusterMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    #[inline]
+    fn probe(&self, pos: u64, class: u32, query: u16) -> Probe<'_> {
+        let mut memo = self.lock();
+        let cell = memo.cells.get(pos, class);
+        if cell == 0 {
+            return Probe::Miss(Miss {
+                memo,
+                pos,
+                class,
+                query,
+            });
+        }
+        memo.saved += 1;
+        if cell & OWNER != u32::from(query) || cell & DERIVED != 0 {
+            memo.shared += 1;
+        }
+        Probe::Hit(cell & VALUE != 0)
+    }
+
+    /// Drop every cell below `floor` (streaming window compaction); the
     /// savings counters are untouched.
     fn prune_below(&self, floor: u64) {
-        let mut inner = self.inner.lock().expect("patternset cache lock");
-        inner.map = inner.map.split_off(&(floor, 0));
+        self.lock().cells.prune_below(floor);
     }
 
     /// `(saved, shared)` counter snapshot.
     fn counters(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("patternset cache lock");
-        (inner.saved, inner.shared)
+        let memo = self.lock();
+        (memo.saved, memo.shared)
     }
 
-    #[cfg(test)]
-    fn entries(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+    /// Cells held, established or not.
+    fn cells(&self) -> usize {
+        self.lock().cells.ring.len()
     }
 }
 
-type Edges = Arc<RwLock<Vec<Vec<Edge>>>>;
-
 /// One query's view into a shared group for a single cluster: installed
-/// into that cluster's [`EvalCounter`], consulted by `test_element`
-/// between `bump()` and conjunct evaluation.
+/// into that cluster's [`EvalCounter`](crate::EvalCounter), consulted by
+/// `test_element` between `bump()` and conjunct evaluation.
 pub struct SharedEvalHandle {
     cache: Arc<ClusterCache>,
-    edges: Edges,
     classes: Arc<[u32]>,
     query: u16,
 }
@@ -459,25 +602,15 @@ impl fmt::Debug for SharedEvalHandle {
 }
 
 impl SharedEvalHandle {
+    /// Probe element `elem0` (0-based) at `pos`; `None` when the element
+    /// is not classed.
     #[inline]
-    pub(crate) fn probe(&self, elem0: usize, pos: usize) -> Option<bool> {
+    pub(crate) fn probe(&self, elem0: usize, pos: usize) -> Option<Probe<'_>> {
         let class = *self.classes.get(elem0)?;
         if class == UNCLASSED {
             return None;
         }
-        self.cache.probe(pos as u64, class, self.query)
-    }
-
-    pub(crate) fn store(&self, elem0: usize, pos: usize, avail: usize, val: bool) {
-        let Some(&class) = self.classes.get(elem0) else {
-            return;
-        };
-        if class == UNCLASSED {
-            return;
-        }
-        let edges = self.edges.read().expect("patternset edges lock");
-        self.cache
-            .store(&edges, pos as u64, class, avail as u64, val, self.query);
+        Some(self.cache.probe(pos as u64, class, self.query))
     }
 }
 
@@ -485,17 +618,65 @@ impl SharedEvalHandle {
 // Streaming / server: the standing-query registry
 // ---------------------------------------------------------------------------
 
+/// A group's cluster memos, and the edges a new one starts with.
+struct GroupCaches {
+    edges: Edges,
+    clusters: BTreeMap<Vec<Value>, Arc<ClusterCache>>,
+}
+
 /// One shared group of standing queries on a feed.
 struct RegistryGroup {
+    /// Registry-unique, so a leaving member finds its group again.
+    id: u64,
     origin: u64,
     cluster_by: Vec<String>,
     sequence_by: Vec<String>,
     policy: FirstTuplePolicy,
     interner: Interner,
-    edges: Edges,
-    caches: Arc<Mutex<BTreeMap<Vec<Value>, Arc<ClusterCache>>>>,
-    labels: Vec<Vec<(u32, bool)>>,
-    members: u16,
+    /// The lattice edges; the cluster memos hold snapshots of them.
+    edges: Vec<Vec<Edge>>,
+    caches: Arc<Mutex<GroupCaches>>,
+    /// Live members: query id and trie labels.
+    members: Vec<(u16, Vec<(u32, bool)>)>,
+    /// The next joiner's query id (the owner tag `tests_shared` reads).
+    next_query: u16,
+}
+
+/// Everything a [`SetRegistry`] guards.
+#[derive(Default)]
+struct RegistryState {
+    groups: Vec<RegistryGroup>,
+    next_group: u64,
+    /// Savings counters of groups whose last member has left.
+    retired_saved: u64,
+    retired_shared: u64,
+}
+
+impl RegistryState {
+    /// Member `query` of group `id` leaves; the last one out drops the
+    /// group and retires its savings counters.
+    fn leave(&mut self, id: u64, query: u16) {
+        let Some(at) = self.groups.iter().position(|g| g.id == id) else {
+            return;
+        };
+        let members = &mut self.groups[at].members;
+        if let Some(seat) = members.iter().position(|&(q, _)| q == query) {
+            members.remove(seat);
+        }
+        if !members.is_empty() {
+            return;
+        }
+        let group = self.groups.remove(at);
+        // Called from `SharedJoin::drop`, which must not panic.
+        let Ok(caches) = group.caches.lock() else {
+            return;
+        };
+        for cache in caches.clusters.values() {
+            let (saved, shared) = cache.counters();
+            self.retired_saved += saved;
+            self.retired_shared += shared;
+        }
+    }
 }
 
 /// A registry of standing queries sharing one feed (one per server
@@ -505,17 +686,17 @@ struct RegistryGroup {
 /// subscription's cluster positions are counted from — plus
 /// `CLUSTER BY`/`SEQUENCE BY` and policy, so late joiners and resumed
 /// subscriptions only ever share with members whose absolute positions
-/// line up).
+/// line up).  Dropping a [`SharedJoin`] leaves; the group, its classes
+/// and its memos go with its last member.
 #[derive(Default)]
 pub struct SetRegistry {
-    groups: Mutex<Vec<RegistryGroup>>,
+    state: Arc<Mutex<RegistryState>>,
 }
 
 impl fmt::Debug for SetRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let groups = self.groups.lock().expect("patternset registry lock");
         f.debug_struct("SetRegistry")
-            .field("groups", &groups.len())
+            .field("groups", &self.lock().groups.len())
             .finish()
     }
 }
@@ -524,6 +705,10 @@ impl SetRegistry {
     /// An empty registry.
     pub fn new() -> SetRegistry {
         SetRegistry::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, RegistryState> {
+        self.state.lock().expect("patternset registry lock")
     }
 
     /// Join a standing query to the registry, creating its group on first
@@ -540,67 +725,92 @@ impl SetRegistry {
         if !query.elements.iter().any(|e| class_signature(e).is_some()) {
             return None;
         }
-        let mut groups = self.groups.lock().expect("patternset registry lock");
-        let group = match groups.iter_mut().find(|g| {
+        let mut state = self.lock();
+        let state = &mut *state;
+        let at = match state.groups.iter().position(|g| {
             g.origin == origin
                 && g.cluster_by == query.cluster_by
                 && g.sequence_by == query.sequence_by
                 && g.policy == policy
         }) {
-            Some(group) => group,
+            Some(at) => at,
             None => {
-                groups.push(RegistryGroup {
+                state.groups.push(RegistryGroup {
+                    id: state.next_group,
                     origin,
                     cluster_by: query.cluster_by.clone(),
                     sequence_by: query.sequence_by.clone(),
                     policy,
                     interner: Interner::default(),
-                    edges: Arc::new(RwLock::new(Vec::new())),
-                    caches: Arc::new(Mutex::new(BTreeMap::new())),
-                    labels: Vec::new(),
-                    members: 0,
+                    edges: Vec::new(),
+                    caches: Arc::new(Mutex::new(GroupCaches {
+                        edges: Arc::default(),
+                        clusters: BTreeMap::new(),
+                    })),
+                    members: Vec::new(),
+                    next_query: 0,
                 });
-                groups.last_mut().expect("just pushed")
+                state.next_group += 1;
+                state.groups.len() - 1
             }
         };
-        let mut edges = group.edges.write().expect("patternset edges lock");
-        let (ids, labels) = group.interner.intern_query(query, &mut edges);
-        drop(edges);
-        group.labels.push(labels);
-        let query_id = group.members;
-        group.members += 1;
+        let group = &mut state.groups[at];
+        let known = group.edges.len();
+        let (ids, labels) = group.interner.intern_query(query, &mut group.edges);
+        if group.edges.len() != known {
+            // New classes also link edges from old ones: every memo of
+            // the group, and every memo made from now on, reads the new
+            // lattice.
+            let edges: Edges = Arc::new(group.edges.clone());
+            let mut caches = group.caches.lock().expect("patternset cache registry lock");
+            for cache in caches.clusters.values() {
+                cache.lock().edges = Arc::clone(&edges);
+            }
+            caches.edges = edges;
+        }
+        let query_id = group.next_query;
+        group.next_query = group.next_query.wrapping_add(1);
+        group.members.push((query_id, labels));
         Some(SharedJoin {
-            edges: Arc::clone(&group.edges),
+            registry: Arc::downgrade(&self.state),
+            group: group.id,
             caches: Arc::clone(&group.caches),
             classes: ids.into(),
             query: query_id,
         })
     }
 
-    /// Registry-wide statistics: compile-time structure plus the runtime
-    /// savings counters summed over every group's cluster caches.
-    /// `tests_logical`/`tests_evaluated` are left for the caller, which
-    /// knows the members' logical test totals.
+    /// Registry-wide statistics: the compile-time structure of the live
+    /// groups plus the all-time savings counters (live cluster memos and
+    /// the retired totals of dropped groups).  `tests_logical` and
+    /// `tests_evaluated` are left for the caller, which knows the
+    /// members' logical test totals.
     pub fn stats(&self) -> PatternSetStats {
-        let groups = self.groups.lock().expect("patternset registry lock");
-        let mut stats = PatternSetStats::default();
-        for group in groups.iter() {
-            stats.queries += group.members as usize;
-            if group.members >= 2 {
+        let state = self.lock();
+        let mut stats = PatternSetStats {
+            tests_saved: state.retired_saved,
+            tests_shared: state.retired_shared,
+            ..PatternSetStats::default()
+        };
+        for group in &state.groups {
+            let live = group.members.len();
+            stats.queries += live;
+            if live >= 2 {
                 stats.groups += 1;
             } else {
-                stats.solo += group.members as usize;
+                stats.solo += live;
             }
             stats.classes += group.interner.classes.len();
-            let edges = group.edges.read().expect("patternset edges lock");
-            stats.implication_edges += edges.iter().map(Vec::len).sum::<usize>();
-            let (nodes, depths) = trie_stats(&group.labels);
+            stats.implication_edges += group.edges.iter().map(Vec::len).sum::<usize>();
+            let labels: Vec<&[(u32, bool)]> =
+                group.members.iter().map(|(_, l)| l.as_slice()).collect();
+            let (nodes, depths) = trie_stats(&labels);
             stats.trie_nodes += nodes;
             for d in depths {
                 stats.shared_prefix_depth.record(d);
             }
             let caches = group.caches.lock().expect("patternset cache registry lock");
-            for cache in caches.values() {
+            for cache in caches.clusters.values() {
                 let (saved, shared) = cache.counters();
                 stats.tests_saved += saved;
                 stats.tests_shared += shared;
@@ -608,15 +818,31 @@ impl SetRegistry {
         }
         stats
     }
+
+    /// `(live groups, memo cells)`: what the registry holds right now.
+    /// Both return to zero once every member has left.
+    pub fn footprint(&self) -> (usize, usize) {
+        let state = self.lock();
+        let cells = state
+            .groups
+            .iter()
+            .map(|group| {
+                let caches = group.caches.lock().expect("patternset cache registry lock");
+                caches.clusters.values().map(|c| c.cells()).sum::<usize>()
+            })
+            .sum();
+        (state.groups.len(), cells)
+    }
 }
 
 /// A standing query's membership in a [`SetRegistry`] group, carried by
 /// its streaming session: hands out per-cluster
-/// [`SharedEvalHandle`]s keyed by the cluster's key values.
-#[derive(Clone)]
+/// [`SharedEvalHandle`]s keyed by the cluster's key values.  Dropping it
+/// leaves the group.
 pub struct SharedJoin {
-    edges: Edges,
-    caches: Arc<Mutex<BTreeMap<Vec<Value>, Arc<ClusterCache>>>>,
+    registry: Weak<Mutex<RegistryState>>,
+    group: u64,
+    caches: Arc<Mutex<GroupCaches>>,
     classes: Arc<[u32]>,
     query: u16,
 }
@@ -629,26 +855,36 @@ impl fmt::Debug for SharedJoin {
     }
 }
 
+impl Drop for SharedJoin {
+    fn drop(&mut self) {
+        if let Some(state) = self.registry.upgrade() {
+            if let Ok(mut state) = state.lock() {
+                state.leave(self.group, self.query);
+            }
+        }
+    }
+}
+
 impl SharedJoin {
     /// The eval handle for one cluster, creating its cache on first use.
     pub(crate) fn handle_for(&self, key: &[Value]) -> SharedEvalHandle {
         let mut caches = self.caches.lock().expect("patternset cache registry lock");
-        let cache = caches
+        let GroupCaches { edges, clusters } = &mut *caches;
+        let cache = clusters
             .entry(key.to_vec())
-            .or_insert_with(|| Arc::new(ClusterCache::default()));
+            .or_insert_with(|| Arc::new(ClusterCache::new(Arc::clone(edges))));
         SharedEvalHandle {
             cache: Arc::clone(cache),
-            edges: Arc::clone(&self.edges),
             classes: Arc::clone(&self.classes),
             query: self.query,
         }
     }
 
-    /// Drop memo entries below `floor` for one cluster (called alongside
+    /// Drop memo cells below `floor` for one cluster (called alongside
     /// the session's window compaction; soft state, safe to over-prune).
     pub(crate) fn prune_below(&self, key: &[Value], floor: u64) {
         let caches = self.caches.lock().expect("patternset cache registry lock");
-        if let Some(cache) = caches.get(key) {
+        if let Some(cache) = caches.clusters.get(key) {
             cache.prune_below(floor);
         }
     }
@@ -673,20 +909,24 @@ mod tests {
         compile(src, &schema(), &CompileOptions::default()).unwrap()
     }
 
-    /// Join every query to a fresh registry at feed position zero.
-    fn joined(queries: &[CompiledQuery]) -> SetRegistry {
+    /// Join every query to a fresh registry at feed position zero; the
+    /// members stay joined while the returned joins live.
+    fn joined(queries: &[CompiledQuery]) -> (SetRegistry, Vec<SharedJoin>) {
         let registry = SetRegistry::new();
-        for query in queries {
-            registry
-                .join(0, query, FirstTuplePolicy::default())
-                .expect("every test query has a shareable element");
-        }
-        registry
+        let joins = queries
+            .iter()
+            .map(|query| {
+                registry
+                    .join(0, query, FirstTuplePolicy::default())
+                    .expect("every test query has a shareable element")
+            })
+            .collect();
+        (registry, joins)
     }
 
     #[test]
     fn identical_elements_intern_to_one_class() {
-        let registry = joined(&[
+        let (registry, _joins) = joined(&[
             q(
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
                WHERE X.price > 95 AND Y.price > 95",
@@ -744,7 +984,7 @@ mod tests {
 
     #[test]
     fn mixed_cluster_keys_split_into_groups_and_solo() {
-        let registry = joined(&[
+        let (registry, _joins) = joined(&[
             q(
                 "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
                WHERE Y.price > 95",
@@ -762,6 +1002,50 @@ mod tests {
         assert_eq!(stats.solo, 1, "the unclustered query runs solo");
     }
 
+    /// Drive one test through a handle: a hit answers, a miss stores
+    /// `val` (what evaluation would give) and answers `None`.
+    fn test(
+        handle: &SharedEvalHandle,
+        elem0: usize,
+        pos: usize,
+        avail: usize,
+        val: bool,
+    ) -> Option<bool> {
+        match handle.probe(elem0, pos)? {
+            Probe::Hit(cached) => Some(cached),
+            Probe::Miss(miss) => {
+                miss.store(avail, val);
+                None
+            }
+        }
+    }
+
+    /// A probe that stores nothing on a miss.
+    fn peek(handle: &SharedEvalHandle, elem0: usize, pos: usize) -> Option<bool> {
+        match handle.probe(elem0, pos)? {
+            Probe::Hit(cached) => Some(cached),
+            Probe::Miss(_) => None,
+        }
+    }
+
+    impl ClusterCache {
+        /// [`test`] at the cache level.
+        fn test(&self, pos: u64, class: u32, query: u16, avail: usize, val: bool) -> Option<bool> {
+            match self.probe(pos, class, query) {
+                Probe::Hit(cached) => Some(cached),
+                Probe::Miss(miss) => {
+                    miss.store(avail, val);
+                    None
+                }
+            }
+        }
+
+        /// Established cells.
+        fn known(&self) -> usize {
+            self.lock().cells.ring.iter().filter(|&&c| c != 0).count()
+        }
+    }
+
     #[test]
     fn registry_join_and_cache_roundtrip() {
         let registry = SetRegistry::new();
@@ -777,10 +1061,10 @@ mod tests {
         let ha = join_a.handle_for(&key);
         let hb = join_b.handle_for(&key);
         let hc = join_c.handle_for(&key);
-        assert_eq!(ha.probe(0, 3), None);
-        ha.store(0, 3, 10, true);
-        assert_eq!(hb.probe(0, 3), Some(true), "same group shares the memo");
-        assert_eq!(hc.probe(0, 3), None, "different origin must not share");
+        assert_eq!(peek(&ha, 0, 3), None);
+        assert_eq!(test(&ha, 0, 3, 10, true), None);
+        assert_eq!(peek(&hb, 0, 3), Some(true), "same group shares the memo");
+        assert_eq!(peek(&hc, 0, 3), None, "different origin must not share");
         let stats = registry.stats();
         assert_eq!(stats.queries, 3);
         assert_eq!(stats.groups, 1);
@@ -791,16 +1075,18 @@ mod tests {
 
     #[test]
     fn cache_prune_drops_only_older_positions() {
-        let cache = ClusterCache::default();
-        let edges: Vec<Vec<Edge>> = vec![Vec::new()];
+        let cache = ClusterCache::new(Arc::new(vec![Vec::new()]));
         for pos in 0..10u64 {
-            cache.store(&edges, pos, 0, 100, true, 0);
+            cache.test(pos, 0, 0, 100, true);
         }
-        assert_eq!(cache.entries(), 10);
+        assert_eq!(cache.known(), 10);
         cache.prune_below(6);
-        assert_eq!(cache.entries(), 4);
-        assert_eq!(cache.probe(5, 0, 1), None);
-        assert_eq!(cache.probe(7, 0, 1), Some(true));
+        assert_eq!(cache.known(), 4);
+        assert_eq!(cache.test(5, 0, 1, 100, false), None);
+        assert_eq!(cache.test(7, 0, 1, 100, false), Some(true));
+        // The store below the floor extended the ring's front.
+        assert_eq!(cache.test(5, 0, 1, 100, true), Some(false));
+        assert_eq!(cache.known(), 5);
     }
 
     #[test]
@@ -821,12 +1107,225 @@ mod tests {
         let (ids_b, _) = interner.intern_query(&b, &mut edges);
         assert_eq!(ids_a, vec![0]);
         assert_eq!(ids_b, vec![1]);
-        let cache = ClusterCache::default();
+        let cache = ClusterCache::new(Arc::new(edges));
         // Boundary position 0: back margin is 1, so no derivation.
-        cache.store(&edges, 0, 0, 10, true, 0);
-        assert_eq!(cache.probe(0, 1, 1), None, "boundary must not derive");
+        cache.test(0, 0, 0, 10, true);
+        assert_eq!(
+            cache.test(0, 1, 1, 10, true),
+            None,
+            "boundary must not derive"
+        );
         // Interior position: observing class 0 true derives class 1 false.
-        cache.store(&edges, 5, 0, 10, true, 0);
-        assert_eq!(cache.probe(5, 1, 1), Some(false));
+        cache.test(5, 0, 0, 10, true);
+        assert_eq!(cache.test(5, 1, 1, 10, true), Some(false));
+    }
+
+    #[test]
+    fn a_memo_made_before_a_join_derives_into_the_joiners_class() {
+        let registry = SetRegistry::new();
+        let a = q(
+            "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X) \
+                   WHERE X.price > 100 AND X.price < 200",
+        );
+        let join_a = registry.join(0, &a, FirstTuplePolicy::default()).unwrap();
+        let key = vec![Value::from("AAA")];
+        // The cluster memo exists before the second class is interned.
+        let ha = join_a.handle_for(&key);
+        // b ⊆ a: a-true derives b-true.  c contradicts a: a-true derives
+        // c-false at interior positions.
+        let b = q(
+            "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X) \
+                   WHERE X.price > 100",
+        );
+        let c = q(
+            "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X) \
+                   WHERE X.price < 50",
+        );
+        let join_b = registry.join(0, &b, FirstTuplePolicy::default()).unwrap();
+        let join_c = registry.join(0, &c, FirstTuplePolicy::default()).unwrap();
+        let (hb, hc) = (join_b.handle_for(&key), join_c.handle_for(&key));
+        assert_eq!(test(&ha, 0, 3, 10, true), None);
+        assert_eq!(peek(&hb, 0, 3), Some(true), "subset edge from a stale memo");
+        assert_eq!(
+            peek(&hc, 0, 3),
+            Some(false),
+            "contradiction edge from a stale memo"
+        );
+        assert_eq!(registry.stats().tests_shared, 2);
+    }
+
+    #[test]
+    fn the_last_member_out_drops_the_group_and_keeps_its_savings() {
+        let registry = SetRegistry::new();
+        let a = q(
+            "SELECT X.name FROM t CLUSTER BY name SEQUENCE BY day AS (X, Y) \
+                   WHERE X.price > 95 AND Y.price > 95",
+        );
+        let key = vec![Value::from("AAA")];
+        let mut last = (0, 0);
+        for origin in 0..20u64 {
+            let joins: Vec<SharedJoin> = (0..3)
+                .map(|_| {
+                    registry
+                        .join(origin, &a, FirstTuplePolicy::default())
+                        .unwrap()
+                })
+                .collect();
+            let handles: Vec<SharedEvalHandle> = joins.iter().map(|j| j.handle_for(&key)).collect();
+            for pos in 0..8 {
+                for handle in &handles {
+                    test(handle, 0, pos, 8, pos % 3 == 0);
+                }
+            }
+            assert_eq!(registry.footprint().0, 1);
+            let mut joins = joins.into_iter();
+            drop(joins.next());
+            assert_eq!(registry.stats().queries, 2, "queries counts live members");
+            drop(handles);
+            drop(joins);
+            assert_eq!(registry.footprint(), (0, 0), "origin {origin}");
+            let stats = registry.stats();
+            assert!(stats.tests_saved > last.0 && stats.tests_shared > last.1);
+            last = (stats.tests_saved, stats.tests_shared);
+            assert_eq!(stats.queries, 0);
+            assert_eq!(stats.classes, 0);
+        }
+        // 8 positions × 3 members: the first evaluates, the other two hit.
+        assert_eq!(last, (20 * 8 * 2, 20 * 8 * 2));
+    }
+
+    /// The `BTreeMap` memo the ring replaced, kept as the reference the
+    /// ring is fuzzed against.
+    #[derive(Default)]
+    struct MapCache {
+        map: BTreeMap<(u64, u32), (bool, u16, bool)>,
+        saved: u64,
+        shared: u64,
+    }
+
+    impl MapCache {
+        fn probe(&mut self, pos: u64, class: u32, query: u16) -> Option<bool> {
+            let (val, owner, derived) = *self.map.get(&(pos, class))?;
+            self.saved += 1;
+            if owner != query || derived {
+                self.shared += 1;
+            }
+            Some(val)
+        }
+
+        fn store(
+            &mut self,
+            edges: &[Vec<Edge>],
+            pos: u64,
+            class: u32,
+            avail: u64,
+            val: bool,
+            query: u16,
+        ) {
+            self.map.entry((pos, class)).or_insert((val, query, false));
+            for edge in &edges[class as usize] {
+                if edge.on != val {
+                    continue;
+                }
+                if edge.interior && (pos < edge.back as u64 || pos + edge.fwd as u64 + 1 > avail) {
+                    continue;
+                }
+                self.map
+                    .entry((pos, edge.target))
+                    .or_insert((edge.val, query, true));
+            }
+        }
+
+        fn prune_below(&mut self, floor: u64) {
+            self.map = self.map.split_off(&(floor, 0));
+        }
+    }
+
+    /// A random lattice edge out of a new class `c` (to any class ≤ `c`).
+    fn random_edge(rng: &mut rand::rngs::SmallRng, c: usize) -> Edge {
+        use rand::Rng;
+        Edge {
+            on: rng.gen_bool(0.5),
+            target: rng.gen_range(0..=c) as u32,
+            val: rng.gen_bool(0.5),
+            interior: rng.gen_bool(0.5),
+            back: rng.gen_range(0..3u32),
+            fwd: rng.gen_range(0..3u32),
+        }
+    }
+
+    /// Property: the ring answers every probe, holds every cell and
+    /// counts `(saved, shared)` exactly as the `BTreeMap` memo did, over
+    /// seeded random sequences of probes, stores (with random edges and
+    /// interior gates), prunes — including stores below the base a prune
+    /// left — and classes interned mid-sequence.
+    fn fuzz_memo_against_map(seed: u64, rounds: u32) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        for round in 0..rounds {
+            let mut edges: Vec<Vec<Edge>> = vec![Vec::new()];
+            let ring = ClusterCache::new(Arc::new(edges.clone()));
+            let mut map = MapCache::default();
+            let mut frontier = rng.gen_range(0..50u64);
+            for step in 0..rng.gen_range(1..400) {
+                let at = format!("seed {seed:#x} round {round} step {step}");
+                match rng.gen_range(0..100) {
+                    0..=3 if edges.len() < 12 => {
+                        // A join interns a class, linking edges both ways.
+                        let c = edges.len();
+                        edges.push(Vec::new());
+                        for _ in 0..rng.gen_range(0..4) {
+                            let edge = random_edge(&mut rng, c);
+                            edges[c].push(edge);
+                            let back = rng.gen_range(0..c);
+                            edges[back].push(Edge {
+                                target: c as u32,
+                                ..random_edge(&mut rng, c)
+                            });
+                        }
+                        ring.lock().edges = Arc::new(edges.clone());
+                    }
+                    4..=9 => {
+                        let floor = (frontier + 2).saturating_sub(rng.gen_range(0..12));
+                        ring.prune_below(floor);
+                        map.prune_below(floor);
+                    }
+                    _ => {
+                        frontier += u64::from(rng.gen_bool(0.3));
+                        let pos = frontier.saturating_sub(rng.gen_range(0..16));
+                        // Biased to the newest class, which the ring's
+                        // stride may not cover yet.
+                        let class = rng.gen_range(0..edges.len() + 1).min(edges.len() - 1) as u32;
+                        let query = rng.gen_range(0..4u16);
+                        let avail = frontier + rng.gen_range(0..4u64);
+                        let val = rng.gen_bool(0.5);
+                        let expected = map.probe(pos, class, query);
+                        match ring.probe(pos, class, query) {
+                            Probe::Hit(cached) => assert_eq!(Some(cached), expected, "{at}"),
+                            Probe::Miss(miss) => {
+                                assert_eq!(expected, None, "{at}");
+                                if rng.gen_bool(0.8) {
+                                    miss.store(avail as usize, val);
+                                    map.store(&edges, pos, class, avail, val, query);
+                                }
+                            }
+                        }
+                    }
+                }
+                assert_eq!(ring.counters(), (map.saved, map.shared), "{at}");
+                assert_eq!(ring.known(), map.map.len(), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_ring_answers_as_the_map_did() {
+        fuzz_memo_against_map(0x5EED_0037, 300);
+    }
+
+    #[test]
+    #[ignore = "high-round variant of memo_ring_answers_as_the_map_did"]
+    fn memo_ring_answers_as_the_map_did_long() {
+        fuzz_memo_against_map(0x1D1F_F00D, 30_000);
     }
 }

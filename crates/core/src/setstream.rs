@@ -162,15 +162,19 @@ impl<'q> SharedStreamSession<'q> {
 
     /// Close every member and assemble the set statistics.  Each member's
     /// result is exactly what its solo session would return; the stats
-    /// combine the registry's compile/savings counters with the members'
-    /// logical test totals.
+    /// combine the registry's compile shape (taken while the members are
+    /// still joined) and savings counters (taken after the last finish)
+    /// with the members' logical test totals.
     pub fn finish(self) -> (Vec<Result<QueryResult, StreamError>>, PatternSetStats) {
+        let mut stats = self.registry.stats();
         let results: Vec<Result<QueryResult, StreamError>> = self
             .members
             .into_iter()
             .map(StreamSession::finish)
             .collect();
-        let mut stats = self.registry.stats();
+        let savings = self.registry.stats();
+        stats.tests_saved = savings.tests_saved;
+        stats.tests_shared = savings.tests_shared;
         stats.queries += self.unshared;
         stats.solo += self.unshared;
         for result in &results {

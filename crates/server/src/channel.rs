@@ -40,7 +40,7 @@ use sqlts_core::{
 };
 use sqlts_relation::{parse_headerless_row, CsvError, Schema, Value};
 use sqlts_trace::Level;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -108,6 +108,10 @@ pub(crate) struct Channel {
     /// an empty `Vec` behind a mutex until someone joins); subscriptions
     /// only join it under `--shared-matcher on`.
     pub registry: Arc<SetRegistry>,
+    /// Logical predicate tests of the subscriptions that have left the
+    /// channel, so the pattern-set ledger counts all-time like the
+    /// registry's savings.
+    pub retired_tests: AtomicU64,
     persist: Mutex<Persist>,
     /// Group-commit coordinator (idle under `--fsync off`).
     pub(crate) group: GroupCommit,
@@ -127,6 +131,7 @@ impl Channel {
             name: name.to_string(),
             schema,
             registry: Arc::new(SetRegistry::new()),
+            retired_tests: AtomicU64::new(0),
             persist: Mutex::new(Persist {
                 rows_total: wal.as_ref().map_or(0, ChannelWal::rows_total),
                 wal,

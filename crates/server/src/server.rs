@@ -78,7 +78,7 @@ use crate::profiler::SamplingProfiler;
 use crate::recover::{DataDir, ServeError, SubMeta};
 use crate::replicate::{self, ReplAck, ReplSnapshot, Replicator};
 use crate::wal::{scan_wal, FsyncPolicy, WalFrame};
-use sqlts_core::{EngineKind, Governor, SessionCheckpoint, TripReason, WorkerError};
+use sqlts_core::{EngineKind, FinishReport, Governor, SessionCheckpoint, TripReason, WorkerError};
 use sqlts_relation::Schema;
 use sqlts_trace::{Level, LogFormat, PatternSetStats, SpanLog};
 use std::collections::HashMap;
@@ -872,6 +872,7 @@ fn reap_connection(shared: &Shared, conn: u64) {
     for sub in orphans {
         shared.forget_sub(&sub.id);
         if let Ok(report) = sub.worker.finish() {
+            retire_tests(shared, &sub, &report);
             if let Some(profile) = report.profile {
                 shared.metrics.retain_profile(&sub.id, profile);
             }
@@ -1296,6 +1297,7 @@ fn unsubscribe(shared: &Shared, id: &str) -> Result<String, String> {
     let sub = shared.subs().remove(id).ok_or_else(|| unknown_sub(id))?;
     shared.forget_sub(id);
     let report = sub.worker.finish().map_err(|e| worker_err(&e))?;
+    retire_tests(shared, &sub, &report);
     // An unsubscribe that surfaces a trip, quarantine, or error is the
     // operator-visible outcome of a misbehaving tenant: warn.  A clean
     // finish is routine: info.
@@ -1410,18 +1412,31 @@ fn repl_snapshot(shared: &Shared) -> Option<ReplSnapshot> {
 }
 
 /// Roll the per-channel shared pattern-set registries into one
-/// `/metrics` block.  Registries carry the compile shape and the memo
-/// savings; the *logical* test total comes from the live sessions (solo
-/// subscriptions included — their tests are all physically evaluated,
-/// which is exactly what `tests_evaluated = logical - saved` charges).
+/// `/metrics` block.  Registries carry the compile shape of the live
+/// members and the all-time memo savings; the *logical* test total is
+/// all-time too: the live sessions' counts plus each channel's retired
+/// total (solo subscriptions included — their tests are all physically
+/// evaluated, which is exactly what `tests_evaluated = logical - saved`
+/// charges).
 fn patternset_stats(shared: &Shared, views: &[SubStatusView]) -> PatternSetStats {
     let mut stats = PatternSetStats::default();
     for channel in shared.all_channels() {
         stats.absorb(&channel.registry.stats());
+        stats.tests_logical += channel.retired_tests.load(Ordering::Relaxed);
     }
-    stats.tests_logical = views.iter().map(|v| v.status.predicate_tests).sum();
+    stats.tests_logical += views.iter().map(|v| v.status.predicate_tests).sum::<u64>();
     stats.tests_evaluated = stats.tests_logical.saturating_sub(stats.tests_saved);
     stats
+}
+
+/// Fold a finished subscription's logical tests into its channel's
+/// retired total.
+fn retire_tests(shared: &Shared, sub: &Subscription, report: &FinishReport) {
+    if let Ok(channel) = shared.channel(&sub.meta.channel) {
+        channel
+            .retired_tests
+            .fetch_add(report.predicate_tests, Ordering::Relaxed);
+    }
 }
 
 /// Snapshot every live subscription's observable state for the HTTP
@@ -1712,6 +1727,108 @@ mod tests {
             let shared = dispatch(&on.shared, 1, &format!("UNSUBSCRIBE s{i}")).unwrap();
             assert_eq!(solo, shared, "subscription s{i} diverged under sharing");
         }
+    }
+
+    /// The `/metrics` pattern-set ledger as `[logical, evaluated, saved,
+    /// shared, queries]`.
+    fn ledger(shared: &Shared) -> [u64; 5] {
+        let stats = patternset_stats(shared, &http_sub_views(shared));
+        [
+            stats.tests_logical,
+            stats.tests_evaluated,
+            stats.tests_saved,
+            stats.tests_shared,
+            stats.queries as u64,
+        ]
+    }
+
+    fn assert_ledger_grew(before: [u64; 5], after: [u64; 5]) {
+        for (i, name) in ["logical", "evaluated", "saved", "shared"]
+            .iter()
+            .enumerate()
+        {
+            assert!(
+                after[i] >= before[i],
+                "{name} fell: {before:?} -> {after:?}"
+            );
+        }
+        assert_eq!(after[0], after[1] + after[2], "unbalanced: {after:?}");
+    }
+
+    #[test]
+    fn patternset_ledger_counts_left_subscriptions() {
+        let server = Server::bind(ServerConfig {
+            shared_matcher: true,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let shared = &server.shared;
+        dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+        for i in 0..8 {
+            let sql = format!(
+                "SELECT X.name, Z.day AS day FROM q CLUSTER BY name SEQUENCE BY day \
+                 AS (X, Y, Z) WHERE X.price > 95 AND Y.price > X.previous.price \
+                 AND Z.price < {}",
+                100 + i
+            );
+            dispatch(shared, 1, &format!("SUBSCRIBE s{i} q\n{sql}")).unwrap();
+        }
+        let mut body = String::new();
+        for day in 0..50 {
+            for name in ["AAA", "BBB"] {
+                let price = 94 + ((day * 7 + name.len()) % 13);
+                body.push_str(&format!("{name},{day},{price}\n"));
+            }
+        }
+        dispatch(shared, 1, &format!("FEED q\n{body}")).unwrap();
+        let before = ledger(shared);
+        assert_eq!(before[4], 8, "{before:?}");
+        assert!(before[3] > 0, "{before:?}");
+        for i in 0..7 {
+            dispatch(shared, 1, &format!("UNSUBSCRIBE s{i}")).unwrap();
+        }
+        let after = ledger(shared);
+        assert_ledger_grew(before, after);
+        assert_eq!(after[4], 1, "queries counts live members: {after:?}");
+    }
+
+    #[test]
+    fn subscription_churn_leaves_no_registry_behind() {
+        let server = Server::bind(ServerConfig {
+            shared_matcher: true,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let shared = &server.shared;
+        dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+        let sql = |bound: usize| {
+            format!(
+                "SELECT X.name FROM q CLUSTER BY name SEQUENCE BY day AS (X, Y) \
+                 WHERE X.price > 95 AND Y.price < {bound}"
+            )
+        };
+        let mut last = ledger(shared);
+        for cycle in 0..50 {
+            // Two aligned members per cycle, at an origin one frame later
+            // than the last cycle's: a fresh group every time.
+            dispatch(shared, 1, &format!("SUBSCRIBE a{cycle} q\n{}", sql(100))).unwrap();
+            dispatch(shared, 1, &format!("SUBSCRIBE b{cycle} q\n{}", sql(101))).unwrap();
+            let mut body = String::new();
+            for day in 0..10 {
+                let price = 94 + ((cycle * 10 + day) * 7 % 13);
+                body.push_str(&format!("AAA,{},{price}\n", cycle * 10 + day));
+            }
+            dispatch(shared, 1, &format!("FEED q\n{body}")).unwrap();
+            dispatch(shared, 1, &format!("UNSUBSCRIBE a{cycle}")).unwrap();
+            dispatch(shared, 1, &format!("UNSUBSCRIBE b{cycle}")).unwrap();
+            let now = ledger(shared);
+            assert_ledger_grew(last, now);
+            assert_eq!(now[4], 0, "cycle {cycle}: {now:?}");
+            last = now;
+        }
+        assert!(last[3] > 0, "{last:?}");
+        let registry = &shared.channel("q").unwrap().registry;
+        assert_eq!(registry.footprint(), (0, 0));
     }
 
     #[test]

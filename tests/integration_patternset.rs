@@ -290,6 +290,12 @@ fn shared_stream_resume_from_every_prefix_is_bit_identical() {
     fuzz_shared_stream(0x57BEA3, 40);
 }
 
+#[test]
+#[ignore = "high-round variant of shared_stream_resume_from_every_prefix_is_bit_identical"]
+fn shared_stream_resume_from_every_prefix_is_bit_identical_long() {
+    fuzz_shared_stream(0x5EA_F00D, 1000);
+}
+
 /// The deterministic prefix-sharing family from the acceptance
 /// criterion: identical bodies, member-specific tail constant.
 fn prefix_family(k: usize) -> Vec<String> {
