@@ -1,7 +1,7 @@
 //! Regenerate every figure and table of the paper's evaluation.
 //!
 //! ```text
-//! experiments [all|ex5|ex9|fig5|kmp|double_bottom|sweep|reverse|compile_cost|disjunction|ablation|parallel|bench-json]
+//! experiments [all|ex5|ex9|fig5|kmp|double_bottom|sweep|compile_cost|disjunction|ablation|parallel|bench-json]
 //! ```
 //!
 //! Each subcommand corresponds to one experiment of the index in
@@ -9,9 +9,7 @@
 //! EXPERIMENTS.md.
 
 use sqlts_bench::*;
-use sqlts_core::engine::SearchOptions;
-use sqlts_core::reverse::{direction_hint, find_matches_directed, Direction};
-use sqlts_core::{compile, explain, CompileOptions, EngineKind, EvalCounter, FirstTuplePolicy};
+use sqlts_core::{compile, explain, CompileOptions, EngineKind, EvalCounter};
 use sqlts_datagen::big_move_fraction;
 use std::time::Instant;
 
@@ -26,7 +24,6 @@ fn main() {
         ("kmp", kmp),
         ("double_bottom", double_bottom),
         ("sweep", sweep),
-        ("reverse", reverse),
         ("compile_cost", compile_cost),
         ("disjunction", disjunction),
         ("ablation", ablation),
@@ -216,71 +213,6 @@ fn sweep() {
         "\nmax speedup over the backtracking baseline: {best:.0}x \
          (paper: \"speedups up to 800 times over naive search\")"
     );
-}
-
-/// E7 — §8: forward vs reverse search and the direction heuristic.
-fn reverse() {
-    let queries = [
-        ("double-bottom", DOUBLE_BOTTOM.to_string()),
-        (
-            "selective-tail",
-            "SELECT A.date FROM t SEQUENCE BY date AS (A, B, C) \
-             WHERE A.price > A.previous.price AND B.price > B.previous.price \
-             AND C.price = 1"
-                .to_string(),
-        ),
-        (
-            "selective-head",
-            "SELECT A.date FROM t SEQUENCE BY date AS (A, B, C) \
-             WHERE A.price = 1 AND B.price > B.previous.price \
-             AND C.price > C.previous.price"
-                .to_string(),
-        ),
-    ];
-    println!(
-        "{:<16} {:>12} {:>12} {:>10} {:>10}",
-        "query", "fwd tests", "rev tests", "hint", "hint ok"
-    );
-    for (id, src) in queries {
-        let table = if id == "double-bottom" {
-            djia(DJIA_SEED)
-        } else {
-            sweep_workload(20_000, 11)
-        };
-        let compiled = compile(&src, table.schema(), &CompileOptions::default()).unwrap();
-        let clusters = table.cluster_by(&[], &["date"]).unwrap();
-        let opts = SearchOptions {
-            policy: FirstTuplePolicy::VacuousTrue,
-        };
-        let mut costs = Vec::new();
-        for dir in [Direction::Forward, Direction::Reverse] {
-            let counter = EvalCounter::new();
-            let found = find_matches_directed(
-                &compiled,
-                &clusters[0],
-                dir,
-                EngineKind::Ops,
-                &opts,
-                &counter,
-            );
-            costs.push((counter.total(), found.len()));
-        }
-        let hint = direction_hint(&compiled);
-        let better = if costs[0].0 <= costs[1].0 {
-            Direction::Forward
-        } else {
-            Direction::Reverse
-        };
-        println!(
-            "{:<16} {:>12} {:>12} {:>10} {:>10}",
-            id,
-            costs[0].0,
-            costs[1].0,
-            format!("{hint:?}"),
-            hint == better
-        );
-    }
-    println!("\npaper (§8): pick the direction with the larger average shift/next");
 }
 
 /// E8 — §5.1: compile-time cost of shift/next vs pattern length

@@ -44,8 +44,8 @@ use sqlts_core::stream::{
     BadTuplePolicy, SessionCheckpoint, StreamError, StreamOptions, StreamSession,
 };
 use sqlts_core::{
-    compile, execute, explain, CompileOptions, CompiledQuery, DirectionChoice, EngineKind,
-    ExecError, ExecOptions, FirstTuplePolicy, Governor, Instrument, QueryResult,
+    compile, execute, explain, CompileOptions, CompiledQuery, EngineKind, ExecError, ExecOptions,
+    FirstTuplePolicy, Governor, Instrument, QueryResult,
 };
 use sqlts_relation::{CsvRecords, Schema, Table};
 use std::num::NonZeroUsize;
@@ -92,11 +92,6 @@ const FLAGS: &[FlagSpec] = &[
         name: "--engine",
         metavar: Some("naive|backtrack|ops|shift-only"),
         help: "pattern-search engine (default ops)",
-    },
-    FlagSpec {
-        name: "--direction",
-        metavar: Some("forward|reverse|auto"),
-        help: "scan direction; auto uses the mean-shift/next heuristic (default forward)",
     },
     FlagSpec {
         name: "--threads",
@@ -382,7 +377,6 @@ struct Args {
     demo_djia: bool,
     seed: u64,
     engine: EngineKind,
-    direction: DirectionChoice,
     explain: bool,
     stats: bool,
     profile: bool,
@@ -469,7 +463,6 @@ fn parse_args() -> Args {
         demo_djia: false,
         seed: 2001,
         engine: EngineKind::Ops,
-        direction: DirectionChoice::Forward,
         explain: false,
         stats: false,
         profile: false,
@@ -511,14 +504,6 @@ fn parse_args() -> Args {
                     .as_deref()
                     .and_then(EngineKind::from_name)
                     .unwrap_or_else(|| usage())
-            }
-            "--direction" => {
-                args.direction = match value.as_deref() {
-                    Some("forward") => DirectionChoice::Forward,
-                    Some("reverse") => DirectionChoice::Reverse,
-                    Some("auto") => DirectionChoice::Auto,
-                    _ => usage(),
-                }
             }
             "--threads" => args.threads = numeric(value),
             "--timeout-ms" => args.timeout_ms = Some(numeric(value)),
@@ -1198,7 +1183,6 @@ fn run() -> Result<(), CliError> {
             FirstTuplePolicy::VacuousTrue
         },
         compile: compile_opts,
-        direction: args.direction,
         threads: args.threads,
         governor: build_governor(&args),
         instrument: build_instrument(&args),

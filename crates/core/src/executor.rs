@@ -4,7 +4,6 @@ use crate::counters::EvalCounter;
 use crate::engine::{plan_for, search_cluster, EngineKind, SearchOptions, SearchPlan};
 use crate::governor::{Governor, RunGovernor, Trip};
 use crate::patternset::SharedEvalHandle;
-use crate::reverse::{direction_hint, find_matches_directed, Direction};
 use sqlts_lang::{
     compile, eval_projection, Bindings, CompileOptions, CompiledQuery, EvalCtx, FirstTuplePolicy,
     LangError,
@@ -28,9 +27,6 @@ pub struct ExecOptions {
     pub policy: FirstTuplePolicy,
     /// Compiler options (the positive-domain assumption).
     pub compile: CompileOptions,
-    /// Search direction (§8): forward, reverse, or chosen by the
-    /// mean-shift/next heuristic.
-    pub direction: DirectionChoice,
     /// Worker threads for cluster-parallel execution.
     ///
     /// `CLUSTER BY` partitions are independent streams, so the search plan
@@ -130,34 +126,9 @@ impl Default for ExecOptions {
             engine: EngineKind::default(),
             policy: FirstTuplePolicy::default(),
             compile: CompileOptions::default(),
-            direction: DirectionChoice::default(),
             threads: NonZeroUsize::MIN,
             governor: Governor::unlimited(),
             instrument: Instrument::none(),
-        }
-    }
-}
-
-/// How the executor chooses the scan direction (§8 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DirectionChoice {
-    /// Always scan front-to-back.
-    #[default]
-    Forward,
-    /// Always scan back-to-front (matches are still reported in forward
-    /// coordinates and forward order).
-    Reverse,
-    /// Pick per query using the paper's mean-shift/next heuristic.
-    Auto,
-}
-
-impl DirectionChoice {
-    /// The concrete scan direction this choice means for `query`.
-    pub(crate) fn resolve(self, query: &CompiledQuery) -> Direction {
-        match self {
-            DirectionChoice::Forward => Direction::Forward,
-            DirectionChoice::Reverse => Direction::Reverse,
-            DirectionChoice::Auto => direction_hint(query),
         }
     }
 }
@@ -353,7 +324,6 @@ pub(crate) fn output_schema(query: &CompiledQuery) -> Result<Schema, TableError>
 /// query; a long-lived session that must outlive its creator owns it.
 pub(crate) struct Member<'q> {
     pub(crate) query: Cow<'q, CompiledQuery>,
-    direction: Direction,
     schema: Schema,
     pub(crate) search_plan: Option<SearchPlan>,
     plan_ns: u64,
@@ -363,24 +333,18 @@ pub(crate) struct Member<'q> {
 impl<'q> Member<'q> {
     pub(crate) fn prepare(
         query: Cow<'q, CompiledQuery>,
-        direction: Direction,
         options: &ExecOptions,
     ) -> Result<Member<'q>, TableError> {
         let schema = output_schema(&query)?;
-        // Compile the search plan once, reuse across clusters (forward scans
-        // only; the reverse path compiles the reversed pattern internally).
+        // Compile the search plan once, reuse across clusters.
         let t_plan = options.instrument.armed().then(Instant::now);
-        let search_plan = match direction {
-            Direction::Forward => plan_for(&query.elements, options.engine),
-            Direction::Reverse => None,
-        };
+        let search_plan = plan_for(&query.elements, options.engine);
         let plan_ns = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
         // Arm the governor only when some limit is actually set: the
         // ungoverned path stays bit-identical to a build without a governor.
         let run = (!options.governor.is_unlimited()).then(|| options.governor.begin());
         Ok(Member {
             query,
-            direction,
             schema,
             search_plan,
             plan_ns,
@@ -429,8 +393,7 @@ pub fn execute(
     let t_partition = options.instrument.armed().then(Instant::now);
     let clusters = table.cluster_by(&cluster_cols, &sequence_cols)?;
     phases.partition = t_partition.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let direction = options.direction.resolve(query);
-    let member = Member::prepare(Cow::Borrowed(query), direction, options)?;
+    let member = Member::prepare(Cow::Borrowed(query), options)?;
     let job = BatchJob {
         member: &member,
         clusters: &clusters,
@@ -682,24 +645,14 @@ impl BatchJob<'_> {
             policy: self.options.policy,
         };
         let counter = member.counter(self.options.instrument, None);
-        let matches = match member.direction {
-            Direction::Forward => search_cluster(
-                &query.elements,
-                cluster,
-                self.options.engine,
-                member.search_plan.as_ref(),
-                &search_options,
-                &counter,
-            ),
-            Direction::Reverse => find_matches_directed(
-                query,
-                cluster,
-                Direction::Reverse,
-                self.options.engine,
-                &search_options,
-                &counter,
-            ),
-        };
+        let matches = search_cluster(
+            &query.elements,
+            cluster,
+            self.options.engine,
+            member.search_plan.as_ref(),
+            &search_options,
+            &counter,
+        );
         let ctx = EvalCtx {
             cluster,
             policy: search_options.policy,
@@ -814,30 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_and_auto_directions_return_forward_order() {
-        // The pattern must have non-overlapping candidate matches: forward
-        // search is left-maximal, reverse right-maximal, and they only
-        // provably coincide when candidates don't overlap (each cluster
-        // here has a single isolated price drop).
-        let table = quote_table();
-        let src = "SELECT X.name, X.date AS d FROM quote CLUSTER BY name SEQUENCE BY date \
-                   AS (X, Y) WHERE Y.price < X.price";
-        let fwd = execute_query(src, &table, &ExecOptions::default()).unwrap();
-        for direction in [DirectionChoice::Reverse, DirectionChoice::Auto] {
-            let r = execute_query(
-                src,
-                &table,
-                &ExecOptions {
-                    direction,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(r.table, fwd.table, "{direction:?}");
-        }
-    }
-
-    #[test]
     fn compile_errors_surface() {
         let err = execute_query(
             "SELECT X.nope FROM quote CLUSTER BY name SEQUENCE BY date AS (X)",
@@ -883,22 +812,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_reverse_direction_agrees() {
-        let table = quote_table();
-        let src = "SELECT X.name, X.date AS d FROM quote CLUSTER BY name SEQUENCE BY date \
-                   AS (X, Y) WHERE Y.price < X.price";
-        let opts = |threads: usize| ExecOptions {
-            direction: DirectionChoice::Reverse,
-            threads: NonZeroUsize::new(threads).unwrap(),
-            ..Default::default()
-        };
-        let seq = execute_query(src, &table, &opts(1)).unwrap();
-        let par = execute_query(src, &table, &opts(8)).unwrap();
-        assert_eq!(par.table, seq.table);
-        assert_eq!(par.stats, seq.stats);
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub mod matrices;
 pub mod multiplex;
 pub mod patternset;
 pub mod persist;
-pub mod reverse;
 pub mod setstream;
 pub mod shift_next;
 pub mod stargraph;
@@ -76,8 +75,8 @@ pub mod failpoints {
 pub use counters::{EvalCounter, SearchTrace};
 pub use engine::{find_matches, EngineKind, MatchSpans, SearchOptions};
 pub use executor::{
-    execute, execute_query, ClusterFailure, DirectionChoice, ExecError, ExecOptions, Instrument,
-    QueryResult, SearchStats,
+    execute, execute_query, ClusterFailure, ExecError, ExecOptions, Instrument, QueryResult,
+    SearchStats,
 };
 pub use explain::{explain, optimizer_report};
 pub use governor::{Governor, Trip, TripReason};

@@ -51,9 +51,9 @@ impl ShiftNext {
         self.len() == 0
     }
 
-    /// Mean shift value — the paper's §8 heuristic for choosing the search
-    /// direction ("a large average value for shift and next is a good
-    /// indication of effective optimization").
+    /// Mean shift value — the paper's §8 measure of how much OPS can skip
+    /// ("a large average value for shift and next is a good indication of
+    /// effective optimization").
     pub fn mean_shift(&self) -> f64 {
         if self.is_empty() {
             return 0.0;

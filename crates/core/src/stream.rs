@@ -43,21 +43,16 @@
 //!   A panic inside `feed` is contained by a `catch_unwind` barrier; the
 //!   session latches [`StreamError::Poisoned`] and a previously saved
 //!   checkpoint can resume from the last good boundary.
-//!
-//! Streaming is forward-only: `DirectionChoice::Reverse`/`Auto` are
-//! rejected ([`StreamError::Unsupported`]) because a reverse scan needs
-//! the end of the stream first.
 
 use crate::counters::EvalCounter;
 use crate::engine::{
     EngineKind, EngineMachine, MatchSpans, SearchOptions, SearchPlan, StepInput, StepOutcome,
 };
 use crate::executor::{
-    merge_clusters, panic_cause, render_key, ClusterOutcome, ClusterRun, DirectionChoice,
-    ExecOptions, Member, QueryResult,
+    merge_clusters, panic_cause, render_key, ClusterOutcome, ClusterRun, ExecOptions, Member,
+    QueryResult,
 };
 use crate::governor::Trip;
-use crate::reverse::Direction;
 use sqlts_lang::{
     eval_projection, Bindings, BoolExpr, CompiledQuery, EvalCtx, FieldRef, ScalarExpr,
 };
@@ -121,9 +116,9 @@ impl fmt::Display for BadTuple {
 #[derive(Clone, Debug, Default)]
 pub struct StreamOptions {
     /// The batch execution options the session mirrors (engine, policy,
-    /// governor, instrumentation).  `direction` must be `Forward`;
-    /// `threads` is accepted for parity but clusters are driven
-    /// sequentially (results are thread-count-independent anyway).
+    /// governor, instrumentation).  `threads` is accepted for parity but
+    /// clusters are driven sequentially (results do not depend on the
+    /// thread count anyway).
     pub exec: ExecOptions,
     /// What to do with unacceptable tuples.
     pub bad_tuple: BadTuplePolicy,
@@ -132,7 +127,8 @@ pub struct StreamOptions {
 /// Errors surfaced by a [`StreamSession`].
 #[derive(Debug)]
 pub enum StreamError {
-    /// The query or options cannot be streamed (e.g. reverse scans).
+    /// The queries cannot be streamed together (none given, or members
+    /// that read different input schemas).
     Unsupported(String),
     /// Table/schema problem (unknown cluster/sequence column, …).
     Table(TableError),
@@ -894,14 +890,9 @@ impl<'q> StreamSession<'q> {
         query: Cow<'q, CompiledQuery>,
         options: StreamOptions,
     ) -> Result<Self, StreamError> {
-        if options.exec.direction != DirectionChoice::Forward {
-            return Err(StreamError::Unsupported(
-                "reverse/auto scan direction needs the end of the stream first".into(),
-            ));
-        }
         let window = Window::new(&query, options.bad_tuple)?;
         let margins = margins_of(&query);
-        let member = Member::prepare(query, Direction::Forward, &options.exec)?;
+        let member = Member::prepare(query, &options.exec)?;
         let search_options = SearchOptions {
             policy: options.exec.policy,
         };
@@ -2652,17 +2643,6 @@ mod tests {
             StreamSession::resume(&query, stream_opts(EngineKind::Ops), checkpoint).unwrap();
         assert_eq!(resumed.window_bytes(), session.window_bytes());
         assert_eq!(buffered(&resumed), buffered(&session));
-    }
-
-    #[test]
-    fn reverse_direction_is_unsupported() {
-        let query = compiled(QUERY);
-        let mut opts = stream_opts(EngineKind::Ops);
-        opts.exec.direction = DirectionChoice::Reverse;
-        match StreamSession::new(&query, opts) {
-            Err(StreamError::Unsupported(_)) => {}
-            other => panic!("expected Unsupported, got {:?}", other.err()),
-        }
     }
 
     #[test]

@@ -485,27 +485,6 @@ impl<'a> Cluster<'a> {
     pub fn table(&self) -> &'a Table {
         self.table
     }
-
-    /// A view of this cluster with the stream order reversed (used by the
-    /// reverse-direction search of the paper's §8).
-    ///
-    /// # Panics
-    /// On a window whose prefix has been compacted away: the reversed
-    /// stream would silently lack its tail.  (Streaming sessions refuse
-    /// reverse scans up front, so reaching this is a bug in the caller.)
-    pub fn reversed(&self) -> Cluster<'a> {
-        assert_eq!(self.base(), 0, "cannot reverse a compacted window");
-        Cluster {
-            table: self.table,
-            key: self.key.clone(),
-            order: Order::Indexed(
-                (0..self.len())
-                    .rev()
-                    .map(|pos| self.table_index(pos))
-                    .collect(),
-            ),
-        }
-    }
 }
 
 impl fmt::Debug for Cluster<'_> {
@@ -757,35 +736,6 @@ mod tests {
             let expected: Vec<&[Value]> = batch.iter().skip(base).collect();
             assert_eq!(held, expected, "base {base}");
         }
-    }
-
-    #[test]
-    fn reversed_batch_cluster_reverses_the_index_list_and_keeps_the_key() {
-        let t = quotes();
-        let clusters = t.cluster_by(&["name"], &["date"]).unwrap();
-        // IBM sits at table rows 2 (25th), 4 (26th), 0 (27th).
-        assert_eq!(table_indices(&clusters[0]), vec![2, 4, 0]);
-        let rev = clusters[0].reversed();
-        assert_eq!(table_indices(&rev), vec![0, 4, 2]);
-        assert_eq!(rev.key(), clusters[0].key());
-        assert_eq!(rev.len(), 3);
-        assert_eq!(rev.get(0)[2], Value::from(84.0));
-        assert_eq!(table_indices(&rev.reversed()), vec![2, 4, 0]);
-    }
-
-    #[test]
-    fn reversed_works_on_an_uncompacted_window() {
-        let t = quotes();
-        let rev = Cluster::windowed(&t, Vec::new(), 0).reversed();
-        assert_eq!(table_indices(&rev), vec![5, 4, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot reverse a compacted window")]
-    fn reversed_refuses_a_compacted_window() {
-        let mut t = quotes();
-        t.remove_prefix(2);
-        let _ = Cluster::windowed(&t, Vec::new(), 2).reversed();
     }
 
     #[test]

@@ -119,12 +119,6 @@ proptest! {
                 }
                 prev = Some(d);
             }
-            // Reversal reverses.
-            let rev = cluster.reversed();
-            prop_assert_eq!(rev.len(), cluster.len());
-            if !cluster.is_empty() {
-                prop_assert_eq!(rev.get(0), cluster.get(cluster.len() - 1));
-            }
         }
     }
 }

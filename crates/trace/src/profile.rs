@@ -69,7 +69,7 @@ pub struct OptimizerReport {
     pub shift: Vec<usize>,
     /// The 1-based `next` array.
     pub next: Vec<usize>,
-    /// Mean shift value (the §8 direction heuristic's input).
+    /// Mean shift value (the paper's §8 measure of expected skips).
     pub mean_shift: f64,
     /// Mean next value.
     pub mean_next: f64,

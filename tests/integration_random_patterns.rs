@@ -14,9 +14,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlts_core::engine::SearchOptions;
-use sqlts_core::reverse::{direction_hint, find_matches_directed, Direction};
 use sqlts_core::{
-    compile, execute, execute_query, CompileOptions, DirectionChoice, EngineKind, EvalCounter,
+    compile, execute, execute_query, find_matches, CompileOptions, EngineKind, EvalCounter,
     ExecOptions, FirstTuplePolicy, Instrument, SearchStats,
 };
 use sqlts_datagen::{integer_walk, quote_schema};
@@ -177,8 +176,8 @@ fn random_clustered_table(rng: &mut SmallRng, clusters: usize) -> Table {
 
 /// Property: the cluster-parallel executor (threads ≥ 2) returns the same
 /// match set, in the same order, with the same predicate-test count and
-/// stats as the sequential executor (threads = 1) — for every engine,
-/// policy, and direction.
+/// stats as the sequential executor (threads = 1) — for every engine and
+/// policy.
 fn fuzz_parallel(seed: u64, rounds: u32) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut interesting = 0u32;
@@ -198,15 +197,9 @@ fn fuzz_parallel(seed: u64, rounds: u32) {
             EngineKind::Ops,
             EngineKind::OpsShiftOnly,
         ][rng.gen_range(0..4usize)];
-        let direction = [
-            DirectionChoice::Forward,
-            DirectionChoice::Reverse,
-            DirectionChoice::Auto,
-        ][rng.gen_range(0..3usize)];
         let opts = |threads: usize| ExecOptions {
             engine,
             policy,
-            direction,
             threads: NonZeroUsize::new(threads).unwrap(),
             ..Default::default()
         };
@@ -220,12 +213,12 @@ fn fuzz_parallel(seed: u64, rounds: u32) {
         let parallel = execute_query(&query, &table, &opts(threads)).unwrap();
         assert_eq!(
             parallel.table, sequential.table,
-            "round {round} ({engine:?}, {policy:?}, {direction:?}, \
+            "round {round} ({engine:?}, {policy:?}, \
              clusters={clusters}, threads={threads}):\n{query}"
         );
         assert_eq!(
             parallel.stats, sequential.stats,
-            "round {round} ({engine:?}, {policy:?}, {direction:?}, \
+            "round {round} ({engine:?}, {policy:?}, \
              clusters={clusters}, threads={threads}): stats diverged for\n{query}"
         );
     }
@@ -236,12 +229,11 @@ fn fuzz_parallel(seed: u64, rounds: u32) {
 }
 
 /// Property: the batch driver adds nothing to the search primitives.  For
-/// every direction × engine × threads 1/4, `execute`'s rows, stats and
-/// armed profile (minus wall clock) equal a reference assembled here by
-/// hand, cluster by cluster, from `find_matches_directed` and
-/// `eval_projection` over a private recording counter — so folding the
-/// executor's drivers into one cannot have moved a row, a count or an
-/// event.
+/// every engine × threads 1/4, `execute`'s rows, stats and armed profile
+/// (minus wall clock) equal a reference assembled here by hand, cluster
+/// by cluster, from `find_matches` and `eval_projection` over a private
+/// recording counter — so folding the executor's drivers into one cannot
+/// have moved a row, a count or an event.
 fn fuzz_driver_against_primitives(seed: u64, rounds: u32) {
     let mut rng = SmallRng::seed_from_u64(seed);
     for round in 0..rounds {
@@ -253,79 +245,64 @@ fn fuzz_driver_against_primitives(seed: u64, rounds: u32) {
         let policy = FirstTuplePolicy::default();
         let instrument = Instrument::tracing();
         let clusters = table.cluster_by(&["name"], &["date"]).unwrap();
-        for direction in [
-            DirectionChoice::Forward,
-            DirectionChoice::Reverse,
-            DirectionChoice::Auto,
+        for engine in [
+            EngineKind::Naive,
+            EngineKind::NaiveBacktrack,
+            EngineKind::Ops,
+            EngineKind::OpsShiftOnly,
         ] {
-            let scan = match direction {
-                DirectionChoice::Forward => Direction::Forward,
-                DirectionChoice::Reverse => Direction::Reverse,
-                DirectionChoice::Auto => direction_hint(&query),
-            };
-            for engine in [
-                EngineKind::Naive,
-                EngineKind::NaiveBacktrack,
-                EngineKind::Ops,
-                EngineKind::OpsShiftOnly,
-            ] {
-                let mut rows = Vec::new();
-                let mut stats = SearchStats::default();
-                let mut profiles = Vec::new();
-                for (index, cluster) in clusters.iter().enumerate() {
-                    let counter = EvalCounter::new().with_recorder(ClusterRecorder::new(
-                        query.elements.len(),
-                        instrument.trace_capacity,
-                    ));
-                    let options = SearchOptions { policy };
-                    let found =
-                        find_matches_directed(&query, cluster, scan, engine, &options, &counter);
-                    let ctx = EvalCtx { cluster, policy };
-                    stats.matches += found.len() as u64;
-                    rows.extend(
-                        found
-                            .iter()
-                            .map(|m| eval_projection(&query.projection, &ctx, &m.bindings())),
-                    );
-                    stats.clusters += 1;
-                    stats.tuples += cluster.len() as u64;
-                    stats.predicate_tests += counter.total();
-                    stats.steps += counter.total();
-                    let recorder = counter.into_recorder().unwrap();
-                    let events_dropped = recorder.events.dropped();
-                    profiles.push(ClusterProfile {
-                        index,
-                        key: cluster.key()[0].to_string(),
-                        tuples: cluster.len() as u64,
-                        metrics: recorder.metrics,
-                        events: recorder.events.into_events(),
-                        events_dropped,
-                    });
-                }
-                for threads in [1usize, 4] {
-                    let ctx = format!(
-                        "round {round} ({direction:?}, {engine:?}, threads={threads}):\n{text}"
-                    );
-                    let exec = ExecOptions {
-                        engine,
-                        policy,
-                        direction,
-                        threads: NonZeroUsize::new(threads).unwrap(),
-                        instrument,
-                        ..Default::default()
-                    };
-                    let result = execute(&query, &table, &exec).unwrap();
-                    assert_eq!(self::rows(&result.table), rows, "{ctx}");
-                    assert_eq!(result.stats, stats, "{ctx}");
-                    assert!(result.is_complete(), "{ctx}");
-                    let profile = result.profile.expect("armed run carries a profile");
-                    assert_eq!(profile.clusters, profiles, "{ctx}");
-                    assert_eq!(profile.predicate_tests(), stats.predicate_tests, "{ctx}");
-                    assert_eq!(
-                        (profile.engine.as_str(), profile.threads),
-                        (engine.name(), threads)
-                    );
-                }
+            let mut rows = Vec::new();
+            let mut stats = SearchStats::default();
+            let mut profiles = Vec::new();
+            for (index, cluster) in clusters.iter().enumerate() {
+                let counter = EvalCounter::new().with_recorder(ClusterRecorder::new(
+                    query.elements.len(),
+                    instrument.trace_capacity,
+                ));
+                let options = SearchOptions { policy };
+                let found = find_matches(&query.elements, cluster, engine, &options, &counter);
+                let ctx = EvalCtx { cluster, policy };
+                stats.matches += found.len() as u64;
+                rows.extend(
+                    found
+                        .iter()
+                        .map(|m| eval_projection(&query.projection, &ctx, &m.bindings())),
+                );
+                stats.clusters += 1;
+                stats.tuples += cluster.len() as u64;
+                stats.predicate_tests += counter.total();
+                stats.steps += counter.total();
+                let recorder = counter.into_recorder().unwrap();
+                let events_dropped = recorder.events.dropped();
+                profiles.push(ClusterProfile {
+                    index,
+                    key: cluster.key()[0].to_string(),
+                    tuples: cluster.len() as u64,
+                    metrics: recorder.metrics,
+                    events: recorder.events.into_events(),
+                    events_dropped,
+                });
+            }
+            for threads in [1usize, 4] {
+                let ctx = format!("round {round} ({engine:?}, threads={threads}):\n{text}");
+                let exec = ExecOptions {
+                    engine,
+                    policy,
+                    threads: NonZeroUsize::new(threads).unwrap(),
+                    instrument,
+                    ..Default::default()
+                };
+                let result = execute(&query, &table, &exec).unwrap();
+                assert_eq!(self::rows(&result.table), rows, "{ctx}");
+                assert_eq!(result.stats, stats, "{ctx}");
+                assert!(result.is_complete(), "{ctx}");
+                let profile = result.profile.expect("armed run carries a profile");
+                assert_eq!(profile.clusters, profiles, "{ctx}");
+                assert_eq!(profile.predicate_tests(), stats.predicate_tests, "{ctx}");
+                assert_eq!(
+                    (profile.engine.as_str(), profile.threads),
+                    (engine.name(), threads)
+                );
             }
         }
     }
