@@ -309,8 +309,10 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         name: "--log",
         metavar: Some("FILE"),
         help: "append a structured span log of the server hot path (accept, \
-               frame decode, WAL append, fsync, fan-out, snapshot, recovery, \
-               drain) to FILE",
+               frame decode, WAL append, fsync, fan-out and each session \
+               group's drive, snapshot, recovery, drain) to FILE; \
+               `sqlts trace-agg FILE --collapsed OUT` folds it into \
+               flamegraph-ready stacks",
     },
     FlagSpec {
         name: "--log-format",
@@ -333,19 +335,6 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         metavar: Some("N"),
         help: "log a warn-level slow_frame event for any frame whose decode \
                plus dispatch exceeds N milliseconds",
-    },
-    FlagSpec {
-        name: "--sample-profile",
-        metavar: Some("FILE"),
-        help: "run a sampling profiler thread that folds every worker's \
-               phase tag into flamegraph-ready collapsed stacks in FILE \
-               (rewritten atomically; final flush at drain)",
-    },
-    FlagSpec {
-        name: "--sample-hz",
-        metavar: Some("N"),
-        help: "sampling rate for --sample-profile, clamped to 1..=1000 \
-               (default 99)",
     },
     FlagSpec {
         name: "--shared-matcher",
@@ -655,10 +644,6 @@ fn run_serve() -> Result<(), CliError> {
             }
             "--log-rotate-bytes" => config.log_rotate_bytes = serve_numeric(value),
             "--slow-frame-ms" => config.slow_frame_ms = Some(serve_numeric(value)),
-            "--sample-profile" => {
-                config.sample_profile = Some(PathBuf::from(value.unwrap_or_else(|| serve_usage())))
-            }
-            "--sample-hz" => config.sample_hz = serve_numeric(value),
             "--shared-matcher" => {
                 config.shared_matcher = match value.as_deref() {
                     Some("on") => true,

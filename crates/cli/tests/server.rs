@@ -107,6 +107,8 @@ fn removed_flags_and_flag_values_are_usage_errors() {
         ["--fsync", "batch"],
         ["--queue-depth", "16"],
         ["--poll-interval-ms", "50"],
+        ["--sample-profile", "f"],
+        ["--sample-hz", "10"],
     ] {
         let out = Command::new(BIN)
             .args(["serve", "--listen", "127.0.0.1:0"])
@@ -318,14 +320,16 @@ fn status_endpoint_reports_live_subscriptions_as_json() {
         "\"id\":\"live\"",
         "\"records\":2",
         "\"queue_depth\":",
-        "\"phase\":\"",
         "\"latency\":{",
         "\"frame_decode_micros\":{\"count\":",
-        // The one FEED above, timed from production counters.
+        // The one FEED above, timed from production counters: one parse,
+        // and one drive of the one session group.
         "\"row_parse_micros\":{\"count\":1,",
+        "\"session_drive_micros\":{\"count\":1,",
     ] {
         assert!(text.contains(needle), "missing {needle} in {text}");
     }
+    assert!(!text.contains("\"phase\""), "{text}");
     // Braces and brackets balance — the document is at least
     // structurally JSON even without a parser on this side.
     let balance = |open: char, close: char| {
@@ -334,10 +338,10 @@ fn status_endpoint_reports_live_subscriptions_as_json() {
     assert!(balance('{', '}') && balance('[', ']'), "{text}");
 }
 
-/// The tentpole end to end: a fully armed server (span log at debug,
-/// sampling profiler, slow-frame watchdog) must produce byte-identical
-/// query output to batch mode, a balanced span log, and a well-formed
-/// collapsed-stack profile after a graceful drain.
+/// A fully armed server (span log at debug, slow-frame watchdog) must
+/// produce byte-identical query output to batch mode and a balanced span
+/// log after a graceful drain, which `sqlts trace-agg --collapsed` folds
+/// into stacks that give each session group's drive a frame of its own.
 #[test]
 fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
     let rows = rows();
@@ -352,10 +356,6 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
         log.to_str().unwrap(),
         "--log-level",
         "debug",
-        "--sample-profile",
-        folded.to_str().unwrap(),
-        "--sample-hz",
-        "250",
         "--slow-frame-ms",
         "10000",
     ]);
@@ -373,8 +373,8 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
     );
     drop(client);
 
-    // Graceful drain (SIGTERM) so the profiler takes its final flush;
-    // waiting for exit makes both artifact files final.
+    // Graceful drain (SIGTERM) flushes the span log; waiting for exit
+    // makes it final.
     let pid = server.child.id().to_string();
     let status = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
     assert!(status.success());
@@ -402,6 +402,7 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
         "\"name\":\"dispatch\"",
         "\"name\":\"wal_append\"",
         "\"name\":\"fanout\"",
+        "\"name\":\"session_drive\"",
         "\"name\":\"accept\"",
         "\"name\":\"drain\"",
     ] {
@@ -412,9 +413,31 @@ fn armed_observability_run_is_byte_identical_and_artifacts_are_well_formed() {
         assert!(text.contains(name), "missing {name} in span log:\n{text}");
     }
 
-    // Collapsed stacks: `frame;frame count` lines, at least one.
+    // Each session group's drive names the subscriptions it reached.
+    let drives: Vec<&str> = text
+        .lines()
+        .filter(|line| line.contains("\"name\":\"session_drive\""))
+        .collect();
+    assert!(
+        drives.iter().any(|line| line.contains("\"subs\":\"s1\"")),
+        "no session_drive record carries s1:\n{text}"
+    );
+
+    // The span log is the profiler: its collapsed stacks are `frame;frame
+    // count` lines, and a group's drive sits under its frame's fan-out.
+    let agg = Command::new(BIN)
+        .args(["trace-agg", log.to_str().unwrap(), "--collapsed"])
+        .arg(&folded)
+        .output()
+        .unwrap();
+    assert!(agg.status.success(), "{agg:?}");
     let profile = std::fs::read_to_string(&folded).unwrap();
-    assert!(!profile.trim().is_empty(), "collapsed profile is empty");
+    assert!(
+        profile
+            .lines()
+            .any(|line| line.starts_with("serve;dispatch;fanout;session_drive")),
+        "{profile}"
+    );
     for line in profile.lines() {
         let (stack, count) = line.rsplit_once(' ').expect("stack SP count");
         assert!(stack.starts_with("serve;"), "{line}");

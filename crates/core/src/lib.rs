@@ -82,8 +82,8 @@ pub use explain::{explain, optimizer_report};
 pub use governor::{Governor, Trip, TripReason};
 pub use matrices::{PrecondMatrices, Predicates};
 pub use multiplex::{
-    FinishReport, PhaseTag, SessionStatus, SessionWorker, SessionWorkerConfig, SharedSpec,
-    WorkerError, WorkerGroup, WorkerPhase,
+    FinishReport, SessionStatus, SessionWorker, SessionWorkerConfig, SharedSpec, WorkerError,
+    WorkerGroup,
 };
 pub use patternset::{SetRegistry, SharedJoin};
 pub use persist::atomic_write;

@@ -18,9 +18,10 @@
 //! subscriptions' execution profiles — and `GET /status` with the same
 //! live state as one JSON document.  With `--log` the server appends a
 //! structured span log of its hot path (accept, frame decode, WAL
-//! append, fsync, fan-out, snapshot, recovery, drain); with
-//! `--sample-profile` a sampling thread ([`profiler`]) folds every
-//! worker's published phase tag into flamegraph-ready collapsed stacks.
+//! append, fsync, fan-out and each session group's drive within it,
+//! snapshot, recovery, drain).  That log is the server's one profiler:
+//! `sqlts trace-agg LOG --collapsed FILE` folds its spans into
+//! flamegraph-ready stacks such as `serve;dispatch;fanout;session_drive`.
 //!
 //! With `--data-dir` the server is crash-safe: accepted feeds append to
 //! per-channel write-ahead logs ([`wal`]) before fan-out, subscription
@@ -33,7 +34,6 @@
 mod channel;
 pub mod frame;
 pub mod metrics;
-pub mod profiler;
 pub mod recover;
 pub mod replicate;
 pub mod server;
@@ -41,7 +41,6 @@ pub mod wal;
 
 pub use frame::{read_frame, read_frame_timed, write_frame, FrameEvent, FrameFatal};
 pub use metrics::{status_json, LatencyHistograms, LatencyOp, ServerMetrics, SubStatusView};
-pub use profiler::SamplingProfiler;
 pub use recover::{DataDir, ServeError, SubMeta};
 pub use replicate::{ReplAck, ReplSnapshot};
 pub use server::{RecoveryReport, Server, ServerConfig};

@@ -28,8 +28,11 @@ pub enum LatencyOp {
     FrameDecode,
     /// One live FEED frame's payload lines typed into rows.
     RowParse,
-    /// One FEED frame's fan-out loop across a channel's workers.
+    /// One FEED frame's fan-out loop across a channel's session groups.
     Fanout,
+    /// One session group's share of a FEED frame's fan-out: the rows
+    /// admitted once and driven through every member seated there.
+    SessionDrive,
     /// One channel snapshot pass (every subscription checkpointed).
     Snapshot,
 }
@@ -37,12 +40,13 @@ pub enum LatencyOp {
 /// Every [`LatencyOp`] with its name stem, in declaration order (a row's
 /// position is its histogram's slot).  `/status` keys the op
 /// `<stem>_micros`; `/metrics` names it `sqlts_server_<stem>_micros`.
-const LATENCY_OPS: [(LatencyOp, &str); 6] = [
+const LATENCY_OPS: [(LatencyOp, &str); 7] = [
     (LatencyOp::WalAppend, "wal_append"),
     (LatencyOp::Fsync, "fsync"),
     (LatencyOp::FrameDecode, "frame_decode"),
     (LatencyOp::RowParse, "row_parse"),
     (LatencyOp::Fanout, "fanout"),
+    (LatencyOp::SessionDrive, "session_drive"),
     (LatencyOp::Snapshot, "snapshot"),
 ];
 
@@ -264,8 +268,6 @@ pub struct SubStatusView {
     pub status: sqlts_core::SessionStatus,
     /// Callers waiting for the session right now.
     pub queue_depth: u64,
-    /// The phase the worker published most recently.
-    pub phase: &'static str,
 }
 
 /// Render the `GET /status` JSON document: server counters, latency
@@ -324,13 +326,12 @@ pub fn status_json(
         let _ = write!(
             out,
             "\",\"records\":{},\"skipped\":{},\"quarantined\":{},\"window_bytes\":{},\
-             \"queue_depth\":{},\"phase\":\"{}\",\"poisoned\":{}",
+             \"queue_depth\":{},\"poisoned\":{}",
             sub.status.records,
             sub.status.skipped,
             sub.status.quarantined,
             sub.status.window_bytes,
             sub.queue_depth,
-            sub.phase,
             sub.status.poisoned,
         );
         match &sub.status.trip {
@@ -411,7 +412,6 @@ mod tests {
                     poisoned: false,
                 },
                 queue_depth: 3,
-                phase: "idle",
             },
             SubStatusView {
                 id: "s2".into(),
@@ -431,7 +431,6 @@ mod tests {
                     poisoned: true,
                 },
                 queue_depth: 0,
-                phase: "feed",
             },
         ]
     }
@@ -543,6 +542,10 @@ sqlts_server_row_parse_micros_count 1
 sqlts_server_fanout_micros_bucket{le="+Inf"} 0
 sqlts_server_fanout_micros_sum 0
 sqlts_server_fanout_micros_count 0
+# TYPE sqlts_server_session_drive_micros histogram
+sqlts_server_session_drive_micros_bucket{le="+Inf"} 0
+sqlts_server_session_drive_micros_sum 0
+sqlts_server_session_drive_micros_count 0
 # TYPE sqlts_server_snapshot_micros histogram
 sqlts_server_snapshot_micros_bucket{le="+Inf"} 1
 sqlts_server_snapshot_micros_sum 70000000
@@ -735,6 +738,10 @@ sqlts_server_row_parse_micros_count 0
 sqlts_server_fanout_micros_bucket{le="+Inf"} 0
 sqlts_server_fanout_micros_sum 0
 sqlts_server_fanout_micros_count 0
+# TYPE sqlts_server_session_drive_micros histogram
+sqlts_server_session_drive_micros_bucket{le="+Inf"} 0
+sqlts_server_session_drive_micros_sum 0
+sqlts_server_session_drive_micros_count 0
 # TYPE sqlts_server_snapshot_micros histogram
 sqlts_server_snapshot_micros_bucket{le="+Inf"} 0
 sqlts_server_snapshot_micros_sum 0
@@ -751,7 +758,7 @@ sqlts_standby 0
         );
         assert_eq!(
             status_json(&metrics, &[], false, false, None),
-            r#"{"draining":false,"standby":false,"connections_total":0,"frames_total":0,"errors_total":0,"subscriptions_total":0,"rows_fed_total":0,"wal_appends_total":0,"wal_fsyncs_total":0,"snapshots_total":0,"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":0,"sum":0,"max":0},"row_parse_micros":{"count":0,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":0,"sum":0,"max":0}},"subscriptions":[]}
+            r#"{"draining":false,"standby":false,"connections_total":0,"frames_total":0,"errors_total":0,"subscriptions_total":0,"rows_fed_total":0,"wal_appends_total":0,"wal_fsyncs_total":0,"snapshots_total":0,"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":0,"sum":0,"max":0},"row_parse_micros":{"count":0,"sum":0,"max":0},"fanout_micros":{"count":0,"sum":0,"max":0},"session_drive_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":0,"sum":0,"max":0}},"subscriptions":[]}
 "#
         );
     }
@@ -767,7 +774,7 @@ sqlts_standby 0
         );
         assert_eq!(
             out,
-            r#"{"draining":true,"standby":false,"connections_total":1,"frames_total":12,"errors_total":2,"subscriptions_total":3,"rows_fed_total":4000,"wal_appends_total":40,"wal_fsyncs_total":41,"snapshots_total":6,"replication":{"connected":true,"sync":true,"lag_rows":3,"frames_sent":9,"acks":8,"resyncs":1,"send_errors":0,"sync_degraded":2},"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":1,"sum":0,"max":0},"row_parse_micros":{"count":1,"sum":131,"max":131},"fanout_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":1,"sum":70000000,"max":70000000}},"subscriptions":[{"id":"a\"b\\c\nd","channel":"nyse","records":40,"skipped":2,"quarantined":1,"window_bytes":512,"queue_depth":3,"phase":"idle","poisoned":false,"trip":null},{"id":"s2","channel":"nyse","records":7,"skipped":0,"quarantined":0,"window_bytes":64,"queue_depth":0,"phase":"feed","poisoned":true,"trip":"step budget exhausted after 2.5ms (11 steps, 0 matches)"}]}
+            r#"{"draining":true,"standby":false,"connections_total":1,"frames_total":12,"errors_total":2,"subscriptions_total":3,"rows_fed_total":4000,"wal_appends_total":40,"wal_fsyncs_total":41,"snapshots_total":6,"replication":{"connected":true,"sync":true,"lag_rows":3,"frames_sent":9,"acks":8,"resyncs":1,"send_errors":0,"sync_degraded":2},"latency":{"wal_append_micros":{"count":2,"sum":12,"max":9},"fsync_micros":{"count":1,"sum":1500,"max":1500},"frame_decode_micros":{"count":1,"sum":0,"max":0},"row_parse_micros":{"count":1,"sum":131,"max":131},"fanout_micros":{"count":0,"sum":0,"max":0},"session_drive_micros":{"count":0,"sum":0,"max":0},"snapshot_micros":{"count":1,"sum":70000000,"max":70000000}},"subscriptions":[{"id":"a\"b\\c\nd","channel":"nyse","records":40,"skipped":2,"quarantined":1,"window_bytes":512,"queue_depth":3,"poisoned":false,"trip":null},{"id":"s2","channel":"nyse","records":7,"skipped":0,"quarantined":0,"window_bytes":64,"queue_depth":0,"poisoned":true,"trip":"step budget exhausted after 2.5ms (11 steps, 0 matches)"}]}
 "#
         );
         assert_eq!(

@@ -74,7 +74,6 @@
 use crate::channel::{save_checkpoint, Channel, Subscription};
 use crate::frame::{read_frame_timed, write_frame, FrameEvent, FrameFatal};
 use crate::metrics::{metrics_text, status_json, LatencyOp, ServerMetrics, SubStatusView};
-use crate::profiler::SamplingProfiler;
 use crate::recover::{DataDir, ServeError, SubMeta};
 use crate::replicate::{self, ReplAck, ReplSnapshot, Replicator};
 use crate::wal::{scan_wal, FsyncPolicy, WalFrame};
@@ -135,11 +134,6 @@ pub struct ServerConfig {
     /// Warn about any frame whose decode+dispatch exceeds this many
     /// milliseconds (`--slow-frame-ms`); `None` disables the check.
     pub slow_frame_ms: Option<u64>,
-    /// Collapsed-stack sampling-profile destination
-    /// (`--sample-profile`); `None` runs no profiler thread.
-    pub sample_profile: Option<PathBuf>,
-    /// Profiler sample rate (`--sample-hz`, clamped to 1..=1000).
-    pub sample_hz: u32,
     /// Whether subscriptions join their channel's shared pattern-set
     /// registry (`--shared-matcher on|off`); queries with no shareable
     /// element still fall back to a solo pass.  Off, every subscription
@@ -179,8 +173,6 @@ impl Default for ServerConfig {
             log_level: Level::Info,
             log_rotate_bytes: 0,
             slow_frame_ms: None,
-            sample_profile: None,
-            sample_hz: 99,
             shared_matcher: false,
             wal_segment_bytes: crate::wal::DEFAULT_SEGMENT_BYTES,
             replicate_to: None,
@@ -360,9 +352,6 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     recovery: Option<RecoveryReport>,
-    /// The sampling profiler thread (`--sample-profile`); stopped (with
-    /// a final flush) at drain, or on drop.
-    profiler: Mutex<Option<SamplingProfiler>>,
     /// The replication shipping thread (`--replicate-to`); it holds only
     /// a `Weak` on [`Shared`] and is joined on drop so a dropped server
     /// releases its data dir promptly.
@@ -482,14 +471,6 @@ impl Server {
         } else {
             None
         };
-        let profiler = shared.config.sample_profile.clone().map(|path| {
-            let registry = Arc::clone(&shared);
-            SamplingProfiler::spawn(path, shared.config.sample_hz, move |out| {
-                for (id, sub) in registry.subs().iter() {
-                    out.push((id.clone(), sub.worker.phase_tag().phase().as_str()));
-                }
-            })
-        });
         let repl_thread = repl_rx.and_then(|rx| {
             let repl = shared.repl.as_ref().expect("rx implies a replicator");
             let stop = Arc::clone(&repl.stop);
@@ -503,7 +484,6 @@ impl Server {
             listener,
             shared,
             recovery,
-            profiler: Mutex::new(profiler),
             repl_thread: Mutex::new(repl_thread),
         })
     }
@@ -655,13 +635,6 @@ impl Server {
         // The shutdown above ends every parted connection's thread.
         for thread in conn_threads {
             let _ = thread.join();
-        }
-        // Final flush before the LOCK release so a supervisor restarting
-        // on drain-complete sees the whole profile.
-        if let Ok(mut slot) = self.profiler.lock() {
-            if let Some(profiler) = slot.take() {
-                profiler.stop();
-            }
         }
         if let Some(data) = shared.data.as_ref() {
             data.release();
@@ -1461,7 +1434,7 @@ fn retire_tests(shared: &Shared, sub: &Subscription, report: &FinishReport) {
 }
 
 /// Snapshot every live subscription's observable state for the HTTP
-/// endpoints: status (records/skips/trip), queue depth, worker phase.
+/// endpoints: status (records/skips/trip) and queue depth.
 fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
     let subs: Vec<Arc<Subscription>> = shared.subs().values().cloned().collect();
     let mut views: Vec<SubStatusView> = subs
@@ -1472,7 +1445,6 @@ fn http_sub_views(shared: &Shared) -> Vec<SubStatusView> {
                 channel: sub.meta.channel.clone(),
                 status,
                 queue_depth: sub.worker.queue_depth(),
-                phase: sub.worker.phase_tag().phase().as_str(),
             })
         })
         .collect();

@@ -437,7 +437,7 @@ mod tests {
     use super::*;
     use crate::TraceEvent;
 
-    fn sample_profile() -> ExecutionProfile {
+    fn fixture_profile() -> ExecutionProfile {
         let mut p = ExecutionProfile::new("ops", 2);
         let mut m = ClusterMetrics::new(2);
         m.tests_per_position = vec![4, 2];
@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn totals_accumulate_in_cluster_order() {
-        let p = sample_profile();
+        let p = fixture_profile();
         assert_eq!(p.predicate_tests(), 9);
         assert_eq!(p.totals.tests_per_position, vec![7, 2]);
         assert_eq!(p.matches(), 1);
@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn json_has_required_keys_and_balances() {
-        let p = sample_profile();
+        let p = fixture_profile();
         let json = p.to_json();
         for key in [
             "\"engine\":\"ops\"",
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn jsonl_tags_events_with_cluster() {
-        let p = sample_profile();
+        let p = fixture_profile();
         let jsonl = p.events_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn jsonl_drop_trailer_sums_cluster_drops() {
-        let mut p = sample_profile();
+        let mut p = fixture_profile();
         p.clusters[0].events_dropped = 7;
         p.clusters[1].events_dropped = 5;
         let jsonl = p.events_jsonl();
@@ -562,7 +562,7 @@ sqlts_phase_seconds{phase="execute"} 0
 
     #[test]
     fn public_histogram_writer_matches_profile_output() {
-        let p = sample_profile();
+        let p = fixture_profile();
         let mut w = Exposition::new();
         w.histogram("sqlts_shift_distance", &p.totals.shifts);
         let out = w.finish();
@@ -572,11 +572,11 @@ sqlts_phase_seconds{phase="execute"} 0
         );
     }
 
-    /// `sample_profile` with every optional series switched on: fixed
+    /// `fixture_profile` with every optional series switched on: fixed
     /// phase clocks, a trip, a backtrack histogram that reaches the
     /// overflow bucket.
     fn golden_profile() -> ExecutionProfile {
-        let mut p = sample_profile();
+        let mut p = fixture_profile();
         p.totals.shifts.record(5);
         p.totals.backtracks.record(0);
         p.totals.backtracks.record(3);
@@ -680,7 +680,7 @@ sqlts_governor_tripped{tenant="a\"b\\c\nd",cause="step_budget"} 1
 
     #[test]
     fn text_report_mentions_clusters() {
-        let p = sample_profile();
+        let p = fixture_profile();
         let text = p.to_text();
         assert!(text.contains("cluster 0 (IBM)"), "{text}");
         assert!(text.contains("9 predicate tests"), "{text}");
