@@ -287,7 +287,10 @@ pub fn sweep_workload(n: usize, seed: u64) -> Table {
 /// distinct symbol names.  This is the workload the parallel executor
 /// fans out (experiment E11 / the `parallel_clusters` bench).
 pub fn clustered_sweep_workload(clusters: usize, rows_per_cluster: usize, seed: u64) -> Table {
-    let mut table = Table::new(sqlts_datagen::quote_schema());
+    let mut table = Table::with_capacity(
+        sqlts_datagen::quote_schema(),
+        clusters.saturating_mul(rows_per_cluster),
+    );
     let start = Date::from_ymd(1990, 1, 1);
     for c in 0..clusters {
         let name = format!("S{c:04}");

@@ -402,7 +402,7 @@ pub fn execute(
     let t_exec = options.instrument.armed().then(Instant::now);
     let runs = job.run();
     phases.execute = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let keyed = clusters.iter().map(Cluster::key).zip(runs);
+    let keyed = clusters.iter().map(Cluster::key).zip(runs).collect();
     match merge_clusters(&member, options, phases, keyed)? {
         (result, None) => Ok(result),
         (partial, Some(trip)) => Err(ExecError::Governed {
@@ -424,9 +424,17 @@ pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
     member: &Member<'_>,
     options: &ExecOptions,
     phases: PhaseNanos,
-    runs: impl IntoIterator<Item = (K, ClusterRun)>,
+    runs: Vec<(K, ClusterRun)>,
 ) -> Result<(QueryResult, Option<Trip>), TableError> {
-    let mut table = Table::new(member.schema.clone());
+    // Every projected row is in hand, so the output is sized once.
+    let rows = runs
+        .iter()
+        .map(|(_, run)| match run {
+            ClusterRun::Done(outcome) => outcome.rows.len(),
+            _ => 0,
+        })
+        .sum();
+    let mut table = Table::with_capacity(member.schema.clone(), rows);
     let mut stats = SearchStats::default();
     let mut partial = Vec::new();
     let mut profile = options.instrument.armed().then(|| {

@@ -258,8 +258,11 @@ impl Crew {
     /// as [`WorkerError::Runtime`] and poisons the work it interrupted:
     /// seat `seat`'s session, or with `None` (a group feed) every session
     /// in the group — one escaping a member's own feed is contained there
-    /// and poisons only that member.  The lock is never held across an
-    /// unwind, so it cannot be poisoned by one.
+    /// and poisons only that member.  Poisoning is contained too: it
+    /// copies each leaving member's view of the window, and a panic there
+    /// latches the poison on every session in the group, building no
+    /// view.  The lock is never held across an unwind, so it cannot be
+    /// poisoned by one.
     fn call<T>(
         &self,
         name: &str,
@@ -275,7 +278,9 @@ impl Crew {
         match contained(name, label, || f(&mut group)) {
             Ok(result) => result,
             Err(cause) => {
-                group.poison(seat, &cause);
+                if contained(name, "poison", || group.poison(seat, &cause)).is_err() {
+                    group.latch_poison(None, &cause);
+                }
                 Err(WorkerError::Runtime(cause))
             }
         }

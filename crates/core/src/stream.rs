@@ -519,12 +519,15 @@ impl Window {
     /// its own floor on.  What a member takes with it when it leaves a
     /// group.
     fn view_for(&self, run: &MemberRun<'_>) -> Window {
+        #[cfg(feature = "failpoints")]
+        sqlts_relation::failpoints::hit("stream::view_for", self.records);
         let clusters: Vec<ClusterWindow> = self
             .clusters
             .iter()
             .zip(&run.lanes)
             .map(|(cw, lane)| {
-                let mut buf = Table::new(self.schema.clone());
+                let held = (cw.base + cw.buf.len()).saturating_sub(lane.base);
+                let mut buf = Table::with_capacity(self.schema.clone(), held);
                 for row in cw.rows_from(lane.base) {
                     buf.push_validated(row.to_vec());
                 }
@@ -1079,7 +1082,7 @@ impl<'q> StreamSession<'q> {
                     render_key(&key.0)
                 )));
             }
-            let mut buf = Table::new(window.schema.clone());
+            let mut buf = Table::with_capacity(window.schema.clone(), cc.rows.len());
             for row in cc.rows {
                 run.window_bytes += row_bytes(&row);
                 buf.push_row(row)?;
@@ -1250,9 +1253,12 @@ impl<'q> SessionGroup<'q> {
     fn release(&mut self) {
         let window = &self.window;
         for seat in &mut self.seats {
-            if matches!(seat, Seat::Live(run) if run.trip.is_some() || run.poisoned.is_some()) {
+            let Seat::Live(run) = seat else { continue };
+            if run.trip.is_some() || run.poisoned.is_some() {
+                // The view first: should copying it panic, the member
+                // still sits in its seat.
+                let window = window.view_for(run);
                 if let Seat::Live(run) = std::mem::replace(seat, Seat::Vacant) {
-                    let window = window.view_for(&run);
                     *seat = Seat::Alone(StreamSession { window, run });
                 }
             }
@@ -1293,6 +1299,16 @@ impl<'q> SessionGroup<'q> {
     /// interrupted; with `None`, for every seat — a panic outside any one
     /// member's work cannot be pinned on one of them.
     pub(crate) fn poison(&mut self, seat: Option<usize>, cause: &str) {
+        self.latch_poison(seat, cause);
+        self.release();
+    }
+
+    /// Latch `cause` on seat `seat` (`None`: every seat) and let no
+    /// member leave, so no view is copied: [`SessionGroup::poison`]
+    /// without its release, for when the release itself panicked.  A
+    /// poisoned member is never driven again, and the next call that
+    /// releases it copies its view then.
+    pub(crate) fn latch_poison(&mut self, seat: Option<usize>, cause: &str) {
         for (i, occupant) in self.seats.iter_mut().enumerate() {
             if seat.is_some_and(|seat| seat != i) {
                 continue;
@@ -1305,7 +1321,6 @@ impl<'q> SessionGroup<'q> {
                 Seat::Vacant => {}
             }
         }
-        self.release();
     }
 
     /// [`StreamSession::finish`] for one seat, which is vacant afterwards;

@@ -368,3 +368,53 @@ fn a_snapshot_panic_poisons_only_its_own_seat() {
         .error
         .is_some_and(|e| e.contains("stream::checkpoint")));
 }
+
+/// Poisoning is contained as well.  A member poisoned by a panic leaves
+/// its group with a copy of its view of the window; when copying that
+/// view panics too, the caller still gets `WorkerError::Runtime`, not an
+/// unwind, and every session in the group is poisoned without a view
+/// being built.
+#[test]
+fn a_panic_while_poisoning_poisons_the_group_without_unwinding() {
+    use sqlts_core::{SessionWorker, SessionWorkerConfig, WorkerError};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let _guard = armed();
+    let rows = rows();
+    let config = |name: &str| SessionWorkerConfig::new(name, QUERY, quote_schema());
+    let healthy = SessionWorker::spawn(config("healthy")).unwrap();
+    let panicking = SessionWorker::spawn_in(config("panicking"), [healthy.group()]).unwrap();
+    assert_eq!(panicking.group(), healthy.group());
+    let feed = |rows: &[Vec<Value>]| {
+        let mut refused = [0; 2];
+        healthy
+            .group()
+            .feed(rows.iter().cloned(), |seat, result| {
+                refused[seat] += u32::from(result.is_err());
+            })
+            .unwrap();
+        refused
+    };
+    assert_eq!(feed(&rows[..10]), [0, 0]);
+    failpoints::configure_rule("stream::checkpoint", FailAction::Panic, 1, None, true);
+    failpoints::configure_rule("stream::view_for", FailAction::Panic, 1, None, true);
+    match catch_unwind(AssertUnwindSafe(|| panicking.snapshot())) {
+        Ok(Err(WorkerError::Runtime(cause))) => {
+            assert!(cause.contains("stream::checkpoint"), "{cause}");
+        }
+        Ok(other) => panic!("expected a contained panic, got {other:?}"),
+        Err(_) => panic!("a panic while poisoning unwound into the caller"),
+    }
+    // The rules were once-only: from here on views copy normally, and
+    // each seat answers as the poisoned session it now is.
+    assert!(panicking.status().unwrap().poisoned);
+    assert!(healthy.status().unwrap().poisoned);
+    let rest = &rows[10..];
+    assert_eq!(feed(rest), [rest.len() as u32; 2]);
+    for worker in [&healthy, &panicking] {
+        let report = worker.finish().unwrap();
+        assert!(report
+            .error
+            .is_some_and(|e| e.contains("stream::checkpoint")));
+    }
+}

@@ -30,7 +30,7 @@ pub fn quote_schema() -> Schema {
 /// Build a quote table from a price series, one row per trading day
 /// (weekends skipped), starting at `start`.
 pub fn prices_to_table(name: &str, start: Date, prices: &[f64]) -> Table {
-    let mut table = Table::new(quote_schema());
+    let mut table = Table::with_capacity(quote_schema(), prices.len());
     let mut day = start;
     for &p in prices {
         while day.is_weekend() {

@@ -23,11 +23,13 @@
 //! quoted field's `""` must be unescaped.  [`parse_headerless_row`] (every
 //! network `FEED` row) and [`CsvRecords`] (`--csv`, `--follow`,
 //! `Table::from_csv*`) both type its fields in one pass through
-//! [`parse_row`], so an unquoted row costs one allocation for the row plus
-//! one per string cell, and nothing per numeric or date cell (a
-//! `YYYY-MM-DD` cell is decoded in place).  [`Table::to_csv`] renders every
-//! cell through one reused buffer, so its allocations do not grow with the
-//! row count.  `tests/alloc_budget.rs` holds both to those counts.
+//! [`parse_row_into`], so an unquoted row costs one allocation for the row
+//! plus one per string cell, and nothing per numeric or date cell (a
+//! `YYYY-MM-DD` cell is decoded in place).  `Table::from_csv*` types each
+//! record straight into the table's cell buffer, so a loaded row costs
+//! its string cells alone.  [`Table::to_csv`] renders every cell through
+//! one reused buffer, so its allocations do not grow with the row count.
+//! `tests/alloc_budget.rs` holds all three to those counts.
 
 use crate::date::Date;
 use crate::table::{Column, Schema, Table, TableError};
@@ -189,22 +191,23 @@ impl<'a> Iterator for Fields<'a> {
     }
 }
 
-/// Type the fields of `line` into a row of `columns.len()` cells in one
-/// pass: file field `i` becomes cell `target(i)` (`None`: ignored).  The
-/// line must have at least `needed` fields, and every target lies below
-/// `needed`, so the scan stops there.  Errors match a split-everything,
-/// then-check-arity, then-parse-in-column-order reader exactly: a short
-/// line is an arity error counting all of its fields, whatever its cells
-/// hold; otherwise the lowest-numbered column that fails to parse is
-/// reported.
-fn parse_row(
+/// Type the fields of `line` into `row` (one NULL cell per column) in
+/// one pass: file field `i` becomes cell `target(i)` (`None`: ignored).
+/// The line must have at least `needed` fields, and every target lies
+/// below `needed`, so the scan stops there.  Errors match a
+/// split-everything, then-check-arity, then-parse-in-column-order reader
+/// exactly: a short line is an arity error counting all of its fields,
+/// whatever its cells hold; otherwise the lowest-numbered column that
+/// fails to parse is reported.  On an error `row` holds whatever was
+/// typed before it.
+fn parse_row_into(
     columns: &[Column],
     line: &str,
     lineno: usize,
     needed: usize,
     target: impl Fn(usize) -> Option<usize>,
-) -> Result<Vec<Value>, CsvError> {
-    let mut row = vec![Value::Null; columns.len()];
+    row: &mut [Value],
+) -> Result<(), CsvError> {
     let mut failed: Option<(usize, CsvError)> = None;
     let mut got = 0;
     for field in fields(line).take(needed) {
@@ -228,7 +231,7 @@ fn parse_row(
     }
     match failed {
         Some((_, e)) => Err(e),
-        None => Ok(row),
+        None => Ok(()),
     }
 }
 
@@ -327,7 +330,8 @@ pub fn parse_headerless_row(
     text: &str,
     line: usize,
 ) -> Result<Vec<Value>, CsvError> {
-    parse_row(schema.columns(), text, line, schema.arity(), Some)
+    let mut row = vec![Value::Null; schema.arity()];
+    parse_row_into(schema.columns(), text, line, schema.arity(), Some, &mut row).map(|()| row)
 }
 
 /// An incremental CSV record source: parses the header eagerly, then
@@ -396,7 +400,9 @@ impl<R: Read> CsvRecords<R> {
         self.lineno
     }
 
-    fn parse_record(&self, line: &str) -> Result<Vec<Value>, CsvError> {
+    /// Type `line`, the current record, into `row` (one NULL cell per
+    /// schema column) under the header's column mapping.
+    fn parse_into(&self, line: &str, row: &mut [Value]) -> Result<(), CsvError> {
         let lineno = self.lineno;
         #[cfg(feature = "failpoints")]
         if matches!(
@@ -407,20 +413,22 @@ impl<R: Read> CsvRecords<R> {
                 "failpoint 'csv::record' injected error at line {lineno}"
             ))));
         }
-        parse_row(
+        parse_row_into(
             self.schema.columns(),
             line,
             lineno,
             self.targets.len(),
             |i| self.targets[i],
+            row,
         )
     }
-}
 
-impl<R: Read> Iterator for CsvRecords<R> {
-    type Item = Result<Vec<Value>, CsvError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Read on to the next non-blank line and hand it to `parse`; `None`
+    /// at end of input.
+    fn next_with<T>(
+        &mut self,
+        parse: impl FnOnce(&Self, &str) -> Result<T, CsvError>,
+    ) -> Option<Result<T, CsvError>> {
         if self.done {
             return None;
         }
@@ -439,9 +447,20 @@ impl<R: Read> Iterator for CsvRecords<R> {
                 Err(e) => return Some(Err(e)),
             };
             if !line.is_empty() {
-                return Some(self.parse_record(line));
+                return Some(parse(self, line));
             }
         }
+    }
+}
+
+impl<R: Read> Iterator for CsvRecords<R> {
+    type Item = Result<Vec<Value>, CsvError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_with(|records, line| {
+            let mut row = vec![Value::Null; records.schema.arity()];
+            records.parse_into(line, &mut row).map(|()| row)
+        })
     }
 }
 
@@ -452,17 +471,30 @@ impl Table {
     /// column order need not match the schema's; extra file columns are
     /// ignored.
     pub fn from_csv<R: Read>(schema: Schema, reader: R) -> Result<Table, CsvError> {
-        let mut records = CsvRecords::new(schema, reader)?;
-        let mut table = Table::new(records.schema().clone());
-        for row in &mut records {
-            table.push_row(row?)?;
-        }
-        Ok(table)
+        Table::read_csv(schema, reader, 0)
     }
 
-    /// Parse a CSV from a string.
+    /// Parse a CSV from a string.  The table is sized once, for one row
+    /// per line after the header.
     pub fn from_csv_str(schema: Schema, data: &str) -> Result<Table, CsvError> {
-        Table::from_csv(schema, data.as_bytes())
+        let newlines = data.bytes().filter(|&b| b == b'\n').count();
+        let lines = newlines + usize::from(!data.ends_with('\n'));
+        Table::read_csv(schema, data.as_bytes(), lines.saturating_sub(1))
+    }
+
+    /// [`Table::from_csv`] with room for `rows` rows reserved.  Each
+    /// record is typed straight into the table's cell buffer; a record's
+    /// cells are of their column's type by construction, so there is
+    /// nothing left to validate.
+    fn read_csv<R: Read>(schema: Schema, reader: R, rows: usize) -> Result<Table, CsvError> {
+        let mut records = CsvRecords::new(schema, reader)?;
+        let mut table = Table::with_capacity(records.schema().clone(), rows);
+        while let Some(parsed) =
+            records.next_with(|records, line| records.parse_into(line, table.push_nulls()))
+        {
+            parsed?;
+        }
+        Ok(table)
     }
 
     /// Read a CSV file from disk.

@@ -146,7 +146,27 @@ impl FromStr for Date {
 impl fmt::Display for Date {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (y, m, d) = self.ymd();
-        write!(f, "{y:04}-{m:02}-{d:02}")
+        match u32::try_from(y) {
+            // `YYYY-MM-DD` digit by digit: every date a workload holds,
+            // without the padded-integer formatting machinery.
+            Ok(y) if y <= 9999 => {
+                let digit = |n: u32| b'0' + (n % 10) as u8;
+                let text = [
+                    digit(y / 1000),
+                    digit(y / 100),
+                    digit(y / 10),
+                    digit(y),
+                    b'-',
+                    digit(m / 10),
+                    digit(m),
+                    b'-',
+                    digit(d / 10),
+                    digit(d),
+                ];
+                f.write_str(std::str::from_utf8(&text).expect("ASCII digits"))
+            }
+            _ => write!(f, "{y:04}-{m:02}-{d:02}"),
+        }
     }
 }
 

@@ -12,7 +12,8 @@
 //!   floats, strings, dates, null);
 //! * [`Date`] — a proleptic-Gregorian calendar date stored as a day number,
 //!   so `SEQUENCE BY date` is a plain integer sort;
-//! * [`Schema`], [`Table`] — row-oriented tables with schema validation;
+//! * [`Schema`], [`Table`] — tables stored as one cell buffer (row after
+//!   row), with schema validation;
 //! * CSV import/export (the DJIA workloads and the examples ship as CSV);
 //! * [`Table::cluster_by`] — the `CLUSTER BY` + `SEQUENCE BY` pipeline,
 //!   producing [`Cluster`] views whose row order is the stream order the

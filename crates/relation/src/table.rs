@@ -178,19 +178,34 @@ impl Schema {
     }
 }
 
-/// A row-oriented in-memory table.
+/// An in-memory table stored as one cell buffer: row `i` is the slice
+/// `cells[i·arity .. (i+1)·arity]`, so a row costs its cells and nothing
+/// else — no `Vec` header, no heap chunk of its own.  A producer that
+/// knows its row count reserves it up front ([`Table::with_capacity`]),
+/// so the buffer is allocated once.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Vec<Value>>,
+    /// Every cell, row after row.
+    cells: Vec<Value>,
+    /// Number of rows (kept apart from `cells`: a zero-column table still
+    /// has rows).
+    len: usize,
 }
 
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Table {
+        Table::with_capacity(schema, 0)
+    }
+
+    /// An empty table with room for `rows` rows: pushing that many never
+    /// reallocates the cell buffer.
+    pub fn with_capacity(schema: Schema, rows: usize) -> Table {
         Table {
+            cells: Vec::with_capacity(rows.saturating_mul(schema.arity())),
             schema,
-            rows: Vec::new(),
+            len: 0,
         }
     }
 
@@ -201,41 +216,44 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// `true` iff the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Append a row after validating arity and column types.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), TableError> {
         self.schema.validate_row(&row)?;
-        self.rows.push(row);
+        self.push_validated(row);
         Ok(())
     }
 
     /// Drop the first `k` rows (bounded-window compaction for streaming
     /// sessions; `k` is clamped to the current length).
     pub fn remove_prefix(&mut self, k: usize) {
-        let k = k.min(self.rows.len());
-        drop(self.rows.drain(..k));
+        let k = k.min(self.len);
+        self.len -= k;
+        drop(self.cells.drain(..k * self.schema.arity()));
     }
 
     /// The row at `index`.
     pub fn row(&self, index: usize) -> &[Value] {
-        &self.rows[index]
+        debug_assert!(index < self.len, "row {index} of {}", self.len);
+        let arity = self.schema.arity();
+        &self.cells[index * arity..(index + 1) * arity]
     }
 
     /// Iterate over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|r| r.as_slice())
+        (0..self.len).map(move |i| self.row(i))
     }
 
     /// Cell accessor.
     pub fn cell(&self, row: usize, col: usize) -> &Value {
-        &self.rows[row][col]
+        &self.row(row)[col]
     }
 
     /// Append a row the caller has already passed through
@@ -247,7 +265,18 @@ impl Table {
     #[doc(hidden)]
     pub fn push_validated(&mut self, row: Vec<Value>) {
         debug_assert!(self.schema.validate_row(&row).is_ok());
-        self.rows.push(row);
+        self.cells.extend(row);
+        self.len += 1;
+    }
+
+    /// Append one row of NULL cells and hand them out to be filled in
+    /// place: how the CSV reader types each record straight into the
+    /// buffer.
+    pub(crate) fn push_nulls(&mut self) -> &mut [Value] {
+        let start = self.cells.len();
+        self.cells.resize(start + self.schema.arity(), Value::Null);
+        self.len += 1;
+        &mut self.cells[start..]
     }
 
     /// Partition the table per `CLUSTER BY` and order each partition per
@@ -277,8 +306,8 @@ impl Table {
     ) -> Result<Vec<Cluster<'_>>, TableError> {
         let cluster_cols = self.schema.require_all(cluster_by)?;
         let sequence_cols = self.schema.require_all(sequence_by)?;
-        let cluster_key = |i: usize| RowKey::new(&self.rows[i], &cluster_cols);
-        let sequence_key = |i: usize| RowKey::new(&self.rows[i], &sequence_cols);
+        let cluster_key = |i: usize| RowKey::new(self.row(i), &cluster_cols);
+        let sequence_key = |i: usize| RowKey::new(self.row(i), &sequence_cols);
 
         /// One cluster under construction.
         struct Group {
@@ -292,7 +321,7 @@ impl Table {
         let mut slots: BTreeMap<RowKey<'_>, usize> = BTreeMap::new();
         // The previous row's slot.
         let mut previous: Option<usize> = None;
-        for i in 0..self.rows.len() {
+        for i in 0..self.len {
             let key = cluster_key(i);
             let slot = match previous {
                 Some(slot) if cluster_key(groups[slot].indices[0]) == key => slot,
@@ -768,7 +797,7 @@ mod tests {
         let cluster_cols = table.schema.require_all(cluster_by).unwrap();
         let sequence_cols = table.schema.require_all(sequence_by).unwrap();
         let mut groups: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
-        for (i, row) in table.rows.iter().enumerate() {
+        for (i, row) in table.rows().enumerate() {
             let key: Vec<Value> = cluster_cols.iter().map(|&c| row[c].clone()).collect();
             groups.entry(key).or_default().push(i);
         }
@@ -776,8 +805,8 @@ mod tests {
             .into_iter()
             .map(|(key, mut indices)| {
                 indices.sort_by(|&a, &b| {
-                    let ka = sequence_cols.iter().map(|&c| &table.rows[a][c]);
-                    let kb = sequence_cols.iter().map(|&c| &table.rows[b][c]);
+                    let ka = sequence_cols.iter().map(|&c| &table.row(a)[c]);
+                    let kb = sequence_cols.iter().map(|&c| &table.row(b)[c]);
                     ka.cmp(kb)
                 });
                 (key, indices)

@@ -148,24 +148,56 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
         .expect("NaN values are rejected at construction")
 }
 
+/// Every renderer (CSV, `RESULT`, checkpoint rows) writes cells through
+/// this.  The common cells take a direct path: an integral float below
+/// 1e15 is its integer plus `.0` (the text `{x:.1}` gives, without the
+/// exact fixed-precision float formatter), a date is written digit by
+/// digit.  The formatter's width and fill are ignored, as they always
+/// were.  `tests::render_is_byte_identical_to_the_format_reference` holds
+/// the text to the `format!`-based rendering it replaced.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Int(i) => write!(f, "{i}"),
+            Value::Null => f.write_str("NULL"),
+            Value::Int(i) => write_int(f, *i),
             Value::Float(x) => {
-                // Render integral floats without the trailing ".0" noise
-                // except to keep the type visible in debug contexts.
+                // Integral floats keep a ".0" so the type stays visible.
                 if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
+                    if *x == 0.0 && x.is_sign_negative() {
+                        write!(f, "{x:.1}")
+                    } else {
+                        // Exact: |x| < 1e15 < 2^53.
+                        write_int(f, *x as i64)?;
+                        f.write_str(".0")
+                    }
                 } else {
                     write!(f, "{x}")
                 }
             }
-            Value::Str(s) => write!(f, "{s}"),
-            Value::Date(d) => write!(f, "{d}"),
+            Value::Str(s) => f.write_str(s),
+            Value::Date(d) => fmt::Display::fmt(d, f),
         }
     }
+}
+
+/// `n` in decimal, as `{n}` writes it.
+fn write_int(f: &mut fmt::Formatter<'_>, n: i64) -> fmt::Result {
+    let mut text = [0u8; 20];
+    let mut at = text.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        text[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        text[at] = b'-';
+    }
+    f.write_str(std::str::from_utf8(&text[at..]).expect("ASCII digits"))
 }
 
 impl From<i64> for Value {
@@ -256,5 +288,146 @@ mod tests {
     #[test]
     fn string_ordering_is_lexicographic() {
         assert!(Value::Str("IBM".into()) < Value::Str("INTC".into()));
+    }
+
+    /// The `format!`-based rendering the direct writer replaced: the
+    /// oracle every rendered cell is held to.
+    fn reference_display(value: &Value) -> String {
+        match value {
+            Value::Null => "NULL".to_string(),
+            Value::Int(i) => format!("{i}"),
+            Value::Float(x) => {
+                if x.fract() == 0.0 && x.abs() < 1e15 {
+                    format!("{x:.1}")
+                } else {
+                    format!("{x}")
+                }
+            }
+            Value::Str(s) => s.clone(),
+            Value::Date(d) => {
+                let (y, m, d) = d.ymd();
+                format!("{y:04}-{m:02}-{d:02}")
+            }
+        }
+    }
+
+    /// xorshift64*: deterministic, so a failing case reproduces from the
+    /// test alone.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The floats and dates at the edges of the direct paths, plus the
+    /// extremes of every other variant.
+    fn edge_values() -> Vec<Value> {
+        let mut out = vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+        ];
+        let below_1e15 = f64::from_bits(1e15f64.to_bits() - 1);
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            -84.0,
+            0.5,
+            -0.5,
+            1e15,
+            -1e15,
+            below_1e15,
+            -below_1e15,
+            f64::from_bits(1e15f64.to_bits() + 1),
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            9_007_199_254_740_992.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            out.push(Value::Float(x));
+        }
+        for (y, m, d) in [
+            (-1, 12, 31),
+            (-1, 1, 1),
+            (0, 1, 1),
+            (0, 12, 31),
+            (1, 1, 1),
+            (999, 12, 31),
+            (1970, 1, 1),
+            (9999, 12, 31),
+            (10000, 1, 1),
+            (-10000, 6, 15),
+        ] {
+            out.push(Value::Date(Date::from_ymd(y, m, d)));
+        }
+        out
+    }
+
+    /// One generated value: mostly floats (integral or not, any
+    /// magnitude, any bit pattern but NaN), then ints and dates over a
+    /// span of years far wider than 0..=9999.
+    fn random_value(g: &mut Gen) -> Value {
+        match g.below(8) {
+            0 => Value::Int(g.next() as i64 >> g.below(64)),
+            1 => Value::Date(Date::from_days(g.below(8_000_000) as i32 - 4_000_000)),
+            2 => {
+                // Integral, either side of 1e15 and of 2^53.
+                let x = (g.next() as i64 >> (g.below(20) + 10)) as f64;
+                Value::Float(x)
+            }
+            3 => Value::Float((g.below(2_000_000) as f64 - 1e6) / 4.0),
+            4 => {
+                let x = f64::from_bits(g.next());
+                Value::Float(if x.is_nan() { 0.1 } else { x })
+            }
+            5 => Value::Float(g.next() as i64 as f64 * 10f64.powi(g.below(40) as i32 - 20)),
+            6 => Value::Float(f64::from_bits(g.below(1 << 52))),
+            _ => Value::Float(g.below(2_000) as f64 - 1_000.0),
+        }
+    }
+
+    fn assert_renders_like_the_reference(cases: usize) {
+        let mut g = Gen(0x5eed_0048);
+        let values = edge_values()
+            .into_iter()
+            .chain((0..cases).map(|_| random_value(&mut g)));
+        for value in values {
+            let want = reference_display(&value);
+            assert_eq!(value.to_string(), want, "{value:?}");
+            assert_eq!(format!("{value:>40}"), want, "{value:?} ignores the width");
+        }
+    }
+
+    #[test]
+    fn render_is_byte_identical_to_the_format_reference() {
+        assert_renders_like_the_reference(20_000);
+    }
+
+    #[test]
+    #[ignore = "soak: run with --ignored (CI's patternset-fuzz job does)"]
+    fn render_is_byte_identical_to_the_format_reference_soak() {
+        assert_renders_like_the_reference(4_000_000);
     }
 }

@@ -15,7 +15,13 @@
 //!   column list cloned per record);
 //! * `to_csv` of N rows: a constant plus the output buffer's doubling,
 //!   never O(N) — 15 calls for 1 000 rows, where the join-based writer
-//!   made 9 123.
+//!   made 9 123;
+//! * `Table::from_csv_str` of N rows: one call per string cell plus a
+//!   constant.  Records are typed straight into the table's one cell
+//!   buffer, sized once from the line count, so a row costs nothing of
+//!   its own (it used to cost its `Vec` and the table's doubling);
+//! * a `Table::with_capacity` table filled by `push_row`: no call at all
+//!   for its cells.
 //!
 //! Counts are per thread and deterministic, so the test cannot flake; if
 //! a change moves a pin on purpose, re-pin it and say why in the commit.
@@ -181,4 +187,60 @@ fn rendering_allocates_a_constant_plus_output_growth() {
             "{rows} rows through a BufWriter: {calls} allocation calls"
         );
     }
+}
+
+/// A `quote_schema` CSV of `rows` records, one string cell each.
+fn quote_csv(rows: usize) -> String {
+    let mut csv = String::from("name,date,price\n");
+    for i in 0..rows {
+        csv.push_str(&format!(
+            "S{:04},1990-01-{:02},{}.5\n",
+            i % 8,
+            i % 28 + 1,
+            i
+        ));
+    }
+    csv
+}
+
+#[test]
+fn loading_a_csv_string_costs_its_string_cells_plus_a_constant() {
+    let load = |rows: usize| {
+        let csv = quote_csv(rows);
+        let (calls, table) = allocations(|| Table::from_csv_str(quote_schema(), &csv).unwrap());
+        assert_eq!(table.len(), rows);
+        calls
+    };
+    let (small, large) = (load(100), load(5_000));
+    // Exactly one call per added row: its string cell.
+    assert_eq!(
+        large - small,
+        5_000 - 100,
+        "calls: {small} for 100 rows, {large} for 5 000"
+    );
+    // The rest is fixed: the reader's buffers, the schema copy, the header
+    // mapping, the cell buffer (14 calls when this was written).
+    assert!(small <= 100 + 24, "{small} calls for 100 rows");
+}
+
+#[test]
+fn a_reserved_table_never_reallocates_its_cells() {
+    const ROWS: usize = 1_000;
+    let rows: Vec<Vec<Value>> = (0..ROWS)
+        .map(|i| {
+            vec![
+                Value::from("S0001"),
+                Value::Date(Date::from_days(i as i32)),
+                Value::Float(i as f64),
+            ]
+        })
+        .collect();
+    let mut table = Table::with_capacity(quote_schema(), ROWS);
+    let (calls, ()) = allocations(|| {
+        for row in rows {
+            table.push_row(row).unwrap();
+        }
+    });
+    assert_eq!(calls, 0, "allocation calls filling a reserved table");
+    assert_eq!(table.len(), ROWS);
 }

@@ -15,8 +15,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlts_core::engine::SearchOptions;
 use sqlts_core::{
-    compile, execute, execute_query, find_matches, CompileOptions, EngineKind, EvalCounter,
-    ExecOptions, FirstTuplePolicy, Instrument, SearchStats,
+    compile, execute, execute_query, find_matches, shift_next, star_shift_next, CompileOptions,
+    EngineKind, EvalCounter, ExecOptions, FirstTuplePolicy, Instrument, PrecondMatrices,
+    Predicates, SearchStats,
 };
 use sqlts_datagen::{integer_walk, quote_schema};
 use sqlts_lang::{eval_projection, EvalCtx};
@@ -43,11 +44,16 @@ const PREDICATES: &[&str] = &[
 
 fn random_query(rng: &mut SmallRng) -> String {
     let m = rng.gen_range(1..=5);
+    random_query_of(rng, m, 0.4)
+}
+
+/// A random query of `m` elements, each starred with probability `star`.
+fn random_query_of(rng: &mut SmallRng, m: usize, star: f64) -> String {
     let mut vars = Vec::new();
     let mut conds = Vec::new();
     for i in 0..m {
         let name = format!("V{i}");
-        let star = rng.gen_bool(0.4);
+        let star = rng.gen_bool(star);
         vars.push(if star {
             format!("*{name}")
         } else {
@@ -1058,4 +1064,53 @@ fn group_workers_read_back_their_solo_sessions() {
 #[ignore = "soak: run with --ignored (CI's patternset-fuzz job does)"]
 fn group_workers_read_back_their_solo_sessions_soak() {
     fuzz_groups(0x50A6E0B5, 3000);
+}
+
+/// §5.1's implication-graph derivation (`star_shift_next`) computes
+/// exactly §4.2's S-matrix tables (`shift_next::compute`) on star-free
+/// patterns — the equality that lets one derivation serve both — over the
+/// predicate pool above at m = 1–12 and the paper's own star-free
+/// patterns: Example 3's constants, Example 4's query with its cluster
+/// filter, and the four-element pattern of Examples 5–7.
+#[test]
+fn star_free_shift_next_agrees_with_the_star_graph() {
+    let paper = [
+        "SELECT X.date FROM t SEQUENCE BY date AS (X, Y, Z) \
+         WHERE X.price = 10 AND Y.price = 11 AND Z.price = 15",
+        "SELECT X.date FROM t CLUSTER BY name SEQUENCE BY date AS (X, Y, Z, T, U) \
+         WHERE X.name = 'IBM' AND Y.price < X.price \
+         AND Z.price < Y.price AND Z.price > 40 AND Z.price < 50 \
+         AND T.price > Z.price AND T.price < 52 AND U.price > T.price",
+        "SELECT A.date FROM t SEQUENCE BY date AS (A, B, C, D) \
+         WHERE A.price < A.previous.price \
+         AND B.price < B.previous.price AND B.price > 40 AND B.price < 50 \
+         AND C.price > C.previous.price AND C.price < 52 \
+         AND D.price > D.previous.price",
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x19A);
+    let random: Vec<String> = (0..1_200)
+        .map(|i| {
+            let m = if i % 4 == 0 {
+                rng.gen_range(6..=12)
+            } else {
+                rng.gen_range(1..=5)
+            };
+            random_query_of(&mut rng, m, 0.0)
+        })
+        .collect();
+    for sql in paper
+        .iter()
+        .copied()
+        .chain(random.iter().map(String::as_str))
+    {
+        let query = compile(sql, &quote_schema(), &CompileOptions::default()).unwrap();
+        assert!(query.elements.iter().all(|e| !e.star), "{sql}");
+        let pattern = Predicates::new(&query.elements);
+        let pre = PrecondMatrices::build(pattern);
+        assert_eq!(
+            star_shift_next(pattern, &pre),
+            shift_next::compute(&pre),
+            "{sql}"
+        );
+    }
 }
