@@ -925,7 +925,7 @@ fn emit_result(args: &Args, result: &QueryResult) -> Result<(), CliError> {
 /// atomically (tmp+rename), so a crash mid-write can never tear the
 /// previous good checkpoint — the one file whose whole job is to
 /// survive crashes.
-fn save_checkpoint(session: &mut StreamSession<'_>, path: &Path) -> Result<(), CliError> {
+fn save_checkpoint(session: &mut StreamSession, path: &Path) -> Result<(), CliError> {
     let checkpoint = session
         .snapshot()
         .map_err(|e| CliError::Runtime(format!("checkpoint: {e}")))?;
@@ -935,7 +935,7 @@ fn save_checkpoint(session: &mut StreamSession<'_>, path: &Path) -> Result<(), C
 
 /// Close the stream and report: print the (possibly partial) result, note
 /// skipped/quarantined input, and map a governed trip to exit 4.
-fn finish_and_report(args: &Args, session: StreamSession<'_>) -> Result<(), CliError> {
+fn finish_and_report(args: &Args, session: StreamSession) -> Result<(), CliError> {
     let skipped = session.skipped();
     let quarantined = session.quarantine().len();
     let outcome = session.finish();

@@ -167,12 +167,36 @@ impl EvalCounter {
         self.flushed.set(self.tests.get());
         match scope.refill(spent) {
             Ok(credit) => self.credit.set(credit),
-            Err(_) => {
-                // Stop re-checking: the engines observe `tripped` at their
-                // loop heads and wind the cluster down.
-                self.tripped.set(true);
-                self.credit.set(u32::MAX);
-            }
+            Err(_) => self.latch_trip(),
+        }
+    }
+
+    /// Stop re-checking: the engines observe `tripped` at their loop heads
+    /// and wind the cluster down.
+    fn latch_trip(&self) {
+        self.tripped.set(true);
+        self.credit.set(u32::MAX);
+    }
+
+    /// Settle a streaming lane around a drive: flush the steps spent since
+    /// the last refill and hand back the credit the step budget no longer
+    /// covers.  A run's lanes are driven one at a time, so once each
+    /// settles, no lane holds a grant past the budget and a trip lands on
+    /// the same step as a sequential batch run.  A no-op without a step
+    /// budget.
+    #[inline]
+    pub(crate) fn settle(&self) {
+        let Some(scope) = self.scope.as_ref().filter(|scope| scope.budgeted()) else {
+            return;
+        };
+        if self.tripped.get() {
+            return;
+        }
+        let spent = self.tests.get() - self.flushed.get();
+        self.flushed.set(self.tests.get());
+        match scope.flush(spent) {
+            Ok(()) => self.credit.set(self.credit.get().min(scope.credit())),
+            Err(_) => self.latch_trip(),
         }
     }
 
@@ -205,7 +229,8 @@ impl EvalCounter {
     /// accounting; keeps `RunGovernor::steps_consumed` exact).
     pub fn finish(&self) {
         if let Some(scope) = &self.scope {
-            scope.flush(self.tests.get() - self.flushed.get());
+            // A trip found here is latched in the run; the cluster is done.
+            let _ = scope.flush(self.tests.get() - self.flushed.get());
             self.flushed.set(self.tests.get());
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::counters::EvalCounter;
 use crate::matrices::{test_element, PrecondMatrices, Predicates};
-use crate::shift_next::{self, ShiftNext};
+use crate::shift_next::ShiftNext;
 use crate::stargraph::star_shift_next;
 use sqlts_lang::{Bindings, EvalCtx, FirstTuplePolicy, PatternElement};
 use sqlts_relation::Cluster;
@@ -131,17 +131,13 @@ pub struct SearchPlan {
 pub fn plan(elements: &[PatternElement], kind: EngineKind) -> SearchPlan {
     let pattern = Predicates::new(elements);
     let m = pattern.len();
-    let has_star = elements.iter().any(|e| e.star);
     let has_nonlocal = elements.iter().any(|e| !e.purely_local());
     let tables = match kind {
         EngineKind::Naive | EngineKind::NaiveBacktrack => ShiftNext::naive(m),
         EngineKind::Ops | EngineKind::OpsShiftOnly => {
-            let pre = PrecondMatrices::build(pattern);
-            let sn = if has_star {
-                star_shift_next(pattern, &pre)
-            } else {
-                shift_next::compute(&pre)
-            };
+            // §5.1's implication graph serves every pattern: on a
+            // star-free one it derives exactly §4.2's S-matrix tables.
+            let sn = star_shift_next(pattern, &PrecondMatrices::build(pattern));
             if kind == EngineKind::OpsShiftOnly {
                 shift_only(&sn)
             } else {

@@ -10,7 +10,6 @@ use sqlts_lang::{
 };
 use sqlts_relation::{Cluster, Schema, Table, TableError, Value};
 use sqlts_trace::{ClusterProfile, ClusterRecorder, ExecutionProfile, PhaseNanos, TraceEvent};
-use std::borrow::Cow;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -320,22 +319,23 @@ pub(crate) fn output_schema(query: &CompiledQuery) -> Result<Schema, TableError>
 
 /// One query's share of a run — everything set up before the first tuple
 /// is tested: the output schema, the search plan and the armed governor.
-/// A batch run (and a driver with the query on its stack) borrows the
-/// query; a long-lived session that must outlive its creator owns it.
-pub(crate) struct Member<'q> {
-    pub(crate) query: Cow<'q, CompiledQuery>,
+/// The query itself stays with the caller: a batch run borrows it, a
+/// streaming session owns it through an `Arc`.
+pub(crate) struct Member {
     schema: Schema,
     pub(crate) search_plan: Option<SearchPlan>,
     plan_ns: u64,
     pub(crate) run: Option<Arc<RunGovernor>>,
+    pattern_len: usize,
+    instrument: Instrument,
 }
 
-impl<'q> Member<'q> {
+impl Member {
     pub(crate) fn prepare(
-        query: Cow<'q, CompiledQuery>,
+        query: &CompiledQuery,
         options: &ExecOptions,
-    ) -> Result<Member<'q>, TableError> {
-        let schema = output_schema(&query)?;
+    ) -> Result<Member, TableError> {
+        let schema = output_schema(query)?;
         // Compile the search plan once, reuse across clusters.
         let t_plan = options.instrument.armed().then(Instant::now);
         let search_plan = plan_for(&query.elements, options.engine);
@@ -344,32 +344,34 @@ impl<'q> Member<'q> {
         // ungoverned path stays bit-identical to a build without a governor.
         let run = (!options.governor.is_unlimited()).then(|| options.governor.begin());
         Ok(Member {
-            query,
             schema,
             search_plan,
             plan_ns,
             run,
+            pattern_len: query.elements.len(),
+            instrument: options.instrument,
         })
     }
 
-    /// A fresh private counter for one cluster of this member.  The
-    /// construction order is fixed — governed scope (whose initial refill
-    /// must precede the recorder), then the recorder, then the shared memo
-    /// handle — so flush timing is identical wherever a counter is built.
+    /// A fresh private counter for one cluster of this member, carrying
+    /// `recorder` (a restored one) or, when instrumentation is armed, a new
+    /// one.  The construction order is fixed — governed scope (whose
+    /// initial refill must precede the recorder), then the recorder, then
+    /// the shared memo handle — so flush timing is identical wherever a
+    /// counter is built.
     pub(crate) fn counter(
         &self,
-        instrument: Instrument,
+        recorder: Option<ClusterRecorder>,
         shared: Option<SharedEvalHandle>,
     ) -> EvalCounter {
         let mut counter = match &self.run {
             Some(run) => EvalCounter::governed(run.scope()),
             None => EvalCounter::new(),
         };
-        if instrument.armed() {
-            counter = counter.with_recorder(ClusterRecorder::new(
-                self.query.elements.len(),
-                instrument.capacity(),
-            ));
+        let armed = self.instrument.armed();
+        let fresh = || ClusterRecorder::new(self.pattern_len, self.instrument.capacity());
+        if let Some(recorder) = recorder.or_else(|| armed.then(fresh)) {
+            counter = counter.with_recorder(recorder);
         }
         match shared {
             Some(handle) => counter.with_shared(handle),
@@ -393,8 +395,9 @@ pub fn execute(
     let t_partition = options.instrument.armed().then(Instant::now);
     let clusters = table.cluster_by(&cluster_cols, &sequence_cols)?;
     phases.partition = t_partition.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let member = Member::prepare(Cow::Borrowed(query), options)?;
+    let member = Member::prepare(query, options)?;
     let job = BatchJob {
+        query,
         member: &member,
         clusters: &clusters,
         options,
@@ -403,7 +406,7 @@ pub fn execute(
     let runs = job.run();
     phases.execute = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
     let keyed = clusters.iter().map(Cluster::key).zip(runs).collect();
-    match merge_clusters(&member, options, phases, keyed)? {
+    match merge_clusters(&member, query, options, phases, keyed)? {
         (result, None) => Ok(result),
         (partial, Some(trip)) => Err(ExecError::Governed {
             trip,
@@ -421,7 +424,8 @@ pub fn execute(
 /// `phases` carries the caller's `partition` and `execute` wall clock
 /// (both 0 for a streamed run, which has no such phases).
 pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
-    member: &Member<'_>,
+    member: &Member,
+    query: &CompiledQuery,
     options: &ExecOptions,
     phases: PhaseNanos,
     runs: Vec<(K, ClusterRun)>,
@@ -483,7 +487,7 @@ pub(crate) fn merge_clusters<K: AsRef<[Value]>>(
             plan: member.plan_ns,
             ..phases
         };
-        profile.optimizer = Some(crate::explain::optimizer_report(&member.query));
+        profile.optimizer = Some(crate::explain::optimizer_report(query));
     }
     let result = QueryResult {
         table,
@@ -571,7 +575,8 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One batch run's fixed inputs, shared by every worker.
 struct BatchJob<'a> {
-    member: &'a Member<'a>,
+    query: &'a CompiledQuery,
+    member: &'a Member,
     clusters: &'a [Cluster<'a>],
     options: &'a ExecOptions,
 }
@@ -647,12 +652,11 @@ impl BatchJob<'_> {
     fn search(&self, idx: usize) -> ClusterOutcome {
         #[cfg(feature = "failpoints")]
         sqlts_relation::failpoints::hit("executor::cluster", idx as u64);
-        let (member, cluster) = (self.member, &self.clusters[idx]);
-        let query = &*member.query;
+        let (query, member, cluster) = (self.query, self.member, &self.clusters[idx]);
         let search_options = SearchOptions {
             policy: self.options.policy,
         };
-        let counter = member.counter(self.options.instrument, None);
+        let counter = member.counter(None, None);
         let matches = search_cluster(
             &query.elements,
             cluster,

@@ -299,9 +299,10 @@ impl RunGovernor {
     }
 
     /// How much credit a scope may spend before its next [`check`]: a full
-    /// batch, shrunk near the step budget so sequential runs trip exactly
-    /// at the limit (parallel runs can overshoot by at most one batch per
-    /// worker).
+    /// batch, shrunk near the step budget so sequential runs — and a
+    /// streaming session's lanes, which settle around every drive — trip
+    /// exactly at the limit (parallel runs can overshoot by at most one
+    /// batch per worker).
     fn credit(&self) -> u32 {
         match self.max_steps {
             None => STEP_BATCH,
@@ -336,15 +337,28 @@ impl GovernorScope {
     }
 
     /// Flush steps metered since the last refill without asking for more
-    /// credit (end-of-cluster accounting).  Also polls the wall-clock
+    /// credit (end-of-cluster accounting, and a streaming lane between
+    /// drives), then check the step budget and poll the wall-clock
     /// deadline: a cluster can finish well inside one credit batch, and
     /// without this a streaming trickle would only observe the deadline
     /// every [`STEP_BATCH`] steps.
-    pub(crate) fn flush(&self, spent: u64) {
-        if spent > 0 {
-            self.run.steps.fetch_add(spent, Ordering::Relaxed);
+    pub(crate) fn flush(&self, spent: u64) -> Result<(), TripReason> {
+        let total = self.run.steps.fetch_add(spent, Ordering::Relaxed) + spent;
+        if self.run.max_steps.is_some_and(|m| total > m) {
+            self.run.record_trip(TripReason::StepBudget);
         }
-        let _ = self.run.poll();
+        self.run.poll()
+    }
+
+    /// Is a step budget set?  Only then can one scope's credit outlast
+    /// what the budget has left.
+    pub(crate) fn budgeted(&self) -> bool {
+        self.run.max_steps.is_some()
+    }
+
+    /// The credit a scope may hold now (see [`GovernorScope::refill`]).
+    pub(crate) fn credit(&self) -> u32 {
+        self.run.credit()
     }
 
     /// The run this scope meters against.
@@ -468,10 +482,22 @@ mod tests {
         let scope = run.scope();
         std::thread::sleep(Duration::from_millis(5));
         // Far fewer than STEP_BATCH steps: check() never runs.
-        scope.flush(3);
+        assert_eq!(scope.flush(3), Err(TripReason::Deadline));
         assert!(run.is_tripped(), "flush must latch the expired deadline");
         assert_eq!(run.trip().unwrap().reason, TripReason::Deadline);
         assert_eq!(run.steps_consumed(), 3);
+    }
+
+    #[test]
+    fn flush_checks_the_step_budget() {
+        // A flush that carries the total past the budget trips it, so no
+        // step spent outside a credit check goes unreported.
+        let run = Governor::unlimited().with_max_steps(5).begin();
+        let scope = run.scope();
+        assert_eq!(scope.flush(5), Ok(()));
+        assert_eq!(scope.flush(1), Err(TripReason::StepBudget));
+        let trip = run.trip().unwrap();
+        assert_eq!((trip.reason, trip.steps), (TripReason::StepBudget, 6));
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!
 //! * the pairwise **precondition matrices** θ and φ over three-valued
 //!   logic (§4.2) — [`matrices`];
-//! * for star-free patterns, the whole-pattern matrix **S** and the
-//!   `shift` / `next` arrays (§4.2) — [`shift_next`];
-//! * for patterns with stars, the **implication graph** `G_P` and its
-//!   per-failure variants `G_P^j`, from which `shift` / `next` are derived
-//!   by reachability and deterministic-path walking (§5.1) — [`stargraph`];
+//! * the **implication graph** `G_P` and its per-failure variants
+//!   `G_P^j`, from which the `shift` / `next` arrays are derived by
+//!   reachability and deterministic-path walking (§5.1) — [`stargraph`];
+//!   on a star-free pattern this yields exactly the arrays §4.2 reads off
+//!   the whole-pattern matrix **S** ([`shift_next`], kept for `--explain`);
 //!
 //! and at run time executes the search without re-reading input tuples the
 //! compile-time analysis already accounts for — [`engine`].  The paper's

@@ -1,15 +1,15 @@
-//! Session multiplexing: one owned, lock-guarded session per standing query.
+//! Session multiplexing: one lock-guarded session group per standing query
+//! or aligned set of them.
 //!
-//! [`StreamSession`] is a single-owner type: `&mut self` to feed, a
-//! borrowed query, a consuming `finish`.  That is perfect for a driver
-//! with the query on its stack and awkward for a long-lived registry that
-//! must own many sessions and reach each from any connection thread.  A
-//! [`SessionWorker`] resolves the tension without a thread of its own: it
-//! compiles the query, lets the session *own* it (`StreamSession<'static>`),
-//! and guards the session with a mutex.  Every method takes `&self`,
-//! locks, and runs the session call **on the caller's thread**.  This is
-//! the substrate a multi-tenant host (the `sqlts-server` crate, or any
-//! embedding) multiplexes subscriptions onto:
+//! There is one session type underneath: a session group, one admission
+//! under numbered seats, of which a [`StreamSession`](crate::StreamSession)
+//! is the group of one.  Every group owns its queries (through an `Arc`),
+//! so it can outlive whoever built it.  A [`SessionWorker`] compiles its
+//! query, opens a group of one around it and seats that in a group behind
+//! a mutex — its own, or one it joins.  The worker has no thread of its
+//! own: every method takes `&self`, locks, and runs the group call **on
+//! the caller's thread**.  This is the substrate a multi-tenant host (the
+//! `sqlts-server` crate, or any embedding) multiplexes subscriptions onto:
 //!
 //! * **Where the work runs** — in whoever calls.  A host that feeds N
 //!   workers from one thread (the server's FEED path does, per channel)
@@ -36,7 +36,7 @@
 //!   it where it calls (the server's span log wraps each group feed in a
 //!   `session_drive` span).
 //! * **Stalled tenants** — `feed`, `status`, `snapshot` and
-//!   `finish` all call [`StreamSession::poll_deadline`] before they look,
+//!   `finish` all poll the seat's deadline before they look,
 //!   so a tenant that simply stops feeding is seen tripped by the first
 //!   observer after its wall-clock deadline, with no further tuple.
 //! * **Checkpoint / resume** — [`SessionWorker::snapshot`] returns the
@@ -57,13 +57,10 @@
 
 use crate::executor::{panic_cause, QueryResult};
 use crate::patternset::SetRegistry;
-use crate::stream::{
-    SessionCheckpoint, SessionGroup, SessionView, StreamError, StreamOptions, StreamSession,
-};
+use crate::stream::{SessionCheckpoint, SessionGroup, SessionView, StreamError, StreamOptions};
 use crate::{compile, Trip};
 use sqlts_relation::{Schema, Value};
 use sqlts_trace::ExecutionProfile;
-use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,7 +245,7 @@ pub struct WorkerGroup {
 struct Crew {
     /// The founding worker's name, for failures no one seat owns.
     name: String,
-    group: Mutex<SessionGroup<'static>>,
+    group: Mutex<SessionGroup>,
     queued: AtomicU64,
 }
 
@@ -268,7 +265,7 @@ impl Crew {
         name: &str,
         seat: Option<usize>,
         label: &'static str,
-        f: impl FnOnce(&mut SessionGroup<'static>) -> Result<T, WorkerError>,
+        f: impl FnOnce(&mut SessionGroup) -> Result<T, WorkerError>,
     ) -> Result<T, WorkerError> {
         // Counted while waiting for the lock: the live contention gauge.
         self.queued.fetch_add(1, Ordering::Relaxed);
@@ -356,9 +353,10 @@ fn contained<T>(name: &str, label: &'static str, f: impl FnOnce() -> T) -> Resul
     })
 }
 
-/// Stand a worker's session up on the calling thread: compile the query,
-/// apply any resume checkpoint, join the shared registry.
-fn open_session(config: SessionWorkerConfig) -> Result<StreamSession<'static>, WorkerError> {
+/// Stand a worker's session up on the calling thread, as a group of one:
+/// compile the query, apply any resume checkpoint, join the shared
+/// registry.
+fn open_group(config: SessionWorkerConfig) -> Result<SessionGroup, WorkerError> {
     let SessionWorkerConfig {
         name,
         sql,
@@ -368,25 +366,23 @@ fn open_session(config: SessionWorkerConfig) -> Result<StreamSession<'static>, W
         shared,
     } = config;
     contained(&name, "compile", || {
-        let compiled = compile(&sql, &schema, &options.exec.compile)
+        let query = compile(&sql, &schema, &options.exec.compile)
             .map_err(|e| WorkerError::Input(e.render(&sql)))?;
+        let query = Arc::new(query);
         if let Some(cp) = &resume_from {
             // The checkpoint's engine wins: a resumed subscription must
             // continue bit-identically, never silently switch machines.
             options.exec.engine = cp.engine();
         }
         let policy = options.exec.policy;
-        let mut session =
-            StreamSession::open(Cow::Owned(compiled), options).map_err(map_stream_err)?;
-        if let Some(cp) = resume_from {
-            session = session.restore(cp).map_err(map_stream_err)?;
-        }
+        let mut group =
+            SessionGroup::open(Arc::clone(&query), options, resume_from).map_err(map_stream_err)?;
         if let Some(shared) = &shared {
-            if let Some(join) = shared.registry.join(shared.origin, session.query(), policy) {
-                session.install_shared(join);
+            if let Some(join) = shared.registry.join(shared.origin, &query, policy) {
+                group.install_shared(join);
             }
         }
-        Ok(session)
+        Ok(group)
     })
     .map_err(WorkerError::Runtime)?
 }
@@ -412,23 +408,23 @@ impl SessionWorker {
         groups: impl IntoIterator<Item = &'a WorkerGroup>,
     ) -> Result<SessionWorker, WorkerError> {
         let name = config.name.clone();
-        let mut session = open_session(config)?;
+        let mut alone = open_group(config)?;
         for group in groups {
             // A poisoned lock guards a group no one should join.
             let Ok(mut joined) = group.crew.group.lock() else {
                 continue;
             };
-            match joined.join(session) {
+            match joined.join(alone) {
                 Ok(seat) => {
                     let group = group.clone();
                     return Ok(SessionWorker { name, group, seat });
                 }
-                Err(unseated) => session = *unseated,
+                Err(unseated) => alone = *unseated,
             }
         }
         let crew = Crew {
             name: name.clone(),
-            group: Mutex::new(SessionGroup::new(session)),
+            group: Mutex::new(alone),
             queued: AtomicU64::new(0),
         };
         Ok(SessionWorker {
@@ -445,7 +441,7 @@ impl SessionWorker {
     fn call<T>(
         &self,
         label: &'static str,
-        f: impl FnOnce(&mut SessionGroup<'static>) -> Result<T, WorkerError>,
+        f: impl FnOnce(&mut SessionGroup) -> Result<T, WorkerError>,
     ) -> Result<T, WorkerError> {
         self.group.crew.call(&self.name, Some(self.seat), label, f)
     }
@@ -499,7 +495,7 @@ impl SessionWorker {
     pub fn snapshot_with_records(&self) -> Result<(String, u64), WorkerError> {
         self.call("snapshot", |group| {
             // A tripped session still snapshots; the poll only latches.
-            group.poll_deadline(self.seat);
+            let _ = group.poll_deadline(self.seat);
             let view = group.view(self.seat).ok_or(WorkerError::Gone)?;
             let cp = view.snapshot().map_err(map_stream_err)?;
             Ok((cp.to_text(), cp.records()))
@@ -509,7 +505,7 @@ impl SessionWorker {
     /// A point-in-time status snapshot.
     pub fn status(&self) -> Result<SessionStatus, WorkerError> {
         self.call("status", |group| {
-            group.poll_deadline(self.seat);
+            let _ = group.poll_deadline(self.seat);
             let view = group.view(self.seat).ok_or(WorkerError::Gone)?;
             Ok(status_of(view))
         })
@@ -520,7 +516,7 @@ impl SessionWorker {
     /// answers [`WorkerError::Gone`].
     pub fn finish(&self) -> Result<FinishReport, WorkerError> {
         self.call("finish", |group| {
-            group.poll_deadline(self.seat);
+            let _ = group.poll_deadline(self.seat);
             let view = group.view(self.seat).ok_or(WorkerError::Gone)?;
             let (skipped, quarantined) = (view.skipped(), view.quarantine().len());
             let finished = group.finish(self.seat).ok_or(WorkerError::Gone)?;
@@ -540,7 +536,7 @@ impl Drop for SessionWorker {
     }
 }
 
-fn status_of(view: SessionView<'_, '_>) -> SessionStatus {
+fn status_of(view: SessionView<'_>) -> SessionStatus {
     SessionStatus {
         records: view.records(),
         skipped: view.skipped(),

@@ -40,21 +40,21 @@ impl fmt::Display for SetFeedError {
 impl std::error::Error for SetFeedError {}
 
 /// N standing queries over one push-based feed, sharing predicate tests.
-pub struct SharedStreamSession<'q> {
-    members: Vec<StreamSession<'q>>,
+pub struct SharedStreamSession {
+    members: Vec<StreamSession>,
     registry: Arc<SetRegistry>,
     /// Members whose pattern had no shareable element (they run exactly
     /// as solo sessions; counted as solo in the set stats).
     unshared: usize,
 }
 
-impl<'q> SharedStreamSession<'q> {
+impl SharedStreamSession {
     /// Open a shared session over `queries`, all starting at feed
     /// position zero.  Every query must read the same input schema (they
     /// are fed the same tuples); queries that disagree on
     /// `CLUSTER BY`/`SEQUENCE BY` still run in the set, they just land in
     /// separate sharing groups.
-    pub fn new(queries: &'q [CompiledQuery], options: &StreamOptions) -> Result<Self, StreamError> {
+    pub fn new(queries: &[CompiledQuery], options: &StreamOptions) -> Result<Self, StreamError> {
         let checkpoints = queries.iter().map(|_| None).collect();
         Self::build(queries, options, checkpoints)
     }
@@ -64,7 +64,7 @@ impl<'q> SharedStreamSession<'q> {
     /// each member's resume origin (its checkpointed record count), so
     /// members whose positions don't line up never share a memo entry.
     pub fn resume(
-        queries: &'q [CompiledQuery],
+        queries: &[CompiledQuery],
         options: &StreamOptions,
         checkpoints: Vec<Option<SessionCheckpoint>>,
     ) -> Result<Self, StreamError> {
@@ -79,7 +79,7 @@ impl<'q> SharedStreamSession<'q> {
     }
 
     fn build(
-        queries: &'q [CompiledQuery],
+        queries: &[CompiledQuery],
         options: &StreamOptions,
         checkpoints: Vec<Option<SessionCheckpoint>>,
     ) -> Result<Self, StreamError> {

@@ -1,5 +1,4 @@
-//! The whole-pattern matrix `S` and the `shift` / `next` arrays for
-//! star-free patterns (§4.2 of the paper).
+//! The `shift` / `next` tables and the whole-pattern matrix `S` of §4.2.
 //!
 //! `S[j][k]` (defined for `j > k`) answers: *given that the pattern was
 //! satisfied up to (and excluding) element `j`, can it possibly be
@@ -9,11 +8,12 @@
 //! S[j][k] = θ[k+1][1] ∧ θ[k+2][2] ∧ … ∧ θ[j-1][j-k-1] ∧ φ[j][j-k]
 //! ```
 //!
-//! From `S`, for every failure position `j`:
-//!
-//! * `shift(j)` — the least viable shift (`j` when every entry is 0);
-//! * `next(j)` — the pattern element from which checking resumes after
-//!   the shift (0 means "start over at the next input element").
+//! From `S`, for every failure position `j`, `shift(j)` is the least
+//! viable shift and `next(j)` the pattern element from which checking
+//! resumes after it.  The planner derives both through §5.1's
+//! implication graph ([`crate::stargraph`]), which yields exactly these
+//! tables on a star-free pattern; `S` itself is kept for `--explain`'s
+//! §4.2 walkthrough.
 
 use crate::matrices::PrecondMatrices;
 use sqlts_tvl::{StrictTriMatrix, Truth};
@@ -114,45 +114,12 @@ pub fn s_matrix(pre: &PrecondMatrices) -> StrictTriMatrix {
     s
 }
 
-/// Compute `shift` and `next` for a star-free pattern (§4.2).
-pub fn compute(pre: &PrecondMatrices) -> ShiftNext {
-    let m = pre.dim();
-    let s = s_matrix(pre);
-    let mut shift = vec![0usize; m + 1];
-    let mut next = vec![0usize; m + 1];
-
-    for j in 1..=m {
-        // shift(j): leftmost non-zero column of row j, else j.
-        let sh = (1..j).find(|&k| s.get(j, k) != Truth::False).unwrap_or(j);
-        shift[j] = sh;
-
-        // next(j): the paper's case 1 (full shift → restart), else the
-        // leftmost element that still needs testing: the first t with
-        // θ[sh+t][t] = U, defaulting to j-sh.
-        //
-        // The paper's case 2 (S[j][sh] = 1 → next = j-sh+1, stepping the
-        // input past the failed tuple) is deliberately folded into case 3
-        // (next = j-sh): our runtime realigns uniformly via the count
-        // array, so element j-sh is re-tested on the failed tuple — a test
-        // φ[j][j-sh] = 1 guarantees to succeed.  This costs at most one
-        // extra test per failure and is exactly what textbook KMP does
-        // (its inner loop re-compares t_i with p_next(j)).
-        next[j] = if sh == j {
-            0
-        } else {
-            (1..(j - sh))
-                .find(|&t| pre.theta.get(sh + t, t) == Truth::Unknown)
-                .unwrap_or(j - sh)
-        };
-    }
-    ShiftNext { shift, next }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrices::{PrecondMatrices, Predicates};
-    use sqlts_lang::{compile, CompileOptions};
+    use crate::EngineKind;
+    use sqlts_lang::{compile, CompileOptions, CompiledQuery};
     use sqlts_relation::{ColumnType, Schema};
     use sqlts_tvl::Truth::*;
 
@@ -165,8 +132,8 @@ mod tests {
         .unwrap()
     }
 
-    fn example4() -> PrecondMatrices {
-        let q = compile(
+    fn example4_query() -> CompiledQuery {
+        compile(
             "SELECT A.date FROM quote SEQUENCE BY date AS (A, B, C, D) \
              WHERE A.price < A.previous.price \
              AND B.price < B.previous.price AND B.price > 40 AND B.price < 50 \
@@ -175,8 +142,16 @@ mod tests {
             &quote_schema(),
             &CompileOptions::default(),
         )
-        .unwrap();
-        PrecondMatrices::build(Predicates::new(&q.elements))
+        .unwrap()
+    }
+
+    fn example4() -> PrecondMatrices {
+        PrecondMatrices::build(Predicates::new(&example4_query().elements))
+    }
+
+    /// The tables the OPS planner runs `q` with.
+    fn planned(q: &CompiledQuery) -> ShiftNext {
+        crate::engine::plan(&q.elements, EngineKind::Ops).tables
     }
 
     #[test]
@@ -196,7 +171,7 @@ mod tests {
     fn example7_shift_and_next() {
         // The paper's Example 7:
         //   shift = [1, 1, 1, 3], next = [0, 1, 2, 1].
-        let sn = compute(&example4());
+        let sn = planned(&example4_query());
         assert_eq!(sn.len(), 4);
         assert_eq!(
             (1..=4).map(|j| sn.shift(j)).collect::<Vec<_>>(),
@@ -221,7 +196,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        let sn = compute(&PrecondMatrices::build(Predicates::new(&q.elements)));
+        let sn = planned(&q);
         assert_eq!(
             (1..=3).map(|j| sn.shift(j)).collect::<Vec<_>>(),
             vec![1, 1, 2],
@@ -253,7 +228,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        let sn = compute(&PrecondMatrices::build(Predicates::new(&q.elements)));
+        let sn = planned(&q);
         // Failing at j=2 ("expected 7"): could the failed tuple be a 5
         // (pattern start)?  Unknown — ¬(=7) doesn't decide (=5).  So
         // shift(2) = 1 and re-test from element 1.
@@ -295,7 +270,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        let sn = compute(&PrecondMatrices::build(Predicates::new(&q.elements)));
+        let sn = planned(&q);
         for j in 1..=3 {
             assert_eq!(sn.shift(j), j);
             assert_eq!(sn.next(j), 0);

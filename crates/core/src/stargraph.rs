@@ -27,12 +27,11 @@ use crate::matrices::{PrecondMatrices, Predicates};
 use crate::shift_next::ShiftNext;
 use sqlts_tvl::Truth;
 
-/// Compute `shift` and `next` for a (possibly starred) pattern via the
-/// implication-graph construction.
+/// Compute `shift` and `next` for a pattern via the implication-graph
+/// construction.
 ///
-/// Also valid for star-free patterns (where it may be slightly more
-/// conservative than the `S`-matrix method — both are provided and
-/// compared by the ablation experiment E10).
+/// The planner's one derivation: on a star-free pattern it yields exactly
+/// the tables §4.2 reads off the `S` matrix.
 pub fn star_shift_next(pattern: Predicates<'_>, pre: &PrecondMatrices) -> ShiftNext {
     let m = pattern.len();
     let mut shift = vec![0usize; m + 1];
@@ -409,9 +408,8 @@ mod tests {
 
     #[test]
     fn graph_method_consistent_with_matrix_method_on_star_free() {
-        // For star-free patterns both methods must produce *sound* tables;
-        // the graph method may be more conservative but never more
-        // aggressive on shift.
+        // On a star-free pattern the graph's shift(j) is §4.2's: the
+        // leftmost column of row j of S that is not 0, else j.
         let q = compile(
             "SELECT A.date FROM quote SEQUENCE BY date AS (A, B, C, D) \
              WHERE A.price < A.previous.price \
@@ -425,14 +423,10 @@ mod tests {
         let pattern = Predicates::new(&q.elements);
         let pre = PrecondMatrices::build(pattern);
         let graph = star_shift_next(pattern, &pre);
-        let matrix = crate::shift_next::compute(&pre);
+        let s = crate::shift_next::s_matrix(&pre);
         for j in 1..=4 {
-            assert!(
-                graph.shift(j) <= matrix.shift(j),
-                "graph shift({j}) = {} must not exceed matrix shift({j}) = {}",
-                graph.shift(j),
-                matrix.shift(j)
-            );
+            let shift = (1..j).find(|&k| s.get(j, k) != Truth::False);
+            assert_eq!(graph.shift(j), shift.unwrap_or(j), "shift({j})");
         }
     }
 }

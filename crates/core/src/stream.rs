@@ -12,19 +12,20 @@
 //! phases) as one batch `execute` over the same rows.  There is no
 //! exception: no option trades output for memory.
 //!
-//! A session is two halves.  *Admission* (`Window`) decides what an
-//! arriving tuple is — schema check, cluster key, order check — and
-//! appends it to its cluster's window; it depends only on the input
-//! schema, the `CLUSTER BY`/`SEQUENCE BY` columns, the bad-tuple policy
-//! and the tuples seen.  The *member* (`MemberRun`) is one query's side:
-//! per cluster a machine, a counter, pending matches, projected rows and
-//! its own retention floor in the window.  A session is one of each; a
-//! `SessionGroup` is one admission under many members, so aligned
-//! sessions (same admission inputs, nothing admitted yet when they meet)
-//! check, key, order-check and store each tuple once, and each member
-//! reads the shared window from its own floor.  Every member's rows,
-//! stats, profile, status and checkpoint stay byte-identical to a solo
-//! session's.
+//! There is one session type, a `SessionGroup`, in two halves.
+//! *Admission* (`Window`) decides what an arriving tuple is — schema
+//! check, cluster key, order check — and appends it to its cluster's
+//! window; it depends only on the input schema, the
+//! `CLUSTER BY`/`SEQUENCE BY` columns, the bad-tuple policy and the tuples
+//! seen.  A *member* (`MemberRun`) is one query's side, owning its query
+//! through an `Arc`: per cluster a machine, a counter, pending matches,
+//! projected rows and its own retention floor in the window.  A group is
+//! one admission under numbered seats of members, so aligned members
+//! (same admission inputs, nothing admitted yet when they meet) check,
+//! key, order-check and store each tuple once, and each reads the shared
+//! window from its own floor.  A [`StreamSession`] is the group of one;
+//! every member of a larger group reads back byte for byte what it would
+//! as a session of its own — rows, stats, profile, status, checkpoint.
 //!
 //! Two resilience layers ride on top of the incremental core:
 //!
@@ -52,7 +53,7 @@ use crate::executor::{
     merge_clusters, panic_cause, render_key, ClusterOutcome, ClusterRun, ExecOptions, Member,
     QueryResult,
 };
-use crate::governor::Trip;
+use crate::governor::{Trip, TripReason};
 use sqlts_lang::{
     eval_projection, Bindings, BoolExpr, CompiledQuery, EvalCtx, FieldRef, ScalarExpr,
 };
@@ -61,11 +62,12 @@ use sqlts_trace::{
     BoundedHistogram, ClusterMetrics, ClusterRecorder, PhaseNanos, RingBuffer, TraceEvent,
     TripCause, HIST_BUCKETS,
 };
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// How many feeds between shared-memo prunes (soft state, so the exact
 /// cadence only trades memory for lock traffic).
@@ -518,7 +520,7 @@ impl Window {
     /// A copy holding exactly what `run` reads: each of its clusters from
     /// its own floor on.  What a member takes with it when it leaves a
     /// group.
-    fn view_for(&self, run: &MemberRun<'_>) -> Window {
+    fn view_for(&self, run: &MemberRun) -> Window {
         #[cfg(feature = "failpoints")]
         sqlts_relation::failpoints::hit("stream::view_for", self.records);
         let clusters: Vec<ClusterWindow> = self
@@ -579,11 +581,11 @@ struct Lane {
 /// over a window — the query and its armed governor, one [`Lane`] per
 /// cluster (indexed by the window's slots), its window-byte estimate and
 /// its latched trip or poison.
-struct MemberRun<'q> {
-    /// The query plus the same per-query setup a batch run makes (output
-    /// schema, search plan, armed governor), so `finish` can hand it to
-    /// the shared merge.
-    member: Member<'q>,
+struct MemberRun {
+    query: Arc<CompiledQuery>,
+    /// The same per-query setup a batch run makes (output schema, search
+    /// plan, armed governor), so `finish` can hand it to the shared merge.
+    member: Member,
     exec: ExecOptions,
     search_options: SearchOptions,
     margins: Margins,
@@ -598,16 +600,21 @@ struct MemberRun<'q> {
     feeds_since_prune: u32,
 }
 
-impl MemberRun<'_> {
+impl MemberRun {
     fn new_lane(&self, key: &[Value]) -> Lane {
         let shared = self.shared.as_ref().map(|shared| shared.handle_for(key));
         Lane {
             base: 0,
-            machine: EngineMachine::new(self.exec.engine, self.member.query.elements.len()),
-            counter: self.member.counter(self.exec.instrument, shared),
+            machine: EngineMachine::new(self.exec.engine, self.query.elements.len()),
+            counter: self.member.counter(None, shared),
             pending: Vec::new(),
             rows: Vec::new(),
         }
+    }
+
+    /// Is this member still driven: neither tripped nor poisoned?
+    fn driven(&self) -> bool {
+        self.trip.is_none() && self.poisoned.is_none()
     }
 
     /// Latch `cause` as this member's poison; the error its feed returns.
@@ -627,20 +634,31 @@ impl MemberRun<'_> {
                 partial: None,
             });
         }
-        if let Some(run) = &self.member.run {
-            if let Err(reason) = run.poll() {
-                // `poll` latches the trip before failing; fall back to a
-                // synthesized record rather than panicking if the latch is
-                // ever not visible.
-                let trip = run.trip().unwrap_or_else(|| run.make_trip(reason));
-                self.trip = Some(trip.clone());
-                return Err(StreamError::Governed {
-                    trip,
-                    partial: None,
-                });
-            }
+        if let Some(Err(reason)) = self.member.run.as_ref().map(|run| run.poll()) {
+            return Err(self.latch_trip(reason));
         }
         Ok(())
+    }
+
+    /// Latch the governor's trip as this member's; the error its feed
+    /// returns.  The run records a trip before anything reports one; a
+    /// record for `reason` stands in rather than panicking if it is ever
+    /// not visible.
+    fn latch_trip(&mut self, reason: TripReason) -> StreamError {
+        let trip = match &self.member.run {
+            Some(run) => run.trip().unwrap_or_else(|| run.make_trip(reason)),
+            None => Trip {
+                reason,
+                steps: 0,
+                matches: 0,
+                elapsed: std::time::Duration::ZERO,
+            },
+        };
+        self.trip = Some(trip.clone());
+        StreamError::Governed {
+            trip,
+            partial: None,
+        }
     }
 
     fn install_shared(&mut self, window: &Window, join: crate::patternset::SharedJoin) {
@@ -651,6 +669,65 @@ impl MemberRun<'_> {
             }
         }
         self.shared = Some(join);
+    }
+
+    /// Load `checkpoint` into this freshly opened member and its window.
+    fn restore(
+        &mut self,
+        window: &mut Window,
+        checkpoint: SessionCheckpoint,
+    ) -> Result<(), StreamError> {
+        let pattern_len = self.query.elements.len();
+        if checkpoint.engine != self.exec.engine {
+            return Err(StreamError::Checkpoint(format!(
+                "engine mismatch: checkpoint '{}' vs session '{}'",
+                checkpoint.engine.name(),
+                self.exec.engine.name()
+            )));
+        }
+        if checkpoint.pattern_len != pattern_len {
+            return Err(StreamError::Checkpoint(format!(
+                "pattern length mismatch: checkpoint {} vs query {pattern_len}",
+                checkpoint.pattern_len,
+            )));
+        }
+        window.records = checkpoint.records;
+        window.skipped = checkpoint.skipped;
+        window.quarantine = checkpoint.quarantine;
+        for cc in checkpoint.clusters {
+            let key = ClusterKey(cc.key);
+            if window.slots.contains_key(&key) {
+                return Err(StreamError::Checkpoint(format!(
+                    "cluster ({}) appears twice",
+                    render_key(&key.0)
+                )));
+            }
+            let mut buf = Table::with_capacity(window.schema.clone(), cc.rows.len());
+            for row in cc.rows {
+                self.window_bytes += row_bytes(&row);
+                buf.push_row(row)?;
+            }
+            // Built as a fresh cluster's is, so `governor_flushes` and flush
+            // timing stay bit-identical; the restored totals come last.
+            let counter = self.member.counter(cc.recorder, None);
+            counter.restore_total(cc.counter_total);
+            let slot = window.clusters.len();
+            window.clusters.push(ClusterWindow {
+                key: key.0.clone(),
+                buf,
+                base: cc.base,
+                last_seq: cc.last_seq,
+            });
+            window.slots.insert(key, slot);
+            self.lanes.push(Lane {
+                base: cc.base,
+                machine: cc.machine,
+                counter,
+                pending: cc.pending,
+                rows: cc.out_rows,
+            });
+        }
+        Ok(())
     }
 
     /// Drive this member over the tuple admission just appended to
@@ -667,7 +744,7 @@ impl MemberRun<'_> {
         self.window_bytes += bytes;
         let lane = &mut self.lanes[slot];
         let outcome = drive(
-            &self.member.query,
+            &self.query,
             self.member.search_plan.as_ref(),
             &self.search_options,
             &self.margins,
@@ -677,24 +754,7 @@ impl MemberRun<'_> {
         );
         self.window_bytes -= compact(&self.margins, cw, lane);
         if outcome == StepOutcome::Tripped {
-            // A tripped machine implies a recorded trip; synthesize one
-            // instead of panicking if the latch is not visible.
-            let trip = match self.member.run.as_ref() {
-                Some(run) => run
-                    .trip()
-                    .unwrap_or_else(|| run.make_trip(crate::governor::TripReason::StepBudget)),
-                None => Trip {
-                    reason: crate::governor::TripReason::StepBudget,
-                    steps: 0,
-                    matches: 0,
-                    elapsed: std::time::Duration::ZERO,
-                },
-            };
-            self.trip = Some(trip.clone());
-            return Err(StreamError::Governed {
-                trip,
-                partial: None,
-            });
+            return Err(self.latch_trip(TripReason::StepBudget));
         }
         // Periodically drop shared-memo entries the member's floors can no
         // longer probe.  Soft state: over-pruning (another member may lag
@@ -734,7 +794,7 @@ impl MemberRun<'_> {
             let cw = &window.clusters[slot];
             if !tripped {
                 let outcome = drive(
-                    &self.member.query,
+                    &self.query,
                     self.member.search_plan.as_ref(),
                     &self.search_options,
                     &self.margins,
@@ -754,11 +814,8 @@ impl MemberRun<'_> {
                 };
                 for m in lane.pending.drain(..) {
                     let bindings = Bindings { spans: m.spans };
-                    lane.rows.push(eval_projection(
-                        &self.member.query.projection,
-                        &ctx,
-                        &bindings,
-                    ));
+                    lane.rows
+                        .push(eval_projection(&self.query.projection, &ctx, &bindings));
                 }
             }
             let outcome = ClusterOutcome::close(
@@ -770,7 +827,8 @@ impl MemberRun<'_> {
             runs.push((key.0.as_slice(), ClusterRun::Done(outcome)));
         }
         // A streamed run has no separate partition or execute phase to time.
-        match merge_clusters(&self.member, &self.exec, PhaseNanos::default(), runs)? {
+        let phases = PhaseNanos::default();
+        match merge_clusters(&self.member, &self.query, &self.exec, phases, runs)? {
             (result, None) => Ok(result),
             (partial, Some(trip)) => Err(StreamError::Governed {
                 trip,
@@ -780,15 +838,15 @@ impl MemberRun<'_> {
     }
 }
 
-/// One member read through a window: what a solo session's accessors
-/// report, for a session or for one seat of a [`SessionGroup`].
+/// One member read through a window: what a session's accessors report,
+/// for any seat of a [`SessionGroup`].
 #[derive(Clone, Copy)]
-pub(crate) struct SessionView<'a, 'q> {
+pub(crate) struct SessionView<'a> {
     window: &'a Window,
-    run: &'a MemberRun<'q>,
+    run: &'a MemberRun,
 }
 
-impl SessionView<'_, '_> {
+impl<'a> SessionView<'a> {
     /// See [`StreamSession::records`].
     pub(crate) fn records(&self) -> u64 {
         self.window.records
@@ -800,7 +858,7 @@ impl SessionView<'_, '_> {
     }
 
     /// See [`StreamSession::quarantine`].
-    pub(crate) fn quarantine(&self) -> &[BadTuple] {
+    pub(crate) fn quarantine(&self) -> &'a [BadTuple] {
         &self.window.quarantine
     }
 
@@ -815,7 +873,7 @@ impl SessionView<'_, '_> {
     }
 
     /// See [`StreamSession::trip`].
-    pub(crate) fn trip(&self) -> Option<&Trip> {
+    pub(crate) fn trip(&self) -> Option<&'a Trip> {
         self.run.trip.as_ref()
     }
 
@@ -860,7 +918,7 @@ impl SessionView<'_, '_> {
             .collect();
         Ok(SessionCheckpoint {
             engine: run.exec.engine,
-            pattern_len: run.member.query.elements.len(),
+            pattern_len: run.query.elements.len(),
             records: window.records,
             skipped: window.skipped,
             quarantine: window.quarantine.clone(),
@@ -874,64 +932,42 @@ impl SessionView<'_, '_> {
 /// Built with [`StreamSession::new`] (or [`StreamSession::resume`] from a
 /// checkpoint); fed one tuple at a time with [`StreamSession::feed`];
 /// closed with [`StreamSession::finish`], which returns the same
-/// [`QueryResult`] a batch run over the full input would.
-pub struct StreamSession<'q> {
-    window: Window,
-    run: MemberRun<'q>,
+/// [`QueryResult`] a batch run over the full input would.  The session
+/// owns a copy of its query, so it outlives the one it was built from.
+pub struct StreamSession {
+    /// A session group of one: the session sits in seat 0 until `finish`.
+    group: SessionGroup,
 }
 
-impl<'q> StreamSession<'q> {
+impl StreamSession {
     /// Open a fresh streaming session for `query`.
-    pub fn new(query: &'q CompiledQuery, options: StreamOptions) -> Result<Self, StreamError> {
-        Self::open(Cow::Borrowed(query), options)
+    pub fn new(query: &CompiledQuery, options: StreamOptions) -> Result<Self, StreamError> {
+        let group = SessionGroup::open(Arc::new(query.clone()), options, None)?;
+        Ok(StreamSession { group })
     }
 
-    /// [`StreamSession::new`] over a borrowed *or owned* query: a session
-    /// that owns its query is `'static` and can outlive its creator (see
-    /// [`crate::multiplex::SessionWorker`]).
-    pub(crate) fn open(
-        query: Cow<'q, CompiledQuery>,
+    /// Rebuild a session from a checkpoint, continuing bit-identically to
+    /// the session that took it.  The governor and deadline start fresh:
+    /// restored work was already metered by the run that checkpointed.
+    pub fn resume(
+        query: &CompiledQuery,
         options: StreamOptions,
+        checkpoint: SessionCheckpoint,
     ) -> Result<Self, StreamError> {
-        let window = Window::new(&query, options.bad_tuple)?;
-        let margins = margins_of(&query);
-        let member = Member::prepare(query, &options.exec)?;
-        let search_options = SearchOptions {
-            policy: options.exec.policy,
-        };
-        Ok(StreamSession {
-            window,
-            run: MemberRun {
-                member,
-                exec: options.exec,
-                search_options,
-                margins,
-                lanes: Vec::new(),
-                window_bytes: 0,
-                poisoned: None,
-                trip: None,
-                shared: None,
-                feeds_since_prune: 0,
-            },
-        })
+        let group = SessionGroup::open(Arc::new(query.clone()), options, Some(checkpoint))?;
+        Ok(StreamSession { group })
     }
 
-    /// Attach this session to a shared pattern-set group.  Existing
-    /// cluster counters (a resumed session's) are retrofitted with memo
-    /// handles; clusters created later pick theirs up at birth.  The memo
-    /// is soft state — it only short-circuits evaluations whose cached
-    /// value is provably identical — so attaching (or not) never changes
-    /// this session's output, stats or governor accounting.
+    /// The session's one seat, read.
+    fn view(&self) -> SessionView<'_> {
+        self.group
+            .view(0)
+            .expect("a session's seat is occupied until finish")
+    }
+
+    /// See [`SessionGroup::install_shared`].
     pub(crate) fn install_shared(&mut self, join: crate::patternset::SharedJoin) {
-        self.run.install_shared(&self.window, join);
-    }
-
-    /// The session read the way a group seat is.
-    pub(crate) fn view(&self) -> SessionView<'_, 'q> {
-        SessionView {
-            window: &self.window,
-            run: &self.run,
-        }
+        self.group.install_shared(join);
     }
 
     /// Input records seen so far (accepted + rejected).
@@ -958,34 +994,22 @@ impl<'q> StreamSession<'q> {
 
     /// The quarantined tuples, in rejection order.
     pub fn quarantine(&self) -> &[BadTuple] {
-        &self.window.quarantine
+        self.view().quarantine()
     }
 
     /// Has the governor tripped this session?
     pub fn tripped(&self) -> bool {
-        self.run.trip.is_some()
+        self.trip().is_some()
     }
 
     /// The latched governor trip, when one has occurred.
     pub fn trip(&self) -> Option<&Trip> {
-        self.run.trip.as_ref()
+        self.view().trip()
     }
 
     /// Has a contained panic poisoned this session?
     pub fn poisoned(&self) -> bool {
         self.view().poisoned()
-    }
-
-    /// Latch a panic contained *outside* [`StreamSession::feed`] (a host
-    /// that caught one in `snapshot`, say): every later call fails with
-    /// [`StreamError::Poisoned`], exactly as after a contained feed panic.
-    pub(crate) fn poison(&mut self, cause: &str) {
-        self.run.poison(cause);
-    }
-
-    /// The compiled query this session runs.
-    pub(crate) fn query(&self) -> &CompiledQuery {
-        &self.run.member.query
     }
 
     /// Push one input tuple into the session.
@@ -995,13 +1019,8 @@ impl<'q> StreamSession<'q> {
     /// deadline trip at the feed boundary is **not** consumed); a panic is
     /// contained and poisons the session.
     pub fn feed(&mut self, row: Vec<Value>) -> Result<(), StreamError> {
-        // The deadline is honoured at every feed boundary, not just at
-        // credit-batch flushes.
-        self.poll_deadline()?;
         let mut fed = Ok(());
-        admit_and_drive(&mut self.window, &mut self.run, row, &mut |_, result| {
-            fed = result;
-        });
+        self.group.feed(row, &mut |_, result| fed = result);
         fed
     }
 
@@ -1019,7 +1038,7 @@ impl<'q> StreamSession<'q> {
     /// Cheap when it does not trip: one latched-flag read plus at most one
     /// `Instant::now()`.  No steps are charged.
     pub fn poll_deadline(&mut self) -> Result<(), StreamError> {
-        self.run.poll_deadline()
+        self.group.poll_deadline(0)
     }
 
     /// Fold an input fault detected *outside* the session (e.g. a CSV
@@ -1030,11 +1049,7 @@ impl<'q> StreamSession<'q> {
         reason: String,
         rendered: String,
     ) -> Result<(), StreamError> {
-        if let Some(cause) = &self.run.poisoned {
-            return Err(StreamError::Poisoned(cause.clone()));
-        }
-        self.window.records += 1;
-        Ok(self.window.reject(reason, rendered)?)
+        self.group.quarantine_external(reason, rendered)
     }
 
     /// Capture the session's complete state as a [`SessionCheckpoint`].
@@ -1042,151 +1057,110 @@ impl<'q> StreamSession<'q> {
         self.view().snapshot()
     }
 
-    /// Rebuild a session from a checkpoint, continuing bit-identically to
-    /// the session that took it.  The governor and deadline start fresh:
-    /// restored work was already metered by the run that checkpointed.
-    pub fn resume(
-        query: &'q CompiledQuery,
-        options: StreamOptions,
-        checkpoint: SessionCheckpoint,
-    ) -> Result<Self, StreamError> {
-        Self::open(Cow::Borrowed(query), options)?.restore(checkpoint)
-    }
-
-    /// Load `checkpoint` into a freshly opened session: the second half
-    /// of [`StreamSession::resume`].
-    pub(crate) fn restore(mut self, checkpoint: SessionCheckpoint) -> Result<Self, StreamError> {
-        let StreamSession { window, run } = &mut self;
-        let pattern_len = run.member.query.elements.len();
-        if checkpoint.engine != run.exec.engine {
-            return Err(StreamError::Checkpoint(format!(
-                "engine mismatch: checkpoint '{}' vs session '{}'",
-                checkpoint.engine.name(),
-                run.exec.engine.name()
-            )));
-        }
-        if checkpoint.pattern_len != pattern_len {
-            return Err(StreamError::Checkpoint(format!(
-                "pattern length mismatch: checkpoint {} vs query {pattern_len}",
-                checkpoint.pattern_len,
-            )));
-        }
-        window.records = checkpoint.records;
-        window.skipped = checkpoint.skipped;
-        window.quarantine = checkpoint.quarantine;
-        for cc in checkpoint.clusters {
-            let key = ClusterKey(cc.key);
-            if window.slots.contains_key(&key) {
-                return Err(StreamError::Checkpoint(format!(
-                    "cluster ({}) appears twice",
-                    render_key(&key.0)
-                )));
-            }
-            let mut buf = Table::with_capacity(window.schema.clone(), cc.rows.len());
-            for row in cc.rows {
-                run.window_bytes += row_bytes(&row);
-                buf.push_row(row)?;
-            }
-            // Same construction order as a fresh cluster: governed scope
-            // first (initial refill before the recorder is attached), then
-            // the recorder, then the restored totals — this keeps
-            // `governor_flushes` and flush timing bit-identical.
-            let mut counter = match &run.member.run {
-                Some(governed) => EvalCounter::governed(governed.scope()),
-                None => EvalCounter::new(),
-            };
-            if let Some(recorder) = cc.recorder {
-                counter = counter.with_recorder(recorder);
-            } else if run.exec.instrument.armed() {
-                counter = counter.with_recorder(ClusterRecorder::new(
-                    pattern_len,
-                    run.exec.instrument.capacity(),
-                ));
-            }
-            counter.restore_total(cc.counter_total);
-            let slot = window.clusters.len();
-            window.clusters.push(ClusterWindow {
-                key: key.0.clone(),
-                buf,
-                base: cc.base,
-                last_seq: cc.last_seq,
-            });
-            window.slots.insert(key, slot);
-            run.lanes.push(Lane {
-                base: cc.base,
-                machine: cc.machine,
-                counter,
-                pending: cc.pending,
-                rows: cc.out_rows,
-            });
-        }
-        Ok(self)
-    }
-
     /// Close the stream: drive every machine to end-of-input, project the
     /// remaining matches, and hand the per-cluster outcomes to the batch
     /// executor's cluster-order merge.
-    pub fn finish(self) -> Result<QueryResult, StreamError> {
-        self.run.finish(&self.window)
+    pub fn finish(mut self) -> Result<QueryResult, StreamError> {
+        self.group
+            .finish(0)
+            .expect("a session's seat is occupied until finish")
     }
 }
 
 /// Sessions that admit each tuple once: one window under many members,
-/// each in a numbered seat.
+/// each in a numbered seat.  A [`StreamSession`] is a group of one.
 ///
 /// A fed tuple is validated, keyed, order-checked and appended once; then
 /// every live member drives its machine over the shared window from its
 /// own floor, and the window keeps only what the lowest floor still
-/// needs.  Each seat reads back exactly what its solo [`StreamSession`]
-/// would — rows, stats, profile, status, checkpoint bytes — because
-/// admission is the part of a feed that depends on nothing a member owns.
+/// needs.  Each seat reads back exactly what a session of its own would —
+/// rows, stats, profile, status, checkpoint bytes — because admission is
+/// the part of a feed that depends on nothing a member owns.
 ///
-/// A member that trips its governor or is poisoned is never driven again,
-/// so it leaves: it takes a copy of its view of the window and becomes a
-/// solo session in its seat, answering every later call exactly as a
-/// tripped solo session does.  A finished seat is vacant.
-pub(crate) struct SessionGroup<'q> {
+/// A member that trips its governor or is poisoned is never driven again.
+/// While others are still driven it leaves: it takes a copy of its view
+/// of the window and becomes a group of one in its seat, answering every
+/// later call exactly as a tripped session does.  A finished seat is
+/// vacant.
+pub(crate) struct SessionGroup {
     window: Window,
-    seats: Vec<Seat<'q>>,
+    seats: Vec<Seat>,
 }
 
-enum Seat<'q> {
-    /// Driven over the group's window.
-    Live(MemberRun<'q>),
-    /// Left the group tripped or poisoned, with its own copy of its view.
-    Alone(StreamSession<'q>),
+enum Seat {
+    /// Read over the group's window.
+    Live(MemberRun),
+    /// Left the group tripped or poisoned: a group of one over its own
+    /// copy of its view.
+    Alone(SessionGroup),
     /// Finished.
     Vacant,
 }
 
-impl<'q> SessionGroup<'q> {
-    /// A group of one: `session` in seat 0.
-    pub(crate) fn new(session: StreamSession<'q>) -> SessionGroup<'q> {
-        SessionGroup {
-            window: session.window,
-            seats: vec![Seat::Live(session.run)],
+impl SessionGroup {
+    /// A group of one running `query` in seat 0, fresh or restored from
+    /// `checkpoint`.
+    pub(crate) fn open(
+        query: Arc<CompiledQuery>,
+        options: StreamOptions,
+        checkpoint: Option<SessionCheckpoint>,
+    ) -> Result<SessionGroup, StreamError> {
+        let mut window = Window::new(&query, options.bad_tuple)?;
+        let mut run = MemberRun {
+            member: Member::prepare(&query, &options.exec)?,
+            margins: margins_of(&query),
+            search_options: SearchOptions {
+                policy: options.exec.policy,
+            },
+            query,
+            exec: options.exec,
+            lanes: Vec::new(),
+            window_bytes: 0,
+            poisoned: None,
+            trip: None,
+            shared: None,
+            feeds_since_prune: 0,
+        };
+        if let Some(checkpoint) = checkpoint {
+            run.restore(&mut window, checkpoint)?;
         }
+        Ok(SessionGroup {
+            window,
+            seats: vec![Seat::Live(run)],
+        })
     }
 
-    /// Seat `session` in the group and return its seat, when it is aligned
-    /// with the group: neither has admitted anything yet, and both admit
-    /// alike (same input schema, `CLUSTER BY`/`SEQUENCE BY` columns and
-    /// bad-tuple policy).  Otherwise hand it back.
-    pub(crate) fn join(
-        &mut self,
-        session: StreamSession<'q>,
-    ) -> Result<usize, Box<StreamSession<'q>>> {
-        if !self.window.aligned_with(&session.window) {
-            return Err(Box::new(session));
+    /// Seat the members of `other` — a group of one — in this group and
+    /// return the first one's seat, when the two are aligned: neither has
+    /// admitted anything yet, and both admit alike (same input schema,
+    /// `CLUSTER BY`/`SEQUENCE BY` columns and bad-tuple policy).
+    /// Otherwise hand it back.
+    pub(crate) fn join(&mut self, other: SessionGroup) -> Result<usize, Box<SessionGroup>> {
+        if !self.window.aligned_with(&other.window) {
+            return Err(Box::new(other));
         }
-        self.seats.push(Seat::Live(session.run));
-        Ok(self.seats.len() - 1)
+        let seat = self.seats.len();
+        self.seats.extend(other.seats);
+        Ok(seat)
+    }
+
+    /// Attach seat 0 to a shared pattern-set group.  Existing cluster
+    /// counters (a restored member's) are retrofitted with memo handles;
+    /// clusters created later pick theirs up at birth.  The memo is soft
+    /// state — it only short-circuits evaluations whose cached value is
+    /// provably identical — so attaching (or not) never changes the
+    /// member's output, stats or governor accounting.
+    pub(crate) fn install_shared(&mut self, join: crate::patternset::SharedJoin) {
+        if let Some(Seat::Live(run)) = self.seats.first_mut() {
+            run.install_shared(&self.window, join);
+        }
     }
 
     /// Feed one tuple to every seat, reporting each occupied seat's result
-    /// through `report(seat, result)` — what its solo session's `feed`
-    /// would have returned.  The deadline boundary is per seat; the rest is
-    /// the body a solo feed runs too (`admit_and_drive`).
+    /// through `report(seat, result)` — what a session of its own would
+    /// have returned.  A panic is contained: in admission it poisons every
+    /// live member (each would have panicked alike), in a member's drive
+    /// that member alone.
     pub(crate) fn feed(
         &mut self,
         row: Vec<Value>,
@@ -1205,32 +1179,97 @@ impl<'q> SessionGroup<'q> {
                         report(i, Err(e));
                     }
                 },
-                // Tripped or poisoned: refused at its own boundary, before
-                // the row would be copied.
-                Seat::Alone(session) => {
-                    let fed = session
-                        .poll_deadline()
-                        .and_then(|()| session.feed(row.clone()));
-                    report(i, fed);
-                }
+                // Tripped or poisoned for good: its boundary refuses.
+                Seat::Alone(alone) => report(i, alone.poll_deadline(0)),
                 Seat::Vacant => {}
             }
         }
         if left {
             self.release();
         }
-        if live > 0 && admit_and_drive(&mut self.window, self.seats.as_mut_slice(), row, report) {
+        if live > 0 && self.admit_and_drive(row, report) {
             self.release();
         }
     }
 
+    /// Count the tuple, admit it once, drive every live member over it and
+    /// trim the window to the lowest floor.  Returns whether a member
+    /// tripped or was poisoned, so that it can leave.
+    fn admit_and_drive(
+        &mut self,
+        row: Vec<Value>,
+        report: &mut dyn FnMut(usize, Result<(), StreamError>),
+    ) -> bool {
+        let window = &mut self.window;
+        window.records += 1;
+        let admitted = catch_unwind(AssertUnwindSafe(|| window.admit(row)));
+        let live = self
+            .seats
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, seat)| match seat {
+                Seat::Live(run) => Some((i, run)),
+                _ => None,
+            });
+        let (slot, bytes) = match admitted {
+            Ok(Ok(Some(admitted))) => admitted,
+            Ok(Ok(None)) => {
+                live.for_each(|(i, _)| report(i, Ok(())));
+                return false;
+            }
+            Ok(Err(refusal)) => {
+                live.for_each(|(i, _)| report(i, Err(refusal.clone().into())));
+                return false;
+            }
+            Err(payload) => {
+                let cause = panic_cause(payload);
+                live.for_each(|(i, run)| report(i, Err(run.poison(&cause))));
+                return true;
+            }
+        };
+        let window = &self.window;
+        let (mut floor, mut left) = (usize::MAX, false);
+        for (i, run) in live {
+            let advanced = catch_unwind(AssertUnwindSafe(|| run.advance(window, slot, bytes)))
+                .unwrap_or_else(|payload| Err(run.poison(&panic_cause(payload))));
+            // A member that trips still counts: it copies its view out
+            // before the window is trimmed past it.
+            if let Some(lane) = run.lanes.get(slot) {
+                floor = floor.min(lane.base);
+            }
+            left |= advanced.is_err();
+            report(i, advanced);
+        }
+        self.window.trim(slot, floor);
+        left
+    }
+
+    /// Fold an input fault found outside the group into its bad-tuple
+    /// policy, as admission does a tuple it refuses: see
+    /// [`StreamSession::quarantine_external`], whose group of one this is.
+    pub(crate) fn quarantine_external(
+        &mut self,
+        reason: String,
+        rendered: String,
+    ) -> Result<(), StreamError> {
+        if let Some(Seat::Live(MemberRun {
+            poisoned: Some(cause),
+            ..
+        })) = self.seats.first()
+        {
+            return Err(StreamError::Poisoned(cause.clone()));
+        }
+        self.window.records += 1;
+        Ok(self.window.reject(reason, rendered)?)
+    }
+
     /// Seats still occupied (live, or left with their own view).
     pub(crate) fn occupied(&self) -> usize {
-        let occupied = |seat: &&Seat<'q>| !matches!(seat, Seat::Vacant);
+        let occupied = |seat: &&Seat| !matches!(seat, Seat::Vacant);
         self.seats.iter().filter(occupied).count()
     }
 
-    /// Give up seat `seat` without finishing it: its session is dropped
+    /// Give up seat `seat` without finishing it: its member is dropped
     /// and no longer holds the window back.
     pub(crate) fn vacate(&mut self, seat: usize) {
         if let Some(seat) = self.seats.get_mut(seat) {
@@ -1250,16 +1289,23 @@ impl<'q> SessionGroup<'q> {
 
     /// Let every tripped or poisoned live member leave with its view of
     /// the window, then trim every cluster to the floors of those left.
+    /// With no member driven nothing grows the window, so all stay where
+    /// they are and nothing is trimmed.
     fn release(&mut self) {
+        let driven = |seat: &Seat| matches!(seat, Seat::Live(run) if run.driven());
+        if !self.seats.iter().any(driven) {
+            return;
+        }
         let window = &self.window;
         for seat in &mut self.seats {
             let Seat::Live(run) = seat else { continue };
-            if run.trip.is_some() || run.poisoned.is_some() {
+            if !run.driven() {
                 // The view first: should copying it panic, the member
                 // still sits in its seat.
                 let window = window.view_for(run);
                 if let Seat::Live(run) = std::mem::replace(seat, Seat::Vacant) {
-                    *seat = Seat::Alone(StreamSession { window, run });
+                    let seats = vec![Seat::Live(run)];
+                    *seat = Seat::Alone(SessionGroup { window, seats });
                 }
             }
         }
@@ -1270,33 +1316,33 @@ impl<'q> SessionGroup<'q> {
     }
 
     /// Seat `seat` read as a session; `None` once it has finished.
-    pub(crate) fn view(&self, seat: usize) -> Option<SessionView<'_, 'q>> {
+    pub(crate) fn view(&self, seat: usize) -> Option<SessionView<'_>> {
         match self.seats.get(seat)? {
             Seat::Live(run) => Some(SessionView {
                 window: &self.window,
                 run,
             }),
-            Seat::Alone(session) => Some(session.view()),
+            Seat::Alone(alone) => alone.view(0),
             Seat::Vacant => None,
         }
     }
 
-    /// [`StreamSession::poll_deadline`] for one seat, for its latch only:
-    /// the trip, if any, is read back through [`SessionGroup::view`].  A
-    /// live member that trips here leaves the group.
-    pub(crate) fn poll_deadline(&mut self, seat: usize) {
-        let tripped = match self.seats.get_mut(seat) {
-            Some(Seat::Live(run)) => run.poll_deadline().is_err(),
-            Some(Seat::Alone(session)) => session.poll_deadline().is_err(),
-            _ => false,
+    /// [`StreamSession::poll_deadline`] for seat `seat` (`Ok` once it has
+    /// finished).  A live member that trips here leaves the group.
+    pub(crate) fn poll_deadline(&mut self, seat: usize) -> Result<(), StreamError> {
+        let polled = match self.seats.get_mut(seat) {
+            Some(Seat::Live(run)) => run.poll_deadline(),
+            Some(Seat::Alone(alone)) => alone.poll_deadline(0),
+            _ => Ok(()),
         };
-        if tripped {
+        if polled.is_err() {
             self.release();
         }
+        polled
     }
 
-    /// [`StreamSession::poison`] for seat `seat`, whose own work a panic
-    /// interrupted; with `None`, for every seat — a panic outside any one
+    /// Latch `cause` as the poison of seat `seat`, whose own work a panic
+    /// interrupted; with `None`, of every seat — a panic outside any one
     /// member's work cannot be pinned on one of them.
     pub(crate) fn poison(&mut self, seat: Option<usize>, cause: &str) {
         self.latch_poison(seat, cause);
@@ -1317,7 +1363,7 @@ impl<'q> SessionGroup<'q> {
                 Seat::Live(run) => {
                     run.poison(cause);
                 }
-                Seat::Alone(session) => session.poison(cause),
+                Seat::Alone(alone) => alone.latch_poison(None, cause),
                 Seat::Vacant => {}
             }
         }
@@ -1328,7 +1374,7 @@ impl<'q> SessionGroup<'q> {
     pub(crate) fn finish(&mut self, seat: usize) -> Option<Result<QueryResult, StreamError>> {
         let finished = match std::mem::replace(self.seats.get_mut(seat)?, Seat::Vacant) {
             Seat::Live(run) => run.finish(&self.window),
-            Seat::Alone(session) => session.finish(),
+            Seat::Alone(mut alone) => alone.finish(0)?,
             Seat::Vacant => return None,
         };
         // The finished member no longer holds the window back.
@@ -1337,78 +1383,11 @@ impl<'q> SessionGroup<'q> {
     }
 }
 
-/// The members one feed drives over a window, each under its seat
-/// number: a session's one run, or a group's live seats.
-trait Runs<'q> {
-    fn each(&mut self, f: impl FnMut(usize, &mut MemberRun<'q>));
-}
-
-impl<'q> Runs<'q> for MemberRun<'q> {
-    fn each(&mut self, mut f: impl FnMut(usize, &mut MemberRun<'q>)) {
-        f(0, self);
-    }
-}
-
-impl<'q> Runs<'q> for [Seat<'q>] {
-    fn each(&mut self, mut f: impl FnMut(usize, &mut MemberRun<'q>)) {
-        for (i, seat) in self.iter_mut().enumerate() {
-            if let Seat::Live(run) = seat {
-                f(i, run);
-            }
-        }
-    }
-}
-
-/// The one feed body, solo or grouped, after the caller's deadline
-/// boundary: count the tuple, admit it once, drive every run over it, and
-/// trim the window to the lowest floor.  `report` gets each run's result
-/// — what its solo `feed` returns.  A panic is contained: in admission it
-/// poisons every run (each would have panicked alike), in a run's drive
-/// that run alone.  Returns whether a run tripped or was poisoned, so a
-/// group can let it leave.
-fn admit_and_drive<'q, R: Runs<'q> + ?Sized>(
-    window: &mut Window,
-    runs: &mut R,
-    row: Vec<Value>,
-    report: &mut dyn FnMut(usize, Result<(), StreamError>),
-) -> bool {
-    window.records += 1;
-    let (slot, bytes) = match catch_unwind(AssertUnwindSafe(|| window.admit(row))) {
-        Ok(Ok(Some(admitted))) => admitted,
-        Ok(Ok(None)) => {
-            runs.each(|i, _| report(i, Ok(())));
-            return false;
-        }
-        Ok(Err(refusal)) => {
-            runs.each(|i, _| report(i, Err(refusal.clone().into())));
-            return false;
-        }
-        Err(payload) => {
-            let cause = panic_cause(payload);
-            runs.each(|i, run| report(i, Err(run.poison(&cause))));
-            return true;
-        }
-    };
-    let shared: &Window = window;
-    let (mut floor, mut left) = (usize::MAX, false);
-    runs.each(|i, run| {
-        let advanced = catch_unwind(AssertUnwindSafe(|| run.advance(shared, slot, bytes)))
-            .unwrap_or_else(|payload| Err(run.poison(&panic_cause(payload))));
-        // A run that trips still counts: a group copies its view out
-        // before trimming past it.
-        if let Some(lane) = run.lanes.get(slot) {
-            floor = floor.min(lane.base);
-        }
-        left |= advanced.is_err();
-        report(i, advanced);
-    });
-    window.trim(slot, floor);
-    left
-}
-
 /// Advance one cluster's machine as far as the buffered input allows and
 /// project every pending match whose lookahead is satisfied.  A free
-/// function so the caller can hold disjoint borrows of the member.
+/// function so the caller can hold disjoint borrows of the member.  The
+/// lane's counter settles before and after, so its credit never reaches
+/// past what the step budget has left after the other lanes' spending.
 fn drive(
     query: &CompiledQuery,
     search_plan: Option<&SearchPlan>,
@@ -1424,6 +1403,7 @@ fn drive(
         eof,
         lookahead: margins.test_ahead,
     };
+    lane.counter.settle();
     let outcome = lane.machine.run(
         &query.elements,
         search_plan,
@@ -1432,6 +1412,7 @@ fn drive(
         &lane.counter,
         &mut lane.pending,
     );
+    lane.counter.settle();
     let avail = cw.end();
     let ready = lane
         .pending
@@ -2642,8 +2623,8 @@ mod tests {
         // compaction keeps that a few rows per cluster.
         let query = compiled(QUERY);
         let rows = workload();
-        let buffered = |s: &StreamSession<'_>| -> (usize, usize) {
-            let held = s.window.clusters.iter().flat_map(|cw| cw.buf.rows());
+        let buffered = |s: &StreamSession| -> (usize, usize) {
+            let held = s.group.window.clusters.iter().flat_map(|cw| cw.buf.rows());
             held.fold((0, 0), |(n, bytes), row| (n + 1, bytes + row_bytes(row)))
         };
         let mut session = StreamSession::new(&query, stream_opts(EngineKind::Ops)).unwrap();
@@ -2789,6 +2770,76 @@ mod tests {
         assert_eq!(stream_trip.unwrap().reason, batch_trip.reason);
     }
 
+    #[test]
+    fn a_step_budget_trips_at_the_feed_that_crosses_it_as_batch_does() {
+        // Regression: the lanes of four clusters, driven in turn, each held
+        // credit for the whole budget, so all ten feeds passed, 10 tests
+        // were spent, and only `finish` reported the trip.
+        let query = compiled(
+            "SELECT FIRST(V0).day AS day FROM quote CLUSTER BY name SEQUENCE BY day \
+             AS (*V0, V1, V2, V3, V4) WHERE V0.price > 0 AND V1.price > 0 \
+             AND V2.price > 0 AND V3.price > 0 AND V4.price > 0",
+        );
+        let rows: Vec<Vec<Value>> = (0..10)
+            .map(|i| {
+                let name = ["A", "B", "C", "D"][i % 4];
+                vec![
+                    Value::Str(name.into()),
+                    Value::Int(i as i64),
+                    Value::Float(1.0 + i as f64),
+                ]
+            })
+            .collect();
+        let mut opts = stream_opts(EngineKind::Naive);
+        opts.exec.governor = Governor::unlimited().with_max_steps(5);
+        let Err(ExecError::Governed { trip, partial }) =
+            execute(&query, &batch_table(&rows), &opts.exec)
+        else {
+            panic!("a 5-step budget must trip the batch run");
+        };
+        assert_eq!((trip.steps, partial.stats.predicate_tests), (6, 6));
+        let mut session = StreamSession::new(&query, opts).unwrap();
+        let crossed = rows.iter().position(|row| match session.feed(row.clone()) {
+            Ok(()) => false,
+            Err(StreamError::Governed { trip, .. }) => {
+                assert_eq!(trip.steps, 6);
+                true
+            }
+            Err(e) => panic!("{e}"),
+        });
+        assert!(crossed.is_some(), "no feed reported the trip");
+        assert_eq!(session.predicate_tests(), partial.stats.predicate_tests);
+        assert!(session.poll_deadline().is_err());
+        match session.finish() {
+            Err(StreamError::Governed { trip, partial }) => {
+                assert_eq!(trip.steps, 6);
+                assert_eq!(partial.unwrap().stats.predicate_tests, 6);
+            }
+            other => panic!("expected Governed from finish, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn a_session_owns_its_query() {
+        fn owned<T: Send + 'static>(_: &T) {}
+        let rows = workload();
+        let expected = execute(
+            &compiled(QUERY),
+            &batch_table(&rows),
+            &ExecOptions::default(),
+        );
+        let mut session = {
+            let query = compiled(QUERY);
+            StreamSession::new(&query, StreamOptions::default()).unwrap()
+        };
+        owned(&session);
+        for row in &rows {
+            session.feed(row.clone()).unwrap();
+        }
+        let streamed = session.finish().unwrap();
+        assert_eq!(streamed.table, expected.unwrap().table);
+    }
+
     /// Queries that admit alike (`CLUSTER BY name SEQUENCE BY day`) but
     /// differ in pattern, lookbehind and projection lookahead, so their
     /// floors in a shared window differ.
@@ -2800,6 +2851,11 @@ mod tests {
          SEQUENCE BY day AS (*Y, Z) WHERE Y.price < Y.previous.price \
          AND Z.price > Z.previous.price",
     ];
+
+    /// A group of one running `query`.
+    fn group_of(query: &CompiledQuery, options: StreamOptions) -> SessionGroup {
+        SessionGroup::open(Arc::new(query.clone()), options, None).unwrap()
+    }
 
     /// What a feed returned, with the trip's wall clock left out.
     fn verdict(result: &Result<(), StreamError>) -> String {
@@ -2817,16 +2873,17 @@ mod tests {
     /// session — each feed's verdict, status and checkpoint bytes along
     /// the way, and the finished result.  Returns the group for further
     /// inspection.
-    fn assert_group_reads_back_solo<'q>(
-        members: &[(&'q CompiledQuery, StreamOptions)],
+    fn assert_group_reads_back_solo(
+        members: &[(&CompiledQuery, StreamOptions)],
         rows: &[Vec<Value>],
-    ) -> SessionGroup<'q> {
-        let open =
-            |(q, o): &(&'q CompiledQuery, StreamOptions)| StreamSession::new(q, o.clone()).unwrap();
-        let mut solos: Vec<StreamSession<'q>> = members.iter().map(open).collect();
-        let mut group = SessionGroup::new(open(&members[0]));
-        for (i, member) in members.iter().enumerate().skip(1) {
-            assert_eq!(group.join(open(member)).ok(), Some(i), "seat {i}");
+    ) -> SessionGroup {
+        let mut solos: Vec<StreamSession> = members
+            .iter()
+            .map(|(q, o)| StreamSession::new(q, o.clone()).unwrap())
+            .collect();
+        let mut group = group_of(members[0].0, members[0].1.clone());
+        for (i, (q, o)) in members.iter().enumerate().skip(1) {
+            assert_eq!(group.join(group_of(q, o.clone())).ok(), Some(i), "seat {i}");
         }
         for (n, row) in rows.iter().enumerate() {
             let mut fed = vec![None; solos.len()];
@@ -2945,12 +3002,9 @@ mod tests {
         assert!(group.seats.iter().all(|seat| matches!(seat, Seat::Vacant)));
         // Mid-stream, the tripped member sits alone and the window holds
         // only what the live members still read.
-        let mut group =
-            SessionGroup::new(StreamSession::new(&queries[0], members[0].1.clone()).unwrap());
-        group
-            .join(StreamSession::new(&queries[1], members[1].1.clone()).unwrap())
-            .ok()
-            .unwrap();
+        let alone = |i: usize| group_of(&queries[i], members[i].1.clone());
+        let mut group = alone(0);
+        group.join(alone(1)).ok().unwrap();
         for row in &rows {
             group.feed(row.clone(), &mut |_, _| {});
         }
@@ -2985,8 +3039,8 @@ mod tests {
     fn a_group_seats_only_sessions_that_admit_alike_and_have_admitted_nothing() {
         let query = compiled(QUERY);
         let opts = stream_opts(EngineKind::Ops);
-        let fresh = || StreamSession::new(&query, opts.clone()).unwrap();
-        let mut group = SessionGroup::new(fresh());
+        let fresh = || group_of(&query, opts.clone());
+        let mut group = fresh();
         assert_eq!(group.join(fresh()).ok(), Some(1));
         // Another bad-tuple policy, other CLUSTER BY columns, or another
         // schema would decide some tuple differently.
@@ -2994,23 +3048,17 @@ mod tests {
             bad_tuple: BadTuplePolicy::Skip,
             ..opts.clone()
         };
-        assert!(group
-            .join(StreamSession::new(&query, skipping).unwrap())
-            .is_err());
+        assert!(group.join(group_of(&query, skipping)).is_err());
         let unclustered =
             compiled("SELECT X.day FROM quote SEQUENCE BY day AS (X, Y) WHERE Y.price < X.price");
-        assert!(group
-            .join(StreamSession::new(&unclustered, opts.clone()).unwrap())
-            .is_err());
+        assert!(group.join(group_of(&unclustered, opts.clone())).is_err());
         let venue = compile(VENUE_QUERY, &venue_schema(), &CompileOptions::default()).unwrap();
-        assert!(group
-            .join(StreamSession::new(&venue, opts.clone()).unwrap())
-            .is_err());
+        assert!(group.join(group_of(&venue, opts.clone())).is_err());
         // Once a tuple is admitted, a newcomer has not seen it: no seat.
         group.feed(workload().swap_remove(0), &mut |_, result| result.unwrap());
         assert!(group.join(fresh()).is_err());
-        let mut fed = fresh();
+        let mut fed = StreamSession::new(&query, opts.clone()).unwrap();
         fed.feed(workload().swap_remove(0)).unwrap();
-        assert!(SessionGroup::new(fresh()).join(fed).is_err());
+        assert!(fresh().join(fed.group).is_err());
     }
 }

@@ -426,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "soak: run with --ignored (CI's patternset-fuzz job does)"]
+    #[ignore = "soak: run with --ignored (CI's soak job does)"]
     fn render_is_byte_identical_to_the_format_reference_soak() {
         assert_renders_like_the_reference(4_000_000);
     }

@@ -500,6 +500,117 @@ fn fuzz_streamed(seed: u64, rounds: u32) {
     );
 }
 
+/// Property: a streaming session spends one step budget exactly as a
+/// sequential batch run does.  Over random queries, cluster counts and
+/// budgets, fed cluster by cluster or with the clusters interleaved, the
+/// session trips exactly when batch at threads 1 does, at the same
+/// `Trip::steps`, and the feed that crosses the budget is the one that
+/// reports it.  On one cluster the partial rows are batch's too.  On
+/// several they can differ even fed cluster by cluster: a session learns
+/// that a cluster has ended only at `finish`, so the tests batch runs at
+/// each cluster's end come later, and the budget runs out elsewhere.
+/// Either partial is still a subsequence of the ungoverned rows.
+fn fuzz_streamed_budget(seed: u64, rounds: u32) {
+    use sqlts_core::{
+        compile, CompileOptions, ExecError, Governor, QueryResult, StreamError, StreamOptions,
+        StreamSession, Trip,
+    };
+    use sqlts_datagen::quote_schema as schema;
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut tripped = 0u32;
+    for round in 0..rounds {
+        let base = random_query(&mut rng);
+        let text = base.replace("SEQUENCE BY date", "CLUSTER BY name SEQUENCE BY date");
+        let clusters = rng.gen_range(1..=6);
+        let table = random_clustered_table(&mut rng, clusters);
+        let engine = [
+            EngineKind::Naive,
+            EngineKind::NaiveBacktrack,
+            EngineKind::Ops,
+            EngineKind::OpsShiftOnly,
+        ][rng.gen_range(0..4usize)];
+        let query = compile(&text, &schema(), &CompileOptions::default())
+            .unwrap_or_else(|e| panic!("round {round}: {text}: {e}"));
+        let exec = |governor: Governor| ExecOptions {
+            engine,
+            governor,
+            ..Default::default()
+        };
+        let full = execute(&query, &table, &exec(Governor::unlimited())).unwrap();
+        let full_rows = rows(&full.table);
+        let max_steps = rng.gen_range(0..=full.stats.steps + 4);
+        let governor = Governor::unlimited().with_max_steps(max_steps);
+        let batch = match execute(&query, &table, &exec(governor.clone())) {
+            Ok(result) => (result, None),
+            Err(ExecError::Governed { trip, partial }) => (*partial, Some(trip)),
+            Err(e) => panic!("round {round}: {e}"),
+        };
+        // Cluster by cluster (the table's order), then round-robin.
+        let mut by_cluster: Vec<Vec<Vec<Value>>> = Vec::new();
+        for row in table.rows() {
+            match by_cluster.last_mut() {
+                Some(rows) if rows[0][0] == row[0] => rows.push(row.to_vec()),
+                _ => by_cluster.push(vec![row.to_vec()]),
+            }
+        }
+        let mut interleaved = Vec::new();
+        for i in 0..by_cluster.iter().map(Vec::len).max().unwrap_or(0) {
+            interleaved.extend(by_cluster.iter().filter_map(|rows| rows.get(i).cloned()));
+        }
+        let arrivals = [table.rows().map(<[Value]>::to_vec).collect(), interleaved];
+        for (order, feed) in arrivals.into_iter().enumerate() {
+            let ctx = format!(
+                "round {round} ({engine:?}, clusters={clusters}, max_steps={max_steps}, \
+                 order={order}):\n{text}"
+            );
+            let options = StreamOptions {
+                exec: exec(governor.clone()),
+                ..StreamOptions::default()
+            };
+            let mut session = StreamSession::new(&query, options).unwrap();
+            let mut crossed: Option<Trip> = None;
+            for row in feed {
+                match session.feed(row) {
+                    Ok(()) => {}
+                    Err(StreamError::Governed { trip, .. }) => {
+                        crossed = Some(trip);
+                        break;
+                    }
+                    Err(e) => panic!("{ctx}: feed: {e}"),
+                }
+            }
+            let streamed: (QueryResult, Option<Trip>) = match session.finish() {
+                Ok(result) => (result, None),
+                Err(StreamError::Governed {
+                    trip,
+                    partial: Some(partial),
+                }) => (*partial, Some(trip)),
+                Err(e) => panic!("{ctx}: finish: {e}"),
+            };
+            let steps = |trip: &Option<Trip>| trip.as_ref().map(|t| t.steps);
+            assert_eq!(steps(&streamed.1), steps(&batch.1), "trip steps: {ctx}");
+            if crossed.is_some() {
+                assert_eq!(steps(&crossed), steps(&batch.1), "feed trip: {ctx}");
+                assert_eq!(
+                    streamed.0.stats.predicate_tests, batch.0.stats.predicate_tests,
+                    "tests at the trip: {ctx}"
+                );
+            }
+            let partial = rows(&streamed.0.table);
+            assert!(is_subsequence(&partial, &full_rows), "{ctx}");
+            if clusters == 1 {
+                assert_eq!(partial, rows(&batch.0.table), "partial rows: {ctx}");
+            }
+        }
+        tripped += u32::from(batch.1.is_some());
+    }
+    assert!(
+        tripped > rounds / 4,
+        "only {tripped} of {rounds} budgets tripped"
+    );
+}
+
 /// Property: a checkpoint taken at *any* tuple boundary — serialized to
 /// text and parsed back — resumes to the exact rows, stats, and profile
 /// (per-cluster metrics and event rings) of the session that was never
@@ -658,6 +769,11 @@ fn streamed_execution_agrees_with_batch() {
 #[test]
 fn streamed_execution_agrees_with_batch_second_seed() {
     fuzz_streamed(0xFEED5, 120);
+}
+
+#[test]
+fn streamed_step_budgets_trip_where_batch_does() {
+    fuzz_streamed_budget(0xB0D6E7, 150);
 }
 
 #[test]
@@ -1061,13 +1177,13 @@ fn group_workers_read_back_their_solo_sessions() {
 }
 
 #[test]
-#[ignore = "soak: run with --ignored (CI's patternset-fuzz job does)"]
+#[ignore = "soak: run with --ignored (CI's soak job does)"]
 fn group_workers_read_back_their_solo_sessions_soak() {
     fuzz_groups(0x50A6E0B5, 3000);
 }
 
 /// §5.1's implication-graph derivation (`star_shift_next`) computes
-/// exactly §4.2's S-matrix tables (`shift_next::compute`) on star-free
+/// exactly §4.2's S-matrix tables (`s_matrix_shift_next`) on star-free
 /// patterns — the equality that lets one derivation serve both — over the
 /// predicate pool above at m = 1–12 and the paper's own star-free
 /// patterns: Example 3's constants, Example 4's query with its cluster
@@ -1109,8 +1225,35 @@ fn star_free_shift_next_agrees_with_the_star_graph() {
         let pre = PrecondMatrices::build(pattern);
         assert_eq!(
             star_shift_next(pattern, &pre),
-            shift_next::compute(&pre),
+            s_matrix_shift_next(&pre),
             "{sql}"
         );
     }
+}
+
+/// §4.2's `shift` / `next` read off the `S` matrix: the test-side
+/// reference the planner's implication-graph tables are compared with.
+fn s_matrix_shift_next(pre: &PrecondMatrices) -> sqlts_core::ShiftNext {
+    use sqlts_tvl::Truth;
+    let m = pre.dim();
+    let s = shift_next::s_matrix(pre);
+    let mut shift = vec![0usize; m + 1];
+    let mut next = vec![0usize; m + 1];
+    for j in 1..=m {
+        // shift(j): the leftmost column of row j that is not 0, else j.
+        let sh = (1..j).find(|&k| s.get(j, k) != Truth::False).unwrap_or(j);
+        shift[j] = sh;
+        // next(j): 0 after a full shift (restart), else the first t with
+        // θ[sh+t][t] = U, defaulting to j-sh.  The paper's case 2
+        // (S[j][sh] = 1 → j-sh+1) folds into j-sh: the runtime re-tests
+        // element j-sh on the failed tuple, as textbook KMP does.
+        next[j] = if sh == j {
+            0
+        } else {
+            (1..(j - sh))
+                .find(|&t| pre.theta.get(sh + t, t) == Truth::Unknown)
+                .unwrap_or(j - sh)
+        };
+    }
+    sqlts_core::ShiftNext::from_arrays(shift, next)
 }
