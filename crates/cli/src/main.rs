@@ -274,8 +274,8 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         name: "--replicate-to",
         metavar: Some("HOST:PORT"),
         help: "with --data-dir: stream every committed WAL frame (plus \
-               subscription metas and checkpoints) to the standby listening \
-               there; /metrics gains sqlts_repl_* series",
+               channel schemas and subscription records) to the standby \
+               listening there; /metrics gains sqlts_repl_* series",
     },
     FlagSpec {
         name: "--repl-ack",
@@ -313,11 +313,6 @@ const SERVE_FLAGS: &[FlagSpec] = &[
                group's drive, snapshot, recovery, drain) to FILE; \
                `sqlts trace-agg FILE --collapsed OUT` folds it into \
                flamegraph-ready stacks",
-    },
-    FlagSpec {
-        name: "--log-format",
-        metavar: Some("json|text"),
-        help: "span log encoding: JSON-lines (default) or aligned text",
     },
     FlagSpec {
         name: "--log-level",
@@ -629,12 +624,6 @@ fn run_serve() -> Result<(), CliError> {
             }
             "--log" => {
                 config.log_file = Some(PathBuf::from(value.unwrap_or_else(|| serve_usage())))
-            }
-            "--log-format" => {
-                config.log_format = value
-                    .as_deref()
-                    .and_then(sqlts_server::LogFormat::parse)
-                    .unwrap_or_else(|| serve_usage())
             }
             "--log-level" => {
                 config.log_level = value

@@ -97,9 +97,10 @@ fn checkpoint_disconnect_resume_matches_batch() {
     );
 }
 
-/// `--shared-matcher auto`, `--fsync batch`, `--queue-depth` and
-/// `--poll-interval-ms` named mechanisms that no longer exist: asking for
-/// one is a usage error, never a silent fallback to some other policy.
+/// `--shared-matcher auto`, `--fsync batch`, `--queue-depth`,
+/// `--poll-interval-ms` and `--log-format` named mechanisms that no
+/// longer exist: asking for one is a usage error, never a silent
+/// fallback to some other policy.
 #[test]
 fn removed_flags_and_flag_values_are_usage_errors() {
     for flag in [
@@ -109,6 +110,7 @@ fn removed_flags_and_flag_values_are_usage_errors() {
         ["--poll-interval-ms", "50"],
         ["--sample-profile", "f"],
         ["--sample-hz", "10"],
+        ["--log-format", "json"],
     ] {
         let out = Command::new(BIN)
             .args(["serve", "--listen", "127.0.0.1:0"])

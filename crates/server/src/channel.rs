@@ -8,7 +8,7 @@
 //! 3. **fan out** — each row to every session group on the channel that
 //!    has not seen it yet ([`fan_out`]); a live frame times each group's
 //!    drive as `session_drive`;
-//! 4. **snapshot** — sync, every subscription's checkpoint to disk, then
+//! 4. **snapshot** — sync, every subscription's record to disk, then
 //!    WAL truncation below the low-water mark ([`Channel::snapshot`]);
 //! 5. **sync** — `fsync` plus everything a finished fsync owes, under the
 //!    persist lock ([`Channel::sync`]) or after it ([`Channel::wait_durable`]).
@@ -51,8 +51,8 @@ pub(crate) struct Subscription {
     pub id: String,
     pub worker: SessionWorker,
     pub conn: u64,
-    /// Channel, join-time row/record base and SQL — exactly what a
-    /// durable server persists beside the checkpoint.
+    /// Channel, join-time row/record base and SQL — a durable server's
+    /// record holds them ahead of the checkpoint.
     pub meta: SubMeta,
 }
 
@@ -384,7 +384,7 @@ impl Channel {
 
     /// Step 4: sync the WAL (so no checkpoint covers an unsynced row; on
     /// failure nothing below runs), snapshot every subscription on the
-    /// channel (atomic tmp+rename each), then truncate the WAL below the
+    /// channel (one atomic record write each), then truncate the WAL below the
     /// low-water mark — the minimum ordinal any snapshot still needs.
     /// `parent` nests the span under the operation that forced it.
     pub fn snapshot(&self, shared: &Shared, persist: &mut Persist, parent: u64) {
@@ -394,10 +394,10 @@ impl Channel {
         };
         let started = Instant::now();
         if self.sync(shared, persist).is_err() || shared.role() == Role::Standby {
-            // A standby has durable sub metas but no live workers: the
+            // A standby has durable sub records but no live workers: the
             // sweep below would see none and truncate frames promotion
             // still needs.  Standby truncation is driven by the primary's
-            // shipped checkpoints instead.  (A promoting server snapshots:
+            // shipped records instead.  (A promoting server snapshots:
             // its replay has just respawned the workers.)
             return;
         }
@@ -409,7 +409,9 @@ impl Channel {
         let mut low_water = Some(persist.rows_total);
         for sub in &members {
             let covered = match sub.worker.snapshot_with_records() {
-                Ok((text, records)) if save_checkpoint(shared, data, &sub.id, &text).is_ok() => {
+                Ok((text, records))
+                    if save_sub(shared, data, &sub.id, &sub.meta, &text).is_ok() =>
+                {
                     Some(sub.meta.resume_ordinal(records))
                 }
                 _ => None,
@@ -454,12 +456,12 @@ impl Channel {
             self.commit(shared, &mut persist, &payload, nrows as u32, parent)
                 .map_err(|e| err(4, format!("wal append on '{}': {e}", self.name)))?
         };
-        let members = shared.members(&self.name);
+        let subs: usize = persist.groups.iter().map(|g| g.workers.seated()).sum();
         let span = shared.log_at(Level::Debug).map_or(0, |log| {
             let fields = [
                 ("channel", self.name.as_str()),
                 ("rows", &nrows.to_string()),
-                ("subs", &members.len().to_string()),
+                ("subs", &subs.to_string()),
             ];
             log.begin(Level::Debug, "fanout", parent, &fields)
         });
@@ -482,10 +484,7 @@ impl Channel {
                 &[("rejected", &rejected.to_string())],
             );
         }
-        ServerMetrics::add(
-            &shared.metrics.rows_fed_total,
-            nrows as u64 * members.len() as u64,
-        );
+        ServerMetrics::add(&shared.metrics.rows_fed_total, (nrows * subs) as u64);
         // A governed/overflowed subscription stays latched — its partial
         // result is delivered at UNSUBSCRIBE — and the feed keeps flowing
         // to the healthy ones.  Its first rejection is a warn-level event
@@ -528,10 +527,7 @@ impl Channel {
                 }
             }
         }
-        Ok(Ingest {
-            subs: members.len(),
-            rejected,
-        })
+        Ok(Ingest { subs, rejected })
     }
 
     /// Recovery and promotion: deliver the WAL's surviving `frames` to the
@@ -682,18 +678,20 @@ impl FeedGroup {
     }
 }
 
-/// Persist one subscription checkpoint, count it, and offer it to the
-/// standby — the three things every snapshot site owes, in that order.
-pub(crate) fn save_checkpoint(
+/// Persist a subscription's record at `checkpoint`, count the snapshot,
+/// and offer the record to the standby: one file, one write, one verb.
+pub(crate) fn save_sub(
     shared: &Shared,
     data: &DataDir,
     id: &str,
-    text: &str,
+    meta: &SubMeta,
+    checkpoint: &str,
 ) -> Result<(), ServeError> {
-    data.save_sub_checkpoint(id, text)?;
+    let record = meta.to_record(checkpoint);
+    data.save_sub(id, &record)?;
     ServerMetrics::inc(&shared.metrics.snapshots_total);
     if let Some(repl) = shared.repl.as_ref() {
-        repl.offer_checkpoint(id, text);
+        repl.offer_sub(id, &record);
     }
     Ok(())
 }

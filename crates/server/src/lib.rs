@@ -44,9 +44,9 @@ pub use metrics::{status_json, LatencyHistograms, LatencyOp, ServerMetrics, SubS
 pub use recover::{DataDir, ServeError, SubMeta};
 pub use replicate::{ReplAck, ReplSnapshot};
 pub use server::{RecoveryReport, Server, ServerConfig};
-// Re-exported so embedders configuring `ServerConfig::log_level` /
-// `log_format` need not depend on the trace crate directly.
-pub use sqlts_trace::{Level, LogFormat, SpanLog};
+// Re-exported so embedders configuring `ServerConfig::log_level` need
+// not depend on the trace crate directly.
+pub use sqlts_trace::{Level, SpanLog};
 pub use wal::{
     read_frames_from, scan_wal, segment_path, ChannelWal, FsyncPolicy, GroupCommit, WalError,
     WalFrame, WalScan,

@@ -1,5 +1,5 @@
 //! The durable state directory behind `--data-dir`: its layout, its
-//! single-writer lock, the subscription metadata codec, and the typed
+//! single-writer lock, the subscription record codec, and the typed
 //! [`ServeError`] every serve-path failure is classified onto.  The
 //! recovery pass that rebuilds a crashed server from it is
 //! `server::recover`, which replays through [`crate::channel`].
@@ -10,14 +10,33 @@
 //! DIR/LOCK                        single-writer lock (holder's pid)
 //! DIR/channels/<name>.schema      channel schema spec ("col:type,...")
 //! DIR/channels/<name>.wal         per-channel feed WAL (crate::wal)
-//! DIR/subs/<id>.meta              subscription metadata (channel, SQL,
-//!                                 ordinal bases) — sqlts-submeta v1
-//! DIR/subs/<id>.checkpoint        latest sqlts-checkpoint v1 snapshot
+//! DIR/subs/<id>.sub               subscription record — sqlts-sub v1
 //! ```
 //!
 //! Channel and subscription names come off the wire, so they are
 //! percent-encoded before becoming file names — `../../etc/passwd` is a
 //! perfectly legal subscription id and a perfectly illegal path.
+//!
+//! ## Subscription record
+//!
+//! A subscription's whole durable state is one file, written by one
+//! `atomic_write` at `SUBSCRIBE`/`RESUME`, at every snapshot and at
+//! `CHECKPOINT … DURABLE`, and shipped to a standby as one `REPL SUB`:
+//!
+//! ```text
+//! sqlts-sub v1
+//! channel <enc-name>
+//! base_rows <n>
+//! base_records <n>
+//! sql <len>
+//! <the SQL: exactly len bytes, newlines and all>
+//! <the sqlts-checkpoint v1 text, verbatim, to the end of the file>
+//! ```
+//!
+//! So the query and its position in the stream land together or not at
+//! all: no crash leaves one without the other.  A directory that still
+//! holds the earlier two-file layout (`subs/<id>.meta` beside
+//! `subs/<id>.checkpoint`) is refused at bind, never migrated.
 //!
 //! ## Recovery invariant
 //!
@@ -32,8 +51,9 @@
 //! All failures surface as [`ServeError`] on the CLI's established
 //! exit-code classes — never a panic: 2 for unusable configuration
 //! (bad listen address, locked or unwritable data dir), 3 for durable
-//! state that cannot be trusted (malformed WAL header, snapshot, meta
-//! or schema files), 4 for runtime failures while replaying.
+//! state that cannot be trusted (malformed WAL header, subscription
+//! record or schema file, a pre-record layout), 4 for runtime failures
+//! while replaying.
 
 use sqlts_core::atomic_write;
 use sqlts_relation::Schema;
@@ -128,7 +148,8 @@ pub fn decode_name(stem: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-/// Durable per-subscription metadata (`subs/<id>.meta`).
+/// A subscription's identity: everything in its durable record but the
+/// checkpoint.
 ///
 /// `base_rows` is the channel row ordinal at which the subscription was
 /// created (or resumed); `base_records` is the worker's checkpoint
@@ -155,57 +176,50 @@ impl SubMeta {
         self.base_rows + records.saturating_sub(self.base_records)
     }
 
-    /// Serialize to the `sqlts-submeta v1` text form.
-    pub fn to_text(&self) -> String {
+    /// The `sqlts-sub v1` record of this subscription at `checkpoint`.
+    pub fn to_record(&self, checkpoint: &str) -> String {
         format!(
-            "sqlts-submeta v1\nchannel {}\nbase_rows {}\nbase_records {}\nsql\n{}",
+            "sqlts-sub v1\nchannel {}\nbase_rows {}\nbase_records {}\nsql {}\n{}\n{checkpoint}",
             encode_name(&self.channel),
             self.base_rows,
             self.base_records,
+            self.sql.len(),
             self.sql
         )
     }
 
-    /// Parse the `sqlts-submeta v1` text form.
-    pub fn from_text(text: &str) -> Result<SubMeta, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some("sqlts-submeta v1") {
-            return Err("missing 'sqlts-submeta v1' header".into());
-        }
-        let mut channel = None;
-        let mut base_rows = None;
-        let mut base_records = None;
-        for line in lines.by_ref() {
-            if line == "sql" {
-                break;
-            }
-            let (key, value) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("bad metadata line '{line}'"))?;
-            match key {
-                "channel" => {
-                    channel =
-                        Some(decode_name(value).ok_or_else(|| "undecodable channel".to_string())?);
-                }
-                "base_rows" => {
-                    base_rows = Some(value.parse().map_err(|_| "bad base_rows".to_string())?);
-                }
-                "base_records" => {
-                    base_records = Some(value.parse().map_err(|_| "bad base_records".to_string())?);
-                }
-                other => return Err(format!("unknown metadata key '{other}'")),
-            }
-        }
-        let sql: String = lines.collect::<Vec<_>>().join("\n");
+    /// Parse a `sqlts-sub v1` record into its meta and its checkpoint
+    /// text (returned unparsed: its consumers parse it).
+    pub fn from_record(text: &str) -> Result<(SubMeta, &str), String> {
+        let mut rest = text
+            .strip_prefix("sqlts-sub v1\n")
+            .ok_or("missing 'sqlts-sub v1' header")?;
+        let mut field = |key: &str| {
+            let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+            rest = tail;
+            let value = line.strip_prefix(key).and_then(|v| v.strip_prefix(' '));
+            value.ok_or_else(|| format!("expected '{key}', found '{line}'"))
+        };
+        let channel = decode_name(field("channel")?).ok_or("undecodable channel")?;
+        let base_rows = field("base_rows")?.parse().map_err(|_| "bad base_rows")?;
+        let base_records = field("base_records")?
+            .parse()
+            .map_err(|_| "bad base_records")?;
+        let len: usize = field("sql")?.parse().map_err(|_| "bad sql length")?;
+        let (sql, checkpoint) = rest
+            .get(..len)
+            .zip(rest.get(len..).and_then(|tail| tail.strip_prefix('\n')))
+            .ok_or("sql section shorter than its length")?;
         if sql.trim().is_empty() {
-            return Err("missing sql section".into());
+            return Err("empty sql section".into());
         }
-        Ok(SubMeta {
-            channel: channel.ok_or("missing channel")?,
-            base_rows: base_rows.ok_or("missing base_rows")?,
-            base_records: base_records.ok_or("missing base_records")?,
-            sql,
-        })
+        let meta = SubMeta {
+            channel,
+            base_rows,
+            base_records,
+            sql: sql.to_string(),
+        };
+        Ok((meta, checkpoint))
     }
 }
 
@@ -241,6 +255,35 @@ fn pid_is_live(pid: u32) -> bool {
         .next()
         .and_then(|rest| rest.trim_start().chars().next());
     !matches!(state, Some('Z') | Some('X') | None)
+}
+
+/// The files in `dir` with extension `ext`, sorted by path.
+fn listed(dir: &Path, ext: &str) -> Result<Vec<PathBuf>, ServeError> {
+    let read_err = |e: std::io::Error| ServeError::Runtime(format!("read {}: {e}", dir.display()));
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).map_err(read_err)? {
+        let path = entry.map_err(read_err)?.path();
+        if path.extension().and_then(|e| e.to_str()) == Some(ext) {
+            out.push(path);
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// Refuse a `subs/` directory that still holds the two-file layout
+/// (`<id>.meta` beside `<id>.checkpoint`) the one record replaced.
+fn refuse_two_file_layout(root: &Path) -> Result<(), ServeError> {
+    for ext in ["meta", "checkpoint"] {
+        if let Some(path) = listed(&root.join("subs"), ext)?.first() {
+            return Err(ServeError::Input(format!(
+                "{} belongs to the two-file subscription layout, which this \
+                 server neither reads nor migrates (one subs/<id>.sub each)",
+                path.display()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// An exclusively-locked durable state directory.
@@ -282,6 +325,12 @@ impl DataDir {
                 }
             }
         }
+        // Refused, never migrated: nothing in the directory is touched,
+        // the LOCK included.
+        if let Err(e) = refuse_two_file_layout(&root) {
+            deregister_dir(&root);
+            return Err(e);
+        }
         if let Err(e) = atomic_write(&lock_path, format!("{own_pid}\n").as_bytes()) {
             deregister_dir(&root);
             return Err(ServeError::Usage(format!(
@@ -310,16 +359,10 @@ impl DataDir {
             .join(format!("{}.schema", encode_name(channel)))
     }
 
-    fn meta_path(&self, id: &str) -> PathBuf {
+    fn sub_path(&self, id: &str) -> PathBuf {
         self.root
             .join("subs")
-            .join(format!("{}.meta", encode_name(id)))
-    }
-
-    fn checkpoint_path(&self, id: &str) -> PathBuf {
-        self.root
-            .join("subs")
-            .join(format!("{}.checkpoint", encode_name(id)))
+            .join(format!("{}.sub", encode_name(id)))
     }
 
     /// Persist a channel's schema spec (atomic).
@@ -328,58 +371,23 @@ impl DataDir {
             .map_err(|e| ServeError::Runtime(format!("persist channel '{channel}': {e}")))
     }
 
-    /// Persist a subscription's metadata (atomic).
-    pub fn save_sub_meta(&self, id: &str, meta: &SubMeta) -> Result<(), ServeError> {
-        atomic_write(&self.meta_path(id), meta.to_text().as_bytes())
-            .map_err(|e| ServeError::Runtime(format!("persist sub '{id}' meta: {e}")))
+    /// Persist a subscription's `sqlts-sub v1` record (atomic).
+    pub fn save_sub(&self, id: &str, record: &str) -> Result<(), ServeError> {
+        atomic_write(&self.sub_path(id), record.as_bytes())
+            .map_err(|e| ServeError::Runtime(format!("persist sub '{id}': {e}")))
     }
 
-    /// Persist a subscription's latest checkpoint snapshot (atomic).
-    pub fn save_sub_checkpoint(&self, id: &str, text: &str) -> Result<(), ServeError> {
-        atomic_write(&self.checkpoint_path(id), text.as_bytes())
-            .map_err(|e| ServeError::Runtime(format!("persist sub '{id}' checkpoint: {e}")))
-    }
-
-    /// Load one subscription's metadata, `Ok(None)` when absent.  Unlike
-    /// [`load_subs`](DataDir::load_subs) this does not require the
-    /// checkpoint file: a standby receives the meta strictly before the
-    /// first shipped checkpoint and must be able to resolve it alone.
-    pub fn load_sub_meta(&self, id: &str) -> Result<Option<SubMeta>, ServeError> {
-        let path = self.meta_path(id);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(ServeError::Runtime(format!("read {}: {e}", path.display())));
-            }
-        };
-        let meta = SubMeta::from_text(&text).map_err(|e| {
-            ServeError::Input(format!("malformed metadata file {}: {e}", path.display()))
-        })?;
-        Ok(Some(meta))
-    }
-
-    /// Remove a subscription's durable files.  Called *before* the
+    /// Remove a subscription's durable record.  Called *before* the
     /// worker is finished, so a crash in between resurrects nothing.
     pub fn remove_sub(&self, id: &str) {
-        let _ = fs::remove_file(self.meta_path(id));
-        let _ = fs::remove_file(self.checkpoint_path(id));
-        let _ = fs::remove_file(sqlts_core::persist::staging_path(&self.checkpoint_path(id)));
+        let _ = fs::remove_file(self.sub_path(id));
+        let _ = fs::remove_file(sqlts_core::persist::staging_path(&self.sub_path(id)));
     }
 
     /// Enumerate persisted channels as `(name, schema)`.
     pub fn load_channels(&self) -> Result<Vec<(String, Schema)>, ServeError> {
         let mut out = Vec::new();
-        let dir = self.root.join("channels");
-        let entries = fs::read_dir(&dir)
-            .map_err(|e| ServeError::Runtime(format!("read {}: {e}", dir.display())))?;
-        for entry in entries {
-            let path = entry
-                .map_err(|e| ServeError::Runtime(format!("read {}: {e}", dir.display())))?
-                .path();
-            if path.extension().and_then(|e| e.to_str()) != Some("schema") {
-                continue;
-            }
+        for path in listed(&self.root.join("channels"), "schema")? {
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             let Some(name) = decode_name(stem) else {
                 continue;
@@ -391,41 +399,27 @@ impl DataDir {
             })?;
             out.push((name, schema));
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
 
     /// Enumerate persisted subscriptions as `(id, meta, checkpoint)`.
+    /// Staging files a crash left behind are skipped.
     pub fn load_subs(&self) -> Result<Vec<(String, SubMeta, String)>, ServeError> {
         let mut out = Vec::new();
-        let dir = self.root.join("subs");
-        let entries = fs::read_dir(&dir)
-            .map_err(|e| ServeError::Runtime(format!("read {}: {e}", dir.display())))?;
-        for entry in entries {
-            let path = entry
-                .map_err(|e| ServeError::Runtime(format!("read {}: {e}", dir.display())))?
-                .path();
-            if path.extension().and_then(|e| e.to_str()) != Some("meta") {
-                continue;
-            }
+        for path in listed(&self.root.join("subs"), "sub")? {
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             let Some(id) = decode_name(stem) else {
                 continue;
             };
             let text = fs::read_to_string(&path)
                 .map_err(|e| ServeError::Runtime(format!("read {}: {e}", path.display())))?;
-            let meta = SubMeta::from_text(&text).map_err(|e| {
-                ServeError::Input(format!("malformed metadata file {}: {e}", path.display()))
-            })?;
-            let cp_path = self.checkpoint_path(&id);
-            let checkpoint = fs::read_to_string(&cp_path).map_err(|e| {
+            let (meta, checkpoint) = SubMeta::from_record(&text).map_err(|e| {
                 ServeError::Input(format!(
-                    "subscription '{id}' has metadata but no readable checkpoint \
-                     ({}): {e}",
-                    cp_path.display()
+                    "malformed subscription record {}: {e}",
+                    path.display()
                 ))
             })?;
-            out.push((id, meta, checkpoint));
+            out.push((id, meta, checkpoint.to_string()));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
@@ -483,13 +477,28 @@ mod tests {
             base_rows: 42,
             base_records: 7,
             sql: "SELECT X.name\nFROM q CLUSTER BY name SEQUENCE BY day AS (X, Z)\n\
-                  WHERE Z.price < X.price"
+                  WHERE Z.price < X.price\n"
                 .into(),
         };
-        assert_eq!(SubMeta::from_text(&meta.to_text()).unwrap(), meta);
-        assert!(SubMeta::from_text("garbage").is_err());
-        assert!(SubMeta::from_text("sqlts-submeta v1\nchannel q\nsql\n").is_err());
-        assert!(SubMeta::from_text("sqlts-submeta v1\nbase_rows 1\nsql\nSELECT").is_err());
+        // Multi-line SQL with a trailing newline, and a checkpoint that
+        // itself looks like record fields, both come back verbatim.
+        let checkpoint = "sqlts-checkpoint v1\nsql 3\nend\n";
+        let record = meta.to_record(checkpoint);
+        assert_eq!(SubMeta::from_record(&record).unwrap(), (meta, checkpoint));
+        assert!(SubMeta::from_record("garbage").is_err());
+        assert!(SubMeta::from_record("sqlts-submeta v1\nchannel q\nsql\nSELECT").is_err());
+        let fields = "sqlts-sub v1\nchannel q\nbase_rows 1\nbase_records 0\n";
+        assert!(SubMeta::from_record(&format!("{fields}sql 0\n\n")).is_err());
+        assert!(SubMeta::from_record(&format!("{fields}sql x\nSELECT\n")).is_err());
+        assert!(SubMeta::from_record(&format!("{fields}sql 7\nSELECT\n")).is_err());
+        assert!(SubMeta::from_record(&format!("{fields}sql 6\nSELECT")).is_err());
+        assert!(SubMeta::from_record(&format!("{fields}sql 6\nSELECT\n")).is_ok());
+        // Every cut before the checkpoint starts is rejected.
+        for cut in 0..record.len() - checkpoint.len() {
+            if let Some(torn) = record.get(..cut) {
+                assert!(SubMeta::from_record(torn).is_err(), "cut at {cut}");
+            }
+        }
     }
 
     #[test]
@@ -530,32 +539,44 @@ mod tests {
                   WHERE Z.price < X.price"
                 .into(),
         };
-        dir.save_sub_meta("s1", &meta).unwrap();
-        dir.save_sub_checkpoint("s1", "sqlts-checkpoint v1\n...")
-            .unwrap();
+        let checkpoint = "sqlts-checkpoint v1\n...";
+        dir.save_sub("s1", &meta.to_record(checkpoint)).unwrap();
+        // A staging file a crash left behind is not a subscription.
+        fs::write(root.join("subs").join("s2.sub.tmp"), "torn").unwrap();
         let subs = dir.load_subs().unwrap();
-        assert_eq!(subs.len(), 1);
-        assert_eq!(subs[0].0, "s1");
-        assert_eq!(subs[0].1, meta);
+        assert_eq!(subs, vec![("s1".into(), meta, checkpoint.into())]);
         dir.remove_sub("s1");
         assert!(dir.load_subs().unwrap().is_empty());
     }
 
     #[test]
-    fn meta_without_checkpoint_is_an_input_error() {
-        let root = temp_root("orphan");
+    fn a_torn_or_malformed_record_is_an_input_error() {
+        let root = temp_root("torn");
         let dir = DataDir::lock(&root).unwrap();
-        let meta = SubMeta {
-            channel: "q".into(),
-            base_rows: 0,
-            base_records: 0,
-            sql: "SELECT X.name FROM q CLUSTER BY name SEQUENCE BY day AS (X, Z) \
-                  WHERE Z.price < X.price"
-                .into(),
-        };
-        dir.save_sub_meta("lonely", &meta).unwrap();
+        dir.save_sub("s", "sqlts-sub v1\nchannel q\nbase_rows 0\nbase_")
+            .unwrap();
         let result = dir.load_subs();
         assert!(matches!(result, Err(ServeError::Input(_))), "{result:?}");
+    }
+
+    #[test]
+    fn the_two_file_layout_is_refused_and_left_untouched() {
+        for name in ["s.meta", "s.checkpoint"] {
+            let root = temp_root("twofile");
+            fs::create_dir_all(root.join("subs")).unwrap();
+            fs::write(root.join("subs").join(name), "sqlts-submeta v1\n").unwrap();
+            let err = DataDir::lock(&root).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{err}");
+            assert!(err.message().contains(name), "{err}");
+            assert!(!root.join("LOCK").exists(), "a refused dir gains no LOCK");
+            assert_eq!(
+                fs::read(root.join("subs").join(name)).unwrap(),
+                b"sqlts-submeta v1\n"
+            );
+            // The refusal released the in-process registration.
+            fs::remove_file(root.join("subs").join(name)).unwrap();
+            DataDir::lock(&root).unwrap();
+        }
     }
 
     #[test]

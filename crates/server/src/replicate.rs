@@ -6,7 +6,10 @@
 //! `/metrics` exposes as `sqlts_repl_*`) and the shipping thread that
 //! drains it ([`shipping_thread`]): one session at a time, each a
 //! connect + `HELLO` + full resync from the WAL on disk + live queue
-//! loop.  The *standby* half is the handler for every `REPL` verb
+//! loop.  The queue is bounded ([`QUEUE_DEPTH`]): an offer that finds it
+//! full ends the session like a failed send, and the next session's
+//! resync reads from disk what the queue could not hold.  The
+//! *standby* half is the handler for every `REPL` verb
 //! ([`standby_dispatch`]).  A shipped frame is validated and committed
 //! by the same [`crate::channel`] steps a live `FEED` uses, so the
 //! standby's WAL holds exactly the bytes the primary's does.
@@ -20,8 +23,7 @@
 //! REPL OPEN <chan> <spec>            -> OK opened <chan> rows=<n>
 //! REPL FRAME <chan> <start> <nrows> <crc>\n<payload>
 //!                                    -> OK repl ack <chan> <rows_total>
-//! REPL META <id>\n<submeta text>     -> OK repl meta <id>
-//! REPL CHECKPOINT <id>\n<checkpoint> -> OK repl checkpoint <id>
+//! REPL SUB <id>\n<sqlts-sub v1>      -> OK repl sub <id>
 //! REPL REMOVE <id>                   -> OK repl remove <id>
 //! REPL SUBS <id>...                  -> OK repl subs <kept>
 //! ```
@@ -30,9 +32,12 @@
 //! payload, so the standby can reject bit-flips (`ERR 3`) and detect
 //! gaps (`ERR 4`) without trusting the transport; duplicates (a frame
 //! whose rows the standby already holds — the normal overlap between a
-//! resync scan and the live queue) are acknowledged idempotently.
+//! resync scan and the live queue) are acknowledged idempotently.  A
+//! subscription travels as its whole durable record
+//! ([`crate::recover`]), so a standby holds each subscription entirely
+//! or not at all, whichever prefix of the stream reached it.
 
-use crate::channel::save_checkpoint;
+use crate::channel::save_sub;
 use crate::frame::{read_frame, write_frame, FrameEvent};
 use crate::metrics::ServerMetrics;
 use crate::recover::{encode_name, DataDir, SubMeta};
@@ -50,6 +55,9 @@ use std::time::{Duration, Instant};
 /// When a `--repl-ack sync` FEED must give up waiting for the standby
 /// and degrade to async (counted, never an error to the feeder).
 pub const SYNC_ACK_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Commands the shipping queue holds before an offer ends the session.
+pub const QUEUE_DEPTH: usize = 1024;
 
 /// How a primary acknowledges FEEDs relative to standby shipping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -99,8 +107,8 @@ pub(crate) enum ReplCmd {
     },
     /// A channel came into existence (name + schema spec).
     Open { channel: String, spec: String },
-    /// A wire-ready `REPL META|CHECKPOINT|REMOVE` payload: durable
-    /// subscription state whose reply carries nothing to record.
+    /// A wire-ready `REPL SUB|REMOVE` payload: durable subscription
+    /// state whose reply carries nothing to record.
     Plain(String),
     /// The server is going away; the thread should exit.
     Shutdown,
@@ -228,7 +236,7 @@ pub(crate) struct Replicator {
     pub target: String,
     /// FEED acknowledgement mode.
     pub ack: ReplAck,
-    tx: Mutex<mpsc::Sender<ReplCmd>>,
+    tx: mpsc::SyncSender<ReplCmd>,
     /// Shared with the shipping thread.
     pub state: Arc<ReplState>,
     /// Tells the shipping thread to exit (set by `Server::drop`).
@@ -238,12 +246,12 @@ pub(crate) struct Replicator {
 impl Replicator {
     /// A replicator and the receiving end for its shipping thread.
     pub fn new(target: String, ack: ReplAck) -> (Replicator, mpsc::Receiver<ReplCmd>) {
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         (
             Replicator {
                 target,
                 ack,
-                tx: Mutex::new(tx),
+                tx,
                 state: Arc::new(ReplState::default()),
                 stop: Arc::new(AtomicBool::new(false)),
             },
@@ -253,15 +261,17 @@ impl Replicator {
 
     /// Queue a command if a session is live.  While disconnected the
     /// local WAL is the source of truth and the next resync re-reads it,
-    /// so dropping here loses nothing.
+    /// so dropping here loses nothing.  A full queue disconnects: the
+    /// session ends after its current send and resyncs from disk.
     fn offer(&self, cmd: ReplCmd) -> bool {
         if !self.state.connected.load(Ordering::SeqCst) {
             return false;
         }
-        self.tx
-            .lock()
-            .map(|tx| tx.send(cmd).is_ok())
-            .unwrap_or(false)
+        let full = matches!(self.tx.try_send(cmd), Err(mpsc::TrySendError::Full(_)));
+        if full {
+            self.state.mark_disconnected();
+        }
+        !full
     }
 
     /// Queue one committed WAL frame.  Call under the channel persist
@@ -283,14 +293,9 @@ impl Replicator {
         });
     }
 
-    /// Queue a subscription meta.
-    pub fn offer_meta(&self, id: &str, text: &str) {
-        self.offer(ReplCmd::Plain(format!("REPL META {id}\n{text}")));
-    }
-
-    /// Queue a subscription checkpoint.
-    pub fn offer_checkpoint(&self, id: &str, text: &str) {
-        self.offer(ReplCmd::Plain(format!("REPL CHECKPOINT {id}\n{text}")));
+    /// Queue a subscription's `sqlts-sub v1` record.
+    pub fn offer_sub(&self, id: &str, record: &str) {
+        self.offer(ReplCmd::Plain(format!("REPL SUB {id}\n{record}")));
     }
 
     /// Queue a subscription removal.
@@ -302,9 +307,7 @@ impl Replicator {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         self.state.mark_disconnected();
-        if let Ok(tx) = self.tx.lock() {
-            let _ = tx.send(ReplCmd::Shutdown);
-        }
+        let _ = self.tx.try_send(ReplCmd::Shutdown);
     }
 
     /// Counters + the caller-computed lag gauge.
@@ -522,8 +525,8 @@ fn run_session(
                 .map_err(|e| ("resync_frame", e))?;
         }
     }
-    // Reconcile durable subscription state, then ship every meta +
-    // checkpoint (idempotent overwrites on the standby).
+    // Reconcile durable subscription state, then ship every record
+    // (idempotent overwrites on the standby).
     let subs = data
         .load_subs()
         .map_err(|e| ("load_subs", e.message().to_string()))?;
@@ -535,13 +538,16 @@ fn run_session(
     session.send(&subs_line).map_err(|e| ("subs", e))?;
     for (id, meta, checkpoint) in &subs {
         session
-            .send(&format!("REPL META {id}\n{}", meta.to_text()))
-            .and_then(|_| session.send(&format!("REPL CHECKPOINT {id}\n{checkpoint}")))
+            .send(&format!("REPL SUB {id}\n{}", meta.to_record(checkpoint)))
             .map_err(|e| ("resync_sub", e))?;
     }
     loop {
         if stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
             return Ok(());
+        }
+        // Only a full queue disconnects a live session.
+        if !repl.state.connected.load(Ordering::SeqCst) {
+            return Err(("queue", format!("{QUEUE_DEPTH} commands waited to ship")));
         }
         match rx.recv_timeout(Duration::from_millis(100)) {
             Ok(ReplCmd::Shutdown) | Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
@@ -569,8 +575,7 @@ pub(crate) fn standby_dispatch(
         ["FRAME", chan, start, nrows, crc] => {
             standby_frame(shared, chan, [start, nrows, crc], body, parent)
         }
-        ["META", id] => standby_meta(shared, id, body),
-        ["CHECKPOINT", id] => standby_checkpoint(shared, id, body),
+        ["SUB", id] => standby_sub(shared, id, body),
         ["REMOVE", id] => {
             standby_data(shared).remove_sub(id);
             Ok(format!("OK repl remove {id}"))
@@ -667,45 +672,30 @@ fn standby_frame(
     Ok(format!("OK repl ack {chan} {acked}"))
 }
 
-/// `REPL META <id>` + submeta text: persist a shipped subscription meta.
-fn standby_meta(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
-    let meta = SubMeta::from_text(body).map_err(|e| err(3, format!("repl meta '{id}': {e}")))?;
-    if shared.channel(&meta.channel).is_err() {
+/// `REPL SUB <id>` + its record: persist a shipped subscription record,
+/// then truncate the channel's WAL below the new low-water mark (the
+/// primary just did the same).
+fn standby_sub(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
+    let bad = |e: String| err(3, format!("repl sub '{id}': {e}"));
+    let (meta, checkpoint) = SubMeta::from_record(body).map_err(bad)?;
+    SessionCheckpoint::from_text(checkpoint).map_err(|e| bad(e.to_string()))?;
+    let chan = &meta.channel;
+    if shared.channel(chan).is_err() {
         return Err(err(
             4,
-            format!(
-                "repl meta '{id}' references unknown channel '{}'",
-                meta.channel
-            ),
+            format!("repl sub '{id}' references unknown channel '{chan}'"),
         ));
     }
-    standby_data(shared)
-        .save_sub_meta(id, &meta)
-        .map_err(|e| serve_err(&e))?;
-    Ok(format!("OK repl meta {id}"))
-}
-
-/// `REPL CHECKPOINT <id>` + checkpoint text: persist a shipped
-/// subscription checkpoint, then truncate the channel's WAL below the
-/// new low-water mark (the primary just did the same).
-fn standby_checkpoint(shared: &Shared, id: &str, body: &str) -> Result<String, String> {
-    SessionCheckpoint::from_text(body)
-        .map_err(|e| err(3, format!("repl checkpoint '{id}': {e}")))?;
-    let data = standby_data(shared);
-    let meta = data
-        .load_sub_meta(id)
-        .map_err(|e| serve_err(&e))?
-        .ok_or_else(|| err(4, format!("repl checkpoint '{id}' has no shipped meta")))?;
-    save_checkpoint(shared, data, id, body).map_err(|e| serve_err(&e))?;
-    standby_truncate(shared, &meta.channel);
-    Ok(format!("OK repl checkpoint {id}"))
+    save_sub(shared, standby_data(shared), id, &meta, checkpoint).map_err(|e| serve_err(&e))?;
+    standby_truncate(shared, chan);
+    Ok(format!("OK repl sub {id}"))
 }
 
 /// Truncate a standby channel's WAL below the minimum resume ordinal of
-/// its shipped checkpoints.  Best-effort, like the primary's snapshot
-/// pass: a stale checkpoint only makes the low-water mark *lower*, never
-/// wrong, and a subscription whose meta has not arrived yet can only
-/// need rows at or above the current durable row count.
+/// its shipped records.  Best-effort, like the primary's snapshot pass:
+/// a stale record only makes the low-water mark *lower*, never wrong,
+/// and a subscription whose record has not arrived yet can only need
+/// rows at or above the current durable row count.
 fn standby_truncate(shared: &Shared, chan: &str) {
     let (Ok(subs), Ok(channel)) = (standby_data(shared).load_subs(), shared.channel(chan)) else {
         return;
@@ -882,5 +872,24 @@ mod tests {
             }
         ));
         assert!(rx.try_recv().is_err(), "disconnected offer must not queue");
+    }
+
+    #[test]
+    fn a_full_queue_disconnects_instead_of_growing() {
+        let (repl, rx) = Replicator::new("127.0.0.1:1".into(), ReplAck::Async);
+        repl.state.connected.store(true, Ordering::SeqCst);
+        for start in 0..QUEUE_DEPTH as u64 {
+            assert!(repl.offer_frame("q", start, 1, "IBM,1,50"), "offer {start}");
+        }
+        assert!(!repl.offer_frame("q", QUEUE_DEPTH as u64, 1, "IBM,1,50"));
+        assert!(
+            !repl.state.connected.load(Ordering::SeqCst),
+            "a full queue ends the session"
+        );
+        assert!(
+            !repl.offer_frame("q", 0, 1, "IBM,1,50"),
+            "and drops later offers"
+        );
+        assert_eq!(rx.try_iter().count(), QUEUE_DEPTH);
     }
 }

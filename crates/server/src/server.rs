@@ -71,7 +71,7 @@
 //! Without `--data-dir` nothing below changes observably: no files, no
 //! extra reply fields, identical wire traffic.
 
-use crate::channel::{save_checkpoint, Channel, Subscription};
+use crate::channel::{save_sub, Channel, Subscription};
 use crate::frame::{read_frame_timed, write_frame, FrameEvent, FrameFatal};
 use crate::metrics::{metrics_text, status_json, LatencyOp, ServerMetrics, SubStatusView};
 use crate::recover::{DataDir, ServeError, SubMeta};
@@ -79,7 +79,7 @@ use crate::replicate::{self, ReplAck, ReplSnapshot, Replicator};
 use crate::wal::{scan_wal, FsyncPolicy, WalFrame};
 use sqlts_core::{EngineKind, FinishReport, Governor, SessionCheckpoint, TripReason, WorkerError};
 use sqlts_relation::Schema;
-use sqlts_trace::{Level, LogFormat, PatternSetStats, SpanLog};
+use sqlts_trace::{Level, PatternSetStats, SpanLog};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -124,8 +124,6 @@ pub struct ServerConfig {
     /// Structured span log destination (`--log`); `None` leaves the hot
     /// path with a single never-taken branch per record site.
     pub log_file: Option<PathBuf>,
-    /// Span log encoding (`--log-format json|text`).
-    pub log_format: LogFormat,
     /// Span log filter level (`--log-level error|warn|info|debug`).
     pub log_level: Level,
     /// Rotate the span log past this size (`--log-rotate-bytes`; 0
@@ -169,7 +167,6 @@ impl Default for ServerConfig {
             fsync: FsyncPolicy::Group { window_us: 0 }, // every
             checkpoint_every_frames: 64,
             log_file: None,
-            log_format: LogFormat::Json,
             log_level: Level::Info,
             log_rotate_bytes: 0,
             slow_frame_ms: None,
@@ -316,10 +313,10 @@ impl Shared {
         self.subs().get(id).cloned().ok_or_else(|| unknown_sub(id))
     }
 
-    /// Drop subscription `id`'s durable files, here and on the standby.
+    /// Drop subscription `id`'s durable record, here and on the standby.
     /// Always *before* the worker is finished: a crash in between leaves
-    /// a finished worker with no files, never files that would resurrect
-    /// a query its client saw end.
+    /// a finished worker with no record, never a record that would
+    /// resurrect a query its client saw end.
     fn forget_sub(&self, id: &str) {
         if let Some(data) = self.data.as_ref() {
             data.remove_sub(id);
@@ -413,13 +410,8 @@ impl Server {
             .log_file
             .as_ref()
             .map(|path| {
-                SpanLog::open(
-                    path,
-                    config.log_level,
-                    config.log_format,
-                    config.log_rotate_bytes,
-                )
-                .map_err(|e| ServeError::Usage(format!("open log {}: {e}", path.display())))
+                SpanLog::open(path, config.log_level, config.log_rotate_bytes)
+                    .map_err(|e| ServeError::Usage(format!("open log {}: {e}", path.display())))
             })
             .transpose()?;
         let retain = config.retain_profiles;
@@ -1152,7 +1144,7 @@ fn subscribe(
         "subscribed"
     };
     // Hold the channel's persist lock across worker spawn, base-ordinal
-    // read, registry insert and durable-file writes: no FEED can advance
+    // read, registry insert and durable-record write: no FEED can advance
     // the channel (or fan out to a half-registered subscription) in
     // between — which also pins the shared-matcher alignment origin to
     // the exact row ordinal this subscription starts observing from.
@@ -1182,16 +1174,9 @@ fn subscribe(
         subs.insert(id.to_string(), Arc::clone(&sub));
     }
     if let Some((data, text)) = durable {
-        // Still under the persist lock: the standby sees the meta before
-        // the checkpoint, and both before any frame this subscription
-        // will be replayed over.
-        let saved = data.save_sub_meta(id, &sub.meta).and_then(|()| {
-            if let Some(repl) = shared.repl.as_ref() {
-                repl.offer_meta(id, &sub.meta.to_text());
-            }
-            save_checkpoint(shared, data, id, &text)
-        });
-        if let Err(e) = saved {
+        // Still under the persist lock: the standby sees the record before
+        // any frame this subscription will be replayed over.
+        if let Err(e) = save_sub(shared, data, id, &sub.meta, &text) {
             // An unpersistable subscription must not run: roll it back so
             // the client's view matches the durable state.
             shared.forget_sub(id);
@@ -1281,7 +1266,7 @@ fn checkpoint_durable(shared: &Shared, id: &str) -> Result<String, String> {
         .worker
         .snapshot_with_records()
         .map_err(|e| worker_err(&e))?;
-    save_checkpoint(shared, data, id, &text).map_err(|e| serve_err(&e))?;
+    save_sub(shared, data, id, &sub.meta, &text).map_err(|e| serve_err(&e))?;
     drop(persist);
     let ordinal = sub.meta.resume_ordinal(records);
     Ok(format!("OK checkpoint {id} durable ordinal={ordinal}"))
@@ -2060,6 +2045,18 @@ mod tests {
             .collect()
     }
 
+    /// The uninterrupted, non-durable run over every [`kill_frames`] frame.
+    fn kill_reference() -> String {
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let shared = &server.shared;
+        dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+        dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
+        for frame in kill_frames() {
+            dispatch(shared, 1, &format!("FEED q\n{frame}")).unwrap();
+        }
+        dispatch(shared, 1, "UNSUBSCRIBE s").unwrap()
+    }
+
     /// The tentpole acceptance in miniature: kill the server (drop it
     /// without drain, LOCK file left behind) after *every* possible
     /// frame prefix; the recovered run's final result must be
@@ -2067,17 +2064,7 @@ mod tests {
     #[test]
     fn recovery_is_byte_identical_after_a_kill_at_every_frame_boundary() {
         let frames = kill_frames();
-        // Reference: the uninterrupted, non-durable run.
-        let reference = {
-            let server = Server::bind(ServerConfig::default()).unwrap();
-            let shared = &server.shared;
-            dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
-            dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
-            for frame in &frames {
-                dispatch(shared, 1, &format!("FEED q\n{frame}")).unwrap();
-            }
-            dispatch(shared, 1, "UNSUBSCRIBE s").unwrap()
-        };
+        let reference = kill_reference();
         assert!(reference.contains("\nname,day\n") || reference.contains(" rows="));
         for k in 0..=frames.len() {
             let root = temp_data_dir(&format!("kill{k}"));
@@ -2142,10 +2129,10 @@ mod tests {
         let sql = "SELECT X.name FROM q CLUSTER BY name SEQUENCE BY day AS (X, Z) \
                    WHERE Z.price < X.price";
         dispatch(shared, 1, &format!("SUBSCRIBE s q\n{sql}")).unwrap();
-        let meta = root.join("subs").join("s.meta");
-        assert!(meta.exists(), "subscription metadata persisted");
+        let record = root.join("subs").join("s.sub");
+        assert!(record.exists(), "subscription record persisted");
         dispatch(shared, 1, "UNSUBSCRIBE s").unwrap();
-        assert!(!meta.exists(), "unsubscribe removes durable files");
+        assert!(!record.exists(), "unsubscribe removes the record");
         drop(server);
         // A restart must not resurrect the unsubscribed query.
         let server = Server::bind(durable_config(&root, 64)).unwrap();
@@ -2296,11 +2283,9 @@ mod tests {
         assert_eq!(ordinal, 12, "4 frames x 3 rows all checkpointed");
         // The regression the verb exists for: the ordinal in the reply
         // must be derived from the snapshot that actually hit the disk.
-        let cp_text = std::fs::read_to_string(root.join("subs").join("s.checkpoint")).unwrap();
-        let cp = sqlts_core::SessionCheckpoint::from_text(&cp_text).unwrap();
-        let meta =
-            SubMeta::from_text(&std::fs::read_to_string(root.join("subs").join("s.meta")).unwrap())
-                .unwrap();
+        let record = std::fs::read_to_string(root.join("subs").join("s.sub")).unwrap();
+        let (meta, cp_text) = SubMeta::from_record(&record).unwrap();
+        let cp = sqlts_core::SessionCheckpoint::from_text(cp_text).unwrap();
         assert_eq!(
             ordinal,
             meta.resume_ordinal(cp.records()),
@@ -2318,6 +2303,8 @@ mod tests {
             plain.starts_with("CHECKPOINT s\nsqlts-checkpoint v1\n"),
             "{plain}"
         );
+        // The record's tail is that text verbatim.
+        assert_eq!(plain, format!("CHECKPOINT s\n{cp_text}"));
         drop(server);
         // Without a data dir there is nothing durable to promise.
         let server = Server::bind(ServerConfig::default()).unwrap();
@@ -2536,12 +2523,11 @@ mod tests {
         }
 
         /// Block until the primary's resync has landed the subscription's
-        /// durable files on this standby.
+        /// durable record on this standby.
         fn wait_for_sub(&self, id: &str) {
-            let meta = self.root.join("subs").join(format!("{id}.meta"));
-            let cp = self.root.join("subs").join(format!("{id}.checkpoint"));
+            let record = self.root.join("subs").join(format!("{id}.sub"));
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while !(meta.exists() && cp.exists()) {
+            while !record.exists() {
                 assert!(
                     std::time::Instant::now() < deadline,
                     "standby never received subscription {id}"
@@ -2578,16 +2564,7 @@ mod tests {
     /// which by resuming from the promoted server's own durable ordinal.
     fn promotion_survives_kill_at_every_frame_boundary(ack: ReplAck) {
         let frames = kill_frames();
-        let reference = {
-            let server = Server::bind(ServerConfig::default()).unwrap();
-            let shared = &server.shared;
-            dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
-            dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
-            for frame in &frames {
-                dispatch(shared, 1, &format!("FEED q\n{frame}")).unwrap();
-            }
-            dispatch(shared, 1, "UNSUBSCRIBE s").unwrap()
-        };
+        let reference = kill_reference();
         for k in 0..=frames.len() {
             let rig = StandbyRig::spawn(&format!("stby-{ack}-{k}"));
             let proot = temp_data_dir(&format!("prim-{ack}-{k}"));
@@ -2706,17 +2683,211 @@ mod tests {
         let _ = std::fs::remove_dir_all(&proot);
     }
 
+    /// Every prefix of what a primary ships for one durable `SUBSCRIBE`
+    /// leaves a standby that promotes, with the subscription either absent
+    /// or recovered byte-identically — so a primary that dies mid-way
+    /// through a SUBSCRIBE can always be failed over.  A recording
+    /// stand-in standby captures the stream; each prefix is then replayed
+    /// into a fresh real standby.
+    #[test]
+    fn every_prefix_of_a_shipped_subscribe_promotes() {
+        use crate::frame::read_frame;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shipped = Arc::new(Mutex::new(Vec::<String>::new()));
+        let recorder = {
+            let shipped = Arc::clone(&shipped);
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                while let Ok(FrameEvent::Payload(payload)) = read_frame(&mut reader, 1 << 20) {
+                    let reply = match payload.split_whitespace().nth(1) {
+                        Some("HELLO") => "OK repl v1",
+                        Some("OPEN") => "OK opened q rows=0",
+                        _ => "OK",
+                    };
+                    shipped.lock().unwrap().push(payload);
+                    if write_frame(&mut writer, reply).is_err() {
+                        break;
+                    }
+                }
+            })
+        };
+        let wait_for = |what: &str| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !shipped.lock().unwrap().iter().any(|p| p.contains(what)) {
+                assert!(Instant::now() < deadline, "nothing shipped holds {what:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let proot = temp_data_dir("prefix-primary");
+        {
+            let primary = Server::bind(ServerConfig {
+                replicate_to: Some(addr),
+                ..durable_config(&proot, 1_000)
+            })
+            .unwrap();
+            let shared = &primary.shared;
+            dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+            wait_for("REPL OPEN q");
+            dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
+            wait_for("sqlts-checkpoint v1");
+        }
+        recorder.join().unwrap();
+        let shipped = shipped.lock().unwrap().clone();
+        assert!(shipped
+            .iter()
+            .any(|p| p.starts_with("REPL SUB s\nsqlts-sub v1\n")));
+        let reference = kill_reference();
+        for n in 0..=shipped.len() {
+            let root = temp_data_dir(&format!("prefix-{n}"));
+            let standby = Server::bind(ServerConfig {
+                standby: true,
+                ..durable_config(&root, 1_000)
+            })
+            .unwrap();
+            let shared = &standby.shared;
+            for payload in &shipped[..n] {
+                dispatch(shared, 9, payload).unwrap();
+            }
+            let promoted = dispatch(shared, 9, "PROMOTE");
+            assert!(promoted.is_ok(), "prefix of {n}: {promoted:?}");
+            match dispatch(shared, 9, "STATUS s") {
+                Ok(_) => {
+                    for frame in kill_frames() {
+                        dispatch(shared, 9, &format!("FEED q\n{frame}")).unwrap();
+                    }
+                    let result = dispatch(shared, 9, "UNSUBSCRIBE s").unwrap();
+                    assert_eq!(result, reference, "prefix of {n} diverged");
+                }
+                Err(e) => assert!(e.starts_with("ERR 2 unknown subscription"), "{e}"),
+            }
+            drop(standby);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        let _ = std::fs::remove_dir_all(&proot);
+    }
+
+    /// `subs/` holds one `<id>.sub` per live subscription, whatever wrote
+    /// it last (SUBSCRIBE, a snapshot, `CHECKPOINT … DURABLE`), and the
+    /// old per-part verbs are unknown to a standby.
+    #[test]
+    fn one_record_per_live_subscription() {
+        let root = temp_data_dir("one-record");
+        let server = Server::bind(durable_config(&root, 1)).unwrap();
+        let shared = &server.shared;
+        let records = || {
+            let mut names: Vec<String> = std::fs::read_dir(root.join("subs"))
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|name| !name.ends_with(".tmp"))
+                .collect();
+            names.sort();
+            names
+        };
+        dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+        dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
+        dispatch(shared, 1, &format!("SUBSCRIBE t q\n{KILL_SQL}")).unwrap();
+        for frame in kill_frames().iter().take(3) {
+            dispatch(shared, 1, &format!("FEED q\n{frame}")).unwrap();
+        }
+        dispatch(shared, 1, "CHECKPOINT s DURABLE").unwrap();
+        assert_eq!(records(), ["s.sub", "t.sub"]);
+        dispatch(shared, 1, "UNSUBSCRIBE t").unwrap();
+        assert_eq!(records(), ["s.sub"]);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&root);
+        let rig = StandbyRig::spawn("one-record-standby");
+        for verb in [
+            "REPL META s\nsqlts-submeta v1",
+            "REPL CHECKPOINT s\nsqlts-checkpoint v1",
+        ] {
+            let reply = dispatch(&rig.server.shared, 9, verb).unwrap_err();
+            assert!(reply.starts_with("ERR 2 unknown REPL command"), "{reply}");
+        }
+    }
+
+    /// A data dir still in the two-file layout (`<id>.meta` beside
+    /// `<id>.checkpoint`) is refused at bind, as a primary and as a
+    /// standby, with exit 3 naming the file — and left exactly as it was.
+    #[test]
+    fn the_two_file_layout_is_refused_at_bind_and_left_unchanged() {
+        let root = temp_data_dir("two-file");
+        {
+            let server = Server::bind(durable_config(&root, 64)).unwrap();
+            let shared = &server.shared;
+            dispatch(shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+            dispatch(shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
+            dispatch(shared, 1, &format!("FEED q\n{}", kill_frames()[0])).unwrap();
+        }
+        // Split the record into the layout it replaced.
+        let subs = root.join("subs");
+        let record = std::fs::read_to_string(subs.join("s.sub")).unwrap();
+        let (meta, checkpoint) = SubMeta::from_record(&record).unwrap();
+        let submeta = format!(
+            "sqlts-submeta v1\nchannel q\nbase_rows {}\nbase_records {}\nsql\n{}",
+            meta.base_rows, meta.base_records, meta.sql
+        );
+        std::fs::write(subs.join("s.meta"), submeta).unwrap();
+        std::fs::write(subs.join("s.checkpoint"), checkpoint).unwrap();
+        std::fs::remove_file(subs.join("s.sub")).unwrap();
+        fn tree(dir: &Path, out: &mut Vec<(PathBuf, Vec<u8>)>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    tree(&path, out);
+                } else {
+                    out.push((path.clone(), std::fs::read(&path).unwrap()));
+                }
+            }
+            out.sort();
+        }
+        let mut before = Vec::new();
+        tree(&root, &mut before);
+        for standby in [false, true] {
+            let err = match Server::bind(ServerConfig {
+                standby,
+                ..durable_config(&root, 64)
+            }) {
+                Err(e) => e,
+                Ok(_) => panic!("the two-file layout must be refused (standby={standby})"),
+            };
+            assert_eq!(err.exit_code(), 3, "{err}");
+            assert!(err.message().contains("s.meta"), "{err}");
+            let mut after = Vec::new();
+            tree(&root, &mut after);
+            assert!(after == before, "a refused data dir was changed");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     #[test]
     fn malformed_durable_state_is_an_input_error() {
         let root = temp_data_dir("malformed");
         {
             let server = Server::bind(durable_config(&root, 64)).unwrap();
             dispatch(&server.shared, 1, "OPEN q name:str,day:int,price:float").unwrap();
+            dispatch(&server.shared, 1, &format!("SUBSCRIBE s q\n{KILL_SQL}")).unwrap();
         }
-        std::fs::write(root.join("channels").join("q.schema"), "not a schema").unwrap();
+        let schema = root.join("channels").join("q.schema");
+        let spec = std::fs::read_to_string(&schema).unwrap();
+        std::fs::write(&schema, "not a schema").unwrap();
         match Server::bind(durable_config(&root, 64)) {
             Err(e) => assert_eq!(e.exit_code(), 3, "{e}"),
             Ok(_) => panic!("malformed schema file must fail recovery"),
+        }
+        std::fs::write(&schema, spec).unwrap();
+        // A record torn in its header, and one torn in its checkpoint.
+        let record = root.join("subs").join("s.sub");
+        let text = std::fs::read_to_string(&record).unwrap();
+        let checkpoint_at = text.find("sqlts-checkpoint v1").unwrap();
+        for cut in [checkpoint_at / 2, (checkpoint_at + text.len()) / 2] {
+            std::fs::write(&record, &text[..cut]).unwrap();
+            match Server::bind(durable_config(&root, 64)) {
+                Err(e) => assert_eq!(e.exit_code(), 3, "{e}"),
+                Ok(_) => panic!("a record cut at byte {cut} must fail recovery"),
+            }
         }
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -6,14 +6,18 @@
 //! typed runtime error — never a panic, never silent data loss.  A slow
 //! fsync shows that the flush a FEED waits for runs off the channel lock.
 //! Beside them, the server's `server::accept` site: a failed `accept()`
-//! costs one connection, never the server.
+//! costs one connection, never the server; a crash at any write of a
+//! `SUBSCRIBE` (`persist::atomic_write`) leaves a data dir that restarts;
+//! and a standby stalled at `repl::standby_append` overflows the
+//! primary's bounded shipping queue into a resync, not into memory.
 
 #![cfg(feature = "failpoints")]
 
 use sqlts_relation::failpoints::{self, FailAction};
 use sqlts_server::frame::{read_frame, write_frame, FrameEvent};
+use sqlts_server::replicate::QUEUE_DEPTH;
 use sqlts_server::wal::{scan_wal, segment_path, ChannelWal, FsyncPolicy, WalError};
-use sqlts_server::{Server, ServerConfig};
+use sqlts_server::{ReplAck, Server, ServerConfig};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -47,7 +51,11 @@ struct Rig {
 
 impl Rig {
     fn start(config: ServerConfig) -> Rig {
-        let server = Arc::new(Server::bind(config).unwrap());
+        Rig::serve(Server::bind(config).unwrap())
+    }
+
+    fn serve(server: Server) -> Rig {
+        let server = Arc::new(server);
         let stop = Arc::new(AtomicBool::new(false));
         let run = {
             let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
@@ -84,6 +92,21 @@ impl Client {
             other => panic!("unexpected reply: {other:?}"),
         }
     }
+}
+
+/// What `UNSUBSCRIBE s` answers after frames `0..frames` on an
+/// uninterrupted in-memory server.
+fn reference(frames: u64) -> String {
+    let rig = Rig::start(ServerConfig::default());
+    let mut client = rig.client();
+    client.call(OPEN);
+    client.call(SUBSCRIBE);
+    for f in 0..frames {
+        assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+    }
+    let result = client.call("UNSUBSCRIBE s");
+    rig.stop();
+    result
 }
 
 /// A durable server on `root` under the default `--fsync every`.
@@ -227,8 +250,7 @@ fn injected_replay_failure_is_a_typed_runtime_error() {
             base_records: 0,
             sql: sql.into(),
         };
-        data.save_sub_meta("fp", &meta).unwrap();
-        data.save_sub_checkpoint("fp", &fresh.snapshot().unwrap())
+        data.save_sub("fp", &meta.to_record(&fresh.snapshot().unwrap()))
             .unwrap();
     }
     let config = ServerConfig {
@@ -326,18 +348,7 @@ fn injected_accept_failure_keeps_the_server_accepting() {
 #[test]
 fn a_failed_fsync_leaves_the_row_count_equal_to_the_wal() {
     let _guard = lock();
-    let reference = {
-        let rig = Rig::start(ServerConfig::default());
-        let mut client = rig.client();
-        client.call(OPEN);
-        client.call(SUBSCRIBE);
-        for f in 0..6 {
-            assert!(client.call(&feed(f)).starts_with("OK fed 3"));
-        }
-        let result = client.call("UNSUBSCRIBE s");
-        rig.stop();
-        result
-    };
+    let reference = reference(6);
     let root = temp_path("split-dir");
     let _ = std::fs::remove_dir_all(&root);
     let rig = Rig::start(durable(&root, 1_000, 1 << 20));
@@ -368,8 +379,8 @@ fn a_failed_fsync_leaves_the_row_count_equal_to_the_wal() {
 }
 
 /// A snapshot syncs the WAL before it writes any checkpoint, so a failed
-/// sync (here during the drain's snapshot pass) rewrites no `.checkpoint`
-/// file and unlinks no segment; the next pass, after recovery, does both.
+/// sync (here during the drain's snapshot pass) rewrites no subscription
+/// record and unlinks no segment; the next pass, after recovery, does both.
 #[test]
 fn a_snapshot_whose_fsync_fails_writes_no_checkpoint_and_truncates_nothing() {
     let _guard = lock();
@@ -380,7 +391,7 @@ fn a_snapshot_whose_fsync_fails_writes_no_checkpoint_and_truncates_nothing() {
     let mut client = rig.client();
     client.call(OPEN);
     client.call(SUBSCRIBE);
-    let checkpoint = root.join("subs").join("s.checkpoint");
+    let checkpoint = root.join("subs").join("s.sub");
     let joined = std::fs::read_to_string(&checkpoint).unwrap();
     for f in 0..4 {
         assert!(client.call(&feed(f)).starts_with("OK fed 3"));
@@ -460,4 +471,169 @@ fn a_second_feeder_appends_and_fans_out_during_the_first_fsync() {
     }
     rig.stop();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash at any durable write of a `SUBSCRIBE` leaves a data dir that
+/// restarts (exit 0), with the subscription either absent or recovered
+/// byte-identically.  A `Panic` at the k-th `persist::atomic_write` of the
+/// SUBSCRIBE kills its connection thread right after write k − 1; every
+/// later write fails, as a dead process writes nothing, so the drain adds
+/// nothing either.  The first k at which the SUBSCRIBE succeeds ends the
+/// sweep.
+#[test]
+fn a_crash_at_any_write_of_a_subscribe_restarts_cleanly() {
+    let _guard = lock();
+    let reference = reference(6);
+    for k in 1.. {
+        let root = temp_path(&format!("subscribe-crash-{k}"));
+        let _ = std::fs::remove_dir_all(&root);
+        let rig = Rig::start(durable(&root, 1_000, 1 << 20));
+        let mut client = rig.client();
+        client.call(OPEN);
+        failpoints::reset();
+        failpoints::configure_rule("persist::atomic_write", FailAction::Panic, k, None, true);
+        let dead = FailAction::InjectError;
+        failpoints::configure_rule("persist::atomic_write", dead, k + 1, None, false);
+        // A crashed connection thread never answers: wait for the reply
+        // or for the k-th write, whichever comes first.
+        write_frame(&mut client.stream, SUBSCRIBE).unwrap();
+        let poll = Some(Duration::from_millis(20));
+        client.stream.set_read_timeout(poll).unwrap();
+        let subscribed = loop {
+            match read_frame(&mut client.reader, 1 << 20) {
+                Ok(FrameEvent::Payload(reply)) => break Some(reply),
+                _ if failpoints::hit_count("persist::atomic_write") >= k => break None,
+                _ => {}
+            }
+        };
+        if subscribed.is_some() {
+            failpoints::reset(); // no write crashed: an ordinary drain
+        }
+        rig.stop();
+        failpoints::reset();
+        let server = Server::bind(durable(&root, 1_000, 1 << 20))
+            .unwrap_or_else(|e| panic!("crash at write {k}: restart exits {}: {e}", e.exit_code()));
+        let recovered = server.recovery().unwrap().subscriptions;
+        let rig = Rig::serve(server);
+        let mut client = rig.client();
+        if recovered == 1 {
+            for f in 0..6 {
+                assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+            }
+            assert_eq!(
+                client.call("UNSUBSCRIBE s"),
+                reference,
+                "crash at write {k}"
+            );
+        } else {
+            assert_eq!(recovered, 0, "crash at write {k}");
+            let status = client.call("STATUS s");
+            assert!(status.starts_with("ERR 2 unknown subscription"), "{status}");
+        }
+        rig.stop();
+        let _ = std::fs::remove_dir_all(&root);
+        if subscribed.is_some() {
+            assert_eq!(recovered, 1, "an acknowledged SUBSCRIBE was lost");
+            assert!(k > 1, "the SUBSCRIBE wrote nothing durable");
+            break;
+        }
+    }
+}
+
+fn metric(addr: std::net::SocketAddr, name: &str) -> u64 {
+    use std::io::{Read, Write};
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(stream, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")));
+    line.unwrap_or_else(|| panic!("no {name}")).parse().unwrap()
+}
+
+/// Under async acks a stalled standby cannot grow the primary's shipping
+/// queue without limit: past [`QUEUE_DEPTH`] queued commands the offer
+/// ends the session (counted as a send error), and the next session's
+/// resync ships from disk what the queue could not hold.  The promoted
+/// standby then finishes byte-identically to the uninterrupted run.
+#[test]
+fn a_full_replication_queue_resyncs_from_disk() {
+    let _guard = lock();
+    const STALL: Duration = Duration::from_millis(1500);
+    let frames = QUEUE_DEPTH as u64 + 64;
+    let reference = reference(frames);
+    let (sroot, proot) = (temp_path("queue-standby"), temp_path("queue-primary"));
+    let log = temp_path("queue-primary.jsonl");
+    for root in [&sroot, &proot] {
+        let _ = std::fs::remove_dir_all(root);
+    }
+    let quiet = |root: &Path| ServerConfig {
+        fsync: FsyncPolicy::Off,
+        ..durable(root, 1 << 20, 1 << 20)
+    };
+    let standby = Rig::start(ServerConfig {
+        standby: true,
+        ..quiet(&sroot)
+    });
+    let primary = Rig::start(ServerConfig {
+        replicate_to: Some(standby.server.local_addr().unwrap().to_string()),
+        repl_ack: ReplAck::Async,
+        log_file: Some(log.clone()),
+        ..quiet(&proot)
+    });
+    let paddr = primary.server.local_addr().unwrap();
+    let mut client = primary.client();
+    client.call(OPEN);
+    client.call(SUBSCRIBE);
+    let mut observer = standby.client();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !observer.call("STATUS s").starts_with("OK status standby") {
+        assert!(
+            Instant::now() < deadline,
+            "the standby never got the record"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let next = failpoints::hit_count("repl::standby_append") + 1;
+    let stall = FailAction::DelayMs(STALL.as_millis() as u64);
+    failpoints::configure_rule("repl::standby_append", stall, next, None, true);
+    let started = Instant::now();
+    for f in 0..frames {
+        assert!(client.call(&feed(f)).starts_with("OK fed 3"));
+    }
+    let fed_in = started.elapsed();
+    while metric(paddr, "sqlts_repl_resyncs_total") < 2
+        || metric(paddr, "sqlts_repl_lag_rows") > 0
+        || metric(paddr, "sqlts_repl_connected") == 0
+    {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "never caught up"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    failpoints::reset();
+    assert!(
+        fed_in < STALL,
+        "feeding took {fed_in:?}, longer than the stall"
+    );
+    assert_eq!(metric(paddr, "sqlts_repl_send_errors_total"), 1);
+    primary.stop();
+    let spans = std::fs::read_to_string(&log).unwrap();
+    let session_errors: Vec<&str> = spans
+        .lines()
+        .filter(|l| l.contains("\"name\":\"repl_session_error\""))
+        .collect();
+    assert_eq!(session_errors.len(), 1, "{spans}");
+    assert!(session_errors[0].contains("\"what\":\"queue\""), "{spans}");
+    assert!(observer
+        .call("PROMOTE")
+        .starts_with("OK promoted channels=1"));
+    assert_eq!(observer.call("UNSUBSCRIBE s"), reference);
+    standby.stop();
+    for root in [&sroot, &proot] {
+        let _ = std::fs::remove_dir_all(root);
+    }
+    let _ = std::fs::remove_file(&log);
 }

@@ -58,4 +58,4 @@ pub use expo::{Exposition, Kind};
 pub use metrics::{BoundedHistogram, ClusterMetrics, ClusterRecorder, HIST_BUCKETS};
 pub use profile::{json_escape, ClusterProfile, ExecutionProfile, OptimizerReport, PhaseNanos};
 pub use setstats::PatternSetStats;
-pub use span::{Level, LogFormat, SpanLog};
+pub use span::{Level, SpanLog};

@@ -1,6 +1,5 @@
 //! Structured span log: begin/end records with monotonic timestamps,
-//! parent ids and key=value fields, written as JSON-lines or aligned
-//! text.
+//! parent ids and key=value fields, written as JSON-lines.
 //!
 //! The rest of `sqlts-trace` is inert — recorders that never read a
 //! clock so merged profiles are reproducible.  A *span log* is the
@@ -99,27 +98,6 @@ impl fmt::Display for Level {
     }
 }
 
-/// On-disk encoding of the span log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogFormat {
-    /// One JSON object per line — machine-readable, the format
-    /// `sqlts trace-agg` consumes.
-    Json,
-    /// `ts level kind name key=value…` — human-skimmable.
-    Text,
-}
-
-impl LogFormat {
-    /// Parse a command-line format name (`"json"` or `"text"`).
-    pub fn parse(s: &str) -> Option<LogFormat> {
-        match s {
-            "json" => Some(LogFormat::Json),
-            "text" => Some(LogFormat::Text),
-            _ => None,
-        }
-    }
-}
-
 /// Everything guarded by the writer lock: the open file, its current
 /// size, and the rotation bookkeeping.
 struct LogInner {
@@ -139,7 +117,6 @@ struct LogInner {
 pub struct SpanLog {
     inner: Mutex<LogInner>,
     level: Level,
-    format: LogFormat,
     epoch: Instant,
     next_id: AtomicU64,
 }
@@ -149,12 +126,7 @@ impl SpanLog {
     ///
     /// `rotate_bytes` of 0 disables rotation.  The epoch for record
     /// timestamps is the moment of this call.
-    pub fn open(
-        path: &Path,
-        level: Level,
-        format: LogFormat,
-        rotate_bytes: u64,
-    ) -> io::Result<SpanLog> {
+    pub fn open(path: &Path, level: Level, rotate_bytes: u64) -> io::Result<SpanLog> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let bytes = file.metadata()?.len();
         Ok(SpanLog {
@@ -165,7 +137,6 @@ impl SpanLog {
                 rotate_bytes,
             }),
             level,
-            format,
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
         })
@@ -230,59 +201,31 @@ impl SpanLog {
     ) {
         let ts = self.now_ns();
         let mut line = String::with_capacity(96);
-        match self.format {
-            LogFormat::Json => {
-                line.push_str("{\"ts\":");
-                line.push_str(&ts.to_string());
-                line.push_str(",\"k\":\"");
-                line.push_str(kind);
-                line.push_str("\",\"lvl\":\"");
-                line.push_str(level.as_str());
-                line.push_str("\",\"name\":\"");
-                json_escape(name, &mut line);
-                line.push('"');
-                if let Some((id, parent)) = ids {
-                    line.push_str(",\"id\":");
-                    line.push_str(&id.to_string());
-                    if parent != u64::MAX {
-                        line.push_str(",\"parent\":");
-                        line.push_str(&parent.to_string());
-                    }
-                }
-                for (k, v) in fields {
-                    line.push_str(",\"");
-                    json_escape(k, &mut line);
-                    line.push_str("\":\"");
-                    json_escape(v, &mut line);
-                    line.push('"');
-                }
-                line.push_str("}\n");
-            }
-            LogFormat::Text => {
-                line.push_str(&ts.to_string());
-                line.push(' ');
-                line.push_str(level.as_str());
-                line.push(' ');
-                line.push_str(kind);
-                line.push(' ');
-                line.push_str(name);
-                if let Some((id, parent)) = ids {
-                    line.push_str(" id=");
-                    line.push_str(&id.to_string());
-                    if parent != u64::MAX {
-                        line.push_str(" parent=");
-                        line.push_str(&parent.to_string());
-                    }
-                }
-                for (k, v) in fields {
-                    line.push(' ');
-                    line.push_str(k);
-                    line.push('=');
-                    line.push_str(v);
-                }
-                line.push('\n');
+        line.push_str("{\"ts\":");
+        line.push_str(&ts.to_string());
+        line.push_str(",\"k\":\"");
+        line.push_str(kind);
+        line.push_str("\",\"lvl\":\"");
+        line.push_str(level.as_str());
+        line.push_str("\",\"name\":\"");
+        json_escape(name, &mut line);
+        line.push('"');
+        if let Some((id, parent)) = ids {
+            line.push_str(",\"id\":");
+            line.push_str(&id.to_string());
+            if parent != u64::MAX {
+                line.push_str(",\"parent\":");
+                line.push_str(&parent.to_string());
             }
         }
+        for (k, v) in fields {
+            line.push_str(",\"");
+            json_escape(k, &mut line);
+            line.push_str("\":\"");
+            json_escape(v, &mut line);
+            line.push('"');
+        }
+        line.push_str("}\n");
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -346,15 +289,12 @@ mod tests {
             assert_eq!(Level::parse(l.as_str()), Some(l));
         }
         assert_eq!(Level::parse("verbose"), None);
-        assert_eq!(LogFormat::parse("json"), Some(LogFormat::Json));
-        assert_eq!(LogFormat::parse("text"), Some(LogFormat::Text));
-        assert_eq!(LogFormat::parse("yaml"), None);
     }
 
     #[test]
     fn json_records_carry_ids_fields_and_balance() {
         let path = temp_path("basic.jsonl");
-        let log = SpanLog::open(&path, Level::Debug, LogFormat::Json, 0).unwrap();
+        let log = SpanLog::open(&path, Level::Debug, 0).unwrap();
         let root = log.begin(Level::Info, "dispatch", 0, &[("verb", "FEED")]);
         assert_ne!(root, 0);
         let child = log.begin(Level::Debug, "wal_append", root, &[("channel", "nyse")]);
@@ -394,7 +334,7 @@ mod tests {
     #[test]
     fn level_filter_returns_zero_id_and_writes_nothing() {
         let path = temp_path("filter.jsonl");
-        let log = SpanLog::open(&path, Level::Warn, LogFormat::Json, 0).unwrap();
+        let log = SpanLog::open(&path, Level::Warn, 0).unwrap();
         let id = log.begin(Level::Debug, "wal_append", 0, &[]);
         assert_eq!(id, 0, "filtered begin returns the sentinel id");
         log.end(Level::Debug, "wal_append", id, &[]); // must be a no-op
@@ -407,23 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn text_format_is_line_per_record() {
-        let path = temp_path("fmt.log");
-        let log = SpanLog::open(&path, Level::Debug, LogFormat::Text, 0).unwrap();
-        let id = log.begin(Level::Debug, "fsync", 3, &[("channel", "a")]);
-        log.end(Level::Debug, "fsync", id, &[]);
-        drop(log);
-        let text = fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].ends_with(&format!("debug b fsync id={id} parent=3 channel=a")));
-        assert!(lines[1].ends_with(&format!("debug e fsync id={id}")));
-    }
-
-    #[test]
     fn fields_are_json_escaped() {
         let path = temp_path("escape.jsonl");
-        let log = SpanLog::open(&path, Level::Debug, LogFormat::Json, 0).unwrap();
+        let log = SpanLog::open(&path, Level::Debug, 0).unwrap();
         log.event(Level::Info, "open", &[("channel", "a\"b\\c\nd")]);
         drop(log);
         let text = fs::read_to_string(&path).unwrap();
@@ -440,7 +366,7 @@ mod tests {
         let path = temp_path("rotate.jsonl");
         // Sized so the 32 records (~55 bytes each) cross the threshold
         // exactly once: one rotation, nothing lost.
-        let log = SpanLog::open(&path, Level::Debug, LogFormat::Json, 1024).unwrap();
+        let log = SpanLog::open(&path, Level::Debug, 1024).unwrap();
         for i in 0..32 {
             log.event(Level::Info, "tick", &[("i", &i.to_string())]);
         }
@@ -464,12 +390,12 @@ mod tests {
     fn reopen_appends_and_ids_restart_safely() {
         let path = temp_path("reopen.jsonl");
         {
-            let log = SpanLog::open(&path, Level::Info, LogFormat::Json, 0).unwrap();
+            let log = SpanLog::open(&path, Level::Info, 0).unwrap();
             let id = log.begin(Level::Info, "session", 0, &[]);
             log.end(Level::Info, "session", id, &[]);
         }
         {
-            let log = SpanLog::open(&path, Level::Info, LogFormat::Json, 0).unwrap();
+            let log = SpanLog::open(&path, Level::Info, 0).unwrap();
             log.event(Level::Info, "recovered", &[]);
         }
         let text = fs::read_to_string(&path).unwrap();
