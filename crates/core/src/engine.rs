@@ -851,11 +851,13 @@ impl OpsMachine {
             // New start: the beginning of (old) element sh+1's span.  The
             // prefix elements 1..nx-1 of the new attempt inherit the spans
             // of old elements sh+1..sh+nx-1 (the deterministic walk only
-            // crosses non-star pairs, so these are single tuples).
-            let old = self.counts.clone();
-            let new_start = self.start + old[sh];
-            for e in 0..nx {
-                self.counts[e] = old[sh + e] - old[sh];
+            // crosses non-star pairs, so these are single tuples).  The
+            // counts move down in place: no copy of the old ones.
+            let shifted = self.counts[sh];
+            let new_start = self.start + shifted;
+            self.counts.copy_within(sh..sh + nx, 0);
+            for c in &mut self.counts[..nx] {
+                *c -= shifted;
             }
             self.counts[nx] = self.counts[nx - 1];
             for c in self.counts.iter_mut().skip(nx + 1) {

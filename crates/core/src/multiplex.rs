@@ -23,9 +23,11 @@
 //!   sits behind one lock and validates, keys, order-checks and stores
 //!   each tuple once; every member drives its own machine over the shared
 //!   window.  [`WorkerGroup::feed`] is the one way to feed a group of
-//!   several: [`SessionWorker::feed`] feeds only a worker that sits
-//!   alone.  Each worker still reads back exactly what it would have
-//!   alone, and dropping one gives up its seat.
+//!   several, a frame at a time: a member with a governor armed is driven
+//!   after every tuple, every other member once per frame and cluster.
+//!   [`SessionWorker::feed`] feeds a frame of one tuple, and only to a
+//!   worker that sits alone.  Each worker still reads back exactly what it
+//!   would have alone, and dropping one gives up its seat.
 //! * **Admission control** — per-worker [`Governor`](crate::Governor)
 //!   budgets (deadline / step / match) ride in unchanged through
 //!   [`StreamOptions::exec`]; [`SessionWorker::queue_depth`] gauges how
@@ -285,12 +287,15 @@ impl Crew {
 }
 
 impl WorkerGroup {
-    /// Feed `rows`, in order, to every worker seated in the group, under
-    /// one lock: each tuple is admitted once and then driven through every
-    /// member.  `report(seat, result)` receives, per row, each occupied
-    /// seat's result — what that worker's own `feed` would have returned
-    /// had it sat alone.  Fails with [`WorkerError::Gone`] once every seat
-    /// is empty, and otherwise only when a panic escapes the group.
+    /// Feed the frame `rows`, in order, to every worker seated in the
+    /// group, under one lock: each tuple is admitted once; a member with a
+    /// governor armed is driven over it at once, and every other member is
+    /// driven once for the frame, one advance per cluster it touched.
+    /// `report(seat, result)` receives, per row, each occupied seat's
+    /// result — what that worker's own `feed` would have returned had it
+    /// sat alone and been fed the rows one by one — each seat's in row
+    /// order.  Fails with [`WorkerError::Gone`] once every seat is empty,
+    /// and otherwise only when a panic escapes the group.
     pub fn feed(
         &self,
         rows: impl IntoIterator<Item = Vec<Value>>,
@@ -301,12 +306,9 @@ impl WorkerGroup {
             if group.occupied() == 0 {
                 return Err(WorkerError::Gone);
             }
-            let mut report = |seat, result: Result<(), StreamError>| {
+            group.feed(rows, &mut |seat, result: Result<(), StreamError>| {
                 report(seat, result.map_err(map_stream_err));
-            };
-            for row in rows {
-                group.feed(row, &mut report);
-            }
+            });
             Ok(())
         })
     }
@@ -463,8 +465,9 @@ impl SessionWorker {
         self.group.crew.queued.load(Ordering::Relaxed)
     }
 
-    /// Push one tuple into a worker that sits alone.  A worker seated
-    /// beside others is fed through its [`group`](SessionWorker::group):
+    /// Push one tuple, a frame of one, into a worker that sits alone.  A
+    /// worker seated beside others is fed through its
+    /// [`group`](SessionWorker::group):
     /// a tuple goes to every member of a group or to none, so here it is
     /// refused with [`WorkerError::Runtime`] and nobody sees it.
     pub fn feed(&self, row: Vec<Value>) -> Result<(), WorkerError> {
@@ -478,7 +481,7 @@ impl SessionWorker {
                 )));
             }
             let mut fed = Ok(());
-            group.feed(row, &mut |_, result| fed = result);
+            group.feed(std::iter::once(row), &mut |_, result| fed = result);
             fed.map_err(map_stream_err)
         })
     }

@@ -27,6 +27,17 @@
 //! every member of a larger group reads back byte for byte what it would
 //! as a session of its own — rows, stats, profile, status, checkpoint.
 //!
+//! A group is fed a *frame* of tuples at a time, and [`StreamSession::feed`]
+//! is a frame of one.  Admission takes the frame's tuples in order; a
+//! member with a governor armed is driven after every tuple, so its trips
+//! fall where they would, and every other member is driven once per frame
+//! (and at least every `MAX_UNDRIVEN` tuples of a cluster), one advance per
+//! cluster the frame touched.  The engines are online machines that
+//! resume where they stopped, so a member driven over k tuples at once
+//! stands where k one-tuple drives leave it, and everything observable at
+//! a frame boundary — results, status, checkpoints — is the same however
+//! the stream was cut into frames.
+//!
 //! Two resilience layers ride on top of the incremental core:
 //!
 //! * **Checkpoint/restore** — [`StreamSession::snapshot`] captures the
@@ -69,9 +80,14 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// How many feeds between shared-memo prunes (soft state, so the exact
-/// cadence only trades memory for lock traffic).
-const SHARED_PRUNE_INTERVAL: u32 = 256;
+/// How many driven rows between shared-memo prunes (soft state, so the
+/// exact cadence only trades memory for lock traffic).
+const SHARED_PRUNE_INTERVAL: usize = 256;
+
+/// How many rows of one cluster a frame admits before the members that
+/// wait for the frame are driven over them: what a frame adds to a
+/// cluster's window is bounded by this, not by the frame's length.
+const MAX_UNDRIVEN: usize = 64;
 
 /// What to do with a tuple that cannot be accepted (schema violation,
 /// out-of-order `SEQUENCE BY` key, or an injected ingest fault).
@@ -346,6 +362,19 @@ struct ClusterWindow {
     base: usize,
     /// `SEQUENCE BY` key of the last accepted tuple (order enforcement).
     last_seq: Option<Vec<Value>>,
+    /// The rows a frame admitted that the members driven once per frame
+    /// have not been driven over yet (none between frames).
+    undriven: Undriven,
+}
+
+/// A cluster's rows admitted since its last once-per-frame drive.
+#[derive(Clone, Copy, Debug, Default)]
+struct Undriven {
+    rows: usize,
+    /// Their estimated bytes, summed.
+    bytes: usize,
+    /// The frame row the first of them arrived in.
+    first: usize,
 }
 
 impl ClusterWindow {
@@ -465,6 +494,7 @@ impl Window {
                     buf: Table::new(self.schema.clone()),
                     base: 0,
                     last_seq: None,
+                    undriven: Undriven::default(),
                 });
                 self.slots.insert(ClusterKey(key), slot);
                 slot
@@ -538,6 +568,7 @@ impl Window {
                     buf,
                     base: lane.base,
                     last_seq: cw.last_seq.clone(),
+                    undriven: Undriven::default(),
                 }
             })
             .collect();
@@ -596,8 +627,9 @@ struct MemberRun {
     /// Shared pattern-set membership (server `--shared-matcher`,
     /// `SharedStreamSession`): hands each cluster's counter a memo handle.
     shared: Option<crate::patternset::SharedJoin>,
-    /// Feeds since the shared memo was last pruned to the lane floors.
-    feeds_since_prune: u32,
+    /// Rows driven since the shared memo was last pruned to the lane
+    /// floors.
+    rows_since_prune: usize,
 }
 
 impl MemberRun {
@@ -615,6 +647,13 @@ impl MemberRun {
     /// Is this member still driven: neither tripped nor poisoned?
     fn driven(&self) -> bool {
         self.trip.is_none() && self.poisoned.is_none()
+    }
+
+    /// Is this member driven after every row rather than once per frame?
+    /// A member with a governor armed is: its trips, partial rows and
+    /// per-row verdicts fall on the row that causes them.
+    fn per_row(&self) -> bool {
+        self.member.run.is_some()
     }
 
     /// Latch `cause` as this member's poison; the error its feed returns.
@@ -717,6 +756,7 @@ impl MemberRun {
                 buf,
                 base: cc.base,
                 last_seq: cc.last_seq,
+                undriven: Undriven::default(),
             });
             window.slots.insert(key, slot);
             self.lanes.push(Lane {
@@ -730,17 +770,23 @@ impl MemberRun {
         Ok(())
     }
 
-    /// Drive this member over the tuple admission just appended to
-    /// cluster `slot` (estimated at `bytes`) and advance its floor.  The
-    /// window itself is trimmed by the caller, to the lowest floor of the
-    /// members reading it.  Fails only with a governor trip, which it
-    /// latches.
-    fn advance(&mut self, window: &Window, slot: usize, bytes: usize) -> Result<(), StreamError> {
-        let cw = &window.clusters[slot];
-        if slot == self.lanes.len() {
-            let lane = self.new_lane(&cw.key);
+    /// Drive this member over the `rows` tuples (estimated at `bytes`)
+    /// admission appended to cluster `slot` since its last drive, and
+    /// advance its floor.  The window itself is trimmed by the caller, to
+    /// the lowest floor of the members reading it.  Fails only with a
+    /// governor trip, which it latches.
+    fn advance(
+        &mut self,
+        window: &Window,
+        slot: usize,
+        bytes: usize,
+        rows: usize,
+    ) -> Result<(), StreamError> {
+        while self.lanes.len() <= slot {
+            let lane = self.new_lane(&window.clusters[self.lanes.len()].key);
             self.lanes.push(lane);
         }
+        let cw = &window.clusters[slot];
         self.window_bytes += bytes;
         let lane = &mut self.lanes[slot];
         let outcome = drive(
@@ -758,11 +804,12 @@ impl MemberRun {
         }
         // Periodically drop shared-memo entries the member's floors can no
         // longer probe.  Soft state: over-pruning (another member may lag
-        // behind this one's floor) only costs cache misses.
+        // behind this one's floor) only costs cache misses.  Counted in
+        // rows, so how a stream is cut into frames does not move it.
         if let Some(shared) = &self.shared {
-            self.feeds_since_prune += 1;
-            if self.feeds_since_prune >= SHARED_PRUNE_INTERVAL {
-                self.feeds_since_prune = 0;
+            self.rows_since_prune += rows;
+            if self.rows_since_prune >= SHARED_PRUNE_INTERVAL {
+                self.rows_since_prune %= SHARED_PRUNE_INTERVAL;
                 for (key, &slot) in &window.slots {
                     if let Some(lane) = self.lanes.get(slot) {
                         shared.prune_below(&key.0, lane.base as u64);
@@ -930,7 +977,8 @@ impl<'a> SessionView<'a> {
 /// A push-based streaming execution session over one compiled query.
 ///
 /// Built with [`StreamSession::new`] (or [`StreamSession::resume`] from a
-/// checkpoint); fed one tuple at a time with [`StreamSession::feed`];
+/// checkpoint); fed one tuple at a time — a session group's frame of
+/// one — with [`StreamSession::feed`];
 /// closed with [`StreamSession::finish`], which returns the same
 /// [`QueryResult`] a batch run over the full input would.  The session
 /// owns a copy of its query, so it outlives the one it was built from.
@@ -1020,7 +1068,8 @@ impl StreamSession {
     /// contained and poisons the session.
     pub fn feed(&mut self, row: Vec<Value>) -> Result<(), StreamError> {
         let mut fed = Ok(());
-        self.group.feed(row, &mut |_, result| fed = result);
+        self.group
+            .feed(std::iter::once(row), &mut |_, result| fed = result);
         fed
     }
 
@@ -1070,12 +1119,16 @@ impl StreamSession {
 /// Sessions that admit each tuple once: one window under many members,
 /// each in a numbered seat.  A [`StreamSession`] is a group of one.
 ///
-/// A fed tuple is validated, keyed, order-checked and appended once; then
-/// every live member drives its machine over the shared window from its
-/// own floor, and the window keeps only what the lowest floor still
-/// needs.  Each seat reads back exactly what a session of its own would —
-/// rows, stats, profile, status, checkpoint bytes — because admission is
-/// the part of a feed that depends on nothing a member owns.
+/// A group is fed a frame of tuples at a time.  Each tuple is validated,
+/// keyed, order-checked and appended once, in order; a member with a
+/// governor armed is driven over it at once, and every other member is
+/// driven once per frame, one advance per cluster the frame touched, from
+/// its own floor over the shared window, which then keeps only what the
+/// lowest floor still needs.  Each seat reads back exactly what a session
+/// of its own would — rows, stats, profile, status, checkpoint bytes —
+/// because admission is the part of a feed that depends on nothing a
+/// member owns, and an OPS-style machine driven over k new tuples in one
+/// call stands where k one-tuple calls leave it.
 ///
 /// A member that trips its governor or is poisoned is never driven again.
 /// While others are still driven it leaves: it takes a copy of its view
@@ -1085,6 +1138,15 @@ impl StreamSession {
 pub(crate) struct SessionGroup {
     window: Window,
     seats: Vec<Seat>,
+    /// Clusters with undriven rows, in first-touch order: a frame's
+    /// scratch, empty between frames, whose capacity is kept.
+    touched: Vec<usize>,
+    /// The refusals among the frame rows the members driven once per
+    /// frame have not been told of yet, in row order: the only per-row
+    /// state a frame keeps, and the steady state refuses nothing.
+    refused: Vec<(usize, Refusal)>,
+    /// Frame rows those members have been told their verdicts for.
+    told: usize,
 }
 
 enum Seat {
@@ -1095,6 +1157,16 @@ enum Seat {
     Alone(SessionGroup),
     /// Finished.
     Vacant,
+}
+
+impl Seat {
+    /// The live member sitting here, when it is driven after every row.
+    fn per_row(&mut self) -> Option<&mut MemberRun> {
+        match self {
+            Seat::Live(run) if run.per_row() => Some(run),
+            _ => None,
+        }
+    }
 }
 
 impl SessionGroup {
@@ -1119,15 +1191,23 @@ impl SessionGroup {
             poisoned: None,
             trip: None,
             shared: None,
-            feeds_since_prune: 0,
+            rows_since_prune: 0,
         };
         if let Some(checkpoint) = checkpoint {
             run.restore(&mut window, checkpoint)?;
         }
-        Ok(SessionGroup {
+        Ok(SessionGroup::of(window, run))
+    }
+
+    /// A group of one seating `run` over `window`.
+    fn of(window: Window, run: MemberRun) -> SessionGroup {
+        SessionGroup {
             window,
             seats: vec![Seat::Live(run)],
-        })
+            touched: Vec::new(),
+            refused: Vec::new(),
+            told: 0,
+        }
     }
 
     /// Seat the members of `other` — a group of one — in this group and
@@ -1156,91 +1236,180 @@ impl SessionGroup {
         }
     }
 
-    /// Feed one tuple to every seat, reporting each occupied seat's result
-    /// through `report(seat, result)` — what a session of its own would
-    /// have returned.  A panic is contained: in admission it poisons every
-    /// live member (each would have panicked alike), in a member's drive
-    /// that member alone.
+    /// Feed a frame of tuples to every seat, reporting each occupied
+    /// seat's result per tuple through `report(seat, result)` — what a
+    /// session of its own fed the tuples one by one would have returned.
+    /// Each seat's results come in tuple order; how the seats' results
+    /// interleave is not.  A panic is contained: in admission it poisons
+    /// every live member (each would have panicked alike), once the
+    /// tuples admitted before it are driven; in a member's drive that
+    /// member alone, from the first tuple of the cluster it was driving.
     pub(crate) fn feed(
         &mut self,
-        row: Vec<Value>,
+        rows: impl IntoIterator<Item = Vec<Value>>,
         report: &mut dyn FnMut(usize, Result<(), StreamError>),
     ) {
-        // The feed boundary, per member: a member whose deadline has passed
-        // leaves before the tuple is admitted, so it does not consume it
-        // (its view is copied before the window grows).
-        let (mut live, mut left) = (0, false);
-        for (i, seat) in self.seats.iter_mut().enumerate() {
-            match seat {
-                Seat::Live(run) => match run.poll_deadline() {
-                    Ok(()) => live += 1,
-                    Err(e) => {
-                        left = true;
-                        report(i, Err(e));
-                    }
-                },
-                // Tripped or poisoned for good: its boundary refuses.
-                Seat::Alone(alone) => report(i, alone.poll_deadline(0)),
-                Seat::Vacant => {}
+        self.told = 0;
+        let mut at = 0;
+        for row in rows {
+            // The feed boundary, per member: a member whose deadline has
+            // passed leaves before the tuple is admitted, so it does not
+            // consume it (its view is copied before the window grows).
+            let (mut live, mut left) = (0, false);
+            for (i, seat) in self.seats.iter_mut().enumerate() {
+                match seat {
+                    Seat::Live(run) => match run.poll_deadline() {
+                        Ok(()) => live += 1,
+                        Err(e) => {
+                            left = true;
+                            report(i, Err(e));
+                        }
+                    },
+                    // Tripped or poisoned for good: its boundary refuses.
+                    Seat::Alone(alone) => report(i, alone.poll_deadline(0)),
+                    Seat::Vacant => {}
+                }
             }
+            if left {
+                self.release();
+            }
+            if live > 0 && self.admit(at, row, report) {
+                self.release();
+            }
+            at += 1;
         }
-        if left {
-            self.release();
-        }
-        if live > 0 && self.admit_and_drive(row, report) {
+        if self.drive_undriven(at, report) {
             self.release();
         }
     }
 
-    /// Count the tuple, admit it once, drive every live member over it and
-    /// trim the window to the lowest floor.  Returns whether a member
+    /// Count frame row `at`, admit it once and drive the members driven
+    /// per row over it; the rest wait for the frame's drive, or for the
+    /// cluster's `MAX_UNDRIVEN`-th undriven row.  Returns whether a member
     /// tripped or was poisoned, so that it can leave.
-    fn admit_and_drive(
+    fn admit(
         &mut self,
+        at: usize,
         row: Vec<Value>,
         report: &mut dyn FnMut(usize, Result<(), StreamError>),
     ) -> bool {
         let window = &mut self.window;
         window.records += 1;
         let admitted = catch_unwind(AssertUnwindSafe(|| window.admit(row)));
-        let live = self
-            .seats
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, seat)| match seat {
-                Seat::Live(run) => Some((i, run)),
-                _ => None,
-            });
         let (slot, bytes) = match admitted {
             Ok(Ok(Some(admitted))) => admitted,
-            Ok(Ok(None)) => {
-                live.for_each(|(i, _)| report(i, Ok(())));
-                return false;
-            }
-            Ok(Err(refusal)) => {
-                live.for_each(|(i, _)| report(i, Err(refusal.clone().into())));
+            // Dropped, parked or refused: the members driven per row hear
+            // it now, the rest at the frame's drive.
+            Ok(dropped) => {
+                let refusal = dropped.err();
+                for (i, seat) in self.seats.iter_mut().enumerate() {
+                    if seat.per_row().is_some() {
+                        report(i, refusal.clone().map_or(Ok(()), |r| Err(r.into())));
+                    }
+                }
+                self.refused.extend(refusal.map(|refusal| (at, refusal)));
                 return false;
             }
             Err(payload) => {
+                // Drive what the frame admitted before this tuple first, so
+                // every member stands where feeding tuple by tuple leaves it.
+                self.drive_undriven(at, report);
                 let cause = panic_cause(payload);
-                live.for_each(|(i, run)| report(i, Err(run.poison(&cause))));
+                for (i, seat) in self.seats.iter_mut().enumerate() {
+                    if let Seat::Live(run) = seat {
+                        let poisoned = match &run.poisoned {
+                            Some(own) => StreamError::Poisoned(own.clone()),
+                            None => run.poison(&cause),
+                        };
+                        report(i, Err(poisoned));
+                    }
+                }
+                self.told = at + 1;
                 return true;
             }
         };
-        let window = &self.window;
-        let (mut floor, mut left) = (usize::MAX, false);
-        for (i, run) in live {
-            let advanced = catch_unwind(AssertUnwindSafe(|| run.advance(window, slot, bytes)))
+        let (window, mut left, mut advanced) = (&self.window, false, false);
+        for (i, seat) in self.seats.iter_mut().enumerate() {
+            let Some(run) = seat.per_row() else { continue };
+            let result = catch_unwind(AssertUnwindSafe(|| run.advance(window, slot, bytes, 1)))
                 .unwrap_or_else(|payload| Err(run.poison(&panic_cause(payload))));
-            // A member that trips still counts: it copies its view out
-            // before the window is trimmed past it.
-            if let Some(lane) = run.lanes.get(slot) {
-                floor = floor.min(lane.base);
-            }
-            left |= advanced.is_err();
-            report(i, advanced);
+            left |= result.is_err();
+            advanced = true;
+            report(i, result);
         }
-        self.window.trim(slot, floor);
+        // A member that trips still counts: it copies its view out before
+        // the window is trimmed past it.
+        if advanced {
+            let floor = self.floor(slot);
+            self.window.trim(slot, floor);
+        }
+        let undriven = &mut self.window.clusters[slot].undriven;
+        if undriven.rows == 0 {
+            undriven.first = at;
+            self.touched.push(slot);
+        }
+        undriven.rows += 1;
+        undriven.bytes += bytes;
+        if undriven.rows >= MAX_UNDRIVEN {
+            left |= self.drive_undriven(at + 1, report);
+        }
+        left
+    }
+
+    /// Drive every live member that is driven once per frame over the rows
+    /// admitted since its last drive — one advance per touched cluster, in
+    /// first-touch order — and report its verdicts for the frame rows up
+    /// to `upto`; then trim those clusters to the lowest floor.  Returns
+    /// whether a member was poisoned, so that it can leave.
+    fn drive_undriven(
+        &mut self,
+        upto: usize,
+        report: &mut dyn FnMut(usize, Result<(), StreamError>),
+    ) -> bool {
+        let (window, mut left) = (&self.window, false);
+        for (i, seat) in self.seats.iter_mut().enumerate() {
+            let Seat::Live(run) = seat else { continue };
+            if run.per_row() || !run.driven() {
+                continue;
+            }
+            // The frame row a panic in this member's drive is reported
+            // from: the first of the cluster it was driving.
+            let mut poisoned_from = None;
+            for &slot in &self.touched {
+                let undriven = window.clusters[slot].undriven;
+                let driven = catch_unwind(AssertUnwindSafe(|| {
+                    #[cfg(feature = "failpoints")]
+                    sqlts_relation::failpoints::hit("stream::drive", i as u64);
+                    run.advance(window, slot, undriven.bytes, undriven.rows)
+                }));
+                if let Err(payload) = driven {
+                    run.poison(&panic_cause(payload));
+                    poisoned_from = Some(undriven.first);
+                    break;
+                }
+            }
+            left |= poisoned_from.is_some();
+            let mut refusals = self.refused.iter().peekable();
+            for at in self.told..upto {
+                let refusal = refusals.next_if(|(row, _)| *row == at);
+                let verdict = match (poisoned_from, &run.poisoned, refusal) {
+                    (Some(from), Some(cause), _) if at >= from => {
+                        Err(StreamError::Poisoned(cause.clone()))
+                    }
+                    (_, _, Some((_, refusal))) => Err(refusal.clone().into()),
+                    _ => Ok(()),
+                };
+                report(i, verdict);
+            }
+        }
+        for &slot in &self.touched {
+            let floor = self.floor(slot);
+            self.window.trim(slot, floor);
+            self.window.clusters[slot].undriven = Undriven::default();
+        }
+        self.touched.clear();
+        self.refused.clear();
+        self.told = upto;
         left
     }
 
@@ -1278,10 +1447,11 @@ impl SessionGroup {
         }
     }
 
-    /// The lowest floor any live member keeps in cluster `slot`.
+    /// The lowest floor any live member keeps in cluster `slot`; a member
+    /// not yet driven over the cluster reads it from its start.
     fn floor(&self, slot: usize) -> usize {
         let floors = self.seats.iter().filter_map(|seat| match seat {
-            Seat::Live(run) => run.lanes.get(slot).map(|lane| lane.base),
+            Seat::Live(run) => Some(run.lanes.get(slot).map_or(0, |lane| lane.base)),
             _ => None,
         });
         floors.min().unwrap_or(usize::MAX)
@@ -1304,8 +1474,7 @@ impl SessionGroup {
                 // still sits in its seat.
                 let window = window.view_for(run);
                 if let Seat::Live(run) = std::mem::replace(seat, Seat::Vacant) {
-                    let seats = vec![Seat::Live(run)];
-                    *seat = Seat::Alone(SessionGroup { window, seats });
+                    *seat = Seat::Alone(SessionGroup::of(window, run));
                 }
             }
         }
@@ -2887,7 +3056,7 @@ mod tests {
         }
         for (n, row) in rows.iter().enumerate() {
             let mut fed = vec![None; solos.len()];
-            group.feed(row.clone(), &mut |seat, result| {
+            group.feed([row.clone()], &mut |seat, result| {
                 fed[seat] = Some(verdict(&result))
             });
             for (seat, solo) in solos.iter_mut().enumerate() {
@@ -3006,7 +3175,7 @@ mod tests {
         let mut group = alone(0);
         group.join(alone(1)).ok().unwrap();
         for row in &rows {
-            group.feed(row.clone(), &mut |_, _| {});
+            group.feed([row.clone()], &mut |_, _| {});
         }
         assert!(matches!(group.seats[0], Seat::Live(_)));
         assert!(matches!(group.seats[1], Seat::Alone(_)));
@@ -3055,7 +3224,9 @@ mod tests {
         let venue = compile(VENUE_QUERY, &venue_schema(), &CompileOptions::default()).unwrap();
         assert!(group.join(group_of(&venue, opts.clone())).is_err());
         // Once a tuple is admitted, a newcomer has not seen it: no seat.
-        group.feed(workload().swap_remove(0), &mut |_, result| result.unwrap());
+        group.feed([workload().swap_remove(0)], &mut |_, result| {
+            result.unwrap()
+        });
         assert!(group.join(fresh()).is_err());
         let mut fed = StreamSession::new(&query, opts.clone()).unwrap();
         fed.feed(workload().swap_remove(0)).unwrap();

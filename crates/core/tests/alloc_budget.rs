@@ -5,7 +5,9 @@
 //! tuple, so none may touch the heap once per row.  This binary installs a counting global allocator
 //! (its own test binary: a `#[global_allocator]` is process-wide) and
 //! bounds the number of allocation calls each makes: O(clusters · log
-//! rows) for the batch partition, exactly none for a steady-state feed.
+//! rows) for the batch partition, exactly none for a steady-state feed
+//! whatever its frame sizes, and only per match for an OPS search that
+//! realigns.
 //! Counts are per thread and deterministic — no timing, one thread per
 //! measurement — so the test cannot flake; if a change moves the feed
 //! pin on purpose, re-pin it and say why in the commit.
@@ -194,4 +196,113 @@ fn a_group_feed_allocates_nothing_per_row_for_any_member() {
     for worker in members.iter().chain([&lead]) {
         assert_eq!(worker.finish().unwrap().rows, 0);
     }
+}
+
+#[test]
+fn a_group_fed_frames_of_any_size_allocates_nothing_per_row() {
+    // After one frame of 64 rows per cluster — as many as a frame admits
+    // to a cluster before its members are driven — no frame, short or
+    // long, grows a window or the group's per-frame state.
+    let config = |i: usize| {
+        let sql = format!(
+            "SELECT X.name, Y.day FROM quote CLUSTER BY name SEQUENCE BY day AS (X, Y) \
+             WHERE X.price < {} AND Y.price > X.price",
+            50 + i
+        );
+        SessionWorkerConfig::new(format!("w{i}"), sql, quote_schema())
+    };
+    let lead = SessionWorker::spawn(config(0)).unwrap();
+    let members: Vec<SessionWorker> = (1..8)
+        .map(|i| SessionWorker::spawn_in(config(i), [lead.group()]).unwrap())
+        .collect();
+    let ok = |_: usize, result: Result<(), WorkerError>| result.unwrap();
+    let days = |from: usize, to: usize| {
+        (from..to)
+            .flat_map(|day| (0..CLUSTERS).map(move |symbol| quote(symbol, day)))
+            .collect::<Vec<_>>()
+    };
+    lead.group().feed(days(0, 64), ok).unwrap();
+    // Frames of 1, 3, 8, 50, 100, 200 and 1 000 rows, cut from one feed.
+    let mut rows = days(64, 64 + 1362 / CLUSTERS + 1).into_iter();
+    let frames: Vec<Vec<Vec<Value>>> = [1, 3, 8, 50, 100, 200, 1000]
+        .iter()
+        .map(|&n| rows.by_ref().take(n).collect())
+        .collect();
+    assert_eq!(frames.iter().map(Vec::len).sum::<usize>(), 1362);
+    for frame in frames {
+        let n = frame.len();
+        let (calls, ()) = allocations(|| lead.group().feed(frame, ok).unwrap());
+        assert_eq!(
+            calls, 0,
+            "{calls} allocation calls feeding a frame of {n} rows"
+        );
+    }
+    for worker in members.iter().chain([&lead]) {
+        assert_eq!(worker.finish().unwrap().rows, 0);
+    }
+}
+
+/// A zigzag walk: each step is ±1, with a second step the same way now
+/// and then, so a rise/fall chain breaks at every element.
+fn zigzag(len: usize) -> Vec<Vec<Value>> {
+    let (mut price, mut state) = (100i64, 0x2545_f491_u64);
+    (0..len)
+        .map(|day| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let up = day % 2 == 0;
+            let keep = (state >> 33) % 4 == 0;
+            price += if up != keep { 1 } else { -1 };
+            vec![
+                Value::Str("S0".into()),
+                Value::Int(day as i64),
+                Value::Float(price as f64),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn an_ops_search_that_realigns_allocates_only_per_match() {
+    // (A, B, C, D) alternating falls and rises: a fall where a rise is
+    // due (or the reverse) is a genuine failure, and OPS realigns to the
+    // previous shift(j) with next(j) ≥ 1 rather than starting over.
+    let query = compile(
+        "SELECT A.day, D.day AS last FROM quote CLUSTER BY name SEQUENCE BY day \
+         AS (A, B, C, D) WHERE A.price < A.previous.price \
+         AND B.price > B.previous.price AND C.price < C.previous.price \
+         AND D.price > D.previous.price",
+        &quote_schema(),
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    let (warm, fed) = (256, 800);
+    let rows = zigzag(warm + fed);
+    let matches_over = |rows: &[Vec<Value>]| {
+        let mut session = StreamSession::new(&query, StreamOptions::default()).unwrap();
+        for row in rows {
+            session.feed(row.clone()).unwrap();
+        }
+        session.finish().unwrap().table.len()
+    };
+    let matches = (matches_over(&rows) - matches_over(&rows[..warm])) as u64;
+    assert!(matches > 50, "only {matches} matches: the walk is too tame");
+    let mut session = StreamSession::new(&query, StreamOptions::default()).unwrap();
+    for row in &rows[..warm] {
+        session.feed(row.clone()).unwrap();
+    }
+    let measured: Vec<Vec<Value>> = rows[warm..].to_vec();
+    let (calls, ()) = allocations(|| {
+        for row in measured {
+            session.feed(row).unwrap();
+        }
+    });
+    // Per match: its spans, its projected row; the pending and output
+    // lists grow by doubling.  A realignment allocates nothing.
+    let budget = 2 * matches + 16;
+    assert!(
+        calls <= budget,
+        "{calls} allocation calls over {fed} rows with {matches} matches (budget {budget})"
+    );
 }

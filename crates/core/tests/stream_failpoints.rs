@@ -2,11 +2,13 @@
 //! (compiled only under `--features failpoints`).
 //!
 //! Each test arms the process-global failpoint registry at one of the
-//! stream sites (`stream::feed`, `stream::checkpoint`) or an engine-path
-//! site (`governor::check`) and asserts the session degrades the way the
-//! design promises: panics are contained and a checkpoint resumes past
-//! them, injected ingest errors take the quarantine path, exhausted
-//! budgets trip the governor while the checkpoint stays valid.
+//! stream sites (`stream::feed`, `stream::drive`, `stream::checkpoint`)
+//! or an engine-path site (`governor::check`) and asserts the session
+//! degrades the way the design promises: panics are contained and a
+//! checkpoint resumes past them, a panic in the middle of a group's frame
+//! is pinned on the member it interrupted, injected ingest errors take
+//! the quarantine path, exhausted budgets trip the governor while the
+//! checkpoint stays valid.
 
 #![cfg(feature = "failpoints")]
 
@@ -416,5 +418,161 @@ fn a_panic_while_poisoning_poisons_the_group_without_unwinding() {
         assert!(report
             .error
             .is_some_and(|e| e.contains("stream::checkpoint")));
+    }
+}
+
+/// A second query over the same admission, whose floors and counts differ
+/// from [`QUERY`]'s.
+const FALLS: &str = "SELECT X.name, Y.day AS d FROM quote \
+                     CLUSTER BY name SEQUENCE BY day AS (X, Y) \
+                     WHERE Y.price < X.price";
+
+/// Three workers seated in one group — `QUERY`, `FALLS`, `QUERY` — and
+/// a solo session of each to read them against.
+fn seated_trio() -> (
+    Vec<sqlts_core::SessionWorker>,
+    Vec<StreamSession>,
+    Vec<CompiledQuery>,
+) {
+    use sqlts_core::{SessionWorker, SessionWorkerConfig};
+    let sqls = [QUERY, FALLS, QUERY];
+    let queries: Vec<CompiledQuery> = sqls
+        .iter()
+        .map(|sql| compile(sql, &quote_schema(), &CompileOptions::default()).unwrap())
+        .collect();
+    let config = |i: usize| SessionWorkerConfig::new(format!("w{i}"), sqls[i], quote_schema());
+    let lead = SessionWorker::spawn(config(0)).unwrap();
+    let mut workers = vec![];
+    for i in 1..sqls.len() {
+        workers.push(SessionWorker::spawn_in(config(i), [lead.group()]).unwrap());
+    }
+    workers.insert(0, lead);
+    assert!(workers.iter().all(|w| w.group() == workers[0].group()));
+    let solos = queries
+        .iter()
+        .map(|q| StreamSession::new(q, StreamOptions::default()).unwrap())
+        .collect();
+    (workers, solos, queries)
+}
+
+/// Feed `rows` to the trio's group as one frame: each seat's verdicts.
+fn feed_frame(workers: &[sqlts_core::SessionWorker], rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    let mut verdicts = vec![Vec::new(); workers.len()];
+    workers[0]
+        .group()
+        .feed(rows.iter().cloned(), |seat, result| {
+            verdicts[seat].push(match result {
+                Ok(()) => "ok".to_string(),
+                Err(e) => format!("{} {e}", e.exit_code()),
+            })
+        })
+        .unwrap();
+    verdicts
+}
+
+/// What the worker reports for its solo twin's feed results.
+fn solo_verdicts(solo: &mut StreamSession, rows: &[Vec<Value>]) -> Vec<String> {
+    let verdict = |result: Result<(), StreamError>| match result {
+        Ok(()) => "ok".to_string(),
+        Err(e @ StreamError::Poisoned(_)) => format!("4 {e}"),
+        Err(e) => panic!("unexpected solo error: {e}"),
+    };
+    rows.iter()
+        .map(|row| verdict(solo.feed(row.clone())))
+        .collect()
+}
+
+/// The status fields a seat and its solo session must share.
+fn status_of(worker: &sqlts_core::SessionWorker) -> (u64, usize, u64, bool) {
+    let s = worker.status().unwrap();
+    (s.records, s.window_bytes, s.predicate_tests, s.poisoned)
+}
+
+fn solo_status(solo: &StreamSession) -> (u64, usize, u64, bool) {
+    let tests = solo.predicate_tests();
+    (solo.records(), solo.window_bytes(), tests, solo.poisoned())
+}
+
+/// A panic in one member's once-per-frame drive is that member's alone:
+/// it reports `Poisoned` from the first row, in frame order, of the
+/// cluster it was driving, while every other member's verdicts, status,
+/// checkpoint and finish stay byte-identical to its solo session.
+#[test]
+fn a_panicking_drive_poisons_its_member_from_the_first_row_of_its_cluster() {
+    let _guard = armed();
+    let rows = rows();
+    let (workers, mut solos, queries) = seated_trio();
+    let first = feed_frame(&workers, &rows[..10]);
+    for (seat, solo) in solos.iter_mut().enumerate() {
+        assert_eq!(first[seat], solo_verdicts(solo, &rows[..10]), "seat {seat}");
+    }
+    // The next frame opens with AAA (row 0) then BBB (row 1); each seat
+    // drives its clusters in that order, seat after seat: seat 1's drive
+    // of BBB is the frame's fourth hit of the site.
+    let fourth = failpoints::hit_count("stream::drive") + 4;
+    failpoints::configure_rule("stream::drive", FailAction::Panic, fourth, Some(1), true);
+    let frame = &rows[10..30];
+    let fed = feed_frame(&workers, frame);
+    assert_eq!(fed[1][0], "ok");
+    for verdict in &fed[1][1..] {
+        assert!(
+            verdict.starts_with("4 ") && verdict.contains("stream::drive"),
+            "{verdict}"
+        );
+    }
+    assert!(workers[1].status().unwrap().poisoned);
+    let rest = &rows[30..];
+    let after = feed_frame(&workers, rest);
+    assert!(after[1].iter().all(|v| v.contains("stream::drive")));
+    for seat in [0, 2] {
+        let solo = &mut solos[seat];
+        assert_eq!(fed[seat], solo_verdicts(solo, frame), "seat {seat}");
+        assert_eq!(after[seat], solo_verdicts(solo, rest), "seat {seat}");
+        assert_eq!(status_of(&workers[seat]), solo_status(solo), "seat {seat}");
+        let text = solo.snapshot().unwrap().to_text();
+        assert_eq!(workers[seat].snapshot().unwrap(), text, "seat {seat}");
+    }
+    for (seat, solo) in solos.into_iter().enumerate() {
+        let report = workers[seat].finish().unwrap();
+        if seat == 1 {
+            assert!(report.error.is_some_and(|e| e.contains("stream::drive")));
+            continue;
+        }
+        let solo = solo.finish().unwrap();
+        assert_eq!(report.csv, solo.table.to_csv_string(), "seat {seat}");
+        assert_eq!(report.predicate_tests, solo.stats.predicate_tests);
+        let batch = execute(&queries[seat], &batch_table(&rows), &ExecOptions::default());
+        assert_eq!(report.csv, batch.unwrap().table.to_csv_string());
+    }
+}
+
+/// A panic in admission halfway through a frame poisons every member —
+/// but only after the rows the frame admitted before it are driven, so
+/// each member stands exactly where feeding the rows one by one leaves a
+/// session that panics on the same row.
+#[test]
+fn an_admission_panic_mid_frame_first_drives_what_the_frame_admitted() {
+    let _guard = armed();
+    let rows = rows();
+    let (workers, mut solos, _) = seated_trio();
+    let feed_all = |workers: &[sqlts_core::SessionWorker]| feed_frame(workers, &rows[..10]);
+    let first = feed_all(&workers);
+    for (seat, solo) in solos.iter_mut().enumerate() {
+        assert_eq!(first[seat], solo_verdicts(solo, &rows[..10]), "seat {seat}");
+    }
+    // Every session panics when it admits its 23rd record.
+    failpoints::configure_rule("stream::feed", FailAction::Panic, 1, Some(23), false);
+    let frame = &rows[10..40];
+    let fed = feed_frame(&workers, frame);
+    for (seat, solo) in solos.iter_mut().enumerate() {
+        let theirs = solo_verdicts(solo, frame);
+        assert!(theirs[12].contains("stream::feed"), "{}", theirs[12]);
+        assert_eq!(fed[seat], theirs, "seat {seat}");
+        assert_eq!(status_of(&workers[seat]), solo_status(solo), "seat {seat}");
+        assert_eq!(solo_status(solo).0, 23);
+    }
+    for worker in &workers {
+        let report = worker.finish().unwrap();
+        assert!(report.error.is_some_and(|e| e.contains("stream::feed")));
     }
 }

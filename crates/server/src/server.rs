@@ -83,6 +83,7 @@ use sqlts_trace::{Level, PatternSetStats, SpanLog};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -812,7 +813,11 @@ fn spawn_connection(
     let thread = std::thread::Builder::new()
         .name(format!("sqlts-conn-{conn}"))
         .spawn(move || {
-            let _ = handle_connection(&shared, stream, conn);
+            // Whatever ends the connection, a panic included, its
+            // subscriptions are reaped and its socket leaves the registry.
+            let _ = catch_unwind(AssertUnwindSafe(|| {
+                handle_connection(&shared, stream, conn)
+            }));
             reap_connection(&shared, conn);
             if let Ok(mut conns) = shared.conns.lock() {
                 conns.remove(&conn);
@@ -932,7 +937,18 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) -> io::Resul
             .record_ns(LatencyOp::FrameDecode, decode_ns);
         ServerMetrics::inc(&shared.metrics.frames_total);
         let dispatched = Instant::now();
-        let reply = request.and_then(|payload| dispatch(shared, conn, &payload));
+        let mut panicked = false;
+        let reply = request.and_then(|payload| {
+            let dispatched = catch_unwind(AssertUnwindSafe(|| dispatch(shared, conn, &payload)));
+            dispatched.unwrap_or_else(|cause| {
+                // Answer, then close: what the verb left half done is
+                // reaped with the connection.  A channel whose persist
+                // lock the panic poisoned keeps refusing work.
+                panicked = true;
+                let verb = payload.split_whitespace().next().unwrap_or("");
+                Err(err(4, format!("{verb} panicked: {}", panic_text(&*cause))))
+            })
+        });
         if let Some(limit_ms) = shared.config.slow_frame_ms {
             // Decode + dispatch only — the idle wait for a frame to start
             // is the client's think time (the decoder's clock starts at
@@ -956,6 +972,24 @@ fn handle_connection(shared: &Shared, stream: TcpStream, conn: u64) -> io::Resul
             text
         });
         write_frame(&mut writer, &text)?;
+        if panicked {
+            shared.span_event(
+                Level::Warn,
+                "verb_panicked",
+                &[("conn", &conn.to_string()), ("reply", &text)],
+            );
+            return Ok(());
+        }
+    }
+}
+
+/// A caught panic's message.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => text,
+        None => payload
+            .downcast_ref::<String>()
+            .map_or("non-string panic payload", String::as_str),
     }
 }
 

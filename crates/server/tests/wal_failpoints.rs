@@ -476,10 +476,10 @@ fn a_second_feeder_appends_and_fans_out_during_the_first_fsync() {
 /// A crash at any durable write of a `SUBSCRIBE` leaves a data dir that
 /// restarts (exit 0), with the subscription either absent or recovered
 /// byte-identically.  A `Panic` at the k-th `persist::atomic_write` of the
-/// SUBSCRIBE kills its connection thread right after write k − 1; every
-/// later write fails, as a dead process writes nothing, so the drain adds
-/// nothing either.  The first k at which the SUBSCRIBE succeeds ends the
-/// sweep.
+/// SUBSCRIBE ends it right after write k − 1 (the connection answers
+/// `ERR 4` and closes); every later write fails, as a dead process writes
+/// nothing, so the drain adds nothing either.  The first k at which the
+/// SUBSCRIBE succeeds ends the sweep.
 #[test]
 fn a_crash_at_any_write_of_a_subscribe_restarts_cleanly() {
     let _guard = lock();
@@ -494,14 +494,14 @@ fn a_crash_at_any_write_of_a_subscribe_restarts_cleanly() {
         failpoints::configure_rule("persist::atomic_write", FailAction::Panic, k, None, true);
         let dead = FailAction::InjectError;
         failpoints::configure_rule("persist::atomic_write", dead, k + 1, None, false);
-        // A crashed connection thread never answers: wait for the reply
-        // or for the k-th write, whichever comes first.
+        // A crashed SUBSCRIBE answers `ERR 4`: wait for the reply or for
+        // the k-th write, whichever comes first.
         write_frame(&mut client.stream, SUBSCRIBE).unwrap();
         let poll = Some(Duration::from_millis(20));
         client.stream.set_read_timeout(poll).unwrap();
         let subscribed = loop {
             match read_frame(&mut client.reader, 1 << 20) {
-                Ok(FrameEvent::Payload(reply)) => break Some(reply),
+                Ok(FrameEvent::Payload(reply)) => break reply.starts_with("OK").then_some(reply),
                 _ if failpoints::hit_count("persist::atomic_write") >= k => break None,
                 _ => {}
             }
@@ -538,6 +538,51 @@ fn a_crash_at_any_write_of_a_subscribe_restarts_cleanly() {
             break;
         }
     }
+}
+
+/// A verb whose handler panics is answered, not dropped: the client reads
+/// `ERR 4` naming the panic at once (before, the connection thread died
+/// and the client waited out its read timeout), and the connection then
+/// closes with its subscriptions reaped.  The channel whose persist lock
+/// the panic poisoned keeps refusing work; the server serves on.
+#[test]
+fn a_panicking_verb_is_answered_and_its_connection_reaped() {
+    let _guard = lock();
+    let root = temp_path("verb-panic");
+    let _ = std::fs::remove_dir_all(&root);
+    let rig = Rig::start(durable(&root, 1_000, 1 << 20));
+    let mut client = rig.client();
+    client.call(OPEN);
+    let next = failpoints::hit_count("persist::atomic_write") + 1;
+    failpoints::configure_rule("persist::atomic_write", FailAction::Panic, next, None, true);
+    client
+        .stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let asked = Instant::now();
+    let reply = client.call(SUBSCRIBE);
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        asked.elapsed()
+    );
+    assert!(
+        reply.starts_with("ERR 4 SUBSCRIBE panicked") && reply.contains("persist::atomic_write"),
+        "{reply}"
+    );
+    assert!(matches!(
+        read_frame(&mut client.reader, 1 << 20),
+        Ok(FrameEvent::Eof)
+    ));
+    let mut other = rig.client();
+    assert_eq!(other.call("PING"), "OK pong");
+    let status = other.call("STATUS s");
+    assert!(status.starts_with("ERR 2 unknown subscription"), "{status}");
+    let refused = other.call(&feed(0));
+    assert!(refused.starts_with("ERR 4"), "{refused}");
+    failpoints::reset();
+    rig.stop();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn metric(addr: std::net::SocketAddr, name: &str) -> u64 {

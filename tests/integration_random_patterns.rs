@@ -1182,6 +1182,155 @@ fn group_workers_read_back_their_solo_sessions_soak() {
     fuzz_groups(0x50A6E0B5, 3000);
 }
 
+/// Property: a session group fed a stream in frames stands exactly where
+/// one fed the same stream row by row stands.  Each round seats 1–6
+/// random queries — every engine, instrumented or not, some with step or
+/// match budgets (driven after every row), the rest driven once per
+/// frame — in two groups that admit alike under one bad-tuple policy.
+/// One group takes the rows in random frames of 1–16, the other one row
+/// per frame.  Each seat's per-row verdicts, its status and checkpoint
+/// text at every frame boundary, and its finish (CSV, counts, trip,
+/// predicate tests, profile clusters and totals) must agree.
+fn fuzz_chunking(seed: u64, rounds: u32) {
+    use sqlts_core::{
+        BadTuplePolicy, FinishReport, Governor, SessionWorker, SessionWorkerConfig, StreamOptions,
+        WorkerError,
+    };
+
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut framed, mut governed, mut long_frames) = (0u32, 0u32, 0u32);
+    for round in 0..rounds {
+        let n = rng.gen_range(1..=6usize);
+        let by = ["SEQUENCE BY date", "CLUSTER BY name SEQUENCE BY date"][rng.gen_range(0..2usize)];
+        let bad_tuple = [
+            BadTuplePolicy::Fail,
+            BadTuplePolicy::Skip,
+            BadTuplePolicy::Quarantine { cap: 3 },
+        ][round as usize % 3];
+        let configs: Vec<SessionWorkerConfig> = (0..n)
+            .map(|i| {
+                let sql = random_query(&mut rng).replace("SEQUENCE BY date", by);
+                let mut governor = Governor::unlimited();
+                if rng.gen_bool(0.3) {
+                    governor = governor.with_max_steps(rng.gen_range(5..300));
+                }
+                if rng.gen_bool(0.15) {
+                    governor = governor.with_max_matches(rng.gen_range(1..6));
+                }
+                governed += u32::from(!governor.is_unlimited());
+                let mut config = SessionWorkerConfig::new(format!("w{i}"), sql, quote_schema());
+                config.stream = StreamOptions {
+                    exec: ExecOptions {
+                        engine: [
+                            EngineKind::Naive,
+                            EngineKind::NaiveBacktrack,
+                            EngineKind::Ops,
+                            EngineKind::OpsShiftOnly,
+                        ][rng.gen_range(0..4usize)],
+                        governor,
+                        instrument: [Instrument::none(), Instrument::tracing()]
+                            [rng.gen_range(0..2usize)],
+                        ..Default::default()
+                    },
+                    bad_tuple,
+                };
+                config
+            })
+            .collect();
+        let seat_all = || {
+            let lead = SessionWorker::spawn(configs[0].clone()).unwrap();
+            let mut workers = vec![];
+            for config in &configs[1..] {
+                workers.push(SessionWorker::spawn_in(config.clone(), [lead.group()]).unwrap());
+            }
+            workers.insert(0, lead);
+            assert!(workers.iter().all(|w| w.group() == workers[0].group()));
+            workers
+        };
+        let (whole, single) = (seat_all(), seat_all());
+        let mut feed = GroupFeed {
+            day: 0,
+            prices: [5.0; 4],
+        };
+        let rows: Vec<Vec<Value>> = (0..rng.gen_range(20..160))
+            .map(|_| feed.row(&mut rng))
+            .collect();
+        let what =
+            |i: usize, at: usize| format!("round {round}, seat {i}, row {at}:\n{}", configs[i].sql);
+        let feed_frame = |workers: &[SessionWorker], frame: &[Vec<Value>]| {
+            let mut verdicts = vec![Vec::new(); n];
+            let record = |seat: usize, result: Result<(), WorkerError>| {
+                verdicts[seat].push(worker_verdict(result));
+            };
+            workers[0]
+                .group()
+                .feed(frame.iter().cloned(), record)
+                .unwrap();
+            verdicts
+        };
+        let mut at = 0;
+        while at < rows.len() {
+            let len = rng.gen_range(1..=16usize).min(rows.len() - at);
+            let frame = &rows[at..at + len];
+            let ours = feed_frame(&whole, frame);
+            let mut theirs = vec![Vec::new(); n];
+            for row in frame {
+                let one = feed_frame(&single, std::slice::from_ref(row));
+                for (seat, verdicts) in one.into_iter().enumerate() {
+                    theirs[seat].extend(verdicts);
+                }
+            }
+            at += len;
+            framed += u32::from(len > 1);
+            long_frames += u32::from(len >= 12);
+            for i in 0..n {
+                assert_eq!(ours[i], theirs[i], "{}", what(i, at));
+                let status = |w: &SessionWorker| {
+                    let s = w.status().unwrap();
+                    let trip = s.trip.map(|t| (t.reason, t.steps, t.matches));
+                    let counts = (s.records, s.skipped, s.quarantined);
+                    (counts, s.window_bytes, s.predicate_tests, trip, s.poisoned)
+                };
+                assert_eq!(status(&whole[i]), status(&single[i]), "{}", what(i, at));
+                assert_eq!(
+                    whole[i].snapshot().unwrap(),
+                    single[i].snapshot().unwrap(),
+                    "{}",
+                    what(i, at)
+                );
+            }
+        }
+        for i in 0..n {
+            let summary = |report: FinishReport| {
+                let trip = report.trip.map(|t| (t.reason, t.steps, t.matches));
+                let profile = report.profile.map(|p| (p.clusters, p.totals, p.tuples));
+                let counts = (report.rows, report.skipped, report.quarantined);
+                let tests = report.predicate_tests;
+                (report.csv, counts, tests, trip, report.error, profile)
+            };
+            let ours = summary(whole[i].finish().unwrap());
+            let theirs = summary(single[i].finish().unwrap());
+            assert_eq!(ours, theirs, "{}", what(i, rows.len()));
+        }
+    }
+    assert!(
+        framed > rounds * 3 && governed > rounds / 2 && long_frames > rounds,
+        "generator is too cold: {framed} multi-row frames, {long_frames} frames of 12 or \
+         more, {governed} governed queries in {rounds} rounds"
+    );
+}
+
+#[test]
+fn framed_feeds_stand_where_row_by_row_feeds_stand() {
+    fuzz_chunking(0xF8A3E, 200);
+}
+
+#[test]
+#[ignore = "soak: run with --ignored (CI's soak job does)"]
+fn framed_feeds_stand_where_row_by_row_feeds_stand_soak() {
+    fuzz_chunking(0x50AF8A3E, 3000);
+}
+
 /// §5.1's implication-graph derivation (`star_shift_next`) computes
 /// exactly §4.2's S-matrix tables (`s_matrix_shift_next`) on star-free
 /// patterns — the equality that lets one derivation serve both — over the
