@@ -1,8 +1,8 @@
 //! E6 / §3.1: OPS on constant-equality patterns vs classic KMP vs naive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sqlts_bench::kmp::Kmp;
 use sqlts_bench::{kmp_workload, run_cost};
-use sqlts_core::kmp::Kmp;
 use sqlts_core::{EngineKind, EvalCounter};
 
 const QUERY: &str = "SELECT X.date FROM t SEQUENCE BY date AS (X, Y, Z) \

@@ -92,7 +92,7 @@ fn fig5() {
 /// E6 — §3.1: KMP on the paper's text, and OPS ≡ KMP on constant-equality
 /// patterns.
 fn kmp() {
-    use sqlts_core::kmp::{find_all_str, Kmp};
+    use sqlts_bench::kmp::{find_all_str, Kmp};
     let pattern = "abcabcacab";
     let text = "babcbabcabcaabcabcabcacabc";
     let kmp = Kmp::new(pattern.as_bytes());
@@ -337,7 +337,8 @@ fn parallel() {
 }
 
 /// E12 — machine-readable profiles: write `BENCH_*.json` artifacts, one
-/// per workload, each holding the full [`ExecutionProfile`] of every
+/// per workload, each holding the full
+/// [`ExecutionProfile`](sqlts_core::ExecutionProfile) of every
 /// engine (the same JSON `sqlts --profile --metrics-format json` emits).
 /// CI schema-validates and archives them; EXPERIMENTS.md's §7 rows are
 /// reproducible from these files alone.

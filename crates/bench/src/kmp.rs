@@ -1,15 +1,14 @@
 //! Classic Knuth–Morris–Pratt string search (§3.1 of the paper).
 //!
-//! Included both as the reference point for experiment E6 (OPS degenerates
-//! to KMP on constant-equality patterns) and as a standalone, reusable
-//! text-search utility.  The `next` array follows the paper's (and Knuth,
+//! The reference point for experiment E6 (OPS degenerates to KMP on
+//! constant-equality patterns): `experiments kmp` and the `kmp_vs_ops`
+//! bench run it beside the engines.  The `next` array follows the paper's (and Knuth,
 //! Morris & Pratt's) *optimized* failure function: `next[j]` is the
 //! largest `k < j` such that the pattern prefix of length `k-1` matches
 //! the text behind the cursor **and** `p_k ≠ p_j` (so re-comparing `p_k`
 //! cannot fail the same way again); 0 means "advance the input".
 
-use crate::counters::EvalCounter;
-use sqlts_trace::TraceEvent;
+use sqlts_core::{EvalCounter, TraceEvent};
 
 /// The compiled KMP automaton for a pattern over any equatable alphabet.
 #[derive(Clone, Debug)]

@@ -3,6 +3,9 @@
 //! Every figure and table of the paper's evaluation maps to a function
 //! here (see the experiment index in DESIGN.md §5); the `experiments`
 //! binary renders them as text and the Criterion benches time them.
+//! Classic KMP ([`kmp`]), E6's reference point, lives here too.
+
+pub mod kmp;
 
 use sqlts_core::{
     execute_query, CompileOptions, EngineKind, ExecOptions, ExecutionProfile, FirstTuplePolicy,

@@ -747,7 +747,8 @@ static PROMOTE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::n
 
 /// Arrange for SIGUSR1 to promote a standby: the signal handler only
 /// stores to an atomic (async-signal-safe); a relay thread forwards the
-/// flag to [`Server::request_promotion`], which `run_until` serves.
+/// flag to [`Server::request_promotion`](sqlts_server::Server::request_promotion),
+/// which `run_until` serves.
 /// Returns the relay thread's handle so the drain can join it.
 #[cfg(unix)]
 fn install_promotion_relay(

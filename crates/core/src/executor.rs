@@ -1,7 +1,7 @@
 //! End-to-end query execution: compile → cluster → search → project.
 
 use crate::counters::EvalCounter;
-use crate::engine::{plan_for, search_cluster, EngineKind, SearchOptions, SearchPlan};
+use crate::engine::{plan_for, search_cluster, EngineKind, MatchSpans, SearchOptions, SearchPlan};
 use crate::governor::{Governor, RunGovernor, Trip};
 use crate::patternset::SharedEvalHandle;
 use sqlts_lang::{
@@ -665,19 +665,24 @@ impl BatchJob<'_> {
             &search_options,
             &counter,
         );
-        let ctx = EvalCtx {
-            cluster,
-            policy: search_options.policy,
-        };
-        let rows = matches
-            .into_iter()
-            .map(|m| {
-                let bindings = Bindings { spans: m.spans };
-                eval_projection(&query.projection, &ctx, &bindings)
-            })
-            .collect();
+        let rows = project(query, cluster, search_options.policy, matches).collect();
         ClusterOutcome::close(counter, member.run.as_ref(), cluster.len() as u64, rows)
     }
+}
+
+/// Project `matches` over `cluster` into output rows, in match order: the
+/// one projection a batch search and a streamed drive or finish share.
+pub(crate) fn project<'a>(
+    query: &'a CompiledQuery,
+    cluster: &'a Cluster<'a>,
+    policy: FirstTuplePolicy,
+    matches: impl IntoIterator<Item = MatchSpans> + 'a,
+) -> impl Iterator<Item = Vec<Value>> + 'a {
+    let ctx = EvalCtx { cluster, policy };
+    matches.into_iter().map(move |m| {
+        let bindings = Bindings { spans: m.spans };
+        eval_projection(&query.projection, &ctx, &bindings)
+    })
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@ use std::fmt::Write as _;
 
 /// Build the machine-readable optimizer report: the rendered pattern plus
 /// the shift/next tables and their means.  `explain` renders from this
-/// same data, and `--profile` embeds it in the [`ExecutionProfile`]
-/// (`sqlts_trace::ExecutionProfile`), so one artifact carries both the
-/// plan and its runtime consequences.
+/// same data, and `--profile` embeds it in the
+/// [`ExecutionProfile`](crate::ExecutionProfile), so one artifact carries
+/// both the plan and its runtime consequences.
 pub fn optimizer_report(query: &CompiledQuery) -> OptimizerReport {
     let m = query.elements.len();
     let pattern = query

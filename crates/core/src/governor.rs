@@ -265,9 +265,9 @@ impl RunGovernor {
     }
 
     /// Check the wall-clock deadline *without* charging any steps,
-    /// latching a trip exactly like [`check`].
+    /// latching a trip exactly like `check`.
     ///
-    /// [`check`] only runs once per credit batch, which is fine when steps
+    /// `check` only runs once per credit batch, which is fine when steps
     /// arrive fast — but a streaming session fed a slow trickle of tuples
     /// could otherwise sit inside one batch long past `--timeout-ms`.
     /// Sessions call this at every `feed()` boundary, and scopes call it on

@@ -53,7 +53,6 @@ pub mod engine;
 pub mod executor;
 pub mod explain;
 pub mod governor;
-pub mod kmp;
 pub mod matrices;
 pub mod multiplex;
 pub mod patternset;

@@ -23,8 +23,9 @@
 //!   sits behind one lock and validates, keys, order-checks and stores
 //!   each tuple once; every member drives its own machine over the shared
 //!   window.  [`WorkerGroup::feed`] is the one way to feed a group of
-//!   several, a frame at a time: a member with a governor armed is driven
-//!   after every tuple, every other member once per frame and cluster.
+//!   several, a frame at a time, and one drive takes every member over
+//!   it: once per frame and cluster, or after every tuple while any
+//!   member has a governor armed.
 //!   [`SessionWorker::feed`] feeds a frame of one tuple, and only to a
 //!   worker that sits alone.  Each worker still reads back exactly what it
 //!   would have alone, and dropping one gives up its seat.
@@ -918,28 +919,39 @@ mod tests {
             config.stream.exec.governor = Governor::unlimited().with_max_steps(10);
             config
         };
-        let free =
-            SessionWorker::spawn(SessionWorkerConfig::new("free", QUERY, quote_schema())).unwrap();
-        let seated = SessionWorker::spawn_in(budget(), [free.group()]).unwrap();
-        let alone = SessionWorker::spawn(budget()).unwrap();
-        assert_eq!(seated.group(), free.group());
-        for row in &rows {
-            let mut fed = [None, None];
-            free.group()
-                .feed([row.clone()], |seat, result| {
-                    fed[seat] = Some(result.is_ok())
-                })
-                .unwrap();
-            assert_eq!(fed[0], Some(true));
-            assert_eq!(fed[1], Some(alone.feed(row.clone()).is_ok()));
+        // Row by row, then the whole workload as one frame: the budgeted
+        // seat trips partway through it, and from there on the group is
+        // no longer governed, so its free seat waits for the frame's drive.
+        for frame_len in [1, rows.len()] {
+            let free =
+                SessionWorker::spawn(SessionWorkerConfig::new("free", QUERY, quote_schema()))
+                    .unwrap();
+            let seated = SessionWorker::spawn_in(budget(), [free.group()]).unwrap();
+            let alone = SessionWorker::spawn(budget()).unwrap();
+            assert_eq!(seated.group(), free.group());
+            let mut fed = [Vec::new(), Vec::new()];
+            for frame in rows.chunks(frame_len) {
+                free.group()
+                    .feed(frame.iter().cloned(), |seat, result| {
+                        fed[seat].push(result.is_ok())
+                    })
+                    .unwrap();
+            }
+            let theirs: Vec<bool> = rows
+                .iter()
+                .map(|row| alone.feed(row.clone()).is_ok())
+                .collect();
+            assert_eq!(theirs.iter().position(|ok| !ok), Some(9));
+            assert_eq!(fed[0], vec![true; rows.len()], "frames of {frame_len}");
+            assert_eq!(fed[1], theirs, "frames of {frame_len}");
+            assert_eq!(seated.snapshot().unwrap(), alone.snapshot().unwrap());
+            let (ours, theirs) = (seated.finish().unwrap(), alone.finish().unwrap());
+            assert_eq!(ours.csv, theirs.csv);
+            let reason = |r: &FinishReport| r.trip.as_ref().map(|t| (t.reason, t.steps));
+            assert_eq!(reason(&ours), reason(&theirs));
+            assert!(ours.trip.is_some());
+            assert_eq!(free.finish().unwrap().csv, batch_csv(&rows));
         }
-        assert_eq!(seated.snapshot().unwrap(), alone.snapshot().unwrap());
-        let (ours, theirs) = (seated.finish().unwrap(), alone.finish().unwrap());
-        assert_eq!(ours.csv, theirs.csv);
-        let reason = |r: &FinishReport| r.trip.as_ref().map(|t| (t.reason, t.steps));
-        assert_eq!(reason(&ours), reason(&theirs));
-        assert!(ours.trip.is_some());
-        assert_eq!(free.finish().unwrap().csv, batch_csv(&rows));
     }
 
     #[test]

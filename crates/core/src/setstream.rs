@@ -135,16 +135,11 @@ impl SharedStreamSession {
         Ok(())
     }
 
-    /// Checkpoint one member — a plain v1 [`SessionCheckpoint`], loadable
-    /// by a solo [`StreamSession::resume`] as well as
-    /// [`SharedStreamSession::resume`].  The shared memo is deliberately
-    /// not captured: it is derivable state, and a resumed session simply
-    /// starts with a cold memo.
-    pub fn snapshot_member(&self, member: usize) -> Result<SessionCheckpoint, StreamError> {
-        self.members[member].snapshot()
-    }
-
-    /// Checkpoint every member at the same feed boundary.
+    /// Checkpoint every member at the same feed boundary, each as a
+    /// plain v1 [`SessionCheckpoint`], loadable by a solo
+    /// [`StreamSession::resume`] as well as [`SharedStreamSession::resume`].
+    /// The shared memo is deliberately not captured: it is derivable
+    /// state, and a resumed session simply starts with a cold memo.
     pub fn snapshot_all(&self) -> Result<Vec<SessionCheckpoint>, StreamError> {
         self.members.iter().map(StreamSession::snapshot).collect()
     }

@@ -28,15 +28,16 @@
 //! as a session of its own — rows, stats, profile, status, checkpoint.
 //!
 //! A group is fed a *frame* of tuples at a time, and [`StreamSession::feed`]
-//! is a frame of one.  Admission takes the frame's tuples in order; a
-//! member with a governor armed is driven after every tuple, so its trips
-//! fall where they would, and every other member is driven once per frame
-//! (and at least every `MAX_UNDRIVEN` tuples of a cluster), one advance per
-//! cluster the frame touched.  The engines are online machines that
-//! resume where they stopped, so a member driven over k tuples at once
-//! stands where k one-tuple drives leave it, and everything observable at
-//! a frame boundary — results, status, checkpoints — is the same however
-//! the stream was cut into frames.
+//! is a frame of one.  Admission takes the frame's tuples in order, and
+//! one drive takes every member over what was admitted since the last
+//! one, one advance per cluster touched.  The drive runs once per frame
+//! (and at least every `MAX_UNDRIVEN` tuples of a cluster), or after every
+//! tuple while any member has a governor armed, so a trip falls on the
+//! tuple that causes it.  The engines are online machines that resume
+//! where they stopped, so a member driven over k tuples at once stands
+//! where k one-tuple drives leave it, and everything observable at a frame
+//! boundary — results, status, checkpoints — is the same however the
+//! stream was cut into frames.
 //!
 //! Two resilience layers ride on top of the incremental core:
 //!
@@ -61,13 +62,11 @@ use crate::engine::{
     EngineKind, EngineMachine, MatchSpans, SearchOptions, SearchPlan, StepInput, StepOutcome,
 };
 use crate::executor::{
-    merge_clusters, panic_cause, render_key, ClusterOutcome, ClusterRun, ExecOptions, Member,
-    QueryResult,
+    merge_clusters, panic_cause, project, render_key, ClusterOutcome, ClusterRun, ExecOptions,
+    Member, QueryResult,
 };
 use crate::governor::{Trip, TripReason};
-use sqlts_lang::{
-    eval_projection, Bindings, BoolExpr, CompiledQuery, EvalCtx, FieldRef, ScalarExpr,
-};
+use sqlts_lang::{BoolExpr, CompiledQuery, FieldRef, ScalarExpr};
 use sqlts_relation::{Cluster, Date, RowKey, Schema, Table, TableError, Value};
 use sqlts_trace::{
     BoundedHistogram, ClusterMetrics, ClusterRecorder, PhaseNanos, RingBuffer, TraceEvent,
@@ -362,12 +361,12 @@ struct ClusterWindow {
     base: usize,
     /// `SEQUENCE BY` key of the last accepted tuple (order enforcement).
     last_seq: Option<Vec<Value>>,
-    /// The rows a frame admitted that the members driven once per frame
-    /// have not been driven over yet (none between frames).
+    /// The rows admitted that the members have not been driven over yet
+    /// (none between frames).
     undriven: Undriven,
 }
 
-/// A cluster's rows admitted since its last once-per-frame drive.
+/// A cluster's rows admitted since its last drive.
 #[derive(Clone, Copy, Debug, Default)]
 struct Undriven {
     rows: usize,
@@ -649,30 +648,30 @@ impl MemberRun {
         self.trip.is_none() && self.poisoned.is_none()
     }
 
-    /// Is this member driven after every row rather than once per frame?
-    /// A member with a governor armed is: its trips, partial rows and
-    /// per-row verdicts fall on the row that causes them.
-    fn per_row(&self) -> bool {
-        self.member.run.is_some()
-    }
-
     /// Latch `cause` as this member's poison; the error its feed returns.
     fn poison(&mut self, cause: &str) -> StreamError {
         self.poisoned = Some(cause.to_string());
         StreamError::Poisoned(cause.to_string())
     }
 
-    /// See [`StreamSession::poll_deadline`].
-    fn poll_deadline(&mut self) -> Result<(), StreamError> {
+    /// The error a call on this member returns once it is poisoned or
+    /// tripped; `Ok` while it is driven.
+    fn latched(&self) -> Result<(), StreamError> {
         if let Some(cause) = &self.poisoned {
             return Err(StreamError::Poisoned(cause.clone()));
         }
-        if let Some(trip) = &self.trip {
-            return Err(StreamError::Governed {
+        match &self.trip {
+            Some(trip) => Err(StreamError::Governed {
                 trip: trip.clone(),
                 partial: None,
-            });
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// See [`StreamSession::poll_deadline`].
+    fn poll_deadline(&mut self) -> Result<(), StreamError> {
+        self.latched()?;
         if let Some(Err(reason)) = self.member.run.as_ref().map(|run| run.poll()) {
             return Err(self.latch_trip(reason));
         }
@@ -839,7 +838,14 @@ impl MemberRun {
                 continue;
             };
             let cw = &window.clusters[slot];
-            if !tripped {
+            if tripped {
+                let cluster = Cluster::windowed(&cw.buf, Vec::new(), cw.base);
+                let matches = lane.pending.drain(..);
+                let policy = self.search_options.policy;
+                lane.rows
+                    .extend(project(&self.query, &cluster, policy, matches));
+            } else {
+                // At end of input every pending match projects.
                 let outcome = drive(
                     &self.query,
                     self.member.search_plan.as_ref(),
@@ -849,21 +855,7 @@ impl MemberRun {
                     &mut lane,
                     true,
                 );
-                if outcome == StepOutcome::Tripped {
-                    tripped = true;
-                }
-            }
-            if !lane.pending.is_empty() {
-                let cluster = Cluster::windowed(&cw.buf, Vec::new(), cw.base);
-                let ctx = EvalCtx {
-                    cluster: &cluster,
-                    policy: self.search_options.policy,
-                };
-                for m in lane.pending.drain(..) {
-                    let bindings = Bindings { spans: m.spans };
-                    lane.rows
-                        .push(eval_projection(&self.query.projection, &ctx, &bindings));
-                }
+                tripped = outcome == StepOutcome::Tripped;
             }
             let outcome = ClusterOutcome::close(
                 lane.counter,
@@ -1120,19 +1112,21 @@ impl StreamSession {
 /// each in a numbered seat.  A [`StreamSession`] is a group of one.
 ///
 /// A group is fed a frame of tuples at a time.  Each tuple is validated,
-/// keyed, order-checked and appended once, in order; a member with a
-/// governor armed is driven over it at once, and every other member is
-/// driven once per frame, one advance per cluster the frame touched, from
-/// its own floor over the shared window, which then keeps only what the
-/// lowest floor still needs.  Each seat reads back exactly what a session
-/// of its own would — rows, stats, profile, status, checkpoint bytes —
-/// because admission is the part of a feed that depends on nothing a
-/// member owns, and an OPS-style machine driven over k new tuples in one
-/// call stands where k one-tuple calls leave it.
+/// keyed, order-checked and appended once, in order; then one drive takes
+/// every member, from its own floor over the shared window, over what was
+/// admitted since the last drive — one advance per cluster touched — and
+/// the window keeps only what the lowest floor still needs.  The drive
+/// runs once per frame (and at every `MAX_UNDRIVEN`-th undriven row of a
+/// cluster), or after every tuple while any member has a governor armed,
+/// so a trip falls on the tuple that causes it.  Each seat reads back
+/// exactly what a session of its own would — rows, stats, profile, status,
+/// checkpoint bytes — because admission is the part of a feed that
+/// depends on nothing a member owns, and an OPS-style machine driven over
+/// k new tuples in one call stands where k one-tuple calls leave it.
 ///
 /// A member that trips its governor or is poisoned is never driven again.
 /// While others are still driven it leaves: it takes a copy of its view
-/// of the window and becomes a group of one in its seat, answering every
+/// of the window and stays in its seat over that copy, answering every
 /// later call exactly as a tripped session does.  A finished seat is
 /// vacant.
 pub(crate) struct SessionGroup {
@@ -1141,32 +1135,21 @@ pub(crate) struct SessionGroup {
     /// Clusters with undriven rows, in first-touch order: a frame's
     /// scratch, empty between frames, whose capacity is kept.
     touched: Vec<usize>,
-    /// The refusals among the frame rows the members driven once per
-    /// frame have not been told of yet, in row order: the only per-row
-    /// state a frame keeps, and the steady state refuses nothing.
+    /// The refusals among the frame rows the members have not been told
+    /// of yet, in row order: the only per-row state a frame keeps, and the
+    /// steady state refuses nothing.
     refused: Vec<(usize, Refusal)>,
-    /// Frame rows those members have been told their verdicts for.
+    /// Frame rows the members have been told their verdicts for.
     told: usize,
 }
 
 enum Seat {
     /// Read over the group's window.
     Live(MemberRun),
-    /// Left the group tripped or poisoned: a group of one over its own
-    /// copy of its view.
-    Alone(SessionGroup),
+    /// Left the group tripped or poisoned, over its own copy of its view.
+    Left { window: Window, run: MemberRun },
     /// Finished.
     Vacant,
-}
-
-impl Seat {
-    /// The live member sitting here, when it is driven after every row.
-    fn per_row(&mut self) -> Option<&mut MemberRun> {
-        match self {
-            Seat::Live(run) if run.per_row() => Some(run),
-            _ => None,
-        }
-    }
 }
 
 impl SessionGroup {
@@ -1196,18 +1179,13 @@ impl SessionGroup {
         if let Some(checkpoint) = checkpoint {
             run.restore(&mut window, checkpoint)?;
         }
-        Ok(SessionGroup::of(window, run))
-    }
-
-    /// A group of one seating `run` over `window`.
-    fn of(window: Window, run: MemberRun) -> SessionGroup {
-        SessionGroup {
+        Ok(SessionGroup {
             window,
             seats: vec![Seat::Live(run)],
             touched: Vec::new(),
             refused: Vec::new(),
             told: 0,
-        }
+        })
     }
 
     /// Seat the members of `other` — a group of one — in this group and
@@ -1266,7 +1244,7 @@ impl SessionGroup {
                         }
                     },
                     // Tripped or poisoned for good: its boundary refuses.
-                    Seat::Alone(alone) => report(i, alone.poll_deadline(0)),
+                    Seat::Left { run, .. } => report(i, run.latched()),
                     Seat::Vacant => {}
                 }
             }
@@ -1278,15 +1256,16 @@ impl SessionGroup {
             }
             at += 1;
         }
-        if self.drive_undriven(at, report) {
+        // A governed group has been driven and told every row already.
+        if self.told < at && self.drive_undriven(at, report) {
             self.release();
         }
     }
 
-    /// Count frame row `at`, admit it once and drive the members driven
-    /// per row over it; the rest wait for the frame's drive, or for the
-    /// cluster's `MAX_UNDRIVEN`-th undriven row.  Returns whether a member
-    /// tripped or was poisoned, so that it can leave.
+    /// Count frame row `at` and admit it once; the members are driven over
+    /// it at once while any of them is governed, otherwise with the frame,
+    /// or at the cluster's `MAX_UNDRIVEN`-th undriven row.  Returns whether
+    /// a member tripped or was poisoned, so that it can leave.
     fn admit(
         &mut self,
         at: usize,
@@ -1295,21 +1274,22 @@ impl SessionGroup {
     ) -> bool {
         let window = &mut self.window;
         window.records += 1;
-        let admitted = catch_unwind(AssertUnwindSafe(|| window.admit(row)));
-        let (slot, bytes) = match admitted {
-            Ok(Ok(Some(admitted))) => admitted,
-            // Dropped, parked or refused: the members driven per row hear
-            // it now, the rest at the frame's drive.
-            Ok(dropped) => {
-                let refusal = dropped.err();
-                for (i, seat) in self.seats.iter_mut().enumerate() {
-                    if seat.per_row().is_some() {
-                        report(i, refusal.clone().map_or(Ok(()), |r| Err(r.into())));
-                    }
+        let mut full = false;
+        match catch_unwind(AssertUnwindSafe(|| window.admit(row))) {
+            Ok(Ok(Some((slot, bytes)))) => {
+                let undriven = &mut window.clusters[slot].undriven;
+                if undriven.rows == 0 {
+                    undriven.first = at;
+                    self.touched.push(slot);
                 }
-                self.refused.extend(refusal.map(|refusal| (at, refusal)));
-                return false;
+                undriven.rows += 1;
+                undriven.bytes += bytes;
+                full = undriven.rows >= MAX_UNDRIVEN;
             }
+            // Dropped or parked: nothing to drive.
+            Ok(Ok(None)) => {}
+            // Refused: the members hear it at their next drive.
+            Ok(Err(refusal)) => self.refused.push((at, refusal)),
             Err(payload) => {
                 // Drive what the frame admitted before this tuple first, so
                 // every member stands where feeding tuple by tuple leaves it.
@@ -1327,40 +1307,25 @@ impl SessionGroup {
                 self.told = at + 1;
                 return true;
             }
-        };
-        let (window, mut left, mut advanced) = (&self.window, false, false);
-        for (i, seat) in self.seats.iter_mut().enumerate() {
-            let Some(run) = seat.per_row() else { continue };
-            let result = catch_unwind(AssertUnwindSafe(|| run.advance(window, slot, bytes, 1)))
-                .unwrap_or_else(|payload| Err(run.poison(&panic_cause(payload))));
-            left |= result.is_err();
-            advanced = true;
-            report(i, result);
         }
-        // A member that trips still counts: it copies its view out before
-        // the window is trimmed past it.
-        if advanced {
-            let floor = self.floor(slot);
-            self.window.trim(slot, floor);
-        }
-        let undriven = &mut self.window.clusters[slot].undriven;
-        if undriven.rows == 0 {
-            undriven.first = at;
-            self.touched.push(slot);
-        }
-        undriven.rows += 1;
-        undriven.bytes += bytes;
-        if undriven.rows >= MAX_UNDRIVEN {
-            left |= self.drive_undriven(at + 1, report);
-        }
-        left
+        (full || self.governed()) && self.drive_undriven(at + 1, report)
     }
 
-    /// Drive every live member that is driven once per frame over the rows
-    /// admitted since its last drive — one advance per touched cluster, in
-    /// first-touch order — and report its verdicts for the frame rows up
-    /// to `upto`; then trim those clusters to the lowest floor.  Returns
-    /// whether a member was poisoned, so that it can leave.
+    /// Is any live member governed?  While one is, the group is driven
+    /// after every row, so its trips, partial rows and verdicts fall on
+    /// the row that causes them.
+    fn governed(&self) -> bool {
+        let governed = |seat: &Seat| matches!(seat, Seat::Live(run) if run.member.run.is_some());
+        self.seats.iter().any(governed)
+    }
+
+    /// The one drive: take every live member that is still driven over
+    /// the rows admitted since its last drive — one advance per touched
+    /// cluster, in first-touch order — and report its verdicts for the
+    /// frame rows up to `upto`; then trim those clusters to the lowest
+    /// floor.  A member that trips or panics stops there, and reports
+    /// the trip or poison from the first row of the cluster it was
+    /// driving.  Returns whether a member stopped, so that it can leave.
     fn drive_undriven(
         &mut self,
         upto: usize,
@@ -1369,34 +1334,30 @@ impl SessionGroup {
         let (window, mut left) = (&self.window, false);
         for (i, seat) in self.seats.iter_mut().enumerate() {
             let Seat::Live(run) = seat else { continue };
-            if run.per_row() || !run.driven() {
+            if !run.driven() {
                 continue;
             }
-            // The frame row a panic in this member's drive is reported
-            // from: the first of the cluster it was driving.
-            let mut poisoned_from = None;
+            let mut stopped_from = None;
             for &slot in &self.touched {
                 let undriven = window.clusters[slot].undriven;
                 let driven = catch_unwind(AssertUnwindSafe(|| {
                     #[cfg(feature = "failpoints")]
                     sqlts_relation::failpoints::hit("stream::drive", i as u64);
                     run.advance(window, slot, undriven.bytes, undriven.rows)
-                }));
-                if let Err(payload) = driven {
-                    run.poison(&panic_cause(payload));
-                    poisoned_from = Some(undriven.first);
+                }))
+                .unwrap_or_else(|payload| Err(run.poison(&panic_cause(payload))));
+                if driven.is_err() {
+                    stopped_from = Some(undriven.first);
                     break;
                 }
             }
-            left |= poisoned_from.is_some();
+            left |= stopped_from.is_some();
             let mut refusals = self.refused.iter().peekable();
             for at in self.told..upto {
                 let refusal = refusals.next_if(|(row, _)| *row == at);
-                let verdict = match (poisoned_from, &run.poisoned, refusal) {
-                    (Some(from), Some(cause), _) if at >= from => {
-                        Err(StreamError::Poisoned(cause.clone()))
-                    }
-                    (_, _, Some((_, refusal))) => Err(refusal.clone().into()),
+                let verdict = match (stopped_from, refusal) {
+                    (Some(from), _) if at >= from => run.latched(),
+                    (_, Some((_, refusal))) => Err(refusal.clone().into()),
                     _ => Ok(()),
                 };
                 report(i, verdict);
@@ -1474,7 +1435,7 @@ impl SessionGroup {
                 // still sits in its seat.
                 let window = window.view_for(run);
                 if let Seat::Live(run) = std::mem::replace(seat, Seat::Vacant) {
-                    *seat = Seat::Alone(SessionGroup::of(window, run));
+                    *seat = Seat::Left { window, run };
                 }
             }
         }
@@ -1491,7 +1452,7 @@ impl SessionGroup {
                 window: &self.window,
                 run,
             }),
-            Seat::Alone(alone) => alone.view(0),
+            Seat::Left { window, run } => Some(SessionView { window, run }),
             Seat::Vacant => None,
         }
     }
@@ -1500,8 +1461,7 @@ impl SessionGroup {
     /// finished).  A live member that trips here leaves the group.
     pub(crate) fn poll_deadline(&mut self, seat: usize) -> Result<(), StreamError> {
         let polled = match self.seats.get_mut(seat) {
-            Some(Seat::Live(run)) => run.poll_deadline(),
-            Some(Seat::Alone(alone)) => alone.poll_deadline(0),
+            Some(Seat::Live(run) | Seat::Left { run, .. }) => run.poll_deadline(),
             _ => Ok(()),
         };
         if polled.is_err() {
@@ -1528,12 +1488,8 @@ impl SessionGroup {
             if seat.is_some_and(|seat| seat != i) {
                 continue;
             }
-            match occupant {
-                Seat::Live(run) => {
-                    run.poison(cause);
-                }
-                Seat::Alone(alone) => alone.latch_poison(None, cause),
-                Seat::Vacant => {}
+            if let Seat::Live(run) | Seat::Left { run, .. } = occupant {
+                run.poison(cause);
             }
         }
     }
@@ -1543,7 +1499,7 @@ impl SessionGroup {
     pub(crate) fn finish(&mut self, seat: usize) -> Option<Result<QueryResult, StreamError>> {
         let finished = match std::mem::replace(self.seats.get_mut(seat)?, Seat::Vacant) {
             Seat::Live(run) => run.finish(&self.window),
-            Seat::Alone(mut alone) => alone.finish(0)?,
+            Seat::Left { window, run } => run.finish(&window),
             Seat::Vacant => return None,
         };
         // The finished member no longer holds the window back.
@@ -1588,17 +1544,9 @@ fn drive(
         .iter()
         .take_while(|m| eof || m.end() + margins.proj_ahead < avail)
         .count();
-    if ready > 0 {
-        let ctx = EvalCtx {
-            cluster: &cluster,
-            policy: search_options.policy,
-        };
-        for m in lane.pending.drain(..ready) {
-            let bindings = Bindings { spans: m.spans };
-            lane.rows
-                .push(eval_projection(&query.projection, &ctx, &bindings));
-        }
-    }
+    let matches = lane.pending.drain(..ready);
+    lane.rows
+        .extend(project(query, &cluster, search_options.policy, matches));
     outcome
 }
 
@@ -3178,7 +3126,7 @@ mod tests {
             group.feed([row.clone()], &mut |_, _| {});
         }
         assert!(matches!(group.seats[0], Seat::Live(_)));
-        assert!(matches!(group.seats[1], Seat::Alone(_)));
+        assert!(matches!(group.seats[1], Seat::Left { .. }));
         let live_floor = |slot: usize| match &group.seats[0] {
             Seat::Live(run) => run.lanes[slot].base,
             _ => unreachable!(),

@@ -13,8 +13,8 @@
 //! pin on purpose, re-pin it and say why in the commit.
 
 use sqlts_core::{
-    compile, CompileOptions, SessionWorker, SessionWorkerConfig, StreamOptions, StreamSession,
-    WorkerError,
+    compile, CompileOptions, Governor, SessionWorker, SessionWorkerConfig, StreamOptions,
+    StreamSession, WorkerError,
 };
 use sqlts_relation::{ColumnType, Schema, Table, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -200,6 +200,17 @@ fn a_group_feed_allocates_nothing_per_row_for_any_member() {
 
 #[test]
 fn a_group_fed_frames_of_any_size_allocates_nothing_per_row() {
+    // Ungoverned, the group is driven once per frame; with every member
+    // under a step budget that never trips, after every row.
+    for governor in [
+        Governor::unlimited(),
+        Governor::unlimited().with_max_steps(u64::MAX / 2),
+    ] {
+        frames_of_any_size_allocate_nothing_per_row(governor);
+    }
+}
+
+fn frames_of_any_size_allocate_nothing_per_row(governor: Governor) {
     // After one frame of 64 rows per cluster — as many as a frame admits
     // to a cluster before its members are driven — no frame, short or
     // long, grows a window or the group's per-frame state.
@@ -209,7 +220,9 @@ fn a_group_fed_frames_of_any_size_allocates_nothing_per_row() {
              WHERE X.price < {} AND Y.price > X.price",
             50 + i
         );
-        SessionWorkerConfig::new(format!("w{i}"), sql, quote_schema())
+        let mut config = SessionWorkerConfig::new(format!("w{i}"), sql, quote_schema());
+        config.stream.exec.governor = governor.clone();
+        config
     };
     let lead = SessionWorker::spawn(config(0)).unwrap();
     let members: Vec<SessionWorker> = (1..8)
@@ -234,7 +247,7 @@ fn a_group_fed_frames_of_any_size_allocates_nothing_per_row() {
         let (calls, ()) = allocations(|| lead.group().feed(frame, ok).unwrap());
         assert_eq!(
             calls, 0,
-            "{calls} allocation calls feeding a frame of {n} rows"
+            "{calls} allocation calls feeding a frame of {n} rows under {governor:?}"
         );
     }
     for worker in members.iter().chain([&lead]) {

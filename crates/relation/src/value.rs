@@ -49,17 +49,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The column type this value inhabits, or `None` for NULL.
-    pub fn column_type(&self) -> Option<ColumnType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ColumnType::Int),
-            Value::Float(_) => Some(ColumnType::Float),
-            Value::Str(_) => Some(ColumnType::Str),
-            Value::Date(_) => Some(ColumnType::Date),
-        }
-    }
-
     /// Numeric view (ints widen to float), or `None` for non-numerics.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

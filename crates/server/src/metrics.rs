@@ -3,7 +3,7 @@
 //! `GET /status`.
 //!
 //! Every family is declared once, as a row of a table in this file
-//! ([`LATENCY_OPS`], [`COUNTERS`], [`SUB_GAUGES`], [`REPL`]);
+//! (`LATENCY_OPS`, `COUNTERS`, `SUB_GAUGES`, `REPL`);
 //! [`metrics_text`] walks the tables — and the finished subscriptions'
 //! [`ExecutionProfile`]s and the shared [`PatternSetStats`], which carry
 //! their own — through one [`Exposition`], and [`status_json`] reads its

@@ -2,7 +2,7 @@
 //! single-writer lock, the subscription record codec, and the typed
 //! [`ServeError`] every serve-path failure is classified onto.  The
 //! recovery pass that rebuilds a crashed server from it is
-//! `server::recover`, which replays through [`crate::channel`].
+//! `server::recover`, which replays through `crate::channel`.
 //!
 //! ## Layout
 //!

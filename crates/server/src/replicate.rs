@@ -1,17 +1,17 @@
 //! Primary→standby WAL streaming replication, both ends.
 //!
-//! The *primary* half is the [`Replicator`] handle the feed path offers
+//! The *primary* half is the `Replicator` handle the feed path offers
 //! committed work to (a commit-ordered queue plus the per-channel ack
 //! watermarks `--repl-ack sync` FEEDs block on and the counters
 //! `/metrics` exposes as `sqlts_repl_*`) and the shipping thread that
-//! drains it ([`shipping_thread`]): one session at a time, each a
+//! drains it (`shipping_thread`): one session at a time, each a
 //! connect + `HELLO` + full resync from the WAL on disk + live queue
 //! loop.  The queue is bounded ([`QUEUE_DEPTH`]): an offer that finds it
 //! full ends the session like a failed send, and the next session's
 //! resync reads from disk what the queue could not hold.  The
 //! *standby* half is the handler for every `REPL` verb
-//! ([`standby_dispatch`]).  A shipped frame is validated and committed
-//! by the same [`crate::channel`] steps a live `FEED` uses, so the
+//! (`standby_dispatch`).  A shipped frame is validated and committed
+//! by the same `crate::channel` steps a live `FEED` uses, so the
 //! standby's WAL holds exactly the bytes the primary's does.
 //!
 //! The protocol rides the ordinary frame codec ([`crate::frame`]) on the

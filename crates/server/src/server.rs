@@ -2,7 +2,7 @@
 //! handlers, the channel/subscription registries they share, restart
 //! recovery, graceful drain, and the `GET /metrics` / `GET /status` HTTP
 //! shim.  What happens to a `FEED` frame once its channel is found lives
-//! in [`crate::channel`]; both ends of replication live in
+//! in `crate::channel`; both ends of replication live in
 //! [`crate::replicate`].
 //!
 //! ## Protocol
@@ -518,7 +518,7 @@ impl Server {
     /// A `sqlts-accept` thread blocks in `accept()`, so a connection is
     /// served the moment it arrives.  The calling thread polls only what
     /// a signal handler can set — `shutdown` and a requested promotion —
-    /// every [`FLAG_POLL`].  On shutdown it stops the acceptor (a stop
+    /// every `FLAG_POLL`.  On shutdown it stops the acceptor (a stop
     /// flag, then one loopback connect to wake the blocked `accept()`)
     /// and joins it before draining, so nothing is accepted mid-drain.
     /// It returns only once every connection thread the drain parted has

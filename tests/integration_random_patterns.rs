@@ -1185,8 +1185,10 @@ fn group_workers_read_back_their_solo_sessions_soak() {
 /// Property: a session group fed a stream in frames stands exactly where
 /// one fed the same stream row by row stands.  Each round seats 1–6
 /// random queries — every engine, instrumented or not, some with step or
-/// match budgets (driven after every row), the rest driven once per
-/// frame — in two groups that admit alike under one bad-tuple policy.
+/// match budgets — in two groups that admit alike under one bad-tuple
+/// policy.  A group is driven after every row while a member is governed
+/// and once per frame after the last governed member trips (or from the
+/// start, when none is).
 /// One group takes the rows in random frames of 1–16, the other one row
 /// per frame.  Each seat's per-row verdicts, its status and checkpoint
 /// text at every frame boundary, and its finish (CSV, counts, trip,
